@@ -14,8 +14,10 @@ from fractions import Fraction
 from .norms import norm_from_name, norm_name
 from .rearrange import steinitz_rearrange, subspace_rearrange
 from .colorful import colorful_affine, colorful_rearrange, single_partial_sum
-from .oracles import brute_colorful_optimum, brute_ilp, brute_rearrange_optimum, brute_single_sum
-from .generate import gen_four_block, gen_zero_sum_family
+from .oracles import (BudgetExceeded, brute_colorful_optimum, brute_ilp,
+                      brute_rearrange_optimum, brute_single_sum)
+from .generate import GenerationError, gen_four_block, gen_zero_sum_family
+from .lp import LPError
 from .blockip import (PropertyViolation, UnboundedRelaxation, graver_enumerate,
                       proximity_report, reduce_kernel_point_signed, solve_four_block)
 from . import fileio
@@ -410,7 +412,7 @@ def main(argv=None) -> int:
         name = getattr(exc, "name", "assertion")
         print(f"property violation [{name}]: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BudgetExceeded, GenerationError, LPError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -92,6 +92,12 @@ class _Tokens:
         for w in words:
             self.literal(w, f"section {label!r}")
 
+    def end(self):
+        """Reject any token left after the last expected value."""
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(tok[1], tok[2], f"unexpected trailing input {tok[0]!r}")
+
 
 # ---------------------------------------------------------------------------
 # colorful family files
@@ -122,6 +128,7 @@ def read_family(path: str) -> ColoredFamily:
     vectors = tuple(
         tuple(tuple(toks.rat("a vector entry") for _ in range(d)) for _ in range(m))
         for _ in range(n))
+    toks.end()
     return ColoredFamily(d, n, m, vectors, norm)
 
 
@@ -204,6 +211,7 @@ def read_fourblock(path: str) -> FourBlockInstance:
     ux = tuple(toks.bound("an ux bound") for _ in range(t0))
     toks.section("uy")
     uy = tuple(toks.bound("an uy bound") for _ in range(n * t))
+    toks.end()
     inst = FourBlockInstance(s0, s, t0, t, n, A0, tuple(B), tuple(A), tuple(C),
                              b, cx, cy, ux, uy, delta)
     return inst
@@ -220,6 +228,7 @@ def read_point(path: str, inst: FourBlockInstance) -> KernelPoint:
         toks = _Tokens(fh.read())
     x = tuple(toks.rat("a point entry") for _ in range(inst.x_dim))
     y = tuple(toks.rat("a point entry") for _ in range(inst.y_dim))
+    toks.end()
     return KernelPoint(x, y)
 
 

@@ -46,18 +46,8 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def vscale(a: Vec, s) -> Vec:
     return tuple(s * x for x in a)
-
-
-def vdot(a: Vec, b: Vec):
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch in dot product")
-    return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
 def is_zero_vec(a: Vec) -> bool:
@@ -115,9 +105,6 @@ class Matrix:
 
     def col(self, j: int) -> Vec:
         return self.data[j::self.cols] if self.cols else ()
-
-    def row_list(self):
-        return [self.row(i) for i in range(self.rows)]
 
     def mul_vec(self, v: Vec) -> Vec:
         if len(v) != self.cols:

@@ -1,6 +1,7 @@
 """Exact linear programming primitives.
 
-All computations run over Fraction.  The simplex is a bounded-variable
+Values are Fraction; vertex purification eliminates over the rows of M
+scaled to integers, with the same answers.  The simplex is a bounded-variable
 tableau method with Bland's rule, so it terminates on degenerate inputs.
 Infinite bounds are represented by None and handled symbolically.
 """
@@ -10,6 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import zip_longest
+from operator import mul
 
 from .linalg import Matrix, Vec, ZERO, ONE, rat, primitive_integer_vector, null_space
 
@@ -53,17 +57,33 @@ class BoxLP:
             if lo is not None and hi is not None and lo > hi:
                 raise ValueError("lower bound exceeds upper bound")
 
+    @cached_property
+    def integer_rows(self):
+        """(rows, b) with row i of [M | b] scaled to integers by the lcm of
+        its denominators; the scaled system has the same solutions and M
+        the same kernel."""
+        rows, rhs = [], []
+        for i in range(self.M.rows):
+            row = self.M.row(i)
+            bi = self.b[i]
+            s = math.lcm(bi.denominator, *(a.denominator for a in row))
+            rows.append(tuple(a.numerator * (s // a.denominator) for a in row))
+            rhs.append(bi.numerator * (s // bi.denominator))
+        return rows, rhs
+
     def is_feasible_point(self, x: Vec) -> bool:
         if len(x) != self.M.cols:
-            return False
-        if self.M.mul_vec(x) != tuple(self.b):
             return False
         for xi, lo, hi in zip(x, self.lower, self.upper):
             if lo is not None and xi < lo:
                 return False
             if hi is not None and xi > hi:
                 return False
-        return True
+        # M x = b over the common denominator D of x: A X = b' D
+        D = math.lcm(*(v.denominator for v in x))
+        X = [v.numerator * (D // v.denominator) for v in x]
+        rows, rhs = self.integer_rows
+        return all(sum(map(mul, row, X)) == bi * D for row, bi in zip(rows, rhs))
 
 
 @dataclass(frozen=True)
@@ -88,60 +108,67 @@ def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
     interior coordinates and moves maximally until a bound becomes tight.
     Columns are streamed once through an incremental elimination, so the
     cost is roughly one Gaussian pass over the interior columns.
+
+    The elimination is fraction-free, over ``lp.integer_rows``.  A kernel
+    direction is fixed up to a factor by the basis set and the entering
+    column; oriented positive on that column, it gives exactly the steps
+    and the vertex of elimination over Fraction.
     """
-    if not lp.is_feasible_point(tuple(x0)):
-        raise InfeasibleStart("starting point is not feasible")
-    M = lp.M
-    nrows = M.rows
     x = [rat(v) for v in x0]
+    if not lp.is_feasible_point(x):
+        raise InfeasibleStart("starting point is not feasible")
+    rows, _ = lp.integer_rows
+    cols = list(zip(*rows)) if rows else [()] * lp.M.cols
 
     def is_tight(j):
         return (lp.lower[j] is not None and x[j] == lp.lower[j]) or \
                (lp.upper[j] is not None and x[j] == lp.upper[j])
 
-    # basis entries: [col, reduced column, expansion tag over raw columns, pivot row]
+    # basis entries: [col, reduced column, tag, pivot row]; entry k's tag holds
+    # its coefficients over the columns of basis[0..k], its own last
     basis: list[list] = []
 
     def reduce_column(c):
-        """Reduce raw column c against the basis; returns (residual, tag)."""
-        v = list(M.col(c)) if nrows else []
-        tag = {c: ONE}
-        for bc, red, btag, p in basis:
-            f = v[p] / red[p] if red[p] else ZERO
+        """Reduce raw column c against the basis; returns (residual, tag), both
+        integer and primitive together, the tag's last entry on c."""
+        v = cols[c]
+        tag = [0] * len(basis) + [1]
+        for _, red, btag, p in basis:
+            f = v[p]
             if f:
-                for i in range(nrows):
-                    if red[i]:
-                        v[i] -= f * red[i]
-                for k, coef in btag.items():
-                    tag[k] = tag.get(k, ZERO) - f * coef
+                rp = red[p]
+                v = [rp * a - f * r for a, r in zip(v, red)]
+                tag = [rp * t - f * bt for t, bt in zip_longest(tag, btag, fillvalue=0)]
+                g = math.gcd(*v, *tag)
+                if g != 1:
+                    v = [a // g for a in v]
+                    tag = [t // g for t in tag]
         return v, tag
 
-    def insert(c) -> bool:
-        """Try to add column c to the basis; False means c is dependent."""
-        v, tag = reduce_column(c)
-        pivot = next((i for i in range(nrows) if v[i] != 0), None)
+    def insert(c, v, tag) -> bool:
+        """Add column c, reduced to (v, tag), to the basis; False means c is
+        dependent."""
+        pivot = next((i for i, a in enumerate(v) if a), None)
         if pivot is None:
             return False
         basis.append([c, v, tag, pivot])
         return True
 
-    def kernel_direction(c):
-        v, tag = reduce_column(c)
-        if any(vi != 0 for vi in v):
-            return None, tag
-        return {k: coef for k, coef in tag.items() if coef != 0}, tag
-
-    pending = [j for j in range(M.cols) if not is_tight(j)]
+    pending = [j for j in range(lp.M.cols) if not is_tight(j)]
     idx = 0
     while idx < len(pending):
         c = pending[idx]
         idx += 1
         if is_tight(c):
             continue
-        g, _ = kernel_direction(c)
-        if g is None:
-            insert(c)
+        v, tag = reduce_column(c)
+        if insert(c, v, tag):
             continue
+        if tag[-1] < 0:  # orient g positive on c, as Fraction elimination does
+            tag = [-t for t in tag]
+        g = {c: tag[-1]}
+        g.update((e[0], t) for e, t in zip(basis, tag) if t)
+
         # line search along +g / -g for the first finite blocking bound
         def max_step(sign):
             best = None
@@ -176,7 +203,7 @@ def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
                 keep.append(c)
             basis.clear()
             for col in keep:
-                if not insert(col):
+                if not insert(col, *reduce_column(col)):
                     raise AssertionError("basis rebuild lost independence")
     return tuple(x)
 

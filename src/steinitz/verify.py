@@ -19,8 +19,15 @@ from .oracles import BudgetExceeded, brute_ilp, brute_rearrange_optimum, brute_s
 from .generate import (GenerationError, gen_adversarial_scalar_family, gen_four_block,
                        gen_rank_deficient_sequence, gen_unit_family, gen_zero_sum_family,
                        gen_zero_sum_sequence)
-from .blockip import (KernelPoint, decompose_bundle, graver_enumerate, proximity_report,
-                      reduce_kernel_point, solve_four_block)
+from .blockip import (KernelPoint, PropertyViolation, decompose_bundle, graver_enumerate,
+                      proximity_report, reduce_kernel_point, solve_four_block)
+
+
+def _check(cond, name: str):
+    """Raise PropertyViolation(name) unless cond holds; unlike assert, it
+    is not removed under python -O."""
+    if not cond:
+        raise PropertyViolation(name)
 
 
 def _norm_for(idx):
@@ -52,9 +59,9 @@ def suite_steinitz(seed: int, idx: int):
     m = 5 + (seed + idx * 7) % 36
     seq = gen_zero_sum_sequence(d, m, _norm_for(idx), seed * 1000 + idx)
     cert = steinitz_rearrange(seq)
-    assert cert.radius <= 1
-    assert cert.achieved_max <= d * cert.radius
-    assert cert.achieved_max == max_prefix_norm(seq, cert.permutation)
+    _check(cert.radius <= 1, "steinitz-radius")
+    _check(cert.achieved_max <= d * cert.radius, "steinitz-bound")
+    _check(cert.achieved_max == max_prefix_norm(seq, cert.permutation), "steinitz-achieved")
     return f"ok steinitz[{idx}] d={d} m={m} achieved={cert.achieved_max}"
 
 
@@ -64,7 +71,7 @@ def suite_steinitz_oracle(seed: int, idx: int):
     seq = gen_zero_sum_sequence(d, m, _norm_for(idx), seed * 1000 + idx)
     cert = steinitz_rearrange(seq)
     opt = brute_rearrange_optimum(seq)
-    assert opt <= cert.achieved_max <= d
+    _check(opt <= cert.achieved_max <= d, "steinitz-oracle-bound")
     return f"ok steinitz-oracle[{idx}] d={d} m={m} opt={opt} achieved={cert.achieved_max}"
 
 
@@ -75,9 +82,9 @@ def suite_colorful(seed: int, idx: int):
     fam = gen_zero_sum_family(d, n, m, _norm_for(idx), seed * 1000 + idx)
     cert = colorful_rearrange(fam)
     bound = min(n * d, 40 * d ** 5)
-    assert cert.achieved_max <= bound
+    _check(cert.achieved_max <= bound, "colorful-bound")
     for perm in cert.permutations:
-        assert sorted(perm) == list(range(m))
+        _check(sorted(perm) == list(range(m)), "colorful-permutation")
     return f"ok colorful[{idx}] d={d} n={n} m={m} route={cert.route} achieved={cert.achieved_max}"
 
 
@@ -86,12 +93,13 @@ def suite_colorful_balanced(seed: int, idx: int):
     m = 3 + idx % 4
     fam = gen_adversarial_scalar_family(n, m, seed * 1000 + idx)
     bal = balance_rows(fam)
-    assert bal.row_bound <= 40
+    _check(bal.row_bound <= 40, "balanced-row-bound")
     for prev, cur in zip(bal.history, bal.history[1:]):
-        assert cur < prev
+        _check(cur < prev, "balanced-history-decreasing")
     cert = colorful_rearrange(fam)
-    assert cert.achieved_max <= min(n, 40)
-    assert cert.phase1_row_bound is not None and cert.phase1_row_bound <= 40
+    _check(cert.achieved_max <= min(n, 40), "balanced-bound")
+    _check(cert.phase1_row_bound is not None and cert.phase1_row_bound <= 40,
+           "balanced-phase1-row-bound")
     return (f"ok colorful-balanced[{idx}] n={n} m={m} iters={len(bal.history) - 1} "
             f"rowbound={bal.row_bound} achieved={cert.achieved_max}")
 
@@ -103,7 +111,7 @@ def suite_affine(seed: int, idx: int):
     fam = gen_unit_family(d, n, m, _norm_for(idx), seed * 1000 + idx)
     cert = colorful_affine(fam)
     bound = min(n * d, 40 * d ** 5)
-    assert cert.achieved_max <= 2 * bound
+    _check(cert.achieved_max <= 2 * bound, "affine-bound")
     return (f"ok affine[{idx}] d={d} n={n} m={m} achieved={cert.achieved_max} "
             f"tight_bound_met={cert.tight_bound_met}")
 
@@ -118,12 +126,12 @@ def suite_singlesum(seed: int, idx: int):
     worst = Fraction(0)
     for k in range(m + 1):
         sel = single_partial_sum(fam, k)
-        assert all(len(I) == k for I in sel.index_sets)
-        assert sel.achieved <= d
+        _check(all(len(I) == k for I in sel.index_sets), "singlesum-set-size")
+        _check(sel.achieved <= d, "singlesum-bound")
         worst = max(worst, sel.achieved)
         try:
             opt = brute_single_sum(fam, k)
-            assert opt <= sel.achieved
+            _check(opt <= sel.achieved, "singlesum-oracle")
         except BudgetExceeded:
             pass
     return f"ok singlesum[{idx}] d={d} n={n} m={m} worst={worst}"
@@ -136,8 +144,8 @@ def suite_subspace(seed: int, idx: int):
     seq = gen_rank_deficient_sequence(d, r, m, seed * 1000 + idx)
     cert = subspace_rearrange(seq)
     span = rank_of_vectors(seq.vectors)
-    assert cert.certified_bound == span * cert.radius
-    assert cert.achieved_max <= span * cert.radius
+    _check(cert.certified_bound == span * cert.radius, "subspace-certified-bound")
+    _check(cert.achieved_max <= span * cert.radius, "subspace-bound")
     return f"ok subspace[{idx}] d={d} span={span} m={m} achieved={cert.achieved_max}"
 
 
@@ -166,7 +174,7 @@ def suite_reduce(seed: int, idx: int):
         c *= 2
     else:
         raise AssertionError("could not scale past xi")
-    assert out.vector is not None, "no reduction above xi"
+    _check(out.vector is not None, "reduce-found")
     # independent existence check below the found vector's radius
     found = tuple(out.vector[0]) + tuple(out.vector[1])
     H = inst.H_matrix()
@@ -179,7 +187,7 @@ def suite_reduce(seed: int, idx: int):
         if all(v == 0 for v in H.mul_vec(zz)):
             witness = zz
             break
-    assert witness is not None
+    _check(witness is not None, "reduce-witness")
     return (f"ok reduce[{idx}] xi={out.constants.xi} psi={out.diagnostics['psi']} "
             f"norm={linf_norm(tuple(big.x) + tuple(big.y))}")
 
@@ -196,10 +204,10 @@ def suite_graver(seed: int, idx: int):
                                              predicate=lambda z: any(z))
               if all(v == 0 for v in H.mul_vec(z))]
     for g in basis:
-        assert not any(h != g and conformal_leq(h, g) for h in kernel)
+        _check(not any(h != g and conformal_leq(h, g) for h in kernel), "graver-minimal")
     for h in kernel:
         if h not in basis:
-            assert any(g != h and conformal_leq(g, h) for g in kernel)
+            _check(any(g != h and conformal_leq(g, h) for g in kernel), "graver-complete")
     return f"ok graver[{idx}] box={box} size={len(basis)}"
 
 
@@ -220,8 +228,8 @@ def suite_solve(seed: int, idx: int):
             raise AssertionError("no feasible instance found")
     opt = brute_ilp(inst)
     sol = solve_four_block(inst, math.ceil(rep.xi))
-    assert sol is not None and opt is not None
-    assert sol[2] == opt[1]
+    _check(sol is not None and opt is not None, "solve-feasible")
+    _check(sol[2] == opt[1], "solve-optimal")
     return f"ok solve[{idx}] value={sol[2]} radius_xi={math.ceil(rep.xi)}"
 
 
@@ -240,7 +248,7 @@ def suite_proximity(seed: int, idx: int):
         sub += 1
         if sub > 50:
             raise AssertionError("no feasible instance found")
-    assert rep.distance_inf <= rep.xi
+    _check(rep.distance_inf <= rep.xi, "proximity-bound")
     return f"ok proximity[{idx}] dist={rep.distance_inf} xi={rep.xi}"
 
 

@@ -255,3 +255,87 @@ def test_read_write_instance_dispatch(tmp_path):
     bad.write_text("mystery 1 2 3\n")
     with pytest.raises(ParseError):
         read_instance(str(bad))
+
+
+@pytest.mark.parametrize("kind", ["family", "fourblock", "point"])
+def test_trailing_input_rejected(tmp_path, kind):
+    fam = gen_zero_sum_family(2, 1, 3, LINF_NORM, 5)
+    inst, pt = gen_four_block(1, 1, 1, 1, 2, 1, 6)
+    path = str(tmp_path / "in.txt")
+    write, read = {
+        "family": (lambda: fileio.write_family(fam, path), lambda: fileio.read_family(path)),
+        "fourblock": (lambda: fileio.write_fourblock(inst, path),
+                      lambda: fileio.read_fourblock(path)),
+        "point": (lambda: fileio.write_point(pt, path), lambda: fileio.read_point(path, inst)),
+    }[kind]
+    write()
+    read()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines[:-1] + [lines[-1] + " junk"]) + "\n")
+    with pytest.raises(ParseError) as err:
+        read()
+    assert (err.value.line, err.value.col) == (len(lines), len(lines[-1]) + 2)
+    assert "'junk'" in str(err.value)
+
+
+def test_cli_trailing_input_exit_2(tmp_path, capsys):
+    fam = tmp_path / "f.txt"
+    fam.write_text("colorful 2 1 2 linf\n1 2\n-1 -2\n7 8 junk\n")
+    assert main(["rearrange", "--input", str(fam)]) == 2
+    assert "line 4, column 1" in capsys.readouterr().err
+
+
+def _error_exit(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_cli_budget_exceeded_exit_2(tmp_path, capsys):
+    fam = tmp_path / "f.txt"
+    fileio.write_family(gen_zero_sum_family(1, 1, 12, LINF_NORM, 3), str(fam))
+    err = _error_exit(["oracle", "--kind", "rearrange", "--input", str(fam)], capsys)
+    assert "exceeds budget" in err
+
+
+def test_cli_generation_error_exit_2(tmp_path, capsys):
+    # delta 0 draws zero diagonal blocks, which never reach full row rank
+    _error_exit(["gen", "fourblock", "--s0", "1", "--s", "1", "--t0", "1", "--t", "1",
+                 "--n", "1", "--delta", "0", "--seed", "1",
+                 "--output", str(tmp_path / "i.4blk")], capsys)
+
+
+@pytest.mark.parametrize("error", ["InfeasibleStart", "NonPointedCone"])
+def test_cli_lp_error_exit_2(tmp_path, capsys, monkeypatch, error):
+    import steinitz.cli
+    import steinitz.lp
+    inst = tmp_path / "i.4blk"
+    fileio.write_fourblock(gen_four_block(1, 1, 1, 1, 2, 1, 5)[0], str(inst))
+
+    def failing(*args, **kwargs):
+        raise getattr(steinitz.lp, error)("no vertex")
+
+    monkeypatch.setattr(steinitz.cli, "proximity_report", failing)
+    assert _error_exit(["proximity", "--input", str(inst)], capsys) == "error: no vertex\n"
+
+
+def test_verify_checks_survive_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    # max_prefix_norm is patched to disagree with the certificate, so the
+    # steinitz suite's achieved-maximum check must fail even under -O
+    code = ("import steinitz.verify as v\n"
+            "v.max_prefix_norm = lambda seq, perm: -1\n"
+            "print('\\n'.join(v.run_suites(['steinitz'], 1, 1)[0]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out == "FAIL steinitz[0] steinitz-achieved: property steinitz-achieved violated\n"
