@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .linalg import (Matrix, Vec, ZERO, ONE, rat, ceil_sqrt, det, is_integer_vec,
                      l1_norm, linf_norm, lcm_abs_dets, rank, rank_of_vectors,
@@ -129,6 +130,33 @@ class FourBlockInstance:
                 row.extend([ZERO] * (self.t * (self.n - 1 - i)))
                 rows.append(row)
         return Matrix.from_rows(rows)
+
+    def integer_system(self):
+        """(rows, b) of H z = b over int, as enum_integer_points takes it."""
+        return _int_rows(self.H_matrix()), tuple(int(v) for v in self.b)
+
+    def box_points(self, box_cap: int | None = None):
+        """The integer points of H z = b in the brute-force search box, in
+        lexicographic order: 0 <= z <= the bounds, capped at box_cap."""
+        _check_box_cap(box_cap)
+        upper = []
+        for u in tuple(self.ux) + tuple(self.uy):
+            if u is None and box_cap is None:
+                raise ValueError("unbounded search box: provide box_cap")
+            hi = box_cap if u is None else math.floor(rat(u))
+            upper.append(hi if box_cap is None else min(hi, box_cap))
+        return enum_integer_points((0,) * len(upper), upper, system=self.integer_system())
+
+
+def _int_rows(M: Matrix) -> list:
+    if any(a.denominator != 1 for a in M.data):
+        raise ValueError("expected an integer matrix")
+    return [tuple(int(a) for a in M.row(r)) for r in range(M.rows)]
+
+
+def _check_box_cap(box_cap: int | None):
+    if box_cap is not None and box_cap < 0:
+        raise ValueError(f"box_cap must be nonnegative, got {box_cap}")
 
 
 @dataclass(frozen=True)
@@ -248,10 +276,9 @@ def minimal_kernel_below(Ai: Matrix, w: Vec, cap: int):
     """First (lex) nonzero integer point of ker Ai inside [0, floor(w)]
     with l1 norm at most cap, or None when no such point exists."""
     upper = tuple(math.floor(rat(x)) for x in w)
-    for z in enum_integer_points((0,) * len(w), upper, ell1_cap=cap):
-        if any(z) and all(x == 0 for x in Ai.mul_vec(z)):
-            return z
-    return None
+    kernel = enum_integer_points((0,) * len(w), upper, ell1_cap=cap, predicate=any,
+                                 system=(_int_rows(Ai), (0,) * Ai.rows))
+    return next(kernel, None)
 
 
 def decompose_u(inst: FourBlockInstance, u_hat: Vec):
@@ -916,12 +943,10 @@ def graver_enumerate(inst: FourBlockInstance, box: int):
     [-box, box]^{t0+nt}; the true Graver basis restricted to the box."""
     if box < 1:
         raise ValueError("box must be at least 1")
-    H = inst.H_matrix()
+    rows, _ = inst.integer_system()
     dim = inst.x_dim + inst.y_dim
-    zero = (ZERO,) * H.rows
-    kernel = [z for z in enum_integer_points((-box,) * dim, (box,) * dim,
-                                             predicate=lambda z: any(z))
-              if H.mul_vec(z) == zero]
+    kernel = list(enum_integer_points((-box,) * dim, (box,) * dim, predicate=any,
+                                      system=(rows, (0,) * len(rows))))
     out = []
     for g in kernel:
         if not any(h != g and conformal_leq(h, g) for h in kernel):
@@ -966,51 +991,26 @@ def solve_four_block(inst: FourBlockInstance, radius: int):
         raise UnboundedRelaxation("LP relaxation of the 4-block program is unbounded")
     x_hat = res.x[:inst.t0]
 
-    ranges = []
-    for c in range(inst.t0):
-        lo = max(0, math.ceil(x_hat[c] - radius))
-        hi = math.floor(x_hat[c] + radius)
-        if inst.ux[c] is not None:
-            hi = min(hi, math.floor(rat(inst.ux[c])))
-        ranges.append(range(lo, hi + 1))
-
+    x_lower = [max(0, math.ceil(v - radius)) for v in x_hat]
+    x_upper = [math.floor(v + radius) if u is None else min(math.floor(v + radius), math.floor(rat(u)))
+               for v, u in zip(x_hat, inst.ux)]
+    rows, b = inst.integer_system()
+    y_rows = [row[inst.t0:] for row in rows]
+    y_upper = [0 if u is None else math.floor(rat(u)) for u in inst.uy]
+    open_bounds = [j for j, u in enumerate(inst.uy) if u is None]
+    My = Matrix.from_rows(y_rows) if open_bounds else None
     best = None
-    from itertools import product
-    for xbar in product(*ranges):
-        rhs0 = vsub(tuple(inst.b[:inst.s0]), inst.A0.mul_vec(xbar))
-        rows = []
-        b_res = list(rhs0)
-        Hy = []
-        for r in range(inst.s0):
-            row = []
-            for i in range(inst.n):
-                row.extend(inst.C[i].row(r))
-            Hy.append(row)
-        for i in range(inst.n):
-            rhs_i = vsub(tuple(inst.b[inst.s0 + i * inst.s: inst.s0 + (i + 1) * inst.s]),
-                         inst.B[i].mul_vec(xbar))
-            for r in range(inst.s):
-                row = [ZERO] * (inst.t * i) + list(inst.A[i].row(r)) \
-                    + [ZERO] * (inst.t * (inst.n - 1 - i))
-                Hy.append(row)
-            b_res.extend(rhs_i)
-        My = Matrix.from_rows(Hy)
-        lp_y = BoxLP(My, tuple(b_res), (ZERO,) * inst.y_dim, tuple(inst.uy),
-                     tuple(inst.cy))
-        upper = []
-        for j, u in enumerate(inst.uy):
-            if u is not None:
-                upper.append(math.floor(rat(u)))
-            else:
-                upper.append(math.floor(_implied_upper(lp_y, j)))
-        target = tuple(b_res)
-        for y in enum_integer_points((0,) * inst.y_dim, tuple(upper)):
-            if My.mul_vec(y) != target:
-                continue
-            value = sum((ci * xi for ci, xi in zip(inst.cx, xbar)), ZERO) + \
-                sum((ci * yi for ci, yi in zip(inst.cy, y)), ZERO)
+    for xbar in enum_integer_points(x_lower, x_upper):
+        rhs = tuple(bi - sum(map(mul, row[:inst.t0], xbar)) for row, bi in zip(rows, b))
+        if open_bounds:
+            lp_y = BoxLP(My, rhs, (ZERO,) * inst.y_dim, tuple(inst.uy), tuple(inst.cy))
+            for j in open_bounds:
+                y_upper[j] = math.floor(_implied_upper(lp_y, j))
+        x_value = sum((ci * xi for ci, xi in zip(inst.cx, xbar)), ZERO)
+        for y in enum_integer_points((0,) * inst.y_dim, y_upper, system=(y_rows, rhs)):
+            value = x_value + sum((ci * yi for ci, yi in zip(inst.cy, y)), ZERO)
             if best is None or value > best[2]:
-                best = (tuple(xbar), y, value)
+                best = (xbar, y, value)
     return best
 
 
@@ -1041,39 +1041,23 @@ def xi_for_difference(inst: FourBlockInstance, z_from: Vec, z_to: Vec):
 
 def proximity_report(inst: FourBlockInstance, box_cap: int | None = None) -> ProximityReport:
     """LP vertex, nearest optimal integer solution, their distance, and the
-    xi bound certified for the difference; asserts distance <= xi."""
-    from .oracles import brute_ilp
+    xi bound certified for the difference; asserts distance <= xi.  The
+    nearest optimum is the first optimum of least distance in lex order."""
+    _check_box_cap(box_cap)
     res = lp_solve(_relaxation(inst))
     if res.status != "optimal":
         return ProximityReport(res.status, ip_feasible=False)
-    opt = brute_ilp(inst, box_cap=box_cap)
-    if opt is None:
-        return ProximityReport("optimal", ip_feasible=False, lp_vertex=res.x)
-
-    from .lp import enum_integer_points as _enum
-    H = inst.H_matrix()
-    bounds = list(inst.ux) + list(inst.uy)
-    upper = []
-    for u in bounds:
-        if u is None:
-            if box_cap is None:
-                raise ValueError("unbounded search box: provide box_cap")
-            upper.append(Fraction(box_cap))
-        else:
-            upper.append(min(rat(u), Fraction(box_cap)) if box_cap is not None else rat(u))
     c = tuple(inst.cx) + tuple(inst.cy)
-    b = tuple(inst.b)
-    best_val = opt[1]
-    nearest = None
-    best_dist = None
-    for z in _enum((ZERO,) * len(upper), tuple(upper)):
-        if H.mul_vec(z) != b:
-            continue
-        if sum((ci * zi for ci, zi in zip(c, z)), ZERO) != best_val:
+    best_val = nearest = best_dist = None
+    for z in inst.box_points(box_cap):
+        val = sum((ci * zi for ci, zi in zip(c, z)), ZERO)
+        if best_val is not None and val < best_val:
             continue
         dist = linf_norm(vsub(res.x, z))
-        if best_dist is None or dist < best_dist:
-            best_dist, nearest = dist, z
+        if best_val is None or val > best_val or dist < best_dist:
+            best_val, nearest, best_dist = val, z, dist
+    if nearest is None:
+        return ProximityReport("optimal", ip_feasible=False, lp_vertex=res.x)
     xi = xi_for_difference(inst, res.x, nearest)
     if best_dist > xi:
         raise PropertyViolation(

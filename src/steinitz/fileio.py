@@ -75,12 +75,16 @@ class _Tokens:
             return None
         return self.rat(what)
 
-    def integer(self, what: str = "an integer") -> int:
+    def count(self, what: str) -> int:
+        """A nonnegative integer, rejected at its token otherwise."""
         tok, ln, col = self.next(what)
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:
             raise ParseError(ln, col, f"expected {what}, got {tok!r}") from None
+        if value < 0:
+            raise ParseError(ln, col, f"expected a nonnegative {what}, got {tok!r}")
+        return value
 
     def literal(self, expected: str, what: str):
         tok, ln, col = self.next(what)
@@ -117,9 +121,9 @@ def read_family(path: str) -> ColoredFamily:
     with open(path) as fh:
         toks = _Tokens(fh.read())
     toks.literal("colorful", "header")
-    d = toks.integer("dimension d")
-    n = toks.integer("color count n")
-    m = toks.integer("length m")
+    d = toks.count("dimension d")
+    n = toks.count("color count n")
+    m = toks.count("length m")
     tok, ln, col = toks.next("a norm name")
     try:
         norm = norm_from_name(tok)
@@ -178,12 +182,12 @@ def read_fourblock(path: str) -> FourBlockInstance:
     with open(path) as fh:
         toks = _Tokens(fh.read())
     toks.literal("fourblock", "header")
-    s0 = toks.integer("s0")
-    s = toks.integer("s")
-    t0 = toks.integer("t0")
-    t = toks.integer("t")
-    n = toks.integer("n")
-    delta = toks.integer("delta")
+    s0 = toks.count("s0")
+    s = toks.count("s")
+    t0 = toks.count("t0")
+    t = toks.count("t")
+    n = toks.count("n")
+    delta = toks.count("delta")
 
     def matrix(rows, cols):
         return Matrix.from_rows(

@@ -514,31 +514,58 @@ def extreme_rays(ineqs: Matrix):
 # integer point enumeration
 
 
-def enum_integer_points(lower: Vec, upper: Vec, ell1_cap=None, predicate=None):
+def enum_integer_points(lower: Vec, upper: Vec, ell1_cap=None, predicate=None, system=None):
     """Yield every integer point in the box (and l1 ball, when capped)
-    satisfying the predicate, in lexicographic order, depth first."""
+    satisfying the predicate, in lexicographic order, depth first.
+
+    With ``system=(rows, rhs)`` over int, only the points with rows . z ==
+    rhs are yielded, in the same order: a value of a coordinate is skipped
+    when some row's residual can no longer be reached by that row's later
+    columns inside the box.  A row is looked at only on its nonzero
+    columns, so a block row is checked while its block is fixed."""
     n = len(lower)
     if len(upper) != n:
         raise ValueError("bound dimension mismatch")
+    rows, rhs = system if system is not None else ((), ())
+    if len(rows) != len(rhs) or any(len(row) != n for row in rows):
+        raise ValueError("system dimension mismatch")
     lo = [math.ceil(rat(v)) for v in lower]
     hi = [math.floor(rat(v)) for v in upper]
+    if any(l > h for l, h in zip(lo, hi)):
+        return
+    # checks[j]: (row, coefficient, min, max of the row over the columns after j)
+    checks = [[] for _ in range(n)]
+    for r, row in enumerate(rows):
+        rmin = rmax = 0
+        for j in reversed(range(n)):
+            if row[j]:
+                checks[j].append((r, row[j], rmin, rmax))
+                rmin += min(row[j] * lo[j], row[j] * hi[j])
+                rmax += max(row[j] * lo[j], row[j] * hi[j])
+        if not rmin <= rhs[r] <= rmax:
+            return
     point = [0] * n
 
-    def dfs(i, budget):
+    def dfs(i, budget, res):
         if i == n:
             pt = tuple(point)
             if predicate is None or predicate(pt):
                 yield pt
             return
-        for v in range(lo[i], hi[i] + 1):
-            cost = abs(v)
-            if budget is not None and cost > budget:
-                if v > 0:
-                    break
-                continue
+        vlo, vhi = lo[i], hi[i]
+        if budget is not None:
+            vlo, vhi = max(vlo, -budget), min(vhi, budget)
+        for r, a, rmin, rmax in checks[i]:
+            p, q = res[r] - rmax, res[r] - rmin  # p <= a v <= q
+            if a < 0:
+                a, p, q = -a, -q, -p
+            vlo, vhi = max(vlo, -(-p // a)), min(vhi, q // a)
+        for v in range(vlo, vhi + 1):
             point[i] = v
-            yield from dfs(i + 1, None if budget is None else budget - cost)
+            child = list(res)
+            for r, a, _, _ in checks[i]:
+                child[r] -= a * v
+            yield from dfs(i + 1, None if budget is None else budget - abs(v), child)
         point[i] = 0
 
-    if all(l <= h for l, h in zip(lo, hi)):
-        yield from dfs(0, ell1_cap)
+    yield from dfs(0, ell1_cap, list(rhs))

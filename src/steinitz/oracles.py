@@ -1,6 +1,8 @@
 """Brute-force references; every bound in the library is checked against
 these at tiny scale.  Budgets are hard caps with explicit errors, never
-silent truncation."""
+silent truncation.  The integer-program search visits every feasible
+point of its box; only prefixes that no point of the box completes to a
+feasible one are skipped."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .linalg import ZERO, rat
+from .linalg import ZERO
 from .norms import norm_eval
 from .rearrange import VectorSequence
 from .colorful import ColoredFamily
@@ -106,30 +108,17 @@ def brute_single_sum(fam: ColoredFamily, k: int, budget: int = DEFAULT_BUDGET) -
 
 
 def brute_ilp(inst, box_cap: int | None = None):
-    """Exact integer optimum of a 4-block instance by full enumeration.
+    """Exact integer optimum of a 4-block instance by visiting every
+    feasible integer point of the search box.
 
-    Returns (z, value) or None when infeasible inside the search box.
-    Requires finite upper bounds, or box_cap to close them off.
+    Returns (z, value), the lex-first optimum, or None when infeasible
+    inside the search box.  Requires finite upper bounds, or box_cap to
+    close them off.
     """
-    from .lp import enum_integer_points
-
-    H = inst.H_matrix()
-    bounds = list(inst.ux) + list(inst.uy)
-    upper = []
-    for u in bounds:
-        if u is None:
-            if box_cap is None:
-                raise ValueError("unbounded search box: provide box_cap")
-            upper.append(Fraction(box_cap))
-        else:
-            upper.append(min(rat(u), Fraction(box_cap)) if box_cap is not None else rat(u))
-    b = tuple(inst.b)
     c = tuple(inst.cx) + tuple(inst.cy)
     best = None
     best_val = None
-    for z in enum_integer_points((ZERO,) * len(upper), tuple(upper)):
-        if H.mul_vec(z) != b:
-            continue
+    for z in inst.box_points(box_cap):
         val = sum((ci * zi for ci, zi in zip(c, z)), ZERO)
         if best_val is None or val > best_val:
             best, best_val = z, val

@@ -339,3 +339,29 @@ def test_verify_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out == "FAIL steinitz[0] steinitz-achieved: property steinitz-achieved violated\n"
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--kind", "ilp", "--box", "-1"],
+                                  ["proximity", "--box", "-2"]])
+def test_cli_negative_box_exit_2(tmp_path, capsys, argv):
+    inst = tmp_path / "i.4blk"
+    fileio.write_fourblock(gen_four_block(1, 1, 1, 1, 2, 1, 5)[0], str(inst))
+    err = _error_exit(argv + ["--input", str(inst)], capsys)
+    assert "box_cap must be nonnegative" in err
+
+
+@pytest.mark.parametrize("header,col,what", [
+    ("colorful -2 1 2 linf", 10, "dimension d"),
+    ("colorful 2 -1 2 linf", 12, "color count n"),
+    ("colorful 2 1 -2 linf", 14, "length m"),
+    ("fourblock 1 1 1 1 -2 1", 19, "n"),
+    ("fourblock 1 1 1 1 1 -1", 21, "delta"),
+])
+def test_negative_count_rejected(tmp_path, header, col, what):
+    path = tmp_path / "in.txt"
+    path.write_text(header + "\n1 2\n")
+    read = fileio.read_family if header.startswith("colorful") else fileio.read_fourblock
+    with pytest.raises(ParseError) as err:
+        read(str(path))
+    assert (err.value.line, err.value.col) == (1, col)
+    assert f"expected a nonnegative {what}, got '-" in str(err.value)
