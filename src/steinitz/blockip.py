@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .linalg import (Matrix, Vec, ZERO, ONE, rat, ceil_sqrt, det, is_integer_vec,
+from .linalg import (Matrix, Vec, ZERO, ONE, rat, ceil_sqrt, det, hstack, is_integer_vec,
                      l1_norm, linf_norm, lcm_abs_dets, rank, rank_of_vectors,
-                     solve_linear, vadd, vscale, vsub, vzero)
+                     solve_linear, vadd, vscale, vsub)
 from .lp import BoxLP, LPError, enum_integer_points, extreme_rays, find_feasible, lp_solve, purify_to_vertex
 from .norms import LINF_NORM
 from .rearrange import rearrangement_order
@@ -130,6 +130,20 @@ class FourBlockInstance:
                 row.extend([ZERO] * (self.t * (self.n - 1 - i)))
                 rows.append(row)
         return Matrix.from_rows(rows)
+
+    def integer_C_images(self):
+        """A function taking an integer y (a tuple of int) to the integer
+        vector C y.  It computes each distinct y once: the pieces of a
+        decomposition repeat, so most calls are cache hits."""
+        rows = _int_rows(hstack(*self.C))
+        cache = {}
+
+        def image(y):
+            im = cache.get(y)
+            if im is None:
+                im = cache[y] = tuple(sum(map(mul, row, y)) for row in rows)
+            return im
+        return image
 
     def integer_system(self):
         """(rows, b) of H z = b over int, as enum_integer_points takes it."""
@@ -306,10 +320,10 @@ def decompose_u(inst: FourBlockInstance, u_hat: Vec):
     u0 = tuple(residuals)
     alpha0 = len(pieces)
 
-    c_images = [inst.apply_C(p) for p in pieces]
+    image = inst.integer_C_images()
+    c_images = [image(p) for p in pieces]
     if alpha0 >= 2:
-        q = tuple(sum(col, ZERO) for col in zip(*c_images))
-        mean = vscale(q, Fraction(1, alpha0))
+        mean = vscale(_int_sum(c_images, inst.s0), Fraction(1, alpha0))
         deviations = [vsub(ci, mean) for ci in c_images]
         order = rearrangement_order(deviations, inst.s0)
         pieces = [pieces[i] for i in order]
@@ -323,17 +337,26 @@ def decompose_u(inst: FourBlockInstance, u_hat: Vec):
             raise PropertyViolation("u-piece-norm", "an integer piece exceeds the l1 cap")
     if l1_norm(u0) > inst.n * K or linf_norm(u0) > K:
         raise PropertyViolation("u-remainder-norm", "remainder norm bound failed")
-    if alpha0 >= 1:
-        q = tuple(sum(col, ZERO) for col in zip(*c_images))
-        cap_iv = Fraction(inst.s0 * 2 * inst.delta * K)
-        prefix = [ZERO] * inst.s0
-        for k, ci in enumerate(c_images, start=1):
-            for r in range(inst.s0):
-                prefix[r] += ci[r]
-            dev = tuple(prefix[r] - Fraction(k, alpha0) * q[r] for r in range(inst.s0))
-            if linf_norm(dev) > cap_iv:
-                raise PropertyViolation("u-prefix-tube", "ordered C-prefix left the certified tube")
+    if alpha0 >= 1 and _leaves_tube(c_images, inst.s0 * 2 * inst.delta * K):
+        raise PropertyViolation("u-prefix-tube", "ordered C-prefix left the certified tube")
     return u0, tuple(pieces)
+
+
+def _leaves_tube(images, cap) -> bool:
+    """Whether a prefix sum of the integer vectors images leaves the tube
+    |prefix_k - (k/m) total| <= cap around the proportional line, m =
+    len(images).  Checked in integers, multiplied through by m:
+    |m prefix_k - k total| <= floor(m cap)."""
+    m = len(images)
+    total = [sum(col) for col in zip(*images)]
+    bound = math.floor(m * cap)
+    prefix = [0] * len(total)
+    for k, im in enumerate(images, start=1):
+        for r, x in enumerate(im):
+            prefix[r] += x
+            if abs(m * prefix[r] - k * total[r]) > bound:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +467,61 @@ def _convex_combo_over_vertices(vertices, target: Vec, support_cap: int, prop: s
     return combo
 
 
+def _peel_vertices(tau, lam, count, span, verts, w):
+    """Peel count vertices off the block part w = lam sum_k tau_k verts[k].
+
+    Each step takes the vertex of largest weight (the lowest index on a
+    tie), then renormalises the weights over the lam - j units left.  The
+    weights are kept as integer masses m_k = tau_k (lam - j) D, with D the
+    common denominator of lam and the initial masses: the checks
+    tau_k >= 1/span and tau_k (lam - j) >= 1 read m_k span >= (lam - j) D
+    and m_k >= D, and a step subtracts D from m_k and from (lam - j) D.
+    Returns the picked vertex indices in order and the remainder of w.
+
+    The vertices are nonnegative, so w only decreases along the steps: it
+    went negative at some step exactly when it is negative after the last
+    one, or, on a failed weight check, after the steps taken before it."""
+    masses = {k: c * lam for k, c in tau.items()}
+    D = math.lcm(lam.denominator, *(m.denominator for m in masses.values()))
+    mass = {k: int(m * D) for k, m in masses.items()}
+    left = int(lam * D)
+    counts = dict.fromkeys(mass, 0)
+    picks = []
+
+    def remainder():
+        rem = list(w)
+        for k, c in counts.items():
+            if c:
+                for r, x in enumerate(verts[k]):
+                    rem[r] -= c * x
+        if any(x < 0 for x in rem):
+            raise PropertyViolation("extraction-nonneg", "extraction overshot")
+        return tuple(rem)
+
+    for _ in range(count):
+        dbar = max(mass, key=lambda idx: (mass[idx], -idx))
+        if mass[dbar] * span < left or mass[dbar] < D:
+            remainder()
+            raise PropertyViolation("vertex-weight", "no vertex carries enough weight")
+        mass[dbar] -= D
+        left -= D
+        counts[dbar] += 1
+        picks.append(dbar)
+    return picks, remainder()
+
+
 def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases_x):
     """Split v into per-ray parts and extract integer pieces per part.
 
     Returns (v0_per_ell, vseq_per_ell, alphas, av0_integral) where
     vseq_per_ell[ell][j] are stacked integer vectors ordered so that the
-    C-image prefixes stay inside the certified tube."""
+    C-image prefixes stay inside the certified tube.
+
+    Every piece is one of the few vertices of a block polytope, so the
+    extraction works on vertex indices and counts with integer weights
+    (_peel_vertices).  The integer form and the scaled C-image of a vertex
+    are computed once, equal stacked pieces share one tuple whose kernel
+    pairing is checked once, and the tube is checked over integer C-images."""
     s, t, t0, n = inst.s, inst.t, inst.t0, inst.n
     ell_count = len(lambdas)
     Xv = Fraction(inst.delta ** (s + 1) * s ** s * t0) * omega2
@@ -493,7 +565,8 @@ def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases_
     av0_flags = []
     for ell, (lam, h) in enumerate(zip(lambdas, hs)):
         a_ell = alphas[ell]
-        seq_blocks = [[] for _ in range(n)]
+        picks = []          # per block: the vertex index of each extracted piece
+        int_verts = []      # per block: the vertices as integer tuples
         rem_blocks = []
         for i in range(n):
             fbs = feasible_bases(inst.A[i], inst.B[i], h)
@@ -504,29 +577,17 @@ def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases_
                                             "gamma scaling failed to make a vertex integer")
                 if l1_norm(v) > Xv:
                     raise PropertyViolation("v-piece-norm", "vertex l1 norm exceeds the cap")
-            w = list(v_parts[i][ell])
+            w = v_parts[i][ell]
+            pick = []
             if a_ell > 0:
                 target = tuple(x / lam for x in w)
                 tau = _convex_combo_over_vertices(verts, target, span, "vertex-support")
-                beta = lam
-                for j in range(a_ell):
-                    dbar = max(tau, key=lambda idx: (tau[idx], -idx))
-                    if tau[dbar] < Fraction(1, span) or tau[dbar] * beta < 1:
-                        raise PropertyViolation("vertex-weight",
-                                                "no vertex carries enough weight")
-                    piece = verts[dbar]
-                    w = [a - b for a, b in zip(w, piece)]
-                    if any(x < 0 for x in w):
-                        raise PropertyViolation("extraction-nonneg", "extraction overshot")
-                    seq_blocks[i].append(tuple(int(x) for x in piece))
-                    if j < a_ell - 1:
-                        tau = {idx: (c * beta - (ONE if idx == dbar else ZERO)) / (beta - 1)
-                               for idx, c in tau.items()}
-                        tau = {idx: c for idx, c in tau.items() if c != 0}
-                        beta -= 1
-            if l1_norm(tuple(w)) > span * Xv:
+                pick, w = _peel_vertices(tau, lam, a_ell, span, verts, w)
+            if l1_norm(w) > span * Xv:
                 raise PropertyViolation("v-remainder-norm", "v remainder exceeds its l1 cap")
-            rem_blocks.append(tuple(w))
+            rem_blocks.append(w)
+            picks.append(pick)
+            int_verts.append([tuple(int(x) for x in v) for v in verts])
         # stack per-block remainders / pieces into R^{nt}
         v0 = tuple(x for blk in rem_blocks for x in blk)
         v0_per_ell.append(v0)
@@ -534,48 +595,42 @@ def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases_
             is_integer_vec(inst.A[i].mul_vec(rem_blocks[i])) for i in range(n)))
 
         if a_ell > 0:
-            # order the pieces jointly across blocks
-            scaled = tuple(
-                tuple(tuple(x / CXv for x in inst.C[i].mul_vec(v)) for v in seq_blocks[i])
-                for i in range(n))
-            fam = ColoredFamily(inst.s0, n, a_ell, scaled, LINF_NORM)
+            # order the pieces jointly across blocks; each vertex's scaled
+            # C-image is one tuple, shared by all of its pieces
+            scaled = [[tuple(x / CXv for x in inst.C[i].mul_vec(v)) for v in int_verts[i]]
+                      for i in range(n)]
+            fam = ColoredFamily(inst.s0, n, a_ell,
+                                tuple(tuple(scaled[i][k] for k in picks[i]) for i in range(n)),
+                                LINF_NORM)
             cert = colorful_affine(fam)
-            stacked = []
+            stacked = {}    # vertex index per block -> the stacked piece
+            seq = []
             for j in range(a_ell):
-                parts = []
-                for i in range(n):
-                    parts.extend(seq_blocks[i][cert.permutations[i][j]])
-                stacked.append(tuple(parts))
-            vseq_per_ell.append(tuple(stacked))
+                key = tuple(picks[i][cert.permutations[i][j]] for i in range(n))
+                piece = stacked.get(key)
+                if piece is None:
+                    piece = stacked[key] = tuple(
+                        x for i, k in enumerate(key) for x in int_verts[i][k])
+                seq.append(piece)
+            vseq_per_ell.append(tuple(seq))
         else:
             vseq_per_ell.append(())
 
     # exact prefix check of the ordered C-images
     cap_ix = Fraction(40 * inst.s0 ** 5) * CXv
-    for ell, seq in enumerate(vseq_per_ell):
-        a_ell = alphas[ell]
-        if a_ell < 1:
-            continue
-        p_ell = [ZERO] * inst.s0
-        images = [inst.apply_C(vv) for vv in seq]
-        for im in images:
-            for r in range(inst.s0):
-                p_ell[r] += im[r]
-        prefix = [ZERO] * inst.s0
-        for k, im in enumerate(images, start=1):
-            for r in range(inst.s0):
-                prefix[r] += im[r]
-            dev = tuple(prefix[r] - Fraction(k, a_ell) * p_ell[r] for r in range(inst.s0))
-            if linf_norm(dev) > cap_ix:
-                raise PropertyViolation("v-prefix-tube", "ordered C-prefix left the certified tube")
+    image = inst.integer_C_images()
+    for seq in vseq_per_ell:
+        if seq and _leaves_tube([image(vv) for vv in seq], cap_ix):
+            raise PropertyViolation("v-prefix-tube", "ordered C-prefix left the certified tube")
 
-    # kernel pairing and the layer-count bound
+    # kernel pairing and the layer-count bound, once per distinct piece in
+    # order of first appearance, so the first failing piece is the one found
     for ell, (lam, h) in enumerate(zip(lambdas, hs)):
-        for j, vv in enumerate(vseq_per_ell[ell]):
+        bh = [inst.B[i].mul_vec(h) for i in range(n)]
+        for vv in dict.fromkeys(vseq_per_ell[ell]):
             for i in range(n):
                 lhs = inst.A[i].mul_vec(inst.y_block(vv, i))
-                rhs = inst.B[i].mul_vec(h)
-                if any(a + b != 0 for a, b in zip(lhs, rhs)):
+                if any(a + b != 0 for a, b in zip(lhs, bh[i])):
                     raise PropertyViolation("v-piece-kernel", "(h, v) is not in ker [B A]")
             if any(x < 0 for x in vv) or not is_integer_vec(vv):
                 raise PropertyViolation("v-piece-kernel", "piece not a nonnegative integer vector")
@@ -645,7 +700,6 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
     raises PropertyViolation naming the property.
     """
     _require_pipeline_ready(inst)
-    pt.check(inst)
     u_hat, v_hat = split_max_kernel(inst, pt)
     u0, u_seq = decompose_u(inst, u_hat)
     bases_x = [feasible_bases(inst.A[i], inst.B[i], pt.x) for i in range(inst.n)]
@@ -656,31 +710,21 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
     # exact reassembly checks
     if vadd(u_hat, v_hat) != tuple(pt.y):
         raise PropertyViolation("split-reassembly", "u + v != y")
-    acc = list(u0)
-    for piece in u_seq:
-        acc = [a + b for a, b in zip(acc, piece)]
-    if tuple(acc) != tuple(u_hat):
+    u_pieces = _int_sum(u_seq, inst.y_dim)
+    if tuple(a + b for a, b in zip(u0, u_pieces)) != tuple(u_hat):
         raise PropertyViolation("u-reassembly", "u0 + sum u_j != u")
+    # the integer pieces are summed in int first; p_ell and q are C applied
+    # to those sums, which is the sum of the pieces' images by linearity
     acc = [ZERO] * inst.y_dim
-    for ell in range(len(lambdas)):
-        for r, x in enumerate(v0s[ell]):
-            acc[r] += x
-        for piece in vseqs[ell]:
-            for r, x in enumerate(piece):
-                acc[r] += x
-    if tuple(acc) != tuple(v_hat):
-        raise PropertyViolation("v-reassembly", "sum of v pieces != v")
-
     p_vecs = []
     for ell in range(len(lambdas)):
-        total = [ZERO] * inst.s0
-        for piece in vseqs[ell]:
-            im = inst.apply_C(piece)
-            for r in range(inst.s0):
-                total[r] += im[r]
-        p_vecs.append(tuple(total))
-    q = tuple(sum(col, ZERO) for col in zip(*[inst.apply_C(p) for p in u_seq])) \
-        if u_seq else (ZERO,) * inst.s0
+        pieces = _int_sum(vseqs[ell], inst.y_dim)
+        for r in range(inst.y_dim):
+            acc[r] += v0s[ell][r] + pieces[r]
+        p_vecs.append(inst.apply_C(pieces))
+    if tuple(acc) != tuple(v_hat):
+        raise PropertyViolation("v-reassembly", "sum of v pieces != v")
+    q = inst.apply_C(u_pieces)
     r_vec = list(inst.apply_C(u0))
     for ell in range(len(lambdas)):
         im = inst.apply_C(v0s[ell])
@@ -698,6 +742,11 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
         tuple(pt.x), tuple(pt.y), u_hat, v_hat, u0, u_seq, lambdas, hs, alphas,
         v0s, vseqs, tuple(p_vecs), q, r_vec, gamma, omega2, av0)
     return bundle, compute_constants(inst, bundle)
+
+
+def _int_sum(vectors, dim: int) -> tuple:
+    """Coordinate sums of integer vectors of length dim, as int."""
+    return tuple(map(sum, zip(*vectors))) if vectors else (0,) * dim
 
 
 def compute_constants(inst: FourBlockInstance, bundle: DecompositionBundle) -> ConstantsTable:
@@ -801,19 +850,10 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
                                     "rearranged prefix left omega3 (dimV + 1) box")
 
     # offsets O_k with exact integer keys, k = 0 .. psi-1
-    cum_v = []
-    for ell in range(len(bundle.lambdas)):
-        cums = [vzero(inst.y_dim)]
-        for piece in bundle.v_seq[ell]:
-            cums.append(vadd(cums[-1], piece))
-        cum_v.append(cums)
-    cum_u = [vzero(inst.y_dim)]
-    for piece in bundle.u_seq:
-        cum_u.append(vadd(cum_u[-1], piece))
-
+    image = inst.integer_C_images()
     phi_counts = [0] * len(bundle.lambdas)
     mu_count = 0
-    offset = [ZERO] * s0
+    offset = [0] * s0
     frac = [ZERO] * s0
     seen = {tuple(offset): 0}
     snapshots = [(tuple(phi_counts), 0)]
@@ -823,11 +863,10 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
         if tag[0] == "p":
             ell = tag[1]
             phi_counts[ell] += 1
-            piece = bundle.v_seq[ell][phi_counts[ell] - 1]
-            im = inst.apply_C(piece)
+            im = image(bundle.v_seq[ell][phi_counts[ell] - 1])
         elif tag[0] == "q":
             mu_count += 1
-            im = inst.apply_C(bundle.u_seq[mu_count - 1])
+            im = image(bundle.u_seq[mu_count - 1])
         else:
             raise AssertionError("r appeared before the last position")
         for r in range(s0):
@@ -862,14 +901,13 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
         times = phi_hi[ell] - phi_lo[ell]
         for c in range(inst.t0):
             x[c] += times * h[c]
+    # the pieces between the two colliding offsets
     y = [ZERO] * inst.y_dim
-    for ell in range(len(bundle.lambdas)):
-        hi = cum_v[ell][phi_hi[ell]]
-        lo = cum_v[ell][phi_lo[ell]]
-        for r in range(inst.y_dim):
-            y[r] += hi[r] - lo[r]
-    for r in range(inst.y_dim):
-        y[r] += cum_u[mu_hi][r] - cum_u[mu_lo][r]
+    windows = [bundle.v_seq[ell][phi_lo[ell]:phi_hi[ell]] for ell in range(len(bundle.lambdas))]
+    windows.append(bundle.u_seq[mu_lo:mu_hi])
+    for window in windows:
+        for r, total in enumerate(_int_sum(window, inst.y_dim)):
+            y[r] += total
 
     xv, yv = tuple(x), tuple(y)
     if all(v == 0 for v in xv) and all(v == 0 for v in yv):

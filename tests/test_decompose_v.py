@@ -1,0 +1,698 @@
+"""Differential tests of the multiplicity-aware v-decomposition.
+
+The ``_reference_*`` functions are ``decompose_u``, ``decompose_v``,
+``decompose_bundle`` and ``reduce_kernel_point`` as they were before the
+extraction moved to integer vertex masses and the C-images, kernel
+pairings, reassembly sums and offsets were computed once per distinct
+vertex in int.  They do the same work once per piece over Fraction and are
+kept here unchanged as the oracle: on every seeded instance the library
+must return equal bundles, constants and outcomes, or raise a
+PropertyViolation of the same name.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from steinitz import blockip
+from steinitz.blockip import (DecompositionBundle, KernelPoint, PropertyViolation, ReduceOutcome,
+                              _leaves_tube, _require_pipeline_ready, basis_vertex,
+                              compute_constants, cone_rays_K, decompose_x, feasible_bases,
+                              kernel_bound, minimal_kernel_below)
+from steinitz.cli import main
+from steinitz.colorful import ColoredFamily, colorful_affine
+from steinitz.fileio import read_fourblock, read_point, write_point
+from steinitz.generate import GenerationError, gen_four_block
+from steinitz.lp import BoxLP, lp_solve
+from steinitz.linalg import (Matrix, ONE, ZERO, is_integer_vec, l1_norm, linf_norm, rank_of_vectors,
+                             solve_linear, vadd, vscale, vsub, vzero)
+from steinitz.norms import LINF_NORM
+from steinitz.rearrange import rearrangement_order
+from steinitz.verify import PIPELINE_SHAPES
+
+
+def _reference_decompose_u(inst, u_hat):
+    """u = u0 + sum of alpha0 small integer kernel vectors, the integer
+    pieces ordered so their C-images stay near the proportional line."""
+    K = kernel_bound(inst)
+    pieces = []
+    residuals = []
+    for i in range(inst.n):
+        res = list(inst.y_block(u_hat, i))
+        if any(x < 0 for x in res):
+            raise ValueError("u must be nonnegative")
+        if any(x != 0 for x in inst.A[i].mul_vec(tuple(res))):
+            raise ValueError("u is not in the kernel of the diagonal blocks")
+        while l1_norm(tuple(res)) > K:
+            wbar = minimal_kernel_below(inst.A[i], tuple(res), K)
+            if wbar is None:
+                raise PropertyViolation("kernel-extraction",
+                                        "no small kernel vector below a large residual")
+            res = [a - b for a, b in zip(res, wbar)]
+            padded = [0] * (inst.n * inst.t)
+            padded[i * inst.t:(i + 1) * inst.t] = list(wbar)
+            pieces.append(tuple(padded))
+        residuals.extend(res)
+    u0 = tuple(residuals)
+    alpha0 = len(pieces)
+
+    c_images = [inst.apply_C(p) for p in pieces]
+    if alpha0 >= 2:
+        q = tuple(sum(col, ZERO) for col in zip(*c_images))
+        mean = vscale(q, Fraction(1, alpha0))
+        deviations = [vsub(ci, mean) for ci in c_images]
+        order = blockip.rearrangement_order(deviations, inst.s0)
+        pieces = [pieces[i] for i in order]
+        c_images = [c_images[i] for i in order]
+
+    # certified bounds of the u-decomposition
+    if alpha0 < Fraction(linf_norm(u_hat), K) - 1:
+        raise PropertyViolation("u-layer-count", "alpha0 < ||u||_inf / K - 1")
+    for p in pieces:
+        if l1_norm(p) > K:
+            raise PropertyViolation("u-piece-norm", "an integer piece exceeds the l1 cap")
+    if l1_norm(u0) > inst.n * K or linf_norm(u0) > K:
+        raise PropertyViolation("u-remainder-norm", "remainder norm bound failed")
+    if alpha0 >= 1:
+        q = tuple(sum(col, ZERO) for col in zip(*c_images))
+        cap_iv = Fraction(inst.s0 * 2 * inst.delta * K)
+        prefix = [ZERO] * inst.s0
+        for k, ci in enumerate(c_images, start=1):
+            for r in range(inst.s0):
+                prefix[r] += ci[r]
+            dev = tuple(prefix[r] - Fraction(k, alpha0) * q[r] for r in range(inst.s0))
+            if linf_norm(dev) > cap_iv:
+                raise PropertyViolation("u-prefix-tube", "ordered C-prefix left the certified tube")
+    return u0, tuple(pieces)
+
+
+def _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x):
+    """Split v into per-ray parts and extract integer pieces per part.
+
+    Returns (v0_per_ell, vseq_per_ell, alphas, av0_integral) where
+    vseq_per_ell[ell][j] are stacked integer vectors ordered so that the
+    C-image prefixes stay inside the certified tube."""
+    s, t, t0, n = inst.s, inst.t, inst.t0, inst.n
+    ell_count = len(lambdas)
+    Xv = Fraction(inst.delta ** (s + 1) * s ** s * t0) * omega2
+    CXv = inst.delta * Xv
+
+    if ell_count == 0:
+        if any(x != 0 for x in v_hat):
+            raise PropertyViolation("maximality-zero-v", "x = 0 but v != 0")
+        return (), (), (), ()
+
+    x_hat = tuple(
+        sum((lam * h[c] for lam, h in zip(lambdas, hs)), ZERO) for c in range(t0))
+
+    # per block: convex multipliers over the vertices of {y >= 0 : A y = -B x}
+    v_parts = [[None] * ell_count for _ in range(n)]  # v_parts[i][ell] : t-dim
+    for i in range(n):
+        vi = inst.y_block(v_hat, i)
+        verts = [basis_vertex(fb, inst.B[i], x_hat, t) for fb in bases_x[i]]
+        mu = blockip._convex_combo_over_vertices(verts, vi, t + 1, "v-convex-decomposition")
+        for ell, (lam, h) in enumerate(zip(lambdas, hs)):
+            acc = [ZERO] * t
+            for k, coef in mu.items():
+                yk = basis_vertex(bases_x[i][k], inst.B[i], h, t)
+                for r in range(t):
+                    acc[r] += coef * yk[r]
+            part = tuple(lam * v for v in acc)
+            if any(v < 0 for v in part):
+                raise PropertyViolation("v-part-nonneg", "a v part left the orthant")
+            v_parts[i][ell] = part
+        recon = tuple(sum(v_parts[i][ell][r] for ell in range(ell_count)) for r in range(t))
+        if recon != vi:
+            raise PropertyViolation("v-part-reconstruction", "v parts do not sum back")
+
+    span = t - s + 1
+    alphas = []
+    for lam in lambdas:
+        alphas.append(math.floor(lam - (t - s)) if lam >= span else 0)
+
+    v0_per_ell = []
+    vseq_per_ell = []
+    av0_flags = []
+    for ell, (lam, h) in enumerate(zip(lambdas, hs)):
+        a_ell = alphas[ell]
+        seq_blocks = [[] for _ in range(n)]
+        rem_blocks = []
+        for i in range(n):
+            fbs = feasible_bases(inst.A[i], inst.B[i], h)
+            verts = [basis_vertex(fb, inst.B[i], h, t) for fb in fbs]
+            for v in verts:
+                if not is_integer_vec(v):
+                    raise PropertyViolation("vertex-integrality",
+                                            "gamma scaling failed to make a vertex integer")
+                if l1_norm(v) > Xv:
+                    raise PropertyViolation("v-piece-norm", "vertex l1 norm exceeds the cap")
+            w = list(v_parts[i][ell])
+            if a_ell > 0:
+                target = tuple(x / lam for x in w)
+                tau = blockip._convex_combo_over_vertices(verts, target, span, "vertex-support")
+                beta = lam
+                for j in range(a_ell):
+                    dbar = max(tau, key=lambda idx: (tau[idx], -idx))
+                    if tau[dbar] < Fraction(1, span) or tau[dbar] * beta < 1:
+                        raise PropertyViolation("vertex-weight",
+                                                "no vertex carries enough weight")
+                    piece = verts[dbar]
+                    w = [a - b for a, b in zip(w, piece)]
+                    if any(x < 0 for x in w):
+                        raise PropertyViolation("extraction-nonneg", "extraction overshot")
+                    seq_blocks[i].append(tuple(int(x) for x in piece))
+                    if j < a_ell - 1:
+                        tau = {idx: (c * beta - (ONE if idx == dbar else ZERO)) / (beta - 1)
+                               for idx, c in tau.items()}
+                        tau = {idx: c for idx, c in tau.items() if c != 0}
+                        beta -= 1
+            if l1_norm(tuple(w)) > span * Xv:
+                raise PropertyViolation("v-remainder-norm", "v remainder exceeds its l1 cap")
+            rem_blocks.append(tuple(w))
+        # stack per-block remainders / pieces into R^{nt}
+        v0 = tuple(x for blk in rem_blocks for x in blk)
+        v0_per_ell.append(v0)
+        av0_flags.append(all(
+            is_integer_vec(inst.A[i].mul_vec(rem_blocks[i])) for i in range(n)))
+
+        if a_ell > 0:
+            # order the pieces jointly across blocks
+            scaled = tuple(
+                tuple(tuple(x / CXv for x in inst.C[i].mul_vec(v)) for v in seq_blocks[i])
+                for i in range(n))
+            fam = ColoredFamily(inst.s0, n, a_ell, scaled, LINF_NORM)
+            cert = colorful_affine(fam)
+            stacked = []
+            for j in range(a_ell):
+                parts = []
+                for i in range(n):
+                    parts.extend(seq_blocks[i][cert.permutations[i][j]])
+                stacked.append(tuple(parts))
+            vseq_per_ell.append(tuple(stacked))
+        else:
+            vseq_per_ell.append(())
+
+    # exact prefix check of the ordered C-images
+    cap_ix = Fraction(40 * inst.s0 ** 5) * CXv
+    for ell, seq in enumerate(vseq_per_ell):
+        a_ell = alphas[ell]
+        if a_ell < 1:
+            continue
+        p_ell = [ZERO] * inst.s0
+        images = [inst.apply_C(vv) for vv in seq]
+        for im in images:
+            for r in range(inst.s0):
+                p_ell[r] += im[r]
+        prefix = [ZERO] * inst.s0
+        for k, im in enumerate(images, start=1):
+            for r in range(inst.s0):
+                prefix[r] += im[r]
+            dev = tuple(prefix[r] - Fraction(k, a_ell) * p_ell[r] for r in range(inst.s0))
+            if linf_norm(dev) > cap_ix:
+                raise PropertyViolation("v-prefix-tube", "ordered C-prefix left the certified tube")
+
+    # kernel pairing and the layer-count bound
+    for ell, (lam, h) in enumerate(zip(lambdas, hs)):
+        for j, vv in enumerate(vseq_per_ell[ell]):
+            for i in range(n):
+                lhs = inst.A[i].mul_vec(inst.y_block(vv, i))
+                rhs = inst.B[i].mul_vec(h)
+                if any(a + b != 0 for a, b in zip(lhs, rhs)):
+                    raise PropertyViolation("v-piece-kernel", "(h, v) is not in ker [B A]")
+            if any(x < 0 for x in vv) or not is_integer_vec(vv):
+                raise PropertyViolation("v-piece-kernel", "piece not a nonnegative integer vector")
+    if omega2 > 0:
+        if sum(alphas) < Fraction(linf_norm(x_hat)) / omega2 - t0 * (t - s + 2):
+            raise PropertyViolation("v-layer-count", "too few extracted layers")
+    return tuple(v0_per_ell), tuple(vseq_per_ell), tuple(alphas), tuple(av0_flags)
+
+
+def _reference_decompose_bundle(inst, pt):
+    """Run the full decomposition pipeline; returns (bundle, constants).
+
+    Every certified property is asserted exactly along the way; a failure
+    raises PropertyViolation naming the property.
+    """
+    _require_pipeline_ready(inst)
+    pt.check(inst)
+    u_hat, v_hat = blockip.split_max_kernel(inst, pt)
+    u0, u_seq = _reference_decompose_u(inst, u_hat)
+    bases_x = [feasible_bases(inst.A[i], inst.B[i], pt.x) for i in range(inst.n)]
+    rays_all, omega2, gamma = cone_rays_K(inst, pt.x, bases_x)
+    lambdas, hs = decompose_x(pt.x, rays_all)
+    v0s, vseqs, alphas, av0 = _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x)
+
+    # exact reassembly checks
+    if vadd(u_hat, v_hat) != tuple(pt.y):
+        raise PropertyViolation("split-reassembly", "u + v != y")
+    acc = list(u0)
+    for piece in u_seq:
+        acc = [a + b for a, b in zip(acc, piece)]
+    if tuple(acc) != tuple(u_hat):
+        raise PropertyViolation("u-reassembly", "u0 + sum u_j != u")
+    acc = [ZERO] * inst.y_dim
+    for ell in range(len(lambdas)):
+        for r, x in enumerate(v0s[ell]):
+            acc[r] += x
+        for piece in vseqs[ell]:
+            for r, x in enumerate(piece):
+                acc[r] += x
+    if tuple(acc) != tuple(v_hat):
+        raise PropertyViolation("v-reassembly", "sum of v pieces != v")
+
+    p_vecs = []
+    for ell in range(len(lambdas)):
+        total = [ZERO] * inst.s0
+        for piece in vseqs[ell]:
+            im = inst.apply_C(piece)
+            for r in range(inst.s0):
+                total[r] += im[r]
+        p_vecs.append(tuple(total))
+    q = tuple(sum(col, ZERO) for col in zip(*[inst.apply_C(p) for p in u_seq])) \
+        if u_seq else (ZERO,) * inst.s0
+    r_vec = list(inst.apply_C(u0))
+    for ell in range(len(lambdas)):
+        im = inst.apply_C(v0s[ell])
+        for rr in range(inst.s0):
+            r_vec[rr] += im[rr]
+    r_vec = tuple(r_vec)
+    total = [ZERO] * inst.s0
+    for vec_ in (*p_vecs, q, r_vec):
+        for rr in range(inst.s0):
+            total[rr] += vec_[rr]
+    if any(x != 0 for x in total):
+        raise PropertyViolation("zero-sum-Cy", "sum p + q + r != 0")
+
+    bundle = DecompositionBundle(
+        tuple(pt.x), tuple(pt.y), u_hat, v_hat, u0, u_seq, lambdas, hs, alphas,
+        v0s, vseqs, tuple(p_vecs), q, r_vec, gamma, omega2, av0)
+    return bundle, compute_constants(inst, bundle)
+
+
+def _reference_reduce(inst, pt):
+    """Extract a nonzero integer kernel vector dominated by pt.
+
+    Succeeds whenever ||pt||_inf > xi; may also succeed below that.
+    Returns an outcome with vector=None plus diagnostics when no offset
+    collision exists.
+    """
+    bundle, consts = _reference_decompose_bundle(inst, pt)
+    s0 = inst.s0
+    tags = []
+    values = []
+    for ell, a in enumerate(bundle.alphas):
+        if a >= 1:
+            val = vscale(bundle.p[ell], Fraction(1, a))
+            for _ in range(a):
+                tags.append(("p", ell))
+                values.append(val)
+    if bundle.alpha0 >= 1:
+        val = vscale(bundle.q, Fraction(1, bundle.alpha0))
+        for _ in range(bundle.alpha0):
+            tags.append(("q",))
+            values.append(val)
+    tags.append(("r",))
+    values.append(bundle.r)
+    psi = len(values)
+    if psi != consts.psi:
+        raise AssertionError("psi bookkeeping mismatch")
+
+    # order within the span, then force r to the last position
+    distinct = {}
+    for v in values:
+        distinct.setdefault(v, None)
+    basis = []
+    for v in distinct:
+        if any(x != 0 for x in v) and rank_of_vectors(basis + [v]) > len(basis):
+            basis.append(v)
+    rdim = len(basis)
+    if rdim == 0:
+        order = list(range(psi))
+    else:
+        bmat = Matrix.from_rows(basis).transpose()
+        coord_of = {}
+        for v in distinct:
+            phi = solve_linear(bmat, v)
+            if phi is None:
+                raise AssertionError("psi-sequence element outside its span")
+            coord_of[v] = phi
+        coords = [coord_of[v] for v in values]
+        order = list(rearrangement_order(coords, rdim))
+    r_pos = order.index(psi - 1)
+    order = order[:r_pos] + order[r_pos + 1:] + [psi - 1]
+
+    cap_prefix = consts.omega3 * (consts.dim_v + 1)
+    prefix = [ZERO] * s0
+    for idx in order:
+        for r in range(s0):
+            prefix[r] += values[idx][r]
+        if linf_norm(tuple(prefix)) > cap_prefix:
+            raise PropertyViolation("prefix-omega3",
+                                    "rearranged prefix left omega3 (dimV + 1) box")
+
+    # offsets O_k with exact integer keys, k = 0 .. psi-1
+    cum_v = []
+    for ell in range(len(bundle.lambdas)):
+        cums = [vzero(inst.y_dim)]
+        for piece in bundle.v_seq[ell]:
+            cums.append(vadd(cums[-1], piece))
+        cum_v.append(cums)
+    cum_u = [vzero(inst.y_dim)]
+    for piece in bundle.u_seq:
+        cum_u.append(vadd(cum_u[-1], piece))
+
+    phi_counts = [0] * len(bundle.lambdas)
+    mu_count = 0
+    offset = [ZERO] * s0
+    frac = [ZERO] * s0
+    seen = {tuple(offset): 0}
+    snapshots = [(tuple(phi_counts), 0)]
+    collision = None
+    for k in range(1, psi):
+        tag = tags[order[k - 1]]
+        if tag[0] == "p":
+            ell = tag[1]
+            phi_counts[ell] += 1
+            piece = bundle.v_seq[ell][phi_counts[ell] - 1]
+            im = inst.apply_C(piece)
+        elif tag[0] == "q":
+            mu_count += 1
+            im = inst.apply_C(bundle.u_seq[mu_count - 1])
+        else:
+            raise AssertionError("r appeared before the last position")
+        for r in range(s0):
+            offset[r] += im[r]
+            frac[r] += values[order[k - 1]][r]
+        dev = tuple(o - f for o, f in zip(offset, frac))
+        if linf_norm(dev) > consts.omega4:
+            raise PropertyViolation("omega4-deviation",
+                                    "offset drifted from the fractional prefix")
+        snapshots.append((tuple(phi_counts), mu_count))
+        key = tuple(offset)
+        if key in seen:
+            collision = (seen[key], k)
+            break
+        seen[key] = k
+
+    diagnostics = {
+        "psi": psi,
+        "dim_v": consts.dim_v,
+        "distinct_offsets": len(seen),
+        "collision": collision,
+        "av0_integral": bundle.av0_integral,
+    }
+    if collision is None:
+        return ReduceOutcome(None, bundle, consts, diagnostics)
+
+    k_lo, k_hi = collision
+    phi_lo, mu_lo = snapshots[k_lo]
+    phi_hi, mu_hi = snapshots[k_hi]
+    x = [0] * inst.t0
+    for ell, h in enumerate(bundle.rays):
+        times = phi_hi[ell] - phi_lo[ell]
+        for c in range(inst.t0):
+            x[c] += times * h[c]
+    y = [ZERO] * inst.y_dim
+    for ell in range(len(bundle.lambdas)):
+        hi = cum_v[ell][phi_hi[ell]]
+        lo = cum_v[ell][phi_lo[ell]]
+        for r in range(inst.y_dim):
+            y[r] += hi[r] - lo[r]
+    for r in range(inst.y_dim):
+        y[r] += cum_u[mu_hi][r] - cum_u[mu_lo][r]
+
+    xv, yv = tuple(x), tuple(y)
+    if all(v == 0 for v in xv) and all(v == 0 for v in yv):
+        raise PropertyViolation("reduce-nonzero", "assembled vector is zero")
+    if not (is_integer_vec(xv) and is_integer_vec(yv)):
+        raise PropertyViolation("reduce-integral", "assembled vector is not integer")
+    if any(v < 0 for v in xv) or any(v < 0 for v in yv):
+        raise PropertyViolation("reduce-nonneg", "assembled vector left the orthant")
+    if any(v != 0 for v in inst.H_matrix().mul_vec(xv + yv)):
+        raise PropertyViolation("reduce-kernel", "assembled vector is not in ker H")
+    if any(a > b for a, b in zip(xv, pt.x)) or any(a > b for a, b in zip(yv, pt.y)):
+        raise PropertyViolation("reduce-dominated", "assembled vector is not below pt")
+    return ReduceOutcome((xv, yv), bundle, consts, diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def _outcome(fn, *args):
+    """fn's result, or the name of the PropertyViolation it raised."""
+    try:
+        return fn(*args)
+    except PropertyViolation as e:
+        return ("violation", e.name)
+
+
+def _gen(shape, delta, seed, scale):
+    for sub in range(50):
+        try:
+            return gen_four_block(*shape, delta, seed * 100 + sub, zero_a0=True, scale=scale)
+        except GenerationError:
+            continue
+    raise AssertionError(f"no instance for {shape} at seed {seed}")
+
+
+def _scaled(pt, c):
+    return KernelPoint(tuple(c * v for v in pt.x), tuple(c * v for v in pt.y))
+
+
+def _past_xi(inst, pt):
+    """pt scaled past its own xi, as the benchmark's reduce operations do."""
+    _, consts = _reference_decompose_bundle(inst, pt)
+    c = math.ceil(consts.xi / linf_norm(tuple(pt.x) + tuple(pt.y))) + 1
+    for _ in range(6):
+        big = _scaled(pt, c)
+        out = _reference_reduce(inst, big)
+        if linf_norm(tuple(big.x) + tuple(big.y)) > out.constants.xi:
+            return big, out
+        c *= 2
+    raise AssertionError("could not scale past xi")
+
+
+def _assert_same_reduction(inst, pt):
+    """The outcome holds the bundle and the constants, so this compares
+    those too."""
+    ref = _outcome(_reference_reduce, inst, pt)
+    assert _outcome(blockip.reduce_kernel_point, inst, pt) == ref
+    return ref
+
+
+def _plus_slice_vertex(inst, pt, seed):
+    """pt plus an optimal vertex of {H z = 0, z >= 0, sum z = sum pt} for a
+    seeded objective: another nonnegative kernel point."""
+    rng = random.Random(seed)
+    H = inst.H_matrix()
+    dim = H.cols
+    rows = [list(H.row(r)) for r in range(H.rows)] + [[1] * dim]
+    lp = BoxLP(Matrix.from_rows(rows), (ZERO,) * H.rows + (sum(pt.x) + sum(pt.y),),
+               (ZERO,) * dim, (None,) * dim, tuple(Fraction(rng.randint(1, 7)) for _ in range(dim)))
+    z = lp_solve(lp).x
+    return KernelPoint(tuple(map(sum, zip(pt.x, z[:inst.t0]))),
+                       tuple(map(sum, zip(pt.y, z[inst.t0:]))))
+
+
+def _picked_vertices(bundle, inst):
+    """Per ray and block, the number of distinct vertices among the pieces."""
+    t = inst.t
+    return [[len({piece[i * t:(i + 1) * t] for piece in seq}) for i in range(inst.n)]
+            for seq in bundle.v_seq]
+
+
+# ---------------------------------------------------------------------------
+# same answers
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bench_points_past_xi_match_reference(n):
+    for seed in range(2):
+        inst, pt = _gen((1, 1, 1, 1, n), 1, 7000 + 10 * n + seed, scale=8)
+        big, ref = _past_xi(inst, pt)
+        assert ref.vector is not None
+        assert blockip.reduce_kernel_point(inst, big) == ref
+
+
+@pytest.mark.parametrize("shape", PIPELINE_SHAPES)
+def test_pipeline_shapes_match_reference(shape):
+    for seed in range(4):
+        for delta, scale in ((1, 24), (2, 24), (1, 120)):
+            inst, pt = _gen(shape, delta, 7100 + seed, scale)
+            _assert_same_reduction(inst, pt)
+
+
+def test_several_vertices_per_block_match_reference():
+    """t > s: a block polytope has several vertices, so the argmax and its
+    lowest-index tie-break choose among them.  A planted point is an LP
+    vertex and its blocks usually sit on one polytope vertex, so the points
+    here are sums of three LP vertices of the same slice."""
+    multi = 0
+    for shape in ((1, 1, 1, 2, 2), (1, 1, 1, 2, 3), (1, 1, 1, 3, 2), (2, 1, 2, 2, 2)):
+        for seed in range(12):
+            inst, pt = _gen(shape, 1, 7200 + seed, 24)
+            for j in range(2):
+                pt = _plus_slice_vertex(inst, pt, 7200 + 10 * seed + j)
+            ref = _assert_same_reduction(inst, pt)
+            if isinstance(ref, ReduceOutcome):
+                multi += any(k > 1 for ks in _picked_vertices(ref.bundle, inst) for k in ks)
+    assert multi >= 3
+
+
+def test_several_rays_match_reference():
+    """t0 >= 2: x splits over several cone rays, each peeled separately."""
+    several = 0
+    for shape in ((1, 1, 2, 2, 2), (2, 1, 2, 2, 2), (1, 1, 3, 2, 2), (1, 1, 2, 1, 3),
+                  (1, 1, 2, 1, 2)):
+        for seed in range(8):
+            inst, pt = _gen(shape, 1, 7300 + seed, 24)
+            for j in range(2):
+                pt = _plus_slice_vertex(inst, pt, 7300 + 10 * seed + j)
+            ref = _assert_same_reduction(inst, pt)
+            if isinstance(ref, ReduceOutcome):
+                several += sum(a > 0 for a in ref.bundle.alphas) >= 2
+    assert several >= 3
+
+
+# ---------------------------------------------------------------------------
+# same violations
+
+
+def _scaled_weights(combo, rng, n_vertices):
+    return {k: c * Fraction(rng.randint(1, 12), 8) for k, c in combo.items()}
+
+
+def _one_weight_full(combo, rng, n_vertices):
+    return {**combo, rng.randrange(n_vertices): ONE}
+
+
+def _zero_weight_added(combo, rng, n_vertices):
+    return {**combo, rng.randrange(n_vertices): ZERO}
+
+
+def _heaviest_only(combo, rng, n_vertices):
+    heaviest = max(combo, key=combo.get)
+    return {heaviest: combo[heaviest] * Fraction(3, 2)}
+
+
+@pytest.mark.parametrize("perturb, expected", [
+    (_scaled_weights, {"vertex-weight"}),
+    (_one_weight_full, {"extraction-nonneg"}),
+    (_zero_weight_added, set()),
+    (_heaviest_only, {"extraction-nonneg"}),
+])
+def test_forced_extraction_failures_match_reference(monkeypatch, perturb, expected):
+    """Perturbed convex weights make the extraction fail: too little weight
+    on every vertex (vertex-weight), or a vertex peeled more often than w
+    holds it (extraction-nonneg).  Keeping only the heaviest vertex at 3/2
+    of its weight does both in one run: that vertex overshoots w first and
+    fails the weight check later, and the overshoot is what is reported.
+    The points are sums of LP vertices, so blocks have several vertices."""
+    real = blockip._convex_combo_over_vertices
+    rng = random.Random(7400)
+
+    def perturbed(vertices, target, support_cap, prop):
+        combo = real(vertices, target, support_cap, prop)
+        return perturb(combo, rng, len(vertices)) if prop == "vertex-support" else combo
+
+    monkeypatch.setattr(blockip, "_convex_combo_over_vertices", perturbed)
+    names = set()
+    for shape in ((1, 1, 1, 2, 2), (1, 1, 1, 2, 3), (1, 1, 1, 3, 2), (2, 1, 2, 2, 2)):
+        for seed in range(6):
+            inst, pt = _gen(shape, 1, 7400 + seed, 24)
+            for j in range(2):
+                pt = _plus_slice_vertex(inst, pt, 7400 + 10 * seed + j)
+            state = rng.getstate()
+            ref = _outcome(_reference_decompose_bundle, inst, pt)
+            rng.setstate(state)
+            assert _outcome(blockip.decompose_bundle, inst, pt) == ref
+            if isinstance(ref, tuple) and ref[0] == "violation":
+                names.add(ref[1])
+    assert expected <= names
+
+
+def test_u_prefix_tube_same_verdicts(monkeypatch):
+    """A deliberately bad order of the u pieces (sorted by their first
+    C-image coordinate) leaves the tube on some instances; the integer check
+    and the Fraction check agree on every one."""
+    def sorted_order(vectors, dim):
+        return sorted(range(len(vectors)), key=lambda j: (vectors[j][0], j))
+
+    monkeypatch.setattr(blockip, "rearrangement_order", sorted_order)
+    verdicts = set()
+    for shape in ((1, 1, 1, 2, 2), (1, 1, 1, 3, 2), (2, 1, 1, 2, 3)):
+        for seed in range(6):
+            inst, pt = _gen(shape, 2, 7500 + seed, 240)
+            u_hat, _ = blockip.split_max_kernel(inst, pt)
+            ref = _outcome(_reference_decompose_u, inst, u_hat)
+            assert _outcome(blockip.decompose_u, inst, u_hat) == ref
+            verdicts.add(ref == ("violation", "u-prefix-tube"))
+    assert verdicts == {True, False}
+
+
+def _fraction_leaves_tube(images, cap):
+    m = len(images)
+    total = [sum(col, ZERO) for col in zip(*images)]
+    prefix = [ZERO] * len(total)
+    for k, im in enumerate(images, start=1):
+        for r, x in enumerate(im):
+            prefix[r] += x
+        if linf_norm(tuple(p - Fraction(k, m) * q for p, q in zip(prefix, total))) > cap:
+            return True
+    return False
+
+
+def test_leaves_tube_boundary_matches_fraction_check():
+    """At a cap equal to the largest deviation the tube holds, just below
+    it the tube is left, for integer and for rational caps."""
+    rng = random.Random(7600)
+    for _ in range(300):
+        m, d = rng.randint(1, 9), rng.randint(1, 3)
+        images = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(m)]
+        total = [sum(col) for col in zip(*images)]
+        worst = max(abs(sum(im[r] for im in images[:k]) - Fraction(k, m) * total[r])
+                    for k in range(1, m + 1) for r in range(d))
+        for cap in (worst, worst - Fraction(1, 7 * m), worst + Fraction(1, 7 * m),
+                    Fraction(math.floor(worst)), Fraction(math.ceil(worst))):
+            if cap >= 0:
+                assert _leaves_tube(images, cap) == _fraction_leaves_tube(images, cap)
+        assert not _leaves_tube(images, worst)
+        if worst > 0:
+            assert _leaves_tube(images, worst - Fraction(1, 7 * m))
+
+
+# ---------------------------------------------------------------------------
+# golden CLI output
+
+
+# `steinitz reduce` on a seeded 3-block instance at a point 2.4x past its xi
+# (12001 pieces), captured before the extraction moved to integer masses.
+GOLDEN_REDUCE = """kind: reduce
+found: yes
+xi: 5031
+psi: 12001
+dim_v: 0
+gamma: 1
+omega1: 1
+omega2: 1
+omega3: 0
+omega4: 46
+omega5: 1674
+x: 1
+y: 0 0 1
+"""
+
+
+def test_cli_reduce_far_past_xi_golden(tmp_path):
+    inst, point, big, out = (str(tmp_path / name) for name in ("inst", "pt", "big", "out"))
+    assert main(["gen", "fourblock", "--s0", "1", "--s", "1", "--t0", "1", "--t", "1",
+                 "--n", "3", "--delta", "1", "--seed", "6", "--zero-a0",
+                 "--output", inst, "--point-output", point]) == 0
+    pt = read_point(point, read_fourblock(inst))
+    write_point(_scaled(pt, 3000), big)
+    assert main(["reduce", "--input", inst, "--point", big, "--output", out]) == 0
+    with open(out) as fh:
+        assert fh.read() == GOLDEN_REDUCE
