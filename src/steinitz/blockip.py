@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 from .linalg import (Matrix, Vec, ZERO, ONE, rat, ceil_sqrt, det, hstack, is_integer_vec,
                      l1_norm, linf_norm, lcm_abs_dets, rank, rank_of_vectors,
-                     solve_linear, vadd, vscale, vsub)
+                     solve_linear, span_coordinates, vadd, vscale, vsub)
 from .lp import BoxLP, LPError, enum_integer_points, extreme_rays, find_feasible, lp_solve, purify_to_vertex
 from .norms import LINF_NORM
 from .rearrange import rearrangement_order
@@ -375,7 +376,6 @@ def feasible_bases(Ai: Matrix, Bi: Matrix, x_hat: Vec):
     s = Ai.rows
     rhs = Bi.mul_vec(x_hat)
     out = []
-    from itertools import combinations
     for cols in combinations(range(Ai.cols), s):
         D = Ai.column_submatrix(cols)
         if det(D) == 0:
@@ -817,26 +817,13 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
         raise AssertionError("psi bookkeeping mismatch")
 
     # order within the span, then force r to the last position
-    distinct = {}
-    for v in values:
-        distinct.setdefault(v, None)
-    basis = []
-    for v in distinct:
-        if any(x != 0 for x in v) and rank_of_vectors(basis + [v]) > len(basis):
-            basis.append(v)
-    rdim = len(basis)
+    distinct = dict.fromkeys(values)
+    rdim, coords = span_coordinates(distinct)
     if rdim == 0:
         order = list(range(psi))
     else:
-        bmat = Matrix.from_rows(basis).transpose()
-        coord_of = {}
-        for v in distinct:
-            phi = solve_linear(bmat, v)
-            if phi is None:
-                raise AssertionError("psi-sequence element outside its span")
-            coord_of[v] = phi
-        coords = [coord_of[v] for v in values]
-        order = list(rearrangement_order(coords, rdim))
+        coord_of = dict(zip(distinct, coords))
+        order = list(rearrangement_order([coord_of[v] for v in values], rdim))
     r_pos = order.index(psi - 1)
     order = order[:r_pos] + order[r_pos + 1:] + [psi - 1]
 

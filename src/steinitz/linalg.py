@@ -3,6 +3,11 @@
 Vectors are tuples of Fraction (or int where a value is known integral);
 matrices are immutable row-major Fraction grids.  Every routine here is
 exact: no floats, no rounding, arbitrary precision throughout.
+
+One Gauss-Jordan routine, ``_echelon`` with its row step ``_pivot``, is the
+only Fraction elimination in the package: solves, kernels, rank,
+determinants and span coordinates here, and the simplex tableau and the
+double description's initial cone in ``lp``.
 """
 
 from __future__ import annotations
@@ -153,32 +158,41 @@ def vstack(*mats: Matrix) -> Matrix:
     return Matrix(sum(m.rows for m in mats), cols, tuple(x for m in mats for x in m.data))
 
 
+def _pivot(rows, r, c):
+    """Scale row r to 1 on column c, then clear column c from every other row."""
+    pr = rows[r]
+    inv = ONE / pr[c]
+    rows[r] = pr = [x * inv for x in pr]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f != 0:
+            rows[i] = [a - f * b for a, b in zip(row, pr)]
+
+
 def _echelon(rows):
-    """In-place fraction Gaussian elimination; returns pivot column list."""
+    """In-place Gauss-Jordan elimination to reduced row echelon form.
+
+    Returns (pivot columns, product of the pivots with the sign flipped once
+    per row swap); the product is det when the matrix is square of full rank.
+    """
     pivots = []
+    d = ONE
     r = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        inv = ONE / pr[c]
-        rows[r] = pr = [x * inv for x in pr]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            d = -d
+        d *= rows[r][c]
+        _pivot(rows, r, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return pivots
+    return pivots, d
 
 
 def solve_linear(M: Matrix, b: Vec):
@@ -186,7 +200,7 @@ def solve_linear(M: Matrix, b: Vec):
     if M.rows != len(b):
         raise ValueError("dimension mismatch: M.rows != len(b)")
     rows = [list(M.row(i)) + [rat(b[i])] for i in range(M.rows)]
-    pivots = _echelon(rows)
+    pivots, _ = _echelon(rows)
     # a pivot in the augmented column means 0 = 1
     if any(c == M.cols for c in pivots):
         return None
@@ -199,7 +213,7 @@ def solve_linear(M: Matrix, b: Vec):
 def null_space(M: Matrix):
     """Basis of ker M as a list of vectors; empty iff full column rank."""
     rows = [list(M.row(i)) for i in range(M.rows)]
-    pivots = _echelon(rows) if rows else []
+    pivots, _ = _echelon(rows)
     pivot_set = set(pivots)
     basis = []
     for free in range(M.cols):
@@ -215,7 +229,7 @@ def null_space(M: Matrix):
 
 def rank(M: Matrix) -> int:
     rows = [list(M.row(i)) for i in range(M.rows)]
-    return len(_echelon(rows)) if rows else 0
+    return len(_echelon(rows)[0])
 
 
 def rank_of_vectors(vectors) -> int:
@@ -226,30 +240,26 @@ def rank_of_vectors(vectors) -> int:
 
 
 def det(M: Matrix):
-    """Determinant by fraction Gaussian elimination."""
+    """Determinant: the signed product of the pivots of one elimination."""
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    rows = [list(M.row(i)) for i in range(n)]
-    d = ONE
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return d
+    pivots, d = _echelon([list(M.row(i)) for i in range(M.rows)])
+    return d if len(pivots) == M.rows else ZERO
+
+
+def span_coordinates(vectors):
+    """(r, coords): r = dim span(vectors), and coords[j] holds vector j's
+    coordinates over the basis of the first vectors that raise the rank.
+
+    One elimination with the vectors as columns: the pivot columns are that
+    greedy basis, and column j of the reduced form holds coords[j].
+    """
+    vectors = list(vectors)
+    dim = len(vectors[0]) if vectors else 0
+    rows = [[rat(v[i]) for v in vectors] for i in range(dim)]
+    pivots, _ = _echelon(rows)
+    r = len(pivots)
+    return r, [tuple(rows[i][j] for i in range(r)) for j in range(len(vectors))]
 
 
 def ceil_sqrt(n: int) -> int:

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import zip_longest
 from operator import mul
 
-from .linalg import Matrix, Vec, ZERO, ONE, rat, primitive_integer_vector, null_space
+from .linalg import Matrix, Vec, ZERO, ONE, _echelon, _pivot, rat, primitive_integer_vector
 
 INF = None  # sentinel for an absent (infinite) bound
 
@@ -341,14 +341,7 @@ class _Simplex:
                 self.at_upper.add(leaving)
             self.basis[row] = entering
             self.xb[row] = enter_val
-            piv = self.T[row][entering]
-            inv = ONE / piv
-            self.T[row] = [v * inv for v in self.T[row]]
-            prow = self.T[row]
-            for i in range(self.nrows):
-                if i != row and self.T[i][entering] != 0:
-                    f = self.T[i][entering]
-                    self.T[i] = [a - f * pb for a, pb in zip(self.T[i], prow)]
+            _pivot(self.T, row, entering)
 
     def solve_phase1(self) -> bool:
         c1 = [ZERO] * self.nstruct + [Fraction(-1)] * self.nrows
@@ -366,14 +359,7 @@ class _Simplex:
                 del self.T[i], self.xb[i], self.basis[i]
                 self.nrows -= 1
                 continue
-            piv = self.T[i][pcol]
-            inv = ONE / piv
-            self.T[i] = [v * inv for v in self.T[i]]
-            prow = self.T[i]
-            for k in range(len(self.T)):
-                if k != i and self.T[k][pcol] != 0:
-                    f = self.T[k][pcol]
-                    self.T[k] = [a - f * pb for a, pb in zip(self.T[k], prow)]
+            _pivot(self.T, i, pcol)
             self.basis[i] = pcol
             # label swap at step zero: the entering column keeps its value
             self.xb[i] = self.ub[pcol] if pcol in self.at_upper else ZERO
@@ -447,30 +433,17 @@ def extreme_rays(ineqs: Matrix):
     d = ineqs.cols
     if d == 0:
         return []
-    if null_space(ineqs):
-        raise NonPointedCone("cone contains a line (inequality matrix is rank deficient)")
     rows = [ineqs.row(i) for i in range(ineqs.rows)]
+    # the pivot columns of ineqs^T are the first d independent rows
+    chosen, _ = _echelon([list(ineqs.col(j)) for j in range(d)])
+    if len(chosen) < d:
+        raise NonPointedCone("cone contains a line (inequality matrix is rank deficient)")
 
-    # initial simplicial cone from the first d independent rows
-    chosen = []
-    probe = []
-    for i in range(len(rows)):
-        probe.append(list(rows[i]))
-        from .linalg import _echelon  # reuse internal elimination
-        test = [list(r) for r in probe]
-        if len(_echelon(test)) > len(chosen):
-            chosen.append(i)
-        else:
-            probe.pop()
-        if len(chosen) == d:
-            break
-    base = Matrix.from_rows([rows[i] for i in chosen])
-    from .linalg import solve_linear
-    rays = []
-    for j in range(d):
-        e = tuple(ONE if k == j else ZERO for k in range(d))
-        r = solve_linear(base, e)
-        rays.append(primitive_integer_vector(r))
+    # initial simplicial cone: the columns of base^-1, read off [I | base^-1]
+    inv = [list(rows[i]) + [ONE if k == j else ZERO for k in range(d)]
+           for j, i in enumerate(chosen)]
+    _echelon(inv)
+    rays = [primitive_integer_vector(tuple(inv[k][d + j] for k in range(d))) for j in range(d)]
 
     processed = list(chosen)
     remaining = [i for i in range(len(rows)) if i not in set(chosen)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Vec, ZERO, ONE, rank_of_vectors, solve_linear
+from .linalg import Matrix, Vec, ZERO, ONE, span_coordinates
 from .lp import BoxLP, purify_to_vertex
 from .norms import NormSpec, norm_eval
 
@@ -175,24 +175,13 @@ def subspace_rearrange(seq: VectorSequence) -> RearrangementCertificate:
     ambient norm with bound dim(span) * radius.
     """
     _require_zero_sum(seq)
-    basis = []
-    for v in seq.vectors:
-        if rank_of_vectors(basis + [v]) > len(basis):
-            basis.append(v)
-    r = len(basis)
+    r, coords = span_coordinates(seq.vectors)
     radius = seq.radius()
     if r == 0:
         order = tuple(range(len(seq)))
     elif r == seq.dim:
         order = rearrangement_order(seq.vectors, seq.dim)
     else:
-        bmat = Matrix.from_rows(basis).transpose()
-        coords = []
-        for v in seq.vectors:
-            phi = solve_linear(bmat, v)
-            if phi is None:
-                raise AssertionError("vector outside the computed span")
-            coords.append(phi)
         order = rearrangement_order(coords, r)
     certified = r * radius
     achieved = max_prefix_norm(seq, order)

@@ -285,6 +285,10 @@ def _run_task(task):
 
 def run_suites(names, seed: int, count: int | None = None, workers: int = 1):
     """Run the named suites; returns (lines, all_ok)."""
+    if count is not None and count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = []
     for name in names:
         if name not in SUITES:

@@ -191,6 +191,35 @@ def test_cli_verify_single_suite(tmp_path):
     assert len(lines) == 2 and all(l.startswith("ok graver") for l in lines)
 
 
+@pytest.mark.parametrize("extra", [["--count", "0"], ["--count", "-3"], ["--workers", "0"]],
+                         ids=["count0", "count-3", "workers0"])
+def test_cli_verify_rejects_empty_run(capsys, extra):
+    err = _error_exit(["verify", "--suite", "steinitz", *extra], capsys)
+    assert "must be at least 1" in err
+
+
+# sha256 of the `steinitz verify --suite all --seed 1` report, which must not
+# change from one version of the program to the next
+VERIFY_ALL_SEED_1_SHA256 = "b1340768459cd6f5518163d93c9aa145ffd8e5721d9d582fc04c272fbe968893"
+
+
+@pytest.mark.parametrize("python_flags,verify_flags", [([], []), (["-O"], ["--workers", "2"])],
+                         ids=["serial", "O-workers2"])
+def test_verify_all_seed_1_golden(python_flags, verify_flags):
+    import hashlib
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, *python_flags, "-m", "steinitz.cli", "verify", "--suite", "all",
+            "--seed", "1", *verify_flags]
+    out = subprocess.run(argv, env=env, capture_output=True, timeout=300, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_SEED_1_SHA256
+
+
 def test_cli_plotdata(tmp_path):
     fam = tmp_path / "f.txt"
     _run(["gen", "family", "--d", "2", "--n", "2", "--m", "3",

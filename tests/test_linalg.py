@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from steinitz.linalg import (Matrix, ceil_sqrt, det, lcm_abs_dets, null_space,
-                             primitive_integer_vector, rank, solve_linear)
+from steinitz.linalg import (ONE, ZERO, Matrix, ceil_sqrt, det, lcm_abs_dets, null_space,
+                             primitive_integer_vector, rank, rank_of_vectors, solve_linear,
+                             span_coordinates)
 from steinitz.norms import BlockMax, L1_NORM, LINF_NORM, norm_eval
 
 
@@ -107,3 +108,115 @@ def test_ceil_sqrt():
 def test_primitive_integer_vector():
     assert primitive_integer_vector((F(2, 3), F(4, 3))) == (1, 2)
     assert primitive_integer_vector((F(-6), F(9))) == (-2, 3)
+
+
+# reference copies of the code that span_coordinates and det replaced
+
+
+def _reference_span_coordinates(vectors):
+    """Greedy basis by rank probes, then one solve per vector."""
+    basis = []
+    for v in vectors:
+        if rank_of_vectors(basis + [v]) > len(basis):
+            basis.append(v)
+    if not basis:
+        return 0, [()] * len(vectors)
+    bmat = Matrix.from_rows(basis).transpose()
+    return len(basis), [solve_linear(bmat, v) for v in vectors]
+
+
+def _reference_det(M):
+    """Forward elimination, one sign flip per row swap."""
+    n = M.rows
+    rows = [list(M.row(i)) for i in range(n)]
+    d = ONE
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return ZERO
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            d = -d
+        d *= rows[c][c]
+        inv = ONE / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return d
+
+
+def _rational(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _seeded_vector_sets():
+    rng = random.Random(23)
+    yield []
+    yield [(F(0), F(0))]
+    yield [(F(0), F(0), F(0)), (F(1), F(2), F(0)), (F(0), F(0), F(0)), (F(2), F(4), F(0))]
+    yield [(F(1), F(-1)), (F(1), F(-1)), (F(0), F(3))]
+    yield [(F(1),), (F(-1),)]
+    for _ in range(120):
+        dim, k = rng.randint(1, 4), rng.randint(1, 7)
+        rank_cap = rng.randint(1, dim)
+        # rank-deficient sets as combinations of rank_cap generators
+        gens = [tuple(_rational(rng) for _ in range(dim)) for _ in range(rank_cap)]
+        vectors = []
+        for _ in range(k):
+            pick = rng.random()
+            if pick < 0.15:
+                vectors.append((F(0),) * dim)
+            elif pick < 0.3 and vectors:
+                vectors.append(rng.choice(vectors))
+            else:
+                coef = [_rational(rng) for _ in gens]
+                vectors.append(tuple(sum((c * g[i] for c, g in zip(coef, gens)), F(0))
+                                     for i in range(dim)))
+        yield vectors
+
+
+def test_span_coordinates_matches_reference():
+    for vectors in _seeded_vector_sets():
+        r, coords = span_coordinates(vectors)
+        assert (r, coords) == _reference_span_coordinates(vectors)
+        assert r == rank_of_vectors(vectors)
+        basis = []
+        for v in vectors:
+            if rank_of_vectors(basis + [v]) > len(basis):
+                basis.append(v)
+        for v, phi in zip(vectors, coords):
+            assert all(sum((c * b[i] for c, b in zip(phi, basis)), F(0)) == x
+                       for i, x in enumerate(v))
+
+
+def _seeded_square_matrices():
+    rng = random.Random(29)
+    yield Matrix.zeros(0, 0)
+    yield Matrix.from_rows([[0, 1], [1, 0]])
+    yield Matrix.from_rows([[0, 2, 1], [0, 1, 3], [5, 1, 1]])
+    yield Matrix.from_rows([[1, 2], [2, 4]])
+    yield Matrix.from_rows([[0, 0], [0, 0]])
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        rows = [[_rational(rng) if rng.random() < 0.7 else F(0) for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1 % n])]  # singular
+        if rng.random() < 0.3:
+            for row in rows:
+                row[0] = F(0)  # singular: a zero column
+        if rng.random() < 0.3:
+            rows[0][0] = F(0)  # first pivot needs a row swap
+        yield Matrix.from_rows(rows)
+
+
+def test_det_matches_reference():
+    seen_swap = seen_singular = False
+    for M in _seeded_square_matrices():
+        d = det(M)
+        assert d == _reference_det(M)
+        seen_singular |= M.rows > 0 and d == 0
+        seen_swap |= M.rows > 1 and M.at(0, 0) == 0 and d != 0
+    assert det(Matrix.zeros(0, 0)) == 1
+    assert seen_swap and seen_singular

@@ -132,6 +132,10 @@ def test_extreme_rays_hand_cone():
 def test_extreme_rays_rejects_non_pointed():
     with pytest.raises(NonPointedCone):
         extreme_rays(Matrix.from_rows([[1, 0]]))
+    # no rows at all, and fewer rows than columns
+    for ineqs in (Matrix.zeros(0, 2), Matrix.from_rows([[1, 0, 0], [0, 1, 0]])):
+        with pytest.raises(NonPointedCone):
+            extreme_rays(ineqs)
 
 
 def _rays_by_pair_enumeration(ineqs: Matrix):
