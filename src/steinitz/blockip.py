@@ -15,12 +15,12 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .linalg import (Matrix, Vec, ZERO, ONE, rat, ceil_sqrt, det, hstack, is_integer_vec,
+from .linalg import (Matrix, Vec, ZERO, ONE, rat, _echelon, ceil_sqrt, hstack, is_integer_vec,
                      l1_norm, linf_norm, lcm_abs_dets, rank, rank_of_vectors,
                      solve_linear, span_coordinates, vadd, vscale, vsub)
 from .lp import BoxLP, LPError, enum_integer_points, extreme_rays, find_feasible, lp_solve, purify_to_vertex
 from .norms import LINF_NORM
-from .rearrange import rearrangement_order
+from .rearrange import prefix_sums, rearrangement_order
 from .colorful import ColoredFamily, colorful_affine
 
 
@@ -372,16 +372,19 @@ class FeasibleBasis:
 
 def feasible_bases(Ai: Matrix, Bi: Matrix, x_hat: Vec):
     """All invertible s x s column submatrices D of Ai with
-    -D^{-1} Bi x_hat >= 0, in lexicographic column order."""
+    -D^{-1} Bi x_hat >= 0, in lexicographic column order.
+
+    One elimination of [D | Bi x_hat] per subset: D is invertible iff the
+    pivots are its s columns, and then the last column holds D^{-1} Bi x_hat.
+    """
     s = Ai.rows
     rhs = Bi.mul_vec(x_hat)
     out = []
     for cols in combinations(range(Ai.cols), s):
         D = Ai.column_submatrix(cols)
-        if det(D) == 0:
-            continue
-        w = solve_linear(D, rhs)
-        if all(-x >= 0 for x in w):
+        rows = [list(D.row(r)) + [rhs[r]] for r in range(s)]
+        pivots, _ = _echelon(rows)
+        if pivots == list(range(s)) and all(row[s] <= 0 for row in rows):
             out.append(FeasibleBasis(cols, D))
     return out
 
@@ -828,13 +831,8 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
     order = order[:r_pos] + order[r_pos + 1:] + [psi - 1]
 
     cap_prefix = consts.omega3 * (consts.dim_v + 1)
-    prefix = [ZERO] * s0
-    for idx in order:
-        for r in range(s0):
-            prefix[r] += values[idx][r]
-        if linf_norm(tuple(prefix)) > cap_prefix:
-            raise PropertyViolation("prefix-omega3",
-                                    "rearranged prefix left omega3 (dimV + 1) box")
+    if any(linf_norm(p) > cap_prefix for p in prefix_sums(values, order, s0)):
+        raise PropertyViolation("prefix-omega3", "rearranged prefix left omega3 (dimV + 1) box")
 
     # offsets O_k with exact integer keys, k = 0 .. psi-1
     image = inst.integer_C_images()
@@ -934,23 +932,29 @@ def flip_for_kernel_work(inst: FourBlockInstance, flips):
         (None,) * t0, (None,) * (n * t))
 
 
-def reduce_kernel_point_signed(inst: FourBlockInstance, x: Vec, y: Vec):
-    """Caller-facing reduction: lifts A0 away, flips columns so the target
-    is nonnegative, reduces, and flips/projects the answer back."""
+def _sign_normalized(inst: FourBlockInstance, x: Vec, y: Vec):
+    """(flips, work, pt): lifts A0 away, then flips the columns where the
+    lifted point is negative, so pt = |lifted point| lies in ker work."""
     lifted = lift_three_block(inst)
     lx, ly = lift_point(inst, x, y)
     z = tuple(lx) + tuple(ly)
     flips = tuple(v < 0 for v in z)
     work = flip_for_kernel_work(lifted, flips) if any(flips) else lifted
     absz = tuple(abs(v) for v in z)
-    pt = KernelPoint(absz[:lifted.t0], absz[lifted.t0:])
+    return flips, work, KernelPoint(absz[:lifted.t0], absz[lifted.t0:])
+
+
+def reduce_kernel_point_signed(inst: FourBlockInstance, x: Vec, y: Vec):
+    """Caller-facing reduction: lifts A0 away, flips columns so the target
+    is nonnegative, reduces, and flips/projects the answer back."""
+    flips, work, pt = _sign_normalized(inst, x, y)
     outcome = reduce_kernel_point(work, pt)
     if outcome.vector is None:
         return None, outcome
     rx, ry = outcome.vector
     rz = list(rx) + list(ry)
     rz = [-v if f else v for v, f in zip(rz, flips)]
-    px, py = project_lifted_point(inst, tuple(rz[:lifted.t0]), tuple(rz[lifted.t0:]))
+    px, py = project_lifted_point(inst, tuple(rz[:work.t0]), tuple(rz[work.t0:]))
     return (px, py), outcome
 
 
@@ -1053,13 +1057,7 @@ def xi_for_difference(inst: FourBlockInstance, z_from: Vec, z_to: Vec):
     """Domination-threshold constants for the (sign-normalized, lifted) difference of
     two solutions with equal right-hand side."""
     diff = vsub(z_from, z_to)
-    lifted = lift_three_block(inst)
-    lx, ly = lift_point(inst, diff[:inst.t0], diff[inst.t0:])
-    z = tuple(lx) + tuple(ly)
-    flips = tuple(v < 0 for v in z)
-    work = flip_for_kernel_work(lifted, flips) if any(flips) else lifted
-    absz = tuple(abs(v) for v in z)
-    pt = KernelPoint(absz[:lifted.t0], absz[lifted.t0:])
+    _, work, pt = _sign_normalized(inst, diff[:inst.t0], diff[inst.t0:])
     _, consts = decompose_bundle(work, pt)
     return consts.xi
 

@@ -11,9 +11,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .norms import norm_from_name, norm_name
-from .rearrange import steinitz_rearrange, subspace_rearrange
-from .colorful import colorful_affine, colorful_rearrange, single_partial_sum
+from .norms import norm_eval, norm_from_name, norm_name
+from .rearrange import prefix_sums, steinitz_rearrange, subspace_rearrange
+from .colorful import colorful_affine, colorful_rearrange, row_sums, single_partial_sum
 from .oracles import (BudgetExceeded, brute_colorful_optimum, brute_ilp,
                       brute_rearrange_optimum, brute_single_sum)
 from .generate import GenerationError, gen_four_block, gen_zero_sum_family
@@ -263,30 +263,15 @@ def _cmd_plotdata(args):
     fam = fileio.read_family(args.input)
     lines = [f"# prefix-sum trace mode={args.mode} d={fam.dim} n={fam.colors} m={fam.length}",
              "# k coords... norm"]
-    rows = []
     if args.mode == "single":
         seq = fileio.family_as_sequence(fam)
-        cert = steinitz_rearrange(seq)
-        prefix = [Fraction(0)] * seq.dim
-        from .norms import norm_eval
-        for k, idx in enumerate(cert.permutation, start=1):
-            for i, x in enumerate(seq.vectors[idx]):
-                prefix[i] += x
-            rows.append((k, tuple(prefix), norm_eval(seq.norm, tuple(prefix))))
+        vectors, order, drift = seq.vectors, steinitz_rearrange(seq).permutation, None
     else:
         cert = colorful_affine(fam) if args.mode == "affine" else colorful_rearrange(fam)
-        from .norms import norm_eval
-        prefix = [Fraction(0)] * fam.dim
-        for k in range(fam.length):
-            for j in range(fam.colors):
-                v = fam.vectors[j][cert.permutations[j][k]]
-                for i, x in enumerate(v):
-                    prefix[i] += x
-            if args.mode == "affine":
-                shifted = tuple(p - (k + 1) * dr for p, dr in zip(prefix, cert.drift))
-            else:
-                shifted = tuple(prefix)
-            rows.append((k + 1, shifted, norm_eval(fam.norm, shifted)))
+        order = range(fam.length)
+        vectors, drift = row_sums(fam, cert.permutations, order), cert.drift
+    rows = [(k, p, norm_eval(fam.norm, p))
+            for k, p in enumerate(prefix_sums(vectors, order, fam.dim, drift), start=1)]
     for k, coords, nv in rows:
         lines.append(f"{k} " + " ".join(format_rat(c) for c in coords) +
                      f" {format_rat(nv)}")

@@ -20,7 +20,8 @@ from fractions import Fraction
 from .linalg import Matrix, Vec, ZERO, ONE, rat, vsub, vscale, is_zero_vec, null_space
 from .lp import BoxLP, purify_to_vertex
 from .norms import BlockMax, NormSpec, norm_eval
-from .rearrange import ZeroSumRequired, rearrangement_order
+from .rearrange import (VectorSequence, ZeroSumRequired, max_prefix_norm,
+                        rearrangement_order)
 
 ROUTE_TRIVIAL = "trivial_nd"
 ROUTE_BALANCED = "balanced_40d5"
@@ -95,21 +96,23 @@ def _require_zero_sum_union(fam: ColoredFamily):
         raise ZeroSumRequired("union of the family is not zero-sum")
 
 
+def row_sums(fam: ColoredFamily, orders, rows) -> list:
+    """The joint row sums sum_j fam.vectors[j][orders[j][i]] for each i in rows."""
+    out = []
+    for i in rows:
+        acc = [ZERO] * fam.dim
+        for color, order in zip(fam.vectors, orders):
+            for r, x in enumerate(color[order[i]]):
+                acc[r] += x
+        out.append(tuple(acc))
+    return out
+
+
 def _colorful_prefix_max(fam: ColoredFamily, perms, drift: Vec | None = None) -> Fraction:
-    prefix = [ZERO] * fam.dim
-    best = ZERO
-    for k in range(fam.length):
-        for j in range(fam.colors):
-            v = fam.vectors[j][perms[j][k]]
-            for i in range(fam.dim):
-                prefix[i] += v[i]
-        if drift is None:
-            val = norm_eval(fam.norm, tuple(prefix))
-        else:
-            val = norm_eval(fam.norm, tuple(p - (k + 1) * d for p, d in zip(prefix, drift)))
-        if val > best:
-            best = val
-    return best
+    """Max joint prefix norm: a joint prefix is a classical prefix of the row sums."""
+    m = fam.length
+    rows = VectorSequence(tuple(row_sums(fam, perms, range(m))), fam.dim, fam.norm)
+    return max_prefix_norm(rows, range(m), drift)
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +191,7 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
     history = []
     prev = None
     while True:
-        rows = []
-        for i in range(m):
-            acc = [ZERO] * d
-            for j in range(n):
-                v = fam.vectors[j][sigma[j][i]]
-                for r in range(d):
-                    acc[r] += v[r]
-            rows.append(tuple(acc))
+        rows = row_sums(fam, sigma, range(m))
         norms = [norm_eval(fam.norm, row) for row in rows]
         mx = max(norms, default=ZERO)
         cnt = sum(1 for v in norms if v == mx)
@@ -236,13 +232,8 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
 
         # the proof's chain bound on every touched row, and strict progress
         cap = Fraction((d + 1) * (4 * d * (d + 1) + 2)) + Fraction(d, d + 1) * mx
-        for a in sel_rows:
-            acc = [ZERO] * d
-            for j in range(n):
-                v = fam.vectors[j][sigma[j][a]]
-                for r in range(d):
-                    acc[r] += v[r]
-            val = norm_eval(fam.norm, tuple(acc))
+        for row in row_sums(fam, sigma, sel_rows):
+            val = norm_eval(fam.norm, row)
             if val > cap:
                 raise AssertionError("touched row exceeded the improvement chain bound")
             if val >= mx:
@@ -264,15 +255,7 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
     bound_poly = Fraction(40 * d ** 5)
     certified = min(bound_nd, bound_poly)
 
-    aggregate = []
-    for i in range(m):
-        acc = [ZERO] * d
-        for j in range(n):
-            v = fam.vectors[j][i]
-            for r in range(d):
-                acc[r] += v[r]
-        aggregate.append(tuple(acc))
-    rho = rearrangement_order(aggregate, d)
+    rho = rearrangement_order(row_sums(fam, (range(m),) * n, range(m)), d)
     perms_trivial = tuple(tuple(rho) for _ in range(n))
     achieved_trivial = _colorful_prefix_max(fam, perms_trivial)
 
@@ -281,15 +264,7 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
     if bound_nd > bound_poly:
         bal = balance_rows(fam)
         row_bound = bal.row_bound
-        balanced_rows = []
-        for i in range(m):
-            acc = [ZERO] * d
-            for j in range(n):
-                v = fam.vectors[j][bal.orders[j][i]]
-                for r in range(d):
-                    acc[r] += v[r]
-            balanced_rows.append(tuple(acc))
-        rho2 = rearrangement_order(balanced_rows, d)
+        rho2 = rearrangement_order(row_sums(fam, bal.orders, range(m)), d)
         perms_bal = tuple(tuple(order[i] for i in rho2) for order in bal.orders)
         achieved_bal = _colorful_prefix_max(fam, perms_bal)
         if achieved_bal < best[0]:

@@ -6,8 +6,9 @@ exact: no floats, no rounding, arbitrary precision throughout.
 
 One Gauss-Jordan routine, ``_echelon`` with its row step ``_pivot``, is the
 only Fraction elimination in the package: solves, kernels, rank,
-determinants and span coordinates here, and the simplex tableau and the
-double description's initial cone in ``lp``.
+determinants and span coordinates here; the simplex tableau and the
+double description's initial cone in ``lp``; the feasible bases in
+``blockip``.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ def rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
-
-
-def vec(xs) -> Vec:
-    return tuple(rat(x) for x in xs)
 
 
 def vzero(n: int) -> Vec:

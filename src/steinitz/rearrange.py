@@ -135,24 +135,25 @@ def rearrangement_order(vectors, dim) -> tuple:
     return _order_chain(vectors, dim)
 
 
+def prefix_sums(vectors, order, dim: int, drift: Vec | None = None):
+    """Yield, for k = 1..len(order), the sum of the first k ordered vectors
+    minus k*drift.  The one prefix-sum loop behind every certificate."""
+    prefix = [ZERO] * dim
+    for k, idx in enumerate(order, start=1):
+        for i, x in enumerate(vectors[idx]):
+            prefix[i] += x
+        if drift is None:
+            yield tuple(prefix)
+        else:
+            yield tuple(p - k * d for p, d in zip(prefix, drift))
+
+
 def max_prefix_norm(seq: VectorSequence, perm, drift: Vec | None = None) -> Fraction:
     """Exact max over k of || sum of the first k permuted vectors - k*drift ||."""
-    m = len(seq)
-    if sorted(perm) != list(range(m)):
+    if sorted(perm) != list(range(len(seq))):
         raise ValueError("perm is not a bijection on the sequence indices")
-    prefix = [ZERO] * seq.dim
-    best = ZERO
-    for k, idx in enumerate(perm, start=1):
-        v = seq.vectors[idx]
-        for i in range(seq.dim):
-            prefix[i] += v[i]
-        if drift is None:
-            val = norm_eval(seq.norm, tuple(prefix))
-        else:
-            val = norm_eval(seq.norm, tuple(p - k * d for p, d in zip(prefix, drift)))
-        if val > best:
-            best = val
-    return best
+    return max((norm_eval(seq.norm, p) for p in prefix_sums(seq.vectors, perm, seq.dim, drift)),
+               default=ZERO)
 
 
 def steinitz_rearrange(seq: VectorSequence) -> RearrangementCertificate:

@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
-from steinitz.linalg import Matrix, ceil_sqrt, linf_norm, l1_norm, rank_of_vectors, vscale
+from steinitz.linalg import (Matrix, ceil_sqrt, det, linf_norm, l1_norm, rank_of_vectors,
+                             solve_linear, vscale)
 from steinitz.lp import BoxLP, enum_integer_points, find_feasible, lp_solve
-from steinitz.blockip import (FourBlockInstance, KernelPoint, PropertyViolation,
+from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, PropertyViolation,
                               cone_rays_K, decompose_bundle, decompose_u, decompose_x,
                               feasible_bases, graver_enumerate, kernel_bound,
                               lift_point, lift_three_block, minimal_kernel_below,
@@ -193,6 +195,42 @@ def test_feasible_bases_both_qualify():
     Bi = Matrix.from_rows([[-2]])
     out = feasible_bases(Ai, Bi, (F(1),))
     assert [fb.cols for fb in out] == [(0,), (1,)]
+
+
+def _ref_feasible_bases(Ai, Bi, x_hat):
+    """Reference: a determinant test, then a separate solve, per subset."""
+    rhs = Bi.mul_vec(x_hat)
+    out = []
+    for cols in combinations(range(Ai.cols), Ai.rows):
+        D = Ai.column_submatrix(cols)
+        if det(D) == 0:
+            continue
+        if all(-x >= 0 for x in solve_linear(D, rhs)):
+            out.append(FeasibleBasis(cols, D))
+    return out
+
+
+def test_feasible_bases_matches_det_solve_reference():
+    singular = nonempty = zero_row = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        s = rng.randint(1, 3)
+        t, t0 = rng.randint(s, s + 3), rng.randint(1, 3)
+        rows = [[rng.randint(-2, 2) for _ in range(t)] for _ in range(s)]
+        if seed % 5 == 0:
+            rows[rng.randrange(s)] = [0] * t
+            zero_row += 1
+        elif seed % 3 == 0 and t > s:
+            for r in rows:
+                r[-1] = r[0]  # a repeated column makes some subsets singular
+        Ai = Matrix.from_rows(rows)
+        Bi = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(t0)] for _ in range(s)])
+        x_hat = tuple(F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(t0))
+        ref = _ref_feasible_bases(Ai, Bi, x_hat)
+        assert feasible_bases(Ai, Bi, x_hat) == ref
+        singular += any(det(Ai.column_submatrix(c)) == 0 for c in combinations(range(t), s))
+        nonempty += bool(ref)
+    assert singular >= 10 and nonempty >= 10 and zero_row == 8
 
 
 def test_cone_rays_t0_1():

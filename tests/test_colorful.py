@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from steinitz.colorful import (ColoredFamily, balance_rows, colorful_affine,
-                               colorful_rearrange, conic_caratheodory_anchor,
-                               round_to_binary, single_partial_sum)
-from steinitz.norms import L1_NORM, LINF_NORM
+from steinitz.colorful import (ColoredFamily, _colorful_prefix_max, balance_rows,
+                               colorful_affine, colorful_rearrange,
+                               conic_caratheodory_anchor, round_to_binary,
+                               single_partial_sum)
+from steinitz.norms import L1_NORM, LINF_NORM, norm_eval, norm_from_name
 from steinitz.rearrange import ZeroSumRequired
 from steinitz.generate import (gen_adversarial_scalar_family, gen_unit_family,
                                gen_zero_sum_family)
@@ -193,3 +194,97 @@ def test_single_partial_sum_fractional_bound():
             sel = single_partial_sum(fam, k)
             assert all(len(I) == k for I in sel.index_sets)
             assert sel.achieved <= d
+
+
+# ---------------------------------------------------------------------------
+# joint prefix sums and row sums against the earlier loops, kept as reference
+
+
+def _ref_row_sums(fam, orders, rows):
+    out = []
+    for i in rows:
+        acc = [F(0)] * fam.dim
+        for j in range(fam.colors):
+            v = fam.vectors[j][orders[j][i]]
+            for r in range(fam.dim):
+                acc[r] += v[r]
+        out.append(tuple(acc))
+    return out
+
+
+def _ref_colorful_prefix_max(fam, perms, drift=None):
+    prefix = [F(0)] * fam.dim
+    best = F(0)
+    for k in range(fam.length):
+        for j in range(fam.colors):
+            v = fam.vectors[j][perms[j][k]]
+            for i in range(fam.dim):
+                prefix[i] += v[i]
+        if drift is None:
+            val = norm_eval(fam.norm, tuple(prefix))
+        else:
+            val = norm_eval(fam.norm, tuple(p - (k + 1) * d for p, d in zip(prefix, drift)))
+        if val > best:
+            best = val
+    return best
+
+
+# (d, n, m, norm, seed): n = 1, m <= d, and both norms are covered
+PREFIX_SHAPES = [(2, 1, 6, "linf", 1), (3, 1, 5, "l1", 2), (3, 2, 2, "linf", 3),
+                 (4, 3, 4, "l1", 4), (2, 4, 5, "linf", 5), (1, 5, 6, "l1", 6),
+                 (2, 3, 1, "l1", 7)]
+
+
+@pytest.mark.parametrize("d,n,m,norm,seed", PREFIX_SHAPES)
+def test_colorful_prefix_max_matches_reference(d, n, m, norm, seed):
+    fam = gen_unit_family(d, n, m, norm_from_name(norm), seed)
+    rng = random.Random(seed)
+    drifts = [None, tuple(x / m for x in fam.total()),
+              tuple(F(rng.randint(-8, 8), 8) for _ in range(d))]
+    for _ in range(4):
+        perms = tuple(tuple(rng.sample(range(m), m)) for _ in range(n))
+        for drift in drifts:
+            assert _colorful_prefix_max(fam, perms, drift) == \
+                _ref_colorful_prefix_max(fam, perms, drift)
+
+
+@pytest.mark.parametrize("d,n,m,norm,seed", PREFIX_SHAPES)
+def test_colorful_certificates_match_reference(d, n, m, norm, seed):
+    fam = gen_zero_sum_family(d, n, m, norm_from_name(norm), seed)
+    cert = colorful_rearrange(fam)
+    assert cert.achieved_max == _ref_colorful_prefix_max(fam, cert.permutations)
+    unit = gen_unit_family(d, n, m, norm_from_name(norm), seed)
+    aff = colorful_affine(unit)
+    assert aff.achieved_max == _ref_colorful_prefix_max(unit, aff.permutations, aff.drift)
+
+
+def test_balanced_route_matches_reference():
+    fam = gen_adversarial_scalar_family(100, 4, 7)
+    bal = balance_rows(fam)
+    rows = _ref_row_sums(fam, bal.orders, range(fam.length))
+    assert bal.row_bound == max(norm_eval(fam.norm, r) for r in rows)
+    cert = colorful_rearrange(fam)
+    assert cert.route == "balanced_40d5"
+    assert cert.achieved_max == _ref_colorful_prefix_max(fam, cert.permutations)
+
+
+@pytest.mark.parametrize("d,n,m,norm,seed", PREFIX_SHAPES)
+def test_row_sums_and_prefix_sums_match_reference(d, n, m, norm, seed):
+    from steinitz.colorful import row_sums
+    from steinitz.rearrange import prefix_sums
+    fam = gen_unit_family(d, n, m, norm_from_name(norm), seed)
+    rng = random.Random(seed)
+    orders = tuple(tuple(rng.sample(range(m), m)) for _ in range(n))
+    rows = rng.sample(range(m), rng.randint(0, m))
+    assert row_sums(fam, orders, rows) == _ref_row_sums(fam, orders, rows)
+    sums = row_sums(fam, orders, range(m))
+    order = rng.sample(range(m), m)
+    drift = tuple(F(rng.randint(-8, 8), 8) for _ in range(d))
+    acc = [F(0)] * d
+    plain = []
+    for idx in order:
+        acc = [a + x for a, x in zip(acc, sums[idx])]
+        plain.append(tuple(acc))
+    assert list(prefix_sums(sums, order, d)) == plain
+    assert list(prefix_sums(sums, order, d, drift)) == [
+        tuple(a - k * dr for a, dr in zip(p, drift)) for k, p in enumerate(plain, start=1)]

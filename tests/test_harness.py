@@ -6,8 +6,9 @@ import pytest
 from steinitz import fileio
 from steinitz.cli import main
 from steinitz.fileio import ParseError
-from steinitz.generate import gen_four_block, gen_zero_sum_family
-from steinitz.norms import LINF_NORM
+from steinitz.generate import (gen_adversarial_scalar_family, gen_four_block, gen_unit_family,
+                               gen_zero_sum_family)
+from steinitz.norms import L1_NORM, LINF_NORM
 
 
 def test_gen_family_single_vector_is_zero():
@@ -228,6 +229,46 @@ def test_cli_plotdata(tmp_path):
     assert code == 0
     rows = [l for l in out.splitlines() if not l.startswith("#")]
     assert len(rows) == 3  # one trace row per k
+
+
+# seeded families per plotdata mode; the adversarial family takes the
+# balanced route, the unit families have a nonzero affine drift
+PLOTDATA_FAMILIES = {
+    "single": [lambda: gen_zero_sum_family(2, 1, 7, LINF_NORM, 4),
+               lambda: gen_zero_sum_family(3, 1, 6, L1_NORM, 5),
+               lambda: gen_zero_sum_family(1, 1, 6, LINF_NORM, 6)],
+    "colorful": [lambda: gen_zero_sum_family(2, 3, 5, LINF_NORM, 4),
+                 lambda: gen_zero_sum_family(3, 4, 3, L1_NORM, 8),
+                 lambda: gen_adversarial_scalar_family(100, 4, 7)],
+    "affine": [lambda: gen_unit_family(2, 3, 5, LINF_NORM, 33),
+               lambda: gen_unit_family(3, 2, 4, L1_NORM, 12),
+               lambda: gen_adversarial_scalar_family(100, 4, 7)],
+}
+
+# sha256 of the concatenated `steinitz plotdata` outputs over PLOTDATA_FAMILIES,
+# which must not change from one version of the program to the next
+PLOTDATA_SHA256 = {
+    ("single", "text"): "5ba2486a9ed39a20dc820f582fe409ea118f0c01c3088952705af11c5b10b4ea",
+    ("single", "json"): "ff6d75da3dd42cb9c02a3876d25744d967a08e5e312ac84ba5a0e0784eff6e9c",
+    ("colorful", "text"): "fc7ec2c3ec50e6e67ed0ee04671b2a528a4b10f31c06677a42cf9c813c5855d4",
+    ("colorful", "json"): "30c94deded6e11332ed06b01517aea7a2de36ed19995c6bb6421faffa81a3168",
+    ("affine", "text"): "44702496c4d6fb4b6d5fbfc88a38a8a56cf9d65f211d82435084e5ed4d3e1344",
+    ("affine", "json"): "2dd4a40a1f6ea93d29eeb36347c8179846f4805b50086ae4d35d21f9794fbd0d",
+}
+
+
+@pytest.mark.parametrize("mode,fmt", sorted(PLOTDATA_SHA256))
+def test_cli_plotdata_golden(tmp_path, mode, fmt):
+    import hashlib
+    digest = hashlib.sha256()
+    for k, make in enumerate(PLOTDATA_FAMILIES[mode]):
+        path = tmp_path / f"f{k}.txt"
+        fileio.write_family(make(), str(path))
+        code, out = _run(["plotdata", "--input", str(path), "--mode", mode,
+                          *(["--json"] if fmt == "json" else [])])
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == PLOTDATA_SHA256[mode, fmt]
 
 
 def test_cli_output_determinism(tmp_path):
