@@ -16,8 +16,8 @@ from itertools import combinations
 from operator import mul
 
 from .linalg import (Matrix, Vec, ZERO, ONE, rat, _echelon, ceil_sqrt, hstack, is_integer_vec,
-                     l1_norm, linf_norm, lcm_abs_dets, rank, rank_of_vectors,
-                     solve_linear, span_coordinates, vadd, vscale, vsub)
+                     l1_norm, linf_norm, lcm_abs_dets, rank, rank_of_vectors, span_coordinates,
+                     vadd, vscale, vsub)
 from .lp import BoxLP, LPError, enum_integer_points, extreme_rays, find_feasible, lp_solve, purify_to_vertex
 from .norms import LINF_NORM
 from .rearrange import prefix_sums, rearrangement_order
@@ -366,35 +366,50 @@ def _leaves_tube(images, cap) -> bool:
 
 @dataclass(frozen=True)
 class FeasibleBasis:
+    """An invertible s x s column basis D of a diagonal block Ai, stored as
+    its vertex map vmap = -D^{-1} Bi (s rows of length t0).  The point
+    supported on cols with Ai y = -Bi x has y_cols = vmap x, so for every x
+    the basis gives a vertex of {y >= 0 : Ai y = -Bi x} iff vmap x >= 0."""
     cols: tuple
-    mat: Matrix
+    vmap: tuple
+
+    def image(self, x: Vec) -> Vec:
+        """vmap x, the basis coordinates of the point with Ai y = -Bi x."""
+        return tuple(sum((a * v for a, v in zip(row, x)), ZERO) for row in self.vmap)
 
 
-def feasible_bases(Ai: Matrix, Bi: Matrix, x_hat: Vec):
-    """All invertible s x s column submatrices D of Ai with
-    -D^{-1} Bi x_hat >= 0, in lexicographic column order.
+def block_bases(Ai: Matrix, Bi: Matrix):
+    """Every invertible s x s column basis of Ai with its vertex map, in
+    lexicographic column order.
 
-    One elimination of [D | Bi x_hat] per subset: D is invertible iff the
-    pivots are its s columns, and then the last column holds D^{-1} Bi x_hat.
+    One elimination of [D | Bi] per subset: D is invertible iff the pivots
+    are its s columns, and then the last t0 columns hold D^{-1} Bi.
     """
     s = Ai.rows
-    rhs = Bi.mul_vec(x_hat)
     out = []
     for cols in combinations(range(Ai.cols), s):
-        D = Ai.column_submatrix(cols)
-        rows = [list(D.row(r)) + [rhs[r]] for r in range(s)]
-        pivots, _ = _echelon(rows)
-        if pivots == list(range(s)) and all(row[s] <= 0 for row in rows):
-            out.append(FeasibleBasis(cols, D))
+        rows = [[Ai.at(r, c) for c in cols] + list(Bi.row(r)) for r in range(s)]
+        if _echelon(rows)[0] == list(range(s)):
+            out.append(FeasibleBasis(cols, tuple(tuple(-x for x in row[s:]) for row in rows)))
     return out
 
 
-def basis_vertex(fb: FeasibleBasis, Bi: Matrix, x: Vec, t: int) -> Vec:
+def _feasible(bases, x: Vec):
+    """The bases of a block_bases table whose vertex at x is nonnegative."""
+    return [fb for fb in bases if all(v >= 0 for v in fb.image(x))]
+
+
+def feasible_bases(Ai: Matrix, Bi: Matrix, x_hat: Vec):
+    """All invertible s x s column bases D of Ai with -D^{-1} Bi x_hat >= 0,
+    in lexicographic column order, each carrying its vertex map."""
+    return _feasible(block_bases(Ai, Bi), x_hat)
+
+
+def basis_vertex(fb: FeasibleBasis, x: Vec, t: int) -> Vec:
     """The point supported on fb.cols with Ai y = -Bi x."""
-    w = solve_linear(fb.mat, Bi.mul_vec(x))
     y = [ZERO] * t
-    for r, c in enumerate(fb.cols):
-        y[c] = -w[r]
+    for c, v in zip(fb.cols, fb.image(x)):
+        y[c] = v
     return tuple(y)
 
 
@@ -406,10 +421,7 @@ def cone_rays_K(inst: FourBlockInstance, x_hat: Vec, bases_x=None):
     rows = [list(Matrix.identity(inst.t0).row(r)) for r in range(inst.t0)]
     for i in range(inst.n):
         for fb in bases_x[i]:
-            # -D^{-1} B^i as s rows
-            cols = [solve_linear(fb.mat, inst.B[i].col(c)) for c in range(inst.t0)]
-            for r in range(inst.s):
-                rows.append([-cols[c][r] for c in range(inst.t0)])
+            rows.extend(fb.vmap)
     ineqs = Matrix.from_rows(rows)
     for r in range(ineqs.rows):
         if sum((ineqs.at(r, c) * x_hat[c] for c in range(inst.t0)), ZERO) < 0:
@@ -513,8 +525,11 @@ def _peel_vertices(tau, lam, count, span, verts, w):
     return picks, remainder()
 
 
-def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases_x):
+def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases):
     """Split v into per-ray parts and extract integer pieces per part.
+
+    bases[i] is block i's block_bases table; the vertices at x and at each
+    ray h are read from it, filtered to the bases feasible there.
 
     Returns (v0_per_ell, vseq_per_ell, alphas, av0_integral) where
     vseq_per_ell[ell][j] are stacked integer vectors ordered so that the
@@ -542,12 +557,13 @@ def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases_
     v_parts = [[None] * ell_count for _ in range(n)]  # v_parts[i][ell] : t-dim
     for i in range(n):
         vi = inst.y_block(v_hat, i)
-        verts = [basis_vertex(fb, inst.B[i], x_hat, t) for fb in bases_x[i]]
+        bases_x = _feasible(bases[i], x_hat)
+        verts = [basis_vertex(fb, x_hat, t) for fb in bases_x]
         mu = _convex_combo_over_vertices(verts, vi, t + 1, "v-convex-decomposition")
         for ell, (lam, h) in enumerate(zip(lambdas, hs)):
             acc = [ZERO] * t
             for k, coef in mu.items():
-                yk = basis_vertex(bases_x[i][k], inst.B[i], h, t)
+                yk = basis_vertex(bases_x[k], h, t)
                 for r in range(t):
                     acc[r] += coef * yk[r]
             part = tuple(lam * v for v in acc)
@@ -572,8 +588,7 @@ def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases_
         int_verts = []      # per block: the vertices as integer tuples
         rem_blocks = []
         for i in range(n):
-            fbs = feasible_bases(inst.A[i], inst.B[i], h)
-            verts = [basis_vertex(fb, inst.B[i], h, t) for fb in fbs]
+            verts = [basis_vertex(fb, h, t) for fb in _feasible(bases[i], h)]
             for v in verts:
                 if not is_integer_vec(v):
                     raise PropertyViolation("vertex-integrality",
@@ -705,10 +720,10 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
     _require_pipeline_ready(inst)
     u_hat, v_hat = split_max_kernel(inst, pt)
     u0, u_seq = decompose_u(inst, u_hat)
-    bases_x = [feasible_bases(inst.A[i], inst.B[i], pt.x) for i in range(inst.n)]
-    rays_all, omega2, gamma = cone_rays_K(inst, pt.x, bases_x)
+    bases = [block_bases(inst.A[i], inst.B[i]) for i in range(inst.n)]
+    rays_all, omega2, gamma = cone_rays_K(inst, pt.x, [_feasible(b, pt.x) for b in bases])
     lambdas, hs = decompose_x(pt.x, rays_all)
-    v0s, vseqs, alphas, av0 = decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x)
+    v0s, vseqs, alphas, av0 = decompose_v(inst, lambdas, hs, v_hat, omega2, bases)
 
     # exact reassembly checks
     if vadd(u_hat, v_hat) != tuple(pt.y):

@@ -255,18 +255,22 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
     bound_poly = Fraction(40 * d ** 5)
     certified = min(bound_nd, bound_poly)
 
-    rho = rearrangement_order(row_sums(fam, (range(m),) * n, range(m)), d)
+    # row k of a route is rows[rho[k]], so its joint prefixes are the
+    # classical prefixes of the rows in hand taken in the order rho
+    rows = row_sums(fam, (range(m),) * n, range(m))
+    rho = rearrangement_order(rows, d)
     perms_trivial = tuple(tuple(rho) for _ in range(n))
-    achieved_trivial = _colorful_prefix_max(fam, perms_trivial)
+    achieved_trivial = max_prefix_norm(VectorSequence(tuple(rows), d, fam.norm), rho)
 
     best = (achieved_trivial, ROUTE_TRIVIAL, perms_trivial)
     row_bound = None
     if bound_nd > bound_poly:
         bal = balance_rows(fam)
         row_bound = bal.row_bound
-        rho2 = rearrangement_order(row_sums(fam, bal.orders, range(m)), d)
+        rows = row_sums(fam, bal.orders, range(m))
+        rho2 = rearrangement_order(rows, d)
         perms_bal = tuple(tuple(order[i] for i in rho2) for order in bal.orders)
-        achieved_bal = _colorful_prefix_max(fam, perms_bal)
+        achieved_bal = max_prefix_norm(VectorSequence(tuple(rows), d, fam.norm), rho2)
         if achieved_bal < best[0]:
             best = (achieved_bal, ROUTE_BALANCED, perms_bal)
     achieved, route, perms = best

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .linalg import Matrix, ZERO, rank
 from .lp import BoxLP, lp_solve
-from .norms import NormSpec, norm_eval
+from .norms import LINF_NORM, NormSpec, norm_eval
 from .colorful import ColoredFamily
 from .blockip import FourBlockInstance, KernelPoint
 from .rearrange import VectorSequence
@@ -125,7 +125,6 @@ def gen_adversarial_scalar_family(n: int, m: int, seed: int,
     radius = max(abs(x) for col in cols for x in col)
     if radius > 1:
         cols = [[x / radius for x in col] for col in cols]
-    from .norms import LINF_NORM
     vectors = tuple(tuple((x,) for x in col) for col in cols)
     return ColoredFamily(1, n, m, vectors, LINF_NORM)
 
@@ -136,14 +135,12 @@ def gen_rank_deficient_sequence(d: int, r: int, m: int, seed: int,
     r < d: a random integer map applied to a dimension-r family."""
     if not 1 <= r < d:
         raise ValueError("need 1 <= r < d")
-    from .norms import LINF_NORM
     rng = random.Random(seed)
     inner = gen_zero_sum_family(r, 1, m, LINF_NORM, seed * 2 + 1, denom)
     lift = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(d)]
     vs = []
     for v in inner.vectors[0]:
         vs.append(tuple(sum(lift[row][c] * v[c] for c in range(r)) for row in range(d)))
-    from .norms import LINF_NORM
     radius = max((max(abs(x) for x in v) for v in vs), default=ZERO)
     if radius > 1:
         vs = [tuple(x / radius for x in v) for v in vs]

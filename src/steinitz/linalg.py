@@ -7,7 +7,7 @@ exact: no floats, no rounding, arbitrary precision throughout.
 One Gauss-Jordan routine, ``_echelon`` with its row step ``_pivot``, is the
 only Fraction elimination in the package: solves, kernels, rank,
 determinants and span coordinates here; the simplex tableau and the
-double description's initial cone in ``lp``; the feasible bases in
+double description's initial cone in ``lp``; the block bases in
 ``blockip``.
 """
 
@@ -146,13 +146,6 @@ def hstack(*mats: Matrix) -> Matrix:
         for m in mats:
             out.extend(m.row(i))
     return Matrix(rows, sum(m.cols for m in mats), tuple(out))
-
-
-def vstack(*mats: Matrix) -> Matrix:
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column mismatch in vstack")
-    return Matrix(sum(m.rows for m in mats), cols, tuple(x for m in mats for x in m.data))
 
 
 def _pivot(rows, r, c):

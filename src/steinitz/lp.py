@@ -391,13 +391,9 @@ def find_feasible(lp: BoxLP) -> Vec | None:
     return canon.restore(sx.values())
 
 
-def _has_free_var(lp: BoxLP) -> bool:
-    return any(lo is None and hi is None for lo, hi in zip(lp.lower, lp.upper))
-
-
 def lp_solve(lp: BoxLP) -> LPResult:
-    """Exact optimum of a BoxLP; the optimum is returned at a vertex
-    whenever the feasible region is pointed."""
+    """Exact optimum of a BoxLP: the simplex's basic solution, which is a
+    vertex of the feasible region whenever no variable is free."""
     if lp.objective is None:
         raise ValueError("lp_solve requires an objective")
     canon = _Canonical(lp)
@@ -408,9 +404,8 @@ def lp_solve(lp: BoxLP) -> LPResult:
     if status == "unbounded":
         return LPResult("unbounded")
     x = canon.restore(sx.values())
-    if not _has_free_var(lp):
-        x = purify_to_vertex(
-            BoxLP(lp.M, lp.b, lp.lower, lp.upper, lp.objective), x)
+    if not lp.is_feasible_point(x):
+        raise InfeasibleStart("simplex point is not feasible")
     value = sum((rat(ci) * xi for ci, xi in zip(lp.objective, x)), ZERO)
     return LPResult("optimal", x, value)
 

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 from .linalg import linf_norm, rank_of_vectors, vscale
+from .lp import enum_integer_points
 from .norms import L1_NORM, LINF_NORM
 from .rearrange import max_prefix_norm, steinitz_rearrange, subspace_rearrange
 from .colorful import balance_rows, colorful_affine, colorful_rearrange, single_partial_sum
@@ -19,8 +20,8 @@ from .oracles import BudgetExceeded, brute_ilp, brute_rearrange_optimum, brute_s
 from .generate import (GenerationError, gen_adversarial_scalar_family, gen_four_block,
                        gen_rank_deficient_sequence, gen_unit_family, gen_zero_sum_family,
                        gen_zero_sum_sequence)
-from .blockip import (KernelPoint, PropertyViolation, decompose_bundle, graver_enumerate,
-                      proximity_report, reduce_kernel_point, solve_four_block)
+from .blockip import (KernelPoint, PropertyViolation, conformal_leq, decompose_bundle,
+                      graver_enumerate, proximity_report, reduce_kernel_point, solve_four_block)
 
 
 def _check(cond, name: str):
@@ -178,7 +179,6 @@ def suite_reduce(seed: int, idx: int):
     # independent existence check below the found vector's radius
     found = tuple(out.vector[0]) + tuple(out.vector[1])
     H = inst.H_matrix()
-    from .lp import enum_integer_points
     cap = int(linf_norm(found))
     upper = tuple(min(math.floor(v), cap) for v in tuple(big.x) + tuple(big.y))
     witness = None
@@ -196,8 +196,6 @@ def suite_graver(seed: int, idx: int):
     inst, _ = _gen_pipeline_instance(idx, seed, ((1, 1, 1, 1, 2),), delta_choices=(1,))
     box = 4
     basis = graver_enumerate(inst, box)
-    from .blockip import conformal_leq
-    from .lp import enum_integer_points
     H = inst.H_matrix()
     dim = inst.x_dim + inst.y_dim
     kernel = [z for z in enum_integer_points((-box,) * dim, (box,) * dim,
@@ -211,21 +209,23 @@ def suite_graver(seed: int, idx: int):
     return f"ok graver[{idx}] box={box} size={len(basis)}"
 
 
-def suite_solve(seed: int, idx: int):
-    sub = 0
-    while True:
+def _feasible_instance(seed_base: int, seed: int, idx: int):
+    """(instance, proximity report) for the first of at most 50 seeded draws
+    whose IP is feasible and whose LP relaxation has an optimum."""
+    for sub in range(50):
         try:
             inst, _ = gen_four_block(1, 1, 1, 1, 2 + idx % 2, 1,
-                                     seed * 10_000 + idx * 100 + sub)
+                                     seed * seed_base + idx * 100 + sub)
         except GenerationError:
-            sub += 1
             continue
         rep = proximity_report(inst)
         if rep.ip_feasible and rep.lp_status == "optimal":
-            break
-        sub += 1
-        if sub > 50:
-            raise AssertionError("no feasible instance found")
+            return inst, rep
+    raise AssertionError("no feasible instance found")
+
+
+def suite_solve(seed: int, idx: int):
+    inst, rep = _feasible_instance(10_000, seed, idx)
     opt = brute_ilp(inst)
     sol = solve_four_block(inst, math.ceil(rep.xi))
     _check(sol is not None and opt is not None, "solve-feasible")
@@ -234,20 +234,7 @@ def suite_solve(seed: int, idx: int):
 
 
 def suite_proximity(seed: int, idx: int):
-    sub = 0
-    while True:
-        try:
-            inst, _ = gen_four_block(1, 1, 1, 1, 2 + idx % 2, 1,
-                                     seed * 20_000 + idx * 100 + sub)
-        except GenerationError:
-            sub += 1
-            continue
-        rep = proximity_report(inst)
-        if rep.ip_feasible and rep.lp_status == "optimal":
-            break
-        sub += 1
-        if sub > 50:
-            raise AssertionError("no feasible instance found")
+    _, rep = _feasible_instance(20_000, seed, idx)
     _check(rep.distance_inf <= rep.xi, "proximity-bound")
     return f"ok proximity[{idx}] dist={rep.distance_inf} xi={rep.xi}"
 

@@ -8,6 +8,7 @@ import pytest
 from steinitz.linalg import (Matrix, ceil_sqrt, det, linf_norm, l1_norm, rank_of_vectors,
                              solve_linear, vscale)
 from steinitz.lp import BoxLP, enum_integer_points, find_feasible, lp_solve
+from steinitz import blockip
 from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, PropertyViolation,
                               cone_rays_K, decompose_bundle, decompose_u, decompose_x,
                               feasible_bases, graver_enumerate, kernel_bound,
@@ -17,6 +18,7 @@ from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, Pro
                               split_max_kernel, conformal_leq)
 from steinitz.generate import GenerationError, gen_four_block
 from steinitz.oracles import brute_ilp
+from steinitz.verify import PIPELINE_SHAPES
 
 
 def inst_1row(a0, c_entries, n=1):
@@ -198,7 +200,8 @@ def test_feasible_bases_both_qualify():
 
 
 def _ref_feasible_bases(Ai, Bi, x_hat):
-    """Reference: a determinant test, then a separate solve, per subset."""
+    """Reference: a determinant test, then a separate solve for the vertex
+    and one per column of Bi for the vertex map, per subset."""
     rhs = Bi.mul_vec(x_hat)
     out = []
     for cols in combinations(range(Ai.cols), Ai.rows):
@@ -206,7 +209,9 @@ def _ref_feasible_bases(Ai, Bi, x_hat):
         if det(D) == 0:
             continue
         if all(-x >= 0 for x in solve_linear(D, rhs)):
-            out.append(FeasibleBasis(cols, D))
+            sols = [solve_linear(D, Bi.col(c)) for c in range(Bi.cols)]
+            vmap = tuple(tuple(-sol[r] for sol in sols) for r in range(Ai.rows))
+            out.append(FeasibleBasis(cols, vmap))
     return out
 
 
@@ -296,6 +301,23 @@ def test_bundle_seeded_shapes():
         inst, pt = gen_pipeline(shape, 1 + k % 2, 900 + k, scale=20)
         bundle, consts = decompose_bundle(inst, pt)
         assert consts.psi == 1 + bundle.alpha0 + sum(bundle.alphas)
+
+
+def test_bundle_eliminates_each_block_basis_once(monkeypatch):
+    """decompose_bundle eliminates each s-subset of each diagonal block's
+    columns once, however many rays x splits over."""
+    calls = []
+    real = blockip._echelon
+    monkeypatch.setattr(blockip, "_echelon", lambda rows: calls.append(rows) or real(rows))
+    with_rays = 0
+    for k, shape in enumerate(PIPELINE_SHAPES):
+        for seed in range(3):
+            inst, pt = gen_pipeline(shape, 1 + seed % 2, 960 + 10 * k + seed, scale=24)
+            calls.clear()
+            bundle, _ = decompose_bundle(inst, pt)
+            assert len(calls) == inst.n * math.comb(inst.t, inst.s)
+            with_rays += bool(bundle.lambdas)
+    assert with_rays >= len(PIPELINE_SHAPES)
 
 
 def test_constants_unit_example():

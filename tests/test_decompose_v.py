@@ -5,29 +5,32 @@ The ``_reference_*`` functions are ``decompose_u``, ``decompose_v``,
 extraction moved to integer vertex masses and the C-images, kernel
 pairings, reassembly sums and offsets were computed once per distinct
 vertex in int.  They do the same work once per piece over Fraction and are
-kept here unchanged as the oracle: on every seeded instance the library
-must return equal bundles, constants and outcomes, or raise a
-PropertyViolation of the same name.
+kept here as the oracle: on every seeded instance the library must return
+equal bundles, constants and outcomes, or raise a PropertyViolation of the
+same name.  The feasible bases, basis vertices and cone rays they use are
+the same functions as they were before a block basis carried its vertex
+map: a determinant test and a separate solve for every vertex and every
+cone row.
 """
 
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from steinitz import blockip
 from steinitz.blockip import (DecompositionBundle, KernelPoint, PropertyViolation, ReduceOutcome,
-                              _leaves_tube, _require_pipeline_ready, basis_vertex,
-                              compute_constants, cone_rays_K, decompose_x, feasible_bases,
-                              kernel_bound, minimal_kernel_below)
+                              _leaves_tube, _require_pipeline_ready, compute_constants,
+                              decompose_x, kernel_bound, minimal_kernel_below)
 from steinitz.cli import main
 from steinitz.colorful import ColoredFamily, colorful_affine
 from steinitz.fileio import read_fourblock, read_point, write_point
 from steinitz.generate import GenerationError, gen_four_block
-from steinitz.lp import BoxLP, lp_solve
-from steinitz.linalg import (Matrix, ONE, ZERO, is_integer_vec, l1_norm, linf_norm, rank_of_vectors,
-                             solve_linear, vadd, vscale, vsub, vzero)
+from steinitz.lp import BoxLP, extreme_rays, lp_solve
+from steinitz.linalg import (Matrix, ONE, ZERO, det, is_integer_vec, l1_norm, lcm_abs_dets,
+                             linf_norm, rank_of_vectors, solve_linear, vadd, vscale, vsub, vzero)
 from steinitz.norms import LINF_NORM
 from steinitz.rearrange import rearrangement_order
 from steinitz.verify import PIPELINE_SHAPES
@@ -88,6 +91,47 @@ def _reference_decompose_u(inst, u_hat):
     return u0, tuple(pieces)
 
 
+def _reference_feasible_bases(Ai, Bi, x_hat):
+    """(cols, D) for every invertible s x s column submatrix D of Ai with
+    -D^{-1} Bi x_hat >= 0, in lexicographic column order."""
+    rhs = Bi.mul_vec(x_hat)
+    out = []
+    for cols in combinations(range(Ai.cols), Ai.rows):
+        D = Ai.column_submatrix(cols)
+        if det(D) != 0 and all(-x >= 0 for x in solve_linear(D, rhs)):
+            out.append((cols, D))
+    return out
+
+
+def _reference_basis_vertex(basis, Bi, x, t):
+    """The point supported on the basis columns with Ai y = -Bi x."""
+    cols, D = basis
+    w = solve_linear(D, Bi.mul_vec(x))
+    y = [ZERO] * t
+    for r, c in enumerate(cols):
+        y[c] = -w[r]
+    return tuple(y)
+
+
+def _reference_cone_rays_K(inst, x_hat, bases_x):
+    """Extreme rays of {x >= 0 : -D^{-1} B^i x >= 0 for all feasible
+    bases D}, scaled into gamma Z^{t0}; returns (rays, omega2, gamma)."""
+    rows = [list(Matrix.identity(inst.t0).row(r)) for r in range(inst.t0)]
+    for i in range(inst.n):
+        for _, D in bases_x[i]:
+            cols = [solve_linear(D, inst.B[i].col(c)) for c in range(inst.t0)]
+            for r in range(inst.s):
+                rows.append([-cols[c][r] for c in range(inst.t0)])
+    ineqs = Matrix.from_rows(rows)
+    for r in range(ineqs.rows):
+        if sum((ineqs.at(r, c) * x_hat[c] for c in range(inst.t0)), ZERO) < 0:
+            raise PropertyViolation("x-in-cone", "x violates a cone inequality")
+    gamma = lcm_abs_dets(inst.A, inst.s, entry_bound=inst.delta)
+    rays = [tuple(gamma * x for x in r) for r in extreme_rays(ineqs)]
+    omega2 = max((linf_norm(r) for r in rays), default=ZERO)
+    return tuple(rays), omega2, gamma
+
+
 def _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x):
     """Split v into per-ray parts and extract integer pieces per part.
 
@@ -111,12 +155,12 @@ def _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x):
     v_parts = [[None] * ell_count for _ in range(n)]  # v_parts[i][ell] : t-dim
     for i in range(n):
         vi = inst.y_block(v_hat, i)
-        verts = [basis_vertex(fb, inst.B[i], x_hat, t) for fb in bases_x[i]]
+        verts = [_reference_basis_vertex(fb, inst.B[i], x_hat, t) for fb in bases_x[i]]
         mu = blockip._convex_combo_over_vertices(verts, vi, t + 1, "v-convex-decomposition")
         for ell, (lam, h) in enumerate(zip(lambdas, hs)):
             acc = [ZERO] * t
             for k, coef in mu.items():
-                yk = basis_vertex(bases_x[i][k], inst.B[i], h, t)
+                yk = _reference_basis_vertex(bases_x[i][k], inst.B[i], h, t)
                 for r in range(t):
                     acc[r] += coef * yk[r]
             part = tuple(lam * v for v in acc)
@@ -140,8 +184,8 @@ def _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x):
         seq_blocks = [[] for _ in range(n)]
         rem_blocks = []
         for i in range(n):
-            fbs = feasible_bases(inst.A[i], inst.B[i], h)
-            verts = [basis_vertex(fb, inst.B[i], h, t) for fb in fbs]
+            fbs = _reference_feasible_bases(inst.A[i], inst.B[i], h)
+            verts = [_reference_basis_vertex(fb, inst.B[i], h, t) for fb in fbs]
             for v in verts:
                 if not is_integer_vec(v):
                     raise PropertyViolation("vertex-integrality",
@@ -239,8 +283,8 @@ def _reference_decompose_bundle(inst, pt):
     pt.check(inst)
     u_hat, v_hat = blockip.split_max_kernel(inst, pt)
     u0, u_seq = _reference_decompose_u(inst, u_hat)
-    bases_x = [feasible_bases(inst.A[i], inst.B[i], pt.x) for i in range(inst.n)]
-    rays_all, omega2, gamma = cone_rays_K(inst, pt.x, bases_x)
+    bases_x = [_reference_feasible_bases(inst.A[i], inst.B[i], pt.x) for i in range(inst.n)]
+    rays_all, omega2, gamma = _reference_cone_rays_K(inst, pt.x, bases_x)
     lambdas, hs = decompose_x(pt.x, rays_all)
     v0s, vseqs, alphas, av0 = _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x)
 

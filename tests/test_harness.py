@@ -287,6 +287,33 @@ def test_verify_workers_match_sequential():
     assert seq_lines == par_lines
 
 
+@pytest.mark.parametrize("failure", ["generation", "infeasible"])
+def test_verify_solve_and_proximity_stop_after_50_draws(monkeypatch, failure):
+    """Both kinds of bad draw count against one budget of 50 draws; past
+    60 the stub raises, so an uncapped loop fails instead of hanging."""
+    from types import SimpleNamespace
+    from steinitz import verify
+    from steinitz.generate import GenerationError
+    draws = []
+
+    def draw(*args, **kwargs):
+        draws.append(args)
+        if len(draws) > 60:
+            raise RuntimeError("uncapped retry loop")
+        if failure == "generation":
+            raise GenerationError("no instance")
+        return None, None
+
+    monkeypatch.setattr(verify, "gen_four_block", draw)
+    monkeypatch.setattr(verify, "proximity_report",
+                        lambda inst: SimpleNamespace(ip_feasible=False, lp_status="optimal"))
+    for suite in ("solve", "proximity"):
+        draws.clear()
+        line = verify._run_task((suite, 1, 0))
+        assert line == f"FAIL {suite}[0] AssertionError: no feasible instance found"
+        assert len(draws) == 50
+
+
 def test_cli_reduce_scaled_point_end_to_end(tmp_path):
     import json
     import math

@@ -105,19 +105,31 @@ def test_lp_solve_examples():
 
 
 def test_lp_solve_weak_duality_and_vertex_fixpoint():
+    """The simplex point is already a vertex when no variable is free, also
+    with a redundant row and with a variable bounded above only."""
     rng = random.Random(29)
-    for _ in range(30):
+    optimal = 0
+    for k in range(60):
         n = rng.randint(2, 4)
-        M = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(n)]])
+        rows = [[rng.randint(-2, 2) for _ in range(n)]]
+        if k % 3 == 0:
+            rows.append([2 * a for a in rows[0]])
+        M = Matrix.from_rows(rows)
         x_feas = tuple(F(rng.randint(0, 2)) for _ in range(n))
         b = M.mul_vec(x_feas)
         c = tuple(F(rng.randint(-3, 3)) for _ in range(n))
-        lp = BoxLP(M, b, (F(0),) * n, (F(3),) * n, c)
+        lower = (None if k % 2 else F(0),) + (F(0),) * (n - 1)
+        lp = BoxLP(M, b, lower, (F(3),) * n, c)
         res = lp_solve(lp)
+        if res.status == "unbounded":
+            assert lower[0] is None and c[0] < 0
+            continue
         assert res.status == "optimal"
+        optimal += 1
         feas_val = sum(ci * xi for ci, xi in zip(c, x_feas))
         assert res.value >= feas_val
         assert purify_to_vertex(lp, res.x) == res.x
+    assert optimal >= 50
 
 
 def test_extreme_rays_orthant():
