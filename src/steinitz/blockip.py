@@ -17,7 +17,7 @@ from operator import mul
 
 from .linalg import (Matrix, Vec, ZERO, ONE, rat, _echelon, ceil_sqrt, hstack, is_integer_vec,
                      l1_norm, linf_norm, lcm_abs_dets, rank, rank_of_vectors, span_coordinates,
-                     vadd, vscale, vsub)
+                     scale_to_integers, vadd, vscale, vsub)
 from .lp import BoxLP, LPError, enum_integer_points, extreme_rays, find_feasible, lp_solve, purify_to_vertex
 from .norms import LINF_NORM
 from .rearrange import prefix_sums, rearrangement_order
@@ -298,7 +298,16 @@ def minimal_kernel_below(Ai: Matrix, w: Vec, cap: int):
 
 def decompose_u(inst: FourBlockInstance, u_hat: Vec):
     """u = u0 + sum of alpha0 small integer kernel vectors, the integer
-    pieces ordered so their C-images stay near the proportional line."""
+    pieces ordered so their C-images stay near the proportional line.
+
+    The pieces are extracted by counts.  The lex-first kernel point w of
+    the box [0, floor(res)] stays lex-first while the box only shrinks, so
+    w is subtracted at once the largest number of times c that keeps
+    c w <= res and the loop test l1(res) > K true before each subtraction;
+    the test runs in integers over the common denominator of the block's
+    residual.  Equal pieces share one tuple.  The pieces are ordered on the
+    integer deviations alpha0 C p - sum C p of their C-images, alpha0 times
+    the deviations from the mean."""
     K = kernel_bound(inst)
     pieces = []
     residuals = []
@@ -308,15 +317,22 @@ def decompose_u(inst: FourBlockInstance, u_hat: Vec):
             raise ValueError("u must be nonnegative")
         if any(x != 0 for x in inst.A[i].mul_vec(tuple(res))):
             raise ValueError("u is not in the kernel of the diagonal blocks")
-        while l1_norm(tuple(res)) > K:
+        scale, (scaled,) = scale_to_integers([res])
+        excess = sum(scaled) - K * scale       # scale (l1(res) - K), as res >= 0
+        while excess > 0:
             wbar = minimal_kernel_below(inst.A[i], tuple(res), K)
             if wbar is None:
                 raise PropertyViolation("kernel-extraction",
                                         "no small kernel vector below a large residual")
-            res = [a - b for a, b in zip(res, wbar)]
+            step = scale * sum(wbar)
+            count = min((excess - 1) // step + 1,
+                        *(a // (scale * b) for a, b in zip(scaled, wbar) if b))
+            res = [a - count * b for a, b in zip(res, wbar)]
+            scaled = [a - count * scale * b for a, b in zip(scaled, wbar)]
+            excess -= count * step
             padded = [0] * (inst.n * inst.t)
             padded[i * inst.t:(i + 1) * inst.t] = list(wbar)
-            pieces.append(tuple(padded))
+            pieces.extend([tuple(padded)] * count)
         residuals.extend(res)
     u0 = tuple(residuals)
     alpha0 = len(pieces)
@@ -324,17 +340,18 @@ def decompose_u(inst: FourBlockInstance, u_hat: Vec):
     image = inst.integer_C_images()
     c_images = [image(p) for p in pieces]
     if alpha0 >= 2:
-        mean = vscale(_int_sum(c_images, inst.s0), Fraction(1, alpha0))
-        deviations = [vsub(ci, mean) for ci in c_images]
-        order = rearrangement_order(deviations, inst.s0)
+        total = _int_sum(c_images, inst.s0)
+        deviation = {ci: tuple(alpha0 * x - t for x, t in zip(ci, total))
+                     for ci in dict.fromkeys(c_images)}
+        order = rearrangement_order([deviation[ci] for ci in c_images], inst.s0)
         pieces = [pieces[i] for i in order]
         c_images = [c_images[i] for i in order]
 
     # certified bounds of the u-decomposition
     if alpha0 < Fraction(linf_norm(u_hat), K) - 1:
         raise PropertyViolation("u-layer-count", "alpha0 < ||u||_inf / K - 1")
-    for p in pieces:
-        if l1_norm(p) > K:
+    for p in dict.fromkeys(pieces):
+        if sum(map(abs, p)) > K:
             raise PropertyViolation("u-piece-norm", "an integer piece exceeds the l1 cap")
     if l1_norm(u0) > inst.n * K or linf_norm(u0) > K:
         raise PropertyViolation("u-remainder-norm", "remainder norm bound failed")
@@ -815,38 +832,37 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
     """
     bundle, consts = decompose_bundle(inst, pt)
     s0 = inst.s0
-    tags = []
-    values = []
-    for ell, a in enumerate(bundle.alphas):
-        if a >= 1:
-            val = vscale(bundle.p[ell], Fraction(1, a))
-            for _ in range(a):
-                tags.append(("p", ell))
-                values.append(val)
+    # the psi sequence as runs (tag, value, count) of equal values
+    runs = [(("p", ell), vscale(bundle.p[ell], Fraction(1, a)), a)
+            for ell, a in enumerate(bundle.alphas) if a >= 1]
     if bundle.alpha0 >= 1:
-        val = vscale(bundle.q, Fraction(1, bundle.alpha0))
-        for _ in range(bundle.alpha0):
-            tags.append(("q",))
-            values.append(val)
-    tags.append(("r",))
-    values.append(bundle.r)
-    psi = len(values)
+        runs.append((("q",), vscale(bundle.q, Fraction(1, bundle.alpha0)), bundle.alpha0))
+    runs.append((("r",), bundle.r, 1))
+    psi = sum(count for _, _, count in runs)
     if psi != consts.psi:
         raise AssertionError("psi bookkeeping mismatch")
 
+    # the distinct values and their span coordinates, each scaled to
+    # integers once by its lcm; orders and prefix tests are scale-invariant
+    distinct = dict.fromkeys(value for _, value, _ in runs)
+    scale, ints = scale_to_integers(distinct)
+    int_of = dict(zip(distinct, ints))
+    tags = [tag for tag, _, count in runs for _ in range(count)]
+    values = [x for _, value, count in runs for x in [int_of[value]] * count]
+
     # order within the span, then force r to the last position
-    distinct = dict.fromkeys(values)
     rdim, coords = span_coordinates(distinct)
     if rdim == 0:
         order = list(range(psi))
     else:
-        coord_of = dict(zip(distinct, coords))
-        order = list(rearrangement_order([coord_of[v] for v in values], rdim))
+        coord_of = dict(zip(distinct, scale_to_integers(coords)[1]))
+        order = list(rearrangement_order(
+            [x for _, value, count in runs for x in [coord_of[value]] * count], rdim))
     r_pos = order.index(psi - 1)
     order = order[:r_pos] + order[r_pos + 1:] + [psi - 1]
 
-    cap_prefix = consts.omega3 * (consts.dim_v + 1)
-    if any(linf_norm(p) > cap_prefix for p in prefix_sums(values, order, s0)):
+    cap_prefix = math.floor(consts.omega3 * (consts.dim_v + 1) * scale)
+    if any(max(map(abs, p), default=0) > cap_prefix for p in prefix_sums(values, order, s0)):
         raise PropertyViolation("prefix-omega3", "rearranged prefix left omega3 (dimV + 1) box")
 
     # offsets O_k with exact integer keys, k = 0 .. psi-1
@@ -854,7 +870,8 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
     phi_counts = [0] * len(bundle.lambdas)
     mu_count = 0
     offset = [0] * s0
-    frac = [ZERO] * s0
+    frac = [0] * s0                 # scale times the fractional prefix
+    cap_dev = math.floor(consts.omega4 * scale)
     seen = {tuple(offset): 0}
     snapshots = [(tuple(phi_counts), 0)]
     collision = None
@@ -872,8 +889,7 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
         for r in range(s0):
             offset[r] += im[r]
             frac[r] += values[order[k - 1]][r]
-        dev = tuple(o - f for o, f in zip(offset, frac))
-        if linf_norm(dev) > consts.omega4:
+        if any(abs(scale * o - f) > cap_dev for o, f in zip(offset, frac)):
             raise PropertyViolation("omega4-deviation",
                                     "offset drifted from the fractional prefix")
         snapshots.append((tuple(phi_counts), mu_count))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Vec, ZERO, ONE, rat, vsub, vscale, is_zero_vec, null_space
+from .linalg import Matrix, Vec, ZERO, ONE, rat, is_zero_vec, null_space, scale_to_integers
 from .lp import BoxLP, purify_to_vertex
 from .norms import BlockMax, NormSpec, norm_eval
 from .rearrange import (VectorSequence, ZeroSumRequired, max_prefix_norm,
@@ -57,8 +57,9 @@ class ColoredFamily:
         return tuple(out)
 
     def max_norm(self) -> Fraction:
-        return max((norm_eval(self.norm, v) for color in self.vectors for v in color),
-                   default=ZERO)
+        # each vector object once: a family's repeated vectors are mostly one shared tuple
+        distinct = {id(v): v for color in self.vectors for v in color}
+        return max((norm_eval(self.norm, v) for v in distinct.values()), default=ZERO)
 
 
 @dataclass(frozen=True)
@@ -86,33 +87,41 @@ class BalanceResult:
     history: tuple          # (max_row_norm, count_attaining) per inspection
 
 
-def _require_unit_ball(fam: ColoredFamily):
-    if fam.max_norm() > 1:
+def _require_unit_ball(fam: ColoredFamily, scale=1):
+    """Every vector of fam has norm at most scale: the unit ball of the
+    family that fam holds scale times."""
+    if fam.max_norm() > scale:
         raise ValueError("family has a vector outside the unit ball")
 
 
-def _require_zero_sum_union(fam: ColoredFamily):
-    if not is_zero_vec(fam.total()):
+def _require_zero_sum_union(total: Vec):
+    if not is_zero_vec(total):
         raise ZeroSumRequired("union of the family is not zero-sum")
 
 
 def row_sums(fam: ColoredFamily, orders, rows) -> list:
-    """The joint row sums sum_j fam.vectors[j][orders[j][i]] for each i in rows."""
-    out = []
-    for i in rows:
-        acc = [ZERO] * fam.dim
-        for color, order in zip(fam.vectors, orders):
-            for r, x in enumerate(color[order[i]]):
-                acc[r] += x
-        out.append(tuple(acc))
-    return out
+    """The joint row sums sum_j fam.vectors[j][orders[j][i]] for each i in
+    rows.  On integer vectors they stay int; a family without colors has
+    ZERO rows."""
+    if not fam.vectors:
+        return [(ZERO,) * fam.dim for _ in rows]
+    rows = list(rows)
+    picked = [[color[order[i]] for i in rows] for color, order in zip(fam.vectors, orders)]
+    return [tuple(map(sum, zip(*row))) for row in zip(*picked)]
 
 
-def _colorful_prefix_max(fam: ColoredFamily, perms, drift: Vec | None = None) -> Fraction:
-    """Max joint prefix norm: a joint prefix is a classical prefix of the row sums."""
-    m = fam.length
-    rows = VectorSequence(tuple(row_sums(fam, perms, range(m))), fam.dim, fam.norm)
-    return max_prefix_norm(rows, range(m), drift)
+def _scaled(fam: ColoredFamily):
+    """(L, V): L is the lcm of the entry denominators of fam, and V holds
+    its vectors as the integer tuples L*v, color by color.  Each distinct
+    vector is scaled once and equal vectors share one tuple; the vectors
+    are grouped by identity before they are hashed, since a family's
+    repeated vectors are mostly one shared tuple."""
+    objects = {id(v): v for color in fam.vectors for v in color}
+    distinct = dict.fromkeys(objects.values())
+    scale, ints = scale_to_integers(distinct)
+    of_value = dict(zip(distinct, ints))
+    of_id = {key: of_value[v] for key, v in objects.items()}
+    return scale, tuple(tuple(of_id[id(v)] for v in color) for color in fam.vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +193,7 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
     strictly decreases lexicographically, which gives termination.
     """
     _require_unit_ball(fam)
-    _require_zero_sum_union(fam)
+    _require_zero_sum_union(fam.total())
     d, n, m = fam.dim, fam.colors, fam.length
     threshold = Fraction((d + 1) ** 2 * (4 * d * (d + 1) + 2))
     sigma = [list(range(m)) for _ in range(n)]
@@ -245,19 +254,25 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
 # the colorful rearrangement bound
 
 
-def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
-    """Permutations of each color with every joint prefix bounded by
-    min{n*d, 40*d^5}."""
-    _require_unit_ball(fam)
-    _require_zero_sum_union(fam)
+def _certify(fam: ColoredFamily, scale: int, fractions) -> ColorfulCertificate:
+    """colorful_rearrange of the family whose vectors are those of the
+    integer family fam divided by scale.
+
+    The checks, row sums, orders and prefix maxima all run on fam: the
+    unit ball and the bound scale by scale, signs and the rearrangement
+    LPs do not change.  fractions() builds the rational family for
+    balance_rows; only the balanced route, taken when n > 40 d^4, calls it.
+    """
+    _require_unit_ball(fam, scale)
     d, n, m = fam.dim, fam.colors, fam.length
+    rows = row_sums(fam, (range(m),) * n, range(m))
+    _require_zero_sum_union(tuple(map(sum, zip(*rows))))
     bound_nd = Fraction(n * d)
     bound_poly = Fraction(40 * d ** 5)
     certified = min(bound_nd, bound_poly)
 
     # row k of a route is rows[rho[k]], so its joint prefixes are the
     # classical prefixes of the rows in hand taken in the order rho
-    rows = row_sums(fam, (range(m),) * n, range(m))
     rho = rearrangement_order(rows, d)
     perms_trivial = tuple(tuple(rho) for _ in range(n))
     achieved_trivial = max_prefix_norm(VectorSequence(tuple(rows), d, fam.norm), rho)
@@ -265,7 +280,7 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
     best = (achieved_trivial, ROUTE_TRIVIAL, perms_trivial)
     row_bound = None
     if bound_nd > bound_poly:
-        bal = balance_rows(fam)
+        bal = balance_rows(fractions())
         row_bound = bal.row_bound
         rows = row_sums(fam, bal.orders, range(m))
         rho2 = rearrangement_order(rows, d)
@@ -274,9 +289,23 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
         if achieved_bal < best[0]:
             best = (achieved_bal, ROUTE_BALANCED, perms_bal)
     achieved, route, perms = best
-    if achieved > certified:
+    if achieved > certified * scale:
         raise AssertionError("colorful prefix bound min{nd, 40d^5} violated")
-    return ColorfulCertificate(perms, certified, achieved, route, row_bound)
+    return ColorfulCertificate(perms, certified, Fraction(achieved, scale), route, row_bound)
+
+
+def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
+    """Permutations of each color with every joint prefix bounded by
+    min{n*d, 40*d^5}.
+
+    Runs in integers: each distinct vector is scaled once by the lcm L of
+    the denominators, and the checks, the row sums, their order and the
+    prefix maxima run on the integer family; achieved_max is divided by L
+    at the end.  Only the balanced route's balance_rows sees fam itself.
+    """
+    scale, vectors = _scaled(fam)
+    return _certify(ColoredFamily(fam.dim, fam.colors, fam.length, vectors, fam.norm), scale,
+                    lambda: fam)
 
 
 def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
@@ -286,24 +315,41 @@ def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
     Recentring pushes vectors to norm <= 2, so the certified bound is
     2 * min{n*d, 40*d^5}; whether the un-doubled bound held anyway is
     reported in tight_bound_met.
+
+    Runs in integers: with V = L*v as in colorful_rearrange and T the sum of
+    V, the recentred vector (v - T/(nmL))/2 is n*m*V - T over 2nmL, formed
+    once per distinct vector and certified by the same integer core.  The
+    deviation of the k-th joint prefix P_k of V from k*drift is m*P_k - k*T
+    over m*L.  The rational recentred family is built only for balance_rows.
     """
-    _require_unit_ball(fam)
     d, n, m = fam.dim, fam.colors, fam.length
-    total = fam.total()
-    center = vscale(total, Fraction(1, n * m))
-    centered = tuple(
-        tuple(vscale(vsub(v, center), Fraction(1, 2)) for v in color)
-        for color in fam.vectors)
-    inner = ColoredFamily(d, n, m, centered, fam.norm)
-    cert = colorful_rearrange(inner)
-    drift = vscale(total, Fraction(1, m))
-    achieved = _colorful_prefix_max(fam, cert.permutations, drift)
+    scale, vectors = _scaled(fam)
+    ints = ColoredFamily(d, n, m, vectors, fam.norm)
+    _require_unit_ball(ints, scale)
+    total = tuple(map(sum, zip(*row_sums(ints, (range(m),) * n, range(m)))))
+    nm = n * m
+    centred = {v: tuple(nm * x - t for x, t in zip(v, total))
+               for v in dict.fromkeys(v for color in vectors for v in color)}
+    inner = tuple(tuple(centred[v] for v in color) for color in vectors)
+    denom = 2 * nm * scale
+
+    def fractions():
+        rational = {w: tuple(Fraction(x, denom) for x in w) for w in centred.values()}
+        return ColoredFamily(d, n, m, tuple(tuple(rational[w] for w in color) for color in inner),
+                             fam.norm)
+
+    cert = _certify(ColoredFamily(d, n, m, inner, fam.norm), denom, fractions)
+    rows = row_sums(ints, cert.permutations, range(m))
+    deviation = max_prefix_norm(VectorSequence(tuple(tuple(m * x for x in row) for row in rows),
+                                               d, fam.norm), range(m), total)
+    achieved = Fraction(deviation, m * scale)
     certified = 2 * min(Fraction(n * d), Fraction(40 * d ** 5))
     if achieved > certified:
         raise AssertionError("affine deviation bound 2*min{nd, 40d^5} violated")
     return ColorfulCertificate(
         cert.permutations, certified, achieved, cert.route, cert.phase1_row_bound,
-        drift=drift, tight_bound_met=bool(achieved <= certified / 2))
+        drift=tuple(Fraction(t, m * scale) for t in total),
+        tight_bound_met=bool(achieved <= certified / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +386,7 @@ def single_partial_sum(fam: ColoredFamily, k: int) -> SubsetSelection:
     part with round_to_binary.
     """
     _require_unit_ball(fam)
-    _require_zero_sum_union(fam)
+    _require_zero_sum_union(fam.total())
     d, n, m = fam.dim, fam.colors, fam.length
     if not 0 <= k <= m:
         raise ValueError("k out of range")

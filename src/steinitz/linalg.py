@@ -286,11 +286,19 @@ def lcm_abs_dets(mats, s: int, entry_bound=None) -> int:
     return result
 
 
+def scale_to_integers(vectors) -> tuple:
+    """(L, ints): L is the lcm of the entry denominators of the rational
+    vectors (1 when there are none), and ints[j] is L * vectors[j] as a
+    tuple of int.  Every order, sign test and norm comparison of the
+    vectors is the same on ints, with bounds multiplied by L."""
+    vectors = list(vectors)
+    scale = math.lcm(*(x.denominator for v in vectors for x in v))
+    return scale, [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
+
+
 def primitive_integer_vector(v: Vec) -> Vec:
     """Scale a nonzero rational vector to a primitive integer vector."""
-    denoms = [Fraction(x).denominator for x in v]
-    scale = math.lcm(*denoms) if denoms else 1
-    ints = [int(x * scale) for x in v]
+    _, (ints,) = scale_to_integers([v])
     g = 0
     for x in ints:
         g = math.gcd(g, abs(x))

@@ -15,7 +15,8 @@ from functools import cached_property
 from itertools import zip_longest
 from operator import mul
 
-from .linalg import Matrix, Vec, ZERO, ONE, _echelon, _pivot, rat, primitive_integer_vector
+from .linalg import (Matrix, Vec, ZERO, ONE, _echelon, _pivot, rat, primitive_integer_vector,
+                     scale_to_integers)
 
 INF = None  # sentinel for an absent (infinite) bound
 
@@ -64,11 +65,9 @@ class BoxLP:
         the same kernel."""
         rows, rhs = [], []
         for i in range(self.M.rows):
-            row = self.M.row(i)
-            bi = self.b[i]
-            s = math.lcm(bi.denominator, *(a.denominator for a in row))
-            rows.append(tuple(a.numerator * (s // a.denominator) for a in row))
-            rhs.append(bi.numerator * (s // bi.denominator))
+            _, (scaled,) = scale_to_integers([self.M.row(i) + (self.b[i],)])
+            rows.append(scaled[:-1])
+            rhs.append(scaled[-1])
         return rows, rhs
 
     def is_feasible_point(self, x: Vec) -> bool:
@@ -80,8 +79,7 @@ class BoxLP:
             if hi is not None and xi > hi:
                 return False
         # M x = b over the common denominator D of x: A X = b' D
-        D = math.lcm(*(v.denominator for v in x))
-        X = [v.numerator * (D // v.denominator) for v in x]
+        D, (X,) = scale_to_integers([x])
         rows, rhs = self.integer_rows
         return all(sum(map(mul, row, X)) == bi * D for row, bi in zip(rows, rhs))
 

@@ -33,23 +33,21 @@ LINF_NORM = Linf()
 
 
 def norm_eval(spec, v: Vec) -> Fraction:
-    """Exact norm value of v under spec; raises on dimension mismatch."""
+    """Exact norm value of v under spec; raises on dimension mismatch.
+    Integer input gives an int, rational input a Fraction, and the empty
+    vector ZERO."""
     if isinstance(spec, L1):
-        return sum((abs(x) for x in v), ZERO)
+        return sum(map(abs, v)) if v else ZERO
     if isinstance(spec, Linf):
-        return max((abs(x) for x in v), default=ZERO)
+        return max(map(abs, v), default=ZERO)
     if isinstance(spec, BlockMax):
         b = spec.block_dim
         if b <= 0:
             raise ValueError("block dimension must be positive")
         if len(v) % b != 0:
             raise ValueError("vector dimension not divisible by block dimension")
-        best = ZERO
-        for start in range(0, len(v), b):
-            val = norm_eval(spec.inner, v[start:start + b])
-            if val > best:
-                best = val
-        return best
+        return max((norm_eval(spec.inner, v[start:start + b]) for start in range(0, len(v), b)),
+                   default=ZERO)
     raise TypeError(f"unknown norm spec: {spec!r}")
 
 

@@ -69,7 +69,7 @@ def _order_dim1(values) -> tuple:
     neg = [i for i, v in enumerate(values) if v < 0]
     zer = [i for i, v in enumerate(values) if v == 0]
     ip = ineg = iz = 0
-    prefix = ZERO
+    prefix = 0
     order = []
     for _ in range(len(values)):
         if prefix > 0:
@@ -137,8 +137,9 @@ def rearrangement_order(vectors, dim) -> tuple:
 
 def prefix_sums(vectors, order, dim: int, drift: Vec | None = None):
     """Yield, for k = 1..len(order), the sum of the first k ordered vectors
-    minus k*drift.  The one prefix-sum loop behind every certificate."""
-    prefix = [ZERO] * dim
+    minus k*drift.  The one prefix-sum loop behind every certificate; on
+    integer vectors (and drift) the sums stay int."""
+    prefix = [0] * dim
     for k, idx in enumerate(order, start=1):
         for i, x in enumerate(vectors[idx]):
             prefix[i] += x

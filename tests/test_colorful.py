@@ -3,15 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from steinitz.colorful import (ColoredFamily, _colorful_prefix_max, balance_rows,
-                               colorful_affine, colorful_rearrange,
-                               conic_caratheodory_anchor, round_to_binary,
-                               single_partial_sum)
-from steinitz.norms import L1_NORM, LINF_NORM, norm_eval, norm_from_name
-from steinitz.rearrange import ZeroSumRequired
+from steinitz.colorful import (ColoredFamily, _scaled, balance_rows, colorful_affine,
+                               colorful_rearrange, conic_caratheodory_anchor, round_to_binary,
+                               row_sums, single_partial_sum)
+from steinitz.norms import L1_NORM, LINF_NORM, BlockMax, norm_eval, norm_from_name
+from steinitz.rearrange import (VectorSequence, ZeroSumRequired, _order_dim1, max_prefix_norm,
+                                prefix_sums)
 from steinitz.generate import (gen_adversarial_scalar_family, gen_unit_family,
                                gen_zero_sum_family)
 from steinitz.oracles import brute_single_sum
+
+import colorful_reference
 
 
 def test_caratheodory_two_scalars():
@@ -237,15 +239,24 @@ PREFIX_SHAPES = [(2, 1, 6, "linf", 1), (3, 1, 5, "l1", 2), (3, 2, 2, "linf", 3),
 
 @pytest.mark.parametrize("d,n,m,norm,seed", PREFIX_SHAPES)
 def test_colorful_prefix_max_matches_reference(d, n, m, norm, seed):
+    """The certificates take a joint prefix maximum as max_prefix_norm over
+    the row sums; on the integer family L*v it is L times the Fraction one."""
     fam = gen_unit_family(d, n, m, norm_from_name(norm), seed)
+    scale, vectors = _scaled(fam)
+    ints = ColoredFamily(d, n, m, vectors, fam.norm)
     rng = random.Random(seed)
     drifts = [None, tuple(x / m for x in fam.total()),
               tuple(F(rng.randint(-8, 8), 8) for _ in range(d))]
     for _ in range(4):
         perms = tuple(tuple(rng.sample(range(m), m)) for _ in range(n))
+        rows = VectorSequence(tuple(row_sums(fam, perms, range(m))), d, fam.norm)
+        int_rows = VectorSequence(tuple(row_sums(ints, perms, range(m))), d, fam.norm)
         for drift in drifts:
-            assert _colorful_prefix_max(fam, perms, drift) == \
-                _ref_colorful_prefix_max(fam, perms, drift)
+            expected = _ref_colorful_prefix_max(fam, perms, drift)
+            assert max_prefix_norm(rows, range(m), drift) == expected
+            assert colorful_reference._colorful_prefix_max(fam, perms, drift) == expected
+            if drift is None:
+                assert max_prefix_norm(int_rows, range(m)) == scale * expected
 
 
 @pytest.mark.parametrize("d,n,m,norm,seed", PREFIX_SHAPES)
@@ -288,3 +299,154 @@ def test_row_sums_and_prefix_sums_match_reference(d, n, m, norm, seed):
     assert list(prefix_sums(sums, order, d)) == plain
     assert list(prefix_sums(sums, order, d, drift)) == [
         tuple(a - k * dr for a, dr in zip(p, drift)) for k, p in enumerate(plain, start=1)]
+
+
+# ---------------------------------------------------------------------------
+# the integer core against the pre-change Fraction certificates
+
+
+def _entry(rng, d, q):
+    """A coordinate of a unit-ball vector with denominator q, as int when
+    q = 1, so families mix int and Fraction entries."""
+    a = rng.randint(-(q // d), q // d)
+    return a if q == 1 else F(a, q)
+
+
+def _pooled_family(d, n, m, norm, seed, denoms, pool_size, zero_sum=True):
+    """n*m vectors drawn from a pool of pool_size vectors, half of them
+    copied into new but equal tuples; zero-sum families pair every drawn
+    vector with its negation."""
+    rng = random.Random(seed)
+    pool = [tuple(_entry(rng, d, rng.choice(denoms)) for _ in range(d))
+            for _ in range(pool_size)]
+    count = n * m // 2 if zero_sum else n * m
+    drawn = [rng.choice(pool) for _ in range(count)]
+    drawn = [v if rng.random() < 0.5 else tuple(list(v)) for v in drawn]
+    if zero_sum:
+        drawn += [tuple(-x for x in v) for v in drawn] + [(0,) * d] * (n * m % 2)
+    rng.shuffle(drawn)
+    return ColoredFamily(d, n, m, tuple(tuple(drawn[j * m:(j + 1) * m]) for j in range(n)),
+                         norm_from_name(norm))
+
+
+def _shifted(fam):
+    """fam halved and moved by 1/4: still in the unit ball, not zero-sum."""
+    return ColoredFamily(fam.dim, fam.colors, fam.length,
+                         tuple(tuple(tuple(x / 2 + F(1, 4) for x in v) for v in color)
+                               for color in fam.vectors), fam.norm)
+
+
+COPRIME = (10007, 10009, 10037, 10039)
+
+# (d, n, m, norm, seed, denominators, pool size): many repeated vectors,
+# mixed int/Fraction entries, coprime large denominators, n = 1 and m <= d
+POOLED = [(2, 3, 5, "linf", 1, (16,), 50), (3, 2, 4, "l1", 2, (1, 3, 7), 3),
+          (2, 4, 6, "l1", 3, COPRIME, 6), (2, 3, 7, "linf", 4, COPRIME, 40),
+          (1, 1, 7, "linf", 5, (1, 2), 2), (3, 1, 6, "l1", 6, (1, 5), 3),
+          (3, 3, 2, "linf", 7, (5, 1), 4), (4, 2, 4, "l1", 8, (11, 13), 2),
+          (2, 6, 20, "linf", 9, (1,), 2), (1, 9, 12, "l1", 10, (1, 3), 3),
+          (1, 48, 3, "linf", 11, (1, 4), 3)]
+
+
+def _families(zero_sum):
+    for shape in POOLED:
+        yield _pooled_family(*shape, zero_sum=zero_sum)
+    for d, n, m, norm, seed in PREFIX_SHAPES:
+        yield (gen_zero_sum_family if zero_sum else gen_unit_family)(
+            d, n, m, norm_from_name(norm), seed)
+    # d = 1, n > 40: the balanced route is taken
+    for n, m, seed in ((100, 4, 7), (60, 3, 11), (64, 3, 5)):
+        fam = gen_adversarial_scalar_family(n, m, seed)
+        yield fam if zero_sum else _shifted(fam)
+
+
+def _assert_same_certificate(cert, ref):
+    assert cert == ref
+    assert type(cert.certified_bound) is F and type(cert.achieved_max) is F
+    assert type(cert.phase1_row_bound) is type(ref.phase1_row_bound)
+    assert type(cert.tight_bound_met) is type(ref.tight_bound_met)
+    if ref.drift is None:
+        assert cert.drift is None
+    else:
+        assert all(type(x) is F for x in cert.drift)
+
+
+def test_colorful_rearrange_equals_fraction_reference():
+    routes = set()
+    for fam in _families(zero_sum=True):
+        cert = colorful_rearrange(fam)
+        _assert_same_certificate(cert, colorful_reference.colorful_rearrange(fam))
+        routes.add(cert.route)
+    assert routes == {"trivial_nd", "balanced_40d5"}
+
+
+def test_colorful_affine_equals_fraction_reference():
+    routes = set()
+    for zero_sum in (True, False):
+        for fam in _families(zero_sum):
+            cert = colorful_affine(fam)
+            _assert_same_certificate(cert, colorful_reference.colorful_affine(fam))
+            routes.add(cert.route)
+    assert routes == {"trivial_nd", "balanced_40d5"}
+
+
+def test_scaled_shares_one_tuple_per_distinct_vector():
+    fam = _pooled_family(2, 4, 6, "l1", 3, COPRIME, 3)
+    scale, vectors = _scaled(fam)
+    flat = [v for color in fam.vectors for v in color]
+    ints = [w for color in vectors for w in color]
+    assert len({id(w) for w in ints}) == len(set(flat))
+    assert all(all(type(x) is int for x in w) for w in ints)
+    assert all(tuple(F(x, scale) for x in w) == v for v, w in zip(flat, ints))
+    denominators = {F(x).denominator for v in flat for x in v}
+    assert all(scale % q == 0 for q in denominators) and scale > max(COPRIME)
+
+
+def test_unit_ball_error_comes_before_zero_sum_error():
+    big = (F(3, 2), F(0))
+    fam = ColoredFamily(2, 2, 2, ((big, (F(1, 3), F(0))), ((0, 0), (F(1, 7), 1))), LINF_NORM)
+    assert any(x != 0 for x in fam.total())
+    for run in (colorful_rearrange, colorful_affine, colorful_reference.colorful_rearrange,
+                colorful_reference.colorful_affine):
+        with pytest.raises(ValueError) as err:
+            run(fam)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "family has a vector outside the unit ball"
+    fam = _pooled_family(2, 3, 5, "linf", 1, (16,), 50, zero_sum=False)
+    for run in (colorful_rearrange, colorful_reference.colorful_rearrange):
+        with pytest.raises(ZeroSumRequired, match="^union of the family is not zero-sum$"):
+            run(fam)
+
+
+# ---------------------------------------------------------------------------
+# the shared loops keep int input int, Fraction input Fraction
+
+
+def test_shared_loops_keep_the_input_type():
+    frac = ((F(1, 2), F(-3, 4)), (F(-1, 2), F(3, 4)), (F(1, 3), F(0)))
+    ints = ((6, -9), (-6, 9), (4, 0))
+    specs = (L1_NORM, LINF_NORM, BlockMax(L1_NORM, 1), BlockMax(LINF_NORM, 2))
+    for vectors, kind in ((frac, F), (ints, int)):
+        for spec in specs:
+            assert all(type(norm_eval(spec, v)) is kind for v in vectors)
+            assert type(norm_eval(spec, ())) is F and norm_eval(spec, ()) == 0
+        sums = list(prefix_sums(vectors, (2, 0, 1), 2))
+        assert all(type(x) is kind for p in sums for x in p)
+        seq = VectorSequence(vectors, 2, L1_NORM)
+        assert type(max_prefix_norm(seq, (2, 0, 1))) is kind
+        fam = ColoredFamily(2, 3, 1, tuple((v,) for v in vectors), L1_NORM)
+        assert all(type(x) is kind for row in row_sums(fam, ((0,),) * 3, [0]) for x in row)
+    # the integer results are 12 times the Fraction ones, orders are equal
+    assert list(prefix_sums(ints, (2, 0, 1), 2)) == [
+        tuple(12 * x for x in p) for p in prefix_sums(frac, (2, 0, 1), 2)]
+    values = [F(1, 3), F(-1, 2), F(0), F(1, 6), F(-1, 3), F(1, 3)]
+    assert _order_dim1([int(12 * x) for x in values]) == _order_dim1(values)
+    # empty input
+    assert _order_dim1([]) == ()
+    assert list(prefix_sums((), (), 2)) == []
+    empty = max_prefix_norm(VectorSequence((), 2, LINF_NORM), ())
+    assert type(empty) is F and empty == 0
+    no_colors = ColoredFamily(2, 0, 3, (), LINF_NORM)
+    assert row_sums(no_colors, (), range(3)) == [(F(0), F(0))] * 3
+    assert all(type(x) is F for row in row_sums(no_colors, (), range(3)) for x in row)
+    assert row_sums(ColoredFamily(2, 2, 0, ((), ()), L1_NORM), ((), ()), []) == []

@@ -10,9 +10,13 @@ equal bundles, constants and outcomes, or raise a PropertyViolation of the
 same name.  The feasible bases, basis vertices and cone rays they use are
 the same functions as they were before a block basis carried its vertex
 map: a determinant test and a separate solve for every vertex and every
-cone row.
+cone row.  The colorful order of the v-pieces comes from the pre-change
+``Fraction`` colorful_affine in ``colorful_reference.py``, not from the
+library's integer core, and ``_reference_decompose_u`` extracts one piece
+per enumeration, not by counts.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -25,7 +29,7 @@ from steinitz.blockip import (DecompositionBundle, KernelPoint, PropertyViolatio
                               _leaves_tube, _require_pipeline_ready, compute_constants,
                               decompose_x, kernel_bound, minimal_kernel_below)
 from steinitz.cli import main
-from steinitz.colorful import ColoredFamily, colorful_affine
+from steinitz.colorful import ColoredFamily
 from steinitz.fileio import read_fourblock, read_point, write_point
 from steinitz.generate import GenerationError, gen_four_block
 from steinitz.lp import BoxLP, extreme_rays, lp_solve
@@ -34,6 +38,8 @@ from steinitz.linalg import (Matrix, ONE, ZERO, det, is_integer_vec, l1_norm, lc
 from steinitz.norms import LINF_NORM
 from steinitz.rearrange import rearrangement_order
 from steinitz.verify import PIPELINE_SHAPES
+
+from colorful_reference import colorful_affine
 
 
 def _reference_decompose_u(inst, u_hat):
@@ -675,6 +681,63 @@ def test_u_prefix_tube_same_verdicts(monkeypatch):
             assert _outcome(blockip.decompose_u, inst, u_hat) == ref
             verdicts.add(ref == ("violation", "u-prefix-tube"))
     assert verdicts == {True, False}
+
+
+def _runs(calls):
+    """calls with each run of equal consecutive entries kept once."""
+    return [c for k, c in enumerate(calls) if k == 0 or c != calls[k - 1]]
+
+
+def test_decompose_u_enumerates_once_per_run(monkeypatch):
+    """minimal_kernel_below runs once per run of equal pieces of a block,
+    where the reference runs it once per piece: on the point
+    gen_four_block(1, 2, 1, 3, 2, 1, 0, scale=24) scaled by 2000, whose
+    23,963 pieces are one vector, once in place of 23,963 times."""
+    real = minimal_kernel_below
+    lib_calls, ref_calls = [], []
+
+    def counting(record):
+        def counted(Ai, w, cap):
+            record.append((id(Ai), real(Ai, w, cap)))
+            return record[-1][1]
+        return counted
+
+    monkeypatch.setattr(blockip, "minimal_kernel_below", counting(lib_calls))
+    monkeypatch.setitem(globals(), "minimal_kernel_below", counting(ref_calls))
+    inst, pt = gen_four_block(1, 2, 1, 3, 2, 1, 0, zero_a0=True, scale=24)
+    points = [(inst, _scaled(pt, 2000))]
+    for shape in ((1, 1, 1, 2, 2), (1, 1, 1, 3, 2), (2, 1, 1, 2, 3)):
+        for seed in range(4):
+            points.append(_gen(shape, 2, 7500 + seed, 240))
+    for k, (inst, pt) in enumerate(points):
+        u_hat, _ = blockip.split_max_kernel(inst, pt)
+        lib_calls.clear()
+        ref_calls.clear()
+        got = _outcome(blockip.decompose_u, inst, u_hat)
+        assert got == _outcome(_reference_decompose_u, inst, u_hat)
+        assert lib_calls == _runs(ref_calls)
+        if k == 0:
+            assert len(got[1]) == len(ref_calls) == 23963 and len(lib_calls) == 1
+
+
+@pytest.mark.parametrize("field,name", [("omega3", "prefix-omega3"),
+                                        ("omega4", "omega4-deviation")])
+def test_reduce_caps_same_verdicts(monkeypatch, field, name):
+    """With omega3 or omega4 replaced by caps on a grid of sixths, the
+    integer prefix and deviation checks of reduce_kernel_point, scaled by
+    the lcm of the psi values, give the verdicts of the Fraction checks."""
+    real = compute_constants
+    points = [_gen(shape, 1, 7800 + seed, 24) for shape in PIPELINE_SHAPES for seed in range(2)]
+    verdicts = set()
+    for k in range(0, 25):
+        def capped(inst, bundle, cap=Fraction(k, 6)):
+            return dataclasses.replace(real(inst, bundle), **{field: cap})
+        monkeypatch.setattr(blockip, "compute_constants", capped)
+        monkeypatch.setitem(globals(), "compute_constants", capped)
+        for inst, pt in points:
+            ref = _assert_same_reduction(inst, pt)
+            verdicts.add(ref[1] if isinstance(ref, tuple) else "passed")
+    assert verdicts == {"passed", name}
 
 
 def _fraction_leaves_tube(images, cap):
