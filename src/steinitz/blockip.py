@@ -18,7 +18,7 @@ from operator import mul
 from .linalg import (Matrix, Vec, ZERO, ONE, rat, _echelon, ceil_sqrt, hstack, is_integer_vec,
                      l1_norm, linf_norm, lcm_abs_dets, rank, rank_of_vectors, span_coordinates,
                      scale_to_integers, vadd, vscale, vsub)
-from .lp import BoxLP, LPError, enum_integer_points, extreme_rays, find_feasible, lp_solve, purify_to_vertex
+from .lp import BoxLP, LPError, enum_integer_points, extreme_rays, find_feasible, lp_solve
 from .norms import LINF_NORM
 from .rearrange import prefix_sums, rearrangement_order
 from .colorful import ColoredFamily, colorful_affine
@@ -458,10 +458,9 @@ def decompose_x(x_hat: Vec, rays):
         raise PropertyViolation("cone-membership", "nonzero x but the cone has no rays")
     M = Matrix.from_rows([[r[c] for r in rays] for c in range(t0)])
     lp = BoxLP(M, tuple(x_hat), (ZERO,) * len(rays), (None,) * len(rays))
-    start = find_feasible(lp)
-    if start is None:
+    vertex = find_feasible(lp)  # a vertex, as no variable is free
+    if vertex is None:
         raise PropertyViolation("cone-membership", "x is not in the conic hull of the rays")
-    vertex = purify_to_vertex(lp, start)
     pairs = [(lam, rays[i]) for i, lam in enumerate(vertex) if lam != 0]
     if len(pairs) > t0:
         raise PropertyViolation("conic-support", "conic support exceeds t0")
@@ -480,7 +479,7 @@ def decompose_x(x_hat: Vec, rays):
 
 def _convex_combo_over_vertices(vertices, target: Vec, support_cap: int, prop: str):
     """Convex coefficients over the given points reproducing target with
-    bounded support, found by feasibility plus purification."""
+    bounded support, found as a vertex by phase 1."""
     k = len(vertices)
     tdim = len(target)
     if k == 0:
@@ -489,10 +488,9 @@ def _convex_combo_over_vertices(vertices, target: Vec, support_cap: int, prop: s
     rows.append([ONE] * k)
     lp = BoxLP(Matrix.from_rows(rows), tuple(target) + (ONE,),
                (ZERO,) * k, (None,) * k)
-    start = find_feasible(lp)
-    if start is None:
+    vertex = find_feasible(lp)  # a vertex, as no variable is free
+    if vertex is None:
         raise PropertyViolation(prop, "convex decomposition infeasible")
-    vertex = purify_to_vertex(lp, start)
     combo = {i: c for i, c in enumerate(vertex) if c != 0}
     if len(combo) > support_cap:
         raise PropertyViolation(prop, f"support {len(combo)} exceeds {support_cap}")

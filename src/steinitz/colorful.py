@@ -87,10 +87,10 @@ class BalanceResult:
     history: tuple          # (max_row_norm, count_attaining) per inspection
 
 
-def _require_unit_ball(fam: ColoredFamily, scale=1):
-    """Every vector of fam has norm at most scale: the unit ball of the
-    family that fam holds scale times."""
-    if fam.max_norm() > scale:
+def _require_unit_ball(max_norm, scale=1):
+    """max_norm, the largest norm of a family's vectors, is at most scale:
+    the unit ball of the family that they hold scale times."""
+    if max_norm > scale:
         raise ValueError("family has a vector outside the unit ball")
 
 
@@ -192,7 +192,7 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
     and recheck.  The pair (max row norm, number of rows attaining it)
     strictly decreases lexicographically, which gives termination.
     """
-    _require_unit_ball(fam)
+    _require_unit_ball(fam.max_norm())
     _require_zero_sum_union(fam.total())
     d, n, m = fam.dim, fam.colors, fam.length
     threshold = Fraction((d + 1) ** 2 * (4 * d * (d + 1) + 2))
@@ -263,31 +263,26 @@ def _certify(fam: ColoredFamily, scale: int, fractions) -> ColorfulCertificate:
     LPs do not change.  fractions() builds the rational family for
     balance_rows; only the balanced route, taken when n > 40 d^4, calls it.
     """
-    _require_unit_ball(fam, scale)
+    _require_unit_ball(fam.max_norm(), scale)
     d, n, m = fam.dim, fam.colors, fam.length
-    rows = row_sums(fam, (range(m),) * n, range(m))
-    _require_zero_sum_union(tuple(map(sum, zip(*rows))))
-    bound_nd = Fraction(n * d)
-    bound_poly = Fraction(40 * d ** 5)
-    certified = min(bound_nd, bound_poly)
-
-    # row k of a route is rows[rho[k]], so its joint prefixes are the
-    # classical prefixes of the rows in hand taken in the order rho
-    rho = rearrangement_order(rows, d)
-    perms_trivial = tuple(tuple(rho) for _ in range(n))
-    achieved_trivial = max_prefix_norm(VectorSequence(tuple(rows), d, fam.norm), rho)
-
-    best = (achieved_trivial, ROUTE_TRIVIAL, perms_trivial)
+    certified = min(Fraction(n * d), Fraction(40 * d ** 5))
+    routes = {ROUTE_TRIVIAL: (range(m),) * n}
     row_bound = None
-    if bound_nd > bound_poly:
+    if n * d > 40 * d ** 5:
         bal = balance_rows(fractions())
-        row_bound = bal.row_bound
-        rows = row_sums(fam, bal.orders, range(m))
-        rho2 = rearrangement_order(rows, d)
-        perms_bal = tuple(tuple(order[i] for i in rho2) for order in bal.orders)
-        achieved_bal = max_prefix_norm(VectorSequence(tuple(rows), d, fam.norm), rho2)
-        if achieved_bal < best[0]:
-            best = (achieved_bal, ROUTE_BALANCED, perms_bal)
+        row_bound, routes[ROUTE_BALANCED] = bal.row_bound, bal.orders
+
+    best = None
+    for route, orders in routes.items():
+        rows = row_sums(fam, orders, range(m))
+        # every route's rows add up to the total of the family
+        _require_zero_sum_union(tuple(map(sum, zip(*rows))))
+        # row k of the route is rows[rho[k]], so its joint prefixes are the
+        # classical prefixes of the rows in hand taken in the order rho
+        rho = rearrangement_order(rows, d)
+        achieved = max_prefix_norm(VectorSequence(tuple(rows), d, fam.norm), rho)
+        if best is None or achieved < best[0]:  # the balanced route must do strictly better
+            best = (achieved, route, tuple(tuple(order[i] for i in rho) for order in orders))
     achieved, route, perms = best
     if achieved > certified * scale:
         raise AssertionError("colorful prefix bound min{nd, 40d^5} violated")
@@ -312,24 +307,27 @@ def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
     """Affine variant: no zero-sum requirement; prefixes are compared
     against the proportional share (k/m) of the total sum.
 
-    Recentring pushes vectors to norm <= 2, so the certified bound is
-    2 * min{n*d, 40*d^5}; whether the un-doubled bound held anyway is
-    reported in tight_bound_met.
+    The certificate is the colorful certificate of the recentred vectors
+    (v - mean)/2 with certified_bound and achieved_max doubled: the bound is
+    2 * min{n*d, 40*d^5}, and tight_bound_met says whether the un-doubled
+    bound held anyway.  A family without vectors raises ValueError.
 
     Runs in integers: with V = L*v as in colorful_rearrange and T the sum of
-    V, the recentred vector (v - T/(nmL))/2 is n*m*V - T over 2nmL, formed
-    once per distinct vector and certified by the same integer core.  The
-    deviation of the k-th joint prefix P_k of V from k*drift is m*P_k - k*T
-    over m*L.  The rational recentred family is built only for balance_rows.
+    V, the recentred vector is n*m*V - T over 2nmL, formed once per distinct
+    vector and certified by the same integer core.  Its k-th joint prefix,
+    n*(m*P_k - k*T) over 2nmL with P_k that of V, is half the deviation of
+    the k-th prefix of v from k*drift.  The rational recentred family is
+    built only for balance_rows.
     """
     d, n, m = fam.dim, fam.colors, fam.length
-    scale, vectors = _scaled(fam)
-    ints = ColoredFamily(d, n, m, vectors, fam.norm)
-    _require_unit_ball(ints, scale)
-    total = tuple(map(sum, zip(*row_sums(ints, (range(m),) * n, range(m)))))
     nm = n * m
-    centred = {v: tuple(nm * x - t for x, t in zip(v, total))
-               for v in dict.fromkeys(v for color in vectors for v in color)}
+    if nm == 0:
+        raise ValueError("the affine variant needs a family with at least one vector")
+    scale, vectors = _scaled(fam)
+    distinct = dict.fromkeys(v for color in vectors for v in color)
+    _require_unit_ball(max(norm_eval(fam.norm, v) for v in distinct), scale)
+    total = tuple(map(sum, zip(*(v for color in vectors for v in color))))
+    centred = {v: tuple(nm * x - t for x, t in zip(v, total)) for v in distinct}
     inner = tuple(tuple(centred[v] for v in color) for color in vectors)
     denom = 2 * nm * scale
 
@@ -339,17 +337,10 @@ def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
                              fam.norm)
 
     cert = _certify(ColoredFamily(d, n, m, inner, fam.norm), denom, fractions)
-    rows = row_sums(ints, cert.permutations, range(m))
-    deviation = max_prefix_norm(VectorSequence(tuple(tuple(m * x for x in row) for row in rows),
-                                               d, fam.norm), range(m), total)
-    achieved = Fraction(deviation, m * scale)
-    certified = 2 * min(Fraction(n * d), Fraction(40 * d ** 5))
-    if achieved > certified:
-        raise AssertionError("affine deviation bound 2*min{nd, 40d^5} violated")
     return ColorfulCertificate(
-        cert.permutations, certified, achieved, cert.route, cert.phase1_row_bound,
-        drift=tuple(Fraction(t, m * scale) for t in total),
-        tight_bound_met=bool(achieved <= certified / 2))
+        cert.permutations, 2 * cert.certified_bound, 2 * cert.achieved_max, cert.route,
+        cert.phase1_row_bound, drift=tuple(Fraction(t, m * scale) for t in total),
+        tight_bound_met=2 * cert.achieved_max <= cert.certified_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +376,7 @@ def single_partial_sum(fam: ColoredFamily, k: int) -> SubsetSelection:
     (at most 2d fractional entries), then rounds each color's fractional
     part with round_to_binary.
     """
-    _require_unit_ball(fam)
+    _require_unit_ball(fam.max_norm())
     _require_zero_sum_union(fam.total())
     d, n, m = fam.dim, fam.colors, fam.length
     if not 0 <= k <= m:

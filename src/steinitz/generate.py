@@ -61,8 +61,11 @@ def gen_four_block(s0: int, s: int, t0: int, t: int, n: int, delta: int, seed: i
     seeded objective; blocks are redrawn when that slice is empty.  With
     require_full_rank the diagonal blocks are redrawn until they have full
     row rank (needed by the decomposition pipeline; pass False to allow
-    degenerate blocks such as delta = 0).
+    degenerate blocks such as delta = 0).  A scale below 1 raises
+    ValueError: its slice holds no nontrivial point.
     """
+    if scale is not None and scale < 1:
+        raise ValueError(f"scale must be at least 1, got {scale}")
     rng = random.Random(seed)
     dim = t0 + n * t
     total = scale if scale is not None else 2 * dim

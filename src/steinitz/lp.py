@@ -283,20 +283,18 @@ class _Simplex:
         self.at_upper = set()
 
     def _iterate(self, c):
-        """Run simplex to optimality for objective c (maximize); returns
-        "optimal" or "unbounded"."""
-        nb_all = self.nstruct + self.nrows if len(c) > self.nstruct else self.nstruct
+        """Run simplex to optimality for objective c (maximize), one entry per
+        tableau column; returns "optimal" or "unbounded".  The reduced costs
+        c_j - c_B . T[:, j] are priced once and kept up to date by each pivot;
+        they are exactly zero on the basic columns, which never enter."""
+        z = list(c)
+        for i, v in enumerate(self.basis):
+            if c[v]:
+                z = [zj - c[v] * t if t else zj for zj, t in zip(z, self.T[i])]
         while True:
-            basic = set(self.basis)
-            # reduced costs via multipliers: z_j = c_j - y . col_j with y from basic costs
-            # full tableau: c_B . T[:, j]
-            cb = [c[v] if v < len(c) else ZERO for v in self.basis]
             entering = None
             direction = 0
-            for j in range(nb_all):
-                if j in basic or (j >= len(c)):
-                    continue
-                zj = c[j] - sum((cb[i] * self.T[i][j] for i in range(self.nrows)), ZERO)
+            for j, zj in enumerate(z):
                 if j in self.at_upper:
                     if zj < 0:
                         entering, direction = j, -1
@@ -340,6 +338,8 @@ class _Simplex:
             self.basis[row] = entering
             self.xb[row] = enter_val
             _pivot(self.T, row, entering)
+            f = z[entering]
+            z = [zj - f * t if t else zj for zj, t in zip(z, self.T[row])]
 
     def solve_phase1(self) -> bool:
         c1 = [ZERO] * self.nstruct + [Fraction(-1)] * self.nrows
@@ -381,12 +381,16 @@ class _Simplex:
 
 
 def find_feasible(lp: BoxLP) -> Vec | None:
-    """Phase-1 only: some feasible point of the LP, or None."""
+    """Phase-1 only: some feasible point of the LP, or None.  It is the
+    basic solution phase 1 ends on: a vertex when no variable is free."""
     canon = _Canonical(lp)
     sx = _Simplex(canon.cols, canon.b, canon.ub)
     if not sx.solve_phase1():
         return None
-    return canon.restore(sx.values())
+    x = canon.restore(sx.values())
+    if not lp.is_feasible_point(x):
+        raise InfeasibleStart("simplex point is not feasible")
+    return x
 
 
 def lp_solve(lp: BoxLP) -> LPResult:

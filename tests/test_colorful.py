@@ -390,6 +390,26 @@ def test_colorful_affine_equals_fraction_reference():
     assert routes == {"trivial_nd", "balanced_40d5"}
 
 
+def test_colorful_affine_runs_one_prefix_pass_per_route(monkeypatch):
+    """The affine achieved_max is read off the core certificate: one
+    max_prefix_norm per route evaluated, the balanced route only for n > 40 d^4."""
+    import steinitz.colorful
+    calls = []
+
+    def counted(seq, perm, drift=None):
+        calls.append(drift)
+        return max_prefix_norm(seq, perm, drift)
+
+    monkeypatch.setattr(steinitz.colorful, "max_prefix_norm", counted)
+    for zero_sum in (True, False):
+        for fam in _families(zero_sum):
+            calls.clear()
+            cert = colorful_affine(fam)
+            routes = 2 if fam.colors * fam.dim > 40 * fam.dim ** 5 else 1
+            assert calls == [None] * routes
+            assert cert.route == "trivial_nd" or routes == 2
+
+
 def test_scaled_shares_one_tuple_per_distinct_vector():
     fam = _pooled_family(2, 4, 6, "l1", 3, COPRIME, 3)
     scale, vectors = _scaled(fam)

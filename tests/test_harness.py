@@ -462,3 +462,27 @@ def test_negative_count_rejected(tmp_path, header, col, what):
         read(str(path))
     assert (err.value.line, err.value.col) == (1, col)
     assert f"expected a nonnegative {what}, got '-" in str(err.value)
+
+
+@pytest.mark.parametrize("header", ["colorful 2 0 3 linf", "colorful 2 2 0 linf"])
+@pytest.mark.parametrize("argv", [["colorful", "--affine"], ["plotdata", "--mode", "affine"]],
+                         ids=["colorful", "plotdata"])
+def test_cli_affine_empty_family_exit_2(tmp_path, capsys, header, argv):
+    fam = tmp_path / "f.txt"
+    fam.write_text(header + "\n")
+    err = _error_exit(argv + ["--input", str(fam)], capsys)
+    assert "at least one vector" in err
+    # the zero-sum certificate of a family without vectors stays trivial
+    assert main(["colorful", "--input", str(fam)]) == 0
+
+
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_cli_gen_fourblock_scale_below_one_exit_2(tmp_path, capsys, scale):
+    with pytest.raises(ValueError, match="scale must be at least 1"):
+        gen_four_block(1, 1, 1, 1, 2, 1, 3, scale=int(scale))
+    point = tmp_path / "p.txt"
+    err = _error_exit(["gen", "fourblock", "--s0", "1", "--s", "1", "--t0", "1", "--t", "1",
+                       "--n", "2", "--delta", "1", "--seed", "3", "--scale", scale,
+                       "--output", str(tmp_path / "i.4blk"), "--point-output", str(point)],
+                      capsys)
+    assert "scale must be at least 1" in err and not point.exists()

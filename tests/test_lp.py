@@ -4,9 +4,10 @@ from itertools import combinations, product
 
 import pytest
 
-from steinitz.linalg import Matrix, null_space, rank, solve_linear
-from steinitz.lp import (BoxLP, InfeasibleStart, NonPointedCone, enum_integer_points,
-                         extreme_rays, find_feasible, lp_solve, purify_to_vertex)
+from steinitz.linalg import ZERO, Matrix, _pivot, null_space, rank, solve_linear
+from steinitz.lp import (BoxLP, InfeasibleStart, NonPointedCone, _Canonical, _Simplex,
+                         enum_integer_points, extreme_rays, find_feasible, lp_solve,
+                         purify_to_vertex)
 
 
 def _bounds(n, lo=F(0), hi=F(1)):
@@ -105,11 +106,13 @@ def test_lp_solve_examples():
 
 
 def test_lp_solve_weak_duality_and_vertex_fixpoint():
-    """The simplex point is already a vertex when no variable is free, also
-    with a redundant row and with a variable bounded above only."""
+    """The simplex point and the phase-1 point are already vertices when no
+    variable is free: with a redundant row, with a variable bounded above
+    only, and with lower bounds 0 and no upper bounds, as the conic and
+    convex decompositions of blockip build them."""
     rng = random.Random(29)
-    optimal = 0
-    for k in range(60):
+    optimal = unbounded = 0
+    for k in range(100):
         n = rng.randint(2, 4)
         rows = [[rng.randint(-2, 2) for _ in range(n)]]
         if k % 3 == 0:
@@ -118,18 +121,129 @@ def test_lp_solve_weak_duality_and_vertex_fixpoint():
         x_feas = tuple(F(rng.randint(0, 2)) for _ in range(n))
         b = M.mul_vec(x_feas)
         c = tuple(F(rng.randint(-3, 3)) for _ in range(n))
-        lower = (None if k % 2 else F(0),) + (F(0),) * (n - 1)
-        lp = BoxLP(M, b, lower, (F(3),) * n, c)
+        if k < 60:
+            lower = (None if k % 2 else F(0),) + (F(0),) * (n - 1)
+            upper = (F(3),) * n
+        else:
+            lower, upper = (F(0),) * n, (None,) * n
+        lp = BoxLP(M, b, lower, upper, c)
+        start = find_feasible(lp)
+        assert lp.is_feasible_point(start)
+        assert purify_to_vertex(lp, start) == start
         res = lp_solve(lp)
         if res.status == "unbounded":
-            assert lower[0] is None and c[0] < 0
+            assert k >= 60 or (lower[0] is None and c[0] < 0)
+            unbounded += 1
             continue
         assert res.status == "optimal"
         optimal += 1
         feas_val = sum(ci * xi for ci, xi in zip(c, x_feas))
         assert res.value >= feas_val
         assert purify_to_vertex(lp, res.x) == res.x
-    assert optimal >= 50
+    assert optimal >= 75 and unbounded >= 15
+
+
+def _reference_iterate(self, c):
+    """The simplex loop as it was when every nonbasic column was priced from
+    scratch on each iteration, kept as the oracle of the incremental
+    reduced costs."""
+    nb_all = self.nstruct + self.nrows if len(c) > self.nstruct else self.nstruct
+    while True:
+        basic = set(self.basis)
+        cb = [c[v] if v < len(c) else ZERO for v in self.basis]
+        entering = None
+        direction = 0
+        for j in range(nb_all):
+            if j in basic or (j >= len(c)):
+                continue
+            zj = c[j] - sum((cb[i] * self.T[i][j] for i in range(self.nrows)), ZERO)
+            if j in self.at_upper:
+                if zj < 0:
+                    entering, direction = j, -1
+                    break
+            else:
+                if zj > 0:
+                    entering, direction = j, 1
+                    break
+        if entering is None:
+            return "optimal"
+        col = [self.T[i][entering] for i in range(self.nrows)]
+        candidates = []
+        if self.ub[entering] is not None:
+            candidates.append((self.ub[entering], entering, "flip", -1))
+        for i in range(self.nrows):
+            rate = -direction * col[i]
+            if rate < 0:
+                candidates.append((self.xb[i] / (-rate), self.basis[i], "drop-lower", i))
+            elif rate > 0:
+                ubi = self.ub[self.basis[i]]
+                if ubi is not None:
+                    candidates.append(((ubi - self.xb[i]) / rate, self.basis[i], "drop-upper", i))
+        if not candidates:
+            return "unbounded"
+        step = min(cand[0] for cand in candidates)
+        _, _, kind, row = min(c4 for c4 in candidates if c4[0] == step)
+        for i in range(self.nrows):
+            self.xb[i] -= direction * step * col[i]
+        if kind == "flip":
+            if direction == 1:
+                self.at_upper.add(entering)
+            else:
+                self.at_upper.discard(entering)
+            continue
+        leaving = self.basis[row]
+        enter_val = (self.ub[entering] if entering in self.at_upper else ZERO) + direction * step
+        self.at_upper.discard(entering)
+        if kind == "drop-upper":
+            self.at_upper.add(leaving)
+        self.basis[row] = entering
+        self.xb[row] = enter_val
+        _pivot(self.T, row, entering)
+
+
+def _simplex_run(lp):
+    """Both phases by hand: the statuses and the final basis, bounds and values."""
+    canon = _Canonical(lp)
+    sx = _Simplex(canon.cols, canon.b, canon.ub)
+    feasible = sx.solve_phase1()
+    status = sx._iterate(list(canon.c)) if feasible else None
+    return feasible, status, list(sx.basis), sorted(sx.at_upper), list(sx.xb)
+
+
+def _pricing_lps():
+    """Seeded BoxLPs with every bound kind, degenerate ones (b = 0, repeated
+    columns) and ones with redundant rows."""
+    rng = random.Random(41)
+    bounds = ((F(0), F(2)), (F(-1), None), (None, F(1)), (None, None), (F(0), None))
+    for k in range(120):
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        if k % 4 == 1:
+            rows.append([a - b for a, b in zip(rows[0], rows[-1])])
+        if k % 4 == 2:
+            rows = [row[:-1] + row[:1] for row in rows]
+        M = Matrix.from_rows(rows)
+        pick = [rng.choice(bounds) for _ in range(n)]
+        x = tuple(F(rng.randint(0, 1)) if lo == 0 or hi == 1 else F(rng.randint(-1, 1))
+                  for lo, hi in pick)
+        b = (F(0),) * M.rows if k % 4 == 3 else M.mul_vec(x)
+        if k % 5 == 0:
+            b = tuple(v + 1 for v in b)
+        c = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+        yield BoxLP(M, b, tuple(lo for lo, _ in pick), tuple(hi for _, hi in pick), c)
+
+
+def test_incremental_pricing_matches_from_scratch_pricing(monkeypatch):
+    runs = []
+    for lp in _pricing_lps():
+        runs.append((_simplex_run(lp), find_feasible(lp), lp_solve(lp)))
+    monkeypatch.setattr(_Simplex, "_iterate", _reference_iterate)
+    statuses = set()
+    for lp, (run, feasible, solved) in zip(_pricing_lps(), runs):
+        assert run == _simplex_run(lp)
+        assert feasible == find_feasible(lp) and solved == lp_solve(lp)
+        statuses.add(solved.status)
+    assert statuses == {"optimal", "unbounded", "infeasible"}
 
 
 def test_extreme_rays_orthant():
