@@ -124,6 +124,15 @@ def _scaled(fam: ColoredFamily):
     return scale, tuple(tuple(of_id[id(v)] for v in color) for color in fam.vectors)
 
 
+def _scaled_unit_ball(fam: ColoredFamily):
+    """(L, V, distinct): _scaled(fam) and V's distinct integer vectors, on
+    which the unit-ball check has run (every norm at most L)."""
+    scale, vectors = _scaled(fam)
+    distinct = dict.fromkeys(v for color in vectors for v in color)
+    _require_unit_ball(max((norm_eval(fam.norm, v) for v in distinct), default=ZERO), scale)
+    return scale, vectors, distinct
+
+
 # ---------------------------------------------------------------------------
 # Caratheodory subroutine
 
@@ -258,12 +267,12 @@ def _certify(fam: ColoredFamily, scale: int, fractions) -> ColorfulCertificate:
     """colorful_rearrange of the family whose vectors are those of the
     integer family fam divided by scale.
 
-    The checks, row sums, orders and prefix maxima all run on fam: the
-    unit ball and the bound scale by scale, signs and the rearrangement
-    LPs do not change.  fractions() builds the rational family for
-    balance_rows; only the balanced route, taken when n > 40 d^4, calls it.
+    The caller has checked the unit ball.  The zero-sum check, row sums,
+    orders and prefix maxima all run on fam: the bound scales by scale,
+    signs and the rearrangement LPs do not change.  fractions() builds the
+    rational family for balance_rows; only the balanced route, taken when
+    n > 40 d^4, calls it.
     """
-    _require_unit_ball(fam.max_norm(), scale)
     d, n, m = fam.dim, fam.colors, fam.length
     certified = min(Fraction(n * d), Fraction(40 * d ** 5))
     routes = {ROUTE_TRIVIAL: (range(m),) * n}
@@ -298,7 +307,7 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
     prefix maxima run on the integer family; achieved_max is divided by L
     at the end.  Only the balanced route's balance_rows sees fam itself.
     """
-    scale, vectors = _scaled(fam)
+    scale, vectors, _ = _scaled_unit_ball(fam)
     return _certify(ColoredFamily(fam.dim, fam.colors, fam.length, vectors, fam.norm), scale,
                     lambda: fam)
 
@@ -323,9 +332,7 @@ def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
     nm = n * m
     if nm == 0:
         raise ValueError("the affine variant needs a family with at least one vector")
-    scale, vectors = _scaled(fam)
-    distinct = dict.fromkeys(v for color in vectors for v in color)
-    _require_unit_ball(max(norm_eval(fam.norm, v) for v in distinct), scale)
+    scale, vectors, distinct = _scaled_unit_ball(fam)
     total = tuple(map(sum, zip(*(v for color in vectors for v in color))))
     centred = {v: tuple(nm * x - t for x, t in zip(v, total)) for v in distinct}
     inner = tuple(tuple(centred[v] for v in color) for color in vectors)

@@ -1,9 +1,11 @@
 """Exact linear programming primitives.
 
-Values are Fraction; vertex purification eliminates over the rows of M
-scaled to integers, with the same answers.  The simplex is a bounded-variable
-tableau method with Bland's rule, so it terminates on degenerate inputs.
-Infinite bounds are represented by None and handled symbolically.
+Values are Fraction.  Vertex purification runs in integers, with the same
+answers: it eliminates over the rows of M scaled to integers, and walks x
+and the bounds as integers over one common denominator.  The simplex is a
+bounded-variable tableau method with Bland's rule, so it terminates on
+degenerate inputs.  Infinite bounds are represented by None and handled
+symbolically.
 """
 
 from __future__ import annotations
@@ -70,18 +72,31 @@ class BoxLP:
             rhs.append(scaled[-1])
         return rows, rhs
 
-    def is_feasible_point(self, x: Vec) -> bool:
+    def _integer_point(self, x: Vec):
+        """(D, X, LO, HI): x and the bounds as integer lists X, LO, HI over
+        their least common denominator D (an absent bound stays None), or
+        None when x is not a feasible point.  M x = b is checked as
+        A X = b' D over ``integer_rows``."""
+        x = [rat(v) for v in x]
         if len(x) != self.M.cols:
-            return False
-        for xi, lo, hi in zip(x, self.lower, self.upper):
-            if lo is not None and xi < lo:
-                return False
-            if hi is not None and xi > hi:
-                return False
-        # M x = b over the common denominator D of x: A X = b' D
-        D, (X,) = scale_to_integers([x])
+            return None
+        lower = [None if v is None else rat(v) for v in self.lower]
+        upper = [None if v is None else rat(v) for v in self.upper]
+        D = math.lcm(*(v.denominator for v in (*x, *lower, *upper) if v is not None))
+
+        def over_D(values):
+            return [None if v is None else v.numerator * (D // v.denominator) for v in values]
+
+        X, LO, HI = over_D(x), over_D(lower), over_D(upper)
         rows, rhs = self.integer_rows
-        return all(sum(map(mul, row, X)) == bi * D for row, bi in zip(rows, rhs))
+        if any(lo is not None and xj < lo for xj, lo in zip(X, LO)) or \
+                any(hi is not None and xj > hi for xj, hi in zip(X, HI)) or \
+                any(sum(map(mul, row, X)) != bi * D for row, bi in zip(rows, rhs)):
+            return None
+        return D, X, LO, HI
+
+    def is_feasible_point(self, x: Vec) -> bool:
+        return self._integer_point(x) is not None
 
 
 @dataclass(frozen=True)
@@ -107,20 +122,28 @@ def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
     Columns are streamed once through an incremental elimination, so the
     cost is roughly one Gaussian pass over the interior columns.
 
-    The elimination is fraction-free, over ``lp.integer_rows``.  A kernel
-    direction is fixed up to a factor by the basis set and the entering
-    column; oriented positive on that column, it gives exactly the steps
-    and the vertex of elimination over Fraction.
+    The walk runs in integers.  The elimination is fraction-free, over
+    ``lp.integer_rows``; a kernel direction is fixed up to a factor by the
+    basis set and the entering column, and oriented positive on that
+    column it gives exactly the steps and the vertex of elimination over
+    Fraction.  x and the bounds are integers X, LO, HI over one positive
+    common denominator D: a step of num/den (lowest terms, in units of
+    1/D) maps X to den*X + num*g and D to den*D, and then X, LO, HI and D
+    are divided by their common content.  The vertex is X/D.
     """
-    x = [rat(v) for v in x0]
-    if not lp.is_feasible_point(x):
+    start = lp._integer_point(x0)
+    if start is None:
         raise InfeasibleStart("starting point is not feasible")
+    D, X, LO, HI = start
+    n = lp.M.cols
     rows, _ = lp.integer_rows
-    cols = list(zip(*rows)) if rows else [()] * lp.M.cols
+    cols = list(zip(*rows)) if rows else [()] * n
+    # gcd of D and the finite bounds; they change only by the factor den and
+    # the division by h below, so it is tracked, not recomputed
+    content = math.gcd(D, *(a for a in (*LO, *HI) if a is not None))
 
     def is_tight(j):
-        return (lp.lower[j] is not None and x[j] == lp.lower[j]) or \
-               (lp.upper[j] is not None and x[j] == lp.upper[j])
+        return X[j] == LO[j] or X[j] == HI[j]  # an absent bound is None, never equal
 
     # basis entries: [col, reduced column, tag, pivot row]; entry k's tag holds
     # its coefficients over the columns of basis[0..k], its own last
@@ -152,7 +175,7 @@ def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
         basis.append([c, v, tag, pivot])
         return True
 
-    pending = [j for j in range(lp.M.cols) if not is_tight(j)]
+    pending = [j for j in range(n) if not is_tight(j)]
     idx = 0
     while idx < len(pending):
         c = pending[idx]
@@ -167,19 +190,21 @@ def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
         g = {c: tag[-1]}
         g.update((e[0], t) for e, t in zip(basis, tag) if t)
 
-        # line search along +g / -g for the first finite blocking bound
+        # line search along +g / -g for the first finite blocking bound; the
+        # step to bound j is gap/rate in units of 1/D, kept as the pair
+        # (gap, rate) with rate > 0 and compared by cross-multiplying
         def max_step(sign):
             best = None
             for j, gj in g.items():
                 gj = sign * gj
-                if gj > 0:
-                    if lp.upper[j] is not None:
-                        t = (lp.upper[j] - x[j]) / gj
-                        best = t if best is None or t < best else best
-                elif gj < 0:
-                    if lp.lower[j] is not None:
-                        t = (x[j] - lp.lower[j]) / (-gj)
-                        best = t if best is None or t < best else best
+                if gj > 0 and HI[j] is not None:
+                    gap, rate = HI[j] - X[j], gj
+                elif gj < 0 and LO[j] is not None:
+                    gap, rate = X[j] - LO[j], -gj
+                else:
+                    continue
+                if best is None or gap * best[1] < best[0] * rate:
+                    best = (gap, rate)
             return best
 
         step = max_step(1)
@@ -189,8 +214,23 @@ def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
             sign = -1
         if step is None:
             raise NonPointedCone("feasible region contains a line through x")
+        h = math.gcd(*step)
+        num, den = sign * step[0] // h, step[1] // h
+        if den != 1:
+            X = [den * a for a in X]
+            LO = [None if a is None else den * a for a in LO]
+            HI = [None if a is None else den * a for a in HI]
+            D *= den
+            content *= den
         for j, gj in g.items():
-            x[j] += sign * step * gj
+            X[j] += num * gj
+        h = math.gcd(content, *X)
+        if h != 1:
+            X = [a // h for a in X]
+            LO = [None if a is None else a // h for a in LO]
+            HI = [None if a is None else a // h for a in HI]
+            D //= h
+            content //= h
         tightened = [j for j in g if is_tight(j)]
         if not tightened:
             raise AssertionError("maximal move failed to tighten a bound")
@@ -203,7 +243,7 @@ def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
             for col in keep:
                 if not insert(col, *reduce_column(col)):
                     raise AssertionError("basis rebuild lost independence")
-    return tuple(x)
+    return tuple(Fraction(a, D) for a in X)
 
 
 # ---------------------------------------------------------------------------

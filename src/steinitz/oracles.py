@@ -83,28 +83,30 @@ def brute_colorful_optimum(fam: ColoredFamily, budget: int = DEFAULT_BUDGET) -> 
 
 def brute_single_sum(fam: ColoredFamily, k: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact minimum of the selected-sum norm over all equal-size-k
-    selections, one index set per color."""
+    selections, one index set per color.
+
+    The family is scaled once to integers by the lcm L of its
+    denominators; the partial sums are folded in integers and divided by
+    L only at the final minimum of the norms."""
     n, m = fam.colors, fam.length
+    if not 0 <= k <= m:
+        raise ValueError("k out of range")
     per_color = math.comb(m, k)
     if per_color ** n > budget:
         raise BudgetExceeded(f"C(m,k)^n = {per_color ** n} exceeds budget {budget}")
+    scale = 1
+    for color in fam.vectors:
+        scale = math.lcm(scale, *(x.denominator for v in color for x in v))
+    ints = [[tuple(x.numerator * (scale // x.denominator) for x in v) for v in color]
+            for color in fam.vectors]
     # fold color by color, deduplicating partial sums
-    partial = {(ZERO,) * fam.dim: None}
-    for j in range(n):
+    partial = {(0,) * fam.dim}
+    for color in ints:
         sums = set()
-        for sel in combinations(range(m), k):
-            s = [ZERO] * fam.dim
-            for i in sel:
-                v = fam.vectors[j][i]
-                for r in range(fam.dim):
-                    s[r] += v[r]
-            sums.add(tuple(s))
-        nxt = set()
-        for p in partial:
-            for s in sums:
-                nxt.add(tuple(a + b for a, b in zip(p, s)))
-        partial = nxt
-    return min(norm_eval(fam.norm, p) for p in partial)
+        for sel in combinations(color, k):
+            sums.add(tuple(map(sum, zip(*sel))) if sel else (0,) * fam.dim)
+        partial = {tuple(a + b for a, b in zip(p, s)) for p in partial for s in sums}
+    return Fraction(min(norm_eval(fam.norm, p) for p in partial), scale)
 
 
 def brute_ilp(inst, box_cap: int | None = None):

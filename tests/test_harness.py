@@ -399,6 +399,13 @@ def test_cli_budget_exceeded_exit_2(tmp_path, capsys):
     assert "exceeds budget" in err
 
 
+def test_cli_oracle_singlesum_k_out_of_range_exit_2(tmp_path, capsys):
+    fam = tmp_path / "f.txt"
+    fileio.write_family(gen_zero_sum_family(2, 3, 5, LINF_NORM, 4), str(fam))
+    err = _error_exit(["oracle", "--kind", "singlesum", "--input", str(fam), "--k", "9"], capsys)
+    assert err == "error: k out of range\n"
+
+
 def test_cli_generation_error_exit_2(tmp_path, capsys):
     # delta 0 draws zero diagonal blocks, which never reach full row rank
     _error_exit(["gen", "fourblock", "--s0", "1", "--s", "1", "--t0", "1", "--t", "1",

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
-from steinitz.linalg import Matrix
-from steinitz.norms import LINF_NORM
+from steinitz.linalg import ZERO, Matrix
+from steinitz.norms import L1_NORM, LINF_NORM, norm_eval
 from steinitz.rearrange import VectorSequence
 from steinitz.blockip import FourBlockInstance
 from steinitz.generate import gen_zero_sum_family
@@ -51,6 +53,50 @@ def test_brute_single_sum_budget():
     fam = gen_zero_sum_family(1, 5, 8, LINF_NORM, 8)
     with pytest.raises(BudgetExceeded):
         brute_single_sum(fam, 4, budget=100)
+
+
+def _reference_single_sum(fam, k):
+    """The Fraction fold that brute_single_sum replaced, kept unchanged."""
+    n, m = fam.colors, fam.length
+    partial = {(ZERO,) * fam.dim: None}
+    for j in range(n):
+        sums = set()
+        for sel in combinations(range(m), k):
+            s = [ZERO] * fam.dim
+            for i in sel:
+                v = fam.vectors[j][i]
+                for r in range(fam.dim):
+                    s[r] += v[r]
+            sums.add(tuple(s))
+        nxt = set()
+        for p in partial:
+            for s in sums:
+                nxt.add(tuple(a + b for a, b in zip(p, s)))
+        partial = nxt
+    return min(norm_eval(fam.norm, p) for p in partial)
+
+
+def test_integer_single_sum_matches_fraction_reference():
+    # the families of acceptance criterion 5
+    sizes = [(2, 8), (3, 6), (4, 5), (5, 4)]
+    scales = set()
+    for i in range(40):
+        n, m = sizes[i % 4]
+        fam = gen_zero_sum_family(1 + i % 4, n, m, (LINF_NORM, L1_NORM)[i % 2], 50_000 + i)
+        scales.add(math.lcm(*(x.denominator for color in fam.vectors for v in color
+                              for x in v)))
+        for k in range(m + 1):
+            got = brute_single_sum(fam, k)
+            assert got == _reference_single_sum(fam, k), (i, k)
+            assert isinstance(got, F)
+    assert max(scales) > 1
+
+
+@pytest.mark.parametrize("k", [-1, 6, 9])
+def test_brute_single_sum_k_out_of_range(k):
+    fam = gen_zero_sum_family(2, 3, 5, LINF_NORM, 4)
+    with pytest.raises(ValueError, match="k out of range"):
+        brute_single_sum(fam, k)
 
 
 def _knapsack_instance():
