@@ -16,7 +16,7 @@ from itertools import combinations
 from operator import mul
 
 from .linalg import (Matrix, Vec, ZERO, ONE, rat, _echelon, ceil_sqrt, hstack, is_integer_vec,
-                     l1_norm, linf_norm, lcm_abs_dets, rank, rank_of_vectors, span_coordinates,
+                     l1_norm, linf_norm, rank, rank_of_vectors, span_coordinates,
                      scale_to_integers, vadd, vscale, vsub)
 from .lp import BoxLP, LPError, enum_integer_points, extreme_rays, find_feasible, lp_solve
 from .norms import LINF_NORM
@@ -386,9 +386,11 @@ class FeasibleBasis:
     """An invertible s x s column basis D of a diagonal block Ai, stored as
     its vertex map vmap = -D^{-1} Bi (s rows of length t0).  The point
     supported on cols with Ai y = -Bi x has y_cols = vmap x, so for every x
-    the basis gives a vertex of {y >= 0 : Ai y = -Bi x} iff vmap x >= 0."""
+    the basis gives a vertex of {y >= 0 : Ai y = -Bi x} iff vmap x >= 0.
+    det is det D, an integer."""
     cols: tuple
     vmap: tuple
+    det: int
 
     def image(self, x: Vec) -> Vec:
         """vmap x, the basis coordinates of the point with Ai y = -Bi x."""
@@ -400,14 +402,17 @@ def block_bases(Ai: Matrix, Bi: Matrix):
     lexicographic column order.
 
     One elimination of [D | Bi] per subset: D is invertible iff the pivots
-    are its s columns, and then the last t0 columns hold D^{-1} Bi.
+    are its s columns, and then the last t0 columns hold D^{-1} Bi and the
+    signed pivot product is det D.
     """
     s = Ai.rows
     out = []
     for cols in combinations(range(Ai.cols), s):
         rows = [[Ai.at(r, c) for c in cols] + list(Bi.row(r)) for r in range(s)]
-        if _echelon(rows)[0] == list(range(s)):
-            out.append(FeasibleBasis(cols, tuple(tuple(-x for x in row[s:]) for row in rows)))
+        pivots, det_d = _echelon(rows)
+        if pivots == list(range(s)):
+            out.append(FeasibleBasis(cols, tuple(tuple(-x for x in row[s:]) for row in rows),
+                                     int(det_d)))
     return out
 
 
@@ -430,20 +435,40 @@ def basis_vertex(fb: FeasibleBasis, x: Vec, t: int) -> Vec:
     return tuple(y)
 
 
-def cone_rays_K(inst: FourBlockInstance, x_hat: Vec, bases_x=None):
+def _gamma(inst: FourBlockInstance, tables) -> int:
+    """gamma, the lcm of |det D| over every invertible s x s column basis D
+    of every diagonal block (1 when there is none), read off the block_bases
+    tables; each det D is checked against Hadamard's inequality
+    det D^2 <= delta^(2s) s^s."""
+    cap = inst.delta ** (2 * inst.s) * inst.s ** inst.s
+    gamma = 1
+    for table in tables:
+        for fb in table:
+            if fb.det * fb.det > cap:
+                raise PropertyViolation("hadamard-bound", "a block basis determinant exceeds "
+                                        "Hadamard's bound")
+            gamma = math.lcm(gamma, abs(fb.det))
+    return gamma
+
+
+def cone_rays_K(inst: FourBlockInstance, x_hat: Vec, tables=None):
     """Extreme rays of {x >= 0 : -D^{-1} B^i x >= 0 for all feasible
-    bases D}, scaled into gamma Z^{t0}; returns (rays, omega2, gamma)."""
-    if bases_x is None:
-        bases_x = [feasible_bases(inst.A[i], inst.B[i], x_hat) for i in range(inst.n)]
+    bases D}, scaled into gamma Z^{t0}; returns (rays, omega2, gamma).
+
+    tables[i] is block i's block_bases table, built here when not given;
+    gamma comes from its determinants and the cone from the bases feasible
+    at x_hat."""
+    if tables is None:
+        tables = [block_bases(inst.A[i], inst.B[i]) for i in range(inst.n)]
     rows = [list(Matrix.identity(inst.t0).row(r)) for r in range(inst.t0)]
-    for i in range(inst.n):
-        for fb in bases_x[i]:
+    for table in tables:
+        for fb in _feasible(table, x_hat):
             rows.extend(fb.vmap)
     ineqs = Matrix.from_rows(rows)
     for r in range(ineqs.rows):
         if sum((ineqs.at(r, c) * x_hat[c] for c in range(inst.t0)), ZERO) < 0:
             raise PropertyViolation("x-in-cone", "x violates a cone inequality")
-    gamma = lcm_abs_dets(inst.A, inst.s, entry_bound=inst.delta)
+    gamma = _gamma(inst, tables)
     rays = [tuple(gamma * x for x in r) for r in extreme_rays(ineqs)]
     omega2 = max((linf_norm(r) for r in rays), default=ZERO)
     return tuple(rays), omega2, gamma
@@ -736,7 +761,7 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
     u_hat, v_hat = split_max_kernel(inst, pt)
     u0, u_seq = decompose_u(inst, u_hat)
     bases = [block_bases(inst.A[i], inst.B[i]) for i in range(inst.n)]
-    rays_all, omega2, gamma = cone_rays_K(inst, pt.x, [_feasible(b, pt.x) for b in bases])
+    rays_all, omega2, gamma = cone_rays_K(inst, pt.x, bases)
     lambdas, hs = decompose_x(pt.x, rays_all)
     v0s, vseqs, alphas, av0 = decompose_v(inst, lambdas, hs, v_hat, omega2, bases)
 

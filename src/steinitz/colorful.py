@@ -9,7 +9,7 @@ Main entry points:
 * ``colorful_affine`` drops the zero-sum requirement by recentering, at
   the cost of a factor 2 in the certified bound.
 * ``single_partial_sum`` picks one size-k subset per sequence whose joint
-  sum has norm at most d, via vertex purification and sorted rounding.
+  sum has norm at most d, via the integer vertex walk and sorted rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix, Vec, ZERO, ONE, rat, is_zero_vec, null_space, scale_to_integers
-from .lp import BoxLP, purify_to_vertex
+from .lp import walk_to_vertex
 from .norms import BlockMax, NormSpec, norm_eval
 from .rearrange import (VectorSequence, ZeroSumRequired, max_prefix_norm,
                         rearrangement_order)
@@ -379,60 +379,52 @@ def single_partial_sum(fam: ColoredFamily, k: int) -> SubsetSelection:
     """One size-k index set per color whose joint selected sum has norm
     at most d.
 
-    Purifies the uniform point of the selection polytope to a vertex
-    (at most 2d fractional entries), then rounds each color's fractional
-    part with round_to_binary.
+    Walks the uniform point of the selection polytope to a vertex (at most
+    2d fractional entries), then rounds each color's fractional part with
+    round_to_binary.
+
+    Runs in integers: with V = L*v as in colorful_rearrange, the column of
+    alpha[j][i] is (e_j, V[j][i]), and the walk starts at k/m, which is
+    X = k everywhere over D = m.  achieved is the norm of the integer sum
+    of the selected V, divided by L.
     """
-    _require_unit_ball(fam.max_norm())
-    _require_zero_sum_union(fam.total())
+    scale, vectors, _ = _scaled_unit_ball(fam)
     d, n, m = fam.dim, fam.colors, fam.length
+    _require_zero_sum_union(tuple(map(sum, zip(*(v for color in vectors for v in color)))))
     if not 0 <= k <= m:
         raise ValueError("k out of range")
 
-    # variables alpha[j][i] flattened j-major
+    # variables alpha[j][i] flattened j-major; no variables means no walk (m
+    # may be 0, which would make D = 0)
     nm = n * m
-    rows = []
-    b = []
-    for j in range(n):
-        row = [ZERO] * nm
-        for i in range(m):
-            row[j * m + i] = ONE
-        rows.append(row)
-        b.append(Fraction(k))
-    for r in range(d):
-        row = [fam.vectors[j][i][r] for j in range(n) for i in range(m)]
-        rows.append(row)
-        b.append(ZERO)
-    lp = BoxLP(Matrix.from_rows(rows), tuple(b), (ZERO,) * nm, (ONE,) * nm)
-    uniform = (Fraction(k, m),) * nm if m else ()
-    vertex = purify_to_vertex(lp, uniform)
+    D, X = m, [k] * nm
+    if nm:
+        units = [tuple(int(a == j) for a in range(n)) for j in range(n)]
+        cols = [units[j] + v for j, color in enumerate(vectors) for v in color]
+        D, X = walk_to_vertex(cols, D, X, [0] * nm, [m] * nm)
 
-    frac_total = sum(1 for v in vertex if 0 < v < 1)
-    if frac_total > 2 * d:
+    if sum(0 < a < D for a in X) > 2 * d:
         raise AssertionError("vertex has more than 2d fractional entries")
 
     index_sets = []
+    acc = [0] * d
     for j in range(n):
-        alpha = vertex[j * m:(j + 1) * m]
-        frac_idx = [i for i, v in enumerate(alpha) if 0 < v < 1]
-        ones = {i for i, v in enumerate(alpha) if v == 1}
+        alpha = X[j * m:(j + 1) * m]
+        frac_idx = [i for i, a in enumerate(alpha) if 0 < a < D]
+        ones = {i for i, a in enumerate(alpha) if a == D}
         if frac_idx:
-            kj = Fraction(k) - len(ones)
-            if kj.denominator != 1:
+            kj = k - len(ones)
+            if sum(alpha[i] for i in frac_idx) != kj * D:
                 raise AssertionError("fractional part of a color does not sum to an integer")
-            z = round_to_binary(tuple(alpha[i] for i in frac_idx), int(kj))
+            z = round_to_binary(tuple(Fraction(alpha[i], D) for i in frac_idx), kj)
             ones.update(i for i, zi in zip(frac_idx, z) if zi == 1)
         if len(ones) != k:
             raise AssertionError("selection size drifted from k")
         index_sets.append(tuple(sorted(ones)))
-
-    acc = [ZERO] * d
-    for j, sel in enumerate(index_sets):
-        for i in sel:
-            v = fam.vectors[j][i]
-            for r in range(d):
-                acc[r] += v[r]
+        for i in ones:
+            for r, x in enumerate(vectors[j][i]):
+                acc[r] += x
     achieved = norm_eval(fam.norm, tuple(acc))
-    if achieved > d:
+    if achieved > d * scale:
         raise AssertionError("selected sum exceeded the bound d")
-    return SubsetSelection(tuple(index_sets), k, achieved)
+    return SubsetSelection(tuple(index_sets), k, Fraction(achieved, scale))

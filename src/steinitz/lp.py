@@ -1,11 +1,14 @@
 """Exact linear programming primitives.
 
-Values are Fraction.  Vertex purification runs in integers, with the same
-answers: it eliminates over the rows of M scaled to integers, and walks x
-and the bounds as integers over one common denominator.  The simplex is a
-bounded-variable tableau method with Bland's rule, so it terminates on
-degenerate inputs.  Infinite bounds are represented by None and handled
-symbolically.
+Values are Fraction at the BoxLP interface.  Vertex purification has an
+integer core, ``walk_to_vertex``: it takes the constraint columns as
+integer tuples and x and the bounds as integers over one common
+denominator, eliminates fraction-free and returns the vertex in the same
+form.  ``purify_to_vertex`` is its BoxLP boundary; the rearrangement chain
+and the selection polytope call the core directly and carry their point
+in integers from step to step.  The simplex is a bounded-variable tableau
+method with Bland's rule, so it terminates on degenerate inputs.  Infinite
+bounds are represented by None and handled symbolically.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ class LPError(Exception):
 
 
 class InfeasibleStart(LPError):
-    """x0 handed to purify_to_vertex is not feasible."""
+    """The start point of a vertex walk is not feasible."""
 
 
 class NonPointedCone(LPError):
@@ -114,36 +117,43 @@ class LPResult:
 # vertex purification
 
 
-def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
-    """Walk from a feasible x0 to a vertex of the feasible region.
+def walk_to_vertex(cols, D: int, X, LO, HI):
+    """Walk from the feasible point X/D to a vertex; returns (D, X) there.
 
-    Repeatedly finds a kernel direction of M supported on the strictly
-    interior coordinates and moves maximally until a bound becomes tight.
-    Columns are streamed once through an incremental elimination, so the
-    cost is roughly one Gaussian pass over the interior columns.
+    The polytope is {x : A x = b, LO/D <= x <= HI/D}, with cols the columns
+    of A as integer tuples; b is implied by the start point.  X, LO and HI
+    are integer lists over the positive common denominator D, an absent
+    bound being None.  The caller checks that X/D is feasible.
 
-    The walk runs in integers.  The elimination is fraction-free, over
-    ``lp.integer_rows``; a kernel direction is fixed up to a factor by the
-    basis set and the entering column, and oriented positive on that
-    column it gives exactly the steps and the vertex of elimination over
-    Fraction.  x and the bounds are integers X, LO, HI over one positive
-    common denominator D: a step of num/den (lowest terms, in units of
-    1/D) maps X to den*X + num*g and D to den*D, and then X, LO, HI and D
-    are divided by their common content.  The vertex is X/D.
+    Repeatedly finds a kernel direction g of A supported on the coordinates
+    strictly inside their bounds and moves maximally until a bound becomes
+    tight.  Columns are streamed once through an incremental fraction-free
+    elimination, so the cost is roughly one Gaussian pass over the interior
+    columns.  g is fixed up to a factor by the basis set and the entering
+    column; primitive and positive on that column, it gives exactly the
+    steps and the vertex of elimination over Fraction, and scaling a row of
+    A changes neither.  The bounds are held once over their own least
+    denominator DB, and D = DB*s: a step of num/den (lowest terms, in units
+    of 1/D) maps X to den*X + num*g and s to den*s, and then X and s are
+    divided by their common factor.  A step with den = 1 leaves D as it
+    was and is not divided back; D need not be least, since every choice
+    of the walk compares ratios, which do not depend on it.  When a basic
+    column tightens, the basis entries before it are kept, since each
+    entry is reduced only against the entries before it, and the later
+    ones are inserted again.
     """
-    start = lp._integer_point(x0)
-    if start is None:
-        raise InfeasibleStart("starting point is not feasible")
-    D, X, LO, HI = start
-    n = lp.M.cols
-    rows, _ = lp.integer_rows
-    cols = list(zip(*rows)) if rows else [()] * n
-    # gcd of D and the finite bounds; they change only by the factor den and
-    # the division by h below, so it is tracked, not recomputed
-    content = math.gcd(D, *(a for a in (*LO, *HI) if a is not None))
+    n = len(cols)
+    X = list(X)
+    # the bounds stay fixed over DB = D/s, with s the gcd of D and the finite
+    # bounds, while X moves over D = DB*s: a step rescales X and s only
+    s = math.gcd(D, *(a for a in (*LO, *HI) if a is not None))
+    LO = [None if a is None else a // s for a in LO]
+    HI = [None if a is None else a // s for a in HI]
+    DB = D // s
 
     def is_tight(j):
-        return X[j] == LO[j] or X[j] == HI[j]  # an absent bound is None, never equal
+        lo, hi = LO[j], HI[j]
+        return (lo is not None and X[j] == lo * s) or (hi is not None and X[j] == hi * s)
 
     # basis entries: [col, reduced column, tag, pivot row]; entry k's tag holds
     # its coefficients over the columns of basis[0..k], its own last
@@ -198,9 +208,9 @@ def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
             for j, gj in g.items():
                 gj = sign * gj
                 if gj > 0 and HI[j] is not None:
-                    gap, rate = HI[j] - X[j], gj
+                    gap, rate = HI[j] * s - X[j], gj
                 elif gj < 0 and LO[j] is not None:
-                    gap, rate = X[j] - LO[j], -gj
+                    gap, rate = X[j] - LO[j] * s, -gj
                 else:
                     continue
                 if best is None or gap * best[1] < best[0] * rate:
@@ -218,31 +228,44 @@ def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
         num, den = sign * step[0] // h, step[1] // h
         if den != 1:
             X = [den * a for a in X]
-            LO = [None if a is None else den * a for a in LO]
-            HI = [None if a is None else den * a for a in HI]
-            D *= den
-            content *= den
+            s *= den
         for j, gj in g.items():
             X[j] += num * gj
-        h = math.gcd(content, *X)
+        # a step with den = 1 leaves D as it was, so only a den step is divided back
+        h = math.gcd(s, *X) if den != 1 else 1
         if h != 1:
             X = [a // h for a in X]
-            LO = [None if a is None else a // h for a in LO]
-            HI = [None if a is None else a // h for a in HI]
-            D //= h
-            content //= h
-        tightened = [j for j in g if is_tight(j)]
+            s //= h
+        tightened = {j for j in g if is_tight(j)}
         if not tightened:
             raise AssertionError("maximal move failed to tighten a bound")
-        removed_basic = [e for e in basis if e[0] in tightened]
-        if removed_basic:
-            keep = [e[0] for e in basis if e[0] not in tightened]
+        first = next((k for k, e in enumerate(basis) if e[0] in tightened), None)
+        if first is not None:
+            again = [e[0] for e in basis[first + 1:] if e[0] not in tightened]
             if c not in tightened:
-                keep.append(c)
-            basis.clear()
-            for col in keep:
+                again.append(c)
+            del basis[first:]
+            for col in again:
                 if not insert(col, *reduce_column(col)):
                     raise AssertionError("basis rebuild lost independence")
+    return DB * s, X
+
+
+def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
+    """A vertex of the feasible region of lp, reached from the feasible
+    point x0 by ``walk_to_vertex``.
+
+    This is the BoxLP boundary of the walk: x0 and the bounds become
+    integers over their least common denominator (``lp._integer_point``,
+    which also checks x0 exactly, raising InfeasibleStart), the columns are
+    those of ``lp.integer_rows``, and the vertex comes back as Fraction.
+    """
+    start = lp._integer_point(x0)
+    if start is None:
+        raise InfeasibleStart("starting point is not feasible")
+    D, X, LO, HI = start
+    rows, _ = lp.integer_rows
+    D, X = walk_to_vertex(list(zip(*rows)) if rows else [()] * lp.M.cols, D, X, LO, HI)
     return tuple(Fraction(a, D) for a in X)
 
 

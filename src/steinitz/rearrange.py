@@ -2,10 +2,15 @@
 
 The core construction maintains a shrinking chain of index sets.  At each
 step the current feasible point is rescaled into the polytope whose
-coordinate sum is one lower, purified to a vertex, and an element sitting
+coordinate sum is one lower, walked to a vertex, and an element sitting
 at value zero is dropped.  A counting argument over the vertex guarantees
 such an element exists, so the descent never needs to backtrack; any
 violation of that guarantee would be a genuine bug and raises.
+
+The chain runs on one integer state and builds no LP per step: the
+vectors are scaled to integers once, the point is a list of integers over
+one common denominator that each step rescales, checks exactly and hands
+to ``lp.walk_to_vertex``, and a dropped element takes its column with it.
 
 Dimension one has a cheap special case: always append an element whose
 sign opposes the running prefix.
@@ -13,11 +18,13 @@ sign opposes the running prefix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .linalg import Matrix, Vec, ZERO, ONE, span_coordinates
-from .lp import BoxLP, purify_to_vertex
+from .linalg import Vec, ZERO, scale_to_integers, span_coordinates
+from .lp import InfeasibleStart, walk_to_vertex
 from .norms import NormSpec, norm_eval
 
 
@@ -97,29 +104,35 @@ def _order_dim1(values) -> tuple:
 
 
 def _order_chain(vectors, dim) -> tuple:
-    """The shrinking-chain construction for zero-sum vectors in R^dim."""
+    """The shrinking-chain construction for zero-sum vectors in R^dim.
+
+    One integer state for the whole chain: the columns (L v_j, 1), with L
+    the lcm of the entry denominators, and the point X over D.  At step k
+    the point is rescaled by (k-1-dim)/(k-dim), checked exactly, walked to
+    a vertex, and the first column at zero is dropped with its coordinate.
+    """
     m = len(vectors)
     order = [-1] * m
     active = list(range(m))
-    value = [Fraction(m - dim, m)] * m
+    _, ints = scale_to_integers(vectors)
+    cols = [(*v, 1) for v in ints]
+    D, X = m, [m - dim] * m
     for k in range(m, dim, -1):
-        rho = Fraction(k - 1 - dim, k - dim)
-        point = tuple(rho * v for v in value)
-        rows = [[vectors[j][r] for j in active] for r in range(dim)]
-        rows.append([ONE] * k)
-        lp = BoxLP(
-            Matrix.from_rows(rows),
-            tuple([ZERO] * dim + [Fraction(k - 1 - dim)]),
-            (ZERO,) * k,
-            (ONE,) * k,
-        )
-        vertex = purify_to_vertex(lp, point)
-        drop = next((p for p, v in enumerate(vertex) if v == 0), None)
+        X = [a * (k - 1 - dim) for a in X]
+        D *= k - dim
+        h = math.gcd(D, *X)
+        X = [a // h for a in X]
+        D //= h
+        # the start point of step k: 0 <= X <= D, V X = 0 and sum X = (k-1-dim) D
+        *coords, ones = (sum(map(mul, row, X)) for row in zip(*cols))
+        if any(a < 0 or a > D for a in X) or any(coords) or ones != (k - 1 - dim) * D:
+            raise InfeasibleStart("chain point is not feasible")
+        D, X = walk_to_vertex(cols, D, X, [0] * k, [D] * k)
+        drop = next((p for p, a in enumerate(X) if a == 0), None)
         if drop is None:
             raise AssertionError("vertex without a zero coordinate; descent invariant broken")
-        order[k - 1] = active[drop]
-        active = active[:drop] + active[drop + 1:]
-        value = list(vertex[:drop] + vertex[drop + 1:])
+        order[k - 1] = active.pop(drop)
+        del cols[drop], X[drop]
     for pos, idx in enumerate(active):
         order[pos] = idx
     return tuple(order)

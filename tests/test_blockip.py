@@ -5,12 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from steinitz.linalg import (Matrix, ceil_sqrt, det, linf_norm, l1_norm, rank_of_vectors,
-                             solve_linear, vscale)
+from steinitz.linalg import (Matrix, ceil_sqrt, det, lcm_abs_dets, linf_norm, l1_norm,
+                             rank_of_vectors, solve_linear, vscale)
 from steinitz.lp import BoxLP, enum_integer_points, find_feasible, lp_solve
 from steinitz import blockip
 from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, PropertyViolation,
-                              cone_rays_K, decompose_bundle, decompose_u, decompose_x,
+                              block_bases, cone_rays_K, decompose_bundle, decompose_u, decompose_x,
                               feasible_bases, graver_enumerate, kernel_bound,
                               lift_point, lift_three_block, minimal_kernel_below,
                               omega1, proximity_report, reduce_kernel_point,
@@ -18,7 +18,7 @@ from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, Pro
                               split_max_kernel, conformal_leq)
 from steinitz.generate import GenerationError, gen_four_block
 from steinitz.oracles import brute_ilp
-from steinitz.verify import PIPELINE_SHAPES
+from steinitz.verify import PIPELINE_SHAPES, SUITES, run_suites
 
 
 def inst_1row(a0, c_entries, n=1):
@@ -211,7 +211,7 @@ def _ref_feasible_bases(Ai, Bi, x_hat):
         if all(-x >= 0 for x in solve_linear(D, rhs)):
             sols = [solve_linear(D, Bi.col(c)) for c in range(Bi.cols)]
             vmap = tuple(tuple(-sol[r] for sol in sols) for r in range(Ai.rows))
-            out.append(FeasibleBasis(cols, vmap))
+            out.append(FeasibleBasis(cols, vmap, int(det(D))))
     return out
 
 
@@ -240,8 +240,8 @@ def test_feasible_bases_matches_det_solve_reference():
 
 def test_cone_rays_t0_1():
     inst, pt = gen_pipeline((1, 1, 1, 1, 2), 1, 21)
-    bases = [feasible_bases(inst.A[i], inst.B[i], pt.x) for i in range(inst.n)]
-    rays, w2, gamma = cone_rays_K(inst, pt.x, bases)
+    tables = [block_bases(inst.A[i], inst.B[i]) for i in range(inst.n)]
+    rays, w2, gamma = cone_rays_K(inst, pt.x, tables)
     if rays:
         assert rays == ((gamma,),)
         assert w2 == gamma
@@ -609,3 +609,52 @@ def test_proximity_unbounded_lp_reported_distinctly():
     from steinitz.blockip import UnboundedRelaxation
     with _pytest.raises(UnboundedRelaxation):
         solve_four_block(inst, 1)
+
+
+def _reduce_workload_instances(seed):
+    """The instances of the benchmark's reduce workload at seed: two rounds
+    of lifted (1,1,1,1,n) instances and of PIPELINE_SHAPES draws, an empty
+    draw redrawn under a shifted seed."""
+    def draw(shape, base, **kw):
+        for sub in range(50):
+            try:
+                return gen_four_block(*shape, 1, base + 131 * sub, **kw)[0]
+            except GenerationError:
+                continue
+        raise RuntimeError(shape, base)
+
+    for base in (seed * 10_000, seed * 10_000 + 1000):
+        for j, n in enumerate((2, 3) * 4):
+            yield draw((1, 1, 1, 1, n), base + j, zero_a0=True, scale=8)
+        for r in range(14):
+            for i, shape in enumerate(PIPELINE_SHAPES):
+                yield draw(shape, base + 100 + r * len(PIPELINE_SHAPES) + i, zero_a0=True,
+                           scale=24)
+
+
+def test_gamma_from_block_bases_matches_lcm_abs_dets(monkeypatch):
+    checked = []
+    gamma = blockip._gamma
+
+    def compared(inst, tables):
+        got = gamma(inst, tables)
+        if got != lcm_abs_dets(inst.A, inst.s, entry_bound=inst.delta):
+            raise AssertionError("gamma differs from lcm_abs_dets")
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(blockip, "_gamma", compared)
+    lines, ok = run_suites(list(SUITES), 1)
+    assert ok, [line for line in lines if not line.startswith("ok")]
+    assert len(checked) >= 18 and max(checked) > 1, checked
+    for inst in _reduce_workload_instances(1):
+        compared(inst, [block_bases(inst.A[i], inst.B[i]) for i in range(inst.n)])
+    assert len(checked) >= 18 + 2 * (8 + 14 * len(PIPELINE_SHAPES))
+
+
+def test_gamma_hadamard_check_is_named():
+    # delta understated: det [[2, 0], [0, 2]] = 4 > 1^4 * 2^2 is caught
+    inst = gen_four_block(1, 2, 1, 2, 1, 1, 3, zero_a0=True, scale=24)[0]
+    big = blockip.FeasibleBasis((0, 1), ((F(0),), (F(0),)), 5)
+    with pytest.raises(PropertyViolation, match="hadamard-bound"):
+        blockip._gamma(inst, [[big]])

@@ -1,131 +1,36 @@
 """Differential tests of the integer vertex purification.
 
-``_reference_purify`` is the elimination and the walk over Fraction that
-``purify_to_vertex`` replaced, kept here as the oracle: on every seeded
-instance both must return the same vertex or raise the same error.  Given
-a ``trail`` list, it appends x after every move, so a test can see which
-walks it covers.
+``reference_purify`` (in purify_reference.py) is the elimination and the
+walk over Fraction that the integer walk replaced, kept as the oracle: on
+every seeded instance both must return the same vertex or raise the same
+error.  Given a ``trail`` list, it appends x after every move, so a test
+can see which walks it covers.  The rearrangement chain and the selection
+polytope run ``walk_to_vertex`` on their own integer state; they are
+checked against the pre-change code, which built a BoxLP per step.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import purify_reference
 import steinitz.colorful
 import steinitz.rearrange
+from purify_reference import order_chain, reference_feasible, reference_purify
+from steinitz.colorful import ColoredFamily, SubsetSelection, single_partial_sum
 from steinitz.generate import gen_zero_sum_family, gen_zero_sum_sequence
 from steinitz.linalg import Matrix, rank, rat
-from steinitz.lp import BoxLP, InfeasibleStart, NonPointedCone, purify_to_vertex
+from steinitz.lp import BoxLP, InfeasibleStart, NonPointedCone, purify_to_vertex, walk_to_vertex
 from steinitz.norms import L1_NORM, LINF_NORM
+from steinitz.rearrange import rearrangement_order
 
 ZERO, ONE = F(0), F(1)
-
-
-def _reference_feasible(lp: BoxLP, x) -> bool:
-    if len(x) != lp.M.cols:
-        return False
-    if lp.M.mul_vec(x) != tuple(lp.b):
-        return False
-    for xi, lo, hi in zip(x, lp.lower, lp.upper):
-        if lo is not None and xi < lo:
-            return False
-        if hi is not None and xi > hi:
-            return False
-    return True
-
-
-def _reference_purify(lp: BoxLP, x0, trail=None):
-    if not _reference_feasible(lp, tuple(x0)):
-        raise InfeasibleStart("starting point is not feasible")
-    M = lp.M
-    nrows = M.rows
-    x = [rat(v) for v in x0]
-
-    def is_tight(j):
-        return (lp.lower[j] is not None and x[j] == lp.lower[j]) or \
-               (lp.upper[j] is not None and x[j] == lp.upper[j])
-
-    basis = []
-
-    def reduce_column(c):
-        v = list(M.col(c)) if nrows else []
-        tag = {c: ONE}
-        for bc, red, btag, p in basis:
-            f = v[p] / red[p] if red[p] else ZERO
-            if f:
-                for i in range(nrows):
-                    if red[i]:
-                        v[i] -= f * red[i]
-                for k, coef in btag.items():
-                    tag[k] = tag.get(k, ZERO) - f * coef
-        return v, tag
-
-    def insert(c) -> bool:
-        v, tag = reduce_column(c)
-        pivot = next((i for i in range(nrows) if v[i] != 0), None)
-        if pivot is None:
-            return False
-        basis.append([c, v, tag, pivot])
-        return True
-
-    def kernel_direction(c):
-        v, tag = reduce_column(c)
-        if any(vi != 0 for vi in v):
-            return None, tag
-        return {k: coef for k, coef in tag.items() if coef != 0}, tag
-
-    pending = [j for j in range(M.cols) if not is_tight(j)]
-    idx = 0
-    while idx < len(pending):
-        c = pending[idx]
-        idx += 1
-        if is_tight(c):
-            continue
-        g, _ = kernel_direction(c)
-        if g is None:
-            insert(c)
-            continue
-
-        def max_step(sign):
-            best = None
-            for j, gj in g.items():
-                gj = sign * gj
-                if gj > 0:
-                    if lp.upper[j] is not None:
-                        t = (lp.upper[j] - x[j]) / gj
-                        best = t if best is None or t < best else best
-                elif gj < 0:
-                    if lp.lower[j] is not None:
-                        t = (x[j] - lp.lower[j]) / (-gj)
-                        best = t if best is None or t < best else best
-            return best
-
-        step = max_step(1)
-        sign = 1
-        if step is None:
-            step = max_step(-1)
-            sign = -1
-        if step is None:
-            raise NonPointedCone("feasible region contains a line through x")
-        for j, gj in g.items():
-            x[j] += sign * step * gj
-        if trail is not None:
-            trail.append(tuple(x))
-        tightened = [j for j in g if is_tight(j)]
-        if not tightened:
-            raise AssertionError("maximal move failed to tighten a bound")
-        removed_basic = [e for e in basis if e[0] in tightened]
-        if removed_basic:
-            keep = [e[0] for e in basis if e[0] not in tightened]
-            if c not in tightened:
-                keep.append(c)
-            basis.clear()
-            for col in keep:
-                if not insert(col):
-                    raise AssertionError("basis rebuild lost independence")
-    return tuple(x)
 
 
 def _outcome(fn, lp, x):
@@ -166,7 +71,7 @@ def test_integer_purify_matches_fraction_reference(big_denominators):
     seen = {"vertex": 0, "moved": 0, "NonPointedCone": 0, "rank_deficient": 0}
     for _ in range(600):
         lp, x = _random_lp(rng, big_denominators)
-        want = _outcome(_reference_purify, lp, x)
+        want = _outcome(reference_purify, lp, x)
         got = _outcome(purify_to_vertex, lp, x)
         assert got == want, (lp, x)
         if isinstance(want, str):
@@ -176,7 +81,7 @@ def test_integer_purify_matches_fraction_reference(big_denominators):
         seen["moved"] += want != x
         seen["rank_deficient"] += rank(lp.M) < lp.M.rows
         # a vertex is a fixed point of both
-        assert purify_to_vertex(lp, want) == want == _reference_purify(lp, want)
+        assert purify_to_vertex(lp, want) == want == reference_purify(lp, want)
     assert min(seen.values()) >= 10, seen
 
 
@@ -187,7 +92,7 @@ def test_integer_purify_infeasible_start_matches_reference():
         lp, x = _random_lp(rng, True)
         j = rng.randrange(len(x))
         bad = x[:j] + (x[j] + F(1, 10**6 + 3),) + x[j + 1:]
-        want = _outcome(_reference_purify, lp, bad)
+        want = _outcome(reference_purify, lp, bad)
         assert _outcome(purify_to_vertex, lp, bad) == want
         rejected += want == "InfeasibleStart"
     assert rejected >= 100
@@ -198,11 +103,11 @@ def test_integer_feasibility_check_agrees_with_fraction_product():
     verdicts = set()
     for _ in range(400):
         lp, x = _random_lp(rng, rng.random() < 0.5)
-        assert lp.is_feasible_point(x) and _reference_feasible(lp, x)
+        assert lp.is_feasible_point(x) and reference_feasible(lp, x)
         j = rng.randrange(len(x))
         for delta in (F(1), F(-1, 3), F(1, 2**61 - 1)):
             bad = x[:j] + (x[j] + delta,) + x[j + 1:]
-            want = _reference_feasible(lp, bad)
+            want = reference_feasible(lp, bad)
             assert lp.is_feasible_point(bad) == want
             verdicts.add(want)
         assert not lp.is_feasible_point(x[:-1])
@@ -234,7 +139,7 @@ def _walk(lp, x0):
     content h.  The integer walk's g is primitive, so den is the lcm of the
     denominators of D*x after the move."""
     trail = [tuple(rat(v) for v in x0)]
-    vertex = _reference_purify(lp, x0, trail)
+    vertex = reference_purify(lp, x0, trail)
     steps = []
     for before, after in zip(trail, trail[1:]):
         D = _common_denominator(lp, before)
@@ -293,7 +198,7 @@ def test_one_sided_bounds_force_the_minus_direction():
         lp = _lp_through(rows, x, lower, [None] * n)
         trail = [tuple(x)]
         got = _outcome(purify_to_vertex, lp, x)
-        assert got == _outcome(lambda lp, x: _reference_purify(lp, x, trail), lp, x)
+        assert got == _outcome(lambda lp, x: reference_purify(lp, x, trail), lp, x)
         for before, after in zip(trail, trail[1:]):
             # no coordinate can rise along -g when g >= 0 blocks nothing on +
             rose = any(b < a for b, a in zip(before, after))
@@ -306,7 +211,7 @@ def test_mirrored_bounds_take_the_minus_direction():
     # x1 = 2 x0: along g = (1, 2) nothing bounds +, the lower bounds stop -
     lp = BoxLP(Matrix.from_rows([[F(2), F(-1)]]), (F(0),), (F(1, 3), F(-5, 7)), (None, None))
     x = (F(3, 2), F(3))
-    assert purify_to_vertex(lp, x) == _reference_purify(lp, x) == (F(1, 3), F(2, 3))
+    assert purify_to_vertex(lp, x) == reference_purify(lp, x) == (F(1, 3), F(2, 3))
 
 
 def test_several_steps_with_growing_denominator():
@@ -327,33 +232,159 @@ def test_several_steps_with_growing_denominator():
     assert long_walks >= 80, long_walks
 
 
-def _checked_purify(calls):
-    def purify(lp, x0):
-        got = purify_to_vertex(lp, x0)
-        assert got == _reference_purify(lp, x0)
-        calls.append(len(x0))
-        return got
-    return purify
+def test_basis_prefix_survives_a_tightened_basic_column():
+    # a tightened basic column keeps the basis entries before it and inserts
+    # the later ones again; the reference rebuilds the whole basis
+    rng = random.Random(34)
+    tightened = kept_prefix = 0
+    for _ in range(400):
+        n, r = rng.randint(5, 10), rng.randint(2, 4)
+        rows = [[F(rng.randint(-6, 6), rng.choice((1, 3, 4))) for _ in range(n)]
+                for _ in range(r)]
+        lower = [F(rng.randint(-2, 0), rng.choice((1, 5))) for _ in range(n)]
+        upper = [lo + F(rng.randint(1, 9), rng.choice((2, 7, 11))) for lo in lower]
+        x = [lo + (hi - lo) * F(rng.randint(1, 12), 13) for lo, hi in zip(lower, upper)]
+        lp = _lp_through(rows, x, lower, upper)
+        rebuilds = []
+        assert purify_to_vertex(lp, x) == reference_purify(lp, x, rebuilds=rebuilds)
+        tightened += bool(rebuilds)
+        kept_prefix += any(0 < first < size - 1 for first, size in rebuilds)
+    assert tightened >= 300 and kept_prefix >= 150, (tightened, kept_prefix)
 
 
-def test_rearrangement_chain_lps_match_reference(monkeypatch):
+def _count_walks(monkeypatch, module):
+    """Count the walk_to_vertex calls made from module; each must start
+    over a positive denominator."""
     calls = []
-    monkeypatch.setattr(steinitz.rearrange, "purify_to_vertex", _checked_purify(calls))
-    for seed, (d, m, norm, denom) in enumerate(((2, 12, LINF_NORM, 16), (3, 10, L1_NORM, 1024),
-                                                (4, 9, LINF_NORM, 7), (2, 14, L1_NORM, 3))):
-        seq = gen_zero_sum_sequence(d, m, norm, 700 + seed, denom)
-        steinitz.rearrange.rearrangement_order(seq.vectors, d)
-    assert len(calls) == (12 - 2) + (10 - 3) + (9 - 4) + (14 - 2)
+
+    def walk(cols, D, X, LO, HI):
+        assert D > 0
+        calls.append(len(X))
+        return walk_to_vertex(cols, D, X, LO, HI)
+
+    monkeypatch.setattr(module, "walk_to_vertex", walk)
+    return calls
 
 
-def test_selection_polytope_lps_match_reference(monkeypatch):
-    calls = []
-    monkeypatch.setattr(steinitz.colorful, "purify_to_vertex", _checked_purify(calls))
-    for seed, (d, n, m) in enumerate(((2, 3, 5), (3, 4, 4), (1, 5, 6))):
-        fam = gen_zero_sum_family(d, n, m, (LINF_NORM, L1_NORM)[seed % 2], 800 + seed)
-        for k in range(m + 1):
-            steinitz.colorful.single_partial_sum(fam, k)
-    assert len(calls) == 6 + 5 + 7
+def _chain_cases():
+    """(d, vectors): seeded zero-sum sequences for d = 2..5 under both
+    norms and denominators 3, 16 and 1024, m up to 70, and sequences that
+    repeat a few vectors many times."""
+    rng = random.Random(700)
+    for d in range(2, 6):
+        for norm in (LINF_NORM, L1_NORM):
+            for i, denom in enumerate((3, 16, 1024)):
+                m = (10, 25, 40)[(d + i) % 3]
+                yield d, gen_zero_sum_sequence(d, m, norm, rng.randrange(10**6), denom).vectors
+        yield d, gen_zero_sum_sequence(d, 70, LINF_NORM, rng.randrange(10**6), 16).vectors
+        base = gen_zero_sum_sequence(d, rng.randint(3, 5), L1_NORM, rng.randrange(10**6), 16)
+        repeated = list(base.vectors) * rng.randint(4, 8)
+        rng.shuffle(repeated)
+        yield d, tuple(repeated)
+        v = base.vectors[0]
+        yield d, (v, tuple(-x for x in v)) * 12
+
+
+def test_rearrangement_chain_matches_reference(monkeypatch):
+    walks = _count_walks(monkeypatch, steinitz.rearrange)
+    steps = 0
+    for d, vectors in _chain_cases():
+        assert rearrangement_order(vectors, d) == order_chain(vectors, d)
+        steps += len(vectors) - d
+    assert len(walks) == steps
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_rearrangement_order_one_step_chain(monkeypatch, d):
+    # m = d + 1: one chain step, from the point 1/m to the vertex 0
+    walks = _count_walks(monkeypatch, steinitz.rearrange)
+    for seed in range(5):
+        vectors = gen_zero_sum_sequence(d, d + 1, L1_NORM, 900 + seed, 16).vectors
+        order = rearrangement_order(vectors, d)
+        assert order == order_chain(vectors, d)
+        assert sorted(order) == list(range(d + 1)) and order[-1] == 0
+    assert walks == [d + 1] * 5
+
+
+def test_corrupted_chain_start_raises_infeasible_start(monkeypatch):
+    # not zero-sum: the first start point is off V x = 0
+    vectors = ((F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1, 2)))
+    with pytest.raises(InfeasibleStart, match="^chain point is not feasible$"):
+        rearrangement_order(vectors, 2)
+
+    # a vertex pushed off the sum row: the next step's start check fails
+    def corrupted(cols, D, X, LO, HI):
+        D, X = walk_to_vertex(cols, D, X, LO, HI)
+        return D, X[:-1] + [X[-1] + D]
+
+    monkeypatch.setattr(steinitz.rearrange, "walk_to_vertex", corrupted)
+    seq = gen_zero_sum_sequence(2, 8, LINF_NORM, 5, 16)
+    with pytest.raises(InfeasibleStart, match="^chain point is not feasible$"):
+        rearrangement_order(seq.vectors, 2)
+
+
+def test_corrupted_chain_start_raises_under_python_O():
+    code = ("import steinitz.rearrange as r\n"
+            "walk = r.walk_to_vertex\n"
+            "def corrupted(cols, D, X, LO, HI):\n"
+            "    D, X = walk(cols, D, X, LO, HI)\n"
+            "    return D, X[:-1] + [X[-1] + D]\n"
+            "r.walk_to_vertex = corrupted\n"
+            "from steinitz.generate import gen_zero_sum_sequence\n"
+            "from steinitz.norms import LINF_NORM\n"
+            "try:\n"
+            "    r.rearrangement_order(gen_zero_sum_sequence(2, 8, LINF_NORM, 5, 16).vectors, 2)\n"
+            "except r.InfeasibleStart as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out == "chain point is not feasible\n"
+
+
+def _selection_families():
+    rng = random.Random(800)
+    for d in range(1, 5):
+        for norm in (LINF_NORM, L1_NORM):
+            for denom in (3, 16, 1024):
+                n, m = rng.randint(1, 6), rng.randint(1, 8)
+                yield gen_zero_sum_family(d, n, m, norm, rng.randrange(10**6), denom)
+
+
+def test_selection_matches_reference(monkeypatch):
+    walks = _count_walks(monkeypatch, steinitz.colorful)
+    selections = 0
+    for fam in _selection_families():
+        for k in range(fam.length + 1):
+            got = single_partial_sum(fam, k)
+            assert got == purify_reference.single_partial_sum(fam, k)
+            assert type(got.achieved) is F
+            selections += 1
+    assert len(walks) == selections
+
+
+@pytest.mark.parametrize("colors,length", [(3, 0), (0, 3), (0, 0)])
+def test_selection_without_variables_never_walks(monkeypatch, colors, length):
+    # no variables: m = 0 would start the walk over D = 0
+    walks = _count_walks(monkeypatch, steinitz.colorful)
+    fam = ColoredFamily(2, colors, length, ((),) * colors, LINF_NORM)
+    for k in range(length + 1):
+        got = single_partial_sum(fam, k)
+        assert got == purify_reference.single_partial_sum(fam, k)
+        assert got == SubsetSelection(((),) * colors, k, ZERO)
+    assert walks == []
+    with pytest.raises(ValueError, match="k out of range"):
+        single_partial_sum(fam, length + 1)
+
+
+def test_selection_of_nothing_and_everything():
+    for fam in _selection_families():
+        none, every = single_partial_sum(fam, 0), single_partial_sum(fam, fam.length)
+        assert none.index_sets == ((),) * fam.colors and none.achieved == 0
+        assert every.index_sets == (tuple(range(fam.length)),) * fam.colors
+        assert every.achieved == 0  # the whole family is zero-sum
 
 
 def _start_lp():
@@ -376,7 +407,7 @@ def _start_lp():
 ])
 def test_start_check_matches_reference(x, feasible):
     lp = _start_lp()
-    want = _outcome(_reference_purify, lp, x)
+    want = _outcome(reference_purify, lp, x)
     assert (want != "InfeasibleStart") == feasible == lp.is_feasible_point(x)
     if feasible:
         assert purify_to_vertex(lp, x) == want
@@ -389,5 +420,5 @@ def test_float_start_is_accepted():
     lp = _start_lp()
     x = (0.5, 0.25, 0.25)
     got = purify_to_vertex(lp, x)
-    assert got == _reference_purify(lp, x) == purify_to_vertex(lp, tuple(map(F, x)))
+    assert got == reference_purify(lp, x) == purify_to_vertex(lp, tuple(map(F, x)))
     assert all(type(v) is F for v in got)
