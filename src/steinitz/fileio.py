@@ -235,27 +235,3 @@ def read_point(path: str, inst: FourBlockInstance) -> KernelPoint:
     toks.end()
     return KernelPoint(x, y)
 
-
-def read_instance(path: str):
-    """Read either instance format, dispatching on the header token."""
-    with open(path) as fh:
-        toks = _Tokens(fh.read())
-    head = toks.peek()
-    if head is None:
-        raise ParseError(1, 1, "empty instance file")
-    if head[0] == "colorful":
-        return read_family(path)
-    if head[0] == "fourblock":
-        return read_fourblock(path)
-    raise ParseError(head[1], head[2],
-                     f"unknown instance header {head[0]!r}")
-
-
-def write_instance(obj, path: str):
-    """Write a family or a 4-block instance in its canonical format."""
-    if isinstance(obj, ColoredFamily):
-        write_family(obj, path)
-    elif isinstance(obj, FourBlockInstance):
-        write_fourblock(obj, path)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")

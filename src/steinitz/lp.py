@@ -3,7 +3,9 @@
 Values are Fraction at the BoxLP interface.  Vertex purification has an
 integer core, ``walk_to_vertex``: it takes the constraint columns as
 integer tuples and x and the bounds as integers over one common
-denominator, eliminates fraction-free and returns the vertex in the same
+denominator, keeps the inverse of its basis fraction-free (an integer
+matrix and a scalar, updated by one Bareiss pivot per entering or
+exchanged column), checks its vertex exactly and returns it in the same
 form.  ``purify_to_vertex`` is its BoxLP boundary; the rearrangement chain
 and the selection polytope call the core directly and carry their point
 in integers from step to step.  The simplex is a bounded-variable tableau
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
 from operator import mul
 
 from .linalg import (Matrix, Vec, ZERO, ONE, _echelon, _pivot, rat, primitive_integer_vector,
@@ -32,6 +33,10 @@ class LPError(Exception):
 
 class InfeasibleStart(LPError):
     """The start point of a vertex walk is not feasible."""
+
+
+class WalkCheckFailed(LPError):
+    """The vertex walk failed one of its own exact checks."""
 
 
 class NonPointedCone(LPError):
@@ -117,32 +122,61 @@ class LPResult:
 # vertex purification
 
 
+def _bareiss_step(T, t, p, delta):
+    """One fraction-free pivot on row p of T for the column whose image
+    under T is t: row p stays, every other row i becomes
+    (t_p T_i - t_i T_p) / delta, and t_p is returned as the new delta.
+    The divisions are exact: T is delta times the inverse of the basic
+    columns completed by unit columns to an R x R matrix, and delta is plus
+    or minus that matrix's determinant, so T is plus or minus its adjugate,
+    before the step and after it."""
+    tp, Tp = t[p], T[p]
+    for i, ti in enumerate(t):
+        if i == p:
+            continue
+        if ti:
+            T[i] = [(tp * a - ti * b) // delta for a, b in zip(T[i], Tp)]
+        elif tp != delta:  # a row with t_i = 0 is only rescaled by t_p / delta
+            T[i] = [tp * a // delta for a in T[i]]
+    return tp
+
+
 def walk_to_vertex(cols, D: int, X, LO, HI):
     """Walk from the feasible point X/D to a vertex; returns (D, X) there.
 
     The polytope is {x : A x = b, LO/D <= x <= HI/D}, with cols the columns
     of A as integer tuples; b is implied by the start point.  X, LO and HI
     are integer lists over the positive common denominator D, an absent
-    bound being None.  The caller checks that X/D is feasible.
+    bound being None.  The caller checks that X/D is feasible; the walk
+    checks its vertex, exactly and once, against the start (A X over D is
+    unchanged, every bound holds) and raises WalkCheckFailed otherwise.
 
     Repeatedly finds a kernel direction g of A supported on the coordinates
     strictly inside their bounds and moves maximally until a bound becomes
-    tight.  Columns are streamed once through an incremental fraction-free
-    elimination, so the cost is roughly one Gaussian pass over the interior
-    columns.  g is fixed up to a factor by the basis set and the entering
-    column; primitive and positive on that column, it gives exactly the
-    steps and the vertex of elimination over Fraction, and scaling a row of
-    A changes neither.  The bounds are held once over their own least
-    denominator DB, and D = DB*s: a step of num/den (lowest terms, in units
-    of 1/D) maps X to den*X + num*g and s to den*s, and then X and s are
-    divided by their common factor.  A step with den = 1 leaves D as it
-    was and is not divided back; D need not be least, since every choice
-    of the walk compares ratios, which do not depend on it.  When a basic
-    column tightens, the basis entries before it are kept, since each
-    entry is reduced only against the entries before it, and the later
-    ones are inserted again.
+    tight.  The basis B (r independent interior columns) is held as an
+    integer R x R matrix T and a scalar delta with T A_B = delta [I_r; 0],
+    R the number of rows: T is delta times the inverse of A_B completed by
+    unit columns to a basis, fraction-free.  An entering column c costs one
+    product t = T a_c.  If some t_i with i >= r is nonzero, c is
+    independent and enters by one Bareiss step on that row (swapped to row
+    r).  Otherwise delta a_c = A_B t[:r], so g is delta on c and -t[:r] on
+    B.  When one basic column tightens and c does not, c takes its place by
+    one Bareiss step on its row; any other tightening of basic columns
+    builds T again from the surviving columns.  g is fixed by the basis set
+    and c up to a factor (the kernel of [A_B a_c] is a line); primitive and
+    positive on c, it gives exactly the steps and the vertex of elimination
+    over Fraction, whatever the order of B, and scaling a row of A changes
+    neither.  The bounds are held once over their own least denominator
+    DB, and D = DB*s: a step of num/den (lowest terms, in units of 1/D)
+    maps X to den*X + num*g and s to den*s, and then X and s are divided by
+    their common factor.  A step with den = 1 leaves D as it was and is not
+    divided back; D need not be least, since every choice of the walk
+    compares ratios, which do not depend on it.
     """
     n = len(cols)
+    rows = list(zip(*cols))
+    R = len(rows)
+    D0, AX0 = D, [sum(map(mul, row, X)) for row in rows]
     X = list(X)
     # the bounds stay fixed over DB = D/s, with s the gcd of D and the finite
     # bounds, while X moves over D = DB*s: a step rescales X and s only
@@ -155,50 +189,47 @@ def walk_to_vertex(cols, D: int, X, LO, HI):
         lo, hi = LO[j], HI[j]
         return (lo is not None and X[j] == lo * s) or (hi is not None and X[j] == hi * s)
 
-    # basis entries: [col, reduced column, tag, pivot row]; entry k's tag holds
-    # its coefficients over the columns of basis[0..k], its own last
-    basis: list[list] = []
+    # T A_B = delta [I_r; 0]: row k < r of T belongs to basis[k], and the rows
+    # from r on vanish on every basic column; set by build_basis
+    T = delta = basis = None
 
-    def reduce_column(c):
-        """Reduce raw column c against the basis; returns (residual, tag), both
-        integer and primitive together, the tag's last entry on c."""
-        v = cols[c]
-        tag = [0] * len(basis) + [1]
-        for _, red, btag, p in basis:
-            f = v[p]
-            if f:
-                rp = red[p]
-                v = [rp * a - f * r for a, r in zip(v, red)]
-                tag = [rp * t - f * bt for t, bt in zip_longest(tag, btag, fillvalue=0)]
-                g = math.gcd(*v, *tag)
-                if g != 1:
-                    v = [a // g for a in v]
-                    tag = [t // g for t in tag]
-        return v, tag
+    def insert(c):
+        """Add column c to the basis if it is independent of it; returns
+        T a_c when it is not."""
+        nonlocal delta
+        col = cols[c]
+        t = [sum(map(mul, row, col)) for row in T]
+        r = len(basis)
+        i = next((i for i in range(r, R) if t[i]), None)
+        if i is None:
+            return t
+        T[r], T[i], t[r], t[i] = T[i], T[r], t[i], t[r]
+        delta = _bareiss_step(T, t, r, delta)
+        basis.append(c)
+        return None
 
-    def insert(c, v, tag) -> bool:
-        """Add column c, reduced to (v, tag), to the basis; False means c is
-        dependent."""
-        pivot = next((i for i, a in enumerate(v) if a), None)
-        if pivot is None:
-            return False
-        basis.append([c, v, tag, pivot])
-        return True
+    def build_basis(columns):
+        nonlocal T, delta, basis
+        T = [[int(i == j) for j in range(R)] for i in range(R)]
+        delta, basis = 1, []
+        for c in columns:
+            if insert(c) is not None:
+                raise WalkCheckFailed("basis rebuild lost independence")
 
-    pending = [j for j in range(n) if not is_tight(j)]
-    idx = 0
-    while idx < len(pending):
-        c = pending[idx]
-        idx += 1
+    build_basis(())
+    # a column tight at the start never enters a direction, so it stays tight
+    for c in range(n):
         if is_tight(c):
             continue
-        v, tag = reduce_column(c)
-        if insert(c, v, tag):
+        t = insert(c)
+        if t is None:
             continue
-        if tag[-1] < 0:  # orient g positive on c, as Fraction elimination does
-            tag = [-t for t in tag]
-        g = {c: tag[-1]}
-        g.update((e[0], t) for e, t in zip(basis, tag) if t)
+        # primitive and positive on c, as Fraction elimination gives it
+        h = math.gcd(delta, *t[:len(basis)])
+        if delta < 0:
+            h = -h
+        g = {c: delta // h}
+        g.update((b, -tb // h) for b, tb in zip(basis, t) if tb)
 
         # line search along +g / -g for the first finite blocking bound; the
         # step to bound j is gap/rate in units of 1/D, kept as the pair
@@ -236,19 +267,23 @@ def walk_to_vertex(cols, D: int, X, LO, HI):
         if h != 1:
             X = [a // h for a in X]
             s //= h
-        tightened = {j for j in g if is_tight(j)}
-        if not tightened:
-            raise AssertionError("maximal move failed to tighten a bound")
-        first = next((k for k, e in enumerate(basis) if e[0] in tightened), None)
-        if first is not None:
-            again = [e[0] for e in basis[first + 1:] if e[0] not in tightened]
-            if c not in tightened:
-                again.append(c)
-            del basis[first:]
-            for col in again:
-                if not insert(col, *reduce_column(col)):
-                    raise AssertionError("basis rebuild lost independence")
-    return DB * s, X
+        left = [k for k, b in enumerate(basis) if is_tight(b)]
+        stays = not is_tight(c)
+        if not left and stays:
+            raise WalkCheckFailed("maximal move failed to tighten a bound")
+        if len(left) == 1 and stays:
+            # one exchange: c enters in the row of the column that left
+            delta = _bareiss_step(T, t, left[0], delta)
+            basis[left[0]] = c
+        elif left:
+            build_basis([b for b in basis if not is_tight(b)] + ([c] if stays else []))
+    D = DB * s
+    if [a * D0 for a in (sum(map(mul, row, X)) for row in rows)] != [a * D for a in AX0]:
+        raise WalkCheckFailed("vertex left the affine space A x = b")
+    if any((lo is not None and x < lo * s) or (hi is not None and x > hi * s)
+           for x, lo, hi in zip(X, LO, HI)):
+        raise WalkCheckFailed("vertex left its bounds")
+    return D, X
 
 
 def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:

@@ -32,11 +32,13 @@ def reference_feasible(lp: BoxLP, x) -> bool:
     return True
 
 
-def reference_purify(lp: BoxLP, x0, trail=None, rebuilds=None):
+def reference_purify(lp: BoxLP, x0, trail=None, rebuilds=None, paths=None):
     """The vertex of the walk over Fraction.  Given a trail list, x is
     appended after every move; given a rebuilds list, (position of the
     first tightened basic column, basis size) is appended at every basis
-    rebuild."""
+    rebuild; given a paths list, each rebuild appends "exchange" when one
+    basic column tightened and the entering column did not (one column
+    leaves, the entering one takes its place) and "rebuild" otherwise."""
     if not reference_feasible(lp, tuple(x0)):
         raise InfeasibleStart("starting point is not feasible")
     M = lp.M
@@ -120,6 +122,9 @@ def reference_purify(lp: BoxLP, x0, trail=None, rebuilds=None):
         if removed_basic:
             if rebuilds is not None:
                 rebuilds.append((basis.index(removed_basic[0]), len(basis)))
+            if paths is not None:
+                exchange = len(removed_basic) == 1 and c not in tightened
+                paths.append("exchange" if exchange else "rebuild")
             keep = [e[0] for e in basis if e[0] not in tightened]
             if c not in tightened:
                 keep.append(c)

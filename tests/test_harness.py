@@ -339,21 +339,6 @@ def test_cli_reduce_scaled_point_end_to_end(tmp_path):
     assert all(v == 0 for v in inst.H_matrix().mul_vec(tuple(found)))
 
 
-def test_read_write_instance_dispatch(tmp_path):
-    from steinitz.fileio import read_instance, write_instance
-    fam = gen_zero_sum_family(2, 2, 3, LINF_NORM, 15)
-    inst, _ = gen_four_block(1, 1, 1, 1, 2, 1, 15)
-    f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_instance(fam, str(f1))
-    write_instance(inst, str(f2))
-    assert read_instance(str(f1)) == fam
-    assert read_instance(str(f2)) == inst
-    bad = tmp_path / "c.txt"
-    bad.write_text("mystery 1 2 3\n")
-    with pytest.raises(ParseError):
-        read_instance(str(bad))
-
-
 @pytest.mark.parametrize("kind", ["family", "fourblock", "point"])
 def test_trailing_input_rejected(tmp_path, kind):
     fam = gen_zero_sum_family(2, 1, 3, LINF_NORM, 5)

@@ -9,6 +9,7 @@ polytope run ``walk_to_vertex`` on their own integer state; they are
 checked against the pre-change code, which built a BoxLP per step.
 """
 
+import collections
 import math
 import os
 import random
@@ -26,7 +27,9 @@ from purify_reference import order_chain, reference_feasible, reference_purify
 from steinitz.colorful import ColoredFamily, SubsetSelection, single_partial_sum
 from steinitz.generate import gen_zero_sum_family, gen_zero_sum_sequence
 from steinitz.linalg import Matrix, rank, rat
-from steinitz.lp import BoxLP, InfeasibleStart, NonPointedCone, purify_to_vertex, walk_to_vertex
+import steinitz.lp
+from steinitz.lp import (BoxLP, InfeasibleStart, NonPointedCone, WalkCheckFailed, _bareiss_step,
+                         purify_to_vertex, walk_to_vertex)
 from steinitz.norms import L1_NORM, LINF_NORM
 from steinitz.rearrange import rearrangement_order
 
@@ -233,8 +236,11 @@ def test_several_steps_with_growing_denominator():
 
 
 def test_basis_prefix_survives_a_tightened_basic_column():
-    # a tightened basic column keeps the basis entries before it and inserts
-    # the later ones again; the reference rebuilds the whole basis
+    # walks where basic columns tighten, most often one strictly inside the
+    # basis (neither its first nor its last column): the integer walk then
+    # updates the basis inverse by one exchange pivot on that column's row,
+    # which changes the rows above and below it, or builds it again from the
+    # surviving columns; the reference rebuilds its whole basis every time
     rng = random.Random(34)
     tightened = kept_prefix = 0
     for _ in range(400):
@@ -250,6 +256,216 @@ def test_basis_prefix_survives_a_tightened_basic_column():
         tightened += bool(rebuilds)
         kept_prefix += any(0 < first < size - 1 for first, size in rebuilds)
     assert tightened >= 300 and kept_prefix >= 150, (tightened, kept_prefix)
+
+
+# ---------------------------------------------------------------------------
+# the basis inverse: exchange pivots, rebuilds and the walk's own checks
+
+
+def test_exchange_and_rebuild_paths_match_reference():
+    # the 0/1 box, small integer rows and starts at thirds make many moves
+    # tighten several bounds at once; the reference logs each rebuild as an
+    # exchange (one basic column leaves, the entering one stays free: one
+    # pivot of the basis inverse) or a rebuild (the inverse is built again)
+    rng = random.Random(41)
+    paths, walks = collections.Counter(), collections.Counter()
+    for _ in range(300):
+        n, r = rng.randint(4, 9), rng.randint(1, 4)
+        rows = [[F(rng.choice((-1, 0, 1, 1, 2))) for _ in range(n)] for _ in range(r)]
+        x = [F(rng.choice((1, 1, 1, 2)), 3) for _ in range(n)]
+        lp = _lp_through(rows, x, [ZERO] * n, [ONE] * n)
+        log = []
+        assert purify_to_vertex(lp, x) == reference_purify(lp, x, paths=log)
+        paths.update(log)
+        walks.update(set(log))
+    assert paths["exchange"] >= 400 and paths["rebuild"] >= 200, paths
+    assert walks["exchange"] >= 200 and walks["rebuild"] >= 150, walks
+
+
+@pytest.mark.parametrize("shape", ["hyperplane", "duplicated rows"])
+def test_rank_deficient_columns_match_reference(shape):
+    # more rows than the rank: T must find the dependent columns from the
+    # rows below r, which never all vanish on an independent column
+    rng = random.Random(42 + (shape == "hyperplane"))
+    moved = paths = 0
+    for _ in range(200):
+        n, r = rng.randint(3, 8), rng.randint(2, 4)
+        rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(r - 1)]
+        if shape == "hyperplane":
+            # every column is orthogonal to (w, 1)
+            w = [F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in rows]
+            rows.append([-sum(wi * row[j] for wi, row in zip(w, rows)) for j in range(n)])
+        else:
+            rows.insert(rng.randrange(r), list(rows[rng.randrange(r - 1)]))
+        lower = [F(rng.randint(-2, 0)) for _ in range(n)]
+        upper = [lo + rng.randint(1, 2) for lo in lower]
+        x = [lo + (hi - lo) * F(rng.randint(1, 6), 7) for lo, hi in zip(lower, upper)]
+        lp = _lp_through(rows, x, lower, upper)
+        assert rank(lp.M) < lp.M.rows
+        log = []
+        vertex = purify_to_vertex(lp, x)
+        assert vertex == reference_purify(lp, x, paths=log)
+        moved += vertex != tuple(x)
+        paths += len(log)
+    assert moved >= 150 and paths >= 100, (moved, paths)
+
+
+def _bounds(rng, n):
+    """Seeded bounds with each side present or absent."""
+    pairs = [rng.choice(((F(-1), F(2)), (F(-1), None), (None, F(2)), (None, None)))
+             for _ in range(n)]
+    return [lo for lo, _ in pairs], [hi for _, hi in pairs]
+
+
+def test_zero_row_lps_match_reference():
+    # no rows: every column is dependent on the empty basis, so each
+    # coordinate moves to its upper bound, or to its lower bound when it has
+    # none, and a coordinate with neither is a line
+    rng = random.Random(44)
+    seen = collections.Counter()
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        lower, upper = _bounds(rng, n)
+        x = tuple(F(rng.randint(-2, 4), 3) for _ in range(n))
+        x = tuple(max(v, lo) if lo is not None else v for v, lo in zip(x, lower))
+        x = tuple(min(v, hi) if hi is not None else v for v, hi in zip(x, upper))
+        lp = BoxLP(Matrix.zeros(0, n), (), tuple(lower), tuple(upper))
+        got = _outcome(purify_to_vertex, lp, x)
+        assert got == _outcome(reference_purify, lp, x)
+        if any(lo is None and hi is None for lo, hi in zip(lower, upper)):
+            assert got == "NonPointedCone"
+        else:
+            assert got == tuple(lo if hi is None else hi for lo, hi in zip(lower, upper))
+        seen[isinstance(got, str)] += 1
+    assert min(seen[True], seen[False]) >= 40, seen
+
+
+def test_one_sided_and_absent_bounds_match_reference():
+    rng = random.Random(45)
+    seen = collections.Counter()
+    for _ in range(300):
+        n, r = rng.randint(2, 7), rng.randint(1, 3)
+        rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(r)]
+        lower, upper = _bounds(rng, n)
+        x = [(F(0) if lo is None else lo) + F(rng.randint(0, 6), 4) for lo in lower]
+        x = [v if hi is None else min(v, hi) for v, hi in zip(x, upper)]
+        lp = _lp_through(rows, x, lower, upper)
+        got = _outcome(purify_to_vertex, lp, x)
+        assert got == _outcome(reference_purify, lp, x)
+        if isinstance(got, str):
+            seen[got] += 1
+        else:
+            # a coordinate with no bound can end a walk only as a basic column
+            seen["free basic"] += any(lo is None and hi is None
+                                      for lo, hi in zip(lower, upper))
+            seen["vertex"] += 1
+    assert min(seen.values()) >= 40 and len(seen) == 3, seen
+
+
+@pytest.mark.parametrize("nrows", [0, 1, 3])
+def test_single_column_matches_reference(nrows):
+    # n = 1: a nonzero column is basic and x cannot move; a zero column (or
+    # no rows) moves x to its upper bound, else its lower one, else a line
+    columns = [(0,) * nrows]
+    if nrows:
+        columns += [tuple(range(1, nrows + 1)), (0,) * (nrows - 1) + (-2,)]
+    for entries in columns:
+        for lo, hi in ((ZERO, ONE), (ZERO, None), (None, ONE), (None, None)):
+            x = (F(1, 2),)
+            M = Matrix.from_rows([[F(a)] for a in entries]) if nrows else Matrix.zeros(0, 1)
+            lp = BoxLP(M, M.mul_vec(x), (lo,), (hi,))
+            got = _outcome(purify_to_vertex, lp, x)
+            assert got == _outcome(reference_purify, lp, x)
+            if any(entries):
+                assert got == x
+            else:
+                assert got == ((hi if hi is not None else lo,) if (lo, hi) != (None, None)
+                               else "NonPointedCone")
+
+
+def test_bareiss_divisions_are_exact(monkeypatch):
+    # T stays plus or minus the adjugate of the basis completed by unit
+    # columns, so no division of a Bareiss step leaves a remainder
+    divisions = 0
+
+    def checked(T, t, p, delta):
+        nonlocal divisions
+        Tp = T[p]
+        for i, (row, ti) in enumerate(zip(T, t)):
+            if i != p:
+                for a, b in zip(row, Tp):
+                    assert divmod(t[p] * a - ti * b, delta)[1] == 0
+                    divisions += 1
+        return _bareiss_step(T, t, p, delta)
+
+    monkeypatch.setattr(steinitz.lp, "_bareiss_step", checked)
+    rng = random.Random(47)
+    for _ in range(300):
+        lp, x = _random_lp(rng, rng.random() < 0.5)
+        assert _outcome(purify_to_vertex, lp, x) == _outcome(reference_purify, lp, x)
+    for d, m in ((3, 30), (5, 30)):
+        vectors = gen_zero_sum_sequence(d, m, LINF_NORM, 48 + d, 16).vectors
+        assert rearrangement_order(vectors, d) == order_chain(vectors, d)
+    fam = gen_zero_sum_family(3, 6, 12, L1_NORM, 49, 16)
+    assert single_partial_sum(fam, 5) == purify_reference.single_partial_sum(fam, 5)
+    assert divisions >= 15_000, divisions
+
+
+def _doubling_step(T, t, p, delta):
+    """A corrupted Bareiss step: T right, the new delta doubled."""
+    return 2 * _bareiss_step(T, t, p, delta)
+
+
+def test_corrupted_vertex_is_rejected(monkeypatch):
+    # with delta doubled, the first direction is -1 on x0 and 2 on x1, off the
+    # kernel of x0 + x1 + x2, and the walk ends at (0, 1, 1/3), off the sum row
+    x = (F(1, 3),) * 3
+    lp = _lp_through([[1, 1, 1]], x, [ZERO] * 3, [ONE] * 3)
+    assert purify_to_vertex(lp, x) == reference_purify(lp, x) == (ZERO, ZERO, ONE)
+    monkeypatch.setattr(steinitz.lp, "_bareiss_step", _doubling_step)
+    with pytest.raises(WalkCheckFailed, match="^vertex left the affine space A x = b$"):
+        purify_to_vertex(lp, x)
+    # seeded LPs: a corrupted walk either raises the named check or still
+    # ends on a feasible point
+    rng = random.Random(46)
+    rejected = 0
+    for _ in range(100):
+        lp, x = _random_lp(rng, False)
+        try:
+            vertex = purify_to_vertex(lp, x)
+        except WalkCheckFailed:
+            rejected += 1
+        except NonPointedCone:
+            continue
+        else:
+            assert reference_feasible(lp, vertex)
+    assert rejected >= 20, rejected
+
+
+def test_start_outside_its_bounds_is_rejected():
+    # the caller checks the start; a start above its upper bound on a basic
+    # column that never moves ends the walk outside the bounds
+    with pytest.raises(WalkCheckFailed, match="^vertex left its bounds$"):
+        walk_to_vertex([(1,)], 1, [5], [0], [3])
+    assert walk_to_vertex([(1,)], 1, [2], [0], [3]) == (1, [2])
+
+
+def test_walk_checks_survive_python_O():
+    code = ("import steinitz.lp as lp\n"
+            "step = lp._bareiss_step\n"
+            "lp._bareiss_step = lambda T, t, p, delta: 2 * step(T, t, p, delta)\n"
+            "for cols, X, LO, HI in (([(1,), (1,), (1,)], [1, 1, 1], [0] * 3, [3] * 3),\n"
+            "                        ([(1,)], [5], [0], [3])):\n"
+            "    try:\n"
+            "        lp.walk_to_vertex(cols, 3, X, LO, HI)\n"
+            "    except lp.WalkCheckFailed as exc:\n"
+            "        print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out == "vertex left the affine space A x = b\nvertex left its bounds\n"
 
 
 def _count_walks(monkeypatch, module):
