@@ -276,12 +276,12 @@ def split_max_kernel(inst: FourBlockInstance, pt: KernelPoint):
         lp = BoxLP(inst.A[i], (ZERO,) * inst.s, (ZERO,) * inst.t, yi, (ONE,) * inst.t)
         res = lp_solve(lp)
         if not res.is_optimal:
-            raise AssertionError("block kernel LP must be solvable")
+            raise PropertyViolation("block-kernel-lp", "block kernel LP must be solvable")
         u.extend(res.x)
     u = tuple(u)
     v = vsub(pt.y, u)
     if any(x < 0 for x in v):
-        raise AssertionError("kernel split produced a negative remainder")
+        raise PropertyViolation("kernel-split-nonneg", "kernel split produced a negative remainder")
     if linf_norm(v) > omega1(inst) * linf_norm(pt.x):
         raise PropertyViolation("v-bound-omega1", "||v||_inf > omega1 ||x||_inf")
     return u, v

@@ -103,32 +103,35 @@ def row_sums(fam: ColoredFamily, orders, rows) -> list:
     """The joint row sums sum_j fam.vectors[j][orders[j][i]] for each i in
     rows.  On integer vectors they stay int; a family without colors has
     ZERO rows."""
-    if not fam.vectors:
-        return [(ZERO,) * fam.dim for _ in rows]
+    return _row_sums(fam.vectors, fam.dim, orders, rows)
+
+
+def _row_sums(vectors, dim, orders, rows) -> list:
+    """row_sums of the colors vectors, each of dimension dim."""
+    if not vectors:
+        return [(ZERO,) * dim for _ in rows]
     rows = list(rows)
-    picked = [[color[order[i]] for i in rows] for color, order in zip(fam.vectors, orders)]
+    picked = [[color[order[i]] for i in rows] for color, order in zip(vectors, orders)]
     return [tuple(map(sum, zip(*row))) for row in zip(*picked)]
 
 
 def _scaled(fam: ColoredFamily):
-    """(L, V): L is the lcm of the entry denominators of fam, and V holds
-    its vectors as the integer tuples L*v, color by color.  Each distinct
-    vector is scaled once and equal vectors share one tuple; the vectors
-    are grouped by identity before they are hashed, since a family's
-    repeated vectors are mostly one shared tuple."""
+    """(L, V, distinct): L is the lcm of the entry denominators of fam, V
+    holds its vectors as the integer tuples L*v, color by color, and
+    distinct holds V's distinct tuples.  Each vector object is scaled once,
+    since a family's repeated vectors are mostly one shared tuple, and equal
+    vectors then share one tuple, found by hashing integers only."""
     objects = {id(v): v for color in fam.vectors for v in color}
-    distinct = dict.fromkeys(objects.values())
-    scale, ints = scale_to_integers(distinct)
-    of_value = dict(zip(distinct, ints))
-    of_id = {key: of_value[v] for key, v in objects.items()}
-    return scale, tuple(tuple(of_id[id(v)] for v in color) for color in fam.vectors)
+    scale, ints = scale_to_integers(objects.values())
+    distinct = {}
+    of_id = {key: distinct.setdefault(w, w) for key, w in zip(objects, ints)}
+    return scale, tuple(tuple(of_id[id(v)] for v in color) for color in fam.vectors), distinct
 
 
 def _scaled_unit_ball(fam: ColoredFamily):
-    """(L, V, distinct): _scaled(fam) and V's distinct integer vectors, on
-    which the unit-ball check has run (every norm at most L)."""
-    scale, vectors = _scaled(fam)
-    distinct = dict.fromkeys(v for color in vectors for v in color)
+    """_scaled(fam), on whose distinct integer vectors the unit-ball check
+    has run (every norm at most L)."""
+    scale, vectors, distinct = _scaled(fam)
     _require_unit_ball(max((norm_eval(fam.norm, v) for v in distinct), default=ZERO), scale)
     return scale, vectors, distinct
 
@@ -263,13 +266,14 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
 # the colorful rearrangement bound
 
 
-def _certify(fam: ColoredFamily, scale: int, fractions) -> ColorfulCertificate:
-    """colorful_rearrange of the family whose vectors are those of the
-    integer family fam divided by scale.
+def _certify(fam: ColoredFamily, vectors, scale: int, fractions) -> ColorfulCertificate:
+    """colorful_rearrange of the family of fam's shape and norm whose
+    vectors are the integer vectors, color by color, divided by scale.
 
-    The caller has checked the unit ball.  The zero-sum check, row sums,
-    orders and prefix maxima all run on fam: the bound scales by scale,
-    signs and the rearrangement LPs do not change.  fractions() builds the
+    The caller has checked the unit ball and the shape, so no family of the
+    integer vectors is built.  The zero-sum check, row sums, orders and
+    prefix maxima all run on the integers: the bound scales by scale, signs
+    and the rearrangement LPs do not change.  fractions() builds the
     rational family for balance_rows; only the balanced route, taken when
     n > 40 d^4, calls it.
     """
@@ -283,7 +287,7 @@ def _certify(fam: ColoredFamily, scale: int, fractions) -> ColorfulCertificate:
 
     best = None
     for route, orders in routes.items():
-        rows = row_sums(fam, orders, range(m))
+        rows = _row_sums(vectors, d, orders, range(m))
         # every route's rows add up to the total of the family
         _require_zero_sum_union(tuple(map(sum, zip(*rows))))
         # row k of the route is rows[rho[k]], so its joint prefixes are the
@@ -304,12 +308,11 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
 
     Runs in integers: each distinct vector is scaled once by the lcm L of
     the denominators, and the checks, the row sums, their order and the
-    prefix maxima run on the integer family; achieved_max is divided by L
+    prefix maxima run on the integer vectors; achieved_max is divided by L
     at the end.  Only the balanced route's balance_rows sees fam itself.
     """
     scale, vectors, _ = _scaled_unit_ball(fam)
-    return _certify(ColoredFamily(fam.dim, fam.colors, fam.length, vectors, fam.norm), scale,
-                    lambda: fam)
+    return _certify(fam, vectors, scale, lambda: fam)
 
 
 def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
@@ -343,7 +346,7 @@ def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
         return ColoredFamily(d, n, m, tuple(tuple(rational[w] for w in color) for color in inner),
                              fam.norm)
 
-    cert = _certify(ColoredFamily(d, n, m, inner, fam.norm), denom, fractions)
+    cert = _certify(fam, inner, denom, fractions)
     return ColorfulCertificate(
         cert.permutations, 2 * cert.certified_bound, 2 * cert.achieved_max, cert.route,
         cert.phase1_row_bound, drift=tuple(Fraction(t, m * scale) for t in total),

@@ -6,9 +6,9 @@ exact: no floats, no rounding, arbitrary precision throughout.
 
 One Gauss-Jordan routine, ``_echelon`` with its row step ``_pivot``, is the
 only Fraction elimination in the package: solves, kernels, rank,
-determinants and span coordinates here; the simplex tableau and the
-double description's initial cone in ``lp``; the block bases in
-``blockip``.
+determinants and span coordinates here; the double description's initial
+cone in ``lp``; the block bases in ``blockip``.  The integer eliminations,
+the vertex walk and the simplex tableau, share ``lp._bareiss_step``.
 """
 
 from __future__ import annotations

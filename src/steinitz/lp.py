@@ -9,7 +9,10 @@ exchanged column), checks its vertex exactly and returns it in the same
 form.  ``purify_to_vertex`` is its BoxLP boundary; the rearrangement chain
 and the selection polytope call the core directly and carry their point
 in integers from step to step.  The simplex is a bounded-variable tableau
-method with Bland's rule, so it terminates on degenerate inputs.  Infinite
+method with Bland's rule, so it terminates on degenerate inputs; its
+tableau is fraction-free too (integer rows and variables, held over the
+basis determinant), and each pivot is one Bareiss step, the step the walk
+takes.  It makes the pivots of the same tableau over Fraction.  Infinite
 bounds are represented by None and handled symbolically.
 """
 
@@ -21,8 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .linalg import (Matrix, Vec, ZERO, ONE, _echelon, _pivot, rat, primitive_integer_vector,
-                     scale_to_integers)
+from .linalg import Matrix, Vec, ZERO, ONE, _echelon, rat, primitive_integer_vector
 
 INF = None  # sentinel for an absent (infinite) bound
 
@@ -37,6 +39,14 @@ class InfeasibleStart(LPError):
 
 class WalkCheckFailed(LPError):
     """The vertex walk failed one of its own exact checks."""
+
+
+class SimplexCheckFailed(LPError):
+    """The simplex failed one of its own exact checks."""
+
+
+class RayCheckFailed(LPError):
+    """The double description produced a ray outside its cone."""
 
 
 class NonPointedCone(LPError):
@@ -69,15 +79,20 @@ class BoxLP:
                 raise ValueError("lower bound exceeds upper bound")
 
     @cached_property
+    def row_scales(self):
+        """S_i, the lcm of the denominators of row i of [M | b]."""
+        return [math.lcm(*(v.denominator for v in self.M.row(i)), self.b[i].denominator)
+                for i in range(self.M.rows)]
+
+    @cached_property
     def integer_rows(self):
-        """(rows, b) with row i of [M | b] scaled to integers by the lcm of
-        its denominators; the scaled system has the same solutions and M
+        """(rows, b) with row i of [M | b] scaled to integers by S_i
+        (``row_scales``); the scaled system has the same solutions and M
         the same kernel."""
         rows, rhs = [], []
-        for i in range(self.M.rows):
-            _, (scaled,) = scale_to_integers([self.M.row(i) + (self.b[i],)])
-            rows.append(scaled[:-1])
-            rhs.append(scaled[-1])
+        for i, S in enumerate(self.row_scales):
+            rows.append(tuple(v.numerator * (S // v.denominator) for v in self.M.row(i)))
+            rhs.append(self.b[i].numerator * (S // self.b[i].denominator))
         return rows, rhs
 
     def _integer_point(self, x: Vec):
@@ -126,10 +141,13 @@ def _bareiss_step(T, t, p, delta):
     """One fraction-free pivot on row p of T for the column whose image
     under T is t: row p stays, every other row i becomes
     (t_p T_i - t_i T_p) / delta, and t_p is returned as the new delta.
-    The divisions are exact: T is delta times the inverse of the basic
-    columns completed by unit columns to an R x R matrix, and delta is plus
-    or minus that matrix's determinant, so T is plus or minus its adjugate,
-    before the step and after it."""
+    The divisions are exact: before the step and after it, delta is plus or
+    minus the determinant of a basis B (in the walk, the basic columns
+    completed by unit columns to an R x R matrix) and each row of T is delta
+    times a row of B^-1 applied to integer columns, so a row of plus or minus
+    the adjugate of B applied to them.  A row of reduced costs
+    delta (c - c_B B^-1 A), carried as one more row of T, stays integer
+    the same way."""
     tp, Tp = t[p], T[p]
     for i, ti in enumerate(t):
         if i == p:
@@ -308,184 +326,204 @@ def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
 # bounded-variable simplex
 
 
-class _Canonical:
-    """max c.y  s.t.  A y = b, 0 <= y <= ub (ub entries may be None)."""
+class _Simplex:
+    """max c.y  s.t.  A y = b, 0 <= y <= ub, on a fraction-free tableau.
+
+    The BoxLP comes to this form in integers: row i of [M | b] is scaled by
+    S_i (``BoxLP.row_scales``, ``integer_rows``) and the variables by the
+    lcm L of the bound denominators, so y = L (x - lo) for a variable with a
+    lower bound, y = L (hi - x) for one with only an upper bound, and a free
+    variable is split into y+ - y-; the objective is scaled by the lcm of
+    its denominators.  Rows with b < 0 are negated, and each row gets an
+    artificial unit column.
+
+    With B the basis, T holds delta B^-1 [A | I | r] over the integers,
+    delta = +-det B and r = b minus u_j a_j for each nonbasic column at its
+    upper bound u_j: its last column is delta times the basic values.  The
+    reduced costs are held the same way, delta (c - c_B B^-1 [A | I]).  A
+    pivot is one ``_bareiss_step``; every sign test reads a value times
+    sign(delta) and steps are compared by cross-multiplying, so the pivots
+    are those of the same tableau over Fraction: scaling the variables by L
+    scales every step by L.  The artificial variable of scaled row i is S_i
+    times that of the unscaled row, so its phase-1 cost is -P/S_i, P the
+    lcm of the S_i: the phase-1 objective is P times that of the unscaled
+    rows, every reduced cost is scaled by P and no choice changes.
+    """
 
     def __init__(self, lp: BoxLP):
-        M, n = lp.M, lp.M.cols
-        self.b = [rat(v) for v in lp.b]
-        self.cols = []      # list of column vectors
-        self.ub = []
-        self.c = []
-        self.const = ZERO
-        self.backmap = []   # per original var: ("shift", k, lo) | ("mirror", k, hi) | ("split", k+, k-)
-        obj = lp.objective if lp.objective is not None else (ZERO,) * n
-        for j in range(n):
-            col = [M.at(i, j) for i in range(M.rows)]
-            lo, hi, cj = lp.lower[j], lp.upper[j], rat(obj[j])
+        rows, rhs = lp.integer_rows
+        L = math.lcm(*(rat(v).denominator for v in (*lp.lower, *lp.upper) if v is not None))
+        obj = [rat(v) for v in lp.objective] if lp.objective is not None else [ZERO] * lp.M.cols
+        C = math.lcm(*(v.denominator for v in obj))
+        self.L = L
+
+        def over_L(v):
+            v = rat(v)
+            return v.numerator * (L // v.denominator)
+
+        # canonical column k is sign * column j of M; shift[j] is L lo_j or L hi_j;
+        # per variable of the BoxLP, backmap holds ("shift", k, L lo),
+        # ("mirror", k, L hi) or ("split", k+, k-)
+        src, shift, ub, c, self.backmap = [], [], [], [], []
+        for j, (lo, hi, cj) in enumerate(zip(lp.lower, lp.upper, obj)):
+            k, cj = len(src), cj.numerator * (C // cj.denominator)
             if lo is not None:
-                if lo != 0:
-                    for i in range(M.rows):
-                        self.b[i] -= lo * col[i]
-                    self.const += cj * lo
-                self.backmap.append(("shift", len(self.cols), lo))
-                self.cols.append(col)
-                self.ub.append(None if hi is None else hi - lo)
-                self.c.append(cj)
+                shift.append(over_L(lo))
+                ub.append(None if hi is None else over_L(hi) - shift[j])
+                src.append((j, 1))
+                c.append(cj)
+                self.backmap.append(("shift", k, shift[j]))
             elif hi is not None:
-                for i in range(M.rows):
-                    self.b[i] -= hi * col[i]
-                self.const += cj * hi
-                self.backmap.append(("mirror", len(self.cols), hi))
-                self.cols.append([-v for v in col])
-                self.ub.append(None)
-                self.c.append(-cj)
+                shift.append(over_L(hi))
+                ub.append(None)
+                src.append((j, -1))
+                c.append(-cj)
+                self.backmap.append(("mirror", k, shift[j]))
             else:
-                self.backmap.append(("split", len(self.cols), len(self.cols) + 1))
-                self.cols.append(col)
-                self.cols.append([-v for v in col])
-                self.ub.extend([None, None])
-                self.c.extend([cj, -cj])
-
-    def restore(self, y) -> Vec:
-        out = []
-        for kind, a, bb in self.backmap:
-            if kind == "shift":
-                out.append(y[a] + bb)
-            elif kind == "mirror":
-                out.append(bb - y[a])
-            else:
-                out.append(y[a] - y[bb])
-        return tuple(out)
-
-
-class _Simplex:
-    def __init__(self, cols, b, ub):
-        self.nrows = len(b)
-        self.nstruct = len(cols)
-        self.ub = list(ub) + [None] * self.nrows
-        # rows made b >= 0, artificial identity appended
+                shift.append(0)
+                ub.extend((None, None))
+                src.extend(((j, 1), (j, -1)))
+                c.extend((cj, -cj))
+                self.backmap.append(("split", k, k + 1))
+        self.nrows, self.nstruct = m, ns = len(rows), len(src)
         self.T = []
-        self.rhs = []
-        for i in range(self.nrows):
-            row = [col[i] for col in cols]
-            bi = b[i]
-            if bi < 0:
-                row = [-v for v in row]
-                bi = -bi
-            row.extend(ONE if k == i else ZERO for k in range(self.nrows))
-            self.T.append(row)
-            self.rhs.append(bi)
-        self.basis = [self.nstruct + i for i in range(self.nrows)]
-        self.xb = list(self.rhs)
+        for i, (row, bi) in enumerate(zip(rows, rhs)):
+            bi = L * bi - sum(map(mul, row, shift))
+            sign = -1 if bi < 0 else 1
+            self.T.append([sign * a * row[j] for j, a in src] + [int(k == i) for k in range(m)]
+                          + [sign * bi])
+        self.ub = ub + [None] * m
+        self.c = c
+        P = math.lcm(*lp.row_scales)
+        self.phase1 = [0] * ns + [-(P // s) for s in lp.row_scales]
+        self.basis = [ns + i for i in range(m)]
         self.at_upper = set()
+        self.delta = 1
+
+    def _pivot(self, p, e):
+        """Column e enters the basis in row p: one Bareiss step on every row
+        of T, the reduced costs included while they are its last row.  A
+        column leaving its upper bound first moves u_e a_e into r."""
+        T = self.T
+        if e in self.at_upper:
+            u = self.ub[e]
+            for i in range(self.nrows):
+                T[i][-1] += u * T[i][e]
+            self.at_upper.discard(e)
+        self.delta = _bareiss_step(T, [row[e] for row in T], p, self.delta)
+        self.basis[p] = e
 
     def _iterate(self, c):
-        """Run simplex to optimality for objective c (maximize), one entry per
-        tableau column; returns "optimal" or "unbounded".  The reduced costs
-        c_j - c_B . T[:, j] are priced once and kept up to date by each pivot;
-        they are exactly zero on the basic columns, which never enter."""
-        z = list(c)
-        for i, v in enumerate(self.basis):
+        """Run the simplex to optimality for the integer objective c
+        (maximize), one entry per column of T but the last; returns
+        "optimal" or "unbounded".  Bland's rule: the first column whose
+        reduced cost improves enters, and the ratio test takes the least
+        step, ties to the least variable index.  The reduced costs are
+        priced once and ride along as the last row of T, one entry short of
+        the others, so each pivot updates them; they are exactly zero on
+        the basic columns, which never enter."""
+        T, m, ub, basis, at_upper = self.T, self.nrows, self.ub, self.basis, self.at_upper
+        z = [self.delta * cj for cj in c]
+        for row, v in zip(T, basis):
             if c[v]:
-                z = [zj - c[v] * t if t else zj for zj, t in zip(z, self.T[i])]
+                z = [zj - c[v] * t if t else zj for zj, t in zip(z, row)]
+        T.append(z)
         while True:
-            entering = None
-            direction = 0
-            for j, zj in enumerate(z):
-                if j in self.at_upper:
-                    if zj < 0:
-                        entering, direction = j, -1
-                        break
-                else:
-                    if zj > 0:
-                        entering, direction = j, 1
-                        break
+            positive = self.delta > 0
+            entering = next((j for j, zj in enumerate(T[m])
+                             if zj and ((zj > 0) == positive) != (j in at_upper)), None)
             if entering is None:
+                T.pop()
                 return "optimal"
-            col = [self.T[i][entering] for i in range(self.nrows)]
-            # ratio test; candidates: (step, tie-break var index, kind, row)
-            candidates = []
-            if self.ub[entering] is not None:
-                candidates.append((self.ub[entering], entering, "flip", -1))
-            for i in range(self.nrows):
-                rate = -direction * col[i]
+            direction = -1 if entering in at_upper else 1
+            # steps num/den in units of y over den > 0, from the values and
+            # rates times |delta|: (step, var, kind, row) of the least step
+            sd, ad = (1, self.delta) if positive else (-1, -self.delta)
+            u = ub[entering]
+            best = None if u is None else (u, 1, entering, "flip", -1)
+            for i in range(m):
+                row, ubi = T[i], ub[basis[i]]
+                rate = -direction * sd * row[entering]
                 if rate < 0:
-                    candidates.append((self.xb[i] / (-rate), self.basis[i], "drop-lower", i))
-                elif rate > 0:
-                    ubi = self.ub[self.basis[i]]
-                    if ubi is not None:
-                        candidates.append(((ubi - self.xb[i]) / rate, self.basis[i], "drop-upper", i))
-            if not candidates:
-                return "unbounded"
-            step = min(cand[0] for cand in candidates)
-            _, _, kind, row = min(c4 for c4 in candidates if c4[0] == step)
-            for i in range(self.nrows):
-                self.xb[i] -= direction * step * col[i]
-            if kind == "flip":
-                if direction == 1:
-                    self.at_upper.add(entering)
+                    num, den, kind = sd * row[-1], -rate, "drop-lower"
+                elif rate > 0 and ubi is not None:
+                    num, den, kind = ad * ubi - sd * row[-1], rate, "drop-upper"
                 else:
-                    self.at_upper.discard(entering)
+                    continue
+                if best is None or num * best[1] < best[0] * den or \
+                        (num * best[1] == best[0] * den and basis[i] < best[2]):
+                    best = (num, den, basis[i], kind, i)
+            if best is None:
+                T.pop()
+                return "unbounded"
+            _, _, leaving, kind, p = best
+            if kind == "flip":
+                # r loses direction u a_e
+                for i in range(m):
+                    T[i][-1] -= direction * u * T[i][entering]
+                if direction == 1:
+                    at_upper.add(entering)
+                else:
+                    at_upper.discard(entering)
                 continue
-            leaving = self.basis[row]
-            enter_val = (self.ub[entering] if entering in self.at_upper else ZERO) + direction * step
-            self.at_upper.discard(entering)
+            self._pivot(p, entering)
             if kind == "drop-upper":
-                self.at_upper.add(leaving)
-            self.basis[row] = entering
-            self.xb[row] = enter_val
-            _pivot(self.T, row, entering)
-            f = z[entering]
-            z = [zj - f * t if t else zj for zj, t in zip(z, self.T[row])]
+                # the leaving column stops at its upper bound: r loses u_l a_l
+                ul = ub[leaving]
+                for i in range(m):
+                    T[i][-1] -= ul * T[i][leaving]
+                at_upper.add(leaving)
 
     def solve_phase1(self) -> bool:
-        c1 = [ZERO] * self.nstruct + [Fraction(-1)] * self.nrows
-        status = self._iterate(c1)
-        if status != "optimal":
-            raise AssertionError("phase-1 objective cannot be unbounded")
-        if any(self.xb[i] != 0 and self.basis[i] >= self.nstruct for i in range(self.nrows)):
+        if self._iterate(self.phase1) != "optimal":
+            raise SimplexCheckFailed("phase-1 objective cannot be unbounded")
+        ns = self.nstruct
+        if any(row[-1] and v >= ns for row, v in zip(self.T, self.basis)):
             return False
         # drive artificial variables out of the basis, dropping redundant rows
         for i in reversed(range(self.nrows)):
-            if self.basis[i] < self.nstruct:
+            if self.basis[i] < ns:
                 continue
-            pcol = next((j for j in range(self.nstruct) if self.T[i][j] != 0), None)
+            pcol = next((j for j in range(ns) if self.T[i][j]), None)
             if pcol is None:
-                del self.T[i], self.xb[i], self.basis[i]
+                # T is zero on the structural columns of row i, whose basic
+                # column is a unit column: without both, delta is still +-det
+                del self.T[i], self.basis[i]
                 self.nrows -= 1
                 continue
-            _pivot(self.T, i, pcol)
-            self.basis[i] = pcol
-            # label swap at step zero: the entering column keeps its value
-            self.xb[i] = self.ub[pcol] if pcol in self.at_upper else ZERO
-            self.at_upper.discard(pcol)
+            # a step of zero: the artificial leaves at 0, pcol keeps its value
+            self._pivot(i, pcol)
         # forget artificial columns entirely
-        for i in range(self.nrows):
-            self.T[i] = self.T[i][:self.nstruct]
+        self.T = [row[:ns] + row[-1:] for row in self.T]
         return True
 
-    def values(self):
-        y = []
-        basic_pos = {v: i for i, v in enumerate(self.basis)}
-        for j in range(self.nstruct):
-            if j in basic_pos:
-                y.append(self.xb[basic_pos[j]])
-            elif j in self.at_upper:
-                y.append(self.ub[j])
+    def point(self) -> Vec:
+        """The basic solution, as a point of the BoxLP: its coordinates are
+        integers over delta L, made Fraction once each."""
+        delta = self.delta
+        Y = [0] * self.nstruct  # delta y
+        for j in self.at_upper:
+            Y[j] = delta * self.ub[j]
+        for row, j in zip(self.T, self.basis):
+            Y[j] = row[-1]
+        out = []
+        for kind, a, b in self.backmap:
+            if kind == "shift":
+                out.append(Y[a] + delta * b)
+            elif kind == "mirror":
+                out.append(delta * b - Y[a])
             else:
-                y.append(ZERO)
-        return y
+                out.append(Y[a] - Y[b])
+        return tuple(Fraction(v, delta * self.L) for v in out)
 
 
 def find_feasible(lp: BoxLP) -> Vec | None:
     """Phase-1 only: some feasible point of the LP, or None.  It is the
     basic solution phase 1 ends on: a vertex when no variable is free."""
-    canon = _Canonical(lp)
-    sx = _Simplex(canon.cols, canon.b, canon.ub)
+    sx = _Simplex(lp)
     if not sx.solve_phase1():
         return None
-    x = canon.restore(sx.values())
+    x = sx.point()
     if not lp.is_feasible_point(x):
         raise InfeasibleStart("simplex point is not feasible")
     return x
@@ -496,14 +534,12 @@ def lp_solve(lp: BoxLP) -> LPResult:
     vertex of the feasible region whenever no variable is free."""
     if lp.objective is None:
         raise ValueError("lp_solve requires an objective")
-    canon = _Canonical(lp)
-    sx = _Simplex(canon.cols, canon.b, canon.ub)
+    sx = _Simplex(lp)
     if not sx.solve_phase1():
         return LPResult("infeasible")
-    status = sx._iterate(list(canon.c))
-    if status == "unbounded":
+    if sx._iterate(sx.c) == "unbounded":
         return LPResult("unbounded")
-    x = canon.restore(sx.values())
+    x = sx.point()
     if not lp.is_feasible_point(x):
         raise InfeasibleStart("simplex point is not feasible")
     value = sum((rat(ci) * xi for ci, xi in zip(lp.objective, x)), ZERO)
@@ -574,7 +610,7 @@ def extreme_rays(ineqs: Matrix):
     for r in rays:
         for i in range(len(rows)):
             if sum((rows[i][k] * r[k] for k in range(d)), ZERO) < 0:
-                raise AssertionError("double description produced an infeasible ray")
+                raise RayCheckFailed("double description produced an infeasible ray")
     return sorted(rays)
 
 

@@ -1,13 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from steinitz.linalg import (Matrix, ceil_sqrt, det, lcm_abs_dets, linf_norm, l1_norm,
                              rank_of_vectors, solve_linear, vscale)
-from steinitz.lp import BoxLP, enum_integer_points, find_feasible, lp_solve
+from steinitz.lp import BoxLP, LPResult, enum_integer_points, find_feasible, lp_solve
 from steinitz import blockip
 from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, PropertyViolation,
                               block_bases, cone_rays_K, decompose_bundle, decompose_u, decompose_x,
@@ -650,6 +654,55 @@ def test_gamma_from_block_bases_matches_lcm_abs_dets(monkeypatch):
     for inst in _reduce_workload_instances(1):
         compared(inst, [block_bases(inst.A[i], inst.B[i]) for i in range(inst.n)])
     assert len(checked) >= 18 + 2 * (8 + 14 * len(PIPELINE_SHAPES))
+
+
+def _kernel_split_instance():
+    # A^i = [1, -1] below y = (3, 3): the block kernel LP gives u = (3, 3)
+    inst = FourBlockInstance.make(Matrix.zeros(1, 1), [Matrix.from_rows([[0]])],
+                                  [Matrix.from_rows([[1, -1]])], [Matrix.zeros(1, 2)],
+                                  (0, 0), (0,), (0, 0), (None,), (None, None))
+    return inst, KernelPoint((F(0),), (F(3), F(3)))
+
+
+def _no_optimum(lp):
+    return LPResult("infeasible")
+
+
+def _above_bounds(lp):
+    return LPResult("optimal", tuple(u + 1 for u in lp.upper), 0)
+
+
+# lp_solve replacements that fail each check of split_max_kernel
+_SPLIT_FAULTS = (("block-kernel-lp", _no_optimum), ("kernel-split-nonneg", _above_bounds))
+
+
+def test_kernel_split_checks_are_named(monkeypatch):
+    inst, pt = _kernel_split_instance()
+    for name, fault in _SPLIT_FAULTS:
+        monkeypatch.setattr(blockip, "lp_solve", fault)
+        with pytest.raises(PropertyViolation, match=name) as err:
+            split_max_kernel(inst, pt)
+        assert err.value.name == name
+
+
+def test_kernel_split_checks_survive_python_O():
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_blockip import _SPLIT_FAULTS, _kernel_split_instance\n"
+            "from steinitz import blockip\n"
+            "inst, pt = _kernel_split_instance()\n"
+            "for name, fault in _SPLIT_FAULTS:\n"
+            "    blockip.lp_solve = fault\n"
+            "    try:\n"
+            "        blockip.split_max_kernel(inst, pt)\n"
+            "    except blockip.PropertyViolation as exc:\n"
+            "        print(exc.name)\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(here.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code, str(here)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out == "block-kernel-lp\nkernel-split-nonneg\n"
 
 
 def test_gamma_hadamard_check_is_named():

@@ -242,7 +242,7 @@ def test_colorful_prefix_max_matches_reference(d, n, m, norm, seed):
     """The certificates take a joint prefix maximum as max_prefix_norm over
     the row sums; on the integer family L*v it is L times the Fraction one."""
     fam = gen_unit_family(d, n, m, norm_from_name(norm), seed)
-    scale, vectors = _scaled(fam)
+    scale, vectors, _ = _scaled(fam)
     ints = ColoredFamily(d, n, m, vectors, fam.norm)
     rng = random.Random(seed)
     drifts = [None, tuple(x / m for x in fam.total()),
@@ -412,7 +412,7 @@ def test_colorful_affine_runs_one_prefix_pass_per_route(monkeypatch):
 
 def test_scaled_shares_one_tuple_per_distinct_vector():
     fam = _pooled_family(2, 4, 6, "l1", 3, COPRIME, 3)
-    scale, vectors = _scaled(fam)
+    scale, vectors, _ = _scaled(fam)
     flat = [v for color in fam.vectors for v in color]
     ints = [w for color in vectors for w in color]
     assert len({id(w) for w in ints}) == len(set(flat))

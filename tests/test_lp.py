@@ -1,13 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
-from steinitz.linalg import ZERO, Matrix, _pivot, null_space, rank, solve_linear
-from steinitz.lp import (BoxLP, InfeasibleStart, NonPointedCone, _Canonical, _Simplex,
-                         enum_integer_points, extreme_rays, find_feasible, lp_solve,
-                         purify_to_vertex)
+import simplex_reference
+import steinitz.blockip
+import steinitz.lp
+from steinitz.blockip import decompose_bundle, proximity_report, solve_four_block
+from steinitz.generate import GenerationError, gen_four_block
+from steinitz.linalg import Matrix, null_space, primitive_integer_vector, rank, solve_linear
+from steinitz.lp import (BoxLP, InfeasibleStart, NonPointedCone, RayCheckFailed,
+                         SimplexCheckFailed, _bareiss_step, _Simplex, enum_integer_points,
+                         extreme_rays, find_feasible, lp_solve, purify_to_vertex)
 
 
 def _bounds(n, lo=F(0), hi=F(1)):
@@ -143,73 +152,6 @@ def test_lp_solve_weak_duality_and_vertex_fixpoint():
     assert optimal >= 75 and unbounded >= 15
 
 
-def _reference_iterate(self, c):
-    """The simplex loop as it was when every nonbasic column was priced from
-    scratch on each iteration, kept as the oracle of the incremental
-    reduced costs."""
-    nb_all = self.nstruct + self.nrows if len(c) > self.nstruct else self.nstruct
-    while True:
-        basic = set(self.basis)
-        cb = [c[v] if v < len(c) else ZERO for v in self.basis]
-        entering = None
-        direction = 0
-        for j in range(nb_all):
-            if j in basic or (j >= len(c)):
-                continue
-            zj = c[j] - sum((cb[i] * self.T[i][j] for i in range(self.nrows)), ZERO)
-            if j in self.at_upper:
-                if zj < 0:
-                    entering, direction = j, -1
-                    break
-            else:
-                if zj > 0:
-                    entering, direction = j, 1
-                    break
-        if entering is None:
-            return "optimal"
-        col = [self.T[i][entering] for i in range(self.nrows)]
-        candidates = []
-        if self.ub[entering] is not None:
-            candidates.append((self.ub[entering], entering, "flip", -1))
-        for i in range(self.nrows):
-            rate = -direction * col[i]
-            if rate < 0:
-                candidates.append((self.xb[i] / (-rate), self.basis[i], "drop-lower", i))
-            elif rate > 0:
-                ubi = self.ub[self.basis[i]]
-                if ubi is not None:
-                    candidates.append(((ubi - self.xb[i]) / rate, self.basis[i], "drop-upper", i))
-        if not candidates:
-            return "unbounded"
-        step = min(cand[0] for cand in candidates)
-        _, _, kind, row = min(c4 for c4 in candidates if c4[0] == step)
-        for i in range(self.nrows):
-            self.xb[i] -= direction * step * col[i]
-        if kind == "flip":
-            if direction == 1:
-                self.at_upper.add(entering)
-            else:
-                self.at_upper.discard(entering)
-            continue
-        leaving = self.basis[row]
-        enter_val = (self.ub[entering] if entering in self.at_upper else ZERO) + direction * step
-        self.at_upper.discard(entering)
-        if kind == "drop-upper":
-            self.at_upper.add(leaving)
-        self.basis[row] = entering
-        self.xb[row] = enter_val
-        _pivot(self.T, row, entering)
-
-
-def _simplex_run(lp):
-    """Both phases by hand: the statuses and the final basis, bounds and values."""
-    canon = _Canonical(lp)
-    sx = _Simplex(canon.cols, canon.b, canon.ub)
-    feasible = sx.solve_phase1()
-    status = sx._iterate(list(canon.c)) if feasible else None
-    return feasible, status, list(sx.basis), sorted(sx.at_upper), list(sx.xb)
-
-
 def _pricing_lps():
     """Seeded BoxLPs with every bound kind, degenerate ones (b = 0, repeated
     columns) and ones with redundant rows."""
@@ -233,17 +175,151 @@ def _pricing_lps():
         yield BoxLP(M, b, tuple(lo for lo, _ in pick), tuple(hi for _, hi in pick), c)
 
 
-def test_incremental_pricing_matches_from_scratch_pricing(monkeypatch):
-    runs = []
-    for lp in _pricing_lps():
-        runs.append((_simplex_run(lp), find_feasible(lp), lp_solve(lp)))
-    monkeypatch.setattr(_Simplex, "_iterate", _reference_iterate)
+def _rational_lps():
+    """Seeded BoxLPs with fractional rows, bounds and objectives, so that the
+    rows and the variables of the integer tableau are scaled."""
+    rng = random.Random(43)
+
+    def frac(k):
+        return F(rng.randint(-k, k), rng.choice((1, 2, 3, 4, 6)))
+
+    for k in range(150):
+        n = rng.randint(2, 6)
+        rows = [[frac(3) if rng.random() < 0.7 else F(0) for _ in range(n)]
+                for _ in range(rng.randint(0, 4))]
+        M = Matrix.from_rows(rows) if rows else Matrix.zeros(0, n)
+        lower, upper, x = [], [], []
+        for _ in range(n):
+            lo, kind = frac(2), rng.randrange(5)
+            hi = lo + abs(frac(3))
+            lower.append(None if kind in (2, 3) else lo)
+            upper.append(None if kind in (1, 3) else lo if kind == 4 else hi)
+            x.append(lo if kind != 3 else frac(2))
+        b = M.mul_vec(tuple(x))
+        if k % 4 == 0:
+            b = tuple(v + frac(1) for v in b)
+        yield BoxLP(M, b, tuple(lower), tuple(upper), tuple(frac(3) for _ in range(n)))
+
+
+def _captured_lps(monkeypatch):
+    """The BoxLPs that proximity_report, solve_four_block and
+    decompose_bundle hand to the simplex on small seeded instances, as
+    (LP, "lp_solve" or "find_feasible")."""
+    instances = []
+    for seed, shape in enumerate(((1, 1, 1, 1, 2), (1, 1, 1, 1, 3), (1, 1, 1, 2, 2),
+                                  (1, 1, 1, 1, 4)) * 10, start=1201):
+        try:
+            instances.append(gen_four_block(*shape, 1, seed)[0])
+        except GenerationError:
+            continue
+    bundles = []
+    for seed, shape in enumerate(((1, 1, 1, 2, 2), (1, 1, 1, 1, 3), (1, 2, 1, 3, 2)) * 5,
+                                 start=2011):
+        try:
+            bundles.append(gen_four_block(*shape, 1, seed, zero_a0=True, scale=24))
+        except GenerationError:
+            continue
+    captured = []
+    for name in ("lp_solve", "find_feasible"):
+        def capture(lp, solve=getattr(steinitz.lp, name), name=name):
+            captured.append((lp, name))
+            return solve(lp)
+        monkeypatch.setattr(steinitz.blockip, name, capture)
+    for inst in instances:
+        rep = proximity_report(inst)
+        if rep.lp_status == "optimal":
+            solve_four_block(inst, 1)
+    for inst, pt in bundles:
+        decompose_bundle(inst, pt)
+    monkeypatch.undo()
+    return captured
+
+
+def test_integer_simplex_matches_fraction_reference(monkeypatch):
+    """The integer tableau makes the pivots of the Fraction tableau it
+    replaced, in the same order, and returns the same results; every
+    division of its Bareiss steps is exact."""
+    cases = [(lp, name) for lps in (_pricing_lps(), _rational_lps())
+             for lp in lps for name in ("lp_solve", "find_feasible")]
+    cases += _captured_lps(monkeypatch)
+    pivots, divisions = [], 0
+
+    def logged(self, p, e):
+        pivots.append((p, e))
+        return pivot(self, p, e)
+
+    def checked(T, t, p, delta):
+        nonlocal divisions
+        for i, (row, ti) in enumerate(zip(T, t)):
+            if i != p:
+                for a, b in zip(row, T[p]):
+                    assert divmod(t[p] * a - ti * b, delta)[1] == 0
+                    divisions += 1
+        return _bareiss_step(T, t, p, delta)
+
+    pivot = _Simplex._pivot
+    monkeypatch.setattr(_Simplex, "_pivot", logged)
+    monkeypatch.setattr(steinitz.lp, "_bareiss_step", checked)
     statuses = set()
-    for lp, (run, feasible, solved) in zip(_pricing_lps(), runs):
-        assert run == _simplex_run(lp)
-        assert feasible == find_feasible(lp) and solved == lp_solve(lp)
-        statuses.add(solved.status)
+    for lp, name in cases:
+        expected = []
+        want = getattr(simplex_reference, name)(lp, expected)
+        pivots.clear()
+        assert getattr(steinitz.lp, name)(lp) == want
+        assert pivots == expected
+        if name == "lp_solve":
+            statuses.add(want.status)
     assert statuses == {"optimal", "unbounded", "infeasible"}
+    assert len(cases) >= 750 and divisions >= 25_000, (len(cases), divisions)
+
+
+def _always_unbounded(self, c):
+    return "unbounded"
+
+
+def _negated_primitive(v):
+    return tuple(-a for a in primitive_integer_vector(v))
+
+
+def _lp_check_failures():
+    """The message of each named check of the simplex and the double
+    description, failed by a fault patched into steinitz.lp."""
+    lp = BoxLP(Matrix.from_rows([[1, 1]]), (F(1),), *_bounds(2))
+    out = []
+    for target, name, fault, run in (
+            (steinitz.lp._Simplex, "_iterate", _always_unbounded, lambda: find_feasible(lp)),
+            (steinitz.lp, "primitive_integer_vector", _negated_primitive,
+             lambda: extreme_rays(Matrix.identity(2)))):
+        saved = getattr(target, name)
+        setattr(target, name, fault)
+        try:
+            run()
+        except (SimplexCheckFailed, RayCheckFailed) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+        finally:
+            setattr(target, name, saved)
+    return out
+
+
+_LP_CHECK_MESSAGES = ["SimplexCheckFailed: phase-1 objective cannot be unbounded",
+                      "RayCheckFailed: double description produced an infeasible ray"]
+
+
+def test_lp_checks_are_named():
+    assert _lp_check_failures() == _LP_CHECK_MESSAGES
+
+
+def test_lp_checks_survive_python_O():
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_lp import _lp_check_failures\n"
+            "print('\\n'.join(_lp_check_failures()))\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(here.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code, str(here)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.splitlines() == _LP_CHECK_MESSAGES
 
 
 def test_extreme_rays_orthant():
@@ -277,7 +353,6 @@ def _rays_by_pair_enumeration(ineqs: Matrix):
         for sign in (1, -1):
             cand = tuple(sign * x for x in kern[0])
             if all(sum(r[k] * cand[k] for k in range(d)) >= 0 for r in rows):
-                from steinitz.linalg import primitive_integer_vector
                 # drop candidates in the span of fewer tight constraints only
                 # when they are not extreme: extremality check via tight rank
                 tight = [i for i in range(len(rows))
