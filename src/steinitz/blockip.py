@@ -5,14 +5,24 @@ reports.
 The decomposition pipeline mirrors the constants it certifies: every
 stage asserts its own exact bound and any violation aborts with the name
 of the violated property.
+
+Past xi a kernel point is written as alpha small pieces, of which only a
+few are distinct, while alpha grows with the point.  The pipeline carries
+them as runs (piece, count) of equal consecutive pieces: the vertex peel
+picks a run of one vertex at a time, the colorful and psi orders come as
+chunks of runs, the tube and prefix checks read the chunk ends (the
+deviations are affine along a chunk, their norms convex), and the psi
+collision loop draws positions lazily from the chunks.  The bundle's piece
+tuples are spelled out from the runs.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, chain, combinations, repeat
 from operator import mul
 
 from .linalg import (Matrix, Vec, ZERO, ONE, rat, _echelon, ceil_sqrt, hstack, is_integer_vec,
@@ -20,8 +30,8 @@ from .linalg import (Matrix, Vec, ZERO, ONE, rat, _echelon, ceil_sqrt, hstack, i
                      scale_to_integers, vadd, vscale, vsub)
 from .lp import BoxLP, LPError, enum_integer_points, extreme_rays, find_feasible, lp_solve
 from .norms import LINF_NORM
-from .rearrange import prefix_sums, rearrangement_order
-from .colorful import ColoredFamily, colorful_affine
+from .rearrange import _max_prefix_runs, _order_runs, _run_encode, _run_sum
+from .colorful import _affine_runs
 
 
 class PropertyViolation(AssertionError):
@@ -298,18 +308,26 @@ def minimal_kernel_below(Ai: Matrix, w: Vec, cap: int):
 
 def decompose_u(inst: FourBlockInstance, u_hat: Vec):
     """u = u0 + sum of alpha0 small integer kernel vectors, the integer
-    pieces ordered so their C-images stay near the proportional line.
+    pieces ordered so their C-images stay near the proportional line:
+    (u0, pieces), the pieces of _decompose_u spelled out."""
+    u0, runs = _decompose_u(inst, u_hat)
+    return u0, _spelled(runs)
+
+
+def _decompose_u(inst: FourBlockInstance, u_hat: Vec):
+    """(u0, runs): decompose_u with the ordered pieces as runs (piece, count).
 
     The pieces are extracted by counts.  The lex-first kernel point w of
     the box [0, floor(res)] stays lex-first while the box only shrinks, so
     w is subtracted at once the largest number of times c that keeps
     c w <= res and the loop test l1(res) > K true before each subtraction;
     the test runs in integers over the common denominator of the block's
-    residual.  Equal pieces share one tuple.  The pieces are ordered on the
-    integer deviations alpha0 C p - sum C p of their C-images, alpha0 times
-    the deviations from the mean."""
+    residual.  The pieces are carried as runs (piece, c) of one tuple: they
+    are ordered on the integer deviations alpha0 C p - sum C p of their
+    C-images, alpha0 times the deviations from the mean, as chunks of runs,
+    and the tube is checked at the chunk ends."""
     K = kernel_bound(inst)
-    pieces = []
+    runs = []
     residuals = []
     for i in range(inst.n):
         res = list(inst.y_block(u_hat, i))
@@ -332,46 +350,60 @@ def decompose_u(inst: FourBlockInstance, u_hat: Vec):
             excess -= count * step
             padded = [0] * (inst.n * inst.t)
             padded[i * inst.t:(i + 1) * inst.t] = list(wbar)
-            pieces.extend([tuple(padded)] * count)
+            runs.append((tuple(padded), count))
         residuals.extend(res)
     u0 = tuple(residuals)
-    alpha0 = len(pieces)
+    alpha0 = sum(count for _, count in runs)
 
     image = inst.integer_C_images()
-    c_images = [image(p) for p in pieces]
     if alpha0 >= 2:
-        total = _int_sum(c_images, inst.s0)
-        deviation = {ci: tuple(alpha0 * x - t for x, t in zip(ci, total))
-                     for ci in dict.fromkeys(c_images)}
-        order = rearrangement_order([deviation[ci] for ci in c_images], inst.s0)
-        pieces = [pieces[i] for i in order]
-        c_images = [c_images[i] for i in order]
+        total = _run_sum(((image(p), count) for p, count in runs), inst.s0)
+        deviations = [(tuple(alpha0 * x - t for x, t in zip(image(p), total)), count)
+                      for p, count in runs]
+        runs = [(runs[r][0], hi - lo) for r, lo, hi in _order_runs(deviations, inst.s0)]
 
     # certified bounds of the u-decomposition
     if alpha0 < Fraction(linf_norm(u_hat), K) - 1:
         raise PropertyViolation("u-layer-count", "alpha0 < ||u||_inf / K - 1")
-    for p in dict.fromkeys(pieces):
+    for p in dict.fromkeys(p for p, _ in runs):
         if sum(map(abs, p)) > K:
             raise PropertyViolation("u-piece-norm", "an integer piece exceeds the l1 cap")
     if l1_norm(u0) > inst.n * K or linf_norm(u0) > K:
         raise PropertyViolation("u-remainder-norm", "remainder norm bound failed")
-    if alpha0 >= 1 and _leaves_tube(c_images, inst.s0 * 2 * inst.delta * K):
+    if alpha0 >= 1 and _leaves_tube_runs([(image(p), count) for p, count in runs],
+                                         inst.s0 * 2 * inst.delta * K):
         raise PropertyViolation("u-prefix-tube", "ordered C-prefix left the certified tube")
-    return u0, tuple(pieces)
+    return u0, runs
+
+
+def _spelled(runs) -> tuple:
+    """The sequence that the runs (value, count) spell, as one tuple."""
+    return tuple(chain.from_iterable(repeat(value, count) for value, count in runs))
 
 
 def _leaves_tube(images, cap) -> bool:
     """Whether a prefix sum of the integer vectors images leaves the tube
     |prefix_k - (k/m) total| <= cap around the proportional line, m =
-    len(images).  Checked in integers, multiplied through by m:
-    |m prefix_k - k total| <= floor(m cap)."""
-    m = len(images)
-    total = [sum(col) for col in zip(*images)]
+    len(images); the work is _leaves_tube_runs on the runs of images."""
+    return _leaves_tube_runs(_run_encode(images), cap)
+
+
+def _leaves_tube_runs(runs, cap) -> bool:
+    """_leaves_tube of the integer vectors that the runs (image, count)
+    spell.  Checked in integers, multiplied through by m:
+    |m prefix_k - k total| <= floor(m cap), at the run ends only: along a
+    run m prefix_k - k total is affine in k, so its absolute value is convex
+    and largest at an end, and a run starts where the one before it ended
+    (or at k = 0, where it is 0)."""
+    m = sum(count for _, count in runs)
+    total = _run_sum(runs, len(runs[0][0]) if runs else 0)
     bound = math.floor(m * cap)
     prefix = [0] * len(total)
-    for k, im in enumerate(images, start=1):
+    k = 0
+    for im, count in runs:
+        k += count
         for r, x in enumerate(im):
-            prefix[r] += x
+            prefix[r] += count * x
             if abs(m * prefix[r] - k * total[r]) > bound:
                 return True
     return False
@@ -531,7 +563,15 @@ def _peel_vertices(tau, lam, count, span, verts, w):
     common denominator of lam and the initial masses: the checks
     tau_k >= 1/span and tau_k (lam - j) >= 1 read m_k span >= (lam - j) D
     and m_k >= D, and a step subtracts D from m_k and from (lam - j) D.
-    Returns the picked vertex indices in order and the remainder of w.
+    Returns the picked vertex indices as runs (k, c) in order and the
+    remainder of w.
+
+    The steps are taken a run at a time: the heaviest vertex stays the pick
+    until its mass falls below that of the runner-up (or to it, when the
+    runner-up has the lower index), which integer division counts.  Along a
+    run m_k span - (lam - j) D falls by D (span - 1) per step and m_k by D,
+    so both checks are hardest at the run's last step; when that one fails,
+    the first failing step is found by integer division as well.
 
     The vertices are nonnegative, so w only decreases along the steps: it
     went negative at some step exactly when it is negative after the last
@@ -541,7 +581,7 @@ def _peel_vertices(tau, lam, count, span, verts, w):
     mass = {k: int(m * D) for k, m in masses.items()}
     left = int(lam * D)
     counts = dict.fromkeys(mass, 0)
-    picks = []
+    runs = []
 
     def remainder():
         rem = list(w)
@@ -553,33 +593,57 @@ def _peel_vertices(tau, lam, count, span, verts, w):
             raise PropertyViolation("extraction-nonneg", "extraction overshot")
         return tuple(rem)
 
-    for _ in range(count):
+    while count:
         dbar = max(mass, key=lambda idx: (mass[idx], -idx))
-        if mass[dbar] * span < left or mass[dbar] < D:
+        steps = count
+        rival = max(((mass[k], -k) for k in mass if k != dbar), default=None)
+        if rival is not None:
+            gap = mass[dbar] - rival[0]
+            # step j still picks dbar while gap - j D > 0, or = 0 with dbar first
+            steps = min(steps, gap // D + 1 if dbar < -rival[1] else -(-gap // D))
+        # the first step j failing m span >= left or m >= D, m = mass - j D and
+        # left = left - j D (no step fails the first check when span = 1 and it holds)
+        slack = mass[dbar] * span - left
+        first_a = 0 if slack < 0 else (slack // (D * (span - 1)) + 1 if span > 1 else steps)
+        failing = max(0, min(first_a, mass[dbar] // D))
+        if failing < steps:
+            counts[dbar] += failing
             remainder()
             raise PropertyViolation("vertex-weight", "no vertex carries enough weight")
-        mass[dbar] -= D
-        left -= D
-        counts[dbar] += 1
-        picks.append(dbar)
-    return picks, remainder()
+        mass[dbar] -= steps * D
+        left -= steps * D
+        counts[dbar] += steps
+        runs.append((dbar, steps))
+        count -= steps
+    return runs, remainder()
 
 
 def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases):
+    """Split v into per-ray parts and extract integer pieces per part:
+    _decompose_v with the pieces of each ray spelled out."""
+    v0s, vseq_runs, alphas, av0 = _decompose_v(inst, lambdas, hs, v_hat, omega2, bases)
+    return v0s, tuple(_spelled(seq) for seq in vseq_runs), alphas, av0
+
+
+def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases):
     """Split v into per-ray parts and extract integer pieces per part.
 
     bases[i] is block i's block_bases table; the vertices at x and at each
     ray h are read from it, filtered to the bases feasible there.
 
-    Returns (v0_per_ell, vseq_per_ell, alphas, av0_integral) where
-    vseq_per_ell[ell][j] are stacked integer vectors ordered so that the
-    C-image prefixes stay inside the certified tube.
+    Returns (v0_per_ell, vseq_runs, alphas, av0_integral) where
+    vseq_runs[ell] spells, as runs (piece, count), the stacked integer
+    vectors ordered so that the C-image prefixes stay inside the certified
+    tube.
 
     Every piece is one of the few vertices of a block polytope, so the
     extraction works on vertex indices and counts with integer weights
-    (_peel_vertices).  The integer form and the scaled C-image of a vertex
-    are computed once, equal stacked pieces share one tuple whose kernel
-    pairing is checked once, and the tube is checked over integer C-images."""
+    (_peel_vertices), which picks them in runs of one vertex.  The integer
+    form and the scaled C-image of a vertex are computed once, the colorful
+    order takes each block's picks as runs and gives the stacked pieces as
+    runs, equal stacked pieces share one tuple whose kernel pairing is
+    checked once, and the tube is checked over integer C-images at the ends
+    of the runs."""
     s, t, t0, n = inst.s, inst.t, inst.t0, inst.n
     ell_count = len(lambdas)
     Xv = Fraction(inst.delta ** (s + 1) * s ** s * t0) * omega2
@@ -620,11 +684,11 @@ def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases)
         alphas.append(math.floor(lam - (t - s)) if lam >= span else 0)
 
     v0_per_ell = []
-    vseq_per_ell = []
+    vseq_runs = []          # per ell: the ordered pieces as runs (piece, count)
     av0_flags = []
     for ell, (lam, h) in enumerate(zip(lambdas, hs)):
         a_ell = alphas[ell]
-        picks = []          # per block: the vertex index of each extracted piece
+        picks = []          # per block: the extracted pieces as runs (vertex index, count)
         int_verts = []      # per block: the vertices as integer tuples
         rem_blocks = []
         for i in range(n):
@@ -652,40 +716,43 @@ def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases)
         av0_flags.append(all(
             is_integer_vec(inst.A[i].mul_vec(rem_blocks[i])) for i in range(n)))
 
+        seq = []
         if a_ell > 0:
-            # order the pieces jointly across blocks; each vertex's scaled
-            # C-image is one tuple, shared by all of its pieces
+            # order the pieces jointly across blocks, the colors as runs of
+            # one vertex; each vertex's scaled C-image is one tuple
             scaled = [[tuple(x / CXv for x in inst.C[i].mul_vec(v)) for v in int_verts[i]]
                       for i in range(n)]
-            fam = ColoredFamily(inst.s0, n, a_ell,
-                                tuple(tuple(scaled[i][k] for k in picks[i]) for i in range(n)),
-                                LINF_NORM)
-            cert = colorful_affine(fam)
+            route, _, _ = _affine_runs(inst.s0, a_ell, LINF_NORM,
+                                       [[(scaled[i][k], c) for k, c in picks[i]]
+                                        for i in range(n)])
+            starts = [list(accumulate((c for _, c in pick), initial=0)) for pick in picks]
+            row_at = list(accumulate((c for _, c in route.rows), initial=0))
             stacked = {}    # vertex index per block -> the stacked piece
-            seq = []
-            for j in range(a_ell):
-                key = tuple(picks[i][cert.permutations[i][j]] for i in range(n))
+            for r, lo, hi in route.chunks:
+                # the rows of a chunk take each block's piece from one run
+                row = row_at[r] + lo
+                key = tuple(pick[bisect_right(start, row if route.orders is None
+                                              else route.orders[i][row]) - 1][0]
+                            for i, (pick, start) in enumerate(zip(picks, starts)))
                 piece = stacked.get(key)
                 if piece is None:
                     piece = stacked[key] = tuple(
                         x for i, k in enumerate(key) for x in int_verts[i][k])
-                seq.append(piece)
-            vseq_per_ell.append(tuple(seq))
-        else:
-            vseq_per_ell.append(())
+                seq.append((piece, hi - lo))
+        vseq_runs.append(seq)
 
     # exact prefix check of the ordered C-images
     cap_ix = Fraction(40 * inst.s0 ** 5) * CXv
     image = inst.integer_C_images()
-    for seq in vseq_per_ell:
-        if seq and _leaves_tube([image(vv) for vv in seq], cap_ix):
+    for seq in vseq_runs:
+        if seq and _leaves_tube_runs([(image(vv), c) for vv, c in seq], cap_ix):
             raise PropertyViolation("v-prefix-tube", "ordered C-prefix left the certified tube")
 
     # kernel pairing and the layer-count bound, once per distinct piece in
     # order of first appearance, so the first failing piece is the one found
     for ell, (lam, h) in enumerate(zip(lambdas, hs)):
         bh = [inst.B[i].mul_vec(h) for i in range(n)]
-        for vv in dict.fromkeys(vseq_per_ell[ell]):
+        for vv in dict.fromkeys(vv for vv, _ in vseq_runs[ell]):
             for i in range(n):
                 lhs = inst.A[i].mul_vec(inst.y_block(vv, i))
                 if any(a + b != 0 for a, b in zip(lhs, bh[i])):
@@ -695,7 +762,7 @@ def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases)
     if omega2 > 0:
         if sum(alphas) < Fraction(linf_norm(x_hat)) / omega2 - t0 * (t - s + 2):
             raise PropertyViolation("v-layer-count", "too few extracted layers")
-    return tuple(v0_per_ell), tuple(vseq_per_ell), tuple(alphas), tuple(av0_flags)
+    return tuple(v0_per_ell), vseq_runs, tuple(alphas), tuple(av0_flags)
 
 
 # ---------------------------------------------------------------------------
@@ -759,16 +826,16 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
     """
     _require_pipeline_ready(inst)
     u_hat, v_hat = split_max_kernel(inst, pt)
-    u0, u_seq = decompose_u(inst, u_hat)
+    u0, u_runs = _decompose_u(inst, u_hat)
     bases = [block_bases(inst.A[i], inst.B[i]) for i in range(inst.n)]
     rays_all, omega2, gamma = cone_rays_K(inst, pt.x, bases)
     lambdas, hs = decompose_x(pt.x, rays_all)
-    v0s, vseqs, alphas, av0 = decompose_v(inst, lambdas, hs, v_hat, omega2, bases)
+    v0s, v_runs, alphas, av0 = _decompose_v(inst, lambdas, hs, v_hat, omega2, bases)
 
-    # exact reassembly checks
+    # exact reassembly checks; the pieces are summed over their runs
     if vadd(u_hat, v_hat) != tuple(pt.y):
         raise PropertyViolation("split-reassembly", "u + v != y")
-    u_pieces = _int_sum(u_seq, inst.y_dim)
+    u_pieces = _run_sum(u_runs, inst.y_dim)
     if tuple(a + b for a, b in zip(u0, u_pieces)) != tuple(u_hat):
         raise PropertyViolation("u-reassembly", "u0 + sum u_j != u")
     # the integer pieces are summed in int first; p_ell and q are C applied
@@ -776,7 +843,7 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
     acc = [ZERO] * inst.y_dim
     p_vecs = []
     for ell in range(len(lambdas)):
-        pieces = _int_sum(vseqs[ell], inst.y_dim)
+        pieces = _run_sum(v_runs[ell], inst.y_dim)
         for r in range(inst.y_dim):
             acc[r] += v0s[ell][r] + pieces[r]
         p_vecs.append(inst.apply_C(pieces))
@@ -797,8 +864,8 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
         raise PropertyViolation("zero-sum-Cy", "sum p + q + r != 0")
 
     bundle = DecompositionBundle(
-        tuple(pt.x), tuple(pt.y), u_hat, v_hat, u0, u_seq, lambdas, hs, alphas,
-        v0s, vseqs, tuple(p_vecs), q, r_vec, gamma, omega2, av0)
+        tuple(pt.x), tuple(pt.y), u_hat, v_hat, u0, _spelled(u_runs), lambdas, hs, alphas,
+        v0s, tuple(_spelled(seq) for seq in v_runs), tuple(p_vecs), q, r_vec, gamma, omega2, av0)
     return bundle, compute_constants(inst, bundle)
 
 
@@ -863,29 +930,30 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
     runs.append((("r",), bundle.r, 1))
     psi = sum(count for _, _, count in runs)
     if psi != consts.psi:
-        raise AssertionError("psi bookkeeping mismatch")
+        raise PropertyViolation("psi-count", "psi differs from 1 + alpha0 + sum of the alphas")
 
     # the distinct values and their span coordinates, each scaled to
     # integers once by its lcm; orders and prefix tests are scale-invariant
     distinct = dict.fromkeys(value for _, value, _ in runs)
     scale, ints = scale_to_integers(distinct)
     int_of = dict(zip(distinct, ints))
-    tags = [tag for tag, _, count in runs for _ in range(count)]
-    values = [x for _, value, count in runs for x in [int_of[value]] * count]
 
-    # order within the span, then force r to the last position
+    # order within the span as chunks (run, lo, hi) of the runs, then force
+    # r, the last run's one copy, to the last position
     rdim, coords = span_coordinates(distinct)
     if rdim == 0:
-        order = list(range(psi))
+        chunks = [(run, 0, count) for run, (_, _, count) in enumerate(runs)]
     else:
         coord_of = dict(zip(distinct, scale_to_integers(coords)[1]))
-        order = list(rearrangement_order(
-            [x for _, value, count in runs for x in [coord_of[value]] * count], rdim))
-    r_pos = order.index(psi - 1)
-    order = order[:r_pos] + order[r_pos + 1:] + [psi - 1]
+        chunks = _order_runs([(coord_of[value], count) for _, value, count in runs], rdim)
+    last = (len(runs) - 1, 0, 1)
+    chunks.remove(last)
+    chunks.append(last)
 
+    # the prefixes are read at the chunk ends (linf is convex along a chunk)
     cap_prefix = math.floor(consts.omega3 * (consts.dim_v + 1) * scale)
-    if any(max(map(abs, p), default=0) > cap_prefix for p in prefix_sums(values, order, s0)):
+    ordered = [(int_of[runs[run][1]], hi - lo) for run, lo, hi in chunks]
+    if _max_prefix_runs(ordered, s0, LINF_NORM) > cap_prefix:
         raise PropertyViolation("prefix-omega3", "rearranged prefix left omega3 (dimV + 1) box")
 
     # offsets O_k with exact integer keys, k = 0 .. psi-1
@@ -898,8 +966,10 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
     seen = {tuple(offset): 0}
     snapshots = [(tuple(phi_counts), 0)]
     collision = None
-    for k in range(1, psi):
-        tag = tags[order[k - 1]]
+    # the runs of the ordered positions, drawn one by one up to a collision
+    drawn = chain.from_iterable(repeat(run, hi - lo) for run, lo, hi in chunks)
+    for k, run in zip(range(1, psi), drawn):
+        tag, value, _ = runs[run]
         if tag[0] == "p":
             ell = tag[1]
             phi_counts[ell] += 1
@@ -908,10 +978,10 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
             mu_count += 1
             im = image(bundle.u_seq[mu_count - 1])
         else:
-            raise AssertionError("r appeared before the last position")
-        for r in range(s0):
+            raise PropertyViolation("psi-r-last", "r appeared before the last position")
+        for r, x in enumerate(int_of[value]):
             offset[r] += im[r]
-            frac[r] += values[order[k - 1]][r]
+            frac[r] += x
         if any(abs(scale * o - f) > cap_dev for o, f in zip(offset, frac)):
             raise PropertyViolation("omega4-deviation",
                                     "offset drifted from the fractional prefix")

@@ -10,18 +10,29 @@ Main entry points:
   the cost of a factor 2 in the certified bound.
 * ``single_partial_sum`` picks one size-k subset per sequence whose joint
   sum has norm at most d, via the integer vertex walk and sorted rounding.
+
+Both certificates run on one integer core that takes each color as runs
+(vector, count) of equal vectors: the trivial route's row sums are formed
+once per merged run (a stretch where no color changes its vector), ordered
+as chunks of runs and their prefix maximum read at the chunk ends, so the
+work grows with the runs, not the vectors.  The public functions
+run-encode the family; the v-decomposition hands the core its runs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
+from typing import NamedTuple
 
 from .linalg import Matrix, Vec, ZERO, ONE, rat, is_zero_vec, null_space, scale_to_integers
 from .lp import walk_to_vertex
 from .norms import BlockMax, NormSpec, norm_eval
-from .rearrange import (VectorSequence, ZeroSumRequired, max_prefix_norm,
-                        rearrangement_order)
+from .rearrange import (ZeroSumRequired, _expand, _max_prefix_runs, _order_runs, _run_encode,
+                        _run_sum, rearrangement_order)
 
 ROUTE_TRIVIAL = "trivial_nd"
 ROUTE_BALANCED = "balanced_40d5"
@@ -115,25 +126,45 @@ def _row_sums(vectors, dim, orders, rows) -> list:
     return [tuple(map(sum, zip(*row))) for row in zip(*picked)]
 
 
-def _scaled(fam: ColoredFamily):
-    """(L, V, distinct): L is the lcm of the entry denominators of fam, V
-    holds its vectors as the integer tuples L*v, color by color, and
-    distinct holds V's distinct tuples.  Each vector object is scaled once,
-    since a family's repeated vectors are mostly one shared tuple, and equal
-    vectors then share one tuple, found by hashing integers only."""
-    objects = {id(v): v for color in fam.vectors for v in color}
+def _scaled_runs(colors, norm: NormSpec):
+    """(L, runs, distinct) of colors given as runs (vector, count): L is the
+    lcm of the entry denominators, runs holds the runs with each vector v
+    replaced by the integer tuple L*v, and distinct holds those tuples.  Each
+    vector object is scaled once, and equal vectors then share one tuple,
+    found by hashing integers only.  The unit-ball check runs on distinct
+    (every norm at most L)."""
+    objects = {id(v): v for color in colors for v, _ in color}
     scale, ints = scale_to_integers(objects.values())
     distinct = {}
     of_id = {key: distinct.setdefault(w, w) for key, w in zip(objects, ints)}
-    return scale, tuple(tuple(of_id[id(v)] for v in color) for color in fam.vectors), distinct
+    _require_unit_ball(max((norm_eval(norm, v) for v in distinct), default=ZERO), scale)
+    return scale, [[(of_id[id(v)], count) for v, count in color] for color in colors], distinct
 
 
-def _scaled_unit_ball(fam: ColoredFamily):
-    """_scaled(fam), on whose distinct integer vectors the unit-ball check
-    has run (every norm at most L)."""
-    scale, vectors, distinct = _scaled(fam)
-    _require_unit_ball(max((norm_eval(fam.norm, v) for v in distinct), default=ZERO), scale)
-    return scale, vectors, distinct
+def _scaled(fam: ColoredFamily):
+    """_scaled_runs of fam's colors, one run per vector, spelled out: (L, V,
+    distinct) with V holding fam's vectors as the tuples L*v, color by
+    color."""
+    scale, colors, distinct = _scaled_runs([[(v, 1) for v in color] for color in fam.vectors],
+                                           fam.norm)
+    return scale, tuple(tuple(w for w, _ in color) for color in colors), distinct
+
+
+def _merged_rows(colors, dim: int, m: int) -> list:
+    """The rows of the trivial route (row i joins the i-th vector of every
+    color) as runs (row sum, count), for colors given as runs over m rows:
+    the row sum is constant between two run boundaries of any color, so it
+    is formed once per merged run.  A family without colors has ZERO rows."""
+    if not m or not colors:
+        return [((ZERO,) * dim, m)] if m else []
+    ends = [list(accumulate(map(itemgetter(1), color))) for color in colors]
+    cuts = sorted(set().union(*ends))
+    starts = [0, *cuts[:-1]]
+    # each color's vector on each merged run: that of its first run ending past the start
+    picked = [map(itemgetter(0), map(color.__getitem__, map(bisect_right, repeat(end), starts)))
+              for color, end in zip(colors, ends)]
+    return [(tuple(map(sum, zip(*vectors))), cut - start)
+            for vectors, start, cut in zip(zip(*picked), starts, cuts)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,40 +297,67 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
 # the colorful rearrangement bound
 
 
-def _certify(fam: ColoredFamily, vectors, scale: int, fractions) -> ColorfulCertificate:
-    """colorful_rearrange of the family of fam's shape and norm whose
-    vectors are the integer vectors, color by color, divided by scale.
+class _Route(NamedTuple):
+    """A certified route: the rows are runs (row sum, count) and chunks
+    (r, lo, hi) of them give the rows' order; orders[j] takes a row to
+    color j's original index (None: the identity, the trivial route)."""
+    name: str
+    achieved: int          # the joint prefix maximum, in the units of the rows
+    row_bound: Fraction | None
+    orders: tuple | None
+    rows: list
+    chunks: list
 
-    The caller has checked the unit ball and the shape, so no family of the
-    integer vectors is built.  The zero-sum check, row sums, orders and
-    prefix maxima all run on the integers: the bound scales by scale, signs
-    and the rearrangement LPs do not change.  fractions() builds the
-    rational family for balance_rows; only the balanced route, taken when
-    n > 40 d^4, calls it.
+    def permutations(self, n: int) -> tuple:
+        """Per color, position -> original index."""
+        rho = _expand(self.rows, self.chunks)
+        if self.orders is None:
+            return (rho,) * n
+        return tuple(tuple(order[i] for i in rho) for order in self.orders)
+
+
+def _bound(n: int, d: int) -> Fraction:
+    """min{n*d, 40*d^5}, the colorful prefix bound."""
+    return min(Fraction(n * d), Fraction(40 * d ** 5))
+
+
+def _certify(dim: int, m: int, norm: NormSpec, colors, scale: int, fractions) -> _Route:
+    """The route of colorful_rearrange for the family of n = len(colors)
+    colors of m vectors in dimension dim whose vectors are the integer
+    vectors of colors, given as runs (vector, count), divided by scale.
+
+    The caller has checked the unit ball and the shape.  The zero-sum
+    check, row sums, orders and prefix maxima all run on the integers: the
+    bound scales by scale, signs and the rearrangement LPs do not change.
+    The trivial route's rows are formed once per merged run, ordered as
+    chunks and their prefix maximum read at the chunk ends.  fractions()
+    builds the rational family for balance_rows; only the balanced route,
+    taken when n > 40 d^4, calls it, and its rows are one run each.
     """
-    d, n, m = fam.dim, fam.colors, fam.length
-    certified = min(Fraction(n * d), Fraction(40 * d ** 5))
-    routes = {ROUTE_TRIVIAL: (range(m),) * n}
-    row_bound = None
+    d, n = dim, len(colors)
+    routes = {ROUTE_TRIVIAL: (None, _merged_rows(colors, d, m))}
     if n * d > 40 * d ** 5:
         bal = balance_rows(fractions())
-        row_bound, routes[ROUTE_BALANCED] = bal.row_bound, bal.orders
+        vectors = [[v for v, count in color for _ in range(count)] for color in colors]
+        routes[ROUTE_BALANCED] = (bal.orders, [(row, 1) for row in
+                                                _row_sums(vectors, d, bal.orders, range(m))])
+        row_bound = bal.row_bound
+    else:
+        row_bound = None
 
     best = None
-    for route, orders in routes.items():
-        rows = _row_sums(vectors, d, orders, range(m))
+    for name, (orders, rows) in routes.items():
         # every route's rows add up to the total of the family
-        _require_zero_sum_union(tuple(map(sum, zip(*rows))))
-        # row k of the route is rows[rho[k]], so its joint prefixes are the
-        # classical prefixes of the rows in hand taken in the order rho
-        rho = rearrangement_order(rows, d)
-        achieved = max_prefix_norm(VectorSequence(tuple(rows), d, fam.norm), rho)
-        if best is None or achieved < best[0]:  # the balanced route must do strictly better
-            best = (achieved, route, tuple(tuple(order[i] for i in rho) for order in orders))
-    achieved, route, perms = best
-    if achieved > certified * scale:
+        _require_zero_sum_union(_run_sum(rows, d))
+        # row k of the route is the k-th row in the order of the chunks, so its
+        # joint prefixes are the classical prefixes of the rows in that order
+        chunks = _order_runs(rows, d)
+        achieved = _max_prefix_runs([(rows[r][0], hi - lo) for r, lo, hi in chunks], d, norm)
+        if best is None or achieved < best.achieved:  # the balanced route must do strictly better
+            best = _Route(name, achieved, row_bound, orders, rows, chunks)
+    if best.achieved > _bound(n, d) * scale:
         raise AssertionError("colorful prefix bound min{nd, 40d^5} violated")
-    return ColorfulCertificate(perms, certified, Fraction(achieved, scale), route, row_bound)
+    return best
 
 
 def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
@@ -308,11 +366,14 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
 
     Runs in integers: each distinct vector is scaled once by the lcm L of
     the denominators, and the checks, the row sums, their order and the
-    prefix maxima run on the integer vectors; achieved_max is divided by L
-    at the end.  Only the balanced route's balance_rows sees fam itself.
+    prefix maxima run on the integer vectors, each color as runs of equal
+    vectors; achieved_max is divided by L at the end.  Only the balanced
+    route's balance_rows sees fam itself.
     """
-    scale, vectors, _ = _scaled_unit_ball(fam)
-    return _certify(fam, vectors, scale, lambda: fam)
+    scale, colors, _ = _scaled_runs([_run_encode(color) for color in fam.vectors], fam.norm)
+    route = _certify(fam.dim, fam.length, fam.norm, colors, scale, lambda: fam)
+    return ColorfulCertificate(route.permutations(fam.colors), _bound(fam.colors, fam.dim),
+                               Fraction(route.achieved, scale), route.name, route.row_bound)
 
 
 def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
@@ -322,35 +383,46 @@ def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
     The certificate is the colorful certificate of the recentred vectors
     (v - mean)/2 with certified_bound and achieved_max doubled: the bound is
     2 * min{n*d, 40*d^5}, and tight_bound_met says whether the un-doubled
-    bound held anyway.  A family without vectors raises ValueError.
-
-    Runs in integers: with V = L*v as in colorful_rearrange and T the sum of
-    V, the recentred vector is n*m*V - T over 2nmL, formed once per distinct
-    vector and certified by the same integer core.  Its k-th joint prefix,
-    n*(m*P_k - k*T) over 2nmL with P_k that of V, is half the deviation of
-    the k-th prefix of v from k*drift.  The rational recentred family is
-    built only for balance_rows.
+    bound held anyway.  A family without vectors raises ValueError.  The
+    work is _affine_runs on the colors as runs of equal vectors.
     """
-    d, n, m = fam.dim, fam.colors, fam.length
+    route, scale, total = _affine_runs(fam.dim, fam.length, fam.norm,
+                                       [_run_encode(color) for color in fam.vectors])
+    n, m, bound = fam.colors, fam.length, _bound(fam.colors, fam.dim)
+    achieved = 2 * Fraction(route.achieved, 2 * n * m * scale)
+    return ColorfulCertificate(
+        route.permutations(n), 2 * bound, achieved, route.name, route.row_bound,
+        drift=tuple(Fraction(t, m * scale) for t in total), tight_bound_met=achieved <= bound)
+
+
+def _affine_runs(dim: int, m: int, norm: NormSpec, colors):
+    """(route, L, T) of colorful_affine for the family of the colors given as
+    runs (vector, count) over m rows: the route certifies the recentred
+    vectors, T is the sum of the vectors V = L*v.
+
+    Runs in integers: the recentred vector is n*m*V - T over 2nmL, formed
+    once per distinct vector and certified by the same integer core.  Its
+    k-th joint prefix, n*(m*P_k - k*T) over 2nmL with P_k that of V, is half
+    the deviation of the k-th prefix of v from k*drift.  The rational
+    recentred family is built only for balance_rows.
+    """
+    n = len(colors)
     nm = n * m
     if nm == 0:
         raise ValueError("the affine variant needs a family with at least one vector")
-    scale, vectors, distinct = _scaled_unit_ball(fam)
-    total = tuple(map(sum, zip(*(v for color in vectors for v in color))))
+    scale, colors, distinct = _scaled_runs(colors, norm)
+    total = _run_sum(chain.from_iterable(colors), dim)
     centred = {v: tuple(nm * x - t for x, t in zip(v, total)) for v in distinct}
-    inner = tuple(tuple(centred[v] for v in color) for color in vectors)
+    inner = [[(centred[v], count) for v, count in color] for color in colors]
     denom = 2 * nm * scale
 
     def fractions():
         rational = {w: tuple(Fraction(x, denom) for x in w) for w in centred.values()}
-        return ColoredFamily(d, n, m, tuple(tuple(rational[w] for w in color) for color in inner),
-                             fam.norm)
+        return ColoredFamily(dim, n, m, tuple(tuple(rational[w] for w, count in color
+                                                    for _ in range(count)) for color in inner),
+                             norm)
 
-    cert = _certify(fam, inner, denom, fractions)
-    return ColorfulCertificate(
-        cert.permutations, 2 * cert.certified_bound, 2 * cert.achieved_max, cert.route,
-        cert.phase1_row_bound, drift=tuple(Fraction(t, m * scale) for t in total),
-        tight_bound_met=2 * cert.achieved_max <= cert.certified_bound)
+    return _certify(dim, m, norm, inner, denom, fractions), scale, total
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +463,7 @@ def single_partial_sum(fam: ColoredFamily, k: int) -> SubsetSelection:
     X = k everywhere over D = m.  achieved is the norm of the integer sum
     of the selected V, divided by L.
     """
-    scale, vectors, _ = _scaled_unit_ball(fam)
+    scale, vectors, _ = _scaled(fam)
     d, n, m = fam.dim, fam.colors, fam.length
     _require_zero_sum_union(tuple(map(sum, zip(*(v for color in vectors for v in color)))))
     if not 0 <= k <= m:

@@ -497,9 +497,9 @@ class _Simplex:
         self.T = [row[:ns] + row[-1:] for row in self.T]
         return True
 
-    def point(self) -> Vec:
-        """The basic solution, as a point of the BoxLP: its coordinates are
-        integers over delta L, made Fraction once each."""
+    def solution(self):
+        """(den, X): the basic solution as a point of the BoxLP, the
+        integers X over den = |delta L|."""
         delta = self.delta
         Y = [0] * self.nstruct  # delta y
         for j in self.at_upper:
@@ -514,7 +514,25 @@ class _Simplex:
                 out.append(delta * b - Y[a])
             else:
                 out.append(Y[a] - Y[b])
-        return tuple(Fraction(v, delta * self.L) for v in out)
+        den = delta * self.L
+        return (den, out) if den > 0 else (-den, [-v for v in out])
+
+
+def _checked_point(lp: BoxLP, sx: _Simplex) -> Vec:
+    """The simplex's basic solution as a point of lp, checked exactly in
+    integers before any Fraction is built: with x = X / den, M x = b reads
+    A X = b' den over ``integer_rows`` and a bound lo <= x_j reads
+    lo.numerator den <= X_j lo.denominator (likewise hi).  Raises
+    InfeasibleStart when a check fails."""
+    den, X = sx.solution()
+    rows, rhs = lp.integer_rows
+    if any(sum(map(mul, row, X)) != bi * den for row, bi in zip(rows, rhs)) or \
+            any(lo is not None and xj * lo.denominator < lo.numerator * den
+                for xj, lo in zip(X, lp.lower)) or \
+            any(hi is not None and xj * hi.denominator > hi.numerator * den
+                for xj, hi in zip(X, lp.upper)):
+        raise InfeasibleStart("simplex point is not feasible")
+    return tuple(Fraction(v, den) for v in X)
 
 
 def find_feasible(lp: BoxLP) -> Vec | None:
@@ -523,10 +541,7 @@ def find_feasible(lp: BoxLP) -> Vec | None:
     sx = _Simplex(lp)
     if not sx.solve_phase1():
         return None
-    x = sx.point()
-    if not lp.is_feasible_point(x):
-        raise InfeasibleStart("simplex point is not feasible")
-    return x
+    return _checked_point(lp, sx)
 
 
 def lp_solve(lp: BoxLP) -> LPResult:
@@ -539,9 +554,7 @@ def lp_solve(lp: BoxLP) -> LPResult:
         return LPResult("infeasible")
     if sx._iterate(sx.c) == "unbounded":
         return LPResult("unbounded")
-    x = sx.point()
-    if not lp.is_feasible_point(x):
-        raise InfeasibleStart("simplex point is not feasible")
+    x = _checked_point(lp, sx)
     value = sum((rat(ci) * xi for ci, xi in zip(lp.objective, x)), ZERO)
     return LPResult("optimal", x, value)
 

@@ -14,6 +14,15 @@ to ``lp.walk_to_vertex``, and a dropped element takes its column with it.
 
 Dimension one has a cheap special case: always append an element whose
 sign opposes the running prefix.
+
+Repeated vectors are carried as runs (value, count) of equal consecutive
+entries, and an order as chunks (r, lo, hi): copies lo..hi-1 of run r.  In
+dimension one the greedy takes ceil(|prefix| / |value|) copies of a run at
+once, so its work grows with the chunks, not the copies; the chain still
+gives each copy its own column.  Prefix maxima are read at the ends of the
+runs only: along a run the prefix is affine in k and a norm is convex.
+``rearrangement_order`` and ``max_prefix_norm`` run-encode their input and
+call these run cores.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate, compress
+from operator import is_not, itemgetter, mul, sub
 
 from .linalg import Vec, ZERO, scale_to_integers, span_coordinates
 from .lp import InfeasibleStart, walk_to_vertex
@@ -70,37 +80,72 @@ def _require_zero_sum(seq: VectorSequence):
         raise ZeroSumRequired("sequence does not sum to zero exactly")
 
 
+def _run_encode(seq) -> list:
+    """The runs (value, count) of consecutive entries of seq that are one
+    object.  Equal values held as separate objects start separate runs,
+    which changes no answer of a run core and compares no entries."""
+    seq = list(seq)
+    starts = [0, *compress(range(1, len(seq)), map(is_not, seq[1:], seq))]
+    ends = starts[1:] + [len(seq)]
+    return list(zip(map(seq.__getitem__, starts), map(sub, ends, starts))) if seq else []
+
+
+def _expand(runs, chunks) -> tuple:
+    """The indices, into the sequence that runs spell, of the chunks
+    (r, lo, hi), in order: copies lo..hi-1 of run r."""
+    starts = list(accumulate(map(itemgetter(1), runs), initial=0))
+    return tuple([i for r, lo, hi in chunks for i in range(starts[r] + lo, starts[r] + hi)])
+
+
+def _run_sum(runs, dim: int) -> tuple:
+    """The sum of the vectors of dimension dim that the runs (vector, count)
+    spell."""
+    total = [0] * dim
+    for v, count in runs:
+        for i, x in enumerate(v):
+            total[i] += count * x
+    return tuple(total)
+
+
 def _order_dim1(values) -> tuple:
     """Greedy order for scalars: always oppose the sign of the prefix."""
-    pos = [i for i, v in enumerate(values) if v > 0]
-    neg = [i for i, v in enumerate(values) if v < 0]
-    zer = [i for i, v in enumerate(values) if v == 0]
-    ip = ineg = iz = 0
+    runs = _run_encode(values)
+    return _expand(runs, _order_dim1_runs(runs))
+
+
+def _order_dim1_runs(runs) -> list:
+    """The greedy order of the scalars that the runs (value, count) spell, as
+    chunks (r, lo, hi).  A nonzero prefix takes the head run of opposite sign,
+    ceil(|prefix| / |value|) copies at once or the rest of the run; a zero
+    prefix takes the head of lowest index, one copy, or a zero run whole (no
+    other head lies inside it)."""
+    queues = ([], [], [])            # the runs of zeros, of positives, of negatives
+    for r, (value, _) in enumerate(runs):
+        queues[(value > 0) - (value < 0)].append(r)
+    at = [0, 0, 0]                   # per queue, the position of its head run
+    taken = [0] * len(runs)          # copies taken of each run
+    chunks = []
     prefix = 0
-    order = []
-    for _ in range(len(values)):
-        if prefix > 0:
-            idx = neg[ineg]; ineg += 1
-        elif prefix < 0:
-            idx = pos[ip]; ip += 1
+    left = sum(count for _, count in runs)
+    while left:
+        if prefix:
+            sign = -1 if prefix > 0 else 1
+            r = queues[sign][at[sign]]
         else:
-            heads = []
-            if ip < len(pos):
-                heads.append(pos[ip])
-            if ineg < len(neg):
-                heads.append(neg[ineg])
-            if iz < len(zer):
-                heads.append(zer[iz])
-            idx = min(heads)
-            if idx == (pos[ip] if ip < len(pos) else -1):
-                ip += 1
-            elif idx == (neg[ineg] if ineg < len(neg) else -1):
-                ineg += 1
-            else:
-                iz += 1
-        order.append(idx)
-        prefix += values[idx]
-    return tuple(order)
+            r, sign = min((q[a], s) for s, (q, a) in enumerate(zip(queues, at)) if a < len(q))
+        value, count = runs[r]
+        take = count - taken[r]
+        if prefix and take > 1:
+            take = min(take, -(-abs(prefix) // abs(value)))
+        elif not prefix and sign:
+            take = 1
+        chunks.append((r, taken[r], taken[r] + take))
+        taken[r] += take
+        if taken[r] == count:
+            at[sign] += 1
+        prefix += value if take == 1 else take * value
+        left -= take
+    return chunks
 
 
 def _order_chain(vectors, dim) -> tuple:
@@ -139,13 +184,27 @@ def _order_chain(vectors, dim) -> tuple:
 
 
 def rearrangement_order(vectors, dim) -> tuple:
-    """Order (position -> index) with all prefix norms at most dim * radius."""
-    m = len(vectors)
-    if m <= dim:
-        return tuple(range(m))
+    """Order (position -> index) with all prefix norms at most dim * radius.
+    In dimension one the greedy runs on the runs of equal values; the chain
+    takes the vectors as they are."""
     if dim == 1:
-        return _order_dim1([v[0] for v in vectors])
-    return _order_chain(vectors, dim)
+        runs = _run_encode(vectors)
+        return _expand(runs, _order_dim1_runs([(v[0], count) for v, count in runs]))
+    return tuple(range(len(vectors))) if len(vectors) <= dim else _order_chain(vectors, dim)
+
+
+def _order_runs(runs, dim) -> list:
+    """rearrangement_order of the sequence that the runs (vector, count)
+    spell, as chunks (r, lo, hi): copies lo..hi-1 of run r, in that order.
+    In dimension one the greedy takes whole chunks; the chain gives each
+    copy its own LP column and its own chunk."""
+    m = sum(count for _, count in runs)
+    if m <= dim:
+        return [(r, 0, count) for r, (_, count) in enumerate(runs)]
+    if dim == 1:
+        return _order_dim1_runs([(v[0], count) for v, count in runs])
+    copies = [(r, j, j + 1) for r, (_, count) in enumerate(runs) for j in range(count)]
+    return [copies[i] for i in _order_chain([v for v, count in runs for _ in range(count)], dim)]
 
 
 def prefix_sums(vectors, order, dim: int, drift: Vec | None = None):
@@ -166,8 +225,26 @@ def max_prefix_norm(seq: VectorSequence, perm, drift: Vec | None = None) -> Frac
     """Exact max over k of || sum of the first k permuted vectors - k*drift ||."""
     if sorted(perm) != list(range(len(seq))):
         raise ValueError("perm is not a bijection on the sequence indices")
-    return max((norm_eval(seq.norm, p) for p in prefix_sums(seq.vectors, perm, seq.dim, drift)),
-               default=ZERO)
+    return _max_prefix_runs(_run_encode(seq.vectors[i] for i in perm), seq.dim, seq.norm, drift)
+
+
+def _max_prefix_runs(runs, dim: int, norm: NormSpec, drift: Vec | None = None):
+    """max_prefix_norm of the sequence that the runs (vector, count) spell,
+    read at the run ends only: along a run the prefix minus k*drift is
+    affine in k and a norm is convex, so its maximum over the run is at an
+    end, and a run starts where the one before it ended (or at the zero
+    prefix, of norm 0).  Integer vectors (and drift) keep int values."""
+    prefix = [0] * dim
+    k, best = 0, None
+    for v, count in runs:
+        k += count
+        for i, x in enumerate(v if count == 1 else [count * x for x in v]):
+            prefix[i] += x
+        value = norm_eval(norm, tuple(prefix) if drift is None else
+                          tuple(p - k * d for p, d in zip(prefix, drift)))
+        if best is None or value > best:
+            best = value
+    return ZERO if best is None else best
 
 
 def steinitz_rearrange(seq: VectorSequence) -> RearrangementCertificate:

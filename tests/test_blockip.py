@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -711,3 +712,64 @@ def test_gamma_hadamard_check_is_named():
     big = blockip.FeasibleBasis((0, 1), ((F(0),), (F(0),)), 5)
     with pytest.raises(PropertyViolation, match="hadamard-bound"):
         blockip._gamma(inst, [[big]])
+
+
+def _psi_instance():
+    # psi = 4 values spanning a plane (dim V = 2), so the psi order is the
+    # run core's; alpha0 = 1, so it is the only order blockip asks for, and
+    # unpatched, no offsets collide
+    return gen_four_block(2, 1, 2, 2, 4, 1, 3, zero_a0=True, scale=24)
+
+
+def _psi_count_fault(real):
+    def faulty(inst, bundle):
+        consts = real(inst, bundle)
+        return dataclasses.replace(consts, psi=consts.psi + 1)
+    return "compute_constants", faulty
+
+
+def _psi_r_early_fault(real):
+    # an order that emits r, the last run's one copy, twice ahead of the rest
+    return "_order_runs", lambda runs, dim: [(len(runs) - 1, 0, 1)] * 2 + real(runs, dim)
+
+
+# faults, each given the function it replaces, failing the two psi checks of
+# reduce_kernel_point
+_PSI_FAULTS = (("psi-count", "compute_constants", _psi_count_fault),
+               ("psi-r-last", "_order_runs", _psi_r_early_fault))
+
+
+def test_psi_checks_are_named(monkeypatch):
+    inst, pt = _psi_instance()
+    out = reduce_kernel_point(inst, pt)
+    assert out.diagnostics["dim_v"] == 2 and out.bundle.alpha0 == 1
+    assert out.diagnostics["collision"] is None
+    for name, target, fault in _PSI_FAULTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(blockip, *fault(getattr(blockip, target)))
+            with pytest.raises(PropertyViolation, match=name) as err:
+                reduce_kernel_point(inst, pt)
+            assert err.value.name == name
+
+
+def test_psi_checks_survive_python_O():
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_blockip import _PSI_FAULTS, _psi_instance\n"
+            "from steinitz import blockip\n"
+            "inst, pt = _psi_instance()\n"
+            "for name, target, fault in _PSI_FAULTS:\n"
+            "    real = getattr(blockip, target)\n"
+            "    setattr(blockip, *fault(real))\n"
+            "    try:\n"
+            "        blockip.reduce_kernel_point(inst, pt)\n"
+            "    except blockip.PropertyViolation as exc:\n"
+            "        print(exc.name)\n"
+            "    finally:\n"
+            "        setattr(blockip, target, real)\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(here.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code, str(here)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out == "psi-count\npsi-r-last\n"

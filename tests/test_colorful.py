@@ -391,16 +391,18 @@ def test_colorful_affine_equals_fraction_reference():
 
 
 def test_colorful_affine_runs_one_prefix_pass_per_route(monkeypatch):
-    """The affine achieved_max is read off the core certificate: one
-    max_prefix_norm per route evaluated, the balanced route only for n > 40 d^4."""
+    """The affine achieved_max is read off the core certificate: one prefix
+    pass (the run core of max_prefix_norm) per route evaluated, the balanced
+    route only for n > 40 d^4."""
     import steinitz.colorful
     calls = []
+    real = steinitz.colorful._max_prefix_runs
 
-    def counted(seq, perm, drift=None):
+    def counted(runs, dim, norm, drift=None):
         calls.append(drift)
-        return max_prefix_norm(seq, perm, drift)
+        return real(runs, dim, norm, drift)
 
-    monkeypatch.setattr(steinitz.colorful, "max_prefix_norm", counted)
+    monkeypatch.setattr(steinitz.colorful, "_max_prefix_runs", counted)
     for zero_sum in (True, False):
         for fam in _families(zero_sum):
             calls.clear()

@@ -19,6 +19,7 @@ per enumeration, not by counts.
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -72,7 +73,7 @@ def _reference_decompose_u(inst, u_hat):
         q = tuple(sum(col, ZERO) for col in zip(*c_images))
         mean = vscale(q, Fraction(1, alpha0))
         deviations = [vsub(ci, mean) for ci in c_images]
-        order = blockip.rearrangement_order(deviations, inst.s0)
+        order = rearrangement_order(deviations, inst.s0)
         pieces = [pieces[i] for i in order]
         c_images = [c_images[i] for i in order]
 
@@ -607,6 +608,46 @@ def test_several_rays_match_reference():
     assert several >= 3
 
 
+def _calls(fn, *args):
+    """fn(*args) and the number of calls it made, Python and C, counted as
+    the call and c_call events of sys.setprofile."""
+    events = 0
+
+    def profile(frame, event, arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return out, events
+
+
+def test_reduce_work_does_not_grow_with_the_point():
+    """The bench-shaped point past xi by c and by 4c: alpha grows fourfold,
+    but reduce_kernel_point carries the equal pieces as runs and makes
+    exactly as many calls; at c and 2c it answers as the per-piece
+    reference."""
+    inst, pt = _gen((1, 1, 1, 1, 3), 1, 7020, scale=8)
+    _, consts = blockip.decompose_bundle(inst, pt)
+    size = linf_norm(tuple(pt.x) + tuple(pt.y))
+    c = math.ceil(consts.xi / size) + 1
+    while size * c <= blockip.reduce_kernel_point(inst, _scaled(pt, c)).constants.xi:
+        c *= 2
+    counts = []
+    for k in (c, 4 * c):
+        out, calls = _calls(blockip.reduce_kernel_point, inst, _scaled(pt, k))
+        assert out.vector is not None
+        counts.append((calls, out.diagnostics["psi"]))
+    assert counts[0][0] == counts[1][0]
+    assert counts[1][1] - 1 == 4 * (counts[0][1] - 1) >= 4 * 1000
+    for k in (c, 2 * c):
+        assert blockip.reduce_kernel_point(inst, _scaled(pt, k)) == \
+            _reference_reduce(inst, _scaled(pt, k))
+
+
 # ---------------------------------------------------------------------------
 # same violations
 
@@ -667,11 +708,19 @@ def test_forced_extraction_failures_match_reference(monkeypatch, perturb, expect
 def test_u_prefix_tube_same_verdicts(monkeypatch):
     """A deliberately bad order of the u pieces (sorted by their first
     C-image coordinate) leaves the tube on some instances; the integer check
-    and the Fraction check agree on every one."""
+    and the Fraction check agree on every one.  The library orders runs of
+    equal pieces, so it gets the same bad order as chunks: the runs sorted
+    by their value's first coordinate, each run whole (its copies are
+    consecutive indices of one value)."""
     def sorted_order(vectors, dim):
         return sorted(range(len(vectors)), key=lambda j: (vectors[j][0], j))
 
-    monkeypatch.setattr(blockip, "rearrangement_order", sorted_order)
+    def sorted_runs(runs, dim):
+        return [(r, 0, runs[r][1])
+                for r in sorted(range(len(runs)), key=lambda r: (runs[r][0][0], r))]
+
+    monkeypatch.setitem(globals(), "rearrangement_order", sorted_order)
+    monkeypatch.setattr(blockip, "_order_runs", sorted_runs)
     verdicts = set()
     for shape in ((1, 1, 1, 2, 2), (1, 1, 1, 3, 2), (2, 1, 1, 2, 3)):
         for seed in range(6):

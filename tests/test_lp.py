@@ -322,6 +322,25 @@ def test_lp_checks_survive_python_O():
     assert out.splitlines() == _LP_CHECK_MESSAGES
 
 
+def test_simplex_point_is_checked_in_integers(monkeypatch):
+    """lp_solve and find_feasible check the basic solution as integers X
+    over den before building Fractions: a point off M x = b, one above an
+    upper bound and one below a lower bound (both on M x = b) are refused,
+    and on an unpatched LP the checked point is the feasible vertex."""
+    lp = BoxLP(Matrix.from_rows([[1, -1]]), (F(0),), (F(0), F(1, 3)), (F(1), F(5, 2)),
+               (F(1), F(1)))
+    assert lp_solve(lp).x == (F(1), F(1)) and lp.is_feasible_point(find_feasible(lp))
+    real = _Simplex.solution
+    faults = (lambda den, X: (den, [X[0] + 1] + X[1:]),
+              lambda den, X: (den, [2 * den, 2 * den]),
+              lambda den, X: (4 * den, [den, den]))
+    for fault in faults:
+        monkeypatch.setattr(_Simplex, "solution", lambda sx, fault=fault: fault(*real(sx)))
+        for run in (find_feasible, lp_solve):
+            with pytest.raises(InfeasibleStart, match="^simplex point is not feasible$"):
+                run(lp)
+
+
 def test_extreme_rays_orthant():
     assert extreme_rays(Matrix.identity(2)) == [(0, 1), (1, 0)]
 
