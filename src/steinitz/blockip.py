@@ -20,15 +20,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, combinations, repeat
 from operator import mul
+from typing import NamedTuple
 
-from .linalg import (Matrix, Vec, ZERO, ONE, rat, _echelon, ceil_sqrt, hstack, is_integer_vec,
-                     l1_norm, linf_norm, rank, rank_of_vectors, span_coordinates,
-                     scale_to_integers, vadd, vscale, vsub)
-from .lp import BoxLP, LPError, enum_integer_points, extreme_rays, find_feasible, lp_solve
+from .linalg import (Matrix, Vec, ZERO, ONE, rat, ceil_sqrt, is_integer_vec, l1_norm, linf_norm,
+                     span_coordinates, scale_to_integers, vadd, vscale, vsub)
+from .lp import (BoxLP, LPError, _bareiss_echelon, enum_integer_points, extreme_rays,
+                 find_feasible, lp_solve)
 from .norms import LINF_NORM
 from .rearrange import _max_prefix_runs, _order_runs, _run_encode, _run_sum
 from .colorful import _affine_runs
@@ -48,6 +50,18 @@ class UnboundedRelaxation(LPError):
 
 # ---------------------------------------------------------------------------
 # instance and kernel-point types
+
+
+class IntegerForm(NamedTuple):
+    """The blocks of a FourBlockInstance as tuples of int rows: H, and per
+    diagonal block i, A[i], B[i] and C[i]; C_all is [C_1 ... C_n] and b the
+    right-hand side as int."""
+    H: tuple
+    A: tuple
+    B: tuple
+    C: tuple
+    C_all: tuple
+    b: tuple
 
 
 @dataclass(frozen=True)
@@ -90,7 +104,7 @@ class FourBlockInstance:
             raise ValueError("y objective/bound dimension mismatch")
         mats = [self.A0, *self.B, *self.A, *self.C]
         for M in mats:
-            if not all(Fraction(x).denominator == 1 for x in M.data):
+            if not all(x.denominator == 1 for x in M.data):
                 raise ValueError("blocks must have integer entries")
         if not is_integer_vec(self.b):
             raise ValueError("b must be integer")
@@ -119,34 +133,44 @@ class FourBlockInstance:
     def y_block(self, y: Vec, i: int) -> Vec:
         return tuple(y[i * self.t:(i + 1) * self.t])
 
+    @cached_property
+    def integer_form(self) -> IntegerForm:
+        """The instance's blocks as int rows, built on first use and kept:
+        every block product of the decomposition runs on them."""
+        n, t = self.n, self.t
+        A = tuple(_int_rows(M) for M in self.A)
+        B = tuple(_int_rows(M) for M in self.B)
+        C = tuple(_int_rows(M) for M in self.C)
+        C_all = tuple(tuple(chain.from_iterable(Ci[r] for Ci in C)) for r in range(self.s0))
+        H = [a0 + c for a0, c in zip(_int_rows(self.A0), C_all)]
+        for i in range(n):
+            H.extend(b + (0,) * (t * i) + a + (0,) * (t * (n - 1 - i)) for b, a in zip(B[i], A[i]))
+        return IntegerForm(tuple(H), A, B, C, C_all, tuple(int(v) for v in self.b))
+
     def apply_C(self, y: Vec) -> Vec:
-        acc = [ZERO] * self.s0
-        for i in range(self.n):
-            part = self.C[i].mul_vec(self.y_block(y, i))
-            for r in range(self.s0):
-                acc[r] += part[r]
-        return tuple(acc)
+        """C y = sum_i C_i y^i, as Fraction: one integer product over the
+        common denominator of y, divided back once per entry."""
+        if len(y) != self.y_dim:
+            raise ValueError("dimension mismatch in matrix-vector product")
+        L, (Y,) = scale_to_integers([y])
+        return tuple(Fraction(sum(map(mul, row, Y)), L) for row in self.integer_form.C_all)
 
     def H_matrix(self) -> Matrix:
-        top = [list(self.A0.row(r)) for r in range(self.s0)]
-        for i in range(self.n):
-            for r in range(self.s0):
-                top[r].extend(self.C[i].row(r))
-        rows = top
-        for i in range(self.n):
-            for r in range(self.s):
-                row = list(self.B[i].row(r))
-                row.extend([ZERO] * (self.t * i))
-                row.extend(self.A[i].row(r))
-                row.extend([ZERO] * (self.t * (self.n - 1 - i)))
-                rows.append(row)
-        return Matrix.from_rows(rows)
+        """H as a Fraction matrix, built once per instance."""
+        return self._H
+
+    @cached_property
+    def _H(self) -> Matrix:
+        # one Fraction per distinct entry, shared across the kept matrix
+        H = self.integer_form.H
+        value = {a: Fraction(a) for a in set(chain.from_iterable(H))}
+        return Matrix(len(H), self.x_dim + self.y_dim, tuple(value[a] for row in H for a in row))
 
     def integer_C_images(self):
         """A function taking an integer y (a tuple of int) to the integer
         vector C y.  It computes each distinct y once: the pieces of a
         decomposition repeat, so most calls are cache hits."""
-        rows = _int_rows(hstack(*self.C))
+        rows = self.integer_form.C_all
         cache = {}
 
         def image(y):
@@ -158,7 +182,7 @@ class FourBlockInstance:
 
     def integer_system(self):
         """(rows, b) of H z = b over int, as enum_integer_points takes it."""
-        return _int_rows(self.H_matrix()), tuple(int(v) for v in self.b)
+        return self.integer_form.H, self.integer_form.b
 
     def box_points(self, box_cap: int | None = None):
         """The integer points of H z = b in the brute-force search box, in
@@ -173,10 +197,17 @@ class FourBlockInstance:
         return enum_integer_points((0,) * len(upper), upper, system=self.integer_system())
 
 
-def _int_rows(M: Matrix) -> list:
+def _int_rows(M: Matrix) -> tuple:
     if any(a.denominator != 1 for a in M.data):
         raise ValueError("expected an integer matrix")
-    return [tuple(int(a) for a in M.row(r)) for r in range(M.rows)]
+    return tuple(tuple(a.numerator for a in M.row(r)) for r in range(M.rows))
+
+
+def _kernel_test(rows, v: Vec) -> bool:
+    """Whether rows . v = 0 for the rational vector v, tested as an integer
+    product over its common denominator."""
+    _, (V,) = scale_to_integers([v])
+    return not any(sum(map(mul, row, V)) for row in rows)
 
 
 def _check_box_cap(box_cap: int | None):
@@ -194,8 +225,7 @@ class KernelPoint:
             raise ValueError("kernel point dimension mismatch")
         if any(v < 0 for v in self.x) or any(v < 0 for v in self.y):
             raise ValueError("kernel point must be nonnegative")
-        z = tuple(self.x) + tuple(self.y)
-        if any(v != 0 for v in inst.H_matrix().mul_vec(z)):
+        if not _kernel_test(inst.integer_form.H, tuple(self.x) + tuple(self.y)):
             raise ValueError("point is not in the kernel of H")
 
 
@@ -333,9 +363,9 @@ def _decompose_u(inst: FourBlockInstance, u_hat: Vec):
         res = list(inst.y_block(u_hat, i))
         if any(x < 0 for x in res):
             raise ValueError("u must be nonnegative")
-        if any(x != 0 for x in inst.A[i].mul_vec(tuple(res))):
-            raise ValueError("u is not in the kernel of the diagonal blocks")
         scale, (scaled,) = scale_to_integers([res])
+        if any(sum(map(mul, row, scaled)) for row in inst.integer_form.A[i]):
+            raise ValueError("u is not in the kernel of the diagonal blocks")
         excess = sum(scaled) - K * scale       # scale (l1(res) - K), as res >= 0
         while excess > 0:
             wbar = minimal_kernel_below(inst.A[i], tuple(res), K)
@@ -419,38 +449,56 @@ class FeasibleBasis:
     its vertex map vmap = -D^{-1} Bi (s rows of length t0).  The point
     supported on cols with Ai y = -Bi x has y_cols = vmap x, so for every x
     the basis gives a vertex of {y >= 0 : Ai y = -Bi x} iff vmap x >= 0.
-    det is det D, an integer."""
+    det is det D, an integer; rows is |det D| vmap = -|det D| D^{-1} Bi,
+    an integer matrix (derived from vmap when not given), on which every
+    product with vmap runs."""
     cols: tuple
     vmap: tuple
     det: int
+    rows: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.rows is None:
+            d = abs(self.det)
+            object.__setattr__(self, "rows", tuple(tuple((d * v).numerator for v in row)
+                                                   for row in self.vmap))
 
     def image(self, x: Vec) -> Vec:
-        """vmap x, the basis coordinates of the point with Ai y = -Bi x."""
-        return tuple(sum((a * v for a, v in zip(row, x)), ZERO) for row in self.vmap)
+        """vmap x, the basis coordinates of the point with Ai y = -Bi x,
+        from one integer product over the common denominator L of x and
+        one division by L |det D| per entry."""
+        L, (X,) = scale_to_integers([x])
+        den = L * abs(self.det)
+        return tuple(Fraction(sum(map(mul, row, X)), den) for row in self.rows)
 
 
 def block_bases(Ai: Matrix, Bi: Matrix):
-    """Every invertible s x s column basis of Ai with its vertex map, in
-    lexicographic column order.
+    """Every invertible s x s column basis of the integer block Ai with its
+    vertex map, in lexicographic column order.
 
-    One elimination of [D | Bi] per subset: D is invertible iff the pivots
-    are its s columns, and then the last t0 columns hold D^{-1} Bi and the
-    signed pivot product is det D.
-    """
-    s = Ai.rows
+    One fraction-free elimination of [D | Bi] per subset
+    (``_bareiss_echelon``): D is invertible iff the pivots are its s
+    columns, and then the last t0 columns hold delta D^{-1} Bi, where
+    sign * delta = det D."""
+    A, B = _int_rows(Ai), _int_rows(Bi)
+    s = len(A)
     out = []
     for cols in combinations(range(Ai.cols), s):
-        rows = [[Ai.at(r, c) for c in cols] + list(Bi.row(r)) for r in range(s)]
-        pivots, det_d = _echelon(rows)
-        if pivots == list(range(s)):
-            out.append(FeasibleBasis(cols, tuple(tuple(-x for x in row[s:]) for row in rows),
-                                     int(det_d)))
+        work = [[a[c] for c in cols] + list(b) for a, b in zip(A, B)]
+        pivots, delta, sign = _bareiss_echelon(work, s)
+        if len(pivots) == s:
+            d = abs(delta)
+            rows = tuple(tuple(-x if delta > 0 else x for x in row[s:]) for row in work)
+            out.append(FeasibleBasis(cols, tuple(tuple(Fraction(x, d) for x in row)
+                                                  for row in rows), sign * delta, rows))
     return out
 
 
 def _feasible(bases, x: Vec):
-    """The bases of a block_bases table whose vertex at x is nonnegative."""
-    return [fb for fb in bases if all(v >= 0 for v in fb.image(x))]
+    """The bases of a block_bases table whose vertex at x is nonnegative,
+    tested in integers with x scaled by the lcm of its denominators."""
+    _, (X,) = scale_to_integers([x])
+    return [fb for fb in bases if all(sum(map(mul, row, X)) >= 0 for row in fb.rows)]
 
 
 def feasible_bases(Ai: Matrix, Bi: Matrix, x_hat: Vec):
@@ -490,17 +538,20 @@ def cone_rays_K(inst: FourBlockInstance, x_hat: Vec, tables=None):
     tables[i] is block i's block_bases table, built here when not given;
     gamma comes from its determinants and the cone from the bases feasible
     at x_hat."""
+    t0 = inst.t0
     if tables is None:
         tables = [block_bases(inst.A[i], inst.B[i]) for i in range(inst.n)]
-    rows = [list(Matrix.identity(inst.t0).row(r)) for r in range(inst.t0)]
+    # the cone rows are the integer rows |det D| vmap, positive multiples of
+    # the rows of vmap, so they cut out the same cone
+    rows = [tuple(int(r == c) for c in range(t0)) for r in range(t0)]
     for table in tables:
         for fb in _feasible(table, x_hat):
-            rows.extend(fb.vmap)
-    ineqs = Matrix.from_rows(rows)
-    for r in range(ineqs.rows):
-        if sum((ineqs.at(r, c) * x_hat[c] for c in range(inst.t0)), ZERO) < 0:
-            raise PropertyViolation("x-in-cone", "x violates a cone inequality")
+            rows.extend(fb.rows)
+    _, (X,) = scale_to_integers([x_hat])
+    if any(sum(map(mul, row, X)) < 0 for row in rows):
+        raise PropertyViolation("x-in-cone", "x violates a cone inequality")
     gamma = _gamma(inst, tables)
+    ineqs = Matrix(len(rows), t0, tuple(chain.from_iterable(rows)))
     rays = [tuple(gamma * x for x in r) for r in extreme_rays(ineqs)]
     omega2 = max((linf_norm(r) for r in rays), default=ZERO)
     return tuple(rays), omega2, gamma
@@ -532,6 +583,13 @@ def decompose_x(x_hat: Vec, rays):
 
 # ---------------------------------------------------------------------------
 # the v-decomposition
+
+
+def _integral_image(rows, w: Vec) -> bool:
+    """Whether rows . w is an integer vector, for the rational vector w:
+    each integer product over the common denominator L of w divides by L."""
+    L, (W,) = scale_to_integers([w])
+    return all(sum(map(mul, row, W)) % L == 0 for row in rows)
 
 
 def _convex_combo_over_vertices(vertices, target: Vec, support_cap: int, prop: str):
@@ -686,6 +744,7 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
     v0_per_ell = []
     vseq_runs = []          # per ell: the ordered pieces as runs (piece, count)
     av0_flags = []
+    form = inst.integer_form
     for ell, (lam, h) in enumerate(zip(lambdas, hs)):
         a_ell = alphas[ell]
         picks = []          # per block: the extracted pieces as runs (vertex index, count)
@@ -709,19 +768,18 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
                 raise PropertyViolation("v-remainder-norm", "v remainder exceeds its l1 cap")
             rem_blocks.append(w)
             picks.append(pick)
-            int_verts.append([tuple(int(x) for x in v) for v in verts])
+            int_verts.append([tuple(x.numerator for x in v) for v in verts])
         # stack per-block remainders / pieces into R^{nt}
         v0 = tuple(x for blk in rem_blocks for x in blk)
         v0_per_ell.append(v0)
-        av0_flags.append(all(
-            is_integer_vec(inst.A[i].mul_vec(rem_blocks[i])) for i in range(n)))
+        av0_flags.append(all(_integral_image(form.A[i], w) for i, w in enumerate(rem_blocks)))
 
         seq = []
         if a_ell > 0:
             # order the pieces jointly across blocks, the colors as runs of
             # one vertex; each vertex's scaled C-image is one tuple
-            scaled = [[tuple(x / CXv for x in inst.C[i].mul_vec(v)) for v in int_verts[i]]
-                      for i in range(n)]
+            scaled = [[tuple(sum(map(mul, row, v)) / CXv for row in form.C[i])
+                       for v in int_verts[i]] for i in range(n)]
             route, _, _ = _affine_runs(inst.s0, a_ell, LINF_NORM,
                                        [[(scaled[i][k], c) for k, c in picks[i]]
                                         for i in range(n)])
@@ -751,11 +809,11 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
     # kernel pairing and the layer-count bound, once per distinct piece in
     # order of first appearance, so the first failing piece is the one found
     for ell, (lam, h) in enumerate(zip(lambdas, hs)):
-        bh = [inst.B[i].mul_vec(h) for i in range(n)]
+        bh = [[sum(map(mul, row, h)) for row in form.B[i]] for i in range(n)]
         for vv in dict.fromkeys(vv for vv, _ in vseq_runs[ell]):
             for i in range(n):
-                lhs = inst.A[i].mul_vec(inst.y_block(vv, i))
-                if any(a + b != 0 for a, b in zip(lhs, bh[i])):
+                vi = inst.y_block(vv, i)
+                if any(sum(map(mul, row, vi)) + b for row, b in zip(form.A[i], bh[i])):
                     raise PropertyViolation("v-piece-kernel", "(h, v) is not in ker [B A]")
             if any(x < 0 for x in vv) or not is_integer_vec(vv):
                 raise PropertyViolation("v-piece-kernel", "piece not a nonnegative integer vector")
@@ -809,13 +867,20 @@ class ConstantsTable:
 
 
 def _require_pipeline_ready(inst: FourBlockInstance):
+    """The block_bases table of every diagonal block, once the instance is
+    checked to be ready for the pipeline.  With t >= s, a block has full row
+    rank exactly when it has an invertible s-column basis, so when its table
+    is not empty."""
     if not inst.A0.is_zero():
         raise ValueError("pipeline requires a lifted instance (A0 = 0); call lift_three_block")
     if inst.t < inst.s:
         raise ValueError("pipeline requires t >= s in the diagonal blocks")
+    tables = []
     for i in range(inst.n):
-        if rank(inst.A[i]) != inst.s:
+        tables.append(block_bases(inst.A[i], inst.B[i]))
+        if not tables[-1]:
             raise ValueError(f"diagonal block {i} is not of full row rank")
+    return tables
 
 
 def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
@@ -824,10 +889,9 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
     Every certified property is asserted exactly along the way; a failure
     raises PropertyViolation naming the property.
     """
-    _require_pipeline_ready(inst)
+    bases = _require_pipeline_ready(inst)
     u_hat, v_hat = split_max_kernel(inst, pt)
     u0, u_runs = _decompose_u(inst, u_hat)
-    bases = [block_bases(inst.A[i], inst.B[i]) for i in range(inst.n)]
     rays_all, omega2, gamma = cone_rays_K(inst, pt.x, bases)
     lambdas, hs = decompose_x(pt.x, rays_all)
     v0s, v_runs, alphas, av0 = _decompose_v(inst, lambdas, hs, v_hat, omega2, bases)
@@ -850,12 +914,7 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
     if tuple(acc) != tuple(v_hat):
         raise PropertyViolation("v-reassembly", "sum of v pieces != v")
     q = inst.apply_C(u_pieces)
-    r_vec = list(inst.apply_C(u0))
-    for ell in range(len(lambdas)):
-        im = inst.apply_C(v0s[ell])
-        for rr in range(inst.s0):
-            r_vec[rr] += im[rr]
-    r_vec = tuple(r_vec)
+    r_vec = inst.apply_C(tuple(map(sum, zip(u0, *v0s))))     # C u0 + sum of the C v0_ell
     total = [ZERO] * inst.s0
     for vec_ in (*p_vecs, q, r_vec):
         for rr in range(inst.s0):
@@ -872,6 +931,14 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
 def _int_sum(vectors, dim: int) -> tuple:
     """Coordinate sums of integer vectors of length dim, as int."""
     return tuple(map(sum, zip(*vectors))) if vectors else (0,) * dim
+
+
+def _rank(vectors) -> int:
+    """dim span of the rational vectors: one fraction-free elimination of
+    the vectors scaled to integers, none when there are no vectors."""
+    if not vectors:
+        return 0
+    return len(_bareiss_echelon([list(v) for v in scale_to_integers(vectors)[1]])[0])
 
 
 def compute_constants(inst: FourBlockInstance, bundle: DecompositionBundle) -> ConstantsTable:
@@ -891,8 +958,7 @@ def compute_constants(inst: FourBlockInstance, bundle: DecompositionBundle) -> C
     w3 = max(terms)
     w4 = Fraction(s0 * 2 * inst.delta) * K + \
         Fraction(t0 * 40 * s0 ** 5 * inst.delta ** (s + 2) * s ** s * t0) * w2
-    span_vecs = [bundle.r, bundle.q, *bundle.p]
-    dim_v = rank_of_vectors([v for v in span_vecs if any(x != 0 for x in v)])
+    dim_v = _rank([v for v in (bundle.r, bundle.q, *bundle.p) if any(x != 0 for x in v)])
     root = Fraction(ceil_sqrt(s0))
     w5 = Fraction(36) * (root * (w3 * (dim_v + 1) + w4 + Fraction(1, 2))) ** dim_v \
         * (root * (w4 + Fraction(1, 2))) ** (s0 - dim_v)
@@ -1025,7 +1091,7 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
         raise PropertyViolation("reduce-integral", "assembled vector is not integer")
     if any(v < 0 for v in xv) or any(v < 0 for v in yv):
         raise PropertyViolation("reduce-nonneg", "assembled vector left the orthant")
-    if any(v != 0 for v in inst.H_matrix().mul_vec(xv + yv)):
+    if not _kernel_test(inst.integer_form.H, xv + yv):
         raise PropertyViolation("reduce-kernel", "assembled vector is not in ker H")
     if any(a > b for a, b in zip(xv, pt.x)) or any(a > b for a, b in zip(yv, pt.y)):
         raise PropertyViolation("reduce-dominated", "assembled vector is not below pt")

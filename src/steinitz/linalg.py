@@ -6,9 +6,10 @@ exact: no floats, no rounding, arbitrary precision throughout.
 
 One Gauss-Jordan routine, ``_echelon`` with its row step ``_pivot``, is the
 only Fraction elimination in the package: solves, kernels, rank,
-determinants and span coordinates here; the double description's initial
-cone in ``lp``; the block bases in ``blockip``.  The integer eliminations,
-the vertex walk and the simplex tableau, share ``lp._bareiss_step``.
+determinants and span coordinates.  The integer eliminations, the vertex
+walk, the simplex tableau and ``lp._bareiss_echelon`` (the block bases in
+``blockip`` and the double description's initial cone), share
+``lp._bareiss_step``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def is_zero_vec(a: Vec) -> bool:
 
 
 def is_integer_vec(a: Vec) -> bool:
-    return all(Fraction(x).denominator == 1 for x in a)
+    return all(x.denominator == 1 for x in a)
 
 
 def l1_norm(a: Vec):

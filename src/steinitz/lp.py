@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .linalg import Matrix, Vec, ZERO, ONE, _echelon, rat, primitive_integer_vector
+from .linalg import Matrix, Vec, ZERO, rat, primitive_integer_vector
 
 INF = None  # sentinel for an absent (infinite) bound
 
@@ -157,6 +157,37 @@ def _bareiss_step(T, t, p, delta):
         elif tp != delta:  # a row with t_i = 0 is only rescaled by t_p / delta
             T[i] = [tp * a // delta for a in T[i]]
     return tp
+
+
+def _bareiss_echelon(rows, ncols=None):
+    """In-place fraction-free Gauss-Jordan elimination of the integer rows
+    on their first ncols columns (all of them by default), one
+    ``_bareiss_step`` per pivot.  As in ``linalg._echelon``, the pivot of a
+    column is its first nonzero entry at or below the current row, and the
+    elimination stops once every row holds a pivot.
+
+    Returns (pivot columns, delta, sign).  The pivots and the row swaps are
+    those of ``_echelon`` on the same columns, and every row ends as delta
+    times the row it leaves there.  With r pivots, delta is the determinant
+    of the first r rows on the pivot columns, in the order the swaps left
+    them, and sign is -1 when the number of swaps is odd, so sign * delta
+    is the determinant of a square matrix of full rank."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots, delta, sign, r = [], 1, 1, 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        delta = _bareiss_step(rows, [row[c] for row in rows], r, delta)
+        pivots.append(c)
+        r += 1
+    return pivots, delta, sign
 
 
 def walk_to_vertex(cols, D: int, X, LO, HI):
@@ -563,67 +594,58 @@ def lp_solve(lp: BoxLP) -> LPResult:
 # extreme rays by double description
 
 
-def _tight_set(ray, rows, indices):
-    out = set()
-    for q in indices:
-        if sum((rows[q][k] * ray[k] for k in range(len(ray))), ZERO) == 0:
-            out.add(q)
-    return frozenset(out)
-
-
 def extreme_rays(ineqs: Matrix):
     """One primitive integer representative per extreme ray of
-    {x : ineqs @ x >= 0}; the cone must be pointed."""
+    {x : ineqs @ x >= 0}; the cone must be pointed.
+
+    The double description runs on the rows scaled to integers, each by the
+    lcm of its denominators.  Scaling a row by a positive number changes no
+    ray, no tight set and no primitive representative."""
     d = ineqs.cols
     if d == 0:
         return []
-    rows = [ineqs.row(i) for i in range(ineqs.rows)]
-    # the pivot columns of ineqs^T are the first d independent rows
-    chosen, _ = _echelon([list(ineqs.col(j)) for j in range(d)])
+    rows = []
+    for i in range(ineqs.rows):
+        row = ineqs.row(i)
+        S = math.lcm(*(v.denominator for v in row))
+        rows.append(tuple(v.numerator * (S // v.denominator) for v in row))
+    m = len(rows)
+    # one elimination of [rows^T | I]: its pivot columns are the first d
+    # independent rows, and then row k of the right block is delta times
+    # column k of base^-1, base the matrix of those rows in order; the
+    # initial simplicial cone is spanned by these columns
+    work = [[row[j] for row in rows] + [int(k == j) for k in range(d)] for j in range(d)]
+    chosen, delta, _ = _bareiss_echelon(work, m)
     if len(chosen) < d:
         raise NonPointedCone("cone contains a line (inequality matrix is rank deficient)")
+    sign = 1 if delta > 0 else -1
+    rays = [primitive_integer_vector(tuple(sign * a for a in work[k][m:])) for k in range(d)]
 
-    # initial simplicial cone: the columns of base^-1, read off [I | base^-1]
-    inv = [list(rows[i]) + [ONE if k == j else ZERO for k in range(d)]
-           for j, i in enumerate(chosen)]
-    _echelon(inv)
-    rays = [primitive_integer_vector(tuple(inv[k][d + j] for k in range(d))) for j in range(d)]
-
-    processed = list(chosen)
-    remaining = [i for i in range(len(rows)) if i not in set(chosen)]
-    tight = {r: _tight_set(r, rows, processed) for r in rays}
-
-    for q in remaining:
-        vals = {r: sum((rows[q][k] * r[k] for k in range(d)), ZERO) for r in rays}
+    # tight[r]: the processed rows on which r is 0; ray k of the initial cone
+    # is 0 on every chosen row but the k-th
+    tight = {r: frozenset(chosen[:k] + chosen[k + 1:]) for k, r in enumerate(rays)}
+    for q in sorted(set(range(m)) - set(chosen)):
+        vals = {r: sum(map(mul, rows[q], r)) for r in rays}
         plus = [r for r in rays if vals[r] > 0]
         zero = [r for r in rays if vals[r] == 0]
         minus = [r for r in rays if vals[r] < 0]
-        new_rays = list(plus) + list(zero)
+        new_tight = {r: tight[r] for r in plus}
+        new_tight.update((r, tight[r] | {q}) for r in zero)
         for rp in plus:
             for rm in minus:
                 common = tight[rp] & tight[rm]
-                adjacent = True
-                for other in rays:
-                    if other is rp or other is rm:
-                        continue
-                    if common <= tight[other]:
-                        adjacent = False
-                        break
-                if not adjacent:
+                if any(common <= tight[other] for other in rays
+                       if other is not rp and other is not rm):
                     continue
-                combo = tuple(vals[rp] * rm[k] - vals[rm] * rp[k] for k in range(d))
-                new_rays.append(primitive_integer_vector(combo))
-        processed.append(q)
-        dedup = {}
-        for r in new_rays:
-            dedup[tuple(r)] = r
-        rays = list(dedup.values())
-        tight = {r: _tight_set(r, rows, processed) for r in rays}
+                # a positive combination of rp and rm, so of the processed
+                # rows it is 0 on exactly those that are 0 on both
+                combo = tuple(vals[rp] * a - vals[rm] * b for a, b in zip(rm, rp))
+                new_tight[primitive_integer_vector(combo)] = common | {q}
+        rays, tight = list(new_tight), new_tight
 
     for r in rays:
-        for i in range(len(rows)):
-            if sum((rows[i][k] * r[k] for k in range(d)), ZERO) < 0:
-                raise RayCheckFailed("double description produced an infeasible ray")
+        if any(sum(map(mul, row, r)) < 0 for row in rows):
+            raise RayCheckFailed("double description produced an infeasible ray")
     return sorted(rays)
 
 

@@ -310,17 +310,20 @@ def test_bundle_seeded_shapes():
 
 def test_bundle_eliminates_each_block_basis_once(monkeypatch):
     """decompose_bundle eliminates each s-subset of each diagonal block's
-    columns once, however many rays x splits over."""
+    columns once, however many rays x splits over.  The only other
+    elimination is compute_constants's rank of the nonzero C-image totals,
+    which runs when dim V > 0."""
     calls = []
-    real = blockip._echelon
-    monkeypatch.setattr(blockip, "_echelon", lambda rows: calls.append(rows) or real(rows))
+    real = blockip._bareiss_echelon
+    monkeypatch.setattr(blockip, "_bareiss_echelon",
+                        lambda rows, *a: calls.append(rows) or real(rows, *a))
     with_rays = 0
     for k, shape in enumerate(PIPELINE_SHAPES):
         for seed in range(3):
             inst, pt = gen_pipeline(shape, 1 + seed % 2, 960 + 10 * k + seed, scale=24)
             calls.clear()
-            bundle, _ = decompose_bundle(inst, pt)
-            assert len(calls) == inst.n * math.comb(inst.t, inst.s)
+            bundle, consts = decompose_bundle(inst, pt)
+            assert len(calls) == inst.n * math.comb(inst.t, inst.s) + (consts.dim_v > 0)
             with_rays += bool(bundle.lambdas)
     assert with_rays >= len(PIPELINE_SHAPES)
 

@@ -382,21 +382,45 @@ def _rays_by_pair_enumeration(ineqs: Matrix):
     return sorted(found)
 
 
-def test_extreme_rays_seeded_cross_check():
+def _seeded_cones():
+    """Pointed cones {x : M x >= 0} for the seeded cross-checks: ten with
+    5 rows in dimension 3, then 24 with up to d + 5 rows in dimensions 3
+    and 4, where the double description takes more steps and the tight sets
+    carried from step to step decide more adjacencies."""
     rng = random.Random(17)
-    checked = 0
-    while checked < 10:
-        rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(5)]
-        M = Matrix.from_rows(rows)
-        if null_space(M):
-            continue
+    for d, count, most in ((3, 10, 5), (3, 12, 8), (4, 12, 9)):
+        checked = 0
+        while checked < count:
+            rows = [[rng.randint(-2, 2) for _ in range(d)]
+                    for _ in range(most if count == 10 else rng.randint(d + 2, most))]
+            M = Matrix.from_rows(rows)
+            if null_space(M):
+                continue
+            yield M
+            checked += 1
+
+
+def test_extreme_rays_seeded_cross_check():
+    for M in _seeded_cones():
         rays = extreme_rays(M)
         assert rays == _rays_by_pair_enumeration(M)
         # membership LP: each ray satisfies every inequality
         for r in rays:
-            assert all(sum(M.at(i, k) * r[k] for k in range(3)) >= 0
+            assert all(sum(M.at(i, k) * r[k] for k in range(M.cols)) >= 0
                        for i in range(M.rows))
-        checked += 1
+
+
+def test_extreme_rays_ignore_positive_row_scaling():
+    """The double description scales each row to integers; a row times a
+    positive rational cuts out the same half-space, so on the cones of
+    test_extreme_rays_seeded_cross_check, rows scaled by positive factors
+    with mixed denominators give the same sorted rays."""
+    rng = random.Random(18)
+    for M in _seeded_cones():
+        factors = [F(rng.randint(1, 12), rng.choice((1, 2, 3, 5, 7, 12))) for _ in range(M.rows)]
+        scaled = Matrix.from_rows([[f * a for a in M.row(i)] for i, f in enumerate(factors)])
+        assert len({f.denominator for f in factors}) > 1
+        assert extreme_rays(scaled) == extreme_rays(M)
 
 
 def test_enum_integer_points_examples():
