@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 from .linalg import (Matrix, Vec, ZERO, ONE, rat, ceil_sqrt, is_integer_vec, l1_norm, linf_norm,
                      span_coordinates, scale_to_integers, vadd, vscale, vsub)
-from .lp import (BoxLP, LPError, _bareiss_echelon, enum_integer_points, extreme_rays,
-                 find_feasible, lp_solve)
+from .lp import (LPError, _bareiss_echelon, enum_integer_points, integer_extreme_rays,
+                 integer_simplex, over_lcm)
 from .norms import LINF_NORM
 from .rearrange import _max_prefix_runs, _order_runs, _run_encode, _run_sum
 from .colorful import _affine_runs
@@ -310,14 +310,17 @@ def split_max_kernel(inst: FourBlockInstance, pt: KernelPoint):
     if not inst.A0.is_zero():
         raise ValueError("split_max_kernel requires a lifted instance (A0 = 0)")
     pt.check(inst)
+    s, t = inst.s, inst.t
     u = []
     for i in range(inst.n):
-        yi = inst.y_block(pt.y, i)
-        lp = BoxLP(inst.A[i], (ZERO,) * inst.s, (ZERO,) * inst.t, yi, (ONE,) * inst.t)
-        res = lp_solve(lp)
-        if not res.is_optimal:
+        # max 1.u  s.t.  A_i u = 0, 0 <= u <= y^i, the bounds over their lcm
+        L, (Y,) = scale_to_integers([inst.y_block(pt.y, i)])
+        status, point = integer_simplex(inst.integer_form.A[i], (0,) * s, (1,) * s, L,
+                                        (0,) * t, Y, (1,) * t)
+        if status != "optimal":
             raise PropertyViolation("block-kernel-lp", "block kernel LP must be solvable")
-        u.extend(res.x)
+        den, X = point
+        u.extend(Fraction(a, den) for a in X)
     u = tuple(u)
     v = vsub(pt.y, u)
     if any(x < 0 for x in v):
@@ -509,10 +512,18 @@ def feasible_bases(Ai: Matrix, Bi: Matrix, x_hat: Vec):
 
 def basis_vertex(fb: FeasibleBasis, x: Vec, t: int) -> Vec:
     """The point supported on fb.cols with Ai y = -Bi x."""
-    y = [ZERO] * t
-    for c, v in zip(fb.cols, fb.image(x)):
-        y[c] = v
-    return tuple(y)
+    L, (X,) = scale_to_integers([x])
+    d = L * abs(fb.det)
+    return tuple(Fraction(a, d) for a in _vertex_at(fb, X, t))
+
+
+def _vertex_at(fb: FeasibleBasis, X, t: int) -> list:
+    """basis_vertex at x = X / L, X over int, as the integers
+    fb.rows X over L |det D|: fb.rows X placed on fb.cols, 0 elsewhere."""
+    y = [0] * t
+    for c, row in zip(fb.cols, fb.rows):
+        y[c] = sum(map(mul, row, X))
+    return y
 
 
 def _gamma(inst: FourBlockInstance, tables) -> int:
@@ -551,34 +562,42 @@ def cone_rays_K(inst: FourBlockInstance, x_hat: Vec, tables=None):
     if any(sum(map(mul, row, X)) < 0 for row in rows):
         raise PropertyViolation("x-in-cone", "x violates a cone inequality")
     gamma = _gamma(inst, tables)
-    ineqs = Matrix(len(rows), t0, tuple(chain.from_iterable(rows)))
-    rays = [tuple(gamma * x for x in r) for r in extreme_rays(ineqs)]
+    rays = [tuple(gamma * x for x in r) for r in integer_extreme_rays(rows, t0)]
     omega2 = max((linf_norm(r) for r in rays), default=ZERO)
     return tuple(rays), omega2, gamma
 
 
 def decompose_x(x_hat: Vec, rays):
-    """x as a conic combination of at most t0 rays: (lambdas, chosen rays)."""
+    """x as a conic combination of at most t0 rays: (lambdas, chosen rays).
+
+    The multipliers are a vertex of {lam >= 0 : sum_i lam_i h_i = x}, found
+    by phase 1 on integer rows: row c of [h_1 ... h_k | x] is scaled by the
+    lcm S_c of its denominators (the denominator of x_c for integer rays),
+    with phase-1 weight P / S_c, P the lcm of the S_c."""
     t0 = len(x_hat)
     if all(v == 0 for v in x_hat):
         return (), ()
     if not rays:
         raise PropertyViolation("cone-membership", "nonzero x but the cone has no rays")
-    M = Matrix.from_rows([[r[c] for r in rays] for c in range(t0)])
-    lp = BoxLP(M, tuple(x_hat), (ZERO,) * len(rays), (None,) * len(rays))
-    vertex = find_feasible(lp)  # a vertex, as no variable is free
-    if vertex is None:
+    k = len(rays)
+    rows, rhs, scales = [], [], []
+    for c, xc in enumerate(x_hat):
+        S, (row,) = scale_to_integers([[r[c] for r in rays] + [xc]])
+        rows.append(row[:-1])
+        rhs.append(row[-1])
+        scales.append(S)
+    P = math.lcm(*scales)
+    _, point = integer_simplex(rows, rhs, [P // S for S in scales], 1, (0,) * k, (None,) * k)
+    if point is None:
         raise PropertyViolation("cone-membership", "x is not in the conic hull of the rays")
-    pairs = [(lam, rays[i]) for i, lam in enumerate(vertex) if lam != 0]
-    if len(pairs) > t0:
+    den, X = point
+    chosen = [i for i, a in enumerate(X) if a]
+    if len(chosen) > t0:
         raise PropertyViolation("conic-support", "conic support exceeds t0")
-    recon = [ZERO] * t0
-    for lam, h in pairs:
-        for c in range(t0):
-            recon[c] += lam * h[c]
-    if tuple(recon) != tuple(x_hat):
+    # sum_i lam_i h_i = x, read on the integer rows over den
+    if any(sum(X[i] * row[i] for i in chosen) != b * den for row, b in zip(rows, rhs)):
         raise PropertyViolation("conic-reconstruction", "conic combination mismatch")
-    return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+    return tuple(Fraction(X[i], den) for i in chosen), tuple(rays[i] for i in chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -592,33 +611,53 @@ def _integral_image(rows, w: Vec) -> bool:
     return all(sum(map(mul, row, W)) % L == 0 for row in rows)
 
 
-def _convex_combo_over_vertices(vertices, target: Vec, support_cap: int, prop: str):
-    """Convex coefficients over the given points reproducing target with
-    bounded support, found as a vertex by phase 1."""
+def _convex_combo_over_vertices(vertices, target, support_cap: int, prop: str):
+    """Convex coefficients over the points V_k / d_k reproducing the target
+    T / e with bounded support, found as a vertex by phase 1; vertices holds
+    the pairs (d_k, V_k) and target the pair (e, T), over int.  Returns
+    (den, combo): the coefficients are combo[k] / den, zero off combo.
+
+    Row r of sum_k tau_k V_k[r] / d_k = T_r / e is scaled to integers by
+    K = e lcm_k d_k and then divided by its content g_r, so it takes the
+    phase-1 weight g_r; the row sum_k tau_k = 1, unscaled, takes K."""
     k = len(vertices)
-    tdim = len(target)
     if k == 0:
         raise PropertyViolation(prop, "no candidate vertices")
-    rows = [[v[r] for v in vertices] for r in range(tdim)]
-    rows.append([ONE] * k)
-    lp = BoxLP(Matrix.from_rows(rows), tuple(target) + (ONE,),
-               (ZERO,) * k, (None,) * k)
-    vertex = find_feasible(lp)  # a vertex, as no variable is free
-    if vertex is None:
+    e, T = target
+    D = math.lcm(*(d for d, _ in vertices))
+    K = e * D
+    factors = [e * (D // d) for d, _ in vertices]
+    rows, rhs, weights = [], [], []
+    for r, b in enumerate(T):
+        row = [f * V[r] for f, (_, V) in zip(factors, vertices)]
+        b *= D
+        g = math.gcd(b, *row) or 1
+        rows.append([a // g for a in row])
+        rhs.append(b // g)
+        weights.append(g)
+    rows.append([1] * k)
+    rhs.append(1)
+    weights.append(K)
+    _, point = integer_simplex(rows, rhs, weights, 1, (0,) * k, (None,) * k)
+    if point is None:
         raise PropertyViolation(prop, "convex decomposition infeasible")
-    combo = {i: c for i, c in enumerate(vertex) if c != 0}
+    den, X = point
+    combo = {i: a for i, a in enumerate(X) if a}
     if len(combo) > support_cap:
         raise PropertyViolation(prop, f"support {len(combo)} exceeds {support_cap}")
-    return combo
+    return den, combo
 
 
 def _peel_vertices(tau, lam, count, span, verts, w):
-    """Peel count vertices off the block part w = lam sum_k tau_k verts[k].
+    """Peel count vertices off the block part w = lam sum_k tau_k verts[k],
+    with tau = (den, combo) as _convex_combo_over_vertices returns it.
 
     Each step takes the vertex of largest weight (the lowest index on a
     tie), then renormalises the weights over the lam - j units left.  The
-    weights are kept as integer masses m_k = tau_k (lam - j) D, with D the
-    common denominator of lam and the initial masses: the checks
+    weights are kept as integer masses m_k = tau_k (lam - j) D, with
+    D = den q for lam = p / q, a common denominator of lam and the initial
+    masses (every test and division below reads a ratio to D, so no choice
+    depends on which common denominator it is): the checks
     tau_k >= 1/span and tau_k (lam - j) >= 1 read m_k span >= (lam - j) D
     and m_k >= D, and a step subtracts D from m_k and from (lam - j) D.
     Returns the picked vertex indices as runs (k, c) in order and the
@@ -634,10 +673,10 @@ def _peel_vertices(tau, lam, count, span, verts, w):
     The vertices are nonnegative, so w only decreases along the steps: it
     went negative at some step exactly when it is negative after the last
     one, or, on a failed weight check, after the steps taken before it."""
-    masses = {k: c * lam for k, c in tau.items()}
-    D = math.lcm(lam.denominator, *(m.denominator for m in masses.values()))
-    mass = {k: int(m * D) for k, m in masses.items()}
-    left = int(lam * D)
+    den, combo = tau
+    mass = {k: c * lam.numerator for k, c in combo.items()}
+    D = den * lam.denominator
+    left = lam.numerator * den
     counts = dict.fromkeys(mass, 0)
     runs = []
 
@@ -715,20 +754,27 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
     x_hat = tuple(
         sum((lam * h[c] for lam, h in zip(lambdas, hs)), ZERO) for c in range(t0))
 
-    # per block: convex multipliers over the vertices of {y >= 0 : A y = -B x}
+    # per block: convex multipliers over the vertices of {y >= 0 : A y = -B x},
+    # each vertex the integers _vertex_at(fb, X, t) over L |det D|
+    L, (X,) = scale_to_integers([x_hat])
     v_parts = [[None] * ell_count for _ in range(n)]  # v_parts[i][ell] : t-dim
     for i in range(n):
         vi = inst.y_block(v_hat, i)
         bases_x = _feasible(bases[i], x_hat)
-        verts = [basis_vertex(fb, x_hat, t) for fb in bases_x]
-        mu = _convex_combo_over_vertices(verts, vi, t + 1, "v-convex-decomposition")
+        verts = [(L * abs(fb.det), _vertex_at(fb, X, t)) for fb in bases_x]
+        e, (T,) = scale_to_integers([vi])
+        mden, mu = _convex_combo_over_vertices(verts, (e, T), t + 1, "v-convex-decomposition")
+        G = math.lcm(*(abs(bases_x[k].det) for k in mu))
         for ell, (lam, h) in enumerate(zip(lambdas, hs)):
-            acc = [ZERO] * t
+            # sum_k mu_k y_k at h, over mden G, y_k = _vertex_at(fb, h, t) / |det D|
+            acc = [0] * t
             for k, coef in mu.items():
-                yk = basis_vertex(bases_x[k], h, t)
-                for r in range(t):
-                    acc[r] += coef * yk[r]
-            part = tuple(lam * v for v in acc)
+                fb = bases_x[k]
+                coef *= G // abs(fb.det)
+                for r, a in enumerate(_vertex_at(fb, h, t)):
+                    acc[r] += coef * a
+            d = lam.denominator * mden * G
+            part = tuple(Fraction(lam.numerator * a, d) for a in acc)
             if any(v < 0 for v in part):
                 raise PropertyViolation("v-part-nonneg", "a v part left the orthant")
             v_parts[i][ell] = part
@@ -751,24 +797,31 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
         int_verts = []      # per block: the vertices as integer tuples
         rem_blocks = []
         for i in range(n):
-            verts = [basis_vertex(fb, h, t) for fb in _feasible(bases[i], h)]
-            for v in verts:
-                if not is_integer_vec(v):
+            verts = []
+            for fb in _feasible(bases[i], h):
+                d = abs(fb.det)
+                v = _vertex_at(fb, h, t)
+                if any(a % d for a in v):
                     raise PropertyViolation("vertex-integrality",
                                             "gamma scaling failed to make a vertex integer")
-                if l1_norm(v) > Xv:
+                v = tuple(a // d for a in v)
+                if sum(map(abs, v)) > Xv:
                     raise PropertyViolation("v-piece-norm", "vertex l1 norm exceeds the cap")
+                verts.append(v)
             w = v_parts[i][ell]
             pick = []
             if a_ell > 0:
-                target = tuple(x / lam for x in w)
-                tau = _convex_combo_over_vertices(verts, target, span, "vertex-support")
+                # the target w / lam = q W / (e p), with w = W / e and lam = p / q
+                e, (W,) = scale_to_integers([w])
+                target = (e * lam.numerator, [lam.denominator * a for a in W])
+                tau = _convex_combo_over_vertices([(1, v) for v in verts], target, span,
+                                                  "vertex-support")
                 pick, w = _peel_vertices(tau, lam, a_ell, span, verts, w)
             if l1_norm(w) > span * Xv:
                 raise PropertyViolation("v-remainder-norm", "v remainder exceeds its l1 cap")
             rem_blocks.append(w)
             picks.append(pick)
-            int_verts.append([tuple(x.numerator for x in v) for v in verts])
+            int_verts.append(verts)
         # stack per-block remainders / pieces into R^{nt}
         v0 = tuple(x for blk in rem_blocks for x in blk)
         v0_per_ell.append(v0)
@@ -1177,21 +1230,33 @@ def graver_enumerate(inst: FourBlockInstance, box: int):
 # the proximity-driven solver and proximity report
 
 
-def _relaxation(inst: FourBlockInstance) -> BoxLP:
+def _relaxation(inst: FourBlockInstance):
+    """(status, x) of the LP relaxation max c.z s.t. H z = b,
+    0 <= z <= (ux, uy): the integer rows of H with weights 1, the bounds
+    over their lcm and c scaled to integers; x is None unless optimal."""
+    H, b = inst.integer_system()
     dim = inst.x_dim + inst.y_dim
-    return BoxLP(inst.H_matrix(), tuple(inst.b), (ZERO,) * dim,
-                 tuple(inst.ux) + tuple(inst.uy), tuple(inst.cx) + tuple(inst.cy))
+    L, HI = over_lcm(tuple(inst.ux) + tuple(inst.uy))
+    _, c = over_lcm(tuple(inst.cx) + tuple(inst.cy))
+    status, point = integer_simplex(H, b, (1,) * len(H), L, (0,) * dim, HI, c)
+    if point is None:
+        return status, None
+    den, X = point
+    return status, tuple(Fraction(a, den) for a in X)
 
 
-def _implied_upper(lp: BoxLP, j: int):
-    probe = BoxLP(lp.M, lp.b, lp.lower, lp.upper,
-                  tuple(ONE if k == j else ZERO for k in range(lp.M.cols)))
-    res = lp_solve(probe)
-    if res.status == "unbounded":
+def _implied_upper(rows, rhs, L: int, HI, j: int) -> int:
+    """The floor of the largest y_j on {rows y = rhs, 0 <= y <= HI / L},
+    0 when that is empty."""
+    n = len(HI)
+    status, point = integer_simplex(rows, rhs, (1,) * len(rows), L, (0,) * n, HI,
+                                    [int(k == j) for k in range(n)])
+    if status == "unbounded":
         raise ValueError("cannot brute force: coordinate unbounded and no cap given")
-    if res.status == "infeasible":
-        return ZERO
-    return res.value
+    if status == "infeasible":
+        return 0
+    den, X = point
+    return X[j] // den
 
 
 def solve_four_block(inst: FourBlockInstance, radius: int):
@@ -1203,12 +1268,12 @@ def solve_four_block(inst: FourBlockInstance, radius: int):
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    res = lp_solve(_relaxation(inst))
-    if res.status == "infeasible":
+    status, z = _relaxation(inst)
+    if status == "infeasible":
         return None
-    if res.status == "unbounded":
+    if status == "unbounded":
         raise UnboundedRelaxation("LP relaxation of the 4-block program is unbounded")
-    x_hat = res.x[:inst.t0]
+    x_hat = z[:inst.t0]
 
     x_lower = [max(0, math.ceil(v - radius)) for v in x_hat]
     x_upper = [math.floor(v + radius) if u is None else min(math.floor(v + radius), math.floor(rat(u)))
@@ -1217,14 +1282,12 @@ def solve_four_block(inst: FourBlockInstance, radius: int):
     y_rows = [row[inst.t0:] for row in rows]
     y_upper = [0 if u is None else math.floor(rat(u)) for u in inst.uy]
     open_bounds = [j for j, u in enumerate(inst.uy) if u is None]
-    My = Matrix.from_rows(y_rows) if open_bounds else None
+    L, HI = over_lcm(inst.uy)
     best = None
     for xbar in enum_integer_points(x_lower, x_upper):
         rhs = tuple(bi - sum(map(mul, row[:inst.t0], xbar)) for row, bi in zip(rows, b))
-        if open_bounds:
-            lp_y = BoxLP(My, rhs, (ZERO,) * inst.y_dim, tuple(inst.uy), tuple(inst.cy))
-            for j in open_bounds:
-                y_upper[j] = math.floor(_implied_upper(lp_y, j))
+        for j in open_bounds:
+            y_upper[j] = _implied_upper(y_rows, rhs, L, HI, j)
         x_value = sum((ci * xi for ci, xi in zip(inst.cx, xbar)), ZERO)
         for y in enum_integer_points((0,) * inst.y_dim, y_upper, system=(y_rows, rhs)):
             value = x_value + sum((ci * yi for ci, yi in zip(inst.cy, y)), ZERO)
@@ -1257,22 +1320,22 @@ def proximity_report(inst: FourBlockInstance, box_cap: int | None = None) -> Pro
     xi bound certified for the difference; asserts distance <= xi.  The
     nearest optimum is the first optimum of least distance in lex order."""
     _check_box_cap(box_cap)
-    res = lp_solve(_relaxation(inst))
-    if res.status != "optimal":
-        return ProximityReport(res.status, ip_feasible=False)
+    status, z_lp = _relaxation(inst)
+    if status != "optimal":
+        return ProximityReport(status, ip_feasible=False)
     c = tuple(inst.cx) + tuple(inst.cy)
     best_val = nearest = best_dist = None
     for z in inst.box_points(box_cap):
         val = sum((ci * zi for ci, zi in zip(c, z)), ZERO)
         if best_val is not None and val < best_val:
             continue
-        dist = linf_norm(vsub(res.x, z))
+        dist = linf_norm(vsub(z_lp, z))
         if best_val is None or val > best_val or dist < best_dist:
             best_val, nearest, best_dist = val, z, dist
     if nearest is None:
-        return ProximityReport("optimal", ip_feasible=False, lp_vertex=res.x)
-    xi = xi_for_difference(inst, res.x, nearest)
+        return ProximityReport("optimal", ip_feasible=False, lp_vertex=z_lp)
+    xi = xi_for_difference(inst, z_lp, nearest)
     if best_dist > xi:
         raise PropertyViolation(
             "proximity-xi", f"distance {best_dist} exceeds xi {xi} on {inst!r}")
-    return ProximityReport("optimal", True, res.x, nearest, best_dist, xi)
+    return ProximityReport("optimal", True, z_lp, nearest, best_dist, xi)

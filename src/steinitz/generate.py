@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 from .linalg import Matrix, ZERO, rank
-from .lp import BoxLP, lp_solve
+from .lp import integer_simplex
 from .norms import LINF_NORM, NormSpec, norm_eval
 from .colorful import ColoredFamily
 from .blockip import FourBlockInstance, KernelPoint
@@ -70,16 +71,19 @@ def gen_four_block(s0: int, s: int, t0: int, t: int, n: int, delta: int, seed: i
     dim = t0 + n * t
     total = scale if scale is not None else 2 * dim
 
-    def draw_matrix(r, c):
-        return Matrix.from_rows(
-            [[rng.randint(-delta, delta) for _ in range(c)] for _ in range(r)])
+    def draw_rows(r, c):
+        return [[rng.randint(-delta, delta) for _ in range(c)] for _ in range(r)]
+
+    def dot(row, z):
+        return sum(map(mul, row, z))
 
     for _ in range(max_retries):
-        A0 = Matrix.zeros(s0, t0) if zero_a0 else draw_matrix(s0, t0)
-        B = [draw_matrix(s, t0) for _ in range(n)]
-        A = [draw_matrix(s, t) for _ in range(n)]
-        C = [draw_matrix(s0, t) for _ in range(n)]
-        if require_full_rank and any(rank(Ai) != s for Ai in A):
+        A0 = [[0] * t0 for _ in range(s0)] if zero_a0 else draw_rows(s0, t0)
+        B = [draw_rows(s, t0) for _ in range(n)]
+        A = [draw_rows(s, t) for _ in range(n)]
+        C = [draw_rows(s0, t) for _ in range(n)]
+        A_mats = [Matrix.from_rows(Ai) for Ai in A]
+        if require_full_rank and any(rank(Ai) != s for Ai in A_mats):
             continue
         # integer feasible point fixes b; finite bounds keep brute force finite
         z0 = [rng.randint(0, ub_cap) for _ in range(dim)]
@@ -87,22 +91,25 @@ def gen_four_block(s0: int, s: int, t0: int, t: int, n: int, delta: int, seed: i
         cy = tuple(rng.randint(-3, 3) for _ in range(n * t))
         ux = (Fraction(ub_cap),) * t0
         uy = (Fraction(ub_cap),) * (n * t)
+        # b = H z0 in integers, block by block; the instance holds b as Fraction
+        x0, ys = z0[:t0], [z0[t0 + i * t:t0 + (i + 1) * t] for i in range(n)]
+        b = [dot(a0, x0) + sum(dot(Ci[r], y) for Ci, y in zip(C, ys))
+             for r, a0 in enumerate(A0)]
+        b.extend(dot(Bi[r], x0) + dot(Ai[r], y) for Bi, Ai, y in zip(B, A, ys) for r in range(s))
         inst = FourBlockInstance.make(
-            A0, B, A, C, (0,) * (s0 + n * s), cx, cy, ux, uy)
-        b = inst.H_matrix().mul_vec(tuple(z0))
-        inst = FourBlockInstance.make(A0, B, A, C, b, cx, cy, ux, uy)
+            Matrix.from_rows(A0), [Matrix.from_rows(Bi) for Bi in B], A_mats,
+            [Matrix.from_rows(Ci) for Ci in C], tuple(map(Fraction, b)), cx, cy, ux, uy)
 
-        obj = tuple(Fraction(rng.randint(1, 7)) for _ in range(dim))
-        H = inst.H_matrix()
-        rows = [list(H.row(r)) for r in range(H.rows)]
-        rows.append([1] * dim)
-        slice_lp = BoxLP(Matrix.from_rows(rows),
-                         (ZERO,) * H.rows + (Fraction(total),),
-                         (ZERO,) * dim, (None,) * dim, obj)
-        res = lp_solve(slice_lp)
-        if not res.is_optimal:
+        # the slice {H z = 0, z >= 0, sum z = total}: integer rows, weights 1
+        obj = [rng.randint(1, 7) for _ in range(dim)]
+        H = inst.integer_form.H
+        status, point = integer_simplex([*H, (1,) * dim], [0] * len(H) + [total],
+                                        [1] * (len(H) + 1), 1, [0] * dim, [None] * dim, obj)
+        if status != "optimal":
             continue
-        planted = KernelPoint(res.x[:t0], res.x[t0:])
+        den, X = point
+        z = [Fraction(a, den) for a in X]
+        planted = KernelPoint(tuple(z[:t0]), tuple(z[t0:]))
         return inst, planted
     raise GenerationError(
         f"no nontrivial nonnegative kernel point after {max_retries} draws (seed {seed})")

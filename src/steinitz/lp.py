@@ -12,8 +12,13 @@ in integers from step to step.  The simplex is a bounded-variable tableau
 method with Bland's rule, so it terminates on degenerate inputs; its
 tableau is fraction-free too (integer rows and variables, held over the
 basis determinant), and each pivot is one Bareiss step, the step the walk
-takes.  It makes the pivots of the same tableau over Fraction.  Infinite
-bounds are represented by None and handled symbolically.
+takes.  It makes the pivots of the same tableau over Fraction.  Its entry,
+``integer_simplex``, takes integer rows with phase-1 row weights and
+integer bounds over one denominator, and returns its point as integers
+over one denominator; ``find_feasible`` and ``lp_solve`` are its BoxLP
+boundary.  The double description has an integer core as well,
+``integer_extreme_rays``.  Infinite bounds are represented by None and
+handled symbolically.
 """
 
 from __future__ import annotations
@@ -360,13 +365,12 @@ def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:
 class _Simplex:
     """max c.y  s.t.  A y = b, 0 <= y <= ub, on a fraction-free tableau.
 
-    The BoxLP comes to this form in integers: row i of [M | b] is scaled by
-    S_i (``BoxLP.row_scales``, ``integer_rows``) and the variables by the
-    lcm L of the bound denominators, so y = L (x - lo) for a variable with a
-    lower bound, y = L (hi - x) for one with only an upper bound, and a free
-    variable is split into y+ - y-; the objective is scaled by the lcm of
-    its denominators.  Rows with b < 0 are negated, and each row gets an
-    artificial unit column.
+    Built from the integer LP of ``integer_simplex``: max c.x s.t.
+    rows . x = rhs, LO/L <= x <= HI/L, with positive phase-1 row weights.
+    The variables are scaled by L, so y = L x - LO for a variable with a
+    lower bound, y = HI - L x for one with only an upper bound, and a free
+    variable is split into y+ - y-.  Rows with b < 0 are negated, and each
+    row gets an artificial unit column.
 
     With B the basis, T holds delta B^-1 [A | I | r] over the integers,
     delta = +-det B and r = b minus u_j a_j for each nonbasic column at its
@@ -375,58 +379,62 @@ class _Simplex:
     pivot is one ``_bareiss_step``; every sign test reads a value times
     sign(delta) and steps are compared by cross-multiplying, so the pivots
     are those of the same tableau over Fraction: scaling the variables by L
-    scales every step by L.  The artificial variable of scaled row i is S_i
-    times that of the unscaled row, so its phase-1 cost is -P/S_i, P the
-    lcm of the S_i: the phase-1 objective is P times that of the unscaled
-    rows, every reduced cost is scaled by P and no choice changes.
+    scales every step by L.  The phase-1 cost of the artificial of row i is
+    -w_i.  Scaling row i by K_i > 0 scales its artificial by K_i, so with
+    w_i proportional to 1/K_i the phase-1 objective is a fixed multiple of
+    that of the unscaled rows with unit costs, every reduced cost is scaled
+    by that factor and no choice changes: rows scaled to integers each by
+    its own factor make the pivots of the Fraction rows.
     """
 
-    def __init__(self, lp: BoxLP):
-        rows, rhs = lp.integer_rows
-        L = math.lcm(*(rat(v).denominator for v in (*lp.lower, *lp.upper) if v is not None))
-        obj = [rat(v) for v in lp.objective] if lp.objective is not None else [ZERO] * lp.M.cols
-        C = math.lcm(*(v.denominator for v in obj))
-        self.L = L
-
-        def over_L(v):
-            v = rat(v)
-            return v.numerator * (L // v.denominator)
-
-        # canonical column k is sign * column j of M; shift[j] is L lo_j or L hi_j;
-        # per variable of the BoxLP, backmap holds ("shift", k, L lo),
-        # ("mirror", k, L hi) or ("split", k+, k-)
-        src, shift, ub, c, self.backmap = [], [], [], [], []
-        for j, (lo, hi, cj) in enumerate(zip(lp.lower, lp.upper, obj)):
-            k, cj = len(src), cj.numerator * (C // cj.denominator)
+    def __init__(self, rows, rhs, weights, L, LO, HI, c=None):
+        n, m = len(LO), len(rows)
+        if len(rhs) != m or len(weights) != m or len(HI) != n or \
+                (c is not None and len(c) != n) or any(len(row) != n for row in rows):
+            raise ValueError("integer LP dimensions do not match")
+        if L < 1 or (weights and min(weights) <= 0):
+            raise ValueError("the bound denominator and the row weights must be positive")
+        if any(lo > hi for lo, hi in zip(LO, HI) if lo is not None and hi is not None):
+            raise ValueError("lower bound exceeds upper bound")
+        self.rows, self.rhs, self.L, self.LO, self.HI = rows, rhs, L, LO, HI
+        if c is None:
+            c = (0,) * n
+        # canonical column k is sign * column j of A; shift[j] is LO_j or HI_j;
+        # per variable of the LP, backmap holds ("shift", k, LO_j),
+        # ("mirror", k, HI_j) or ("split", k+, k-)
+        src, shift, ub, cc, self.backmap = [], [], [], [], []
+        for j, (lo, hi, cj) in enumerate(zip(LO, HI, c)):
+            k = len(src)
             if lo is not None:
-                shift.append(over_L(lo))
-                ub.append(None if hi is None else over_L(hi) - shift[j])
+                shift.append(lo)
+                ub.append(None if hi is None else hi - lo)
                 src.append((j, 1))
-                c.append(cj)
-                self.backmap.append(("shift", k, shift[j]))
+                cc.append(cj)
+                self.backmap.append(("shift", k, lo))
             elif hi is not None:
-                shift.append(over_L(hi))
+                shift.append(hi)
                 ub.append(None)
                 src.append((j, -1))
-                c.append(-cj)
-                self.backmap.append(("mirror", k, shift[j]))
+                cc.append(-cj)
+                self.backmap.append(("mirror", k, hi))
             else:
                 shift.append(0)
                 ub.extend((None, None))
                 src.extend(((j, 1), (j, -1)))
-                c.extend((cj, -cj))
+                cc.extend((cj, -cj))
                 self.backmap.append(("split", k, k + 1))
-        self.nrows, self.nstruct = m, ns = len(rows), len(src)
+        ns = len(src)
+        self.nrows, self.nstruct = m, ns
         self.T = []
         for i, (row, bi) in enumerate(zip(rows, rhs)):
             bi = L * bi - sum(map(mul, row, shift))
             sign = -1 if bi < 0 else 1
-            self.T.append([sign * a * row[j] for j, a in src] + [int(k == i) for k in range(m)]
-                          + [sign * bi])
+            t = [sign * a * row[j] for j, a in src] + [0] * m + [sign * bi]
+            t[ns + i] = 1
+            self.T.append(t)
         self.ub = ub + [None] * m
-        self.c = c
-        P = math.lcm(*lp.row_scales)
-        self.phase1 = [0] * ns + [-(P // s) for s in lp.row_scales]
+        self.c = cc
+        self.phase1 = [0] * ns + [-w for w in weights]
         self.basis = [ns + i for i in range(m)]
         self.at_upper = set()
         self.delta = 1
@@ -529,8 +537,8 @@ class _Simplex:
         return True
 
     def solution(self):
-        """(den, X): the basic solution as a point of the BoxLP, the
-        integers X over den = |delta L|."""
+        """(den, X): the basic solution as a point of the LP, the integers
+        X over den = |delta L|."""
         delta = self.delta
         Y = [0] * self.nstruct  # delta y
         for j in self.at_upper:
@@ -548,31 +556,75 @@ class _Simplex:
         den = delta * self.L
         return (den, out) if den > 0 else (-den, [-v for v in out])
 
+    def point(self):
+        """``solution``, checked exactly in integers: with x = X / den, the
+        rows read rows . X = rhs den and a bound LO_j / L <= x_j reads
+        LO_j den <= X_j L (likewise HI_j).  Raises InfeasibleStart when a
+        check fails."""
+        den, X = self.solution()
+        L = self.L
+        if any(sum(map(mul, row, X)) != bi * den for row, bi in zip(self.rows, self.rhs)) or \
+                any(lo is not None and xj * L < lo * den for xj, lo in zip(X, self.LO)) or \
+                any(hi is not None and xj * L > hi * den for xj, hi in zip(X, self.HI)):
+            raise InfeasibleStart("simplex point is not feasible")
+        return den, X
 
-def _checked_point(lp: BoxLP, sx: _Simplex) -> Vec:
-    """The simplex's basic solution as a point of lp, checked exactly in
-    integers before any Fraction is built: with x = X / den, M x = b reads
-    A X = b' den over ``integer_rows`` and a bound lo <= x_j reads
-    lo.numerator den <= X_j lo.denominator (likewise hi).  Raises
-    InfeasibleStart when a check fails."""
-    den, X = sx.solution()
+
+def integer_simplex(rows, rhs, weights, L: int, LO, HI, c=None):
+    """The simplex on an integer LP: max c.x  s.t.  rows . x = rhs,
+    LO/L <= x <= HI/L.
+
+    rows and rhs are over int, weights holds a positive phase-1 weight per
+    row, L is a positive int and LO, HI are lists over int (None for an
+    absent bound).  Scaling row i by K_i > 0 and its weight by 1/K_i (up to
+    one common factor) changes no pivot, so a caller that scales rational
+    rows to integers, each by its own factor, passes weights proportional
+    to the inverse factors; rows scaled alike take equal weights.  c is an
+    integer objective; without it only phase 1 runs, and its basic solution
+    is a vertex when no variable is free.
+
+    Returns (status, point): status "optimal", "infeasible" or "unbounded",
+    and point = (den, X), the integers X over den > 0, checked exactly
+    against the rows and the bounds (``_Simplex.point``), or None.  Raises
+    ValueError on malformed input, SimplexCheckFailed or InfeasibleStart
+    when a check fails."""
+    sx = _Simplex(rows, rhs, weights, L, LO, HI, c)
+    if not sx.solve_phase1():
+        return "infeasible", None
+    if c is not None and sx._iterate(sx.c) == "unbounded":
+        return "unbounded", None
+    return "optimal", sx.point()
+
+
+def over_lcm(values):
+    """(L, ints): the rational values as integers over the lcm L of their
+    denominators (1 when there are none), an entry None kept as None."""
+    values = [None if v is None else rat(v) for v in values]
+    L = math.lcm(*(v.denominator for v in values if v is not None))
+    return L, [None if v is None else v.numerator * (L // v.denominator) for v in values]
+
+
+def _integer_lp(lp: BoxLP):
+    """The arguments of ``integer_simplex`` for a BoxLP: row i of [M | b]
+    scaled by S_i (``integer_rows``) with weight P / S_i, P the lcm of the
+    S_i; the bounds over the lcm L of their denominators; the objective
+    scaled by the lcm of its denominators, or None."""
     rows, rhs = lp.integer_rows
-    if any(sum(map(mul, row, X)) != bi * den for row, bi in zip(rows, rhs)) or \
-            any(lo is not None and xj * lo.denominator < lo.numerator * den
-                for xj, lo in zip(X, lp.lower)) or \
-            any(hi is not None and xj * hi.denominator > hi.numerator * den
-                for xj, hi in zip(X, lp.upper)):
-        raise InfeasibleStart("simplex point is not feasible")
-    return tuple(Fraction(v, den) for v in X)
+    P = math.lcm(*lp.row_scales)
+    n = lp.M.cols
+    L, bounds = over_lcm((*lp.lower, *lp.upper))
+    c = None if lp.objective is None else over_lcm(lp.objective)[1]
+    return rows, rhs, [P // S for S in lp.row_scales], L, bounds[:n], bounds[n:], c
 
 
 def find_feasible(lp: BoxLP) -> Vec | None:
     """Phase-1 only: some feasible point of the LP, or None.  It is the
     basic solution phase 1 ends on: a vertex when no variable is free."""
-    sx = _Simplex(lp)
-    if not sx.solve_phase1():
+    _, point = integer_simplex(*_integer_lp(lp)[:-1])
+    if point is None:
         return None
-    return _checked_point(lp, sx)
+    den, X = point
+    return tuple(Fraction(v, den) for v in X)
 
 
 def lp_solve(lp: BoxLP) -> LPResult:
@@ -580,12 +632,11 @@ def lp_solve(lp: BoxLP) -> LPResult:
     vertex of the feasible region whenever no variable is free."""
     if lp.objective is None:
         raise ValueError("lp_solve requires an objective")
-    sx = _Simplex(lp)
-    if not sx.solve_phase1():
-        return LPResult("infeasible")
-    if sx._iterate(sx.c) == "unbounded":
-        return LPResult("unbounded")
-    x = _checked_point(lp, sx)
+    status, point = integer_simplex(*_integer_lp(lp))
+    if point is None:
+        return LPResult(status)
+    den, X = point
+    x = tuple(Fraction(v, den) for v in X)
     value = sum((rat(ci) * xi for ci, xi in zip(lp.objective, x)), ZERO)
     return LPResult("optimal", x, value)
 
@@ -598,17 +649,24 @@ def extreme_rays(ineqs: Matrix):
     """One primitive integer representative per extreme ray of
     {x : ineqs @ x >= 0}; the cone must be pointed.
 
-    The double description runs on the rows scaled to integers, each by the
-    lcm of its denominators.  Scaling a row by a positive number changes no
-    ray, no tight set and no primitive representative."""
-    d = ineqs.cols
-    if d == 0:
-        return []
+    The double description (``integer_extreme_rays``) runs on the rows
+    scaled to integers, each by the lcm of its denominators.  Scaling a row
+    by a positive number changes no ray, no tight set and no primitive
+    representative."""
     rows = []
     for i in range(ineqs.rows):
         row = ineqs.row(i)
         S = math.lcm(*(v.denominator for v in row))
         rows.append(tuple(v.numerator * (S // v.denominator) for v in row))
+    return integer_extreme_rays(rows, ineqs.cols)
+
+
+def integer_extreme_rays(rows, d: int):
+    """One primitive integer representative per extreme ray of
+    {x in R^d : row . x >= 0 for every row}, the rows tuples over int, in
+    sorted order; the cone must be pointed."""
+    if d == 0:
+        return []
     m = len(rows)
     # one elimination of [rows^T | I]: its pivot columns are the first d
     # independent rows, and then row k of the right block is delta times

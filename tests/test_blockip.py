@@ -12,7 +12,7 @@ import pytest
 
 from steinitz.linalg import (Matrix, ceil_sqrt, det, lcm_abs_dets, linf_norm, l1_norm,
                              rank_of_vectors, solve_linear, vscale)
-from steinitz.lp import BoxLP, LPResult, enum_integer_points, find_feasible, lp_solve
+from steinitz.lp import BoxLP, enum_integer_points, find_feasible, lp_solve
 from steinitz import blockip
 from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, PropertyViolation,
                               block_bases, cone_rays_K, decompose_bundle, decompose_u, decompose_x,
@@ -668,22 +668,23 @@ def _kernel_split_instance():
     return inst, KernelPoint((F(0),), (F(3), F(3)))
 
 
-def _no_optimum(lp):
-    return LPResult("infeasible")
+def _no_optimum(rows, rhs, weights, L, LO, HI, c=None):
+    return "infeasible", None
 
 
-def _above_bounds(lp):
-    return LPResult("optimal", tuple(u + 1 for u in lp.upper), 0)
+def _above_bounds(rows, rhs, weights, L, LO, HI, c=None):
+    # every coordinate one above its upper bound HI_j / L
+    return "optimal", (L, [u + L for u in HI])
 
 
-# lp_solve replacements that fail each check of split_max_kernel
+# integer_simplex replacements that fail each check of split_max_kernel
 _SPLIT_FAULTS = (("block-kernel-lp", _no_optimum), ("kernel-split-nonneg", _above_bounds))
 
 
 def test_kernel_split_checks_are_named(monkeypatch):
     inst, pt = _kernel_split_instance()
     for name, fault in _SPLIT_FAULTS:
-        monkeypatch.setattr(blockip, "lp_solve", fault)
+        monkeypatch.setattr(blockip, "integer_simplex", fault)
         with pytest.raises(PropertyViolation, match=name) as err:
             split_max_kernel(inst, pt)
         assert err.value.name == name
@@ -696,7 +697,7 @@ def test_kernel_split_checks_survive_python_O():
             "from steinitz import blockip\n"
             "inst, pt = _kernel_split_instance()\n"
             "for name, fault in _SPLIT_FAULTS:\n"
-            "    blockip.lp_solve = fault\n"
+            "    blockip.integer_simplex = fault\n"
             "    try:\n"
             "        blockip.split_max_kernel(inst, pt)\n"
             "    except blockip.PropertyViolation as exc:\n"

@@ -12,7 +12,9 @@ the same functions as they were before a block basis carried its vertex
 map: a determinant test and a separate solve for every vertex and every
 cone row.  The colorful order of the v-pieces comes from the pre-change
 ``Fraction`` colorful_affine in ``colorful_reference.py``, not from the
-library's integer core, and ``_reference_decompose_u`` extracts one piece
+library's integer core, the convex weights from a ``Fraction`` BoxLP solved
+by the ``Fraction`` simplex of ``simplex_reference.py``, not from the
+library's integer LPs, and ``_reference_decompose_u`` extracts one piece
 per enumeration, not by counts.
 """
 
@@ -40,6 +42,7 @@ from steinitz.norms import LINF_NORM
 from steinitz.rearrange import rearrangement_order
 from steinitz.verify import PIPELINE_SHAPES
 
+import simplex_reference
 from colorful_reference import colorful_affine
 
 
@@ -139,6 +142,26 @@ def _reference_cone_rays_K(inst, x_hat, bases_x):
     return tuple(rays), omega2, gamma
 
 
+def _reference_convex_combo(vertices, target, support_cap, prop):
+    """Convex coefficients over the given points reproducing target with
+    bounded support, found as a vertex by phase 1."""
+    k = len(vertices)
+    tdim = len(target)
+    if k == 0:
+        raise PropertyViolation(prop, "no candidate vertices")
+    rows = [[v[r] for v in vertices] for r in range(tdim)]
+    rows.append([ONE] * k)
+    lp = BoxLP(Matrix.from_rows(rows), tuple(target) + (ONE,),
+               (ZERO,) * k, (None,) * k)
+    vertex = simplex_reference.find_feasible(lp)  # a vertex, as no variable is free
+    if vertex is None:
+        raise PropertyViolation(prop, "convex decomposition infeasible")
+    combo = {i: c for i, c in enumerate(vertex) if c != 0}
+    if len(combo) > support_cap:
+        raise PropertyViolation(prop, f"support {len(combo)} exceeds {support_cap}")
+    return combo
+
+
 def _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x):
     """Split v into per-ray parts and extract integer pieces per part.
 
@@ -163,7 +186,7 @@ def _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x):
     for i in range(n):
         vi = inst.y_block(v_hat, i)
         verts = [_reference_basis_vertex(fb, inst.B[i], x_hat, t) for fb in bases_x[i]]
-        mu = blockip._convex_combo_over_vertices(verts, vi, t + 1, "v-convex-decomposition")
+        mu = _reference_convex_combo(verts, vi, t + 1, "v-convex-decomposition")
         for ell, (lam, h) in enumerate(zip(lambdas, hs)):
             acc = [ZERO] * t
             for k, coef in mu.items():
@@ -202,7 +225,7 @@ def _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x):
             w = list(v_parts[i][ell])
             if a_ell > 0:
                 target = tuple(x / lam for x in w)
-                tau = blockip._convex_combo_over_vertices(verts, target, span, "vertex-support")
+                tau = _reference_convex_combo(verts, target, span, "vertex-support")
                 beta = lam
                 for j in range(a_ell):
                     dbar = max(tau, key=lambda idx: (tau[idx], -idx))
@@ -682,14 +705,25 @@ def test_forced_extraction_failures_match_reference(monkeypatch, perturb, expect
     of its weight does both in one run: that vertex overshoots w first and
     fails the weight check later, and the overshoot is what is reported.
     The points are sums of LP vertices, so blocks have several vertices."""
-    real = blockip._convex_combo_over_vertices
+    real, real_reference = blockip._convex_combo_over_vertices, _reference_convex_combo
     rng = random.Random(7400)
 
-    def perturbed(vertices, target, support_cap, prop):
-        combo = real(vertices, target, support_cap, prop)
+    def perturbed_reference(vertices, target, support_cap, prop):
+        combo = real_reference(vertices, target, support_cap, prop)
         return perturb(combo, rng, len(vertices)) if prop == "vertex-support" else combo
 
+    def perturbed(vertices, target, support_cap, prop):
+        # the library's weights are (den, integers); the perturbation is the
+        # reference's, on the same weights as Fraction
+        den, combo = real(vertices, target, support_cap, prop)
+        if prop != "vertex-support":
+            return den, combo
+        combo = perturb({k: Fraction(a, den) for k, a in combo.items()}, rng, len(vertices))
+        den = math.lcm(*(c.denominator for c in combo.values()))
+        return den, {k: int(c * den) for k, c in combo.items()}
+
     monkeypatch.setattr(blockip, "_convex_combo_over_vertices", perturbed)
+    monkeypatch.setitem(globals(), "_reference_convex_combo", perturbed_reference)
     names = set()
     for shape in ((1, 1, 1, 2, 2), (1, 1, 1, 2, 3), (1, 1, 1, 3, 2), (2, 1, 2, 2, 2)):
         for seed in range(6):

@@ -20,10 +20,10 @@ from steinitz import blockip, linalg
 from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, _feasible,
                               _require_pipeline_ready, _sign_normalized, basis_vertex,
                               block_bases, decompose_bundle, lift_point, lift_three_block,
-                              reduce_kernel_point)
+                              proximity_report, reduce_kernel_point, solve_four_block)
 from steinitz.generate import GenerationError, gen_four_block
-from steinitz.linalg import ZERO, Matrix, _echelon, null_space
-from steinitz.lp import extreme_rays
+from steinitz.linalg import ONE, ZERO, Matrix, _echelon, null_space
+from steinitz.lp import BoxLP, extreme_rays
 from steinitz.verify import PIPELINE_SHAPES
 
 
@@ -276,6 +276,46 @@ def test_decomposition_makes_no_fraction_products_or_rank_eliminations(monkeypat
     linalg.rank(inst.A[0])
     assert counts["_echelon"] == counts["rank"] == 1 and counts["mul_vec"] >= 1
     assert decomposed == 3 * len(PIPELINE_SHAPES)
+
+
+def _count_constructions(monkeypatch, cls, counts):
+    """Count the instances of cls built, through its __init__."""
+    real = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        counts[cls.__name__] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+
+
+def test_decomposition_and_solver_build_no_fraction_lps(monkeypatch):
+    """decompose_bundle and reduce_kernel_point hand their LPs and the cone
+    to the integer cores, so they build no BoxLP and no Matrix; the solver
+    and the proximity report take H from the integer form, not from
+    H_matrix().  The counters see a BoxLP and a Matrix built directly."""
+    counts = dict.fromkeys(("BoxLP", "Matrix", "H_matrix"), 0)
+    _count_constructions(monkeypatch, BoxLP, counts)
+    _count_constructions(monkeypatch, Matrix, counts)
+    _count_calls(monkeypatch, FourBlockInstance, "H_matrix", counts)
+    solved = 0
+    for k, shape in enumerate(PIPELINE_SHAPES):
+        for seed in range(3):
+            inst, pt = _draw(shape, 900 + 10 * k + seed, zero_a0=True)
+            counts.update(dict.fromkeys(counts, 0))
+            decompose_bundle(inst, pt)
+            reduce_kernel_point(inst, pt)
+            assert counts == dict.fromkeys(counts, 0), (shape, counts)
+            if inst.y_dim <= 6:
+                report = proximity_report(inst)
+                solved += solve_four_block(inst, 1) is not None
+                assert report.lp_status == "optimal"
+                assert counts["H_matrix"] == counts["BoxLP"] == 0, (shape, counts)
+    assert solved >= 6
+    BoxLP(Matrix.identity(1), (ONE,), (ZERO,), (ONE,))
+    assert counts["BoxLP"] == 1 and counts["Matrix"] == 1
+    inst.H_matrix()
+    assert counts["H_matrix"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -14,7 +15,7 @@ import steinitz.lp
 from steinitz.blockip import decompose_bundle, proximity_report, solve_four_block
 from steinitz.generate import GenerationError, gen_four_block
 from steinitz.linalg import Matrix, null_space, primitive_integer_vector, rank, solve_linear
-from steinitz.lp import (BoxLP, InfeasibleStart, NonPointedCone, RayCheckFailed,
+from steinitz.lp import (BoxLP, InfeasibleStart, LPResult, NonPointedCone, RayCheckFailed,
                          SimplexCheckFailed, _bareiss_step, _Simplex, enum_integer_points,
                          extreme_rays, find_feasible, lp_solve, purify_to_vertex)
 
@@ -201,10 +202,35 @@ def _rational_lps():
         yield BoxLP(M, b, tuple(lower), tuple(upper), tuple(frac(3) for _ in range(n)))
 
 
+def _rebuilt(rows, rhs, weights, L, LO, HI, c=None):
+    """The BoxLP that an integer LP replaces, up to one common factor of its
+    rows: row i of [rows | rhs] times its phase-1 weight w_i is the
+    Fraction row it was scaled from times that factor, as w_i is
+    proportional to the inverse of the row's scale."""
+    M = Matrix.from_rows([[w * a for a in row] for row, w in zip(rows, weights)]) if rows \
+        else Matrix.zeros(0, len(LO))
+    return BoxLP(M, tuple(F(w * b) for b, w in zip(rhs, weights)),
+                 tuple(None if v is None else F(v, L) for v in LO),
+                 tuple(None if v is None else F(v, L) for v in HI),
+                 None if c is None else tuple(F(v) for v in c))
+
+
+def _integer_run(args):
+    """The integer entry on args, its answer in the form that find_feasible
+    (no objective) or lp_solve gives."""
+    status, point = steinitz.lp.integer_simplex(*args)
+    x = None if point is None else tuple(F(a, point[0]) for a in point[1])
+    if len(args) < 7 or args[6] is None:
+        return x
+    value = None if x is None else sum((ci * xi for ci, xi in zip(args[6], x)), F(0))
+    return LPResult(status, x, value)
+
+
 def _captured_lps(monkeypatch):
-    """The BoxLPs that proximity_report, solve_four_block and
+    """The integer LPs that proximity_report, solve_four_block and
     decompose_bundle hand to the simplex on small seeded instances, as
-    (LP, "lp_solve" or "find_feasible")."""
+    (the BoxLP they replace, "lp_solve" or "find_feasible", a run of the
+    integer entry on them)."""
     instances = []
     for seed, shape in enumerate(((1, 1, 1, 1, 2), (1, 1, 1, 1, 3), (1, 1, 1, 2, 2),
                                   (1, 1, 1, 1, 4)) * 10, start=1201):
@@ -220,11 +246,12 @@ def _captured_lps(monkeypatch):
         except GenerationError:
             continue
     captured = []
-    for name in ("lp_solve", "find_feasible"):
-        def capture(lp, solve=getattr(steinitz.lp, name), name=name):
-            captured.append((lp, name))
-            return solve(lp)
-        monkeypatch.setattr(steinitz.blockip, name, capture)
+
+    def capture(*args, solve=steinitz.lp.integer_simplex):
+        captured.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(steinitz.blockip, "integer_simplex", capture)
     for inst in instances:
         rep = proximity_report(inst)
         if rep.lp_status == "optimal":
@@ -232,16 +259,19 @@ def _captured_lps(monkeypatch):
     for inst, pt in bundles:
         decompose_bundle(inst, pt)
     monkeypatch.undo()
-    return captured
+    return [(_rebuilt(*args), "find_feasible" if len(args) < 7 or args[6] is None
+             else "lp_solve", lambda args=args: _integer_run(args)) for args in captured]
 
 
 def test_integer_simplex_matches_fraction_reference(monkeypatch):
     """The integer tableau makes the pivots of the Fraction tableau it
     replaced, in the same order, and returns the same results; every
     division of its Bareiss steps is exact."""
-    cases = [(lp, name) for lps in (_pricing_lps(), _rational_lps())
+    cases = [(lp, name, lambda lp=lp, name=name: getattr(steinitz.lp, name)(lp))
+             for lps in (_pricing_lps(), _rational_lps())
              for lp in lps for name in ("lp_solve", "find_feasible")]
-    cases += _captured_lps(monkeypatch)
+    captured = _captured_lps(monkeypatch)
+    cases += captured
     pivots, divisions = [], 0
 
     def logged(self, p, e):
@@ -261,16 +291,134 @@ def test_integer_simplex_matches_fraction_reference(monkeypatch):
     monkeypatch.setattr(_Simplex, "_pivot", logged)
     monkeypatch.setattr(steinitz.lp, "_bareiss_step", checked)
     statuses = set()
-    for lp, name in cases:
+    for lp, name, run in cases:
         expected = []
         want = getattr(simplex_reference, name)(lp, expected)
         pivots.clear()
-        assert getattr(steinitz.lp, name)(lp) == want
+        assert run() == want
         assert pivots == expected
         if name == "lp_solve":
             statuses.add(want.status)
     assert statuses == {"optimal", "unbounded", "infeasible"}
-    assert len(cases) >= 750 and divisions >= 25_000, (len(cases), divisions)
+    assert len(captured) >= 210 and len(cases) >= 750 and divisions >= 25_000, \
+        (len(captured), len(cases), divisions)
+
+
+def _scaled_rows_cases():
+    """400 seeded rational LPs (m = 2..5 rows, n = 4..9 variables), each as
+    (BoxLP, integer rows, rhs, row factors): row i of [M | b] scaled to
+    integers by the lcm S_i of its denominators and then by a random
+    positive integer K_i, so the factor of row i is S_i K_i."""
+    rng = random.Random(47)
+
+    def frac(k):
+        return F(rng.randint(-k, k), rng.choice((1, 2, 3, 4, 5, 6)))
+
+    for k in range(400):
+        m, n = rng.randint(2, 5), rng.randint(4, 9)
+        M = Matrix.from_rows([[frac(4) if rng.random() < 0.75 else F(0) for _ in range(n)]
+                              for _ in range(m)])
+        lower, upper, x = [], [], []
+        for _ in range(n):
+            # kind 0, 2: lower bound only; 1: both; 3: upper only; 4: free
+            lo, kind = frac(2), rng.randrange(5)
+            lower.append(None if kind >= 3 else lo)
+            upper.append(lo + abs(frac(3)) if kind in (1, 3) else None)
+            x.append(lo if kind < 3 else frac(2))
+        b = M.mul_vec(tuple(x))
+        if k % 5 == 0:
+            b = tuple(v + frac(1) for v in b)
+        lp = BoxLP(M, b, tuple(lower), tuple(upper), tuple(frac(3) for _ in range(n)))
+        rows, rhs, factors = [], [], []
+        for row, bi, S in zip(*lp.integer_rows, lp.row_scales):
+            K = rng.randint(1, 30)
+            rows.append([K * a for a in row])
+            rhs.append(K * bi)
+            factors.append(S * K)
+        yield lp, rows, rhs, factors
+
+
+def test_integer_entry_ignores_row_scaling_with_inverse_weights(monkeypatch):
+    """Rows scaled by any positive factors make the pivots and the point of
+    the Fraction tableau on the unscaled rows, given phase-1 weights
+    proportional to the inverse factors, for phase 1 alone and with the
+    objective; with unit weights instead, the phase-1 pivots differ on
+    many of them (168 of the 400)."""
+    pivots = []
+
+    def logged(self, p, e):
+        pivots.append((p, e))
+        return pivot(self, p, e)
+
+    pivot = _Simplex._pivot
+    monkeypatch.setattr(_Simplex, "_pivot", logged)
+    statuses, unweighted_differ = set(), 0
+    for lp, rows, rhs, factors in _scaled_rows_cases():
+        P = math.lcm(*factors)
+        weights = [P // f for f in factors]
+        L = math.lcm(*(v.denominator for v in (*lp.lower, *lp.upper) if v is not None))
+        LO = [None if v is None else int(v * L) for v in lp.lower]
+        HI = [None if v is None else int(v * L) for v in lp.upper]
+        C = math.lcm(*(v.denominator for v in lp.objective))
+        c = [int(v * C) for v in lp.objective]
+        for objective in (None, c):
+            expected = []
+            if objective is None:
+                x = simplex_reference.find_feasible(lp, expected)
+                want = ("infeasible" if x is None else "optimal", x)
+                phase1 = list(expected)
+            else:
+                res = simplex_reference.lp_solve(lp, expected)
+                want = (res.status, res.x)
+                statuses.add(res.status)
+            pivots.clear()
+            status, point = steinitz.lp.integer_simplex(rows, rhs, weights, L, LO, HI, objective)
+            x = None if point is None else tuple(F(a, point[0]) for a in point[1])
+            assert ((status, x), pivots) == (want, expected)
+        pivots.clear()
+        steinitz.lp.integer_simplex(rows, rhs, [1] * len(rows), L, LO, HI)
+        unweighted_differ += pivots != phase1
+    assert statuses == {"optimal", "unbounded", "infeasible"}
+    assert unweighted_differ >= 100, unweighted_differ
+
+
+def _malformed_integer_lps():
+    """The ValueError message of the integer entry on each malformed input:
+    a short rhs, a short row, a short upper bound list, a short objective,
+    lo > hi, a zero weight, a negative weight and L = 0."""
+    good = ([[1, 1]], [1], [1], 1, [0, 0], [1, 1], [1, 0])
+    out = []
+    for k, bad in ((1, []), (0, [[1]]), (5, [1]), (6, [1]), (5, [1, -1]), (2, [0]), (2, [-2]),
+                   (3, 0)):
+        args = list(good)
+        args[k] = bad
+        try:
+            steinitz.lp.integer_simplex(*args)
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+_MALFORMED_MESSAGES = (["integer LP dimensions do not match"] * 4
+                       + ["lower bound exceeds upper bound"]
+                       + ["the bound denominator and the row weights must be positive"] * 3)
+
+
+def test_integer_entry_rejects_malformed_input():
+    assert _malformed_integer_lps() == _MALFORMED_MESSAGES
+
+
+def test_integer_entry_rejects_malformed_input_under_python_O():
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_lp import _malformed_integer_lps\n"
+            "print('\\n'.join(_malformed_integer_lps()))\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(here.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code, str(here)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.splitlines() == _MALFORMED_MESSAGES
 
 
 def _always_unbounded(self, c):

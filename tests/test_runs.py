@@ -246,7 +246,9 @@ def test_peel_runs_match_the_per_step_loop():
         tau, lam, count, span, verts, w = _peel_case(rng)
         trace = []
         want = _outcome(ref._peel_vertices, tau, lam, count, span, verts, w, trace)
-        got = _outcome(_peel_vertices, tau, lam, count, span, verts, w)
+        den = math.lcm(*(c.denominator for c in tau.values()))
+        got = _outcome(_peel_vertices, (den, {k: int(c * den) for k, c in tau.items()}), lam,
+                       count, span, verts, w)
         if isinstance(want, tuple) and want[0] == "violation":
             assert got == want
             names.add(want[1])
