@@ -22,15 +22,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, combinations, repeat
 from operator import mul
-from typing import NamedTuple
 
-from .linalg import (Matrix, Vec, ZERO, ONE, rat, ceil_sqrt, is_integer_vec, l1_norm, linf_norm,
-                     span_coordinates, scale_to_integers, vadd, vscale, vsub)
-from .lp import (LPError, _bareiss_echelon, enum_integer_points, integer_extreme_rays,
-                 integer_simplex, over_lcm)
+from .linalg import (Matrix, Vec, ZERO, ONE, _bareiss_echelon, rat, ceil_sqrt, is_integer_vec,
+                     l1_norm, linf_norm, span_coordinates, scale_to_integers, vadd, vscale, vsub)
+from .lp import LPError, enum_integer_points, integer_extreme_rays, integer_simplex, over_lcm
 from .norms import LINF_NORM
 from .rearrange import _max_prefix_runs, _order_runs, _run_encode, _run_sum
 from .colorful import _affine_runs
@@ -52,29 +50,50 @@ class UnboundedRelaxation(LPError):
 # instance and kernel-point types
 
 
-class IntegerForm(NamedTuple):
-    """The blocks of a FourBlockInstance as tuples of int rows: H, and per
-    diagonal block i, A[i], B[i] and C[i]; C_all is [C_1 ... C_n] and b the
-    right-hand side as int."""
-    H: tuple
-    A: tuple
+@dataclass(frozen=True)
+class IntegerForm:
+    """The blocks of a 4-block instance, each held once, as tuples of int
+    rows: A0 and, per diagonal block i, B[i], A[i] and C[i].  The rows of
+    C_all = [C_1 ... C_n] and of H are derived from them on first use."""
+    A0: tuple
     B: tuple
+    A: tuple
     C: tuple
-    C_all: tuple
-    b: tuple
+
+    def entries(self):
+        """Every block entry, block by block."""
+        return chain.from_iterable(chain.from_iterable((self.A0, *self.B, *self.A, *self.C)))
+
+    @cached_property
+    def C_all(self) -> tuple:
+        return tuple(tuple(chain.from_iterable(Ci[r] for Ci in self.C))
+                     for r in range(len(self.A0)))
+
+    @cached_property
+    def H(self) -> tuple:
+        """The rows of H = [[A0, C_1 ... C_n], [B_i, A_i on the diagonal]]."""
+        n = len(self.A)
+        H = [a0 + c for a0, c in zip(self.A0, self.C_all)]
+        for i, (Bi, Ai) in enumerate(zip(self.B, self.A)):
+            t = len(Ai[0])
+            H.extend(b + (0,) * (t * i) + a + (0,) * (t * (n - 1 - i)) for b, a in zip(Bi, Ai))
+        return tuple(H)
+
+
+def _has_shape(rows, r: int, c: int) -> bool:
+    return len(rows) == r and all(len(row) == c for row in rows)
 
 
 @dataclass(frozen=True)
 class FourBlockInstance:
+    """max c.z s.t. H z = b, 0 <= z <= (ux, uy).  The Fraction matrices A0,
+    B, A, C and H_matrix() are views of integer_form, built on first read."""
     s0: int
     s: int
     t0: int
     t: int
     n: int
-    A0: Matrix
-    B: tuple
-    A: tuple
-    C: tuple
+    integer_form: IntegerForm
     b: Vec
     cx: Vec
     cy: Vec
@@ -85,16 +104,17 @@ class FourBlockInstance:
     def __post_init__(self):
         if min(self.s0, self.s, self.t0, self.t, self.n) < 1:
             raise ValueError("all block dimensions must be positive")
-        if (self.A0.rows, self.A0.cols) != (self.s0, self.t0):
+        form = self.integer_form
+        if not _has_shape(form.A0, self.s0, self.t0):
             raise ValueError("A0 shape mismatch")
-        if len(self.B) != self.n or len(self.A) != self.n or len(self.C) != self.n:
+        if len(form.B) != self.n or len(form.A) != self.n or len(form.C) != self.n:
             raise ValueError("block count mismatch")
         for i in range(self.n):
-            if (self.B[i].rows, self.B[i].cols) != (self.s, self.t0):
+            if not _has_shape(form.B[i], self.s, self.t0):
                 raise ValueError(f"B[{i}] shape mismatch")
-            if (self.A[i].rows, self.A[i].cols) != (self.s, self.t):
+            if not _has_shape(form.A[i], self.s, self.t):
                 raise ValueError(f"A[{i}] shape mismatch")
-            if (self.C[i].rows, self.C[i].cols) != (self.s0, self.t):
+            if not _has_shape(form.C[i], self.s0, self.t):
                 raise ValueError(f"C[{i}] shape mismatch")
         if len(self.b) != self.s0 + self.n * self.s:
             raise ValueError("b dimension mismatch")
@@ -102,25 +122,25 @@ class FourBlockInstance:
             raise ValueError("x objective/bound dimension mismatch")
         if len(self.cy) != self.n * self.t or len(self.uy) != self.n * self.t:
             raise ValueError("y objective/bound dimension mismatch")
-        mats = [self.A0, *self.B, *self.A, *self.C]
-        for M in mats:
-            if not all(x.denominator == 1 for x in M.data):
-                raise ValueError("blocks must have integer entries")
+        if any(type(a) is not int for a in form.entries()):
+            raise ValueError("blocks must have integer entries")
         if not is_integer_vec(self.b):
             raise ValueError("b must be integer")
-        biggest = max((int(M.max_abs_entry()) for M in mats), default=0)
+        biggest = max(map(abs, form.entries()), default=0)
         if self.delta != biggest:
             raise ValueError(f"delta={self.delta} but largest absolute entry is {biggest}")
 
     @staticmethod
     def make(A0, B, A, C, b, cx, cy, ux, uy) -> "FourBlockInstance":
-        s0, t0 = A0.rows, A0.cols
-        n = len(A)
-        s, t = A[0].rows, A[0].cols
-        mats = [A0, *B, *A, *C]
-        delta = max((int(M.max_abs_entry()) for M in mats), default=0)
-        return FourBlockInstance(s0, s, t0, t, n, A0, tuple(B), tuple(A), tuple(C),
-                                 tuple(b), tuple(cx), tuple(cy), tuple(ux), tuple(uy), delta)
+        """The instance with these blocks, each given as int rows or as an
+        integer Matrix; the dimensions and delta are read off the blocks."""
+        rows = partial(_int_rows, error="blocks must have integer entries")
+        form = IntegerForm(rows(A0), tuple(map(rows, B)), tuple(map(rows, A)), tuple(map(rows, C)))
+        s0, t0 = len(form.A0), len(form.A0[0]) if form.A0 else 0
+        s, t = len(form.A[0]), len(form.A[0][0]) if form.A[0] else 0
+        delta = max(map(abs, form.entries()), default=0)
+        return FourBlockInstance(s0, s, t0, t, len(form.A), form, tuple(b), tuple(cx),
+                                 tuple(cy), tuple(ux), tuple(uy), delta)
 
     @property
     def x_dim(self) -> int:
@@ -130,30 +150,28 @@ class FourBlockInstance:
     def y_dim(self) -> int:
         return self.n * self.t
 
+    @property
+    def a0_is_zero(self) -> bool:
+        return not any(map(any, self.integer_form.A0))
+
     def y_block(self, y: Vec, i: int) -> Vec:
         return tuple(y[i * self.t:(i + 1) * self.t])
 
     @cached_property
-    def integer_form(self) -> IntegerForm:
-        """The instance's blocks as int rows, built on first use and kept:
-        every block product of the decomposition runs on them."""
-        n, t = self.n, self.t
-        A = tuple(_int_rows(M) for M in self.A)
-        B = tuple(_int_rows(M) for M in self.B)
-        C = tuple(_int_rows(M) for M in self.C)
-        C_all = tuple(tuple(chain.from_iterable(Ci[r] for Ci in C)) for r in range(self.s0))
-        H = [a0 + c for a0, c in zip(_int_rows(self.A0), C_all)]
-        for i in range(n):
-            H.extend(b + (0,) * (t * i) + a + (0,) * (t * (n - 1 - i)) for b, a in zip(B[i], A[i]))
-        return IntegerForm(tuple(H), A, B, C, C_all, tuple(int(v) for v in self.b))
+    def A0(self) -> Matrix:
+        return Matrix.from_rows(self.integer_form.A0)
 
-    def apply_C(self, y: Vec) -> Vec:
-        """C y = sum_i C_i y^i, as Fraction: one integer product over the
-        common denominator of y, divided back once per entry."""
-        if len(y) != self.y_dim:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        L, (Y,) = scale_to_integers([y])
-        return tuple(Fraction(sum(map(mul, row, Y)), L) for row in self.integer_form.C_all)
+    @cached_property
+    def B(self) -> tuple:
+        return tuple(map(Matrix.from_rows, self.integer_form.B))
+
+    @cached_property
+    def A(self) -> tuple:
+        return tuple(map(Matrix.from_rows, self.integer_form.A))
+
+    @cached_property
+    def C(self) -> tuple:
+        return tuple(map(Matrix.from_rows, self.integer_form.C))
 
     def H_matrix(self) -> Matrix:
         """H as a Fraction matrix, built once per instance."""
@@ -165,6 +183,14 @@ class FourBlockInstance:
         H = self.integer_form.H
         value = {a: Fraction(a) for a in set(chain.from_iterable(H))}
         return Matrix(len(H), self.x_dim + self.y_dim, tuple(value[a] for row in H for a in row))
+
+    def apply_C(self, y: Vec) -> Vec:
+        """C y = sum_i C_i y^i, as Fraction: one integer product over the
+        common denominator of y, divided back once per entry."""
+        if len(y) != self.y_dim:
+            raise ValueError("dimension mismatch in matrix-vector product")
+        L, (Y,) = scale_to_integers([y])
+        return tuple(Fraction(sum(map(mul, row, Y)), L) for row in self.integer_form.C_all)
 
     def integer_C_images(self):
         """A function taking an integer y (a tuple of int) to the integer
@@ -182,7 +208,7 @@ class FourBlockInstance:
 
     def integer_system(self):
         """(rows, b) of H z = b over int, as enum_integer_points takes it."""
-        return self.integer_form.H, self.integer_form.b
+        return self.integer_form.H, tuple(int(v) for v in self.b)
 
     def box_points(self, box_cap: int | None = None):
         """The integer points of H z = b in the brute-force search box, in
@@ -197,10 +223,14 @@ class FourBlockInstance:
         return enum_integer_points((0,) * len(upper), upper, system=self.integer_system())
 
 
-def _int_rows(M: Matrix) -> tuple:
-    if any(a.denominator != 1 for a in M.data):
-        raise ValueError("expected an integer matrix")
-    return tuple(tuple(a.numerator for a in M.row(r)) for r in range(M.rows))
+def _int_rows(block, error: str = "expected an integer matrix") -> tuple:
+    """A block's int rows as a tuple of tuples, from int rows or from a
+    Matrix, which raises ValueError(error) unless integer."""
+    if not isinstance(block, Matrix):
+        return tuple(map(tuple, block))
+    if any(a.denominator != 1 for a in block.data):
+        raise ValueError(error)
+    return tuple(tuple(a.numerator for a in block.row(r)) for r in range(block.rows))
 
 
 def _kernel_test(rows, v: Vec) -> bool:
@@ -247,38 +277,29 @@ def omega1(inst: FourBlockInstance) -> int:
 def lift_three_block(inst: FourBlockInstance) -> FourBlockInstance:
     """Equivalent instance with A0 = 0; kernel points (x, y) of the input
     biject with kernel points (x, (x, y^1), (0, y^2), ...) of the output."""
-    if inst.A0.is_zero():
+    if inst.a0_is_zero:
         return inst
     s0, s, t0, t, n = inst.s0, inst.s, inst.t0, inst.t, inst.n
-    Id = Matrix.identity(t0)
-    Zst = Matrix.zeros(t0, t)
+    form = inst.integer_form
+    eye = tuple(tuple(int(r == c) for c in range(t0)) for r in range(t0))
+    zero = (0,) * t0
     A2, B2, C2, b2, cy2, uy2 = [], [], [], list(inst.b[:s0]), [], []
     for i in range(n):
-        corner = Matrix.from_rows(
-            [[-x for x in Id.row(r)] for r in range(t0)]) if i == 0 else Id
-        A2.append(Matrix.from_rows(
-            [list(corner.row(r)) + list(Zst.row(r)) for r in range(t0)] +
-            [[ZERO] * t0 + list(inst.A[i].row(r)) for r in range(s)]))
-        B2.append(Matrix.from_rows(
-            [list(Id.row(r)) if i == 0 else [ZERO] * t0 for r in range(t0)] +
-            [list(inst.B[i].row(r)) for r in range(s)]))
-        C2.append(Matrix.from_rows(
-            [(list(inst.A0.row(r)) if i == 0 else [ZERO] * t0) + list(inst.C[i].row(r))
-             for r in range(s0)]))
-        b2.extend([ZERO] * t0)
-        b2.extend(inst.b[s0 + i * s:s0 + (i + 1) * s])
-        cy2.extend([ZERO] * t0)
-        cy2.extend(inst.cy[i * t:(i + 1) * t])
-        uy2.extend(inst.ux if i == 0 else [Fraction(0)] * t0)
-        uy2.extend(inst.uy[i * t:(i + 1) * t])
+        corner = tuple(tuple(-a for a in row) for row in eye) if i == 0 else eye
+        A2.append(tuple(row + (0,) * t for row in corner) +
+                  tuple(zero + row for row in form.A[i]))
+        B2.append((eye if i == 0 else (zero,) * t0) + form.B[i])
+        C2.append(tuple(a0 + c for a0, c in zip(form.A0 if i == 0 else (zero,) * s0, form.C[i])))
+        b2 += [ZERO] * t0 + list(inst.b[s0 + i * s:s0 + (i + 1) * s])
+        cy2 += [ZERO] * t0 + list(inst.cy[i * t:(i + 1) * t])
+        uy2 += list(inst.ux if i == 0 else [Fraction(0)] * t0) + list(inst.uy[i * t:(i + 1) * t])
     return FourBlockInstance.make(
-        Matrix.zeros(s0, t0), B2, A2, C2, tuple(b2), inst.cx, tuple(cy2),
-        inst.ux, tuple(uy2))
+        (zero,) * s0, B2, A2, C2, tuple(b2), inst.cx, tuple(cy2), inst.ux, tuple(uy2))
 
 
 def lift_point(inst: FourBlockInstance, x: Vec, y: Vec):
     """Map a point of the original instance into the lifted coordinates."""
-    if inst.A0.is_zero():
+    if inst.a0_is_zero:
         return tuple(x), tuple(y)
     t0, t, n = inst.t0, inst.t, inst.n
     out = []
@@ -290,7 +311,7 @@ def lift_point(inst: FourBlockInstance, x: Vec, y: Vec):
 
 def project_lifted_point(inst: FourBlockInstance, x: Vec, y_lifted: Vec):
     """Inverse of lift_point on the y coordinates."""
-    if inst.A0.is_zero():
+    if inst.a0_is_zero:
         return tuple(x), tuple(y_lifted)
     t0, t, n = inst.t0, inst.t, inst.n
     width = t0 + t
@@ -307,7 +328,7 @@ def project_lifted_point(inst: FourBlockInstance, x: Vec, y_lifted: Vec):
 def split_max_kernel(inst: FourBlockInstance, pt: KernelPoint):
     """(u, v) with y = u + v, u a blockwise-maximal nonnegative kernel
     vector of the diagonal blocks, and ||v||_inf <= omega1 ||x||_inf."""
-    if not inst.A0.is_zero():
+    if not inst.a0_is_zero:
         raise ValueError("split_max_kernel requires a lifted instance (A0 = 0)")
     pt.check(inst)
     s, t = inst.s, inst.t
@@ -330,12 +351,14 @@ def split_max_kernel(inst: FourBlockInstance, pt: KernelPoint):
     return u, v
 
 
-def minimal_kernel_below(Ai: Matrix, w: Vec, cap: int):
+def minimal_kernel_below(Ai, w: Vec, cap: int):
     """First (lex) nonzero integer point of ker Ai inside [0, floor(w)]
-    with l1 norm at most cap, or None when no such point exists."""
+    with l1 norm at most cap, or None when no such point exists.  Ai is
+    given as int rows or as an integer Matrix."""
     upper = tuple(math.floor(rat(x)) for x in w)
+    rows = _int_rows(Ai)
     kernel = enum_integer_points((0,) * len(w), upper, ell1_cap=cap, predicate=any,
-                                 system=(_int_rows(Ai), (0,) * Ai.rows))
+                                 system=(rows, (0,) * len(rows)))
     return next(kernel, None)
 
 
@@ -371,7 +394,7 @@ def _decompose_u(inst: FourBlockInstance, u_hat: Vec):
             raise ValueError("u is not in the kernel of the diagonal blocks")
         excess = sum(scaled) - K * scale       # scale (l1(res) - K), as res >= 0
         while excess > 0:
-            wbar = minimal_kernel_below(inst.A[i], tuple(res), K)
+            wbar = minimal_kernel_below(inst.integer_form.A[i], tuple(res), K)
             if wbar is None:
                 raise PropertyViolation("kernel-extraction",
                                         "no small kernel vector below a large residual")
@@ -475,9 +498,10 @@ class FeasibleBasis:
         return tuple(Fraction(sum(map(mul, row, X)), den) for row in self.rows)
 
 
-def block_bases(Ai: Matrix, Bi: Matrix):
+def block_bases(Ai, Bi):
     """Every invertible s x s column basis of the integer block Ai with its
-    vertex map, in lexicographic column order.
+    vertex map, in lexicographic column order; Ai and Bi are given as int
+    rows or as integer Matrix.
 
     One fraction-free elimination of [D | Bi] per subset
     (``_bareiss_echelon``): D is invertible iff the pivots are its s
@@ -486,7 +510,7 @@ def block_bases(Ai: Matrix, Bi: Matrix):
     A, B = _int_rows(Ai), _int_rows(Bi)
     s = len(A)
     out = []
-    for cols in combinations(range(Ai.cols), s):
+    for cols in combinations(range(len(A[0]) if A else 0), s):
         work = [[a[c] for c in cols] + list(b) for a, b in zip(A, B)]
         pivots, delta, sign = _bareiss_echelon(work, s)
         if len(pivots) == s:
@@ -504,7 +528,7 @@ def _feasible(bases, x: Vec):
     return [fb for fb in bases if all(sum(map(mul, row, X)) >= 0 for row in fb.rows)]
 
 
-def feasible_bases(Ai: Matrix, Bi: Matrix, x_hat: Vec):
+def feasible_bases(Ai, Bi, x_hat: Vec):
     """All invertible s x s column bases D of Ai with -D^{-1} Bi x_hat >= 0,
     in lexicographic column order, each carrying its vertex map."""
     return _feasible(block_bases(Ai, Bi), x_hat)
@@ -551,7 +575,7 @@ def cone_rays_K(inst: FourBlockInstance, x_hat: Vec, tables=None):
     at x_hat."""
     t0 = inst.t0
     if tables is None:
-        tables = [block_bases(inst.A[i], inst.B[i]) for i in range(inst.n)]
+        tables = list(map(block_bases, inst.integer_form.A, inst.integer_form.B))
     # the cone rows are the integer rows |det D| vmap, positive multiples of
     # the rows of vmap, so they cut out the same cone
     rows = [tuple(int(r == c) for c in range(t0)) for r in range(t0)]
@@ -924,13 +948,13 @@ def _require_pipeline_ready(inst: FourBlockInstance):
     checked to be ready for the pipeline.  With t >= s, a block has full row
     rank exactly when it has an invertible s-column basis, so when its table
     is not empty."""
-    if not inst.A0.is_zero():
+    if not inst.a0_is_zero:
         raise ValueError("pipeline requires a lifted instance (A0 = 0); call lift_three_block")
     if inst.t < inst.s:
         raise ValueError("pipeline requires t >= s in the diagonal blocks")
     tables = []
     for i in range(inst.n):
-        tables.append(block_bases(inst.A[i], inst.B[i]))
+        tables.append(block_bases(inst.integer_form.A[i], inst.integer_form.B[i]))
         if not tables[-1]:
             raise ValueError(f"diagonal block {i} is not of full row rank")
     return tables
@@ -1159,20 +1183,17 @@ def flip_for_kernel_work(inst: FourBlockInstance, flips):
     """Instance with the flipped columns negated; bounds and objective are
     cleared since only kernel structure is used downstream."""
     t0, t, n = inst.t0, inst.t, inst.n
+    form = inst.integer_form
 
-    def flip_cols(M, offs):
-        rows = []
-        for r in range(M.rows):
-            rows.append([-x if flips[offs + c] else x for c, x in enumerate(M.row(r))])
-        return Matrix.from_rows(rows)
+    def flip_cols(rows, offs):
+        return tuple(tuple(-a if flips[offs + c] else a for c, a in enumerate(row))
+                     for row in rows)
 
-    A0 = flip_cols(inst.A0, 0)
-    B = [flip_cols(inst.B[i], 0) for i in range(n)]
-    A = [flip_cols(inst.A[i], t0 + i * t) for i in range(n)]
-    C = [flip_cols(inst.C[i], t0 + i * t) for i in range(n)]
     return FourBlockInstance.make(
-        A0, B, A, C, (0,) * (inst.s0 + n * inst.s), (0,) * t0, (0,) * (n * t),
-        (None,) * t0, (None,) * (n * t))
+        flip_cols(form.A0, 0), [flip_cols(Bi, 0) for Bi in form.B],
+        [flip_cols(Ai, t0 + i * t) for i, Ai in enumerate(form.A)],
+        [flip_cols(Ci, t0 + i * t) for i, Ci in enumerate(form.C)],
+        (0,) * (inst.s0 + n * inst.s), (0,) * t0, (0,) * (n * t), (None,) * t0, (None,) * (n * t))
 
 
 def _sign_normalized(inst: FourBlockInstance, x: Vec, y: Vec):

@@ -11,11 +11,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .linalg import Matrix
 from .norms import norm_from_name, norm_name
 from .colorful import ColoredFamily
 from .rearrange import VectorSequence
-from .blockip import FourBlockInstance, KernelPoint
+from .blockip import FourBlockInstance, IntegerForm, KernelPoint
 
 
 class ParseError(ValueError):
@@ -146,24 +145,15 @@ def family_as_sequence(fam: ColoredFamily) -> VectorSequence:
 # 4-block instance files
 
 
-def _write_matrix(lines, M: Matrix):
-    for r in range(M.rows):
-        lines.append(" ".join(format_rat(x) for x in M.row(r)))
-
-
 def write_fourblock(inst: FourBlockInstance, path: str):
+    form = inst.integer_form
     lines = [f"fourblock {inst.s0} {inst.s} {inst.t0} {inst.t} {inst.n} {inst.delta}"]
     lines.append("A0")
-    _write_matrix(lines, inst.A0)
-    for i in range(inst.n):
-        lines.append(f"B {i + 1}")
-        _write_matrix(lines, inst.B[i])
-    for i in range(inst.n):
-        lines.append(f"A {i + 1}")
-        _write_matrix(lines, inst.A[i])
-    for i in range(inst.n):
-        lines.append(f"C {i + 1}")
-        _write_matrix(lines, inst.C[i])
+    lines.extend(" ".join(map(str, row)) for row in form.A0)
+    for name, blocks in (("B", form.B), ("A", form.A), ("C", form.C)):
+        for i, rows in enumerate(blocks):
+            lines.append(f"{name} {i + 1}")
+            lines.extend(" ".join(map(str, row)) for row in rows)
     lines.append("b")
     lines.append(" ".join(format_rat(x) for x in inst.b))
     lines.append("cx")
@@ -189,22 +179,24 @@ def read_fourblock(path: str) -> FourBlockInstance:
     n = toks.count("n")
     delta = toks.count("delta")
 
+    def entry():
+        # int when integral; the instance rejects any other block entry
+        x = toks.rat("a matrix entry")
+        return x.numerator if x.denominator == 1 else x
+
     def matrix(rows, cols):
-        return Matrix.from_rows(
-            [[toks.rat("a matrix entry") for _ in range(cols)] for _ in range(rows)])
+        return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+    def blocks(name, rows, cols):
+        out = []
+        for i in range(n):
+            toks.section(name, str(i + 1))
+            out.append(matrix(rows, cols))
+        return tuple(out)
 
     toks.section("A0")
     A0 = matrix(s0, t0)
-    B, A, C = [], [], []
-    for i in range(n):
-        toks.section("B", str(i + 1))
-        B.append(matrix(s, t0))
-    for i in range(n):
-        toks.section("A", str(i + 1))
-        A.append(matrix(s, t))
-    for i in range(n):
-        toks.section("C", str(i + 1))
-        C.append(matrix(s0, t))
+    B, A, C = blocks("B", s, t0), blocks("A", s, t), blocks("C", s0, t)
     toks.section("b")
     b = tuple(toks.rat("a b entry") for _ in range(s0 + n * s))
     toks.section("cx")
@@ -216,9 +208,7 @@ def read_fourblock(path: str) -> FourBlockInstance:
     toks.section("uy")
     uy = tuple(toks.bound("an uy bound") for _ in range(n * t))
     toks.end()
-    inst = FourBlockInstance(s0, s, t0, t, n, A0, tuple(B), tuple(A), tuple(C),
-                             b, cx, cy, ux, uy, delta)
-    return inst
+    return FourBlockInstance(s0, s, t0, t, n, IntegerForm(A0, B, A, C), b, cx, cy, ux, uy, delta)
 
 
 def write_point(pt: KernelPoint, path: str):

@@ -8,11 +8,11 @@ import random
 from fractions import Fraction
 from operator import mul
 
-from .linalg import Matrix, ZERO, rank
+from .linalg import ZERO, _bareiss_echelon
 from .lp import integer_simplex
 from .norms import LINF_NORM, NormSpec, norm_eval
 from .colorful import ColoredFamily
-from .blockip import FourBlockInstance, KernelPoint
+from .blockip import FourBlockInstance, IntegerForm, KernelPoint
 from .rearrange import VectorSequence
 
 
@@ -62,28 +62,28 @@ def gen_four_block(s0: int, s: int, t0: int, t: int, n: int, delta: int, seed: i
     seeded objective; blocks are redrawn when that slice is empty.  With
     require_full_rank the diagonal blocks are redrawn until they have full
     row rank (needed by the decomposition pipeline; pass False to allow
-    degenerate blocks such as delta = 0).  A scale below 1 raises
-    ValueError: its slice holds no nontrivial point.
+    degenerate blocks such as delta = 0).  A block dimension below 1 raises
+    ValueError, as does a scale below 1 (its slice has no nontrivial point).
     """
     if scale is not None and scale < 1:
         raise ValueError(f"scale must be at least 1, got {scale}")
+    if min(s0, s, t0, t, n) < 1:
+        raise ValueError("all block dimensions must be positive")
     rng = random.Random(seed)
     dim = t0 + n * t
     total = scale if scale is not None else 2 * dim
 
     def draw_rows(r, c):
-        return [[rng.randint(-delta, delta) for _ in range(c)] for _ in range(r)]
-
-    def dot(row, z):
-        return sum(map(mul, row, z))
+        return tuple(tuple(rng.randint(-delta, delta) for _ in range(c)) for _ in range(r))
 
     for _ in range(max_retries):
-        A0 = [[0] * t0 for _ in range(s0)] if zero_a0 else draw_rows(s0, t0)
-        B = [draw_rows(s, t0) for _ in range(n)]
-        A = [draw_rows(s, t) for _ in range(n)]
-        C = [draw_rows(s0, t) for _ in range(n)]
-        A_mats = [Matrix.from_rows(Ai) for Ai in A]
-        if require_full_rank and any(rank(Ai) != s for Ai in A_mats):
+        A0 = ((0,) * t0,) * s0 if zero_a0 else draw_rows(s0, t0)
+        B = tuple(draw_rows(s, t0) for _ in range(n))
+        A = tuple(draw_rows(s, t) for _ in range(n))
+        C = tuple(draw_rows(s0, t) for _ in range(n))
+        # the rank of each diagonal block: one fraction-free elimination
+        if require_full_rank and any(len(_bareiss_echelon(list(map(list, Ai)))[0]) != s
+                                     for Ai in A):
             continue
         # integer feasible point fixes b; finite bounds keep brute force finite
         z0 = [rng.randint(0, ub_cap) for _ in range(dim)]
@@ -91,22 +91,19 @@ def gen_four_block(s0: int, s: int, t0: int, t: int, n: int, delta: int, seed: i
         cy = tuple(rng.randint(-3, 3) for _ in range(n * t))
         ux = (Fraction(ub_cap),) * t0
         uy = (Fraction(ub_cap),) * (n * t)
-        # b = H z0 in integers, block by block; the instance holds b as Fraction
-        x0, ys = z0[:t0], [z0[t0 + i * t:t0 + (i + 1) * t] for i in range(n)]
-        b = [dot(a0, x0) + sum(dot(Ci[r], y) for Ci, y in zip(C, ys))
-             for r, a0 in enumerate(A0)]
-        b.extend(dot(Bi[r], x0) + dot(Ai[r], y) for Bi, Ai, y in zip(B, A, ys) for r in range(s))
-        inst = FourBlockInstance.make(
-            Matrix.from_rows(A0), [Matrix.from_rows(Bi) for Bi in B], A_mats,
-            [Matrix.from_rows(Ci) for Ci in C], tuple(map(Fraction, b)), cx, cy, ux, uy)
+        # b = H z0 in integers; the instance holds b as Fraction
+        form = IntegerForm(A0, B, A, C)
+        H = form.H
+        b = tuple(Fraction(sum(map(mul, row, z0))) for row in H)
 
         # the slice {H z = 0, z >= 0, sum z = total}: integer rows, weights 1
         obj = [rng.randint(1, 7) for _ in range(dim)]
-        H = inst.integer_form.H
         status, point = integer_simplex([*H, (1,) * dim], [0] * len(H) + [total],
                                         [1] * (len(H) + 1), 1, [0] * dim, [None] * dim, obj)
         if status != "optimal":
             continue
+        inst = FourBlockInstance(s0, s, t0, t, n, form, b, cx, cy, ux, uy,
+                                 max(map(abs, form.entries()), default=0))
         den, X = point
         z = [Fraction(a, den) for a in X]
         planted = KernelPoint(tuple(z[:t0]), tuple(z[t0:]))

@@ -5,11 +5,12 @@ matrices are immutable row-major Fraction grids.  Every routine here is
 exact: no floats, no rounding, arbitrary precision throughout.
 
 One Gauss-Jordan routine, ``_echelon`` with its row step ``_pivot``, is the
-only Fraction elimination in the package: solves, kernels, rank,
-determinants and span coordinates.  The integer eliminations, the vertex
-walk, the simplex tableau and ``lp._bareiss_echelon`` (the block bases in
-``blockip`` and the double description's initial cone), share
-``lp._bareiss_step``.
+only Fraction elimination in the package: solves, kernels, rank and
+determinants.  The integer eliminations share one fraction-free row step,
+``_bareiss_step``: the vertex walk and the simplex tableau in ``lp`` take it
+one pivot at a time, and ``_bareiss_echelon`` (span coordinates, the block
+bases in ``blockip``, the double description's initial cone and the
+generator's rank check) runs it column by column.
 """
 
 from __future__ import annotations
@@ -134,20 +135,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.data)
 
-    def max_abs_entry(self):
-        return max((abs(x) for x in self.data), default=ZERO)
-
-
-def hstack(*mats: Matrix) -> Matrix:
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ValueError("row mismatch in hstack")
-    out = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.row(i))
-    return Matrix(rows, sum(m.cols for m in mats), tuple(out))
-
 
 def _pivot(rows, r, c):
     """Scale row r to 1 on column c, then clear column c from every other row."""
@@ -184,6 +171,59 @@ def _echelon(rows):
         if r == len(rows):
             break
     return pivots, d
+
+
+def _bareiss_step(T, t, p, delta):
+    """One fraction-free pivot on row p of T for the column whose image
+    under T is t: row p stays, every other row i becomes
+    (t_p T_i - t_i T_p) / delta, and t_p is returned as the new delta.
+    The divisions are exact: before the step and after it, delta is plus or
+    minus the determinant of a basis B (in the walk, the basic columns
+    completed by unit columns to an R x R matrix) and each row of T is delta
+    times a row of B^-1 applied to integer columns, so a row of plus or minus
+    the adjugate of B applied to them.  A row of reduced costs
+    delta (c - c_B B^-1 A), carried as one more row of T, stays integer
+    the same way."""
+    tp, Tp = t[p], T[p]
+    for i, ti in enumerate(t):
+        if i == p:
+            continue
+        if ti:
+            T[i] = [(tp * a - ti * b) // delta for a, b in zip(T[i], Tp)]
+        elif tp != delta:  # a row with t_i = 0 is only rescaled by t_p / delta
+            T[i] = [tp * a // delta for a in T[i]]
+    return tp
+
+
+def _bareiss_echelon(rows, ncols=None):
+    """In-place fraction-free Gauss-Jordan elimination of the integer rows
+    on their first ncols columns (all of them by default), one
+    ``_bareiss_step`` per pivot.  As in ``_echelon``, the pivot of a
+    column is its first nonzero entry at or below the current row, and the
+    elimination stops once every row holds a pivot.
+
+    Returns (pivot columns, delta, sign).  The pivots and the row swaps are
+    those of ``_echelon`` on the same columns, and every row ends as delta
+    times the row it leaves there.  With r pivots, delta is the determinant
+    of the first r rows on the pivot columns, in the order the swaps left
+    them, and sign is -1 when the number of swaps is odd, so sign * delta
+    is the determinant of a square matrix of full rank."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots, delta, sign, r = [], 1, 1, 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        delta = _bareiss_step(rows, [row[c] for row in rows], r, delta)
+        pivots.append(c)
+        r += 1
+    return pivots, delta, sign
 
 
 def solve_linear(M: Matrix, b: Vec):
@@ -242,15 +282,17 @@ def span_coordinates(vectors):
     """(r, coords): r = dim span(vectors), and coords[j] holds vector j's
     coordinates over the basis of the first vectors that raise the rank.
 
-    One elimination with the vectors as columns: the pivot columns are that
-    greedy basis, and column j of the reduced form holds coords[j].
+    One fraction-free elimination with the vectors, scaled to integers by
+    one common factor, as columns: the pivot columns are that greedy basis,
+    and column j of the reduced form, divided by delta, holds coords[j].
     """
     vectors = list(vectors)
     dim = len(vectors[0]) if vectors else 0
-    rows = [[rat(v[i]) for v in vectors] for i in range(dim)]
-    pivots, _ = _echelon(rows)
+    _, ints = scale_to_integers(vectors)
+    rows = [[v[i] for v in ints] for i in range(dim)]
+    pivots, delta, _ = _bareiss_echelon(rows)
     r = len(pivots)
-    return r, [tuple(rows[i][j] for i in range(r)) for j in range(len(vectors))]
+    return r, [tuple(Fraction(rows[i][j], delta) for i in range(r)) for j in range(len(vectors))]
 
 
 def ceil_sqrt(n: int) -> int:

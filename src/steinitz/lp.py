@@ -29,7 +29,8 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .linalg import Matrix, Vec, ZERO, rat, primitive_integer_vector
+from .linalg import (Matrix, Vec, ZERO, _bareiss_echelon, _bareiss_step, rat,
+                     primitive_integer_vector)
 
 INF = None  # sentinel for an absent (infinite) bound
 
@@ -140,59 +141,6 @@ class LPResult:
 
 # ---------------------------------------------------------------------------
 # vertex purification
-
-
-def _bareiss_step(T, t, p, delta):
-    """One fraction-free pivot on row p of T for the column whose image
-    under T is t: row p stays, every other row i becomes
-    (t_p T_i - t_i T_p) / delta, and t_p is returned as the new delta.
-    The divisions are exact: before the step and after it, delta is plus or
-    minus the determinant of a basis B (in the walk, the basic columns
-    completed by unit columns to an R x R matrix) and each row of T is delta
-    times a row of B^-1 applied to integer columns, so a row of plus or minus
-    the adjugate of B applied to them.  A row of reduced costs
-    delta (c - c_B B^-1 A), carried as one more row of T, stays integer
-    the same way."""
-    tp, Tp = t[p], T[p]
-    for i, ti in enumerate(t):
-        if i == p:
-            continue
-        if ti:
-            T[i] = [(tp * a - ti * b) // delta for a, b in zip(T[i], Tp)]
-        elif tp != delta:  # a row with t_i = 0 is only rescaled by t_p / delta
-            T[i] = [tp * a // delta for a in T[i]]
-    return tp
-
-
-def _bareiss_echelon(rows, ncols=None):
-    """In-place fraction-free Gauss-Jordan elimination of the integer rows
-    on their first ncols columns (all of them by default), one
-    ``_bareiss_step`` per pivot.  As in ``linalg._echelon``, the pivot of a
-    column is its first nonzero entry at or below the current row, and the
-    elimination stops once every row holds a pivot.
-
-    Returns (pivot columns, delta, sign).  The pivots and the row swaps are
-    those of ``_echelon`` on the same columns, and every row ends as delta
-    times the row it leaves there.  With r pivots, delta is the determinant
-    of the first r rows on the pivot columns, in the order the swaps left
-    them, and sign is -1 when the number of swaps is odd, so sign * delta
-    is the determinant of a square matrix of full rank."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    pivots, delta, sign, r = [], 1, 1, 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            sign = -sign
-        delta = _bareiss_step(rows, [row[c] for row in rows], r, delta)
-        pivots.append(c)
-        r += 1
-    return pivots, delta, sign
 
 
 def walk_to_vertex(cols, D: int, X, LO, HI):

@@ -59,7 +59,7 @@ def _reference_decompose_u(inst, u_hat):
         if any(x != 0 for x in inst.A[i].mul_vec(tuple(res))):
             raise ValueError("u is not in the kernel of the diagonal blocks")
         while l1_norm(tuple(res)) > K:
-            wbar = minimal_kernel_below(inst.A[i], tuple(res), K)
+            wbar = minimal_kernel_below(inst.integer_form.A[i], tuple(res), K)
             if wbar is None:
                 raise PropertyViolation("kernel-extraction",
                                         "no small kernel vector below a large residual")

@@ -271,6 +271,34 @@ def test_cli_plotdata_golden(tmp_path, mode, fmt):
     assert digest.hexdigest() == PLOTDATA_SHA256[mode, fmt]
 
 
+# The write_fourblock bytes and the planted point of a seeded grid of
+# gen_four_block draws: every PIPELINE_SHAPES entry with A0 zero and drawn,
+# scale None and 24, and one degenerate delta = 0 draw.
+GEN_FOUR_BLOCK_SHA256 = "6bc8c1cc5ae59d96d98b34da66e2cefd823c31bc0e8c0670949f9f92e7d694c3"
+
+
+def test_gen_four_block_golden(tmp_path):
+    import hashlib
+    from steinitz.generate import GenerationError
+    from steinitz.verify import PIPELINE_SHAPES
+    draws = [(shape, 1 + k % 2, 31 * k + 7 * z + w, dict(zero_a0=bool(z), scale=scale))
+             for k, shape in enumerate(PIPELINE_SHAPES) for z in (0, 1)
+             for w, scale in enumerate((None, 24))]
+    draws.append(((1, 1, 1, 1, 2), 0, 4, dict(require_full_rank=False)))
+    digest = hashlib.sha256()
+    inst_path, pt_path = tmp_path / "inst.4blk", tmp_path / "pt.txt"
+    for shape, delta, seed, kw in draws:
+        try:
+            inst, pt = gen_four_block(*shape, delta, seed, **kw)
+        except GenerationError as exc:
+            digest.update(f"{exc}\n".encode())
+            continue
+        fileio.write_fourblock(inst, str(inst_path))
+        fileio.write_point(pt, str(pt_path))
+        digest.update(inst_path.read_bytes() + pt_path.read_bytes())
+    assert digest.hexdigest() == GEN_FOUR_BLOCK_SHA256
+
+
 def test_cli_output_determinism(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for target in (a, b):

@@ -19,8 +19,9 @@ import steinitz
 from steinitz import blockip, linalg
 from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, _feasible,
                               _require_pipeline_ready, _sign_normalized, basis_vertex,
-                              block_bases, decompose_bundle, lift_point, lift_three_block,
-                              proximity_report, reduce_kernel_point, solve_four_block)
+                              block_bases, decompose_bundle, flip_for_kernel_work, lift_point,
+                              lift_three_block, proximity_report, reduce_kernel_point,
+                              reduce_kernel_point_signed, solve_four_block)
 from steinitz.generate import GenerationError, gen_four_block
 from steinitz.linalg import ONE, ZERO, Matrix, _echelon, null_space
 from steinitz.lp import BoxLP, extreme_rays
@@ -261,10 +262,9 @@ def test_decomposition_makes_no_fraction_products_or_rank_eliminations(monkeypat
             inst, pt = _draw(shape, 900 + 10 * k + seed, zero_a0=True)
             counts.update(dict.fromkeys(counts, 0))
             decompose_bundle(inst, pt)
-            assert counts["mul_vec"] == counts["rank"] == 0, (shape, counts)
+            assert counts == dict.fromkeys(counts, 0), (shape, counts)
             reduce_kernel_point(inst, pt)
-            assert counts["mul_vec"] == counts["rank"] == 0, (shape, counts)
-            counts["_echelon"] = 0
+            assert counts == dict.fromkeys(counts, 0), (shape, counts)
             tables = [block_bases(inst.A[i], inst.B[i]) for i in range(inst.n)]
             rows = [list(Matrix.identity(inst.t0).row(r)) for r in range(inst.t0)]
             rows.extend(row for table in tables for fb in table for row in fb.vmap)
@@ -316,6 +316,39 @@ def test_decomposition_and_solver_build_no_fraction_lps(monkeypatch):
     assert counts["BoxLP"] == 1 and counts["Matrix"] == 1
     inst.H_matrix()
     assert counts["H_matrix"] == 1
+
+
+def test_instances_are_drawn_lifted_flipped_and_solved_without_matrix_or_rank(monkeypatch):
+    """gen_four_block checks the rank of the int rows it draws,
+    lift_three_block and flip_for_kernel_work build int rows, and the signed
+    reduction, the solver and the proximity report run on them: none of
+    them builds a Matrix or runs the Fraction elimination.  The counters see
+    the Matrix views and the Fraction rank."""
+    counts = dict.fromkeys(("Matrix", "rank", "_echelon"), 0)
+    _count_constructions(monkeypatch, Matrix, counts)
+    _count_calls(monkeypatch, linalg, "rank", counts)
+    _count_calls(monkeypatch, linalg, "_echelon", counts)
+    rng = random.Random(41)
+    with_a0 = solved = 0
+    for k, shape in enumerate(PIPELINE_SHAPES):
+        for seed in range(3):
+            try:
+                inst, pt = gen_four_block(*shape, 1 + seed % 2, 960 + 10 * k + seed, scale=24)
+            except GenerationError:
+                continue
+            lifted = lift_three_block(inst)
+            flip_for_kernel_work(lifted, [rng.random() < 0.5
+                                          for _ in range(lifted.x_dim + lifted.y_dim)])
+            # the negated point: every column of the lifted instance is flipped
+            reduce_kernel_point_signed(inst, tuple(-v for v in pt.x), tuple(-v for v in pt.y))
+            if inst.y_dim <= 6:
+                proximity_report(inst)
+                solved += solve_four_block(inst, 1) is not None
+            with_a0 += not inst.a0_is_zero
+            assert counts == dict.fromkeys(counts, 0), (shape, counts)
+    assert with_a0 >= 6 and solved >= 4, (with_a0, solved)
+    linalg.rank(inst.A[0])
+    assert counts == {"Matrix": inst.n, "rank": 1, "_echelon": 1}
 
 
 # ---------------------------------------------------------------------------
