@@ -26,8 +26,9 @@ from functools import cached_property, partial
 from itertools import accumulate, chain, combinations, repeat
 from operator import mul
 
-from .linalg import (Matrix, Vec, ZERO, ONE, _bareiss_echelon, rat, ceil_sqrt, is_integer_vec,
-                     l1_norm, linf_norm, span_coordinates, scale_to_integers, vadd, vscale, vsub)
+from .linalg import (Matrix, Vec, ZERO, ONE, _bareiss_echelon, _integer_echelon, rat, ceil_sqrt,
+                     is_integer_vec, l1_norm, linf_norm, span_coordinates, scale_to_integers, vadd,
+                     vscale, vsub)
 from .lp import LPError, enum_integer_points, integer_extreme_rays, integer_simplex, over_lcm
 from .norms import LINF_NORM
 from .rearrange import _max_prefix_runs, _order_runs, _run_encode, _run_sum
@@ -1010,14 +1011,6 @@ def _int_sum(vectors, dim: int) -> tuple:
     return tuple(map(sum, zip(*vectors))) if vectors else (0,) * dim
 
 
-def _rank(vectors) -> int:
-    """dim span of the rational vectors: one fraction-free elimination of
-    the vectors scaled to integers, none when there are no vectors."""
-    if not vectors:
-        return 0
-    return len(_bareiss_echelon([list(v) for v in scale_to_integers(vectors)[1]])[0])
-
-
 def compute_constants(inst: FourBlockInstance, bundle: DecompositionBundle) -> ConstantsTable:
     """Every derived constant of the pipeline, each recomputable from its
     defining formula."""
@@ -1035,7 +1028,9 @@ def compute_constants(inst: FourBlockInstance, bundle: DecompositionBundle) -> C
     w3 = max(terms)
     w4 = Fraction(s0 * 2 * inst.delta) * K + \
         Fraction(t0 * 40 * s0 ** 5 * inst.delta ** (s + 2) * s ** s * t0) * w2
-    dim_v = _rank([v for v in (bundle.r, bundle.q, *bundle.p) if any(x != 0 for x in v)])
+    # dim V: one elimination of the nonzero C-image totals, none without any
+    totals = [v for v in (bundle.r, bundle.q, *bundle.p) if any(x != 0 for x in v)]
+    dim_v = len(_integer_echelon(totals)[0]) if totals else 0
     root = Fraction(ceil_sqrt(s0))
     w5 = Fraction(36) * (root * (w3 * (dim_v + 1) + w4 + Fraction(1, 2))) ** dim_v \
         * (root * (w4 + Fraction(1, 2))) ** (s0 - dim_v)

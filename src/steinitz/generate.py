@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from operator import mul
 
-from .linalg import ZERO, _bareiss_echelon
+from .linalg import ZERO, _integer_echelon
 from .lp import integer_simplex
 from .norms import LINF_NORM, NormSpec, norm_eval
 from .colorful import ColoredFamily
@@ -74,16 +74,15 @@ def gen_four_block(s0: int, s: int, t0: int, t: int, n: int, delta: int, seed: i
     total = scale if scale is not None else 2 * dim
 
     def draw_rows(r, c):
-        return tuple(tuple(rng.randint(-delta, delta) for _ in range(c)) for _ in range(r))
+        return tuple([tuple([rng.randint(-delta, delta) for _ in range(c)]) for _ in range(r)])
 
     for _ in range(max_retries):
         A0 = ((0,) * t0,) * s0 if zero_a0 else draw_rows(s0, t0)
-        B = tuple(draw_rows(s, t0) for _ in range(n))
-        A = tuple(draw_rows(s, t) for _ in range(n))
-        C = tuple(draw_rows(s0, t) for _ in range(n))
+        B = tuple([draw_rows(s, t0) for _ in range(n)])
+        A = tuple([draw_rows(s, t) for _ in range(n)])
+        C = tuple([draw_rows(s0, t) for _ in range(n)])
         # the rank of each diagonal block: one fraction-free elimination
-        if require_full_rank and any(len(_bareiss_echelon(list(map(list, Ai)))[0]) != s
-                                     for Ai in A):
+        if require_full_rank and any(len(_integer_echelon(Ai)[0]) != s for Ai in A):
             continue
         # integer feasible point fixes b; finite bounds keep brute force finite
         z0 = [rng.randint(0, ub_cap) for _ in range(dim)]

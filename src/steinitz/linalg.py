@@ -4,13 +4,15 @@ Vectors are tuples of Fraction (or int where a value is known integral);
 matrices are immutable row-major Fraction grids.  Every routine here is
 exact: no floats, no rounding, arbitrary precision throughout.
 
-One Gauss-Jordan routine, ``_echelon`` with its row step ``_pivot``, is the
-only Fraction elimination in the package: solves, kernels, rank and
-determinants.  The integer eliminations share one fraction-free row step,
+Every elimination in the package is fraction-free and shares one row step,
 ``_bareiss_step``: the vertex walk and the simplex tableau in ``lp`` take it
-one pivot at a time, and ``_bareiss_echelon`` (span coordinates, the block
-bases in ``blockip``, the double description's initial cone and the
-generator's rank check) runs it column by column.
+one pivot at a time, and the Gauss-Jordan routine ``_bareiss_echelon`` runs
+it column by column.  Rational rows reach it through ``_integer_echelon``,
+which scales them to integers by one common factor: solves, kernels, rank,
+determinants and span coordinates here, and the rank dim V in ``blockip``
+and the generator's rank check.  The block bases in ``blockip`` and the
+double description's initial cone call ``_bareiss_echelon`` on their own
+integer rows.
 """
 
 from __future__ import annotations
@@ -87,11 +89,7 @@ class Matrix:
     @staticmethod
     def from_rows(rows) -> Matrix:
         rows = [tuple(rat(x) for x in r) for r in rows]
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        if any(len(r) != nc for r in rows):
-            raise ValueError("ragged rows")
-        return Matrix(nr, nc, tuple(x for r in rows for x in r))
+        return Matrix(len(rows), _width(rows), tuple(x for r in rows for x in r))
 
     @staticmethod
     def identity(n: int) -> Matrix:
@@ -136,43 +134,6 @@ class Matrix:
         return all(x == 0 for x in self.data)
 
 
-def _pivot(rows, r, c):
-    """Scale row r to 1 on column c, then clear column c from every other row."""
-    pr = rows[r]
-    inv = ONE / pr[c]
-    rows[r] = pr = [x * inv for x in pr]
-    for i, row in enumerate(rows):
-        f = row[c]
-        if i != r and f != 0:
-            rows[i] = [a - f * b for a, b in zip(row, pr)]
-
-
-def _echelon(rows):
-    """In-place Gauss-Jordan elimination to reduced row echelon form.
-
-    Returns (pivot columns, product of the pivots with the sign flipped once
-    per row swap); the product is det when the matrix is square of full rank.
-    """
-    pivots = []
-    d = ONE
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            d = -d
-        d *= rows[r][c]
-        _pivot(rows, r, c)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots, d
-
-
 def _bareiss_step(T, t, p, delta):
     """One fraction-free pivot on row p of T for the column whose image
     under T is t: row p stays, every other row i becomes
@@ -196,15 +157,17 @@ def _bareiss_step(T, t, p, delta):
 
 
 def _bareiss_echelon(rows, ncols=None):
-    """In-place fraction-free Gauss-Jordan elimination of the integer rows
-    on their first ncols columns (all of them by default), one
-    ``_bareiss_step`` per pivot.  As in ``_echelon``, the pivot of a
-    column is its first nonzero entry at or below the current row, and the
-    elimination stops once every row holds a pivot.
+    """In-place fraction-free Gauss-Jordan elimination of the list of
+    integer rows on their first ncols columns (all of them by default), one
+    ``_bareiss_step`` per pivot.  Rows are swapped and replaced in the list,
+    never written, so they may be tuples.  The pivot of a column is its first
+    nonzero entry at or below the current row, and the elimination stops
+    once every row holds a pivot.
 
     Returns (pivot columns, delta, sign).  The pivots and the row swaps are
-    those of ``_echelon`` on the same columns, and every row ends as delta
-    times the row it leaves there.  With r pivots, delta is the determinant
+    those of the Gauss-Jordan elimination over the rationals with the same
+    pivot rule, and every row ends as delta times the row it leaves there,
+    in reduced row echelon form.  With r pivots, delta is the determinant
     of the first r rows on the pivot columns, in the order the swaps left
     them, and sign is -1 when the number of swaps is odd, so sign * delta
     is the determinant of a square matrix of full rank."""
@@ -226,25 +189,46 @@ def _bareiss_echelon(rows, ncols=None):
     return pivots, delta, sign
 
 
+def _width(rows) -> int:
+    """The common length of the rows (0 when there are none); ragged rows
+    raise ValueError."""
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged rows")
+    return width
+
+
+def _integer_echelon(vectors):
+    """One ``_bareiss_echelon`` of the rational rows, scaled to integers by
+    one common factor; ragged rows raise ValueError.
+
+    Returns (pivot columns, delta, sign, scale, rows): scale is the common
+    factor, and each int row ends as delta times the reduced row echelon
+    form of the rows, so entry [r][c] / delta is the Gauss-Jordan entry."""
+    scale, rows = scale_to_integers(vectors)
+    _width(rows)
+    pivots, delta, sign = _bareiss_echelon(rows)
+    return pivots, delta, sign, scale, rows
+
+
 def solve_linear(M: Matrix, b: Vec):
     """Return some x with Mx = b, or None when the system is inconsistent."""
     if M.rows != len(b):
         raise ValueError("dimension mismatch: M.rows != len(b)")
-    rows = [list(M.row(i)) + [rat(b[i])] for i in range(M.rows)]
-    pivots, _ = _echelon(rows)
+    pivots, delta, _, _, rows = _integer_echelon(
+        M.row(i) + (rat(b[i]),) for i in range(M.rows))
     # a pivot in the augmented column means 0 = 1
     if any(c == M.cols for c in pivots):
         return None
     x = [ZERO] * M.cols
     for r, c in enumerate(pivots):
-        x[c] = rows[r][M.cols]
+        x[c] = Fraction(rows[r][M.cols], delta)
     return tuple(x)
 
 
 def null_space(M: Matrix):
     """Basis of ker M as a list of vectors; empty iff full column rank."""
-    rows = [list(M.row(i)) for i in range(M.rows)]
-    pivots, _ = _echelon(rows)
+    pivots, delta, _, _, rows = _integer_echelon(M.row(i) for i in range(M.rows))
     pivot_set = set(pivots)
     basis = []
     for free in range(M.cols):
@@ -253,44 +237,39 @@ def null_space(M: Matrix):
         v = [ZERO] * M.cols
         v[free] = ONE
         for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
+            v[c] = Fraction(-rows[r][free], delta)
         basis.append(tuple(v))
     return basis
 
 
 def rank(M: Matrix) -> int:
-    rows = [list(M.row(i)) for i in range(M.rows)]
-    return len(_echelon(rows)[0])
+    return len(_integer_echelon(M.row(i) for i in range(M.rows))[0])
 
 
 def rank_of_vectors(vectors) -> int:
-    vectors = [v for v in vectors]
-    if not vectors:
-        return 0
-    return rank(Matrix.from_rows(vectors))
+    return len(_integer_echelon(vectors)[0])
 
 
 def det(M: Matrix):
-    """Determinant: the signed product of the pivots of one elimination."""
+    """Determinant: sign * delta of one elimination of the rows scaled by
+    one common factor, divided by that factor to the n-th power."""
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
-    pivots, d = _echelon([list(M.row(i)) for i in range(M.rows)])
-    return d if len(pivots) == M.rows else ZERO
+    pivots, delta, sign, scale, _ = _integer_echelon(M.row(i) for i in range(M.rows))
+    return Fraction(sign * delta, scale ** M.rows) if len(pivots) == M.rows else ZERO
 
 
 def span_coordinates(vectors):
     """(r, coords): r = dim span(vectors), and coords[j] holds vector j's
     coordinates over the basis of the first vectors that raise the rank.
 
-    One fraction-free elimination with the vectors, scaled to integers by
-    one common factor, as columns: the pivot columns are that greedy basis,
-    and column j of the reduced form, divided by delta, holds coords[j].
+    One fraction-free elimination with the vectors as columns: the pivot
+    columns are that greedy basis, and column j of the reduced form,
+    divided by delta, holds coords[j].
     """
     vectors = list(vectors)
-    dim = len(vectors[0]) if vectors else 0
-    _, ints = scale_to_integers(vectors)
-    rows = [[v[i] for v in ints] for i in range(dim)]
-    pivots, delta, _ = _bareiss_echelon(rows)
+    pivots, delta, _, _, rows = _integer_echelon(
+        [v[i] for v in vectors] for i in range(_width(vectors)))
     r = len(pivots)
     return r, [tuple(Fraction(rows[i][j], delta) for i in range(r)) for j in range(len(vectors))]
 
@@ -335,8 +314,8 @@ def scale_to_integers(vectors) -> tuple:
     tuple of int.  Every order, sign test and norm comparison of the
     vectors is the same on ints, with bounds multiplied by L."""
     vectors = list(vectors)
-    scale = math.lcm(*(x.denominator for v in vectors for x in v))
-    return scale, [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
+    scale = math.lcm(*[x.denominator for v in vectors for x in v])
+    return scale, [tuple([x.numerator * (scale // x.denominator) for x in v]) for v in vectors]
 
 
 def primitive_integer_vector(v: Vec) -> Vec:

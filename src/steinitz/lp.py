@@ -30,7 +30,7 @@ from functools import cached_property
 from operator import mul
 
 from .linalg import (Matrix, Vec, ZERO, _bareiss_echelon, _bareiss_step, rat,
-                     primitive_integer_vector)
+                     primitive_integer_vector, scale_to_integers)
 
 INF = None  # sentinel for an absent (infinite) bound
 
@@ -598,14 +598,9 @@ def extreme_rays(ineqs: Matrix):
     {x : ineqs @ x >= 0}; the cone must be pointed.
 
     The double description (``integer_extreme_rays``) runs on the rows
-    scaled to integers, each by the lcm of its denominators.  Scaling a row
-    by a positive number changes no ray, no tight set and no primitive
-    representative."""
-    rows = []
-    for i in range(ineqs.rows):
-        row = ineqs.row(i)
-        S = math.lcm(*(v.denominator for v in row))
-        rows.append(tuple(v.numerator * (S // v.denominator) for v in row))
+    scaled to integers by one common factor.  Scaling the rows by a positive
+    number changes no ray, no tight set and no primitive representative."""
+    rows = scale_to_integers(ineqs.row(i) for i in range(ineqs.rows))[1]
     return integer_extreme_rays(rows, ineqs.cols)
 
 

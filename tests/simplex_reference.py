@@ -5,14 +5,16 @@ of the differential tests.
 the library's pre-change code, verbatim but for the imports, the
 ``pivots`` log (each tableau pivot appends its (row, entering column)) and
 the named phase-1 check: the tableau, the basic values and the reduced
-costs are Fraction, and each pivot is one ``linalg._pivot``.
+costs are Fraction, and each pivot is one ``_pivot`` of
+``tests/echelon_reference.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from steinitz.linalg import ONE, ZERO, _pivot, rat
+from echelon_reference import _pivot
+from steinitz.linalg import ONE, ZERO, rat
 from steinitz.lp import BoxLP, InfeasibleStart, LPResult, SimplexCheckFailed
 
 

@@ -13,7 +13,7 @@ import pytest
 from steinitz.linalg import (Matrix, ceil_sqrt, det, lcm_abs_dets, linf_norm, l1_norm,
                              rank_of_vectors, solve_linear, vscale)
 from steinitz.lp import BoxLP, enum_integer_points, find_feasible, lp_solve
-from steinitz import blockip
+from steinitz import blockip, linalg
 from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, PropertyViolation,
                               block_bases, cone_rays_K, decompose_bundle, decompose_u, decompose_x,
                               feasible_bases, graver_enumerate, kernel_bound,
@@ -311,12 +311,13 @@ def test_bundle_seeded_shapes():
 def test_bundle_eliminates_each_block_basis_once(monkeypatch):
     """decompose_bundle eliminates each s-subset of each diagonal block's
     columns once, however many rays x splits over.  The only other
-    elimination is compute_constants's rank of the nonzero C-image totals,
-    which runs when dim V > 0."""
+    elimination is compute_constants's rank of the nonzero C-image totals
+    (through ``linalg._integer_echelon``), which runs when dim V > 0."""
     calls = []
     real = blockip._bareiss_echelon
-    monkeypatch.setattr(blockip, "_bareiss_echelon",
-                        lambda rows, *a: calls.append(rows) or real(rows, *a))
+    for module in (blockip, linalg):
+        monkeypatch.setattr(module, "_bareiss_echelon",
+                            lambda rows, *a: calls.append(rows) or real(rows, *a))
     with_rays = 0
     for k, shape in enumerate(PIPELINE_SHAPES):
         for seed in range(3):

@@ -3,8 +3,9 @@
 Every block product of the decomposition runs on ``FourBlockInstance.
 integer_form`` over one common denominator of the point, and the block
 bases come from a fraction-free elimination.  The ``_reference_*``
-functions below are the ``Matrix.mul_vec`` and ``linalg._echelon`` code
-they replaced; on seeded instances (zero A0, lifted, and column-flipped by
+functions below are the ``Matrix.mul_vec`` code and the Fraction
+elimination (``_echelon`` of ``tests/echelon_reference.py``) they
+replaced; on seeded instances (zero A0, lifted, and column-flipped by
 ``_sign_normalized``) and rational points both must agree.  A work gate
 counts the calls that must not come back.
 """
@@ -16,6 +17,7 @@ from itertools import combinations
 import pytest
 
 import steinitz
+from echelon_reference import _echelon
 from steinitz import blockip, linalg
 from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, _feasible,
                               _require_pipeline_ready, _sign_normalized, basis_vertex,
@@ -23,7 +25,7 @@ from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, _fe
                               lift_three_block, proximity_report, reduce_kernel_point,
                               reduce_kernel_point_signed, solve_four_block)
 from steinitz.generate import GenerationError, gen_four_block
-from steinitz.linalg import ONE, ZERO, Matrix, _echelon, null_space
+from steinitz.linalg import ONE, ZERO, Matrix, null_space
 from steinitz.lp import BoxLP, extreme_rays
 from steinitz.verify import PIPELINE_SHAPES
 
@@ -252,10 +254,9 @@ def _count_calls(monkeypatch, owner, name, counts):
 
 
 def test_decomposition_makes_no_fraction_products_or_rank_eliminations(monkeypatch):
-    counts = dict.fromkeys(("mul_vec", "rank", "_echelon"), 0)
+    counts = dict.fromkeys(("mul_vec", "rank"), 0)
     _count_calls(monkeypatch, Matrix, "mul_vec", counts)
     _count_calls(monkeypatch, linalg, "rank", counts)
-    _count_calls(monkeypatch, linalg, "_echelon", counts)
     decomposed = 0
     for k, shape in enumerate(PIPELINE_SHAPES):
         for seed in range(3):
@@ -269,12 +270,12 @@ def test_decomposition_makes_no_fraction_products_or_rank_eliminations(monkeypat
             rows = [list(Matrix.identity(inst.t0).row(r)) for r in range(inst.t0)]
             rows.extend(row for table in tables for fb in table for row in fb.vmap)
             extreme_rays(Matrix.from_rows(rows))
-            assert counts["_echelon"] == 0, (shape, counts)
+            assert counts == dict.fromkeys(counts, 0), (shape, counts)
             decomposed += 1
     # the counters see calls: the Fraction reference makes them
     _reference_apply_C(inst, pt.y)
     linalg.rank(inst.A[0])
-    assert counts["_echelon"] == counts["rank"] == 1 and counts["mul_vec"] >= 1
+    assert counts["rank"] == 1 and counts["mul_vec"] >= 1
     assert decomposed == 3 * len(PIPELINE_SHAPES)
 
 
@@ -322,12 +323,11 @@ def test_instances_are_drawn_lifted_flipped_and_solved_without_matrix_or_rank(mo
     """gen_four_block checks the rank of the int rows it draws,
     lift_three_block and flip_for_kernel_work build int rows, and the signed
     reduction, the solver and the proximity report run on them: none of
-    them builds a Matrix or runs the Fraction elimination.  The counters see
-    the Matrix views and the Fraction rank."""
-    counts = dict.fromkeys(("Matrix", "rank", "_echelon"), 0)
+    them builds a Matrix or calls rank.  The counters see the Matrix views
+    and the public rank."""
+    counts = dict.fromkeys(("Matrix", "rank"), 0)
     _count_constructions(monkeypatch, Matrix, counts)
     _count_calls(monkeypatch, linalg, "rank", counts)
-    _count_calls(monkeypatch, linalg, "_echelon", counts)
     rng = random.Random(41)
     with_a0 = solved = 0
     for k, shape in enumerate(PIPELINE_SHAPES):
@@ -348,7 +348,7 @@ def test_instances_are_drawn_lifted_flipped_and_solved_without_matrix_or_rank(mo
             assert counts == dict.fromkeys(counts, 0), (shape, counts)
     assert with_a0 >= 6 and solved >= 4, (with_a0, solved)
     linalg.rank(inst.A[0])
-    assert counts == {"Matrix": inst.n, "rank": 1, "_echelon": 1}
+    assert counts == {"Matrix": inst.n, "rank": 1}
 
 
 # ---------------------------------------------------------------------------

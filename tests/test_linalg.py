@@ -1,8 +1,12 @@
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import echelon_reference as ref
+from steinitz import linalg
 from steinitz.linalg import (ONE, ZERO, Matrix, ceil_sqrt, det, lcm_abs_dets, null_space,
                              primitive_integer_vector, rank, rank_of_vectors, solve_linear,
                              span_coordinates)
@@ -220,3 +224,83 @@ def test_det_matches_reference():
         seen_swap |= M.rows > 1 and M.at(0, 0) == 0 and d != 0
     assert det(Matrix.zeros(0, 0)) == 1
     assert seen_swap and seen_singular
+
+
+def _assert_matches_reference(M, rng):
+    """rank, null_space, solve_linear (on a consistent and on a random
+    right-hand side) and, for square M, det agree with the Fraction
+    reference, value and type.  Returns whether the random side was
+    inconsistent."""
+    assert rank(M) == ref.rank(M)
+    basis = null_space(M)
+    assert basis == ref.null_space(M)
+    assert all(type(x) is F for v in basis for x in v)
+    x = tuple(_rational(rng) for _ in range(M.cols))
+    inconsistent = False
+    for b in (M.mul_vec(x), tuple(_rational(rng) for _ in range(M.rows))):
+        got = solve_linear(M, b)
+        assert got == ref.solve_linear(M, b)
+        if got is None:
+            inconsistent = True
+        else:
+            assert all(type(v) is F for v in got)
+    if M.rows == M.cols:
+        d = det(M)
+        assert d == ref.det(M) and type(d) is F
+    return inconsistent
+
+
+def test_wrappers_match_fraction_reference():
+    rng = random.Random(37)
+    for M in _seeded_square_matrices():
+        _assert_matches_reference(M, rng)
+    for vectors in _seeded_vector_sets():
+        assert rank_of_vectors(vectors) == ref.rank_of_vectors(vectors)
+        if vectors:
+            _assert_matches_reference(Matrix.from_rows(vectors), rng)
+            _assert_matches_reference(Matrix.from_rows(vectors).transpose(), rng)
+    fixed = [
+        Matrix.zeros(0, 3), Matrix.zeros(3, 0), Matrix.zeros(0, 0), Matrix.zeros(2, 3),
+        Matrix.from_rows([[1, 2, 3], [0, 0, 0], [2, 4, 7]]),          # a zero row
+        Matrix.from_rows([[1, -1, 2], [1, -1, 2]]),                   # repeated rows
+        Matrix.from_rows([[0, 0, 3], [0, 2, 1], [4, 1, 1], [0, 2, 1]]),  # first-pivot swap
+    ]
+    for M in fixed:
+        _assert_matches_reference(M, rng)
+    assert ref.solve_linear(fixed[5], (F(1), F(2))) is None
+    assert solve_linear(fixed[5], (F(1), F(2))) is None
+    # rectangular draws, with zero entries, repeated rows and a zero first column
+    inconsistent = swaps = 0
+    for _ in range(300):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[_rational(rng) if rng.random() < 0.6 else F(0) for _ in range(c)]
+                for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:
+            rows[-1] = list(rows[0])
+        if rng.random() < 0.3:
+            rows[0][0] = F(0)
+        M = Matrix.from_rows(rows)
+        inconsistent += _assert_matches_reference(M, rng)
+        swaps += M.at(0, 0) == 0 and any(M.at(i, 0) != 0 for i in range(r))
+    assert inconsistent >= 30 and swaps >= 30, (inconsistent, swaps)
+
+
+@pytest.mark.parametrize("vectors", [[(F(1), F(0)), (F(0), F(1), F(5))],
+                                     [(F(1), F(0), F(0)), (F(0), F(1))]])
+def test_ragged_vectors_are_rejected_in_every_rank_and_span_path(vectors):
+    for path in (rank_of_vectors, span_coordinates, linalg._integer_echelon):
+        with pytest.raises(ValueError, match="ragged rows"):
+            path(vectors)
+
+
+def test_src_has_one_gauss_jordan_elimination():
+    """The Fraction Gauss-Jordan ``_echelon`` and its row step ``_pivot``
+    live only in tests/echelon_reference.py; ``_bareiss_echelon`` and the
+    simplex's own ``_pivot`` method are not matches."""
+    assert not hasattr(linalg, "_echelon") and not hasattr(linalg, "_pivot")
+    files = sorted(Path(linalg.__file__).parent.rglob("*.py"))
+    assert len(files) >= 10
+    hits = [f"{path.name}:{n}" for path in files
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\b_echelon\b", line)]
+    assert hits == []
