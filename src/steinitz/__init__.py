@@ -1,6 +1,7 @@
 """Exact rational Steinitz rearrangement algorithms and their application
 to block-structured integer programs."""
 
+from .checks import PropertyViolation
 from .linalg import Matrix, Rat, Vec, lcm_abs_dets, null_space, solve_linear
 from .norms import L1, BlockMax, Linf, L1_NORM, LINF_NORM, norm_eval
 from .lp import BoxLP, LPResult, enum_integer_points, extreme_rays, lp_solve, purify_to_vertex
@@ -10,7 +11,7 @@ from .colorful import (BalanceResult, ColoredFamily, ColorfulCertificate, Subset
                        balance_rows, colorful_affine, colorful_rearrange,
                        conic_caratheodory_anchor, round_to_binary, single_partial_sum)
 from .blockip import (ConstantsTable, DecompositionBundle, FourBlockInstance, KernelPoint,
-                      PropertyViolation, ReduceOutcome, UnboundedRelaxation,
+                      ReduceOutcome, UnboundedRelaxation,
                       decompose_bundle, decompose_u, decompose_v, decompose_x,
                       feasible_bases, cone_rays_K, graver_enumerate, kernel_bound,
                       lift_three_block, minimal_kernel_below, proximity_report,

@@ -29,18 +29,11 @@ from operator import mul
 from .linalg import (Matrix, Vec, ZERO, ONE, _bareiss_echelon, _integer_echelon, rat, ceil_sqrt,
                      is_integer_vec, l1_norm, linf_norm, span_coordinates, scale_to_integers, vadd,
                      vscale, vsub)
+from .checks import PropertyViolation
 from .lp import LPError, enum_integer_points, integer_extreme_rays, integer_simplex, over_lcm
 from .norms import LINF_NORM
 from .rearrange import _max_prefix_runs, _order_runs, _run_encode, _run_sum
 from .colorful import _affine_runs
-
-
-class PropertyViolation(AssertionError):
-    """A certified decomposition property failed; carries the property name."""
-
-    def __init__(self, name: str, detail: str = ""):
-        self.name = name
-        super().__init__(f"property {name} violated" + (f": {detail}" if detail else ""))
 
 
 class UnboundedRelaxation(LPError):

@@ -1,0 +1,18 @@
+"""The named failure of a certified property.
+
+Every layer that certifies a bound checks it exactly and, when the check
+fails, raises ``PropertyViolation`` with the property's name: the
+rearrangement chain and its prefix bounds (``rearrange``), the single-sum
+selection (``colorful``), and the decomposition and reduction pipeline
+(``blockip``).  Unlike ``assert`` it is not removed under ``python -O``.
+It subclasses AssertionError, so the CLI reports it with exit code 1 and a
+verify suite as a FAIL line naming the property.
+"""
+
+
+class PropertyViolation(AssertionError):
+    """A certified property failed; carries the property name."""
+
+    def __init__(self, name: str, detail: str = ""):
+        self.name = name
+        super().__init__(f"property {name} violated" + (f": {detail}" if detail else ""))

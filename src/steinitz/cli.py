@@ -18,8 +18,9 @@ from .oracles import (BudgetExceeded, brute_colorful_optimum, brute_ilp,
                       brute_rearrange_optimum, brute_single_sum)
 from .generate import GenerationError, gen_four_block, gen_zero_sum_family
 from .lp import LPError
-from .blockip import (PropertyViolation, UnboundedRelaxation, graver_enumerate,
-                      proximity_report, reduce_kernel_point_signed, solve_four_block)
+from .checks import PropertyViolation
+from .blockip import (UnboundedRelaxation, graver_enumerate, proximity_report,
+                      reduce_kernel_point_signed, solve_four_block)
 from . import fileio
 from .fileio import ParseError, format_rat
 from .verify import SUITES, run_suites

@@ -28,6 +28,7 @@ from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
+from .checks import PropertyViolation
 from .linalg import Matrix, Vec, ZERO, ONE, rat, is_zero_vec, null_space, scale_to_integers
 from .lp import walk_to_vertex
 from .norms import BlockMax, NormSpec, norm_eval
@@ -446,7 +447,7 @@ def round_to_binary(y: Vec, k: int):
         z[i] = 1
     dist = sum((abs(yi - zi) for yi, zi in zip(y, z)), ZERO)
     if dist > Fraction(m, 2):
-        raise AssertionError("rounding distance exceeded m/2")
+        raise PropertyViolation("rounding-distance", "rounding distance exceeded m/2")
     return tuple(z)
 
 
@@ -479,7 +480,8 @@ def single_partial_sum(fam: ColoredFamily, k: int) -> SubsetSelection:
         D, X = walk_to_vertex(cols, D, X, [0] * nm, [m] * nm)
 
     if sum(0 < a < D for a in X) > 2 * d:
-        raise AssertionError("vertex has more than 2d fractional entries")
+        raise PropertyViolation("selection-fractional-support",
+                                "vertex has more than 2d fractional entries")
 
     index_sets = []
     acc = [0] * d
@@ -490,16 +492,17 @@ def single_partial_sum(fam: ColoredFamily, k: int) -> SubsetSelection:
         if frac_idx:
             kj = k - len(ones)
             if sum(alpha[i] for i in frac_idx) != kj * D:
-                raise AssertionError("fractional part of a color does not sum to an integer")
+                raise PropertyViolation("selection-color-integral",
+                                        "fractional part of a color does not sum to an integer")
             z = round_to_binary(tuple(Fraction(alpha[i], D) for i in frac_idx), kj)
             ones.update(i for i, zi in zip(frac_idx, z) if zi == 1)
         if len(ones) != k:
-            raise AssertionError("selection size drifted from k")
+            raise PropertyViolation("selection-size", "selection size drifted from k")
         index_sets.append(tuple(sorted(ones)))
         for i in ones:
             for r, x in enumerate(vectors[j][i]):
                 acc[r] += x
     achieved = norm_eval(fam.norm, tuple(acc))
     if achieved > d * scale:
-        raise AssertionError("selected sum exceeded the bound d")
+        raise PropertyViolation("selection-sum-bound", "selected sum exceeded the bound d")
     return SubsetSelection(tuple(index_sets), k, Fraction(achieved, scale))

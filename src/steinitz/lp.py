@@ -4,19 +4,22 @@ Values are Fraction at the BoxLP interface.  Vertex purification has an
 integer core, ``walk_to_vertex``: it takes the constraint columns as
 integer tuples and x and the bounds as integers over one common
 denominator, keeps the inverse of its basis fraction-free (an integer
-matrix and a scalar, updated by one Bareiss pivot per entering or
-exchanged column), checks its vertex exactly and returns it in the same
-form.  ``purify_to_vertex`` is its BoxLP boundary; the rearrangement chain
-and the selection polytope call the core directly and carry their point
-in integers from step to step.  The simplex is a bounded-variable tableau
-method with Bland's rule, so it terminates on degenerate inputs; its
-tableau is fraction-free too (integer rows and variables, held over the
-basis determinant), and each pivot is one Bareiss step, the step the walk
-takes.  It makes the pivots of the same tableau over Fraction.  Its entry,
-``integer_simplex``, takes integer rows with phase-1 row weights and
-integer bounds over one denominator, and returns its point as integers
-over one denominator; ``find_feasible`` and ``lp_solve`` are its BoxLP
-boundary.  The double description has an integer core as well,
+matrix and a scalar, updated by one Bareiss pivot per entering, exchanged
+or leaving column: a leaving column is downdated onto a unit column, so
+the inverse is never built again), holds its point lazily (only the basic
+columns and the visited one carry a value; a tight column is its bound,
+an unvisited one its start value rescaled), checks its vertex exactly and
+returns it in the same form.  ``purify_to_vertex`` is its BoxLP
+boundary; the rearrangement chain and the selection polytope call the
+core directly and carry their point in integers from step to step.  The
+simplex is a bounded-variable tableau method with Bland's rule, so it
+terminates on degenerate inputs; its tableau is fraction-free too
+(integer rows and variables, held over the basis determinant), and each
+pivot is one Bareiss step, the step the walk takes.  It makes the pivots
+of the same tableau over Fraction.  Its entry, ``integer_simplex``, takes
+integer rows with phase-1 row weights and integer bounds over one
+denominator, and returns its point as integers over one denominator;
+``find_feasible`` and ``lp_solve`` are its BoxLP boundary.  The double description has an integer core as well,
 ``integer_extreme_rays``.  Infinite bounds are represented by None and
 handled symbolically.
 """
@@ -153,133 +156,170 @@ def walk_to_vertex(cols, D: int, X, LO, HI):
     checks its vertex, exactly and once, against the start (A X over D is
     unchanged, every bound holds) and raises WalkCheckFailed otherwise.
 
-    Repeatedly finds a kernel direction g of A supported on the coordinates
-    strictly inside their bounds and moves maximally until a bound becomes
-    tight.  The basis B (r independent interior columns) is held as an
-    integer R x R matrix T and a scalar delta with T A_B = delta [I_r; 0],
-    R the number of rows: T is delta times the inverse of A_B completed by
-    unit columns to a basis, fraction-free.  An entering column c costs one
-    product t = T a_c.  If some t_i with i >= r is nonzero, c is
-    independent and enters by one Bareiss step on that row (swapped to row
-    r).  Otherwise delta a_c = A_B t[:r], so g is delta on c and -t[:r] on
-    B.  When one basic column tightens and c does not, c takes its place by
-    one Bareiss step on its row; any other tightening of basic columns
-    builds T again from the surviving columns.  g is fixed by the basis set
-    and c up to a factor (the kernel of [A_B a_c] is a line); primitive and
-    positive on c, it gives exactly the steps and the vertex of elimination
-    over Fraction, whatever the order of B, and scaling a row of A changes
-    neither.  The bounds are held once over their own least denominator
-    DB, and D = DB*s: a step of num/den (lowest terms, in units of 1/D)
-    maps X to den*X + num*g and s to den*s, and then X and s are divided by
-    their common factor.  A step with den = 1 leaves D as it was and is not
-    divided back; D need not be least, since every choice of the walk
-    compares ratios, which do not depend on it.
+    The columns are visited once each, in order.  A visited column c that
+    is not at a bound is independent of the basis B (the interior columns
+    kept so far) and enters it, or it spans with B a kernel direction g of
+    A, and x moves maximally along +g (or -g when + meets no bound) until a
+    bound becomes tight.  The basis B (r independent interior columns) is
+    held as an integer R x R matrix T and a scalar delta with
+    T A_B = delta [I_r; 0], R the number of rows: T is delta times the
+    inverse of A_B completed by unit columns to a basis, fraction-free, and
+    row k < r of T belongs to the column at basis position k.  An entering
+    column costs one product t = T a_c, over the nonzero entries of a_c
+    when at least half of them are zero.  If some t_i with i >= r is
+    nonzero, c is independent and enters by one Bareiss step on that row
+    (swapped to row r).  Otherwise delta a_c = A_B t[:r], so g is delta on c
+    and -t[:r] on B.  g is fixed by the basis set and c up to a factor (the
+    kernel of [A_B a_c] is a line); primitive and positive on c, it gives
+    exactly the steps and the vertex of elimination over Fraction, and
+    scaling a row of A changes neither.  Nor does the order of B or of the
+    rows of T: the step is the least ratio, one rational whatever the
+    tie-break, and every tightened basic column leaves.
+
+    When basic columns tighten and c does not, c takes the row of the first
+    of them by one Bareiss step.  Every other tightened basic column is
+    downdated: its row k is pivoted onto a unit column e_i with
+    T[k][i] != 0 (one Bareiss step with the image T e_i, column i of T), so
+    the completion takes e_i in its place, and the row moves past the
+    basis.  A zero row there means that T lost its inverse, and raises
+    WalkCheckFailed.
+
+    The point is held lazily.  The bounds are held once over their own
+    least denominator DB, and D = DB*s.  Only the basic columns and c carry
+    a value: a column that tightened is recorded by its bound, its value
+    that bound times s, and no column moves before its visit, so an
+    unvisited column's value is X0[c]*s/s0, s0 the start's s (exact, as
+    it is an integer).  A step of num/den (lowest terms, in units of 1/D)
+    maps those values to den*X + num*g and s to den*s, and then they and s
+    are divided by the gcd of s and of every value of the point: a tight
+    value is a multiple of s, and the unvisited ones have the gcd
+    G*s/s0, G the gcd of their start values.  A step with den = 1 leaves D
+    as it was and is not divided back; D need not be least, since every
+    choice of the walk compares ratios, which do not depend on it.
     """
     n = len(cols)
     rows = list(zip(*cols))
     R = len(rows)
-    D0, AX0 = D, [sum(map(mul, row, X)) for row in rows]
-    X = list(X)
+    D0, AX0, X0 = D, [sum(map(mul, row, X)) for row in rows], X
     # the bounds stay fixed over DB = D/s, with s the gcd of D and the finite
-    # bounds, while X moves over D = DB*s: a step rescales X and s only
-    s = math.gcd(D, *(a for a in (*LO, *HI) if a is not None))
+    # bounds, while the point moves over D = DB*s: a step rescales s and the
+    # explicit values only
+    s = s0 = math.gcd(D, *(a for a in (*LO, *HI) if a is not None))
     LO = [None if a is None else a // s for a in LO]
     HI = [None if a is None else a // s for a in HI]
     DB = D // s
-
-    def is_tight(j):
-        lo, hi = LO[j], HI[j]
-        return (lo is not None and X[j] == lo * s) or (hi is not None and X[j] == hi * s)
-
-    # T A_B = delta [I_r; 0]: row k < r of T belongs to basis[k], and the rows
-    # from r on vanish on every basic column; set by build_basis
-    T = delta = basis = None
-
-    def insert(c):
-        """Add column c to the basis if it is independent of it; returns
-        T a_c when it is not."""
-        nonlocal delta
-        col = cols[c]
-        t = [sum(map(mul, row, col)) for row in T]
-        r = len(basis)
-        i = next((i for i in range(r, R) if t[i]), None)
-        if i is None:
-            return t
-        T[r], T[i], t[r], t[i] = T[i], T[r], t[i], t[r]
-        delta = _bareiss_step(T, t, r, delta)
-        basis.append(c)
-        return None
-
-    def build_basis(columns):
-        nonlocal T, delta, basis
-        T = [[int(i == j) for j in range(R)] for i in range(R)]
-        delta, basis = 1, []
-        for c in columns:
-            if insert(c) is not None:
-                raise WalkCheckFailed("basis rebuild lost independence")
-
-    build_basis(())
-    # a column tight at the start never enters a direction, so it stays tight
+    # G[c]: gcd of the start values of columns c.., the unvisited block
+    G = [0] * (n + 1)
+    for c in range(n - 1, -1, -1):
+        G[c] = math.gcd(G[c + 1], X0[c])
+    at = [None] * n          # the bound (over DB) of a tight column
+    # T A_B = delta [I_r; 0]; row k < r of T, val[k] (the value over D) and
+    # blo[k], bhi[k] (the bounds over DB) belong to basis[k]
+    T = [[int(i == j) for j in range(R)] for i in range(R)]
+    delta, basis, val, blo, bhi = 1, [], [], [], []
     for c in range(n):
-        if is_tight(c):
+        x, lo, hi = X0[c] * s // s0, LO[c], HI[c]
+        # a column tight at the start never enters a direction, so it stays tight
+        if (lo is not None and x == lo * s) or (hi is not None and x == hi * s):
+            at[c] = x // s
             continue
-        t = insert(c)
-        if t is None:
+        col = cols[c]
+        if 2 * col.count(0) >= R:
+            nz = [(i, a) for i, a in enumerate(col) if a]
+            t = [sum([row[i] * a for i, a in nz]) for row in T]
+        else:
+            t = [sum(map(mul, row, col)) for row in T]
+        r = len(basis)
+        if any(t[r:]):
+            i = next(i for i in range(r, R) if t[i])
+            T[r], T[i], t[r], t[i] = T[i], T[r], t[i], t[r]
+            delta = _bareiss_step(T, t, r, delta)
+            basis.append(c)
+            val.append(x)
+            blo.append(lo)
+            bhi.append(hi)
             continue
         # primitive and positive on c, as Fraction elimination gives it
-        h = math.gcd(delta, *t[:len(basis)])
+        h = math.gcd(delta, *t[:r])
         if delta < 0:
             h = -h
-        g = {c: delta // h}
-        g.update((b, -tb // h) for b, tb in zip(basis, t) if tb)
+        gc, g = delta // h, [-tk // h for tk in t[:r]]
 
-        # line search along +g / -g for the first finite blocking bound; the
-        # step to bound j is gap/rate in units of 1/D, kept as the pair
+        # ratio test along +g, then -g, for the first finite blocking bound:
+        # the step to bound j is gap/rate in units of 1/D, kept as the pair
         # (gap, rate) with rate > 0 and compared by cross-multiplying
-        def max_step(sign):
-            best = None
-            for j, gj in g.items():
-                gj = sign * gj
-                if gj > 0 and HI[j] is not None:
-                    gap, rate = HI[j] * s - X[j], gj
-                elif gj < 0 and LO[j] is not None:
-                    gap, rate = X[j] - LO[j] * s, -gj
+        for sign in (1, -1):
+            b = hi if sign > 0 else lo
+            gap, rate = (None, None) if b is None else (sign * (b * s - x), gc)
+            for gk, v, bl, bh in zip(g, val, blo, bhi):
+                gk *= sign
+                if gk > 0:
+                    if bh is None:
+                        continue
+                    bgap = bh * s - v
+                elif gk < 0:
+                    if bl is None:
+                        continue
+                    bgap, gk = v - bl * s, -gk
                 else:
                     continue
-                if best is None or gap * best[1] < best[0] * rate:
-                    best = (gap, rate)
-            return best
-
-        step = max_step(1)
-        sign = 1
-        if step is None:
-            step = max_step(-1)
-            sign = -1
-        if step is None:
+                if gap is None or bgap * rate < gap * gk:
+                    gap, rate = bgap, gk
+            if gap is not None:
+                break
+        else:
             raise NonPointedCone("feasible region contains a line through x")
-        h = math.gcd(*step)
-        num, den = sign * step[0] // h, step[1] // h
+        h = math.gcd(gap, rate)
+        num, den = sign * gap // h, rate // h
         if den != 1:
-            X = [den * a for a in X]
+            x *= den
+            val = [den * a for a in val]
             s *= den
-        for j, gj in g.items():
-            X[j] += num * gj
+        x += num * gc
+        if (lo is not None and x == lo * s) or (hi is not None and x == hi * s):
+            at[c] = x // s
+        # only the moved basic columns can have tightened
+        left = []
+        for k, gk in enumerate(g):
+            if gk:
+                v = val[k] = val[k] + num * gk
+                if (blo[k] is not None and v == blo[k] * s) or \
+                        (bhi[k] is not None and v == bhi[k] * s):
+                    at[basis[k]] = v // s
+                    left.append(k)
         # a step with den = 1 leaves D as it was, so only a den step is divided back
-        h = math.gcd(s, *X) if den != 1 else 1
-        if h != 1:
-            X = [a // h for a in X]
-            s //= h
-        left = [k for k, b in enumerate(basis) if is_tight(b)]
-        stays = not is_tight(c)
-        if not left and stays:
-            raise WalkCheckFailed("maximal move failed to tighten a bound")
-        if len(left) == 1 and stays:
-            # one exchange: c enters in the row of the column that left
-            delta = _bareiss_step(T, t, left[0], delta)
-            basis[left[0]] = c
-        elif left:
-            build_basis([b for b in basis if not is_tight(b)] + ([c] if stays else []))
+        if den != 1:
+            h = math.gcd(s, G[c + 1] * s // s0, x, *val)
+            if h != 1:
+                x //= h
+                val = [a // h for a in val]
+                s //= h
+        stays = at[c] is None
+        if not left:
+            if stays:
+                raise WalkCheckFailed("maximal move failed to tighten a bound")
+            continue
+        if stays:
+            # c enters in the row of the first column that left
+            e = left.pop(0)
+            delta = _bareiss_step(T, t, e, delta)
+            basis[e], val[e], blo[e], bhi[e] = c, x, lo, hi
+            if not left:
+                continue
+        # downdates: each other column that left gives its row to a unit column
+        for k in left:
+            i = next((i for i, a in enumerate(T[k]) if a), None)
+            if i is None:
+                raise WalkCheckFailed("basis downdate met a zero row")
+            delta = _bareiss_step(T, [row[i] for row in T], k, delta)
+        gone = set(left)
+        order = [k for k in range(r) if k not in gone]
+        basis, val, blo, bhi = ([lst[k] for k in order] for lst in (basis, val, blo, bhi))
+        T = [T[k] for k in order] + [T[k] for k in left] + T[r:]
     D = DB * s
+    X = [None if b is None else b * s for b in at]
+    for j, x in zip(basis, val):
+        X[j] = x
     if [a * D0 for a in (sum(map(mul, row, X)) for row in rows)] != [a * D for a in AX0]:
         raise WalkCheckFailed("vertex left the affine space A x = b")
     if any((lo is not None and x < lo * s) or (hi is not None and x > hi * s)

@@ -33,6 +33,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from operator import is_not, itemgetter, mul, sub
 
+from .checks import PropertyViolation
 from .linalg import Vec, ZERO, scale_to_integers, span_coordinates
 from .lp import InfeasibleStart, walk_to_vertex
 from .norms import NormSpec, norm_eval
@@ -175,7 +176,8 @@ def _order_chain(vectors, dim) -> tuple:
         D, X = walk_to_vertex(cols, D, X, [0] * k, [D] * k)
         drop = next((p for p, a in enumerate(X) if a == 0), None)
         if drop is None:
-            raise AssertionError("vertex without a zero coordinate; descent invariant broken")
+            raise PropertyViolation("chain-zero-coordinate",
+                                    "vertex without a zero coordinate; descent invariant broken")
         order[k - 1] = active.pop(drop)
         del cols[drop], X[drop]
     for pos, idx in enumerate(active):
@@ -255,7 +257,8 @@ def steinitz_rearrange(seq: VectorSequence) -> RearrangementCertificate:
     certified = seq.dim * radius
     achieved = max_prefix_norm(seq, order)
     if achieved > certified:
-        raise AssertionError("prefix bound dim * radius violated; construction is broken")
+        raise PropertyViolation("steinitz-prefix-bound",
+                                "prefix bound dim * radius violated; construction is broken")
     return RearrangementCertificate(order, certified, achieved, radius)
 
 
@@ -278,5 +281,6 @@ def subspace_rearrange(seq: VectorSequence) -> RearrangementCertificate:
     certified = r * radius
     achieved = max_prefix_norm(seq, order)
     if achieved > certified:
-        raise AssertionError("subspace prefix bound dim(V) * radius violated")
+        raise PropertyViolation("subspace-prefix-bound",
+                                "subspace prefix bound dim(V) * radius violated")
     return RearrangementCertificate(order, certified, achieved, radius)

@@ -20,8 +20,9 @@ from .oracles import BudgetExceeded, brute_ilp, brute_rearrange_optimum, brute_s
 from .generate import (GenerationError, gen_adversarial_scalar_family, gen_four_block,
                        gen_rank_deficient_sequence, gen_unit_family, gen_zero_sum_family,
                        gen_zero_sum_sequence)
-from .blockip import (KernelPoint, PropertyViolation, conformal_leq, decompose_bundle,
-                      graver_enumerate, proximity_report, reduce_kernel_point, solve_four_block)
+from .checks import PropertyViolation
+from .blockip import (KernelPoint, conformal_leq, decompose_bundle, graver_enumerate,
+                      proximity_report, reduce_kernel_point, solve_four_block)
 
 
 def _check(cond, name: str):

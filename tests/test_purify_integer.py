@@ -6,7 +6,9 @@ every seeded instance both must return the same vertex or raise the same
 error.  Given a ``trail`` list, it appends x after every move, so a test
 can see which walks it covers.  The rearrangement chain and the selection
 polytope run ``walk_to_vertex`` on their own integer state; they are
-checked against the pre-change code, which built a BoxLP per step.
+checked against the pre-change code, which built a BoxLP per step.  The
+seeded LPs come from generators (``LP_SETS``) that test_walk.py replays
+through the walk's own oracle.
 """
 
 import collections
@@ -68,12 +70,16 @@ def _random_lp(rng, big_denominators):
     return BoxLP(M, M.mul_vec(tuple(x)), lower, upper), tuple(x)
 
 
+def _random_lps(big_denominators):
+    rng = random.Random(2022 + big_denominators)
+    for _ in range(600):
+        yield _random_lp(rng, big_denominators)
+
+
 @pytest.mark.parametrize("big_denominators", [False, True])
 def test_integer_purify_matches_fraction_reference(big_denominators):
-    rng = random.Random(2022 + big_denominators)
     seen = {"vertex": 0, "moved": 0, "NonPointedCone": 0, "rank_deficient": 0}
-    for _ in range(600):
-        lp, x = _random_lp(rng, big_denominators)
+    for lp, x in _random_lps(big_denominators):
         want = _outcome(reference_purify, lp, x)
         got = _outcome(purify_to_vertex, lp, x)
         assert got == want, (lp, x)
@@ -160,9 +166,8 @@ BOUND_DENOMINATORS = (10**9 + 7, 2**61 - 1, 998_244_353, 3**19)
 START_DENOMINATORS = (2**31, 5**13, 10**6 + 3, 11**9)
 
 
-def test_bounds_with_large_denominators_and_coprime_starts():
+def _large_denominator_lps():
     rng = random.Random(31)
-    walks = den_steps = reduced = 0
     for _ in range(150):
         n, r = rng.randint(2, 7), rng.randint(1, 3)
         rows = [[F(rng.randint(-4, 4), rng.choice((1, 2, 5))) for _ in range(n)]
@@ -176,7 +181,12 @@ def test_bounds_with_large_denominators_and_coprime_starts():
             x.append(F(math.floor(lo * q) + rng.randint(1, q // 4 - 1), q))
             lower.append(lo)
             upper.append(hi)
-        lp = _lp_through(rows, x, lower, upper)
+        yield _lp_through(rows, x, lower, upper), x
+
+
+def test_bounds_with_large_denominators_and_coprime_starts():
+    walks = den_steps = reduced = 0
+    for lp, x in _large_denominator_lps():
         assert all(math.gcd(rat(v).denominator, b) == 1
                    for v in x for b in BOUND_DENOMINATORS)
         vertex, steps = _walk(lp, x)
@@ -187,9 +197,8 @@ def test_bounds_with_large_denominators_and_coprime_starts():
     assert walks >= 80 and den_steps >= 150 and reduced >= 80, (walks, den_steps, reduced)
 
 
-def test_one_sided_bounds_force_the_minus_direction():
+def _one_sided_lps():
     rng = random.Random(32)
-    minus = plus = 0
     for _ in range(300):
         n = rng.randint(2, 6)
         # a row with a positive and a negative entry has a nonnegative kernel
@@ -198,7 +207,12 @@ def test_one_sided_bounds_force_the_minus_direction():
                  for j in range(n)] for _ in range(rng.randint(1, 2))]
         lower = [F(rng.randint(-4, 0), rng.choice((1, 3, 10**9 + 7))) for _ in range(n)]
         x = [lo + F(rng.randint(1, 20), rng.choice((1, 7, 2**31))) for lo in lower]
-        lp = _lp_through(rows, x, lower, [None] * n)
+        yield _lp_through(rows, x, lower, [None] * n), x
+
+
+def test_one_sided_bounds_force_the_minus_direction():
+    minus = plus = 0
+    for lp, x in _one_sided_lps():
         trail = [tuple(x)]
         got = _outcome(purify_to_vertex, lp, x)
         assert got == _outcome(lambda lp, x: reference_purify(lp, x, trail), lp, x)
@@ -217,9 +231,8 @@ def test_mirrored_bounds_take_the_minus_direction():
     assert purify_to_vertex(lp, x) == reference_purify(lp, x) == (F(1, 3), F(2, 3))
 
 
-def test_several_steps_with_growing_denominator():
+def _growing_denominator_lps():
     rng = random.Random(33)
-    long_walks = 0
     for _ in range(200):
         n = rng.randint(4, 9)
         rows = [[F(rng.randint(-6, 6), rng.choice((1, 3, 4))) for _ in range(n)]
@@ -227,7 +240,12 @@ def test_several_steps_with_growing_denominator():
         lower = [F(rng.randint(-2, 0), rng.choice((1, 5))) for _ in range(n)]
         upper = [lo + F(rng.randint(1, 9), rng.choice((2, 7, 11))) for lo in lower]
         x = [lo + (hi - lo) * F(rng.randint(1, 12), 13) for lo, hi in zip(lower, upper)]
-        lp = _lp_through(rows, x, lower, upper)
+        yield _lp_through(rows, x, lower, upper), x
+
+
+def test_several_steps_with_growing_denominator():
+    long_walks = 0
+    for lp, x in _growing_denominator_lps():
         vertex, steps = _walk(lp, x)
         assert purify_to_vertex(lp, x) == vertex
         dens = [den for den, _ in steps if den != 1]
@@ -239,10 +257,19 @@ def test_basis_prefix_survives_a_tightened_basic_column():
     # walks where basic columns tighten, most often one strictly inside the
     # basis (neither its first nor its last column): the integer walk then
     # updates the basis inverse by one exchange pivot on that column's row,
-    # which changes the rows above and below it, or builds it again from the
-    # surviving columns; the reference rebuilds its whole basis every time
-    rng = random.Random(34)
+    # which changes the rows above and below it, or by one downdate pivot per
+    # other tightened column; the reference rebuilds its whole basis every time
     tightened = kept_prefix = 0
+    for lp, x in _tightening_lps():
+        rebuilds = []
+        assert purify_to_vertex(lp, x) == reference_purify(lp, x, rebuilds=rebuilds)
+        tightened += bool(rebuilds)
+        kept_prefix += any(0 < first < size - 1 for first, size in rebuilds)
+    assert tightened >= 300 and kept_prefix >= 150, (tightened, kept_prefix)
+
+
+def _tightening_lps():
+    rng = random.Random(34)
     for _ in range(400):
         n, r = rng.randint(5, 10), rng.randint(2, 4)
         rows = [[F(rng.randint(-6, 6), rng.choice((1, 3, 4))) for _ in range(n)]
@@ -250,12 +277,7 @@ def test_basis_prefix_survives_a_tightened_basic_column():
         lower = [F(rng.randint(-2, 0), rng.choice((1, 5))) for _ in range(n)]
         upper = [lo + F(rng.randint(1, 9), rng.choice((2, 7, 11))) for lo in lower]
         x = [lo + (hi - lo) * F(rng.randint(1, 12), 13) for lo, hi in zip(lower, upper)]
-        lp = _lp_through(rows, x, lower, upper)
-        rebuilds = []
-        assert purify_to_vertex(lp, x) == reference_purify(lp, x, rebuilds=rebuilds)
-        tightened += bool(rebuilds)
-        kept_prefix += any(0 < first < size - 1 for first, size in rebuilds)
-    assert tightened >= 300 and kept_prefix >= 150, (tightened, kept_prefix)
+        yield _lp_through(rows, x, lower, upper), x
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +289,8 @@ def test_exchange_and_rebuild_paths_match_reference():
     # tighten several bounds at once; the reference logs each rebuild as an
     # exchange (one basic column leaves, the entering one stays free: one
     # pivot of the basis inverse) or a rebuild (the inverse is built again)
-    rng = random.Random(41)
     paths, walks = collections.Counter(), collections.Counter()
-    for _ in range(300):
-        n, r = rng.randint(4, 9), rng.randint(1, 4)
-        rows = [[F(rng.choice((-1, 0, 1, 1, 2))) for _ in range(n)] for _ in range(r)]
-        x = [F(rng.choice((1, 1, 1, 2)), 3) for _ in range(n)]
-        lp = _lp_through(rows, x, [ZERO] * n, [ONE] * n)
+    for lp, x in _zero_one_box_lps():
         log = []
         assert purify_to_vertex(lp, x) == reference_purify(lp, x, paths=log)
         paths.update(log)
@@ -282,12 +299,32 @@ def test_exchange_and_rebuild_paths_match_reference():
     assert walks["exchange"] >= 200 and walks["rebuild"] >= 150, walks
 
 
+def _zero_one_box_lps():
+    rng = random.Random(41)
+    for _ in range(300):
+        n, r = rng.randint(4, 9), rng.randint(1, 4)
+        rows = [[F(rng.choice((-1, 0, 1, 1, 2))) for _ in range(n)] for _ in range(r)]
+        x = [F(rng.choice((1, 1, 1, 2)), 3) for _ in range(n)]
+        yield _lp_through(rows, x, [ZERO] * n, [ONE] * n), x
+
+
 @pytest.mark.parametrize("shape", ["hyperplane", "duplicated rows"])
 def test_rank_deficient_columns_match_reference(shape):
     # more rows than the rank: T must find the dependent columns from the
     # rows below r, which never all vanish on an independent column
-    rng = random.Random(42 + (shape == "hyperplane"))
     moved = paths = 0
+    for lp, x in _rank_deficient_lps(shape):
+        assert rank(lp.M) < lp.M.rows
+        log = []
+        vertex = purify_to_vertex(lp, x)
+        assert vertex == reference_purify(lp, x, paths=log)
+        moved += vertex != tuple(x)
+        paths += len(log)
+    assert moved >= 150 and paths >= 100, (moved, paths)
+
+
+def _rank_deficient_lps(shape):
+    rng = random.Random(42 + (shape == "hyperplane"))
     for _ in range(200):
         n, r = rng.randint(3, 8), rng.randint(2, 4)
         rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(r - 1)]
@@ -300,14 +337,7 @@ def test_rank_deficient_columns_match_reference(shape):
         lower = [F(rng.randint(-2, 0)) for _ in range(n)]
         upper = [lo + rng.randint(1, 2) for lo in lower]
         x = [lo + (hi - lo) * F(rng.randint(1, 6), 7) for lo, hi in zip(lower, upper)]
-        lp = _lp_through(rows, x, lower, upper)
-        assert rank(lp.M) < lp.M.rows
-        log = []
-        vertex = purify_to_vertex(lp, x)
-        assert vertex == reference_purify(lp, x, paths=log)
-        moved += vertex != tuple(x)
-        paths += len(log)
-    assert moved >= 150 and paths >= 100, (moved, paths)
+        yield _lp_through(rows, x, lower, upper), x
 
 
 def _bounds(rng, n):
@@ -321,15 +351,9 @@ def test_zero_row_lps_match_reference():
     # no rows: every column is dependent on the empty basis, so each
     # coordinate moves to its upper bound, or to its lower bound when it has
     # none, and a coordinate with neither is a line
-    rng = random.Random(44)
     seen = collections.Counter()
-    for _ in range(150):
-        n = rng.randint(1, 6)
-        lower, upper = _bounds(rng, n)
-        x = tuple(F(rng.randint(-2, 4), 3) for _ in range(n))
-        x = tuple(max(v, lo) if lo is not None else v for v, lo in zip(x, lower))
-        x = tuple(min(v, hi) if hi is not None else v for v, hi in zip(x, upper))
-        lp = BoxLP(Matrix.zeros(0, n), (), tuple(lower), tuple(upper))
+    for lp, x in _zero_row_lps():
+        lower, upper = lp.lower, lp.upper
         got = _outcome(purify_to_vertex, lp, x)
         assert got == _outcome(reference_purify, lp, x)
         if any(lo is None and hi is None for lo, hi in zip(lower, upper)):
@@ -340,16 +364,21 @@ def test_zero_row_lps_match_reference():
     assert min(seen[True], seen[False]) >= 40, seen
 
 
-def test_one_sided_and_absent_bounds_match_reference():
-    rng = random.Random(45)
-    seen = collections.Counter()
-    for _ in range(300):
-        n, r = rng.randint(2, 7), rng.randint(1, 3)
-        rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(r)]
+def _zero_row_lps():
+    rng = random.Random(44)
+    for _ in range(150):
+        n = rng.randint(1, 6)
         lower, upper = _bounds(rng, n)
-        x = [(F(0) if lo is None else lo) + F(rng.randint(0, 6), 4) for lo in lower]
-        x = [v if hi is None else min(v, hi) for v, hi in zip(x, upper)]
-        lp = _lp_through(rows, x, lower, upper)
+        x = tuple(F(rng.randint(-2, 4), 3) for _ in range(n))
+        x = tuple(max(v, lo) if lo is not None else v for v, lo in zip(x, lower))
+        x = tuple(min(v, hi) if hi is not None else v for v, hi in zip(x, upper))
+        yield BoxLP(Matrix.zeros(0, n), (), tuple(lower), tuple(upper)), x
+
+
+def test_one_sided_and_absent_bounds_match_reference():
+    seen = collections.Counter()
+    for lp, x in _open_bound_lps():
+        lower, upper = lp.lower, lp.upper
         got = _outcome(purify_to_vertex, lp, x)
         assert got == _outcome(reference_purify, lp, x)
         if isinstance(got, str):
@@ -360,6 +389,27 @@ def test_one_sided_and_absent_bounds_match_reference():
                                       for lo, hi in zip(lower, upper))
             seen["vertex"] += 1
     assert min(seen.values()) >= 40 and len(seen) == 3, seen
+
+
+def _open_bound_lps():
+    rng = random.Random(45)
+    for _ in range(300):
+        n, r = rng.randint(2, 7), rng.randint(1, 3)
+        rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(r)]
+        lower, upper = _bounds(rng, n)
+        x = [(F(0) if lo is None else lo) + F(rng.randint(0, 6), 4) for lo in lower]
+        x = [v if hi is None else min(v, hi) for v, hi in zip(x, upper)]
+        yield _lp_through(rows, x, lower, upper), x
+
+
+# the seeded LP generators above, by name
+LP_SETS = {"random": lambda: _random_lps(False), "random big": lambda: _random_lps(True),
+           "large denominators": _large_denominator_lps, "one-sided": _one_sided_lps,
+           "growing denominator": _growing_denominator_lps, "tightening": _tightening_lps,
+           "0/1 box": _zero_one_box_lps, "zero rows": _zero_row_lps,
+           "open bounds": _open_bound_lps,
+           "hyperplane": lambda: _rank_deficient_lps("hyperplane"),
+           "duplicated rows": lambda: _rank_deficient_lps("duplicated rows")}
 
 
 @pytest.mark.parametrize("nrows", [0, 1, 3])
