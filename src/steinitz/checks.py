@@ -2,11 +2,12 @@
 
 Every layer that certifies a bound checks it exactly and, when the check
 fails, raises ``PropertyViolation`` with the property's name: the
-rearrangement chain and its prefix bounds (``rearrange``), the single-sum
-selection (``colorful``), and the decomposition and reduction pipeline
-(``blockip``).  Unlike ``assert`` it is not removed under ``python -O``.
-It subclasses AssertionError, so the CLI reports it with exit code 1 and a
-verify suite as a FAIL line naming the property.
+rearrangement chain and its prefix bounds (``rearrange``), the
+Caratheodory anchor, row balancing, the colorful prefix bound and the
+single-sum selection (``colorful``), and the decomposition and reduction
+pipeline (``blockip``).  Unlike ``assert`` it is not removed under
+``python -O``.  It subclasses AssertionError, so the CLI reports it with
+exit code 1 and a verify suite as a FAIL line naming the property.
 """
 
 

@@ -211,13 +211,14 @@ def conic_caratheodory_anchor(row_sums, anchor: int):
     indices = tuple(sorted([anchor] + list(mu)))
     lams = tuple(scale if i == anchor else mu[i] * scale for i in indices)
     if len(indices) > d + 1:
-        raise AssertionError("Caratheodory support exceeded d+1")
+        raise PropertyViolation("caratheodory-support", "Caratheodory support exceeded d+1")
     residual = [ZERO] * d
     for i, lam in zip(indices, lams):
         for r in range(d):
             residual[r] += lam * rows[i][r]
     if any(x != 0 for x in residual) or sum(lams, ZERO) != 1:
-        raise AssertionError("Caratheodory coefficients failed verification")
+        raise PropertyViolation("caratheodory-coefficients",
+                                "Caratheodory coefficients failed verification")
     return indices, lams
 
 
@@ -250,7 +251,8 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
         cnt = sum(1 for v in norms if v == mx)
         history.append((mx, cnt))
         if prev is not None and not (mx, cnt) < prev:
-            raise AssertionError("row-balancing potential failed to decrease")
+            raise PropertyViolation("balance-potential",
+                                    "row-balancing potential failed to decrease")
         prev = (mx, cnt)
         if mx <= threshold:
             break
@@ -260,7 +262,8 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
         p = len(sel_rows)
         t = n // p
         if t < 1 or n - p * t >= t:
-            raise AssertionError("window arithmetic requires n much larger than d")
+            raise PropertyViolation("balance-window",
+                                    "window arithmetic requires n much larger than d")
 
         # stacked per-color deviations over the selected rows; norm <= 2 each
         block_norm = BlockMax(fam.norm, d)
@@ -272,7 +275,8 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
                 parts.extend(x - rows[r][idx] / n for idx, x in enumerate(v))
             w = tuple(parts)
             if norm_eval(block_norm, w) > 2:
-                raise AssertionError("stacked deviation left the radius-2 ball")
+                raise PropertyViolation("balance-stacked-norm",
+                                        "stacked deviation left the radius-2 ball")
             stacked.append(w)
         tau = rearrangement_order(stacked, d * p)
 
@@ -288,9 +292,11 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
         for row in row_sums(fam, sigma, sel_rows):
             val = norm_eval(fam.norm, row)
             if val > cap:
-                raise AssertionError("touched row exceeded the improvement chain bound")
+                raise PropertyViolation("balance-chain-bound",
+                                        "touched row exceeded the improvement chain bound")
             if val >= mx:
-                raise AssertionError("touched row failed to improve strictly")
+                raise PropertyViolation("balance-strict-progress",
+                                        "touched row failed to improve strictly")
     return BalanceResult(tuple(tuple(s) for s in sigma), prev[0], tuple(history))
 
 
@@ -357,7 +363,8 @@ def _certify(dim: int, m: int, norm: NormSpec, colors, scale: int, fractions) ->
         if best is None or achieved < best.achieved:  # the balanced route must do strictly better
             best = _Route(name, achieved, row_bound, orders, rows, chunks)
     if best.achieved > _bound(n, d) * scale:
-        raise AssertionError("colorful prefix bound min{nd, 40d^5} violated")
+        raise PropertyViolation("colorful-prefix-bound",
+                                "colorful prefix bound min{nd, 40d^5} violated")
     return best
 
 

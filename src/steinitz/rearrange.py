@@ -1,16 +1,20 @@
 """Zero-sum sequence rearrangement with certified prefix-sum bounds.
 
-The core construction maintains a shrinking chain of index sets.  At each
-step the current feasible point is rescaled into the polytope whose
-coordinate sum is one lower, walked to a vertex, and an element sitting
-at value zero is dropped.  A counting argument over the vertex guarantees
-such an element exists, so the descent never needs to backtrack; any
-violation of that guarantee would be a genuine bug and raises.
+The core construction maintains a shrinking chain of multisets.  It runs
+over the distinct vectors, each with its number of copies as the upper
+bound of its coordinate.  At each step the current feasible point is
+rescaled into the polytope whose coordinate sum is one lower and walked to
+a vertex, and one copy leaves: of a vector at value zero, else of one
+whose value is at least one below its count.  A counting argument over the
+vertex guarantees such a copy exists, so the descent never needs to
+backtrack; any violation of that guarantee would be a genuine bug and
+raises.
 
 The chain runs on one integer state and builds no LP per step: the
 vectors are scaled to integers once, the point is a list of integers over
 one common denominator that each step rescales, checks exactly and hands
-to ``lp.walk_to_vertex``, and a dropped element takes its column with it.
+to ``lp.walk_to_vertex``, and a vector whose last copy leaves takes its
+column with it.
 
 Dimension one has a cheap special case: always append an element whose
 sign opposes the running prefix.
@@ -18,9 +22,10 @@ sign opposes the running prefix.
 Repeated vectors are carried as runs (value, count) of equal consecutive
 entries, and an order as chunks (r, lo, hi): copies lo..hi-1 of run r.  In
 dimension one the greedy takes ceil(|prefix| / |value|) copies of a run at
-once, so its work grows with the chunks, not the copies; the chain still
-gives each copy its own column.  Prefix maxima are read at the ends of the
-runs only: along a run the prefix is affine in k and a norm is convex.
+once, so its work grows with the chunks, not the copies; the chain has one
+column per distinct vector, so its walks grow with the distinct vectors,
+not the copies.  Prefix maxima are read at the ends of the runs only: along
+a run the prefix is affine in k and a norm is convex.
 ``rearrangement_order`` and ``max_prefix_norm`` run-encode their input and
 call these run cores.
 """
@@ -149,64 +154,108 @@ def _order_dim1_runs(runs) -> list:
     return chunks
 
 
-def _order_chain(vectors, dim) -> tuple:
-    """The shrinking-chain construction for zero-sum vectors in R^dim.
+def _order_chain(runs, dim) -> list:
+    """The shrinking-chain construction for the zero-sum vectors in R^dim
+    that the runs (vector, count) spell, as chunks (r, lo, hi).
 
-    One integer state for the whole chain: the columns (L v_j, 1), with L
-    the lcm of the entry denominators, and the point X over D.  At step k
-    the point is rescaled by (k-1-dim)/(k-dim), checked exactly, walked to
-    a vertex, and the first column at zero is dropped with its coordinate.
+    The chain runs over the distinct vectors v_i (the runs grouped by value,
+    in order of first occurrence), each with its count c_i as an upper
+    bound.  One integer state for the whole chain: the columns (L v_i, 1),
+    with L the lcm of the entry denominators, and the point X over D in
+    {sum_i X_i v_i = 0, sum X = (k-1-dim) D, 0 <= X <= c D}.  At step k the
+    point is rescaled by (k-1-dim)/(k-dim), checked exactly and walked to a
+    vertex, and one copy of a type takes position k (counted from 1): of
+    the first type at zero, else of the first with a gap c_i D - X_i >= D.
+    One exists: the gaps add up to (dim+1) D, and at most dim+1 coordinates
+    of the vertex lie strictly inside their bounds.  The prefix left is
+    then sum (c'_i - X_i/D) v_i, with weights >= 0 that add up to dim, so
+    its norm is at most dim * radius.  A type whose copies are all placed
+    takes its column with it.  With every count 1 this is the LP of one
+    column per vector and the same first-zero drop.
+
+    Each type's copies take their places in index order: the first ones,
+    whose count is left when the chain ends, fill positions 0..dim-1 in
+    index order, the others follow as the chain placed them.
     """
-    m = len(vectors)
-    order = [-1] * m
-    active = list(range(m))
-    _, ints = scale_to_integers(vectors)
-    cols = [(*v, 1) for v in ints]
-    D, X = m, [m - dim] * m
+    _, ints = scale_to_integers([v for v, _ in runs])
+    types = {}                        # per type (distinct vector), its runs
+    for r, (v, (_, count)) in enumerate(zip(ints, runs)):
+        if count:
+            types.setdefault(v, []).append(r)
+    own = list(types.values())
+    counts = [sum(runs[r][1] for r in rs) for rs in own]
+    m = sum(counts)
+    cols = [(*v, 1) for v in types]
+    live, left = list(range(len(cols))), list(counts)
+    drops = []
+    D, X = m, [count * (m - dim) for count in counts]
     for k in range(m, dim, -1):
         X = [a * (k - 1 - dim) for a in X]
         D *= k - dim
         h = math.gcd(D, *X)
         X = [a // h for a in X]
         D //= h
-        # the start point of step k: 0 <= X <= D, V X = 0 and sum X = (k-1-dim) D
+        HI = [count * D for count in left]
+        # the start point of step k: 0 <= X <= c D, V X = 0 and sum X = (k-1-dim) D
         *coords, ones = (sum(map(mul, row, X)) for row in zip(*cols))
-        if any(a < 0 or a > D for a in X) or any(coords) or ones != (k - 1 - dim) * D:
+        if any(a < 0 or a > hi for a, hi in zip(X, HI)) or any(coords) or \
+                ones != (k - 1 - dim) * D:
             raise InfeasibleStart("chain point is not feasible")
-        D, X = walk_to_vertex(cols, D, X, [0] * k, [D] * k)
-        drop = next((p for p, a in enumerate(X) if a == 0), None)
-        if drop is None:
+        D, X = walk_to_vertex(cols, D, X, [0] * len(X), HI)
+        p = next((p for p, a in enumerate(X) if a == 0), None)
+        if p is None:
+            p = next((p for p, (a, count) in enumerate(zip(X, left)) if a <= (count - 1) * D),
+                     None)
+        if p is None:
             raise PropertyViolation("chain-zero-coordinate",
-                                    "vertex without a zero coordinate; descent invariant broken")
-        order[k - 1] = active.pop(drop)
-        del cols[drop], X[drop]
-    for pos, idx in enumerate(active):
-        order[pos] = idx
-    return tuple(order)
+                                    "vertex without a zero coordinate or a unit gap; "
+                                    "descent invariant broken")
+        drops.append(live[p])
+        left[p] -= 1
+        if not left[p]:
+            del cols[p], X[p], left[p], live[p]
+    # the copies left fill positions 0..dim-1, each type's first ones
+    taken = [0] * len(runs)           # copies of each run placed so far
+    for t, count in zip(live, left):
+        for r in own[t]:
+            taken[r] = min(runs[r][1], count)
+            count -= taken[r]
+            if not count:
+                break
+    chunks = [(r, 0, count) for r, count in enumerate(taken) if count]
+    at = [0] * len(counts)            # per type, its first run with a copy left
+    for t in reversed(drops):
+        while taken[own[t][at[t]]] == runs[own[t][at[t]]][1]:
+            at[t] += 1
+        r = own[t][at[t]]
+        lo = taken[r]
+        taken[r] += 1
+        if chunks and chunks[-1][0] == r and chunks[-1][2] == lo:
+            chunks[-1] = (r, chunks[-1][1], lo + 1)
+        else:
+            chunks.append((r, lo, lo + 1))
+    return chunks
 
 
 def rearrangement_order(vectors, dim) -> tuple:
-    """Order (position -> index) with all prefix norms at most dim * radius.
-    In dimension one the greedy runs on the runs of equal values; the chain
-    takes the vectors as they are."""
-    if dim == 1:
-        runs = _run_encode(vectors)
-        return _expand(runs, _order_dim1_runs([(v[0], count) for v, count in runs]))
-    return tuple(range(len(vectors))) if len(vectors) <= dim else _order_chain(vectors, dim)
+    """Order (position -> index) with all prefix norms at most dim * radius:
+    the run core on the runs of equal vector objects."""
+    runs = _run_encode(vectors)
+    return _expand(runs, _order_runs(runs, dim))
 
 
 def _order_runs(runs, dim) -> list:
     """rearrangement_order of the sequence that the runs (vector, count)
     spell, as chunks (r, lo, hi): copies lo..hi-1 of run r, in that order.
-    In dimension one the greedy takes whole chunks; the chain gives each
-    copy its own LP column and its own chunk."""
+    In dimension one the greedy takes whole chunks; the chain has one
+    column per distinct vector, and the copies it places one after another
+    from one run form one chunk."""
     m = sum(count for _, count in runs)
     if m <= dim:
         return [(r, 0, count) for r, (_, count) in enumerate(runs)]
     if dim == 1:
         return _order_dim1_runs([(v[0], count) for v, count in runs])
-    copies = [(r, j, j + 1) for r, (_, count) in enumerate(runs) for j in range(count)]
-    return [copies[i] for i in _order_chain([v for v, count in runs for _ in range(count)], dim)]
+    return _order_chain(runs, dim)
 
 
 def prefix_sums(vectors, order, dim: int, drift: Vec | None = None):

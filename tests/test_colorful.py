@@ -1,8 +1,16 @@
+import contextlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import steinitz.cli as cli
+import steinitz.colorful as colorful
+from steinitz.checks import PropertyViolation
 from steinitz.colorful import (ColoredFamily, _scaled, balance_rows, colorful_affine,
                                colorful_rearrange, conic_caratheodory_anchor, round_to_binary,
                                row_sums, single_partial_sum)
@@ -472,3 +480,121 @@ def test_shared_loops_keep_the_input_type():
     assert row_sums(no_colors, (), range(3)) == [(F(0), F(0))] * 3
     assert all(type(x) is F for row in row_sums(no_colors, (), range(3)) for x in row)
     assert row_sums(ColoredFamily(2, 2, 0, ((), ()), L1_NORM), ((), ()), []) == []
+
+
+# ---------------------------------------------------------------------------
+# the named checks of the Caratheodory anchor, row balancing and the colorful
+# prefix bound: one patched fault each
+
+
+def _no_kernel(M):
+    """No kernel at all: the support is never pruned."""
+    return []
+
+
+def _all_ones_kernel(M):
+    """A direction that is not in the kernel of M."""
+    return [(F(1),) * M.cols]
+
+
+def _no_rotation(vectors, dim):
+    """An empty color order, so balance_rows rotates nothing."""
+    return ()
+
+
+def _stale_inspections(fam, orders, rows):
+    """row_sums that answers every inspection of all rows with the rows of
+    the identity orders, the first inspection's; touched rows are summed as
+    they are."""
+    if isinstance(rows, range):
+        orders = [rows] * fam.colors
+    return row_sums(fam, orders, rows)
+
+
+def _fraction_lifting_the_cap(*args):
+    """Fraction with d/(d+1) read as 1, which lifts the chain bound of a
+    touched row above the row's old norm."""
+    return F(1) if len(args) == 2 else F(*args)
+
+
+_SIGNS = [(F(1),), (F(1),), (F(-1),), (F(-1),)]
+_WIDE = gen_adversarial_scalar_family(100, 4, 5)
+_SMALL = gen_zero_sum_family(2, 3, 5, LINF_NORM, 4)
+
+# (name, patches of steinitz.colorful as (attribute, faulty value), call)
+COLORFUL_FAULTS = (
+    ("caratheodory-support", (("null_space", _no_kernel),),
+     lambda: conic_caratheodory_anchor(_SIGNS, 0)),
+    ("caratheodory-coefficients", (("null_space", _all_ones_kernel),),
+     lambda: conic_caratheodory_anchor(_SIGNS, 0)),
+    ("balance-potential", (("row_sums", _stale_inspections),), lambda: balance_rows(_WIDE)),
+    # more selected rows than colors: no window holds a color
+    ("balance-window", (("conic_caratheodory_anchor", lambda rows, anchor: ((anchor,) * 101, ())),),
+     lambda: balance_rows(_WIDE)),
+    ("balance-stacked-norm", (("BlockMax", lambda inner, block_dim: L1_NORM),),
+     lambda: balance_rows(_WIDE)),
+    ("balance-chain-bound", (("rearrangement_order", _no_rotation),), lambda: balance_rows(_WIDE)),
+    # the chain bound implies strict progress above the threshold, so the
+    # fault lifts the bound as well as stopping the rotation
+    ("balance-strict-progress", (("rearrangement_order", _no_rotation),
+                                 ("Fraction", _fraction_lifting_the_cap)),
+     lambda: balance_rows(_WIDE)),
+    ("colorful-prefix-bound", (("_max_prefix_runs", lambda runs, dim, norm: 10 ** 9),),
+     lambda: colorful_rearrange(_SMALL)),
+)
+
+
+@contextlib.contextmanager
+def _patched_colorful(patches):
+    old = [(attr, getattr(colorful, attr)) for attr, _ in patches]
+    for attr, value in patches:
+        setattr(colorful, attr, value)
+    try:
+        yield
+    finally:
+        for attr, value in old:
+            setattr(colorful, attr, value)
+
+
+def run_colorful_faults():
+    """The name of the PropertyViolation that each fault raises."""
+    names = []
+    for _, patches, call in COLORFUL_FAULTS:
+        with _patched_colorful(patches):
+            try:
+                call()
+            except PropertyViolation as exc:
+                names.append(exc.name)
+    return names
+
+
+def test_colorful_checks_are_named():
+    for name, patches, call in COLORFUL_FAULTS:
+        call()  # unpatched, every check holds
+        with _patched_colorful(patches):
+            with pytest.raises(PropertyViolation, match=f"^property {name} violated: ") as err:
+                call()
+        assert err.value.name == name
+
+
+def test_colorful_named_check_exits_with_one(tmp_path, capsys):
+    path = str(tmp_path / "fam.txt")
+    assert cli.main(["gen", "family", "--d", "2", "--n", "3", "--m", "5", "--seed", "4",
+                     "--output", path]) == 0
+    name, patches, _ = COLORFUL_FAULTS[-1]
+    with _patched_colorful(patches):
+        assert cli.main(["colorful", "--input", path]) == 1
+    assert f"property violation [{name}]: property {name} violated: " in capsys.readouterr().err
+
+
+def test_colorful_checks_survive_python_O():
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_colorful import run_colorful_faults\n"
+            "print(*run_colorful_faults(), sep='\\n')\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(here.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code, str(here)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.splitlines() == [name for name, *_ in COLORFUL_FAULTS]

@@ -27,7 +27,7 @@ from itertools import combinations
 
 import pytest
 
-from steinitz import blockip
+from steinitz import blockip, rearrange
 from steinitz.blockip import (DecompositionBundle, KernelPoint, PropertyViolation, ReduceOutcome,
                               _leaves_tube, _require_pipeline_ready, compute_constants,
                               decompose_x, kernel_bound, minimal_kernel_below)
@@ -43,6 +43,7 @@ from steinitz.rearrange import rearrangement_order
 from steinitz.verify import PIPELINE_SHAPES
 
 import simplex_reference
+from chain_reference import order_chain
 from colorful_reference import colorful_affine
 
 
@@ -669,6 +670,53 @@ def test_reduce_work_does_not_grow_with_the_point():
     for k in (c, 2 * c):
         assert blockip.reduce_kernel_point(inst, _scaled(pt, k)) == \
             _reference_reduce(inst, _scaled(pt, k))
+
+
+def _per_copy_chain(runs, dim):
+    """rearrange._order_chain with one walk column per copy: the reference
+    chain on the runs spelled out, one chunk per copy."""
+    copies = [(r, j, j + 1) for r, (_, count) in enumerate(runs) for j in range(count)]
+    return [copies[i] for i in order_chain([v for v, count in runs for _ in range(count)], dim)]
+
+
+def test_s0_2_reduce_work_does_not_grow_with_the_point(monkeypatch):
+    """The s0 = 2 point, whose colorful v order runs the chain on the
+    recentred rows of its equal v pieces, at c and 4c: each chain makes
+    m - dim walks of at most T columns, T its distinct vectors, so the
+    columns grow with the point, not with its square (as they did with one
+    column per copy); at x10 it answers as the per-copy chain."""
+    inst, pt = gen_four_block(2, 2, 2, 3, 2, 1, 0, zero_a0=True, scale=24)
+    chain = rearrange._order_chain
+    chains = []
+
+    def counted(runs, dim):
+        walks = []
+        walk = rearrange.walk_to_vertex
+        with monkeypatch.context() as patch:
+            patch.setattr(rearrange, "walk_to_vertex",
+                          lambda cols, D, X, LO, HI:
+                          walks.append(len(X)) or walk(cols, D, X, LO, HI))
+            chunks = chain(runs, dim)
+        m = sum(count for _, count in runs)
+        assert len(walks) == m - dim
+        assert max(walks) <= len({v for v, count in runs if count})
+        chains.append(sum(walks))
+        return chunks
+
+    monkeypatch.setattr(rearrange, "_order_chain", counted)
+    c, columns = 50, []
+    for k in (c, 4 * c):
+        chains.clear()
+        assert blockip.reduce_kernel_point(inst, _scaled(pt, k)).vector is not None
+        assert chains
+        columns.append(sum(chains))
+    # the chain has m = 24 k - 1 vectors at xk and makes m - dim walks, so 4x
+    # up to the dim + 1 = 3 walks that m + 1 - (dim + 1) leaves out; per copy
+    # the columns would grow 16x
+    assert columns[1] <= 4 * (columns[0] + 3), columns
+    got = blockip.reduce_kernel_point(inst, _scaled(pt, 10))
+    monkeypatch.setattr(rearrange, "_order_chain", _per_copy_chain)
+    assert got == blockip.reduce_kernel_point(inst, _scaled(pt, 10))
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,10 @@ def test_cli_verify_rejects_empty_run(capsys, extra):
 
 
 # sha256 of the `steinitz verify --suite all --seed 1` report, which must not
-# change from one version of the program to the next
-VERIFY_ALL_SEED_1_SHA256 = "b1340768459cd6f5518163d93c9aa145ffd8e5721d9d582fc04c272fbe968893"
+# change from one version of the program to the next unless the changed
+# lines are listed and justified (the multiplicity-aware chain changed the
+# colorful[7] achieved and the colorful-balanced[1] rowbound values)
+VERIFY_ALL_SEED_1_SHA256 = "110c428797cd64825f6e896bafa84fc900152b4c95a7653d0766e2e3f01a9845"
 
 
 @pytest.mark.parametrize("python_flags,verify_flags", [([], []), (["-O"], ["--workers", "2"])],

@@ -32,7 +32,7 @@ from steinitz.linalg import Matrix, rank, rat
 import steinitz.lp
 from steinitz.lp import (BoxLP, InfeasibleStart, NonPointedCone, WalkCheckFailed, _bareiss_step,
                          purify_to_vertex, walk_to_vertex)
-from steinitz.norms import L1_NORM, LINF_NORM
+from steinitz.norms import L1_NORM, LINF_NORM, norm_eval
 from steinitz.rearrange import rearrangement_order
 
 ZERO, ONE = F(0), F(1)
@@ -551,13 +551,35 @@ def _chain_cases():
         yield d, (v, tuple(-x for x in v)) * 12
 
 
+def _prefix_max(vectors, order, norm):
+    """The largest norm of a prefix of the vectors in the order, summed
+    one vector at a time."""
+    prefix, best = [ZERO] * len(vectors[0]), ZERO
+    for idx in order:
+        prefix = [a + b for a, b in zip(prefix, vectors[idx])]
+        best = max(best, norm_eval(norm, tuple(prefix)))
+    return best
+
+
 def test_rearrangement_chain_matches_reference(monkeypatch):
+    """The same order as the reference on duplicate-free input; on repeated
+    vectors, where the chain has one column per distinct vector, a
+    bijection within the bound d * radius.  One walk per chain step."""
     walks = _count_walks(monkeypatch, steinitz.rearrange)
-    steps = 0
+    steps = repeated = 0
     for d, vectors in _chain_cases():
-        assert rearrangement_order(vectors, d) == order_chain(vectors, d)
+        order = rearrangement_order(vectors, d)
+        if len(set(vectors)) == len(vectors):
+            assert order == order_chain(vectors, d)
+        else:
+            repeated += 1
+            assert sorted(order) == list(range(len(vectors)))
+            for norm in (LINF_NORM, L1_NORM):
+                radius = max(norm_eval(norm, v) for v in vectors)
+                assert _prefix_max(vectors, order, norm) <= d * radius
         steps += len(vectors) - d
     assert len(walks) == steps
+    assert repeated >= 8, repeated
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

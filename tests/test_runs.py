@@ -114,6 +114,32 @@ def test_order_dim1_runs_take_a_run_in_few_chunks():
         (0, 0, 50), (1, 0, 1), (2, 0, 1), (1, 1, 2), (2, 1, 2), (1, 2, 3)]
 
 
+def test_order_runs_chain_matches_the_spelled_sequence():
+    """In dimension two and up the chain groups equal vectors by value, so
+    runs, cut runs, equal vectors held as separate objects and runs of no
+    copies all give the order of the spelled sequence; the copies that the
+    chain places one after another from one run form one chunk."""
+    rng = random.Random(8003)
+    merged = 0
+    for d in (2, 3):
+        for _ in range(12):
+            base = [tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 4))) for _ in range(d))
+                    for _ in range(rng.randint(2, 5))]
+            runs = [(rng.choice(base), rng.randint(1, 9)) for _ in range(rng.randint(3, 8))]
+            total = [sum(v[i] * count for v, count in runs) for i in range(d)]
+            runs.append((tuple(-x for x in total), 1))
+            runs.insert(rng.randrange(len(runs)), (rng.choice(base), 0))
+            want = rearrangement_order(_spell(runs), d)
+            chunks = _order_runs(runs, d)
+            assert all(0 <= lo < hi <= runs[r][1] for r, lo, hi in chunks)
+            assert _expand(runs, chunks) == want
+            # equal vectors as separate objects, and cut runs
+            copied = [(tuple(list(v)), count) for v, count in _cut(runs, rng)]
+            assert _expand(copied, _order_runs(copied, d)) == want
+            merged += len(chunks) < len(want)
+    assert merged >= 12, merged
+
+
 def test_order_dim1_runs_fail_as_the_per_element_greedy():
     """A sequence that is not zero-sum can run out of the sign the prefix
     needs: both raise IndexError, or both finish with the same order."""
