@@ -4,8 +4,9 @@ Main entry points:
 
 * ``colorful_rearrange`` certifies prefix sums of n jointly permuted
   sequences against min{n*d, 40*d^5}.  The n-independent route first runs
-  ``balance_rows``, a local-improvement loop that caps every row sum by
-  (d+1)^2 (4d(d+1)+2), then orders the balanced rows classically.
+  ``balance_rows``, a local-improvement loop in integers that caps every
+  row sum by (d+1)^2 (4d(d+1)+2), then orders the balanced rows
+  classically; the certificate carries the balance's row bound and history.
 * ``colorful_affine`` drops the zero-sum requirement by recentering, at
   the cost of a factor 2 in the certified bound.
 * ``single_partial_sum`` picks one size-k subset per sequence whose joint
@@ -76,11 +77,16 @@ class ColoredFamily:
 
 @dataclass(frozen=True)
 class ColorfulCertificate:
+    """The orders of a colorful certificate and its bounds.  When the
+    balanced route ran (n > 40 d^4), phase1_row_bound and phase1_history are
+    its balance_rows result's row_bound and history, whichever route won;
+    otherwise both are None."""
     permutations: tuple       # n orders, each position -> original index
     certified_bound: Fraction
     achieved_max: Fraction
     route: str
     phase1_row_bound: Fraction | None = None
+    phase1_history: tuple | None = None    # (max row norm, count attaining it) per inspection
     drift: Vec | None = None               # per-position drift, affine variant only
     tight_bound_met: bool | None = None    # soft check of the un-doubled bound
 
@@ -226,6 +232,14 @@ def conic_caratheodory_anchor(row_sums, anchor: int):
 # row balancing (the n-independent route)
 
 
+def _chain_cap(d: int, limit: int, mx: int) -> int:
+    """(d+1) L times the proof's chain bound (d+1)(4d(d+1)+2) + d/(d+1) mx on
+    a row that balance_rows touched, for rows scaled by L, mx their largest
+    norm before the step and limit = (d+1)^2 (4d(d+1)+2) L the scaled
+    threshold."""
+    return limit + d * mx
+
+
 def balance_rows(fam: ColoredFamily) -> BalanceResult:
     """Per-color permutations capping every row-sum norm by
     (d+1)^2 (4d(d+1)+2).
@@ -236,25 +250,33 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
     rearrangement of the per-color deviations decides the color order),
     and recheck.  The pair (max row norm, number of rows attaining it)
     strictly decreases lexicographically, which gives termination.
+
+    Runs in integers, on the vectors V = L*v of _scaled: the row sums and
+    their norms, the threshold test mx <= (d+1)^2 (4d(d+1)+2) L, the
+    stacked deviations n*V - row (the deviations over nL, checked against
+    2nL) and the chain bound, multiplied by (d+1) L.  The Caratheodory
+    anchor and the chain take the integer rows and deviations, and neither
+    answer changes under scaling.  row_bound and the history's norms are
+    divided by L, as Fraction.
     """
-    _require_unit_ball(fam.max_norm())
-    _require_zero_sum_union(fam.total())
+    scale, vectors, _ = _scaled(fam)
+    _require_zero_sum_union(tuple(map(sum, zip(*(v for color in vectors for v in color)))))
     d, n, m = fam.dim, fam.colors, fam.length
-    threshold = Fraction((d + 1) ** 2 * (4 * d * (d + 1) + 2))
+    limit = (d + 1) ** 2 * (4 * d * (d + 1) + 2) * scale
     sigma = [list(range(m)) for _ in range(n)]
     history = []
     prev = None
     while True:
-        rows = row_sums(fam, sigma, range(m))
+        rows = _row_sums(vectors, d, sigma, range(m))
         norms = [norm_eval(fam.norm, row) for row in rows]
-        mx = max(norms, default=ZERO)
+        mx = max(norms, default=0)
         cnt = sum(1 for v in norms if v == mx)
         history.append((mx, cnt))
         if prev is not None and not (mx, cnt) < prev:
             raise PropertyViolation("balance-potential",
                                     "row-balancing potential failed to decrease")
         prev = (mx, cnt)
-        if mx <= threshold:
+        if mx <= limit:
             break
 
         anchor = norms.index(mx)
@@ -265,16 +287,12 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
             raise PropertyViolation("balance-window",
                                     "window arithmetic requires n much larger than d")
 
-        # stacked per-color deviations over the selected rows; norm <= 2 each
+        # stacked per-color deviations over the selected rows, times nL; norm <= 2 each
         block_norm = BlockMax(fam.norm, d)
         stacked = []
-        for j in range(n):
-            parts = []
-            for r in sel_rows:
-                v = fam.vectors[j][sigma[j][r]]
-                parts.extend(x - rows[r][idx] / n for idx, x in enumerate(v))
-            w = tuple(parts)
-            if norm_eval(block_norm, w) > 2:
+        for color, order in zip(vectors, sigma):
+            w = tuple(n * x - y for r in sel_rows for x, y in zip(color[order[r]], rows[r]))
+            if norm_eval(block_norm, w) > 2 * n * scale:
                 raise PropertyViolation("balance-stacked-norm",
                                         "stacked deviation left the radius-2 ball")
             stacked.append(w)
@@ -288,16 +306,17 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
         sigma = new_sigma
 
         # the proof's chain bound on every touched row, and strict progress
-        cap = Fraction((d + 1) * (4 * d * (d + 1) + 2)) + Fraction(d, d + 1) * mx
-        for row in row_sums(fam, sigma, sel_rows):
+        cap = _chain_cap(d, limit, mx)
+        for row in _row_sums(vectors, d, sigma, sel_rows):
             val = norm_eval(fam.norm, row)
-            if val > cap:
+            if (d + 1) * val > cap:
                 raise PropertyViolation("balance-chain-bound",
                                         "touched row exceeded the improvement chain bound")
             if val >= mx:
                 raise PropertyViolation("balance-strict-progress",
                                         "touched row failed to improve strictly")
-    return BalanceResult(tuple(tuple(s) for s in sigma), prev[0], tuple(history))
+    return BalanceResult(tuple(tuple(s) for s in sigma), Fraction(prev[0], scale),
+                         tuple((Fraction(mx, scale), cnt) for mx, cnt in history))
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +326,12 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
 class _Route(NamedTuple):
     """A certified route: the rows are runs (row sum, count) and chunks
     (r, lo, hi) of them give the rows' order; orders[j] takes a row to
-    color j's original index (None: the identity, the trivial route)."""
+    color j's original index (None: the identity, the trivial route).
+    row_bound and history are those of the balance when it ran, else None."""
     name: str
     achieved: int          # the joint prefix maximum, in the units of the rows
     row_bound: Fraction | None
+    history: tuple | None
     orders: tuple | None
     rows: list
     chunks: list
@@ -339,7 +360,9 @@ def _certify(dim: int, m: int, norm: NormSpec, colors, scale: int, fractions) ->
     The trivial route's rows are formed once per merged run, ordered as
     chunks and their prefix maximum read at the chunk ends.  fractions()
     builds the rational family for balance_rows; only the balanced route,
-    taken when n > 40 d^4, calls it, and its rows are one run each.
+    taken when n > 40 d^4, calls it, once, and its rows are one run each.
+    The route carries the balance's row bound and history whichever route
+    wins, so a caller reads them from the certificate.
     """
     d, n = dim, len(colors)
     routes = {ROUTE_TRIVIAL: (None, _merged_rows(colors, d, m))}
@@ -348,9 +371,9 @@ def _certify(dim: int, m: int, norm: NormSpec, colors, scale: int, fractions) ->
         vectors = [[v for v, count in color for _ in range(count)] for color in colors]
         routes[ROUTE_BALANCED] = (bal.orders, [(row, 1) for row in
                                                 _row_sums(vectors, d, bal.orders, range(m))])
-        row_bound = bal.row_bound
+        row_bound, history = bal.row_bound, bal.history
     else:
-        row_bound = None
+        row_bound = history = None
 
     best = None
     for name, (orders, rows) in routes.items():
@@ -361,7 +384,7 @@ def _certify(dim: int, m: int, norm: NormSpec, colors, scale: int, fractions) ->
         chunks = _order_runs(rows, d)
         achieved = _max_prefix_runs([(rows[r][0], hi - lo) for r, lo, hi in chunks], d, norm)
         if best is None or achieved < best.achieved:  # the balanced route must do strictly better
-            best = _Route(name, achieved, row_bound, orders, rows, chunks)
+            best = _Route(name, achieved, row_bound, history, orders, rows, chunks)
     if best.achieved > _bound(n, d) * scale:
         raise PropertyViolation("colorful-prefix-bound",
                                 "colorful prefix bound min{nd, 40d^5} violated")
@@ -376,12 +399,14 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
     the denominators, and the checks, the row sums, their order and the
     prefix maxima run on the integer vectors, each color as runs of equal
     vectors; achieved_max is divided by L at the end.  Only the balanced
-    route's balance_rows sees fam itself.
+    route's balance_rows sees fam itself, once; its row bound and history
+    are the certificate's phase1_row_bound and phase1_history.
     """
     scale, colors, _ = _scaled_runs([_run_encode(color) for color in fam.vectors], fam.norm)
     route = _certify(fam.dim, fam.length, fam.norm, colors, scale, lambda: fam)
     return ColorfulCertificate(route.permutations(fam.colors), _bound(fam.colors, fam.dim),
-                               Fraction(route.achieved, scale), route.name, route.row_bound)
+                               Fraction(route.achieved, scale), route.name, route.row_bound,
+                               route.history)
 
 
 def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
@@ -399,7 +424,7 @@ def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
     n, m, bound = fam.colors, fam.length, _bound(fam.colors, fam.dim)
     achieved = 2 * Fraction(route.achieved, 2 * n * m * scale)
     return ColorfulCertificate(
-        route.permutations(n), 2 * bound, achieved, route.name, route.row_bound,
+        route.permutations(n), 2 * bound, achieved, route.name, route.row_bound, route.history,
         drift=tuple(Fraction(t, m * scale) for t in total), tight_bound_met=achieved <= bound)
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .checks import PropertyViolation
+
 Rat = Fraction
 Vec = tuple
 
@@ -288,7 +290,8 @@ def lcm_abs_dets(mats, s: int, entry_bound=None) -> int:
     Every matrix must have integer entries and exactly s rows.  Returns 1
     when no invertible submatrix exists.  When entry_bound is given, each
     enumerated determinant is checked against Hadamard's inequality
-    (compared in squared form to stay rational).
+    (compared in squared form to stay rational), and one past it raises
+    PropertyViolation("hadamard-bound").
     """
     result = 1
     for M in mats:
@@ -303,7 +306,8 @@ def lcm_abs_dets(mats, s: int, entry_bound=None) -> int:
             a = abs(int(d))
             if entry_bound is not None:
                 if a * a > (int(entry_bound) ** (2 * s)) * (s ** s):
-                    raise AssertionError("Hadamard bound violated by submatrix determinant")
+                    raise PropertyViolation("hadamard-bound", "a submatrix determinant "
+                                            "exceeds Hadamard's bound")
             result = math.lcm(result, a)
     return result
 

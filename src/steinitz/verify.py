@@ -4,18 +4,25 @@ Each suite turns (seed, count) into a deterministic list of report lines;
 a line starts with "ok" or "FAIL".  Instances may be checked in parallel
 workers, results are merged back in input order, so output bytes depend
 only on the suite parameters.
+
+Every failed check, a bad draw included, raises a named PropertyViolation,
+which the FAIL line names and python -O does not remove.  The suites' own
+exact work runs on integers and once: the graver and reduce kernel scans
+test the box points on the int rows of H, and the colorful-balanced suite
+reads the balance's row bound and history from its certificate.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .linalg import linf_norm, rank_of_vectors, vscale
 from .lp import enum_integer_points
 from .norms import L1_NORM, LINF_NORM
 from .rearrange import max_prefix_norm, steinitz_rearrange, subspace_rearrange
-from .colorful import balance_rows, colorful_affine, colorful_rearrange, single_partial_sum
+from .colorful import colorful_affine, colorful_rearrange, single_partial_sum
 from .oracles import BudgetExceeded, brute_ilp, brute_rearrange_optimum, brute_single_sum
 from .generate import (GenerationError, gen_adversarial_scalar_family, gen_four_block,
                        gen_rank_deficient_sequence, gen_unit_family, gen_zero_sum_family,
@@ -91,19 +98,21 @@ def suite_colorful(seed: int, idx: int):
 
 
 def suite_colorful_balanced(seed: int, idx: int):
+    """n > 40 forces the balanced route; its one balance_rows run, inside
+    colorful_rearrange, hands the certificate its history and row bound."""
     n = 50 if idx % 2 == 0 else 100
     m = 3 + idx % 4
     fam = gen_adversarial_scalar_family(n, m, seed * 1000 + idx)
-    bal = balance_rows(fam)
-    _check(bal.row_bound <= 40, "balanced-row-bound")
-    for prev, cur in zip(bal.history, bal.history[1:]):
-        _check(cur < prev, "balanced-history-decreasing")
     cert = colorful_rearrange(fam)
+    history = cert.phase1_history or ()
+    _check(history and history[-1][0] <= 40, "balanced-row-bound")
+    for prev, cur in zip(history, history[1:]):
+        _check(cur < prev, "balanced-history-decreasing")
     _check(cert.achieved_max <= min(n, 40), "balanced-bound")
     _check(cert.phase1_row_bound is not None and cert.phase1_row_bound <= 40,
            "balanced-phase1-row-bound")
-    return (f"ok colorful-balanced[{idx}] n={n} m={m} iters={len(bal.history) - 1} "
-            f"rowbound={bal.row_bound} achieved={cert.achieved_max}")
+    return (f"ok colorful-balanced[{idx}] n={n} m={m} iters={len(history) - 1} "
+            f"rowbound={cert.phase1_row_bound} achieved={cert.achieved_max}")
 
 
 def suite_affine(seed: int, idx: int):
@@ -160,12 +169,23 @@ def suite_pipeline(seed: int, idx: int):
             f"found={out.vector is not None}")
 
 
+def _box_kernel(inst, lower, upper):
+    """The nonzero integer points of the box [lower, upper] with H z = 0, in
+    enumeration order: every point of the box is tested on the int rows of
+    H, independently of the library's pruned enumeration."""
+    H = inst.integer_form.H
+    return (z for z in enum_integer_points(lower, upper, predicate=any)
+            if not any(sum(map(mul, row, z)) for row in H))
+
+
 def suite_reduce(seed: int, idx: int):
+    """A planted kernel point scaled past xi reduces to a kernel vector, and
+    the box below its radius holds a nonzero kernel point (the first one of
+    _box_kernel is the witness)."""
     inst, pt = _gen_pipeline_instance(idx, seed, ((1, 1, 1, 1, 2), (1, 1, 1, 1, 3)),
                                       delta_choices=(1,))
     z = tuple(pt.x) + tuple(pt.y)
-    if linf_norm(z) == 0:
-        raise AssertionError("generator planted the zero point")
+    _check(linf_norm(z) != 0, "reduce-nonzero-point")
     _, consts = decompose_bundle(inst, pt)
     c = math.ceil(consts.xi / linf_norm(z)) + 1
     for _ in range(6):
@@ -175,33 +195,27 @@ def suite_reduce(seed: int, idx: int):
             break
         c *= 2
     else:
-        raise AssertionError("could not scale past xi")
+        raise PropertyViolation("reduce-past-xi", "could not scale past xi")
     _check(out.vector is not None, "reduce-found")
     # independent existence check below the found vector's radius
     found = tuple(out.vector[0]) + tuple(out.vector[1])
-    H = inst.H_matrix()
     cap = int(linf_norm(found))
     upper = tuple(min(math.floor(v), cap) for v in tuple(big.x) + tuple(big.y))
-    witness = None
-    for zz in enum_integer_points((0,) * len(upper), upper,
-                                  predicate=lambda w: any(w)):
-        if all(v == 0 for v in H.mul_vec(zz)):
-            witness = zz
-            break
+    witness = next(_box_kernel(inst, (0,) * len(upper), upper), None)
     _check(witness is not None, "reduce-witness")
     return (f"ok reduce[{idx}] xi={out.constants.xi} psi={out.diagnostics['psi']} "
             f"norm={linf_norm(tuple(big.x) + tuple(big.y))}")
 
 
 def suite_graver(seed: int, idx: int):
+    """Against the box kernel that _box_kernel scans: each element of
+    graver_enumerate's basis is conformally minimal in it, and each other
+    kernel point has a smaller kernel point conformally below it."""
     inst, _ = _gen_pipeline_instance(idx, seed, ((1, 1, 1, 1, 2),), delta_choices=(1,))
     box = 4
     basis = graver_enumerate(inst, box)
-    H = inst.H_matrix()
     dim = inst.x_dim + inst.y_dim
-    kernel = [z for z in enum_integer_points((-box,) * dim, (box,) * dim,
-                                             predicate=lambda z: any(z))
-              if all(v == 0 for v in H.mul_vec(z))]
+    kernel = list(_box_kernel(inst, (-box,) * dim, (box,) * dim))
     for g in basis:
         _check(not any(h != g and conformal_leq(h, g) for h in kernel), "graver-minimal")
     for h in kernel:
@@ -222,7 +236,7 @@ def _feasible_instance(seed_base: int, seed: int, idx: int):
         rep = proximity_report(inst)
         if rep.ip_feasible and rep.lp_status == "optimal":
             return inst, rep
-    raise AssertionError("no feasible instance found")
+    raise PropertyViolation("feasible-instance", "no feasible instance found")
 
 
 def suite_solve(seed: int, idx: int):

@@ -6,7 +6,10 @@ below are the library's pre-change ``Fraction`` code, verbatim but for the
 imports: every vector is recentred, summed and normed once per piece in
 ``Fraction``, and the row sums start from ``ZERO``.  The family and
 certificate types, balance_rows, rearrangement_order and max_prefix_norm
-come from the library.
+come from the library.  One field postdates the copy: the certificate's
+phase1_history is filled from the reference's own balance_rows call, as
+its phase1_row_bound is, so that comparing certificates compares every
+field.
 """
 
 from __future__ import annotations
@@ -66,10 +69,10 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
     achieved_trivial = max_prefix_norm(VectorSequence(tuple(rows), d, fam.norm), rho)
 
     best = (achieved_trivial, ROUTE_TRIVIAL, perms_trivial)
-    row_bound = None
+    row_bound = history = None
     if bound_nd > bound_poly:
         bal = balance_rows(fam)
-        row_bound = bal.row_bound
+        row_bound, history = bal.row_bound, bal.history
         rows = row_sums(fam, bal.orders, range(m))
         rho2 = rearrangement_order(rows, d)
         perms_bal = tuple(tuple(order[i] for i in rho2) for order in bal.orders)
@@ -79,7 +82,7 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
     achieved, route, perms = best
     if achieved > certified:
         raise AssertionError("colorful prefix bound min{nd, 40d^5} violated")
-    return ColorfulCertificate(perms, certified, achieved, route, row_bound)
+    return ColorfulCertificate(perms, certified, achieved, route, row_bound, history)
 
 
 def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
@@ -106,4 +109,4 @@ def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
         raise AssertionError("affine deviation bound 2*min{nd, 40d^5} violated")
     return ColorfulCertificate(
         cert.permutations, certified, achieved, cert.route, cert.phase1_row_bound,
-        drift=drift, tight_bound_met=bool(achieved <= certified / 2))
+        cert.phase1_history, drift=drift, tight_bound_met=bool(achieved <= certified / 2))

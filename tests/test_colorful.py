@@ -11,9 +11,9 @@ import pytest
 import steinitz.cli as cli
 import steinitz.colorful as colorful
 from steinitz.checks import PropertyViolation
-from steinitz.colorful import (ColoredFamily, _scaled, balance_rows, colorful_affine,
-                               colorful_rearrange, conic_caratheodory_anchor, round_to_binary,
-                               row_sums, single_partial_sum)
+from steinitz.colorful import (ColoredFamily, _row_sums, _scaled, balance_rows,
+                               colorful_affine, colorful_rearrange, conic_caratheodory_anchor,
+                               round_to_binary, row_sums, single_partial_sum)
 from steinitz.norms import L1_NORM, LINF_NORM, BlockMax, norm_eval, norm_from_name
 from steinitz.rearrange import (VectorSequence, ZeroSumRequired, _order_dim1, max_prefix_norm,
                                 prefix_sums)
@@ -21,6 +21,7 @@ from steinitz.generate import (gen_adversarial_scalar_family, gen_unit_family,
                                gen_zero_sum_family)
 from steinitz.oracles import brute_single_sum
 
+import balance_reference
 import colorful_reference
 
 
@@ -502,19 +503,19 @@ def _no_rotation(vectors, dim):
     return ()
 
 
-def _stale_inspections(fam, orders, rows):
-    """row_sums that answers every inspection of all rows with the rows of
+def _stale_inspections(vectors, dim, orders, rows):
+    """_row_sums that answers every inspection of all rows with the rows of
     the identity orders, the first inspection's; touched rows are summed as
     they are."""
     if isinstance(rows, range):
-        orders = [rows] * fam.colors
-    return row_sums(fam, orders, rows)
+        orders = [rows] * len(vectors)
+    return _row_sums(vectors, dim, orders, rows)
 
 
-def _fraction_lifting_the_cap(*args):
-    """Fraction with d/(d+1) read as 1, which lifts the chain bound of a
+def _cap_lifted(d, limit, mx):
+    """The chain bound with d/(d+1) read as 1, which lifts the bound of a
     touched row above the row's old norm."""
-    return F(1) if len(args) == 2 else F(*args)
+    return limit + (d + 1) * mx
 
 
 _SIGNS = [(F(1),), (F(1),), (F(-1),), (F(-1),)]
@@ -527,7 +528,7 @@ COLORFUL_FAULTS = (
      lambda: conic_caratheodory_anchor(_SIGNS, 0)),
     ("caratheodory-coefficients", (("null_space", _all_ones_kernel),),
      lambda: conic_caratheodory_anchor(_SIGNS, 0)),
-    ("balance-potential", (("row_sums", _stale_inspections),), lambda: balance_rows(_WIDE)),
+    ("balance-potential", (("_row_sums", _stale_inspections),), lambda: balance_rows(_WIDE)),
     # more selected rows than colors: no window holds a color
     ("balance-window", (("conic_caratheodory_anchor", lambda rows, anchor: ((anchor,) * 101, ())),),
      lambda: balance_rows(_WIDE)),
@@ -537,7 +538,7 @@ COLORFUL_FAULTS = (
     # the chain bound implies strict progress above the threshold, so the
     # fault lifts the bound as well as stopping the rotation
     ("balance-strict-progress", (("rearrangement_order", _no_rotation),
-                                 ("Fraction", _fraction_lifting_the_cap)),
+                                 ("_chain_cap", _cap_lifted)),
      lambda: balance_rows(_WIDE)),
     ("colorful-prefix-bound", (("_max_prefix_runs", lambda runs, dim, norm: 10 ** 9),),
      lambda: colorful_rearrange(_SMALL)),
@@ -598,3 +599,96 @@ def test_colorful_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code, str(here)], env=env,
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert out.splitlines() == [name for name, *_ in COLORFUL_FAULTS]
+
+
+# ---------------------------------------------------------------------------
+# integer row balancing against the Fraction original, and one balance per
+# balanced certificate
+
+# (n, m) of the certify benchmark's adversarial families, drawn at seed
+# base + 100 + i for base = seed * 10000
+CERTIFY_COLORFUL_SPECS = ((64, 3), (80, 3), (48, 4), (56, 3))
+
+
+def _balance_families():
+    for seed in (1, 2, 7):
+        for i, (n, m) in enumerate(CERTIFY_COLORFUL_SPECS):
+            yield gen_adversarial_scalar_family(n, m, seed * 10_000 + 100 + i)
+    # the verify colorful-balanced suite's families at seeds 1 and 10001
+    for seed in (1, 10_001):
+        for idx in range(2):
+            yield gen_adversarial_scalar_family(50 if idx % 2 == 0 else 100, 3 + idx % 4,
+                                                seed * 1000 + idx)
+    # rows of norm exactly at the threshold 40 (d = 1), and one above it
+    for ones in (40, 41):
+        yield ColoredFamily(1, 80, 2, tuple(((F(1),), (F(-1),)) if j < ones else ((F(0),), (F(0),))
+                                            for j in range(80)), LINF_NORM)
+
+
+def _recentred_families(monkeypatch):
+    """The recentred families that colorful_affine hands balance_rows, for
+    families with n > 40 (d = 1): caught by wrapping balance_rows."""
+    caught = []
+    real = colorful.balance_rows
+
+    def catching(fam):
+        caught.append(fam)
+        return real(fam)
+
+    monkeypatch.setattr(colorful, "balance_rows", catching)
+    for n, m, seed in ((48, 3, 1), (60, 4, 2), (100, 3, 3)):
+        colorful_affine(gen_unit_family(1, n, m, LINF_NORM, seed))
+        colorful_affine(_shifted(gen_adversarial_scalar_family(n, m, seed)))
+    monkeypatch.undo()
+    assert len(caught) == 6 and all(fam.colors > 40 for fam in caught)
+    return caught
+
+
+def _balance_types(bal):
+    return [type(bal.row_bound)] + [tuple(map(type, h)) for h in bal.history]
+
+
+def _assert_same_balance(bal, ref):
+    assert bal == ref
+    assert _balance_types(bal) == _balance_types(ref) == [F] + [(F, int)] * len(ref.history)
+
+
+def test_integer_balance_equals_fraction_reference(monkeypatch):
+    families = [*_balance_families(), *_recentred_families(monkeypatch)]
+    iterations = 0
+    for fam in families:
+        ref = balance_reference.balance_rows(fam)
+        _assert_same_balance(balance_rows(fam), ref)
+        iterations += len(ref.history) - 1
+    assert iterations > len(families)  # the loop ran, more than once per family
+
+
+def test_balanced_certificate_carries_its_balance():
+    for fam in _balance_families():
+        cert, bal = colorful_rearrange(fam), balance_rows(fam)
+        assert cert.phase1_history == bal.history
+        assert cert.phase1_row_bound == bal.row_bound
+    # off the balanced route there is no balance to carry
+    cert = colorful_rearrange(gen_zero_sum_family(2, 3, 5, LINF_NORM, 4))
+    assert cert.phase1_history is None and cert.phase1_row_bound is None
+
+
+def test_balanced_verify_suite_balances_once_per_line(monkeypatch):
+    from steinitz.verify import run_suites
+    calls = []
+    real = colorful.balance_rows
+
+    def counting(fam):
+        calls.append(fam)
+        return real(fam)
+
+    # every name bound to balance_rows in the package, as the bench tracer rebinds them
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "steinitz"]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, counting)
+    for seed in (1, 10_001):
+        calls.clear()
+        lines, ok = run_suites(["colorful-balanced"], seed, count=3)
+        assert ok and len(lines) == 3
+        assert len(calls) == 3

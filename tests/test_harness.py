@@ -340,7 +340,8 @@ def test_verify_solve_and_proximity_stop_after_50_draws(monkeypatch, failure):
     for suite in ("solve", "proximity"):
         draws.clear()
         line = verify._run_task((suite, 1, 0))
-        assert line == f"FAIL {suite}[0] AssertionError: no feasible instance found"
+        assert line == (f"FAIL {suite}[0] feasible-instance: property feasible-instance "
+                        "violated: no feasible instance found")
         assert len(draws) == 50
 
 
