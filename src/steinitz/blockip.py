@@ -4,23 +4,27 @@ reports.
 
 The decomposition pipeline mirrors the constants it certifies: every
 stage asserts its own exact bound and any violation aborts with the name
-of the violated property.
+of the violated property.  Each value of the decomposition is held in one
+integer form, the one its checks read: a block basis as its int rows
+-|det D| D^{-1} Bi, a u residual as ints over the block's scale, a piece
+as a tuple of int.
 
 Past xi a kernel point is written as alpha small pieces, of which only a
 few are distinct, while alpha grows with the point.  The pipeline carries
 them as runs (piece, count) of equal consecutive pieces: the vertex peel
 picks a run of one vertex at a time, the colorful and psi orders come as
-chunks of runs, the tube and prefix checks read the chunk ends (the
-deviations are affine along a chunk, their norms convex), and the psi
-collision loop draws positions lazily from the chunks.  The bundle's piece
-tuples are spelled out from the runs.
+chunks of runs, the u and v tubes and the psi prefix bound are read at the
+chunk ends by ``rearrange._max_prefix_runs`` (the deviations are affine
+along a chunk, their norms convex), and the psi collision loop draws
+positions lazily from the chunks.  The bundle's piece tuples are spelled
+out from the runs.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, chain, combinations, repeat
@@ -32,7 +36,7 @@ from .linalg import (Matrix, Vec, ZERO, ONE, _bareiss_echelon, _integer_echelon,
 from .checks import PropertyViolation
 from .lp import LPError, enum_integer_points, integer_extreme_rays, integer_simplex, over_lcm
 from .norms import LINF_NORM
-from .rearrange import _max_prefix_runs, _order_runs, _run_encode, _run_sum
+from .rearrange import _max_prefix_runs, _order_runs, _run_sum
 from .colorful import _affine_runs
 
 
@@ -370,38 +374,37 @@ def _decompose_u(inst: FourBlockInstance, u_hat: Vec):
     The pieces are extracted by counts.  The lex-first kernel point w of
     the box [0, floor(res)] stays lex-first while the box only shrinks, so
     w is subtracted at once the largest number of times c that keeps
-    c w <= res and the loop test l1(res) > K true before each subtraction;
-    the test runs in integers over the common denominator of the block's
-    residual.  The pieces are carried as runs (piece, c) of one tuple: they
-    are ordered on the integer deviations alpha0 C p - sum C p of their
-    C-images, alpha0 times the deviations from the mean, as chunks of runs,
-    and the tube is checked at the chunk ends."""
+    c w <= res and the loop test l1(res) > K true before each subtraction.
+    The block's residual is held once, as ints over the common denominator
+    scale of the block of u, and made Fraction at the end.  The pieces are
+    carried as runs (piece, c) of one tuple: they are ordered on the
+    integer deviations alpha0 C p - sum C p of their C-images, alpha0 times
+    the deviations from the mean, as chunks of runs, and the tube is
+    checked at the chunk ends."""
     K = kernel_bound(inst)
     runs = []
     residuals = []
     for i in range(inst.n):
-        res = list(inst.y_block(u_hat, i))
+        scale, (res,) = scale_to_integers([inst.y_block(u_hat, i)])
         if any(x < 0 for x in res):
             raise ValueError("u must be nonnegative")
-        scale, (scaled,) = scale_to_integers([res])
-        if any(sum(map(mul, row, scaled)) for row in inst.integer_form.A[i]):
+        if any(sum(map(mul, row, res)) for row in inst.integer_form.A[i]):
             raise ValueError("u is not in the kernel of the diagonal blocks")
-        excess = sum(scaled) - K * scale       # scale (l1(res) - K), as res >= 0
+        excess = sum(res) - K * scale       # scale (l1(res) - K), as res >= 0
         while excess > 0:
-            wbar = minimal_kernel_below(inst.integer_form.A[i], tuple(res), K)
+            wbar = minimal_kernel_below(inst.integer_form.A[i], [a // scale for a in res], K)
             if wbar is None:
                 raise PropertyViolation("kernel-extraction",
                                         "no small kernel vector below a large residual")
             step = scale * sum(wbar)
             count = min((excess - 1) // step + 1,
-                        *(a // (scale * b) for a, b in zip(scaled, wbar) if b))
-            res = [a - count * b for a, b in zip(res, wbar)]
-            scaled = [a - count * scale * b for a, b in zip(scaled, wbar)]
+                        *(a // (scale * b) for a, b in zip(res, wbar) if b))
+            res = [a - count * scale * b for a, b in zip(res, wbar)]
             excess -= count * step
             padded = [0] * (inst.n * inst.t)
             padded[i * inst.t:(i + 1) * inst.t] = list(wbar)
             runs.append((tuple(padded), count))
-        residuals.extend(res)
+        residuals.extend(Fraction(a, scale) for a in res)
     u0 = tuple(residuals)
     alpha0 = sum(count for _, count in runs)
 
@@ -431,32 +434,17 @@ def _spelled(runs) -> tuple:
     return tuple(chain.from_iterable(repeat(value, count) for value, count in runs))
 
 
-def _leaves_tube(images, cap) -> bool:
-    """Whether a prefix sum of the integer vectors images leaves the tube
-    |prefix_k - (k/m) total| <= cap around the proportional line, m =
-    len(images); the work is _leaves_tube_runs on the runs of images."""
-    return _leaves_tube_runs(_run_encode(images), cap)
-
-
 def _leaves_tube_runs(runs, cap) -> bool:
-    """_leaves_tube of the integer vectors that the runs (image, count)
-    spell.  Checked in integers, multiplied through by m:
-    |m prefix_k - k total| <= floor(m cap), at the run ends only: along a
-    run m prefix_k - k total is affine in k, so its absolute value is convex
-    and largest at an end, and a run starts where the one before it ended
-    (or at k = 0, where it is 0)."""
+    """Whether a prefix sum of the m integer vectors that the runs (image,
+    count) spell leaves the tube |prefix_k - (k/m) total| <= cap around the
+    proportional line.  Checked in integers, multiplied through by m: the
+    largest ||m prefix_k - k total||_inf, which _max_prefix_runs reads at
+    the run ends on the images times m with drift total, against
+    floor(m cap)."""
     m = sum(count for _, count in runs)
-    total = _run_sum(runs, len(runs[0][0]) if runs else 0)
-    bound = math.floor(m * cap)
-    prefix = [0] * len(total)
-    k = 0
-    for im, count in runs:
-        k += count
-        for r, x in enumerate(im):
-            prefix[r] += count * x
-            if abs(m * prefix[r] - k * total[r]) > bound:
-                return True
-    return False
+    dim = len(runs[0][0]) if runs else 0
+    scaled = [(tuple(m * x for x in im), count) for im, count in runs]
+    return _max_prefix_runs(scaled, dim, LINF_NORM, _run_sum(runs, dim)) > math.floor(m * cap)
 
 
 # ---------------------------------------------------------------------------
@@ -465,36 +453,19 @@ def _leaves_tube_runs(runs, cap) -> bool:
 
 @dataclass(frozen=True)
 class FeasibleBasis:
-    """An invertible s x s column basis D of a diagonal block Ai, stored as
-    its vertex map vmap = -D^{-1} Bi (s rows of length t0).  The point
-    supported on cols with Ai y = -Bi x has y_cols = vmap x, so for every x
-    the basis gives a vertex of {y >= 0 : Ai y = -Bi x} iff vmap x >= 0.
-    det is det D, an integer; rows is |det D| vmap = -|det D| D^{-1} Bi,
-    an integer matrix (derived from vmap when not given), on which every
-    product with vmap runs."""
+    """An invertible s x s column basis D of a diagonal block Ai: its
+    columns cols, det = det D, an integer, and the integer matrix
+    rows = -|det D| D^{-1} Bi (s rows of length t0).  The point supported
+    on cols with Ai y = -Bi x has y_cols = rows x / |det D|, so for every x
+    the basis gives a vertex of {y >= 0 : Ai y = -Bi x} iff rows x >= 0."""
     cols: tuple
-    vmap: tuple
     det: int
-    rows: tuple = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.rows is None:
-            d = abs(self.det)
-            object.__setattr__(self, "rows", tuple(tuple((d * v).numerator for v in row)
-                                                   for row in self.vmap))
-
-    def image(self, x: Vec) -> Vec:
-        """vmap x, the basis coordinates of the point with Ai y = -Bi x,
-        from one integer product over the common denominator L of x and
-        one division by L |det D| per entry."""
-        L, (X,) = scale_to_integers([x])
-        den = L * abs(self.det)
-        return tuple(Fraction(sum(map(mul, row, X)), den) for row in self.rows)
+    rows: tuple
 
 
 def block_bases(Ai, Bi):
     """Every invertible s x s column basis of the integer block Ai with its
-    vertex map, in lexicographic column order; Ai and Bi are given as int
+    integer rows, in lexicographic column order; Ai and Bi are given as int
     rows or as integer Matrix.
 
     One fraction-free elimination of [D | Bi] per subset
@@ -508,10 +479,8 @@ def block_bases(Ai, Bi):
         work = [[a[c] for c in cols] + list(b) for a, b in zip(A, B)]
         pivots, delta, sign = _bareiss_echelon(work, s)
         if len(pivots) == s:
-            d = abs(delta)
             rows = tuple(tuple(-x if delta > 0 else x for x in row[s:]) for row in work)
-            out.append(FeasibleBasis(cols, tuple(tuple(Fraction(x, d) for x in row)
-                                                  for row in rows), sign * delta, rows))
+            out.append(FeasibleBasis(cols, sign * delta, rows))
     return out
 
 
@@ -524,20 +493,14 @@ def _feasible(bases, x: Vec):
 
 def feasible_bases(Ai, Bi, x_hat: Vec):
     """All invertible s x s column bases D of Ai with -D^{-1} Bi x_hat >= 0,
-    in lexicographic column order, each carrying its vertex map."""
+    in lexicographic column order, each carrying its integer rows."""
     return _feasible(block_bases(Ai, Bi), x_hat)
 
 
-def basis_vertex(fb: FeasibleBasis, x: Vec, t: int) -> Vec:
-    """The point supported on fb.cols with Ai y = -Bi x."""
-    L, (X,) = scale_to_integers([x])
-    d = L * abs(fb.det)
-    return tuple(Fraction(a, d) for a in _vertex_at(fb, X, t))
-
-
 def _vertex_at(fb: FeasibleBasis, X, t: int) -> list:
-    """basis_vertex at x = X / L, X over int, as the integers
-    fb.rows X over L |det D|: fb.rows X placed on fb.cols, 0 elsewhere."""
+    """The point supported on fb.cols with Ai y = -Bi x, at x = X / L with
+    X over int, as the integers fb.rows X over L |det D|: fb.rows X placed
+    on fb.cols, 0 elsewhere."""
     y = [0] * t
     for c, row in zip(fb.cols, fb.rows):
         y[c] = sum(map(mul, row, X))
@@ -570,8 +533,8 @@ def cone_rays_K(inst: FourBlockInstance, x_hat: Vec, tables=None):
     t0 = inst.t0
     if tables is None:
         tables = list(map(block_bases, inst.integer_form.A, inst.integer_form.B))
-    # the cone rows are the integer rows |det D| vmap, positive multiples of
-    # the rows of vmap, so they cut out the same cone
+    # the cone rows are the integer rows -|det D| D^{-1} Bi, positive
+    # multiples of the rows of -D^{-1} Bi, so they cut out the same cone
     rows = [tuple(int(r == c) for c in range(t0)) for r in range(t0)]
     for table in tables:
         for fb in _feasible(table, x_hat):
@@ -620,13 +583,6 @@ def decompose_x(x_hat: Vec, rays):
 
 # ---------------------------------------------------------------------------
 # the v-decomposition
-
-
-def _integral_image(rows, w: Vec) -> bool:
-    """Whether rows . w is an integer vector, for the rational vector w:
-    each integer product over the common denominator L of w divides by L."""
-    L, (W,) = scale_to_integers([w])
-    return all(sum(map(mul, row, W)) % L == 0 for row in rows)
 
 
 def _convex_combo_over_vertices(vertices, target, support_cap: int, prop: str):
@@ -736,8 +692,8 @@ def _peel_vertices(tau, lam, count, span, verts, w):
 def decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases):
     """Split v into per-ray parts and extract integer pieces per part:
     _decompose_v with the pieces of each ray spelled out."""
-    v0s, vseq_runs, alphas, av0 = _decompose_v(inst, lambdas, hs, v_hat, omega2, bases)
-    return v0s, tuple(_spelled(seq) for seq in vseq_runs), alphas, av0
+    v0s, vseq_runs, alphas = _decompose_v(inst, lambdas, hs, v_hat, omega2, bases)
+    return v0s, tuple(_spelled(seq) for seq in vseq_runs), alphas
 
 
 def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases):
@@ -746,10 +702,9 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
     bases[i] is block i's block_bases table; the vertices at x and at each
     ray h are read from it, filtered to the bases feasible there.
 
-    Returns (v0_per_ell, vseq_runs, alphas, av0_integral) where
-    vseq_runs[ell] spells, as runs (piece, count), the stacked integer
-    vectors ordered so that the C-image prefixes stay inside the certified
-    tube.
+    Returns (v0_per_ell, vseq_runs, alphas) where vseq_runs[ell] spells,
+    as runs (piece, count), the stacked integer vectors ordered so that the
+    C-image prefixes stay inside the certified tube.
 
     Every piece is one of the few vertices of a block polytope, so the
     extraction works on vertex indices and counts with integer weights
@@ -767,7 +722,7 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
     if ell_count == 0:
         if any(x != 0 for x in v_hat):
             raise PropertyViolation("maximality-zero-v", "x = 0 but v != 0")
-        return (), (), (), ()
+        return (), (), ()
 
     x_hat = tuple(
         sum((lam * h[c] for lam, h in zip(lambdas, hs)), ZERO) for c in range(t0))
@@ -807,7 +762,6 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
 
     v0_per_ell = []
     vseq_runs = []          # per ell: the ordered pieces as runs (piece, count)
-    av0_flags = []
     form = inst.integer_form
     for ell, (lam, h) in enumerate(zip(lambdas, hs)):
         a_ell = alphas[ell]
@@ -841,9 +795,7 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
             picks.append(pick)
             int_verts.append(verts)
         # stack per-block remainders / pieces into R^{nt}
-        v0 = tuple(x for blk in rem_blocks for x in blk)
-        v0_per_ell.append(v0)
-        av0_flags.append(all(_integral_image(form.A[i], w) for i, w in enumerate(rem_blocks)))
+        v0_per_ell.append(tuple(x for blk in rem_blocks for x in blk))
 
         seq = []
         if a_ell > 0:
@@ -891,7 +843,7 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
     if omega2 > 0:
         if sum(alphas) < Fraction(linf_norm(x_hat)) / omega2 - t0 * (t - s + 2):
             raise PropertyViolation("v-layer-count", "too few extracted layers")
-    return tuple(v0_per_ell), vseq_runs, tuple(alphas), tuple(av0_flags)
+    return tuple(v0_per_ell), vseq_runs, tuple(alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +868,6 @@ class DecompositionBundle:
     r: Vec
     gamma: int
     omega2: Fraction
-    av0_integral: tuple     # diagnostic: is A v_{ell,0} integral?
 
     @property
     def alpha0(self) -> int:
@@ -965,7 +916,7 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
     u0, u_runs = _decompose_u(inst, u_hat)
     rays_all, omega2, gamma = cone_rays_K(inst, pt.x, bases)
     lambdas, hs = decompose_x(pt.x, rays_all)
-    v0s, v_runs, alphas, av0 = _decompose_v(inst, lambdas, hs, v_hat, omega2, bases)
+    v0s, v_runs, alphas = _decompose_v(inst, lambdas, hs, v_hat, omega2, bases)
 
     # exact reassembly checks; the pieces are summed over their runs
     if vadd(u_hat, v_hat) != tuple(pt.y):
@@ -995,13 +946,8 @@ def decompose_bundle(inst: FourBlockInstance, pt: KernelPoint):
 
     bundle = DecompositionBundle(
         tuple(pt.x), tuple(pt.y), u_hat, v_hat, u0, _spelled(u_runs), lambdas, hs, alphas,
-        v0s, tuple(_spelled(seq) for seq in v_runs), tuple(p_vecs), q, r_vec, gamma, omega2, av0)
+        v0s, tuple(_spelled(seq) for seq in v_runs), tuple(p_vecs), q, r_vec, gamma, omega2)
     return bundle, compute_constants(inst, bundle)
-
-
-def _int_sum(vectors, dim: int) -> tuple:
-    """Coordinate sums of integer vectors of length dim, as int."""
-    return tuple(map(sum, zip(*vectors))) if vectors else (0,) * dim
 
 
 def compute_constants(inst: FourBlockInstance, bundle: DecompositionBundle) -> ConstantsTable:
@@ -1128,7 +1074,6 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
         "dim_v": consts.dim_v,
         "distinct_offsets": len(seen),
         "collision": collision,
-        "av0_integral": bundle.av0_integral,
     }
     if collision is None:
         return ReduceOutcome(None, bundle, consts, diagnostics)
@@ -1142,14 +1087,10 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
         for c in range(inst.t0):
             x[c] += times * h[c]
     # the pieces between the two colliding offsets
-    y = [ZERO] * inst.y_dim
     windows = [bundle.v_seq[ell][phi_lo[ell]:phi_hi[ell]] for ell in range(len(bundle.lambdas))]
     windows.append(bundle.u_seq[mu_lo:mu_hi])
-    for window in windows:
-        for r, total in enumerate(_int_sum(window, inst.y_dim)):
-            y[r] += total
-
-    xv, yv = tuple(x), tuple(y)
+    pieces = ((piece, 1) for window in windows for piece in window)
+    xv, yv = tuple(x), tuple(map(Fraction, _run_sum(pieces, inst.y_dim)))
     if all(v == 0 for v in xv) and all(v == 0 for v in yv):
         raise PropertyViolation("reduce-nonzero", "assembled vector is zero")
     if not (is_integer_vec(xv) and is_integer_vec(yv)):

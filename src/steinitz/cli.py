@@ -244,8 +244,10 @@ def _cmd_oracle(args):
 
 
 def _cmd_verify(args):
+    if args.workers != 1:
+        raise ValueError(f"verify runs in one process: --workers must be 1, got {args.workers}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    lines, ok = run_suites(names, args.seed, args.count, args.workers)
+    lines, ok = run_suites(names, args.seed, args.count)
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -374,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", choices=["all", *SUITES])
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="kept so that older invocations parse; only 1 is accepted")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -20,6 +20,10 @@ class GenerationError(RuntimeError):
     """Retry budget exhausted; reseed and try again."""
 
 
+# the entries of gen_four_block's integer feasible point and its upper bounds
+UB_CAP = 3
+
+
 def gen_zero_sum_family(d: int, n: int, m: int, norm: NormSpec, seed: int,
                         denom: int = 16) -> ColoredFamily:
     """n*m rational vectors with denominator denom, recentered to an exact
@@ -54,8 +58,7 @@ def gen_zero_sum_sequence(d: int, m: int, norm: NormSpec, seed: int,
 
 def gen_four_block(s0: int, s: int, t0: int, t: int, n: int, delta: int, seed: int,
                    scale: int | None = None, zero_a0: bool = False,
-                   require_full_rank: bool = True, ub_cap: int = 3,
-                   max_retries: int = 60):
+                   require_full_rank: bool = True, max_retries: int = 60):
     """A random 4-block instance plus a planted rational kernel point.
 
     The kernel point is a vertex of {H z = 0, z >= 0, sum z = scale} for a
@@ -85,11 +88,11 @@ def gen_four_block(s0: int, s: int, t0: int, t: int, n: int, delta: int, seed: i
         if require_full_rank and any(len(_integer_echelon(Ai)[0]) != s for Ai in A):
             continue
         # integer feasible point fixes b; finite bounds keep brute force finite
-        z0 = [rng.randint(0, ub_cap) for _ in range(dim)]
+        z0 = [rng.randint(0, UB_CAP) for _ in range(dim)]
         cx = tuple(rng.randint(-3, 3) for _ in range(t0))
         cy = tuple(rng.randint(-3, 3) for _ in range(n * t))
-        ux = (Fraction(ub_cap),) * t0
-        uy = (Fraction(ub_cap),) * (n * t)
+        ux = (Fraction(UB_CAP),) * t0
+        uy = (Fraction(UB_CAP),) * (n * t)
         # b = H z0 in integers; the instance holds b as Fraction
         form = IntegerForm(A0, B, A, C)
         H = form.H

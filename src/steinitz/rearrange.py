@@ -260,7 +260,8 @@ def _order_runs(runs, dim) -> list:
 
 def prefix_sums(vectors, order, dim: int, drift: Vec | None = None):
     """Yield, for k = 1..len(order), the sum of the first k ordered vectors
-    minus k*drift.  The one prefix-sum loop behind every certificate; on
+    minus k*drift: every prefix, for the ``plotdata`` traces (the
+    certificates and checks read the run ends of _max_prefix_runs).  On
     integer vectors (and drift) the sums stay int."""
     prefix = [0] * dim
     for k, idx in enumerate(order, start=1):

@@ -206,7 +206,8 @@ def test_feasible_bases_both_qualify():
 
 def _ref_feasible_bases(Ai, Bi, x_hat):
     """Reference: a determinant test, then a separate solve for the vertex
-    and one per column of Bi for the vertex map, per subset."""
+    and one per column of Bi for the vertex map -D^{-1} Bi, per subset; a
+    basis holds |det D| times the vertex map, which is integer."""
     rhs = Bi.mul_vec(x_hat)
     out = []
     for cols in combinations(range(Ai.cols), Ai.rows):
@@ -215,8 +216,10 @@ def _ref_feasible_bases(Ai, Bi, x_hat):
             continue
         if all(-x >= 0 for x in solve_linear(D, rhs)):
             sols = [solve_linear(D, Bi.col(c)) for c in range(Bi.cols)]
-            vmap = tuple(tuple(-sol[r] for sol in sols) for r in range(Ai.rows))
-            out.append(FeasibleBasis(cols, vmap, int(det(D))))
+            d = int(det(D))
+            rows = tuple(tuple(-abs(d) * sol[r] for sol in sols) for r in range(Ai.rows))
+            assert all(a.denominator == 1 for row in rows for a in row)
+            out.append(FeasibleBasis(cols, d, tuple(tuple(map(int, row)) for row in rows)))
     return out
 
 
@@ -714,7 +717,7 @@ def test_kernel_split_checks_survive_python_O():
 def test_gamma_hadamard_check_is_named():
     # delta understated: det [[2, 0], [0, 2]] = 4 > 1^4 * 2^2 is caught
     inst = gen_four_block(1, 2, 1, 2, 1, 1, 3, zero_a0=True, scale=24)[0]
-    big = blockip.FeasibleBasis((0, 1), ((F(0),), (F(0),)), 5)
+    big = blockip.FeasibleBasis((0, 1), 5, ((0,), (0,)))
     with pytest.raises(PropertyViolation, match="hadamard-bound"):
         blockip._gamma(inst, [[big]])
 

@@ -29,7 +29,7 @@ import pytest
 
 from steinitz import blockip, rearrange
 from steinitz.blockip import (DecompositionBundle, KernelPoint, PropertyViolation, ReduceOutcome,
-                              _leaves_tube, _require_pipeline_ready, compute_constants,
+                              _leaves_tube_runs, _require_pipeline_ready, compute_constants,
                               decompose_x, kernel_bound, minimal_kernel_below)
 from steinitz.cli import main
 from steinitz.colorful import ColoredFamily
@@ -166,7 +166,7 @@ def _reference_convex_combo(vertices, target, support_cap, prop):
 def _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x):
     """Split v into per-ray parts and extract integer pieces per part.
 
-    Returns (v0_per_ell, vseq_per_ell, alphas, av0_integral) where
+    Returns (v0_per_ell, vseq_per_ell, alphas) where
     vseq_per_ell[ell][j] are stacked integer vectors ordered so that the
     C-image prefixes stay inside the certified tube."""
     s, t, t0, n = inst.s, inst.t, inst.t0, inst.n
@@ -177,7 +177,7 @@ def _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x):
     if ell_count == 0:
         if any(x != 0 for x in v_hat):
             raise PropertyViolation("maximality-zero-v", "x = 0 but v != 0")
-        return (), (), (), ()
+        return (), (), ()
 
     x_hat = tuple(
         sum((lam * h[c] for lam, h in zip(lambdas, hs)), ZERO) for c in range(t0))
@@ -209,7 +209,6 @@ def _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x):
 
     v0_per_ell = []
     vseq_per_ell = []
-    av0_flags = []
     for ell, (lam, h) in enumerate(zip(lambdas, hs)):
         a_ell = alphas[ell]
         seq_blocks = [[] for _ in range(n)]
@@ -249,8 +248,6 @@ def _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x):
         # stack per-block remainders / pieces into R^{nt}
         v0 = tuple(x for blk in rem_blocks for x in blk)
         v0_per_ell.append(v0)
-        av0_flags.append(all(
-            is_integer_vec(inst.A[i].mul_vec(rem_blocks[i])) for i in range(n)))
 
         if a_ell > 0:
             # order the pieces jointly across blocks
@@ -301,7 +298,7 @@ def _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x):
     if omega2 > 0:
         if sum(alphas) < Fraction(linf_norm(x_hat)) / omega2 - t0 * (t - s + 2):
             raise PropertyViolation("v-layer-count", "too few extracted layers")
-    return tuple(v0_per_ell), tuple(vseq_per_ell), tuple(alphas), tuple(av0_flags)
+    return tuple(v0_per_ell), tuple(vseq_per_ell), tuple(alphas)
 
 
 def _reference_decompose_bundle(inst, pt):
@@ -317,7 +314,7 @@ def _reference_decompose_bundle(inst, pt):
     bases_x = [_reference_feasible_bases(inst.A[i], inst.B[i], pt.x) for i in range(inst.n)]
     rays_all, omega2, gamma = _reference_cone_rays_K(inst, pt.x, bases_x)
     lambdas, hs = decompose_x(pt.x, rays_all)
-    v0s, vseqs, alphas, av0 = _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x)
+    v0s, vseqs, alphas = _reference_decompose_v(inst, lambdas, hs, v_hat, omega2, bases_x)
 
     # exact reassembly checks
     if vadd(u_hat, v_hat) != tuple(pt.y):
@@ -362,7 +359,7 @@ def _reference_decompose_bundle(inst, pt):
 
     bundle = DecompositionBundle(
         tuple(pt.x), tuple(pt.y), u_hat, v_hat, u0, u_seq, lambdas, hs, alphas,
-        v0s, vseqs, tuple(p_vecs), q, r_vec, gamma, omega2, av0)
+        v0s, vseqs, tuple(p_vecs), q, r_vec, gamma, omega2)
     return bundle, compute_constants(inst, bundle)
 
 
@@ -476,7 +473,6 @@ def _reference_reduce(inst, pt):
         "dim_v": consts.dim_v,
         "distinct_offsets": len(seen),
         "collision": collision,
-        "av0_integral": bundle.av0_integral,
     }
     if collision is None:
         return ReduceOutcome(None, bundle, consts, diagnostics)
@@ -630,6 +626,18 @@ def test_several_rays_match_reference():
             if isinstance(ref, ReduceOutcome):
                 several += sum(a > 0 for a in ref.bundle.alphas) >= 2
     assert several >= 3
+
+
+def test_decompose_v_returns_the_bundles_v_parts():
+    """decompose_v gives (v0 per ray, spelled pieces per ray, alphas), the
+    bundle's v0, v_seq and alphas."""
+    for k, shape in enumerate(PIPELINE_SHAPES):
+        inst, pt = _gen(shape, 1, 7400 + k, 24)
+        bases = _require_pipeline_ready(inst)
+        bundle, _ = blockip.decompose_bundle(inst, pt)
+        got = blockip.decompose_v(inst, bundle.lambdas, bundle.rays, bundle.v_hat, bundle.omega2,
+                                  bases)
+        assert got == (bundle.v0, bundle.v_seq, bundle.alphas)
 
 
 def _calls(fn, *args):
@@ -881,6 +889,10 @@ def _fraction_leaves_tube(images, cap):
         if linf_norm(tuple(p - Fraction(k, m) * q for p, q in zip(prefix, total))) > cap:
             return True
     return False
+
+
+def _leaves_tube(images, cap):
+    return _leaves_tube_runs([(im, 1) for im in images], cap)
 
 
 def test_leaves_tube_boundary_matches_fraction_check():

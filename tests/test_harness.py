@@ -192,11 +192,16 @@ def test_cli_verify_single_suite(tmp_path):
     assert len(lines) == 2 and all(l.startswith("ok graver") for l in lines)
 
 
-@pytest.mark.parametrize("extra", [["--count", "0"], ["--count", "-3"], ["--workers", "0"]],
-                         ids=["count0", "count-3", "workers0"])
-def test_cli_verify_rejects_empty_run(capsys, extra):
+# --workers parses for older invocations, but verify runs in one process:
+# 1 is the only accepted value
+@pytest.mark.parametrize("extra,message", [
+    (["--count", "0"], "must be at least 1"), (["--count", "-3"], "must be at least 1"),
+    (["--workers", "0"], "verify runs in one process: --workers must be 1, got 0"),
+    (["--workers", "2"], "verify runs in one process: --workers must be 1, got 2")],
+    ids=["count0", "count-3", "workers0", "workers2"])
+def test_cli_verify_rejects_empty_run(capsys, extra, message):
     err = _error_exit(["verify", "--suite", "steinitz", *extra], capsys)
-    assert "must be at least 1" in err
+    assert message in err
 
 
 # sha256 of the `steinitz verify --suite all --seed 1` report, which must not
@@ -204,11 +209,11 @@ def test_cli_verify_rejects_empty_run(capsys, extra):
 # lines are listed and justified (the multiplicity-aware chain changed the
 # colorful[7] achieved and the colorful-balanced[1] rowbound values)
 VERIFY_ALL_SEED_1_SHA256 = "110c428797cd64825f6e896bafa84fc900152b4c95a7653d0766e2e3f01a9845"
+# the same for `--seed 10001`, the benchmark's second verify seed
+VERIFY_ALL_SEED_10001_SHA256 = "116ccf5f24cbe7c60f9a0ab736428494c615dd243e21737a3e50b2d3b9ae17bd"
 
 
-@pytest.mark.parametrize("python_flags,verify_flags", [([], []), (["-O"], ["--workers", "2"])],
-                         ids=["serial", "O-workers2"])
-def test_verify_all_seed_1_golden(python_flags, verify_flags):
+def _verify_all_sha256(python_flags, seed):
     import hashlib
     import os
     import subprocess
@@ -218,9 +223,18 @@ def test_verify_all_seed_1_golden(python_flags, verify_flags):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     argv = [sys.executable, *python_flags, "-m", "steinitz.cli", "verify", "--suite", "all",
-            "--seed", "1", *verify_flags]
+            "--seed", str(seed)]
     out = subprocess.run(argv, env=env, capture_output=True, timeout=300, check=True).stdout
-    assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_SEED_1_SHA256
+    return hashlib.sha256(out).hexdigest()
+
+
+@pytest.mark.parametrize("python_flags", [[], ["-O"]], ids=["serial", "O"])
+def test_verify_all_seed_1_golden(python_flags):
+    assert _verify_all_sha256(python_flags, 1) == VERIFY_ALL_SEED_1_SHA256
+
+
+def test_verify_all_seed_10001_golden():
+    assert _verify_all_sha256([], 10001) == VERIFY_ALL_SEED_10001_SHA256
 
 
 def test_cli_plotdata(tmp_path):
@@ -307,14 +321,6 @@ def test_cli_output_determinism(tmp_path):
         _run(["gen", "fourblock", "--s0", "1", "--s", "1", "--t0", "1", "--t", "2",
               "--n", "2", "--delta", "1", "--seed", "77", "--output", str(target)])
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_verify_workers_match_sequential():
-    from steinitz.verify import run_suites
-    seq_lines, ok1 = run_suites(["steinitz", "graver"], seed=5, count=2, workers=1)
-    par_lines, ok2 = run_suites(["steinitz", "graver"], seed=5, count=2, workers=2)
-    assert ok1 and ok2
-    assert seq_lines == par_lines
 
 
 @pytest.mark.parametrize("failure", ["generation", "infeasible"])

@@ -20,12 +20,11 @@ import steinitz
 from echelon_reference import _echelon
 from steinitz import blockip, linalg
 from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, _feasible,
-                              _require_pipeline_ready, _sign_normalized, basis_vertex,
-                              block_bases, decompose_bundle, flip_for_kernel_work, lift_point,
+                              _require_pipeline_ready, _sign_normalized, _vertex_at, block_bases, decompose_bundle, flip_for_kernel_work, lift_point,
                               lift_three_block, proximity_report, reduce_kernel_point,
                               reduce_kernel_point_signed, solve_four_block)
 from steinitz.generate import GenerationError, gen_four_block
-from steinitz.linalg import ONE, ZERO, Matrix, null_space
+from steinitz.linalg import ONE, ZERO, Matrix, null_space, scale_to_integers
 from steinitz.lp import BoxLP, extreme_rays
 from steinitz.verify import PIPELINE_SHAPES
 
@@ -75,25 +74,25 @@ def _verdict(inst, pt):
 
 
 def _reference_block_bases(Ai, Bi):
-    """One Fraction elimination of [D | Bi] per s-subset."""
+    """One Fraction elimination of [D | Bi] per s-subset: the triples
+    (cols, det D, vertex map -D^{-1} Bi over Fraction)."""
     s = Ai.rows
     out = []
     for cols in combinations(range(Ai.cols), s):
         rows = [[Ai.at(r, c) for c in cols] + list(Bi.row(r)) for r in range(s)]
         pivots, det_d = _echelon(rows)
         if pivots == list(range(s)):
-            out.append(FeasibleBasis(cols, tuple(tuple(-x for x in row[s:]) for row in rows),
-                                     int(det_d)))
+            out.append((cols, int(det_d), tuple(tuple(-x for x in row[s:]) for row in rows)))
     return out
 
 
-def _reference_image(fb, x):
-    return tuple(sum((a * v for a, v in zip(row, x)), ZERO) for row in fb.vmap)
+def _reference_image(vmap, x):
+    return tuple(sum((a * v for a, v in zip(row, x)), ZERO) for row in vmap)
 
 
-def _reference_vertex(fb, x, t):
+def _reference_vertex(cols, vmap, x, t):
     y = [ZERO] * t
-    for c, v in zip(fb.cols, _reference_image(fb, x)):
+    for c, v in zip(cols, _reference_image(vmap, x)):
         y[c] = v
     return tuple(y)
 
@@ -198,10 +197,10 @@ def test_block_bases_match_echelon_reference():
         for i in range(inst.n):
             got = block_bases(inst.A[i], inst.B[i])
             ref = _reference_block_bases(inst.A[i], inst.B[i])
-            assert got == ref       # cols, vmap and det
-            # the integer rows are |det D| vmap, in int
-            for fb in got:
-                assert fb.rows == tuple(tuple(abs(fb.det) * v for v in row) for row in fb.vmap)
+            assert [(fb.cols, fb.det) for fb in got] == [(cols, d) for cols, d, _ in ref]
+            # the integer rows are |det D| times the vertex map, in int
+            for fb, (_, d, vmap) in zip(got, ref):
+                assert fb.rows == tuple(tuple(abs(d) * v for v in row) for row in vmap)
                 assert all(type(a) is int for row in fb.rows for a in row)
             singular += len(ref) < len(list(combinations(range(inst.t), inst.s)))
     assert singular >= 20
@@ -214,24 +213,24 @@ def test_feasibility_and_vertices_match_reference():
         points = [pt.x, tuple(F(rng.randint(-4, 9), rng.randint(1, 5)) for _ in pt.x)]
         for i in range(inst.n):
             table = block_bases(inst.A[i], inst.B[i])
+            ref = _reference_block_bases(inst.A[i], inst.B[i])
             for x in points:
                 got = _feasible(table, x)
-                assert got == [fb for fb in table
-                               if all(v >= 0 for v in _reference_image(fb, x))]
+                assert got == [fb for fb, (_, _, vmap) in zip(table, ref)
+                               if all(v >= 0 for v in _reference_image(vmap, x))]
                 feasible += len(got)
-                for fb in table:
-                    assert fb.image(x) == _reference_image(fb, x)
-                    vertex = basis_vertex(fb, x, inst.t)
-                    assert vertex == _reference_vertex(fb, x, inst.t)
-                    assert all(type(v) is F for v in vertex)
+                L, (X,) = scale_to_integers([x])
+                for fb, (cols, _, vmap) in zip(table, ref):
+                    vertex = tuple(F(a, L * abs(fb.det)) for a in _vertex_at(fb, X, inst.t))
+                    assert vertex == _reference_vertex(cols, vmap, x, inst.t)
     assert feasible >= 100
 
 
 def test_feasible_basis_keeps_positional_construction():
-    fb = FeasibleBasis((0, 1), ((F(1, 2),), (F(-3, 4),)), -4)
-    assert fb.rows == ((2,), (-3,))
-    assert fb == FeasibleBasis((0, 1), ((F(1, 2),), (F(-3, 4),)), -4, ((2,), (-3,)))
-    assert fb != FeasibleBasis((0, 1), ((F(1, 2),), (F(3, 4),)), -4)
+    fb = FeasibleBasis((0, 1), -4, ((2,), (-3,)))
+    assert (fb.cols, fb.det, fb.rows) == ((0, 1), -4, ((2,), (-3,)))
+    assert fb == FeasibleBasis((0, 1), -4, ((2,), (-3,)))
+    assert fb != FeasibleBasis((0, 1), -4, ((2,), (3,)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +267,7 @@ def test_decomposition_makes_no_fraction_products_or_rank_eliminations(monkeypat
             assert counts == dict.fromkeys(counts, 0), (shape, counts)
             tables = [block_bases(inst.A[i], inst.B[i]) for i in range(inst.n)]
             rows = [list(Matrix.identity(inst.t0).row(r)) for r in range(inst.t0)]
-            rows.extend(row for table in tables for fb in table for row in fb.vmap)
+            rows.extend(row for table in tables for fb in table for row in fb.rows)
             extreme_rays(Matrix.from_rows(rows))
             assert counts == dict.fromkeys(counts, 0), (shape, counts)
             decomposed += 1

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 import runs_reference as ref
-from steinitz.blockip import PropertyViolation, _leaves_tube, _leaves_tube_runs, _peel_vertices
+from steinitz.blockip import PropertyViolation, _leaves_tube_runs, _peel_vertices
 from steinitz.norms import BlockMax, L1_NORM, LINF_NORM
 from steinitz.rearrange import (VectorSequence, _expand, _max_prefix_runs, _order_dim1,
                                 _order_dim1_runs, _order_runs, _run_encode, max_prefix_norm,
@@ -227,7 +227,6 @@ def test_leaves_tube_runs_match_the_per_element_loop():
             want = ref._leaves_tube(images, cap)
             assert _leaves_tube_runs(runs, cap) == want
             assert _leaves_tube_runs(_cut(runs, rng), cap) == want
-            assert _leaves_tube(images, cap) == want
             left += want
             held += not want
     assert left and held

@@ -2,6 +2,7 @@
 and reduce suites against the Fraction H, and the named checks that stop a
 suite on a bad draw."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -130,10 +131,67 @@ def test_verify_bad_draw_checks_survive_python_O():
     assert out.splitlines() == EXPECTED_FAULT_LINES
 
 
+def _singlesum_calls(monkeypatch, attr, calls, alter=None):
+    """Record the k of every call of verify.<attr> as (m, k), passing the
+    result through alter(m, k, result) when given."""
+    real = getattr(verify, attr)
+
+    def recorded(fam, k, *args):
+        calls.append((fam.length, k))
+        out = real(fam, k, *args)
+        return out if alter is None else alter(fam.length, k, out)
+    monkeypatch.setattr(verify, attr, recorded)
+
+
+@pytest.mark.parametrize("seed", [1, 10_001])
+def test_singlesum_oracle_runs_once_per_pair(monkeypatch, seed):
+    """floor(m/2) + 1 oracle calls per family, at k = 0..floor(m/2): the
+    optimum at m - k is the one at k."""
+    calls, picks = [], []
+    _singlesum_calls(monkeypatch, "brute_single_sum", calls)
+    _singlesum_calls(monkeypatch, "single_partial_sum", picks)
+    for idx in range(verify.DEFAULT_COUNTS["singlesum"]):
+        calls.clear()
+        picks.clear()
+        assert verify.suite_singlesum(seed, idx).startswith(f"ok singlesum[{idx}] ")
+        m = picks[0][0]
+        assert [k for _, k in picks] == list(range(m + 1))
+        assert [k for _, k in calls] == list(range(m // 2 + 1))
+
+
+def test_singlesum_oracle_checks_the_upper_half(monkeypatch):
+    """A selection below the optimum at some k > m - k, where the oracle is
+    not called, still fails the singlesum-oracle check."""
+    picks = []
+
+    def below_optimum(m, k, sel):
+        return dataclasses.replace(sel, achieved=sel.achieved - 1) if k > m - k else sel
+    _singlesum_calls(monkeypatch, "single_partial_sum", picks, below_optimum)
+    line = verify._run_task(("singlesum", 1, 0))
+    assert line == "FAIL singlesum[0] singlesum-oracle: property singlesum-oracle violated"
+    m, k = picks[-1]
+    assert k > m - k
+
+
 def test_no_bare_assertion_error_in_src():
     """Every check in the library is a named PropertyViolation (or a typed
     error), never a bare AssertionError."""
     offenders = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
                  for n, line in enumerate(path.read_text().splitlines(), start=1)
                  if re.search(r"raise\s+AssertionError\b", line)]
+    assert offenders == []
+
+
+# names of removed code: the Fraction vertex map of a block basis and its
+# wrappers, the unread A v0 integrality diagnostic, the second integer sum
+# beside rearrange._run_sum, and the process pool of run_suites
+REMOVED_NAMES = ("vmap", "av0_integral", "_integral_image", "basis_vertex", "_int_sum",
+                 "ProcessPoolExecutor")
+
+
+def test_removed_names_stay_out_of_src():
+    pattern = re.compile(r"\b(" + "|".join(map(re.escape, REMOVED_NAMES)) + r")\b")
+    offenders = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), start=1)
+                 if pattern.search(line)]
     assert offenders == []
