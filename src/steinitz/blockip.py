@@ -709,11 +709,11 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
     Every piece is one of the few vertices of a block polytope, so the
     extraction works on vertex indices and counts with integer weights
     (_peel_vertices), which picks them in runs of one vertex.  The integer
-    form and the scaled C-image of a vertex are computed once, the colorful
-    order takes each block's picks as runs and gives the stacked pieces as
-    runs, equal stacked pieces share one tuple whose kernel pairing is
-    checked once, and the tube is checked over integer C-images at the ends
-    of the runs."""
+    form and the integer C-image of a vertex are computed once, the colorful
+    order takes each block's picks as runs of C-images over CXv (checked
+    against CXv) and gives the stacked pieces as runs, equal stacked pieces
+    share one tuple whose kernel pairing is checked once, and the tube is
+    checked over integer C-images at the ends of the runs."""
     s, t, t0, n = inst.s, inst.t, inst.t0, inst.n
     ell_count = len(lambdas)
     Xv = Fraction(inst.delta ** (s + 1) * s ** s * t0) * omega2
@@ -800,12 +800,13 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
         seq = []
         if a_ell > 0:
             # order the pieces jointly across blocks, the colors as runs of
-            # one vertex; each vertex's scaled C-image is one tuple
-            scaled = [[tuple(sum(map(mul, row, v)) / CXv for row in form.C[i])
-                       for v in int_verts[i]] for i in range(n)]
-            route, _, _ = _affine_runs(inst.s0, a_ell, LINF_NORM,
-                                       [[(scaled[i][k], c) for k, c in picks[i]]
-                                        for i in range(n)])
+            # one vertex; each picked vertex's C-image is one int tuple
+            images = [{k: tuple(sum(map(mul, row, int_verts[i][k])) for row in form.C[i])
+                       for k, _ in pick} for i, pick in enumerate(picks)]
+            if any(linf_norm(im) > CXv for block in images for im in block.values()):
+                raise PropertyViolation("v-image-norm", "a vertex C-image exceeds CXv")
+            route, _ = _affine_runs(inst.s0, a_ell, LINF_NORM, [
+                [(images[i][k], c) for k, c in pick] for i, pick in enumerate(picks)], CXv)
             starts = [list(accumulate((c for _, c in pick), initial=0)) for pick in picks]
             row_at = list(accumulate((c for _, c in route.rows), initial=0))
             stacked = {}    # vertex index per block -> the stacked piece
@@ -1072,7 +1073,6 @@ def reduce_kernel_point(inst: FourBlockInstance, pt: KernelPoint) -> ReduceOutco
     diagnostics = {
         "psi": psi,
         "dim_v": consts.dim_v,
-        "distinct_offsets": len(seen),
         "collision": collision,
     }
     if collision is None:

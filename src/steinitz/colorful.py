@@ -12,12 +12,14 @@ Main entry points:
 * ``single_partial_sum`` picks one size-k subset per sequence whose joint
   sum has norm at most d, via the integer vertex walk and sorted rounding.
 
-Both certificates run on one integer core that takes each color as runs
-(vector, count) of equal vectors: the trivial route's row sums are formed
-once per merged run (a stretch where no color changes its vector), ordered
-as chunks of runs and their prefix maximum read at the chunk ends, so the
-work grows with the runs, not the vectors.  The public functions
-run-encode the family; the v-decomposition hands the core its runs.
+Every entry reads the family's integer form, scaled once and cached
+(``ColoredFamily.integer_form``).  Both certificates run on one integer core
+that takes each color as runs (vector, count) of equal vectors and their
+scale: the trivial route's row sums are formed once per merged run (a
+stretch where no color changes its vector), ordered as chunks of runs and
+their prefix maximum read at the chunk ends, so the work grows with the
+runs, not the vectors.  The public functions run-encode the shared tuples
+of the integer form; the v-decomposition hands the core its C-images.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -68,6 +71,20 @@ class ColoredFamily:
                 for i, x in enumerate(v):
                     out[i] += x
         return tuple(out)
+
+    @cached_property
+    def integer_form(self) -> tuple:
+        """(L, V): L is the lcm of the entry denominators and V[j][i] is the
+        int tuple L*vectors[j][i].  Each vector object is scaled once, and
+        equal vectors then share one tuple, found by hashing integers only.
+        The unit-ball check runs on those tuples (every norm at most L)
+        before any algorithm reads them."""
+        objects = {id(v): v for color in self.vectors for v in color}
+        scale, ints = scale_to_integers(objects.values())
+        distinct = {}
+        of_id = {key: distinct.setdefault(w, w) for key, w in zip(objects, ints)}
+        _require_unit_ball(max((norm_eval(self.norm, w) for w in distinct), default=ZERO), scale)
+        return scale, tuple(tuple(of_id[id(v)] for v in color) for color in self.vectors)
 
     def max_norm(self) -> Fraction:
         # each vector object once: a family's repeated vectors are mostly one shared tuple
@@ -131,30 +148,6 @@ def _row_sums(vectors, dim, orders, rows) -> list:
     rows = list(rows)
     picked = [[color[order[i]] for i in rows] for color, order in zip(vectors, orders)]
     return [tuple(map(sum, zip(*row))) for row in zip(*picked)]
-
-
-def _scaled_runs(colors, norm: NormSpec):
-    """(L, runs, distinct) of colors given as runs (vector, count): L is the
-    lcm of the entry denominators, runs holds the runs with each vector v
-    replaced by the integer tuple L*v, and distinct holds those tuples.  Each
-    vector object is scaled once, and equal vectors then share one tuple,
-    found by hashing integers only.  The unit-ball check runs on distinct
-    (every norm at most L)."""
-    objects = {id(v): v for color in colors for v, _ in color}
-    scale, ints = scale_to_integers(objects.values())
-    distinct = {}
-    of_id = {key: distinct.setdefault(w, w) for key, w in zip(objects, ints)}
-    _require_unit_ball(max((norm_eval(norm, v) for v in distinct), default=ZERO), scale)
-    return scale, [[(of_id[id(v)], count) for v, count in color] for color in colors], distinct
-
-
-def _scaled(fam: ColoredFamily):
-    """_scaled_runs of fam's colors, one run per vector, spelled out: (L, V,
-    distinct) with V holding fam's vectors as the tuples L*v, color by
-    color."""
-    scale, colors, distinct = _scaled_runs([[(v, 1) for v in color] for color in fam.vectors],
-                                           fam.norm)
-    return scale, tuple(tuple(w for w, _ in color) for color in colors), distinct
 
 
 def _merged_rows(colors, dim: int, m: int) -> list:
@@ -251,15 +244,15 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
     and recheck.  The pair (max row norm, number of rows attaining it)
     strictly decreases lexicographically, which gives termination.
 
-    Runs in integers, on the vectors V = L*v of _scaled: the row sums and
-    their norms, the threshold test mx <= (d+1)^2 (4d(d+1)+2) L, the
+    Runs in integers, on fam.integer_form's vectors V = L*v: the row sums
+    and their norms, the threshold test mx <= (d+1)^2 (4d(d+1)+2) L, the
     stacked deviations n*V - row (the deviations over nL, checked against
     2nL) and the chain bound, multiplied by (d+1) L.  The Caratheodory
     anchor and the chain take the integer rows and deviations, and neither
     answer changes under scaling.  row_bound and the history's norms are
     divided by L, as Fraction.
     """
-    scale, vectors, _ = _scaled(fam)
+    scale, vectors = fam.integer_form
     _require_zero_sum_union(tuple(map(sum, zip(*(v for color in vectors for v in color)))))
     d, n, m = fam.dim, fam.colors, fam.length
     limit = (d + 1) ** 2 * (4 * d * (d + 1) + 2) * scale
@@ -359,8 +352,9 @@ def _certify(dim: int, m: int, norm: NormSpec, colors, scale: int, fractions) ->
     bound scales by scale, signs and the rearrangement LPs do not change.
     The trivial route's rows are formed once per merged run, ordered as
     chunks and their prefix maximum read at the chunk ends.  fractions()
-    builds the rational family for balance_rows; only the balanced route,
-    taken when n > 40 d^4, calls it, once, and its rows are one run each.
+    gives the family for balance_rows, which reads its cached integer_form;
+    only the balanced route, taken when n > 40 d^4, calls it, once, and its
+    rows are one run each.
     The route carries the balance's row bound and history whichever route
     wins, so a caller reads them from the certificate.
     """
@@ -395,14 +389,15 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
     """Permutations of each color with every joint prefix bounded by
     min{n*d, 40*d^5}.
 
-    Runs in integers: each distinct vector is scaled once by the lcm L of
-    the denominators, and the checks, the row sums, their order and the
-    prefix maxima run on the integer vectors, each color as runs of equal
-    vectors; achieved_max is divided by L at the end.  Only the balanced
-    route's balance_rows sees fam itself, once; its row bound and history
-    are the certificate's phase1_row_bound and phase1_history.
+    Runs in integers, on fam.integer_form: the checks, the row sums, their
+    order and the prefix maxima run on the vectors L*v, each color as runs
+    of one shared tuple; achieved_max is divided by L at the end.  Only the
+    balanced route's balance_rows sees fam itself, once, and reads the same
+    cached form; its row bound and history are the certificate's
+    phase1_row_bound and phase1_history.
     """
-    scale, colors, _ = _scaled_runs([_run_encode(color) for color in fam.vectors], fam.norm)
+    scale, vectors = fam.integer_form
+    colors = [_run_encode(color) for color in vectors]
     route = _certify(fam.dim, fam.length, fam.norm, colors, scale, lambda: fam)
     return ColorfulCertificate(route.permutations(fam.colors), _bound(fam.colors, fam.dim),
                                Fraction(route.achieved, scale), route.name, route.row_bound,
@@ -417,10 +412,12 @@ def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
     (v - mean)/2 with certified_bound and achieved_max doubled: the bound is
     2 * min{n*d, 40*d^5}, and tight_bound_met says whether the un-doubled
     bound held anyway.  A family without vectors raises ValueError.  The
-    work is _affine_runs on the colors as runs of equal vectors.
+    work is _affine_runs on fam.integer_form, the colors as runs of one
+    shared tuple.
     """
-    route, scale, total = _affine_runs(fam.dim, fam.length, fam.norm,
-                                       [_run_encode(color) for color in fam.vectors])
+    scale, vectors = fam.integer_form
+    route, total = _affine_runs(fam.dim, fam.length, fam.norm,
+                                [_run_encode(color) for color in vectors], scale)
     n, m, bound = fam.colors, fam.length, _bound(fam.colors, fam.dim)
     achieved = 2 * Fraction(route.achieved, 2 * n * m * scale)
     return ColorfulCertificate(
@@ -428,10 +425,11 @@ def colorful_affine(fam: ColoredFamily) -> ColorfulCertificate:
         drift=tuple(Fraction(t, m * scale) for t in total), tight_bound_met=achieved <= bound)
 
 
-def _affine_runs(dim: int, m: int, norm: NormSpec, colors):
-    """(route, L, T) of colorful_affine for the family of the colors given as
-    runs (vector, count) over m rows: the route certifies the recentred
-    vectors, T is the sum of the vectors V = L*v.
+def _affine_runs(dim: int, m: int, norm: NormSpec, colors, scale):
+    """(route, T) of colorful_affine for the colors given as runs (V, count)
+    over m rows of the integer vectors V = L*v, L = scale (a Fraction too),
+    whose unit ball the caller has checked: the route certifies the
+    recentred vectors, T is the sum of the V.
 
     Runs in integers: the recentred vector is n*m*V - T over 2nmL, formed
     once per distinct vector and certified by the same integer core.  Its
@@ -443,9 +441,9 @@ def _affine_runs(dim: int, m: int, norm: NormSpec, colors):
     nm = n * m
     if nm == 0:
         raise ValueError("the affine variant needs a family with at least one vector")
-    scale, colors, distinct = _scaled_runs(colors, norm)
     total = _run_sum(chain.from_iterable(colors), dim)
-    centred = {v: tuple(nm * x - t for x, t in zip(v, total)) for v in distinct}
+    centred = {v: tuple(nm * x - t for x, t in zip(v, total))
+               for v in dict.fromkeys(v for color in colors for v, _ in color)}
     inner = [[(centred[v], count) for v, count in color] for color in colors]
     denom = 2 * nm * scale
 
@@ -455,7 +453,7 @@ def _affine_runs(dim: int, m: int, norm: NormSpec, colors):
                                                     for _ in range(count)) for color in inner),
                              norm)
 
-    return _certify(dim, m, norm, inner, denom, fractions), scale, total
+    return _certify(dim, m, norm, inner, denom, fractions), total
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +489,12 @@ def single_partial_sum(fam: ColoredFamily, k: int) -> SubsetSelection:
     2d fractional entries), then rounds each color's fractional part with
     round_to_binary.
 
-    Runs in integers: with V = L*v as in colorful_rearrange, the column of
-    alpha[j][i] is (e_j, V[j][i]), and the walk starts at k/m, which is
-    X = k everywhere over D = m.  achieved is the norm of the integer sum
-    of the selected V, divided by L.
+    Runs in integers, on fam.integer_form's V = L*v, scaled once per family
+    whatever k: the column of alpha[j][i] is (e_j, V[j][i]), and the walk
+    starts at k/m, which is X = k everywhere over D = m.  achieved is the
+    norm of the integer sum of the selected V, divided by L.
     """
-    scale, vectors, _ = _scaled(fam)
+    scale, vectors = fam.integer_form
     d, n, m = fam.dim, fam.colors, fam.length
     _require_zero_sum_union(tuple(map(sum, zip(*(v for color in vectors for v in color)))))
     if not 0 <= k <= m:

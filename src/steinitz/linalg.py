@@ -38,10 +38,6 @@ def rat(x) -> Fraction:
     return Fraction(x)
 
 
-def vzero(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def vadd(a: Vec, b: Vec) -> Vec:
     if len(a) != len(b):
         raise ValueError("dimension mismatch in vector addition")

@@ -137,10 +137,6 @@ class LPResult:
     x: Vec | None = None
     value: Fraction | None = None
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "optimal"
-
 
 # ---------------------------------------------------------------------------
 # vertex purification

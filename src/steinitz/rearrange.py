@@ -113,12 +113,6 @@ def _run_sum(runs, dim: int) -> tuple:
     return tuple(total)
 
 
-def _order_dim1(values) -> tuple:
-    """Greedy order for scalars: always oppose the sign of the prefix."""
-    runs = _run_encode(values)
-    return _expand(runs, _order_dim1_runs(runs))
-
-
 def _order_dim1_runs(runs) -> list:
     """The greedy order of the scalars that the runs (value, count) spell, as
     chunks (r, lo, hi).  A nonzero prefix takes the head run of opposite sign,

@@ -11,12 +11,12 @@ import pytest
 import steinitz.cli as cli
 import steinitz.colorful as colorful
 from steinitz.checks import PropertyViolation
-from steinitz.colorful import (ColoredFamily, _row_sums, _scaled, balance_rows,
+from steinitz.colorful import (ColoredFamily, _row_sums, balance_rows,
                                colorful_affine, colorful_rearrange, conic_caratheodory_anchor,
                                round_to_binary, row_sums, single_partial_sum)
 from steinitz.norms import L1_NORM, LINF_NORM, BlockMax, norm_eval, norm_from_name
-from steinitz.rearrange import (VectorSequence, ZeroSumRequired, _order_dim1, max_prefix_norm,
-                                prefix_sums)
+from steinitz.rearrange import (VectorSequence, ZeroSumRequired, _run_encode, max_prefix_norm,
+                                prefix_sums, rearrangement_order)
 from steinitz.generate import (gen_adversarial_scalar_family, gen_unit_family,
                                gen_zero_sum_family)
 from steinitz.oracles import brute_single_sum
@@ -251,7 +251,7 @@ def test_colorful_prefix_max_matches_reference(d, n, m, norm, seed):
     """The certificates take a joint prefix maximum as max_prefix_norm over
     the row sums; on the integer family L*v it is L times the Fraction one."""
     fam = gen_unit_family(d, n, m, norm_from_name(norm), seed)
-    scale, vectors, _ = _scaled(fam)
+    scale, vectors = fam.integer_form
     ints = ColoredFamily(d, n, m, vectors, fam.norm)
     rng = random.Random(seed)
     drifts = [None, tuple(x / m for x in fam.total()),
@@ -423,7 +423,8 @@ def test_colorful_affine_runs_one_prefix_pass_per_route(monkeypatch):
 
 def test_scaled_shares_one_tuple_per_distinct_vector():
     fam = _pooled_family(2, 4, 6, "l1", 3, COPRIME, 3)
-    scale, vectors, _ = _scaled(fam)
+    scale, vectors = fam.integer_form
+    assert fam.integer_form is fam.integer_form
     flat = [v for color in fam.vectors for v in color]
     ints = [w for color in vectors for w in color]
     assert len({id(w) for w in ints}) == len(set(flat))
@@ -431,6 +432,51 @@ def test_scaled_shares_one_tuple_per_distinct_vector():
     assert all(tuple(F(x, scale) for x in w) == v for v, w in zip(flat, ints))
     denominators = {F(x).denominator for v in flat for x in v}
     assert all(scale % q == 0 for q in denominators) and scale > max(COPRIME)
+
+
+def test_one_scaling_per_family(monkeypatch):
+    """A family is scaled to integers once, into its cached integer_form,
+    however many entries read it: single_partial_sum over every k, and
+    colorful_rearrange together with the balance it runs."""
+    calls = []
+    real = colorful.scale_to_integers
+
+    def counted(vectors):
+        calls.append(1)
+        return real(vectors)
+
+    monkeypatch.setattr(colorful, "scale_to_integers", counted)
+    fam = gen_zero_sum_family(2, 3, 5, LINF_NORM, 4)
+    for k in range(fam.length + 1):
+        single_partial_sum(fam, k)
+    assert len(calls) == 1
+    calls.clear()
+    fam = gen_adversarial_scalar_family(100, 4, 7)
+    assert colorful_rearrange(fam).phase1_history is not None    # the balance ran
+    assert len(calls) == 1
+
+
+def _separate_copies(fam):
+    """fam with every vector a new tuple: equal vectors are separate objects."""
+    return ColoredFamily(fam.dim, fam.colors, fam.length,
+                         tuple(tuple(tuple(list(v)) for v in color) for color in fam.vectors),
+                         fam.norm)
+
+
+def test_merged_runs_of_equal_vectors_match_the_reference():
+    """Equal vectors held as separate objects share one tuple of the integer
+    form, so the certificates' runs merge where such vectors are adjacent;
+    the certificates stay those of the Fraction reference."""
+    families = [gen_adversarial_scalar_family(n, m, seed)
+                for n, m, seed in ((48, 4, 3), (60, 3, 11), (64, 3, 5), (100, 4, 7))]
+    families.append(_pooled_family(2, 6, 20, "linf", 9, (4,), 2))   # two values, repeated
+    for fam in map(_separate_copies, families):
+        _, vectors = fam.integer_form
+        by_object = sum(len(_run_encode(color)) for color in fam.vectors)
+        assert sum(len(_run_encode(color)) for color in vectors) < by_object
+        _assert_same_certificate(colorful_rearrange(fam), colorful_reference.colorful_rearrange(fam))
+        for aff in (fam, _shifted(fam)):
+            _assert_same_certificate(colorful_affine(aff), colorful_reference.colorful_affine(aff))
 
 
 def test_unit_ball_error_comes_before_zero_sum_error():
@@ -471,9 +517,10 @@ def test_shared_loops_keep_the_input_type():
     assert list(prefix_sums(ints, (2, 0, 1), 2)) == [
         tuple(12 * x for x in p) for p in prefix_sums(frac, (2, 0, 1), 2)]
     values = [F(1, 3), F(-1, 2), F(0), F(1, 6), F(-1, 3), F(1, 3)]
-    assert _order_dim1([int(12 * x) for x in values]) == _order_dim1(values)
+    assert rearrangement_order([(int(12 * x),) for x in values], 1) == \
+        rearrangement_order([(x,) for x in values], 1)
     # empty input
-    assert _order_dim1([]) == ()
+    assert rearrangement_order([], 1) == ()
     assert list(prefix_sums((), (), 2)) == []
     empty = max_prefix_norm(VectorSequence((), 2, LINF_NORM), ())
     assert type(empty) is F and empty == 0

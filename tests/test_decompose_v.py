@@ -18,12 +18,16 @@ library's integer LPs, and ``_reference_decompose_u`` extracts one piece
 per enumeration, not by counts.
 """
 
+import copy
 import dataclasses
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +41,7 @@ from steinitz.fileio import read_fourblock, read_point, write_point
 from steinitz.generate import GenerationError, gen_four_block
 from steinitz.lp import BoxLP, extreme_rays, lp_solve
 from steinitz.linalg import (Matrix, ONE, ZERO, det, is_integer_vec, l1_norm, lcm_abs_dets,
-                             linf_norm, rank_of_vectors, solve_linear, vadd, vscale, vsub, vzero)
+                             linf_norm, rank_of_vectors, solve_linear, vadd, vscale, vsub)
 from steinitz.norms import LINF_NORM
 from steinitz.rearrange import rearrangement_order
 from steinitz.verify import PIPELINE_SHAPES
@@ -427,11 +431,11 @@ def _reference_reduce(inst, pt):
     # offsets O_k with exact integer keys, k = 0 .. psi-1
     cum_v = []
     for ell in range(len(bundle.lambdas)):
-        cums = [vzero(inst.y_dim)]
+        cums = [(ZERO,) * inst.y_dim]
         for piece in bundle.v_seq[ell]:
             cums.append(vadd(cums[-1], piece))
         cum_v.append(cums)
-    cum_u = [vzero(inst.y_dim)]
+    cum_u = [(ZERO,) * inst.y_dim]
     for piece in bundle.u_seq:
         cum_u.append(vadd(cum_u[-1], piece))
 
@@ -471,7 +475,6 @@ def _reference_reduce(inst, pt):
     diagnostics = {
         "psi": psi,
         "dim_v": consts.dim_v,
-        "distinct_offsets": len(seen),
         "collision": collision,
     }
     if collision is None:
@@ -912,6 +915,64 @@ def test_leaves_tube_boundary_matches_fraction_check():
         assert not _leaves_tube(images, worst)
         if worst > 0:
             assert _leaves_tube(images, worst - Fraction(1, 7 * m))
+
+
+# ---------------------------------------------------------------------------
+# the v-decomposition's image bound
+
+
+def _image_fault(real):
+    """_decompose_v on a copy of the instance whose C blocks are k times too
+    large for its delta, k past CXv = delta^(s+2) s^s t0 omega2: every
+    nonzero C-image of a vertex then exceeds the bound CXv that delta
+    promises, while the vertices and their l1 caps stay as they are."""
+    def faulty(inst, lambdas, hs, v_hat, omega2, bases):
+        form = inst.integer_form
+        k = math.ceil(inst.delta ** (inst.s + 2) * inst.s ** inst.s * inst.t0 * omega2) + 1
+        bad = copy.copy(inst)
+        object.__setattr__(bad, "integer_form", dataclasses.replace(
+            form, C=tuple(tuple(tuple(k * a for a in row) for row in Ci) for Ci in form.C)))
+        return real(bad, lambdas, hs, v_hat, omega2, bases)
+    return faulty
+
+
+# the seeded 3-block instance of the CI reduce step: its v order runs on 6 layers
+IMAGE_ARGS = ["--s0", "1", "--s", "1", "--t0", "1", "--t", "1", "--n", "3", "--delta", "1",
+              "--seed", "2", "--scale", "24", "--zero-a0"]
+
+
+def test_v_image_norm_is_named(monkeypatch, tmp_path):
+    inst, point = str(tmp_path / "inst"), str(tmp_path / "pt")
+    assert main(["gen", "fourblock", *IMAGE_ARGS, "--output", inst, "--point-output", point]) == 0
+    monkeypatch.setattr(blockip, "_decompose_v", _image_fault(blockip._decompose_v))
+    four = read_fourblock(inst)
+    with pytest.raises(PropertyViolation, match="v-image-norm") as err:
+        blockip.reduce_kernel_point(four, read_point(point, four))
+    assert err.value.name == "v-image-norm"
+    # a property violation, so the CLI exits 1 (not 2, a usage error)
+    assert main(["reduce", "--input", inst, "--point", point]) == 1
+
+
+def test_v_image_norm_survives_python_O(tmp_path):
+    inst, point = str(tmp_path / "inst"), str(tmp_path / "pt")
+    assert main(["gen", "fourblock", *IMAGE_ARGS, "--output", inst, "--point-output", point]) == 0
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_decompose_v import _image_fault\n"
+            "from steinitz import blockip\n"
+            "from steinitz.fileio import read_fourblock, read_point\n"
+            "inst = read_fourblock(sys.argv[2])\n"
+            "blockip._decompose_v = _image_fault(blockip._decompose_v)\n"
+            "try:\n"
+            "    blockip.reduce_kernel_point(inst, read_point(sys.argv[3], inst))\n"
+            "except blockip.PropertyViolation as exc:\n"
+            "    print(exc.name)\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(here.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code, str(here), inst, point], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out == "v-image-norm\n"
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ import pytest
 import runs_reference as ref
 from steinitz.blockip import PropertyViolation, _leaves_tube_runs, _peel_vertices
 from steinitz.norms import BlockMax, L1_NORM, LINF_NORM
-from steinitz.rearrange import (VectorSequence, _expand, _max_prefix_runs, _order_dim1,
-                                _order_dim1_runs, _order_runs, _run_encode, max_prefix_norm,
-                                rearrangement_order)
+from steinitz.rearrange import (VectorSequence, _expand, _max_prefix_runs, _order_dim1_runs,
+                                _order_runs, _run_encode, max_prefix_norm, rearrangement_order)
 
 
 def _spell(runs):
@@ -101,7 +100,6 @@ def test_order_dim1_runs_match_the_per_element_greedy():
         assert _expand(runs, chunks) == want
         cut = _cut(runs, rng)
         assert _expand(cut, _order_dim1_runs(cut)) == want
-        assert _order_dim1(values) == want
         assert rearrangement_order([(v,) for v in values], 1) == want
         assert _expand(runs, _order_runs([((v,), count) for v, count in runs], 1)) == want
 
