@@ -334,8 +334,8 @@ def split_max_kernel(inst: FourBlockInstance, pt: KernelPoint):
     for i in range(inst.n):
         # max 1.u  s.t.  A_i u = 0, 0 <= u <= y^i, the bounds over their lcm
         L, (Y,) = scale_to_integers([inst.y_block(pt.y, i)])
-        status, point = integer_simplex(inst.integer_form.A[i], (0,) * s, (1,) * s, L,
-                                        (0,) * t, Y, (1,) * t)
+        status, point = integer_simplex(inst.integer_form.A[i], (0,) * s, L, (0,) * t, Y,
+                                        (1,) * t)
         if status != "optimal":
             raise PropertyViolation("block-kernel-lp", "block kernel LP must be solvable")
         den, X = point
@@ -552,23 +552,17 @@ def decompose_x(x_hat: Vec, rays):
     """x as a conic combination of at most t0 rays: (lambdas, chosen rays).
 
     The multipliers are a vertex of {lam >= 0 : sum_i lam_i h_i = x}, found
-    by phase 1 on integer rows: row c of [h_1 ... h_k | x] is scaled by the
-    lcm S_c of its denominators (the denominator of x_c for integer rays),
-    with phase-1 weight P / S_c, P the lcm of the S_c."""
+    by phase 1 on the rows of [h_1 ... h_k | x] scaled to integers by one
+    common factor."""
     t0 = len(x_hat)
     if all(v == 0 for v in x_hat):
         return (), ()
     if not rays:
         raise PropertyViolation("cone-membership", "nonzero x but the cone has no rays")
     k = len(rays)
-    rows, rhs, scales = [], [], []
-    for c, xc in enumerate(x_hat):
-        S, (row,) = scale_to_integers([[r[c] for r in rays] + [xc]])
-        rows.append(row[:-1])
-        rhs.append(row[-1])
-        scales.append(S)
-    P = math.lcm(*scales)
-    _, point = integer_simplex(rows, rhs, [P // S for S in scales], 1, (0,) * k, (None,) * k)
+    _, ints = scale_to_integers((*(r[c] for r in rays), xc) for c, xc in enumerate(x_hat))
+    rows, rhs = [row[:-1] for row in ints], [row[-1] for row in ints]
+    _, point = integer_simplex(rows, rhs, 1, (0,) * k, (None,) * k)
     if point is None:
         raise PropertyViolation("cone-membership", "x is not in the conic hull of the rays")
     den, X = point
@@ -591,9 +585,10 @@ def _convex_combo_over_vertices(vertices, target, support_cap: int, prop: str):
     the pairs (d_k, V_k) and target the pair (e, T), over int.  Returns
     (den, combo): the coefficients are combo[k] / den, zero off combo.
 
-    Row r of sum_k tau_k V_k[r] / d_k = T_r / e is scaled to integers by
-    K = e lcm_k d_k and then divided by its content g_r, so it takes the
-    phase-1 weight g_r; the row sum_k tau_k = 1, unscaled, takes K."""
+    Every row, the row sum_k tau_k = 1 included, is scaled to integers by
+    one common factor, K = e lcm_k d_k: row r of
+    sum_k tau_k V_k[r] / d_k = T_r / e reads sum_k tau_k (K / d_k) V_k[r]
+    = D T_r."""
     k = len(vertices)
     if k == 0:
         raise PropertyViolation(prop, "no candidate vertices")
@@ -601,18 +596,9 @@ def _convex_combo_over_vertices(vertices, target, support_cap: int, prop: str):
     D = math.lcm(*(d for d, _ in vertices))
     K = e * D
     factors = [e * (D // d) for d, _ in vertices]
-    rows, rhs, weights = [], [], []
-    for r, b in enumerate(T):
-        row = [f * V[r] for f, (_, V) in zip(factors, vertices)]
-        b *= D
-        g = math.gcd(b, *row) or 1
-        rows.append([a // g for a in row])
-        rhs.append(b // g)
-        weights.append(g)
-    rows.append([1] * k)
-    rhs.append(1)
-    weights.append(K)
-    _, point = integer_simplex(rows, rhs, weights, 1, (0,) * k, (None,) * k)
+    rows = [[f * V[r] for f, (_, V) in zip(factors, vertices)] for r in range(len(T))]
+    rows.append([K] * k)
+    _, point = integer_simplex(rows, [D * b for b in T] + [K], 1, (0,) * k, (None,) * k)
     if point is None:
         raise PropertyViolation(prop, "convex decomposition infeasible")
     den, X = point
@@ -1182,13 +1168,13 @@ def graver_enumerate(inst: FourBlockInstance, box: int):
 
 def _relaxation(inst: FourBlockInstance):
     """(status, x) of the LP relaxation max c.z s.t. H z = b,
-    0 <= z <= (ux, uy): the integer rows of H with weights 1, the bounds
-    over their lcm and c scaled to integers; x is None unless optimal."""
+    0 <= z <= (ux, uy): the integer rows of H, the bounds over their lcm
+    and c scaled to integers; x is None unless optimal."""
     H, b = inst.integer_system()
     dim = inst.x_dim + inst.y_dim
     L, HI = over_lcm(tuple(inst.ux) + tuple(inst.uy))
     _, c = over_lcm(tuple(inst.cx) + tuple(inst.cy))
-    status, point = integer_simplex(H, b, (1,) * len(H), L, (0,) * dim, HI, c)
+    status, point = integer_simplex(H, b, L, (0,) * dim, HI, c)
     if point is None:
         return status, None
     den, X = point
@@ -1199,8 +1185,7 @@ def _implied_upper(rows, rhs, L: int, HI, j: int) -> int:
     """The floor of the largest y_j on {rows y = rhs, 0 <= y <= HI / L},
     0 when that is empty."""
     n = len(HI)
-    status, point = integer_simplex(rows, rhs, (1,) * len(rows), L, (0,) * n, HI,
-                                    [int(k == j) for k in range(n)])
+    status, point = integer_simplex(rows, rhs, L, (0,) * n, HI, [int(k == j) for k in range(n)])
     if status == "unbounded":
         raise ValueError("cannot brute force: coordinate unbounded and no cap given")
     if status == "infeasible":

@@ -17,7 +17,7 @@ from .colorful import colorful_affine, colorful_rearrange, row_sums, single_part
 from .oracles import (BudgetExceeded, brute_colorful_optimum, brute_ilp,
                       brute_rearrange_optimum, brute_single_sum)
 from .generate import GenerationError, gen_four_block, gen_zero_sum_family
-from .lp import LPError
+from .lp import LPError, RayCheckFailed, SimplexCheckFailed, WalkCheckFailed
 from .checks import PropertyViolation
 from .blockip import (UnboundedRelaxation, graver_enumerate, proximity_report,
                       reduce_kernel_point_signed, solve_four_block)
@@ -400,6 +400,9 @@ def main(argv=None) -> int:
     except (PropertyViolation, AssertionError) as exc:
         name = getattr(exc, "name", "assertion")
         print(f"property violation [{name}]: {exc}", file=sys.stderr)
+        return 1
+    except (WalkCheckFailed, SimplexCheckFailed, RayCheckFailed) as exc:
+        print(f"property violation [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, BudgetExceeded, GenerationError, LPError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -98,10 +98,10 @@ def gen_four_block(s0: int, s: int, t0: int, t: int, n: int, delta: int, seed: i
         H = form.H
         b = tuple(Fraction(sum(map(mul, row, z0))) for row in H)
 
-        # the slice {H z = 0, z >= 0, sum z = total}: integer rows, weights 1
+        # the slice {H z = 0, z >= 0, sum z = total}: integer rows
         obj = [rng.randint(1, 7) for _ in range(dim)]
-        status, point = integer_simplex([*H, (1,) * dim], [0] * len(H) + [total],
-                                        [1] * (len(H) + 1), 1, [0] * dim, [None] * dim, obj)
+        status, point = integer_simplex([*H, (1,) * dim], [0] * len(H) + [total], 1,
+                                        [0] * dim, [None] * dim, obj)
         if status != "optimal":
             continue
         inst = FourBlockInstance(s0, s, t0, t, n, form, b, cx, cy, ux, uy,

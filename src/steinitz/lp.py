@@ -17,8 +17,8 @@ terminates on degenerate inputs; its tableau is fraction-free too
 (integer rows and variables, held over the basis determinant), and each
 pivot is one Bareiss step, the step the walk takes.  It makes the pivots
 of the same tableau over Fraction.  Its entry, ``integer_simplex``, takes
-integer rows with phase-1 row weights and integer bounds over one
-denominator, and returns its point as integers over one denominator;
+the rows scaled to integers by one common factor and integer bounds over
+one denominator, and returns its point as integers over one denominator;
 ``find_feasible`` and ``lp_solve`` are its BoxLP boundary.  The double description has an integer core as well,
 ``integer_extreme_rays``.  Infinite bounds are represented by None and
 handled symbolically.
@@ -88,38 +88,23 @@ class BoxLP:
                 raise ValueError("lower bound exceeds upper bound")
 
     @cached_property
-    def row_scales(self):
-        """S_i, the lcm of the denominators of row i of [M | b]."""
-        return [math.lcm(*(v.denominator for v in self.M.row(i)), self.b[i].denominator)
-                for i in range(self.M.rows)]
-
-    @cached_property
     def integer_rows(self):
-        """(rows, b) with row i of [M | b] scaled to integers by S_i
-        (``row_scales``); the scaled system has the same solutions and M
-        the same kernel."""
-        rows, rhs = [], []
-        for i, S in enumerate(self.row_scales):
-            rows.append(tuple(v.numerator * (S // v.denominator) for v in self.M.row(i)))
-            rhs.append(self.b[i].numerator * (S // self.b[i].denominator))
-        return rows, rhs
+        """(rows, b): [M | b] scaled to integers by one common factor, the
+        lcm of its denominators; the scaled system has the same solutions
+        and M the same kernel."""
+        _, ints = scale_to_integers((*self.M.row(i), self.b[i]) for i in range(self.M.rows))
+        return [row[:-1] for row in ints], [row[-1] for row in ints]
 
     def _integer_point(self, x: Vec):
         """(D, X, LO, HI): x and the bounds as integer lists X, LO, HI over
         their least common denominator D (an absent bound stays None), or
         None when x is not a feasible point.  M x = b is checked as
         A X = b' D over ``integer_rows``."""
-        x = [rat(v) for v in x]
-        if len(x) != self.M.cols:
+        n = self.M.cols
+        if len(x) != n:
             return None
-        lower = [None if v is None else rat(v) for v in self.lower]
-        upper = [None if v is None else rat(v) for v in self.upper]
-        D = math.lcm(*(v.denominator for v in (*x, *lower, *upper) if v is not None))
-
-        def over_D(values):
-            return [None if v is None else v.numerator * (D // v.denominator) for v in values]
-
-        X, LO, HI = over_D(x), over_D(lower), over_D(upper)
+        D, ints = over_lcm((*x, *self.lower, *self.upper))
+        X, LO, HI = ints[:n], ints[n:2 * n], ints[2 * n:]
         rows, rhs = self.integer_rows
         if any(lo is not None and xj < lo for xj, lo in zip(X, LO)) or \
                 any(hi is not None and xj > hi for xj, hi in zip(X, HI)) or \
@@ -350,11 +335,11 @@ class _Simplex:
     """max c.y  s.t.  A y = b, 0 <= y <= ub, on a fraction-free tableau.
 
     Built from the integer LP of ``integer_simplex``: max c.x s.t.
-    rows . x = rhs, LO/L <= x <= HI/L, with positive phase-1 row weights.
-    The variables are scaled by L, so y = L x - LO for a variable with a
-    lower bound, y = HI - L x for one with only an upper bound, and a free
-    variable is split into y+ - y-.  Rows with b < 0 are negated, and each
-    row gets an artificial unit column.
+    rows . x = rhs, LO/L <= x <= HI/L.  The variables are scaled by L, so
+    y = L x - LO for a variable with a lower bound, y = HI - L x for one
+    with only an upper bound, and a free variable is split into y+ - y-.
+    Rows with b < 0 are negated, and each row gets an artificial unit
+    column.
 
     With B the basis, T holds delta B^-1 [A | I | r] over the integers,
     delta = +-det B and r = b minus u_j a_j for each nonbasic column at its
@@ -363,21 +348,23 @@ class _Simplex:
     pivot is one ``_bareiss_step``; every sign test reads a value times
     sign(delta) and steps are compared by cross-multiplying, so the pivots
     are those of the same tableau over Fraction: scaling the variables by L
-    scales every step by L.  The phase-1 cost of the artificial of row i is
-    -w_i.  Scaling row i by K_i > 0 scales its artificial by K_i, so with
-    w_i proportional to 1/K_i the phase-1 objective is a fixed multiple of
-    that of the unscaled rows with unit costs, every reduced cost is scaled
-    by that factor and no choice changes: rows scaled to integers each by
-    its own factor make the pivots of the Fraction rows.
+    scales every step by L.  Row i of [rows | rhs] is divided by its
+    content g_i, and the phase-1 cost of its artificial is -g_i.  Scaling
+    row i by K_i > 0 scales its artificial by K_i, so with costs
+    proportional to 1/K_i the phase-1 objective is a fixed multiple of that
+    of the unscaled rows with unit costs, every reduced cost is scaled by
+    that factor and no choice changes: the pivots are those of the rows as
+    given with unit costs, so those of the Fraction rows that one common
+    factor scaled to integers.
     """
 
-    def __init__(self, rows, rhs, weights, L, LO, HI, c=None):
+    def __init__(self, rows, rhs, L, LO, HI, c=None):
         n, m = len(LO), len(rows)
-        if len(rhs) != m or len(weights) != m or len(HI) != n or \
+        if len(rhs) != m or len(HI) != n or \
                 (c is not None and len(c) != n) or any(len(row) != n for row in rows):
             raise ValueError("integer LP dimensions do not match")
-        if L < 1 or (weights and min(weights) <= 0):
-            raise ValueError("the bound denominator and the row weights must be positive")
+        if L < 1:
+            raise ValueError("the bound denominator must be positive")
         if any(lo > hi for lo, hi in zip(LO, HI) if lo is not None and hi is not None):
             raise ValueError("lower bound exceeds upper bound")
         self.rows, self.rhs, self.L, self.LO, self.HI = rows, rhs, L, LO, HI
@@ -409,16 +396,17 @@ class _Simplex:
                 self.backmap.append(("split", k, k + 1))
         ns = len(src)
         self.nrows, self.nstruct = m, ns
-        self.T = []
+        self.T, self.phase1 = [], [0] * ns
         for i, (row, bi) in enumerate(zip(rows, rhs)):
-            bi = L * bi - sum(map(mul, row, shift))
+            g = math.gcd(bi, *row) or 1
+            bi = (L * bi - sum(map(mul, row, shift))) // g
             sign = -1 if bi < 0 else 1
-            t = [sign * a * row[j] for j, a in src] + [0] * m + [sign * bi]
+            t = [sign * a * row[j] // g for j, a in src] + [0] * m + [sign * bi]
             t[ns + i] = 1
             self.T.append(t)
+            self.phase1.append(-g)
         self.ub = ub + [None] * m
         self.c = cc
-        self.phase1 = [0] * ns + [-w for w in weights]
         self.basis = [ns + i for i in range(m)]
         self.at_upper = set()
         self.delta = 1
@@ -543,36 +531,33 @@ class _Simplex:
     def point(self):
         """``solution``, checked exactly in integers: with x = X / den, the
         rows read rows . X = rhs den and a bound LO_j / L <= x_j reads
-        LO_j den <= X_j L (likewise HI_j).  Raises InfeasibleStart when a
-        check fails."""
+        LO_j den <= X_j L (likewise HI_j).  Raises SimplexCheckFailed when
+        a check fails."""
         den, X = self.solution()
         L = self.L
         if any(sum(map(mul, row, X)) != bi * den for row, bi in zip(self.rows, self.rhs)) or \
                 any(lo is not None and xj * L < lo * den for xj, lo in zip(X, self.LO)) or \
                 any(hi is not None and xj * L > hi * den for xj, hi in zip(X, self.HI)):
-            raise InfeasibleStart("simplex point is not feasible")
+            raise SimplexCheckFailed("simplex point is not feasible")
         return den, X
 
 
-def integer_simplex(rows, rhs, weights, L: int, LO, HI, c=None):
+def integer_simplex(rows, rhs, L: int, LO, HI, c=None):
     """The simplex on an integer LP: max c.x  s.t.  rows . x = rhs,
     LO/L <= x <= HI/L.
 
-    rows and rhs are over int, weights holds a positive phase-1 weight per
-    row, L is a positive int and LO, HI are lists over int (None for an
-    absent bound).  Scaling row i by K_i > 0 and its weight by 1/K_i (up to
-    one common factor) changes no pivot, so a caller that scales rational
-    rows to integers, each by its own factor, passes weights proportional
-    to the inverse factors; rows scaled alike take equal weights.  c is an
-    integer objective; without it only phase 1 runs, and its basic solution
-    is a vertex when no variable is free.
+    rows and rhs are over int, the rational rows scaled to integers by one
+    common factor (a factor per row would change the phase-1 pivots), L is
+    a positive int and LO, HI are lists over int (None for an absent
+    bound).  c is an integer objective; without it only phase 1 runs, and
+    its basic solution is a vertex when no variable is free.
 
     Returns (status, point): status "optimal", "infeasible" or "unbounded",
     and point = (den, X), the integers X over den > 0, checked exactly
     against the rows and the bounds (``_Simplex.point``), or None.  Raises
-    ValueError on malformed input, SimplexCheckFailed or InfeasibleStart
-    when a check fails."""
-    sx = _Simplex(rows, rhs, weights, L, LO, HI, c)
+    ValueError on malformed input, SimplexCheckFailed when a check
+    fails."""
+    sx = _Simplex(rows, rhs, L, LO, HI, c)
     if not sx.solve_phase1():
         return "infeasible", None
     if c is not None and sx._iterate(sx.c) == "unbounded":
@@ -589,16 +574,14 @@ def over_lcm(values):
 
 
 def _integer_lp(lp: BoxLP):
-    """The arguments of ``integer_simplex`` for a BoxLP: row i of [M | b]
-    scaled by S_i (``integer_rows``) with weight P / S_i, P the lcm of the
-    S_i; the bounds over the lcm L of their denominators; the objective
-    scaled by the lcm of its denominators, or None."""
-    rows, rhs = lp.integer_rows
-    P = math.lcm(*lp.row_scales)
+    """The arguments of ``integer_simplex`` for a BoxLP: [M | b] scaled to
+    integers by one common factor (``integer_rows``); the bounds over the
+    lcm L of their denominators; the objective scaled by the lcm of its
+    denominators, or None."""
     n = lp.M.cols
     L, bounds = over_lcm((*lp.lower, *lp.upper))
     c = None if lp.objective is None else over_lcm(lp.objective)[1]
-    return rows, rhs, [P // S for S in lp.row_scales], L, bounds[:n], bounds[n:], c
+    return (*lp.integer_rows, L, bounds[:n], bounds[n:], c)
 
 
 def find_feasible(lp: BoxLP) -> Vec | None:

@@ -316,12 +316,7 @@ def subspace_rearrange(seq: VectorSequence) -> RearrangementCertificate:
     _require_zero_sum(seq)
     r, coords = span_coordinates(seq.vectors)
     radius = seq.radius()
-    if r == 0:
-        order = tuple(range(len(seq)))
-    elif r == seq.dim:
-        order = rearrangement_order(seq.vectors, seq.dim)
-    else:
-        order = rearrangement_order(coords, r)
+    order = tuple(range(len(seq))) if r == 0 else rearrangement_order(coords, r)
     certified = r * radius
     achieved = max_prefix_norm(seq, order)
     if achieved > certified:

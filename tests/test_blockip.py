@@ -672,11 +672,11 @@ def _kernel_split_instance():
     return inst, KernelPoint((F(0),), (F(3), F(3)))
 
 
-def _no_optimum(rows, rhs, weights, L, LO, HI, c=None):
+def _no_optimum(rows, rhs, L, LO, HI, c=None):
     return "infeasible", None
 
 
-def _above_bounds(rows, rhs, weights, L, LO, HI, c=None):
+def _above_bounds(rows, rhs, L, LO, HI, c=None):
     # every coordinate one above its upper bound HI_j / L
     return "optimal", (L, [u + L for u in HI])
 

@@ -449,6 +449,52 @@ def test_cli_lp_error_exit_2(tmp_path, capsys, monkeypatch, error):
     assert _error_exit(["proximity", "--input", str(inst)], capsys) == "error: no vertex\n"
 
 
+def _walk_fault(monkeypatch, tmp_path):
+    # every Bareiss step doubles delta: the chain's walk leaves A x = b
+    import steinitz.lp as lp
+    fileio.write_family(gen_zero_sum_family(2, 1, 6, LINF_NORM, 4), str(tmp_path / "s.txt"))
+    step = lp._bareiss_step
+    monkeypatch.setattr(lp, "_bareiss_step", lambda T, t, p, delta: 2 * step(T, t, p, delta))
+    return ["rearrange", "--input", str(tmp_path / "s.txt")]
+
+
+def _simplex_fault(monkeypatch, tmp_path):
+    # the basic solution of the relaxation moves off its rows
+    import steinitz.lp as lp
+    fileio.write_fourblock(gen_four_block(1, 1, 1, 1, 3, 1, 2, zero_a0=True)[0],
+                           str(tmp_path / "i.4blk"))
+    solution = lp._Simplex.solution
+
+    def moved(sx):
+        den, X = solution(sx)
+        return den, [X[0] + 1] + X[1:]
+
+    monkeypatch.setattr(lp._Simplex, "solution", moved)
+    return ["proximity", "--input", str(tmp_path / "i.4blk")]
+
+
+def _ray_fault(monkeypatch, tmp_path):
+    # every ray negated: a ray of the initial cone of K leaves it
+    import steinitz.lp as lp
+    inst, pt = gen_four_block(2, 2, 2, 3, 2, 1, 0, scale=24, zero_a0=True)
+    fileio.write_fourblock(inst, str(tmp_path / "i.4blk"))
+    fileio.write_point(pt, str(tmp_path / "p.txt"))
+    primitive = lp.primitive_integer_vector
+    monkeypatch.setattr(lp, "primitive_integer_vector", lambda v: tuple(-a for a in primitive(v)))
+    return ["reduce", "--input", str(tmp_path / "i.4blk"), "--point", str(tmp_path / "p.txt")]
+
+
+@pytest.mark.parametrize("error, message, fault", [
+    ("WalkCheckFailed", "vertex left the affine space A x = b", _walk_fault),
+    ("SimplexCheckFailed", "simplex point is not feasible", _simplex_fault),
+    ("RayCheckFailed", "double description produced an infeasible ray", _ray_fault)])
+def test_cli_lp_check_failure_exit_1(tmp_path, capsys, monkeypatch, error, message, fault):
+    """A self-check of the walk, the simplex or the double description that
+    fails is a property violation named by its class: exit 1, not 2."""
+    assert main(fault(monkeypatch, tmp_path)) == 1
+    assert capsys.readouterr().err == f"property violation [{error}]: {message}\n"
+
+
 def test_verify_checks_survive_python_O():
     import os
     import subprocess

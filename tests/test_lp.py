@@ -202,14 +202,11 @@ def _rational_lps():
         yield BoxLP(M, b, tuple(lower), tuple(upper), tuple(frac(3) for _ in range(n)))
 
 
-def _rebuilt(rows, rhs, weights, L, LO, HI, c=None):
-    """The BoxLP that an integer LP replaces, up to one common factor of its
-    rows: row i of [rows | rhs] times its phase-1 weight w_i is the
-    Fraction row it was scaled from times that factor, as w_i is
-    proportional to the inverse of the row's scale."""
-    M = Matrix.from_rows([[w * a for a in row] for row, w in zip(rows, weights)]) if rows \
-        else Matrix.zeros(0, len(LO))
-    return BoxLP(M, tuple(F(w * b) for b, w in zip(rhs, weights)),
+def _rebuilt(rows, rhs, L, LO, HI, c=None):
+    """The BoxLP that an integer LP replaces, up to the one common factor
+    that scaled its rows to integers."""
+    M = Matrix.from_rows(rows) if rows else Matrix.zeros(0, len(LO))
+    return BoxLP(M, tuple(F(b) for b in rhs),
                  tuple(None if v is None else F(v, L) for v in LO),
                  tuple(None if v is None else F(v, L) for v in HI),
                  None if c is None else tuple(F(v) for v in c))
@@ -220,9 +217,9 @@ def _integer_run(args):
     (no objective) or lp_solve gives."""
     status, point = steinitz.lp.integer_simplex(*args)
     x = None if point is None else tuple(F(a, point[0]) for a in point[1])
-    if len(args) < 7 or args[6] is None:
+    if len(args) < 6 or args[5] is None:
         return x
-    value = None if x is None else sum((ci * xi for ci, xi in zip(args[6], x)), F(0))
+    value = None if x is None else sum((ci * xi for ci, xi in zip(args[5], x)), F(0))
     return LPResult(status, x, value)
 
 
@@ -259,7 +256,7 @@ def _captured_lps(monkeypatch):
     for inst, pt in bundles:
         decompose_bundle(inst, pt)
     monkeypatch.undo()
-    return [(_rebuilt(*args), "find_feasible" if len(args) < 7 or args[6] is None
+    return [(_rebuilt(*args), "find_feasible" if len(args) < 6 or args[5] is None
              else "lp_solve", lambda args=args: _integer_run(args)) for args in captured]
 
 
@@ -306,9 +303,7 @@ def test_integer_simplex_matches_fraction_reference(monkeypatch):
 
 def _scaled_rows_cases():
     """400 seeded rational LPs (m = 2..5 rows, n = 4..9 variables), each as
-    (BoxLP, integer rows, rhs, row factors): row i of [M | b] scaled to
-    integers by the lcm S_i of its denominators and then by a random
-    positive integer K_i, so the factor of row i is S_i K_i."""
+    (BoxLP, row factors): a random positive integer K_i per row."""
     rng = random.Random(47)
 
     def frac(k):
@@ -329,21 +324,22 @@ def _scaled_rows_cases():
         if k % 5 == 0:
             b = tuple(v + frac(1) for v in b)
         lp = BoxLP(M, b, tuple(lower), tuple(upper), tuple(frac(3) for _ in range(n)))
-        rows, rhs, factors = [], [], []
-        for row, bi, S in zip(*lp.integer_rows, lp.row_scales):
-            K = rng.randint(1, 30)
-            rows.append([K * a for a in row])
-            rhs.append(K * bi)
-            factors.append(S * K)
-        yield lp, rows, rhs, factors
+        yield lp, [rng.randint(1, 30) for _ in range(m)]
 
 
-def test_integer_entry_ignores_row_scaling_with_inverse_weights(monkeypatch):
-    """Rows scaled by any positive factors make the pivots and the point of
-    the Fraction tableau on the unscaled rows, given phase-1 weights
-    proportional to the inverse factors, for phase 1 alone and with the
-    objective; with unit weights instead, the phase-1 pivots differ on
-    many of them (168 of the 400)."""
+def _times(factors, rows, rhs):
+    """Row i of [rows | rhs] times factors[i]."""
+    return ([[f * a for a in row] for row, f in zip(rows, factors)],
+            [f * b for b, f in zip(rhs, factors)])
+
+
+def test_integer_entry_ignores_one_common_row_factor(monkeypatch):
+    """The rows of [M | b] scaled to integers and then by one more random
+    factor K make the pivots and the point of the Fraction tableau on the
+    rational rows, for phase 1 alone and with the objective.  A factor of
+    its own per row instead changes the phase-1 pivots of many of them (113
+    of the 400), which is why a caller scales its rows by one common
+    factor."""
     pivots = []
 
     def logged(self, p, e):
@@ -352,10 +348,9 @@ def test_integer_entry_ignores_row_scaling_with_inverse_weights(monkeypatch):
 
     pivot = _Simplex._pivot
     monkeypatch.setattr(_Simplex, "_pivot", logged)
-    statuses, unweighted_differ = set(), 0
-    for lp, rows, rhs, factors in _scaled_rows_cases():
-        P = math.lcm(*factors)
-        weights = [P // f for f in factors]
+    statuses, per_row_differ = set(), 0
+    for lp, factors in _scaled_rows_cases():
+        rows, rhs = lp.integer_rows
         L = math.lcm(*(v.denominator for v in (*lp.lower, *lp.upper) if v is not None))
         LO = [None if v is None else int(v * L) for v in lp.lower]
         HI = [None if v is None else int(v * L) for v in lp.upper]
@@ -372,24 +367,24 @@ def test_integer_entry_ignores_row_scaling_with_inverse_weights(monkeypatch):
                 want = (res.status, res.x)
                 statuses.add(res.status)
             pivots.clear()
-            status, point = steinitz.lp.integer_simplex(rows, rhs, weights, L, LO, HI, objective)
+            status, point = steinitz.lp.integer_simplex(
+                *_times([factors[0]] * len(rows), rows, rhs), L, LO, HI, objective)
             x = None if point is None else tuple(F(a, point[0]) for a in point[1])
             assert ((status, x), pivots) == (want, expected)
         pivots.clear()
-        steinitz.lp.integer_simplex(rows, rhs, [1] * len(rows), L, LO, HI)
-        unweighted_differ += pivots != phase1
+        steinitz.lp.integer_simplex(*_times(factors, rows, rhs), L, LO, HI)
+        per_row_differ += pivots != phase1
     assert statuses == {"optimal", "unbounded", "infeasible"}
-    assert unweighted_differ >= 100, unweighted_differ
+    assert per_row_differ >= 100, per_row_differ
 
 
 def _malformed_integer_lps():
     """The ValueError message of the integer entry on each malformed input:
     a short rhs, a short row, a short upper bound list, a short objective,
-    lo > hi, a zero weight, a negative weight and L = 0."""
-    good = ([[1, 1]], [1], [1], 1, [0, 0], [1, 1], [1, 0])
+    lo > hi and L = 0."""
+    good = ([[1, 1]], [1], 1, [0, 0], [1, 1], [1, 0])
     out = []
-    for k, bad in ((1, []), (0, [[1]]), (5, [1]), (6, [1]), (5, [1, -1]), (2, [0]), (2, [-2]),
-                   (3, 0)):
+    for k, bad in ((1, []), (0, [[1]]), (4, [1]), (5, [1]), (4, [1, -1]), (2, 0)):
         args = list(good)
         args[k] = bad
         try:
@@ -401,7 +396,7 @@ def _malformed_integer_lps():
 
 _MALFORMED_MESSAGES = (["integer LP dimensions do not match"] * 4
                        + ["lower bound exceeds upper bound"]
-                       + ["the bound denominator and the row weights must be positive"] * 3)
+                       + ["the bound denominator must be positive"])
 
 
 def test_integer_entry_rejects_malformed_input():
@@ -485,7 +480,7 @@ def test_simplex_point_is_checked_in_integers(monkeypatch):
     for fault in faults:
         monkeypatch.setattr(_Simplex, "solution", lambda sx, fault=fault: fault(*real(sx)))
         for run in (find_feasible, lp_solve):
-            with pytest.raises(InfeasibleStart, match="^simplex point is not feasible$"):
+            with pytest.raises(SimplexCheckFailed, match="^simplex point is not feasible$"):
                 run(lp)
 
 

@@ -127,8 +127,9 @@ def test_integer_rows_scale_each_row_to_integers():
     M = Matrix.from_rows([[F(1, 2), F(2, 3)], [ZERO, ZERO], [F(-3, 4), F(5)]])
     lp = BoxLP(M, (F(1, 5), ZERO, F(7, 2)), (ZERO, ZERO), (None, None))
     rows, rhs = lp.integer_rows
-    assert rows == [(15, 20), (0, 0), (-3, 20)]
-    assert rhs == [6, 0, 14]
+    # one common factor, 60, the lcm of every denominator of [M | b]
+    assert rows == [(30, 40), (0, 0), (-45, 300)]
+    assert rhs == [12, 0, 210]
 
 
 # ---------------------------------------------------------------------------

@@ -186,10 +186,11 @@ def test_no_bare_assertion_error_in_src():
 # wrappers, the unread A v0 integrality diagnostic, the second integer sum
 # beside rearrange._run_sum, the process pool of run_suites, the colorful
 # scalings that ColoredFamily.integer_form replaces (a whole word, so a
-# definition and a call are both caught), and names that nothing read
+# definition and a call are both caught), the per-row scales of a BoxLP and
+# the bound scaling that lp.over_lcm replaces, and names that nothing read
 REMOVED_NAMES = ("vmap", "av0_integral", "_integral_image", "basis_vertex", "_int_sum",
                  "ProcessPoolExecutor", "_scaled_runs", "_scaled", "is_optimal", "vzero",
-                 "_order_dim1", "distinct_offsets")
+                 "_order_dim1", "distinct_offsets", "row_scales", "over_D")
 
 
 def test_removed_names_stay_out_of_src():
