@@ -3,13 +3,13 @@
 Values are Fraction at the BoxLP interface.  Vertex purification has an
 integer core, ``walk_to_vertex``: it takes the constraint columns as
 integer tuples and x and the bounds as integers over one common
-denominator, keeps the inverse of its basis fraction-free (an integer
-matrix and a scalar, updated by one Bareiss pivot per entering, exchanged
-or leaving column: a leaving column is downdated onto a unit column, so
-the inverse is never built again), holds its point lazily (only the basic
-columns and the visited one carry a value; a tight column is its bound,
-an unvisited one its start value rescaled), checks its vertex exactly and
-returns it in the same form.  ``purify_to_vertex`` is its BoxLP
+denominator, keeps the inverse of its basis fraction-free on the rows
+its columns have touched (an integer matrix and a scalar, updated by one
+Bareiss pivot per entering, exchanged or leaving column: a leaving column
+is downdated onto a unit column, so the inverse is never built again),
+holds its point lazily (only the basic columns and the visited one carry
+a value; a tight column is its bound, an unvisited one its start value
+rescaled), checks its vertex exactly and returns it in the same form.  ``purify_to_vertex`` is its BoxLP
 boundary; the rearrangement chain and the selection polytope call the
 core directly and carry their point in integers from step to step.  The
 simplex is a bounded-variable tableau method with Bland's rule, so it
@@ -142,20 +142,23 @@ def walk_to_vertex(cols, D: int, X, LO, HI):
     kept so far) and enters it, or it spans with B a kernel direction g of
     A, and x moves maximally along +g (or -g when + meets no bound) until a
     bound becomes tight.  The basis B (r independent interior columns) is
-    held as an integer R x R matrix T and a scalar delta with
-    T A_B = delta [I_r; 0], R the number of rows: T is delta times the
-    inverse of A_B completed by unit columns to a basis, fraction-free, and
-    row k < r of T belongs to the column at basis position k.  An entering
-    column costs one product t = T a_c, over the nonzero entries of a_c
-    when at least half of them are zero.  If some t_i with i >= r is
-    nonzero, c is independent and enters by one Bareiss step on that row
-    (swapped to row r).  Otherwise delta a_c = A_B t[:r], so g is delta on c
-    and -t[:r] on B.  g is fixed by the basis set and c up to a factor (the
-    kernel of [A_B a_c] is a line); primitive and positive on c, it gives
-    exactly the steps and the vertex of elimination over Fraction, and
-    scaling a row of A changes neither.  Nor does the order of B or of the
-    rows of T: the step is the least ratio, one rational whatever the
-    tie-break, and every tightened basic column leaves.
+    held as an integer matrix T and a scalar delta with
+    T A_B = delta [I_r; 0] on the rows of A that the visited columns have
+    touched, in order of first touch: T is delta times the inverse of A_B
+    completed by unit columns to a basis, fraction-free, and row k < r of T
+    belongs to the column at basis position k.  An untouched row is a unit
+    row of the completion, so a row first touched joins T as delta e_i and
+    the basis is unchanged.  An entering column costs one product t = T a_c.
+    If some t_i with i >= r is nonzero, c is independent and enters by one
+    Bareiss step on that row (swapped to row r).  Otherwise
+    delta a_c = A_B t[:r], so g is delta on c and -t[:r] on B.  g is fixed
+    by the basis set and c up to a factor (the kernel of [A_B a_c] is a
+    line); primitive and positive on c, it gives exactly the steps and the
+    vertex of elimination over Fraction, and scaling a row of A changes
+    neither.  Nor does the order of B or of the rows of T, or the
+    completion, on which only delta depends: the step is the least ratio,
+    one rational whatever the tie-break, and every tightened basic column
+    leaves.
 
     When basic columns tighten and c does not, c takes the row of the first
     of them by one Bareiss step.  Every other tightened basic column is
@@ -194,9 +197,10 @@ def walk_to_vertex(cols, D: int, X, LO, HI):
     for c in range(n - 1, -1, -1):
         G[c] = math.gcd(G[c + 1], X0[c])
     at = [None] * n          # the bound (over DB) of a tight column
-    # T A_B = delta [I_r; 0]; row k < r of T, val[k] (the value over D) and
-    # blo[k], bhi[k] (the bounds over DB) belong to basis[k]
-    T = [[int(i == j) for j in range(R)] for i in range(R)]
+    # T A_B = delta [I_r; 0] on the rows touched so far, in order of first
+    # touch (where[i] is row i's place); row k < r of T, val[k] (the value
+    # over D) and blo[k], bhi[k] (the bounds over DB) belong to basis[k]
+    T, where = [], [None] * R
     delta, basis, val, blo, bhi = 1, [], [], [], []
     for c in range(n):
         x, lo, hi = X0[c] * s // s0, LO[c], HI[c]
@@ -204,15 +208,20 @@ def walk_to_vertex(cols, D: int, X, LO, HI):
         if (lo is not None and x == lo * s) or (hi is not None and x == hi * s):
             at[c] = x // s
             continue
-        col = cols[c]
-        if 2 * col.count(0) >= R:
-            nz = [(i, a) for i, a in enumerate(col) if a]
-            t = [sum([row[i] * a for i, a in nz]) for row in T]
-        else:
-            t = [sum(map(mul, row, col)) for row in T]
+        col = [0] * len(T)       # a_c on the rows of T; a new row joins as delta e_i
+        for i, a in enumerate(cols[c]):
+            if a:
+                if where[i] is None:
+                    where[i] = len(T)
+                    for row in T:
+                        row.append(0)
+                    T.append([0] * len(T) + [delta])
+                    col.append(0)
+                col[where[i]] = a
+        t = [sum(map(mul, row, col)) for row in T]
         r = len(basis)
         if any(t[r:]):
-            i = next(i for i in range(r, R) if t[i])
+            i = next(i for i in range(r, len(T)) if t[i])
             T[r], T[i], t[r], t[i] = T[i], T[r], t[i], t[r]
             delta = _bareiss_step(T, t, r, delta)
             basis.append(c)

@@ -3,18 +3,18 @@
 The core construction maintains a shrinking chain of multisets.  It runs
 over the distinct vectors, each with its number of copies as the upper
 bound of its coordinate.  At each step the current feasible point is
-rescaled into the polytope whose coordinate sum is one lower and walked to
-a vertex, and one copy leaves: of a vector at value zero, else of one
-whose value is at least one below its count.  A counting argument over the
-vertex guarantees such a copy exists, so the descent never needs to
-backtrack; any violation of that guarantee would be a genuine bug and
-raises.
+rescaled into the polytope whose coordinate sum is one lower and checked,
+and one copy leaves: of a vector at value zero, else of one whose value is
+at least one below its count.  Only when the point has no such vector is
+it walked to a vertex, where a counting argument guarantees one, so the
+descent never needs to backtrack; any violation of that guarantee would
+be a genuine bug and raises.
 
 The chain runs on one integer state and builds no LP per step: the
 vectors are scaled to integers once, the point is a list of integers over
-one common denominator that each step rescales, checks exactly and hands
-to ``lp.walk_to_vertex``, and a vector whose last copy leaves takes its
-column with it.
+one common denominator that each step rescales, checks exactly and, when
+it must, hands to ``lp.walk_to_vertex``, and a vector whose last copy
+leaves takes its column with it.
 
 Dimension one has a cheap special case: always append an element whose
 sign opposes the running prefix.
@@ -40,7 +40,7 @@ from operator import is_not, itemgetter, mul, sub
 
 from .checks import PropertyViolation
 from .linalg import Vec, ZERO, scale_to_integers, span_coordinates
-from .lp import InfeasibleStart, walk_to_vertex
+from .lp import walk_to_vertex
 from .norms import NormSpec, norm_eval
 
 
@@ -148,6 +148,15 @@ def _order_dim1_runs(runs) -> list:
     return chunks
 
 
+def _placeable(X, left, D):
+    """The first type at zero, else the first with a unit gap
+    X_p <= (c_p - 1) D, c_p its copies left; None if there is none."""
+    p = next((p for p, a in enumerate(X) if a == 0), None)
+    if p is None:
+        p = next((p for p, (a, count) in enumerate(zip(X, left)) if a <= (count - 1) * D), None)
+    return p
+
+
 def _order_chain(runs, dim) -> list:
     """The shrinking-chain construction for the zero-sum vectors in R^dim
     that the runs (vector, count) spell, as chunks (r, lo, hi).
@@ -157,15 +166,19 @@ def _order_chain(runs, dim) -> list:
     bound.  One integer state for the whole chain: the columns (L v_i, 1),
     with L the lcm of the entry denominators, and the point X over D in
     {sum_i X_i v_i = 0, sum X = (k-1-dim) D, 0 <= X <= c D}.  At step k the
-    point is rescaled by (k-1-dim)/(k-dim), checked exactly and walked to a
-    vertex, and one copy of a type takes position k (counted from 1): of
-    the first type at zero, else of the first with a gap c_i D - X_i >= D.
-    One exists: the gaps add up to (dim+1) D, and at most dim+1 coordinates
-    of the vertex lie strictly inside their bounds.  The prefix left is
-    then sum (c'_i - X_i/D) v_i, with weights >= 0 that add up to dim, so
-    its norm is at most dim * radius.  A type whose copies are all placed
-    takes its column with it.  With every count 1 this is the LP of one
-    column per vector and the same first-zero drop.
+    point is rescaled by (k-1-dim)/(k-dim) and checked exactly, and one copy
+    of a type takes position k (counted from 1): of the first type at zero,
+    else of the first with a gap c_i D - X_i >= D (``_placeable``).  Only
+    when there is none is the point walked to a vertex, where there is one:
+    the gaps add up to (dim+1) D, and at most dim+1 coordinates of the
+    vertex lie strictly inside their bounds.  Any checked point will do,
+    vertex or not: with lambda = X/D and lambda_p <= c_p - 1, the prefix
+    left is sum (c'_i - lambda_i) v_i, with weights >= 0 that add up to
+    dim, so its norm is at most dim * radius.  A zero stays zero when the
+    point is rescaled, so most steps place a copy without a walk.  A type
+    whose copies are all placed takes its column with it.  With every
+    count 1 this is the LP of one column per vector and the first-zero
+    drop.
 
     Each type's copies take their places in index order: the first ones,
     whose count is left when the chain ends, fill positions 0..dim-1 in
@@ -194,12 +207,11 @@ def _order_chain(runs, dim) -> list:
         *coords, ones = (sum(map(mul, row, X)) for row in zip(*cols))
         if any(a < 0 or a > hi for a, hi in zip(X, HI)) or any(coords) or \
                 ones != (k - 1 - dim) * D:
-            raise InfeasibleStart("chain point is not feasible")
-        D, X = walk_to_vertex(cols, D, X, [0] * len(X), HI)
-        p = next((p for p, a in enumerate(X) if a == 0), None)
+            raise PropertyViolation("chain-start-point", "chain point is not feasible")
+        p = _placeable(X, left, D)
         if p is None:
-            p = next((p for p, (a, count) in enumerate(zip(X, left)) if a <= (count - 1) * D),
-                     None)
+            D, X = walk_to_vertex(cols, D, X, [0] * len(X), HI)
+            p = _placeable(X, left, D)
         if p is None:
             raise PropertyViolation("chain-zero-coordinate",
                                     "vertex without a zero coordinate or a unit gap; "

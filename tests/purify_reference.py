@@ -8,6 +8,8 @@ before the rearrangement chain and the selection polytope moved onto the
 integer walk, verbatim but for the imports and with ``reference_purify``
 in place of ``purify_to_vertex``: each chain step and each selection
 builds a BoxLP of Fraction rows and converts the vertex back to Fraction.
+The chain has the library's rule for the copy it places: it walks only
+when the rescaled point has no coordinate at zero.
 """
 
 from fractions import Fraction
@@ -136,7 +138,9 @@ def reference_purify(lp: BoxLP, x0, trail=None, rebuilds=None, paths=None):
 
 
 def order_chain(vectors, dim) -> tuple:
-    """The shrinking-chain construction for zero-sum vectors in R^dim."""
+    """The shrinking-chain construction for zero-sum vectors in R^dim: the
+    first coordinate at zero leaves, of the rescaled point or, when it has
+    none, of the vertex that it walks to."""
     m = len(vectors)
     order = [-1] * m
     active = list(range(m))
@@ -152,7 +156,7 @@ def order_chain(vectors, dim) -> tuple:
             (ZERO,) * k,
             (ONE,) * k,
         )
-        vertex = reference_purify(lp, point)
+        vertex = point if ZERO in point else reference_purify(lp, point)
         drop = next((p for p, v in enumerate(vertex) if v == 0), None)
         if drop is None:
             raise AssertionError("vertex without a zero coordinate; descent invariant broken")

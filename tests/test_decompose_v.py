@@ -692,39 +692,32 @@ def _per_copy_chain(runs, dim):
 
 def test_s0_2_reduce_work_does_not_grow_with_the_point(monkeypatch):
     """The s0 = 2 point, whose colorful v order runs the chain on the
-    recentred rows of its equal v pieces, at c and 4c: each chain makes
-    m - dim walks of at most T columns, T its distinct vectors, so the
-    columns grow with the point, not with its square (as they did with one
-    column per copy); at x10 it answers as the per-copy chain."""
+    recentred rows of its equal v pieces, at c and 4c: every step of those
+    chains finds a type at zero or with a unit gap in its rescaled point,
+    so none walks, and the work stays flat as the point grows (with one
+    walk per step it grew with the point, and with one column per copy
+    with its square); at x10 it answers as the per-copy chain."""
     inst, pt = gen_four_block(2, 2, 2, 3, 2, 1, 0, zero_a0=True, scale=24)
     chain = rearrange._order_chain
-    chains = []
+    chains, walks = [], []
 
     def counted(runs, dim):
-        walks = []
-        walk = rearrange.walk_to_vertex
-        with monkeypatch.context() as patch:
-            patch.setattr(rearrange, "walk_to_vertex",
-                          lambda cols, D, X, LO, HI:
-                          walks.append(len(X)) or walk(cols, D, X, LO, HI))
-            chunks = chain(runs, dim)
-        m = sum(count for _, count in runs)
-        assert len(walks) == m - dim
-        assert max(walks) <= len({v for v, count in runs if count})
-        chains.append(sum(walks))
-        return chunks
+        chains.append(sum(count for _, count in runs) - dim)
+        return chain(runs, dim)
 
     monkeypatch.setattr(rearrange, "_order_chain", counted)
-    c, columns = 50, []
+    walk = rearrange.walk_to_vertex
+    monkeypatch.setattr(rearrange, "walk_to_vertex",
+                        lambda cols, D, X, LO, HI: walks.append(len(X)) or walk(cols, D, X, LO, HI))
+    c, steps = 50, []
     for k in (c, 4 * c):
         chains.clear()
         assert blockip.reduce_kernel_point(inst, _scaled(pt, k)).vector is not None
         assert chains
-        columns.append(sum(chains))
-    # the chain has m = 24 k - 1 vectors at xk and makes m - dim walks, so 4x
-    # up to the dim + 1 = 3 walks that m + 1 - (dim + 1) leaves out; per copy
-    # the columns would grow 16x
-    assert columns[1] <= 4 * (columns[0] + 3), columns
+        steps.append(sum(chains))
+    # one chain of m = 24 k - 1 vectors at xk, m - dim steps, and no walk
+    assert steps == [24 * c - 3, 96 * c - 3], steps
+    assert walks == []
     got = blockip.reduce_kernel_point(inst, _scaled(pt, 10))
     monkeypatch.setattr(rearrange, "_order_chain", _per_copy_chain)
     assert got == blockip.reduce_kernel_point(inst, _scaled(pt, 10))

@@ -25,7 +25,9 @@ import pytest
 import purify_reference
 import steinitz.colorful
 import steinitz.rearrange
+from chain_reference import order_chain_walk_every_step
 from purify_reference import order_chain, reference_feasible, reference_purify
+from steinitz.checks import PropertyViolation
 from steinitz.colorful import ColoredFamily, SubsetSelection, single_partial_sum
 from steinitz.generate import gen_zero_sum_family, gen_zero_sum_sequence
 from steinitz.linalg import Matrix, rank, rat
@@ -454,11 +456,15 @@ def test_bareiss_divisions_are_exact(monkeypatch):
     for _ in range(300):
         lp, x = _random_lp(rng, rng.random() < 0.5)
         assert _outcome(purify_to_vertex, lp, x) == _outcome(reference_purify, lp, x)
+    # the chains, and the per-copy chain that walks at every step, whose walks
+    # keep their columns longer
     for d, m in ((3, 30), (5, 30)):
         vectors = gen_zero_sum_sequence(d, m, LINF_NORM, 48 + d, 16).vectors
         assert rearrangement_order(vectors, d) == order_chain(vectors, d)
-    fam = gen_zero_sum_family(3, 6, 12, L1_NORM, 49, 16)
-    assert single_partial_sum(fam, 5) == purify_reference.single_partial_sum(fam, 5)
+        assert sorted(order_chain_walk_every_step(vectors, d)) == list(range(m))
+    for fam in (gen_zero_sum_family(3, 6, 12, L1_NORM, 49, 16),
+                gen_zero_sum_family(3, 8, 12, L1_NORM, 50, 16)):
+        assert single_partial_sum(fam, 5) == purify_reference.single_partial_sum(fam, 5)
     assert divisions >= 15_000, divisions
 
 
@@ -562,16 +568,33 @@ def _prefix_max(vectors, order, norm):
     return best
 
 
+def _count_reference_walks(monkeypatch):
+    """Count the walks of the reference chain, its reference_purify calls."""
+    calls = []
+
+    def walk(lp, x):
+        calls.append(len(x))
+        return reference_purify(lp, x)
+
+    monkeypatch.setattr(purify_reference, "reference_purify", walk)
+    return calls
+
+
 def test_rearrangement_chain_matches_reference(monkeypatch):
-    """The same order as the reference on duplicate-free input; on repeated
-    vectors, where the chain has one column per distinct vector, a
-    bijection within the bound d * radius.  One walk per chain step."""
+    """The same order as the reference on duplicate-free input, with the
+    same walks; on repeated vectors, where the chain has one column per
+    distinct vector, a bijection within the bound d * radius.  A step
+    walks only when no type of its point can be placed."""
     walks = _count_walks(monkeypatch, steinitz.rearrange)
+    reference_walks = _count_reference_walks(monkeypatch)
     steps = repeated = 0
     for d, vectors in _chain_cases():
+        before = len(walks)
         order = rearrangement_order(vectors, d)
         if len(set(vectors)) == len(vectors):
+            del reference_walks[:]
             assert order == order_chain(vectors, d)
+            assert reference_walks == walks[before:]
         else:
             repeated += 1
             assert sorted(order) == list(range(len(vectors)))
@@ -579,58 +602,79 @@ def test_rearrangement_chain_matches_reference(monkeypatch):
                 radius = max(norm_eval(norm, v) for v in vectors)
                 assert _prefix_max(vectors, order, norm) <= d * radius
         steps += len(vectors) - d
-    assert len(walks) == steps
+    # 369 walks for 975 chain steps (975 when every step walked)
+    assert (len(walks), steps) == (369, 975)
     assert repeated >= 8, repeated
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_rearrangement_order_one_step_chain(monkeypatch, d):
-    # m = d + 1: one chain step, from the point 1/m to the vertex 0
+    # m = d + 1: one chain step, whose point rescales to 0, so column 0 is
+    # placed without a walk
     walks = _count_walks(monkeypatch, steinitz.rearrange)
     for seed in range(5):
         vectors = gen_zero_sum_sequence(d, d + 1, L1_NORM, 900 + seed, 16).vectors
         order = rearrangement_order(vectors, d)
         assert order == order_chain(vectors, d)
         assert sorted(order) == list(range(d + 1)) and order[-1] == 0
-    assert walks == [d + 1] * 5
+    assert walks == []
 
 
-def test_corrupted_chain_start_raises_infeasible_start(monkeypatch):
+def _off_the_sum_row(cols, D, X, LO, HI):
+    """A faulty walk: its vertex pushed off the sum row, by D on the last
+    column."""
+    D, X = walk_to_vertex(cols, D, X, LO, HI)
+    return D, X[:-1] + [X[-1] + D]
+
+
+def test_corrupted_chain_start_is_named(monkeypatch):
     # not zero-sum: the first start point is off V x = 0
     vectors = ((F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1, 2)))
-    with pytest.raises(InfeasibleStart, match="^chain point is not feasible$"):
+    with pytest.raises(PropertyViolation, match="^property chain-start-point violated: "
+                                                "chain point is not feasible$"):
         rearrangement_order(vectors, 2)
 
     # a vertex pushed off the sum row: the next step's start check fails
-    def corrupted(cols, D, X, LO, HI):
-        D, X = walk_to_vertex(cols, D, X, LO, HI)
-        return D, X[:-1] + [X[-1] + D]
-
-    monkeypatch.setattr(steinitz.rearrange, "walk_to_vertex", corrupted)
+    monkeypatch.setattr(steinitz.rearrange, "walk_to_vertex", _off_the_sum_row)
     seq = gen_zero_sum_sequence(2, 8, LINF_NORM, 5, 16)
-    with pytest.raises(InfeasibleStart, match="^chain point is not feasible$"):
+    with pytest.raises(PropertyViolation, match="^property chain-start-point violated: "):
         rearrangement_order(seq.vectors, 2)
 
 
-def test_corrupted_chain_start_raises_under_python_O():
-    code = ("import steinitz.rearrange as r\n"
-            "walk = r.walk_to_vertex\n"
-            "def corrupted(cols, D, X, LO, HI):\n"
-            "    D, X = walk(cols, D, X, LO, HI)\n"
-            "    return D, X[:-1] + [X[-1] + D]\n"
-            "r.walk_to_vertex = corrupted\n"
-            "from steinitz.generate import gen_zero_sum_sequence\n"
-            "from steinitz.norms import LINF_NORM\n"
-            "try:\n"
-            "    r.rearrangement_order(gen_zero_sum_sequence(2, 8, LINF_NORM, 5, 16).vectors, 2)\n"
-            "except r.InfeasibleStart as exc:\n"
-            "    print(exc)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
+# the CLI run of a chain whose walk pushes each vertex off the sum row: a
+# named violation, exit 1 (the start check is not a usage error)
+CORRUPTED_CHAIN_RUN = (
+    "import sys\n"
+    "import steinitz.cli as cli, steinitz.rearrange as r\n"
+    "from test_purify_integer import _off_the_sum_row\n"
+    "path = sys.argv[1]\n"
+    "if cli.main(['gen', 'family', '--d', '3', '--n', '1', '--m', '200', '--seed', '5',\n"
+    "             '--output', path]):\n"
+    "    sys.exit('gen failed')\n"
+    "r.walk_to_vertex = _off_the_sum_row\n"
+    "print(cli.main(['rearrange', '--input', path]))\n")
+
+
+def _corrupted_chain_run(python_flags, tmp_path):
+    here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    assert out == "chain point is not feasible\n"
+        p for p in (str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *python_flags, "-c", CORRUPTED_CHAIN_RUN,
+                           str(tmp_path / "seq200.txt")], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+def test_corrupted_chain_start_exits_with_one(tmp_path):
+    run = _corrupted_chain_run([], tmp_path)
+    assert run.stdout == "1\n"
+    assert "property violation [chain-start-point]: property chain-start-point violated: " \
+        "chain point is not feasible" in run.stderr
+
+
+def test_corrupted_chain_start_raises_under_python_O(tmp_path):
+    run = _corrupted_chain_run(["-O"], tmp_path)
+    assert run.stdout == "1\n"
+    assert "property violation [chain-start-point]: " in run.stderr
 
 
 def _selection_families():

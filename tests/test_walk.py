@@ -6,9 +6,9 @@ when every step rescaled the whole point and a move that tightened more
 than one column built the basis inverse again.  On every input below the
 two must return the same (D, X), or raise the same exception with the same
 message: the seeded LPs of test_purify_integer.py (through
-``purify_to_vertex``), every step of the rearrangement chain and of the
-per-copy chain of chain_reference.py on ``_chain_cases()``, and every
-selection walk on ``_selection_families()``.
+``purify_to_vertex``), every walk of the rearrangement chain and of the
+per-copy chain of chain_reference.py that walks at every step, on
+``_chain_cases()``, and every selection walk on ``_selection_families()``.
 The reference's log shows that the inputs reach the downdates, the steps
 with a denominator and the columns tight at the start.
 """
@@ -29,13 +29,14 @@ import steinitz.lp as lp
 import steinitz.rearrange as rearrange
 from steinitz.checks import PropertyViolation
 from steinitz.colorful import ColoredFamily, single_partial_sum
-from steinitz.generate import gen_zero_sum_family, gen_zero_sum_sequence
+from steinitz.generate import (gen_adversarial_scalar_family, gen_zero_sum_family,
+                               gen_zero_sum_sequence)
 from steinitz.linalg import _bareiss_step
 from steinitz.lp import LPError, WalkCheckFailed, purify_to_vertex, walk_to_vertex
 from steinitz.norms import L1_NORM, LINF_NORM
 from steinitz.rearrange import rearrangement_order
-from chain_reference import order_chain
-from test_purify_integer import LP_SETS, _chain_cases, _selection_families
+from chain_reference import order_chain_walk_every_step
+from test_purify_integer import LP_SETS, _chain_cases, _off_the_sum_row, _selection_families
 from walk_reference import reference_walk
 
 
@@ -94,14 +95,14 @@ def test_walk_matches_reference_on_seeded_lps(differential):
 
 
 def test_walk_matches_reference_on_chain_steps(differential):
-    # both chains: one walk column per distinct vector, and one per copy
-    steps = 0
+    # the library chain, one walk column per distinct vector, which walks
+    # only where it must (369 walks), and the per-copy chain that walks at
+    # every one of its 975 steps
     for d, vectors in _chain_cases():
         rearrangement_order(vectors, d)
-        order_chain(vectors, d)
-        steps += 2 * (len(vectors) - d)
+        order_chain_walk_every_step(vectors, d)
     seen = differential.seen
-    assert seen["walks"] == steps
+    assert seen["walks"] == 369 + 975
     for event, floor in (("multi-leave", 3), ("tight-leave", 100), ("den", 2000),
                          ("start-tight", 1000)):
         assert seen[event] >= floor, (event, seen)
@@ -146,12 +147,55 @@ def test_selection_bareiss_steps(monkeypatch):
 
 def test_chain_bareiss_steps(monkeypatch):
     # 438 steps when every multi-column tightening rebuilt the basis inverse,
-    # 437 with one walk column per copy (68 distinct vectors of 70), and 447
-    # when the chain drops a copy of the first type with a unit gap without
-    # preferring a type at zero
+    # 437 with one walk column per copy (68 distinct vectors of 70), 447
+    # when the chain dropped a copy of the first type with a unit gap without
+    # preferring a type at zero, and 404 when it walked at every step
     steps = _count_steps(monkeypatch)
     rearrangement_order(gen_zero_sum_sequence(2, 70, LINF_NORM, 7, 16).vectors, 2)
-    assert len(steps) <= 404, len(steps)
+    assert len(steps) <= 316, len(steps)
+
+
+# the inputs of one certify pass of the benchmark at seed 1: per round,
+# steinitz_rearrange on REARRANGE_SPECS (d, m, norm, denominator),
+# colorful_rearrange on the adversarial families COLORFUL_SPECS (n, m), and
+# single_partial_sum for every k on four d = 3, n = 6, m = 12 families
+REARRANGE_SPECS = ((2, 40, LINF_NORM, 16), (3, 60, L1_NORM, 1024), (5, 30, LINF_NORM, 1024),
+                   (2, 70, L1_NORM, 1024), (3, 35, LINF_NORM, 16), (5, 50, L1_NORM, 16))
+COLORFUL_SPECS = ((64, 3), (80, 3), (48, 4), (56, 3))
+
+
+def test_certify_pass_walks(monkeypatch):
+    # at one walk per chain step: rearrange 795 walks and 6,160 Bareiss steps,
+    # colorful 950 and 4,879; the selections walk once each either way
+    kind, walks, steps = [None], collections.Counter(), collections.Counter()
+
+    def walk(cols, D, X, LO, HI):
+        walks[kind[0]] += 1
+        return walk_to_vertex(cols, D, X, LO, HI)
+
+    def counted(T, t, p, delta):
+        steps[kind[0]] += 1
+        return _bareiss_step(T, t, p, delta)
+
+    for module in (rearrange, colorful):
+        monkeypatch.setattr(module, "walk_to_vertex", walk)
+    monkeypatch.setattr(lp, "_bareiss_step", counted)
+    for base in (10_000, 11_000, 12_000):
+        for i, (d, m, norm, denom) in enumerate(REARRANGE_SPECS):
+            kind[0] = "rearrange"
+            rearrange.steinitz_rearrange(gen_zero_sum_sequence(d, m, norm, base + i, denom))
+            if i < len(COLORFUL_SPECS):
+                kind[0] = "colorful"
+                colorful.colorful_rearrange(
+                    gen_adversarial_scalar_family(*COLORFUL_SPECS[i], base + 100 + i))
+        kind[0] = "singlesum"
+        for i in range(4):
+            fam = gen_zero_sum_family(3, 6, 12, (LINF_NORM, L1_NORM)[i % 2], base + 200 + i)
+            for k in range(13):
+                single_partial_sum(fam, k)
+    assert walks["rearrange"] <= 391 and walks["colorful"] <= 517, walks
+    assert walks["singlesum"] == 156, walks
+    assert steps["rearrange"] <= 3531 and steps["colorful"] <= 3025, steps
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +252,8 @@ _FAM = ColoredFamily(1, 1, 4, (((F(1),), (F(1),), (F(-1),), (F(-1),)),), LINF_NO
 CALLER_FAULTS = (
     ("chain-zero-coordinate", rearrange, "walk_to_vertex",
      lambda cols, D, X, LO, HI: (D, [D] * len(X)), lambda: rearrangement_order(_SEQ.vectors, 2)),
+    ("chain-start-point", rearrange, "walk_to_vertex", _off_the_sum_row,
+     lambda: rearrangement_order(_SEQ.vectors, 2)),
     ("steinitz-prefix-bound", rearrange, "max_prefix_norm",
      lambda seq, perm: seq.dim * seq.radius() + 1, lambda: rearrange.steinitz_rearrange(_SEQ)),
     ("subspace-prefix-bound", rearrange, "max_prefix_norm",
