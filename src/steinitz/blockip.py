@@ -1148,18 +1148,26 @@ def conformal_leq(a, b) -> bool:
 
 def graver_enumerate(inst: FourBlockInstance, box: int):
     """All conformally-minimal nonzero integer kernel vectors of H inside
-    [-box, box]^{t0+nt}; the true Graver basis restricted to the box."""
+    [-box, box]^{t0+nt}; the true Graver basis restricted to the box, in
+    enumeration order.
+
+    Each kernel point is tested, in order of l1 norm, against the minimal
+    ones kept so far only, which is exact: below a point g that is not
+    minimal lies a minimal one of smaller l1 norm, inside the box (a
+    conformal minor of a point of the box is in the box), so it was kept
+    before g is tested; and two points of equal l1 norm are conformally
+    comparable only when equal.  That is O(K |G|) tests, not O(K^2)."""
     if box < 1:
         raise ValueError("box must be at least 1")
     rows, _ = inst.integer_system()
     dim = inst.x_dim + inst.y_dim
     kernel = list(enum_integer_points((-box,) * dim, (box,) * dim, predicate=any,
                                       system=(rows, (0,) * len(rows))))
-    out = []
-    for g in kernel:
-        if not any(h != g and conformal_leq(h, g) for h in kernel):
-            out.append(g)
-    return out
+    kept = []
+    for j in sorted(range(len(kernel)), key=lambda j: sum(map(abs, kernel[j]))):
+        if not any(conformal_leq(kernel[h], kernel[j]) for h in kept):
+            kept.append(j)
+    return [kernel[j] for j in sorted(kept)]
 
 
 # ---------------------------------------------------------------------------

@@ -244,24 +244,32 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
     and recheck.  The pair (max row norm, number of rows attaining it)
     strictly decreases lexicographically, which gives termination.
 
-    Runs in integers, on fam.integer_form's vectors V = L*v: the row sums
-    and their norms, the threshold test mx <= (d+1)^2 (4d(d+1)+2) L, the
-    stacked deviations n*V - row (the deviations over nL, checked against
-    2nL) and the chain bound, multiplied by (d+1) L.  The Caratheodory
-    anchor and the chain take the integer rows and deviations, and neither
-    answer changes under scaling.  row_bound and the history's norms are
-    divided by L, as Fraction.
+    Runs in integers, on fam.integer_form's vectors V = L*v, by
+    ``_balance_rows``.
     """
     scale, vectors = fam.integer_form
+    return _balance_rows(fam.dim, fam.length, fam.norm, vectors, scale)
+
+
+def _balance_rows(d: int, m: int, norm: NormSpec, vectors, scale: int) -> BalanceResult:
+    """balance_rows of the family of the len(vectors) colors of m integer
+    vectors V = L*v in dimension d, L = scale: the row sums and their
+    norms, the threshold test mx <= (d+1)^2 (4d(d+1)+2) L, the stacked
+    deviations n*V - row (the deviations over nL, checked against 2nL) and
+    the chain bound, multiplied by (d+1) L.  The Caratheodory anchor and the
+    chain take the integer rows and deviations, and neither answer changes
+    under scaling, so any common multiple of the denominators will do for
+    L.  row_bound and the history's norms are divided by L, as Fraction.
+    """
     _require_zero_sum_union(tuple(map(sum, zip(*(v for color in vectors for v in color)))))
-    d, n, m = fam.dim, fam.colors, fam.length
+    n = len(vectors)
     limit = (d + 1) ** 2 * (4 * d * (d + 1) + 2) * scale
     sigma = [list(range(m)) for _ in range(n)]
     history = []
     prev = None
     while True:
         rows = _row_sums(vectors, d, sigma, range(m))
-        norms = [norm_eval(fam.norm, row) for row in rows]
+        norms = [norm_eval(norm, row) for row in rows]
         mx = max(norms, default=0)
         cnt = sum(1 for v in norms if v == mx)
         history.append((mx, cnt))
@@ -281,7 +289,7 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
                                     "window arithmetic requires n much larger than d")
 
         # stacked per-color deviations over the selected rows, times nL; norm <= 2 each
-        block_norm = BlockMax(fam.norm, d)
+        block_norm = BlockMax(norm, d)
         stacked = []
         for color, order in zip(vectors, sigma):
             w = tuple(n * x - y for r in sel_rows for x, y in zip(color[order[r]], rows[r]))
@@ -301,7 +309,7 @@ def balance_rows(fam: ColoredFamily) -> BalanceResult:
         # the proof's chain bound on every touched row, and strict progress
         cap = _chain_cap(d, limit, mx)
         for row in _row_sums(vectors, d, sigma, sel_rows):
-            val = norm_eval(fam.norm, row)
+            val = norm_eval(norm, row)
             if (d + 1) * val > cap:
                 raise PropertyViolation("balance-chain-bound",
                                         "touched row exceeded the improvement chain bound")
@@ -342,7 +350,7 @@ def _bound(n: int, d: int) -> Fraction:
     return min(Fraction(n * d), Fraction(40 * d ** 5))
 
 
-def _certify(dim: int, m: int, norm: NormSpec, colors, scale: int, fractions) -> _Route:
+def _certify(dim: int, m: int, norm: NormSpec, colors, scale: int) -> _Route:
     """The route of colorful_rearrange for the family of n = len(colors)
     colors of m vectors in dimension dim whose vectors are the integer
     vectors of colors, given as runs (vector, count), divided by scale.
@@ -351,18 +359,18 @@ def _certify(dim: int, m: int, norm: NormSpec, colors, scale: int, fractions) ->
     check, row sums, orders and prefix maxima all run on the integers: the
     bound scales by scale, signs and the rearrangement LPs do not change.
     The trivial route's rows are formed once per merged run, ordered as
-    chunks and their prefix maximum read at the chunk ends.  fractions()
-    gives the family for balance_rows, which reads its cached integer_form;
-    only the balanced route, taken when n > 40 d^4, calls it, once, and its
-    rows are one run each.
+    chunks and their prefix maximum read at the chunk ends.  Only the
+    balanced route, taken when n > 40 d^4, balances the rows, once, on the
+    same integers and scale (``_balance_rows``), and its rows are one run
+    each.
     The route carries the balance's row bound and history whichever route
     wins, so a caller reads them from the certificate.
     """
     d, n = dim, len(colors)
     routes = {ROUTE_TRIVIAL: (None, _merged_rows(colors, d, m))}
     if n * d > 40 * d ** 5:
-        bal = balance_rows(fractions())
         vectors = [[v for v, count in color for _ in range(count)] for color in colors]
+        bal = _balance_rows(d, m, norm, vectors, scale)
         routes[ROUTE_BALANCED] = (bal.orders, [(row, 1) for row in
                                                 _row_sums(vectors, d, bal.orders, range(m))])
         row_bound, history = bal.row_bound, bal.history
@@ -391,14 +399,13 @@ def colorful_rearrange(fam: ColoredFamily) -> ColorfulCertificate:
 
     Runs in integers, on fam.integer_form: the checks, the row sums, their
     order and the prefix maxima run on the vectors L*v, each color as runs
-    of one shared tuple; achieved_max is divided by L at the end.  Only the
-    balanced route's balance_rows sees fam itself, once, and reads the same
-    cached form; its row bound and history are the certificate's
-    phase1_row_bound and phase1_history.
+    of one shared tuple; achieved_max is divided by L at the end.  The
+    balanced route balances the same integers once; its row bound and
+    history are the certificate's phase1_row_bound and phase1_history.
     """
     scale, vectors = fam.integer_form
     colors = [_run_encode(color) for color in vectors]
-    route = _certify(fam.dim, fam.length, fam.norm, colors, scale, lambda: fam)
+    route = _certify(fam.dim, fam.length, fam.norm, colors, scale)
     return ColorfulCertificate(route.permutations(fam.colors), _bound(fam.colors, fam.dim),
                                Fraction(route.achieved, scale), route.name, route.row_bound,
                                route.history)
@@ -432,10 +439,10 @@ def _affine_runs(dim: int, m: int, norm: NormSpec, colors, scale):
     recentred vectors, T is the sum of the V.
 
     Runs in integers: the recentred vector is n*m*V - T over 2nmL, formed
-    once per distinct vector and certified by the same integer core.  Its
-    k-th joint prefix, n*(m*P_k - k*T) over 2nmL with P_k that of V, is half
-    the deviation of the k-th prefix of v from k*drift.  The rational
-    recentred family is built only for balance_rows.
+    once per distinct vector, checked against the unit ball and certified
+    by the same integer core.  Its k-th joint prefix, n*(m*P_k - k*T) over
+    2nmL with P_k that of V, is half the deviation of the k-th prefix of v
+    from k*drift.
     """
     n = len(colors)
     nm = n * m
@@ -446,14 +453,8 @@ def _affine_runs(dim: int, m: int, norm: NormSpec, colors, scale):
                for v in dict.fromkeys(v for color in colors for v, _ in color)}
     inner = [[(centred[v], count) for v, count in color] for color in colors]
     denom = 2 * nm * scale
-
-    def fractions():
-        rational = {w: tuple(Fraction(x, denom) for x in w) for w in centred.values()}
-        return ColoredFamily(dim, n, m, tuple(tuple(rational[w] for w, count in color
-                                                    for _ in range(count)) for color in inner),
-                             norm)
-
-    return _certify(dim, m, norm, inner, denom, fractions), total
+    _require_unit_ball(max(norm_eval(norm, w) for w in centred.values()), denom)
+    return _certify(dim, m, norm, inner, denom), total
 
 
 # ---------------------------------------------------------------------------

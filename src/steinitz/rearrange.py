@@ -2,19 +2,27 @@
 
 The core construction maintains a shrinking chain of multisets.  It runs
 over the distinct vectors, each with its number of copies as the upper
-bound of its coordinate.  At each step the current feasible point is
-rescaled into the polytope whose coordinate sum is one lower and checked,
-and one copy leaves: of a vector at value zero, else of one whose value is
-at least one below its count.  Only when the point has no such vector is
-it walked to a vertex, where a counting argument guarantees one, so the
-descent never needs to backtrack; any violation of that guarantee would
-be a genuine bug and raises.
+bound of its coordinate, and needs only some point, not a vertex, of each
+shrinking polytope: one copy leaves at each step, of a vector at value
+zero or of one whose value is at least one below its count, and the
+copies left then have the bound.  The chain has two phases.  At first
+each step rescales the current point into the polytope whose coordinate
+sum is one lower, checks it, and places the first such vector.  At the
+first step whose point has none, the point is walked to a vertex, once,
+and from then on the chain keeps that vertex's basis: each step lowers
+the sum by one and restores feasibility by dual-simplex pivots with
+Bland's rule, which end at a basic feasible point, and a counting argument
+guarantees such a point a vector to place, so the descent never needs to
+backtrack; any violation of that guarantee would be a genuine bug and
+raises.  In the pivot phase the vector placed is the one whose copy
+leaves the smallest next prefix.
 
 The chain runs on one integer state and builds no LP per step: the
 vectors are scaled to integers once, the point is a list of integers over
-one common denominator that each step rescales, checks exactly and, when
-it must, hands to ``lp.walk_to_vertex``, and a vector whose last copy
-leaves takes its column with it.
+one common denominator, checked exactly at every step, the walk is
+``lp._walk``, which returns its basis fraction-free, each pivot is one
+``linalg._bareiss_step``, and a vector whose last copy leaves takes its
+column with it.
 
 Dimension one has a cheap special case: always append an element whose
 sign opposes the running prefix.
@@ -23,11 +31,14 @@ Repeated vectors are carried as runs (value, count) of equal consecutive
 entries, and an order as chunks (r, lo, hi): copies lo..hi-1 of run r.  In
 dimension one the greedy takes ceil(|prefix| / |value|) copies of a run at
 once, so its work grows with the chunks, not the copies; the chain has one
-column per distinct vector, so its walks grow with the distinct vectors,
-not the copies.  Prefix maxima are read at the ends of the runs only: along
-a run the prefix is affine in k and a norm is convex.
+column per distinct vector, so its walk and pivots grow with the distinct
+vectors, not the copies.  Prefix maxima are read at the ends of the runs
+only: along a run the prefix is affine in k and a norm is convex.
 ``rearrangement_order`` and ``max_prefix_norm`` run-encode their input and
-call these run cores.
+call these run cores.  A ``VectorSequence`` holds its integer form once
+(``integer_form``, cached), and the certificates read it: the zero-sum
+check, the radius, the chain and the prefix maximum run on the integers,
+and the bound and the maximum are divided by L once.
 """
 
 from __future__ import annotations
@@ -35,12 +46,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, compress
 from operator import is_not, itemgetter, mul, sub
 
 from .checks import PropertyViolation
-from .linalg import Vec, ZERO, scale_to_integers, span_coordinates
-from .lp import walk_to_vertex
+from .linalg import Vec, ZERO, _bareiss_step, scale_to_integers, span_coordinates
+from .lp import _walk
 from .norms import NormSpec, norm_eval
 
 
@@ -69,8 +81,21 @@ class VectorSequence:
                 out[i] += x
         return tuple(out)
 
+    @cached_property
+    def integer_form(self) -> tuple:
+        """(L, V): L is the lcm of the entry denominators and V[j] is the int
+        tuple L*vectors[j].  Each vector object is scaled once, and equal
+        vectors then share one tuple, found by hashing integers only."""
+        objects = {id(v): v for v in self.vectors}
+        scale, ints = scale_to_integers(objects.values())
+        distinct = {}
+        of_id = {key: distinct.setdefault(w, w) for key, w in zip(objects, ints)}
+        return scale, tuple(of_id[id(v)] for v in self.vectors)
+
     def radius(self) -> Fraction:
-        return max((norm_eval(self.norm, v) for v in self.vectors), default=ZERO)
+        """The largest norm of a vector, read on the integer form."""
+        scale, vectors = self.integer_form
+        return Fraction(max((norm_eval(self.norm, v) for v in set(vectors)), default=0), scale)
 
 
 @dataclass(frozen=True)
@@ -82,7 +107,8 @@ class RearrangementCertificate:
 
 
 def _require_zero_sum(seq: VectorSequence):
-    if not all(x == 0 for x in seq.total()):
+    """The sum of the sequence, read on its integer form, is zero."""
+    if any(map(sum, zip(*seq.integer_form[1]))):
         raise ZeroSumRequired("sequence does not sum to zero exactly")
 
 
@@ -165,20 +191,28 @@ def _order_chain(runs, dim) -> list:
     in order of first occurrence), each with its count c_i as an upper
     bound.  One integer state for the whole chain: the columns (L v_i, 1),
     with L the lcm of the entry denominators, and the point X over D in
-    {sum_i X_i v_i = 0, sum X = (k-1-dim) D, 0 <= X <= c D}.  At step k the
-    point is rescaled by (k-1-dim)/(k-dim) and checked exactly, and one copy
-    of a type takes position k (counted from 1): of the first type at zero,
-    else of the first with a gap c_i D - X_i >= D (``_placeable``).  Only
-    when there is none is the point walked to a vertex, where there is one:
-    the gaps add up to (dim+1) D, and at most dim+1 coordinates of the
-    vertex lie strictly inside their bounds.  Any checked point will do,
-    vertex or not: with lambda = X/D and lambda_p <= c_p - 1, the prefix
-    left is sum (c'_i - lambda_i) v_i, with weights >= 0 that add up to
-    dim, so its norm is at most dim * radius.  A zero stays zero when the
-    point is rescaled, so most steps place a copy without a walk.  A type
-    whose copies are all placed takes its column with it.  With every
-    count 1 this is the LP of one column per vector and the first-zero
-    drop.
+    P_k = {sum_i X_i v_i = 0, sum X = (k-1-dim) D, 0 <= X <= c D}.  Step k
+    (counted from 1) places one copy of a type at position k, of one whose
+    point is at zero or has a gap c_i D - X_i >= D; the copies left number
+    k, so the gaps add up to (dim+1) D.  Any checked point will do, vertex
+    or not: with lambda = X/D and lambda_p <= c_p - 1, the prefix left is
+    sum (c'_i - lambda_i) v_i, with weights >= 0 that add up to dim, so its
+    norm is at most dim * radius.  A type whose copies are all placed
+    takes its column with it.
+
+    The chain has two phases.  Walk-free: the point is rescaled by
+    (k-1-dim)/(k-dim) and checked exactly, and one copy of the first type
+    at zero, else of the first with a unit gap (``_placeable``), takes
+    position k.  A zero stays zero when the point is rescaled, so most steps
+    place a copy this way; with every count 1 this is the LP of one column
+    per vector and the first-zero drop.  At the first step with no such
+    type, the point is walked to a vertex, once, and ``_pivot_steps`` runs
+    the rest of the chain on that vertex's basis: each step lowers the sum
+    by one, and dual pivots with Bland's rule, which cannot cycle, restore
+    a basic feasible point, where a type to place always exists (the
+    nonbasic types sit at 0 or at their count, and the gaps add up to
+    dim+1), so no second walk is needed.  Its placement rule differs: the
+    type whose copy leaves the smallest next prefix.
 
     Each type's copies take their places in index order: the first ones,
     whose count is left when the chain ends, fill positions 0..dim-1 in
@@ -210,12 +244,9 @@ def _order_chain(runs, dim) -> list:
             raise PropertyViolation("chain-start-point", "chain point is not feasible")
         p = _placeable(X, left, D)
         if p is None:
-            D, X = walk_to_vertex(cols, D, X, [0] * len(X), HI)
-            p = _placeable(X, left, D)
-        if p is None:
-            raise PropertyViolation("chain-zero-coordinate",
-                                    "vertex without a zero coordinate or a unit gap; "
-                                    "descent invariant broken")
+            live, left = _pivot_steps(k, dim, cols, live, left,
+                                      _walk(cols, D, X, [0] * len(X), HI), drops)
+            break
         drops.append(live[p])
         left[p] -= 1
         if not left[p]:
@@ -241,6 +272,150 @@ def _order_chain(runs, dim) -> list:
         else:
             chunks.append((r, lo, lo + 1))
     return chunks
+
+
+def _closest(live, X, D, count, P, col):
+    """Among the types of live (X over D, count their copies left) at zero
+    or with a unit gap, the one whose copy leaves the smallest prefix
+    P - v, in squared Euclidean norm on the integer vectors, the first on
+    ties; raises chain-zero-coordinate when there is none."""
+    best = None
+    for t, a in zip(live, X):
+        if a == 0 or a <= (count[t] - 1) * D:
+            key = sum((x - y) ** 2 for x, y in zip(P, col[t]))
+            if best is None or key < best[0]:
+                best = key, t
+    if best is None:
+        raise PropertyViolation("chain-zero-coordinate",
+                                "point without a zero coordinate or a unit gap; "
+                                "descent invariant broken")
+    return best[1]
+
+
+def _positive_step(T, t, q, delta) -> int:
+    """One ``_bareiss_step`` of T on row q; when the new delta is negative,
+    T and delta are negated, so that delta > 0 and T over delta still
+    holds the basis inverse and the basic values."""
+    delta = _bareiss_step(T, t, q, delta)
+    if delta < 0:
+        for row in T:
+            row[:] = [-a for a in row]
+    return abs(delta)
+
+
+def _pivot_steps(k, dim, cols, live, left, vertex, drops) -> tuple:
+    """Steps k..dim+1 of ``_order_chain`` from its walk's vertex of P_k,
+    appending the types placed to drops; returns (live, left) at the end.
+    vertex is ``lp._walk``'s (D, X, basis, T, delta) for the columns cols of
+    the types live, with left copies each.
+
+    The chain keeps the vertex's basis from step to step: delta > 0 and T,
+    delta times the inverse of the basis over the R = dim+1 rows, the
+    walk's interior columns completed by unit columns, which are held as
+    artificial basics fixed at 0 (so a rank-deficient input and a basic type
+    that runs out need no second path).  Every other type is nonbasic, at 0
+    or at its count.  Each row of T carries one more entry, T r with
+    r = b - A_N x_N: the basic values over delta.  The vertex must be the
+    basic solution of its basis (else chain-start-point).
+
+    A step places the type that ``_closest`` picks, and the next one lowers
+    the right-hand side of the sum row by one, which moves the basic values
+    by -T e_R.  Dual-simplex pivots restore feasibility, each one
+    ``_bareiss_step``: the violated basic of lowest index leaves at the
+    bound it crossed, an artificial (indexed by its basis position, which
+    it keeps until it leaves) before any type, and the eligible nonbasic
+    type of lowest index enters, one whose move takes the leaving value
+    back toward its bound.  The costs are zero, so every basis is dual
+    feasible and every pivot dual degenerate, and with Bland's rule the
+    pivots cannot cycle (Bland 1977): each step ends at a basic feasible
+    point.  There is one, the rescaled point, so a violated basic without
+    an entering type is a bug, chain-dual-infeasible.  A basic feasible
+    point has a type to place: one at zero, or else every nonbasic type is
+    at its count, with gap 0, so the gaps, which add up to dim+1, lie on at
+    most dim+1 basic types, and one has a gap of at least 1.  Each step's
+    point is checked exactly, as in the walk-free phase.  A basic type that
+    runs out is at 0, and its row is pivoted onto the first unit column e_i
+    with T[q][i] != 0, an artificial, which leaves the point as it is."""
+    R = dim + 1
+    D, X, basis, T, delta = vertex
+    col = dict(zip(live, cols))
+    count = dict(zip(live, left))
+    P = [sum(count[t] * col[t][i] for t in live) for i in range(dim)]
+    # place on the walk's own vertex, before it is read back from its basis
+    p = _closest(live, X, D, count, P, col)
+    if delta < 0:
+        T, delta = [[-a for a in row] for row in T], -delta
+    basic = [live[c] for c in basis] + [None] * (R - len(basis))   # None: an artificial
+    pos = {t: q for q, t in enumerate(basic) if t is not None}
+    upper = {t for t, a in zip(live, X) if t not in pos and a}
+    rhs = [0] * dim + [k - 1 - dim]
+    for t in upper:
+        rhs = [a - count[t] * b for a, b in zip(rhs, col[t])]
+    for row in T:
+        row.append(sum(map(mul, row, rhs)))
+    if any(T[q][R] for q, t in enumerate(basic) if t is None) or any(
+            a * delta != D * (T[pos[t]][R] if t in pos else count[t] * delta * (t in upper))
+            for t, a in zip(live, X)):
+        raise PropertyViolation("chain-start-point", "chain point is not feasible")
+    while True:
+        drops.append(p)
+        count[p] -= 1
+        P = [x - y for x, y in zip(P, col[p])]
+        if not count[p]:
+            q = pos.pop(p, None)
+            if q is not None:
+                i = next(i for i in range(R) if T[q][i])
+                delta = _positive_step(T, [row[i] for row in T], q, delta)
+                basic[q] = None
+            live.remove(p)
+        k -= 1
+        if k == dim:
+            return live, [count[t] for t in live]
+        for row in T:                  # the sum row's right-hand side drops by one
+            row[R] -= row[dim]
+        while True:
+            # the violated basics, an artificial off 0 keyed before every type
+            viol = [(-1 if t is None else t, q) for q, t in enumerate(basic)
+                    if (T[q][R] if t is None else not 0 <= T[q][R] <= count[t] * delta)]
+            if not viol:
+                break
+            q = min(viol)[1]
+            out = basic[q]
+            high = T[q][R] > (0 if out is None else count[out] * delta)
+            j = next((j for j in live if j not in pos and
+                      _moves_back(sum(map(mul, T[q], col[j])), high, j in upper)), None)
+            if j is None:
+                raise PropertyViolation("chain-dual-infeasible",
+                                        "a violated basic has no entering type; "
+                                        "the chain polytope cannot be empty")
+            t = [sum(map(mul, row, col[j])) for row in T]
+            if j in upper:
+                upper.discard(j)
+                for row, ti in zip(T, t):
+                    row[R] += count[j] * ti
+            if out is not None:
+                del pos[out]
+                if high:
+                    upper.add(out)
+                    T[q][R] -= delta * count[out]
+            delta = _positive_step(T, t, q, delta)
+            basic[q], pos[j] = j, q
+        # the start point of step k, read from the basis
+        X = [T[pos[t]][R] if t in pos else count[t] * delta * (t in upper) for t in live]
+        *coords, ones = (sum(map(mul, row, X)) for row in zip(*(col[t] for t in live)))
+        if any(a < 0 or a > count[t] * delta for t, a in zip(live, X)) or any(coords) or \
+                ones != (k - 1 - dim) * delta:
+            raise PropertyViolation("chain-start-point", "chain point is not feasible")
+        p = _closest(live, X, delta, count, P, col)
+
+
+def _moves_back(a: int, high: bool, at_count: bool) -> bool:
+    """Whether a nonbasic type with row entry a = T_q a_j can move a basic
+    value that is above its bound (high) or below it back toward that bound:
+    the value falls by a / delta per unit the type rises, so from 0 up when
+    a has the violation's sign, and from its count down when it has the
+    other."""
+    return a != 0 and ((a > 0) == high) != at_count
 
 
 def rearrangement_order(vectors, dim) -> tuple:
@@ -305,17 +480,27 @@ def _max_prefix_runs(runs, dim: int, norm: NormSpec, drift: Vec | None = None):
     return ZERO if best is None else best
 
 
-def steinitz_rearrange(seq: VectorSequence) -> RearrangementCertificate:
-    """Order a zero-sum sequence so every prefix has norm <= dim * radius."""
-    _require_zero_sum(seq)
-    order = rearrangement_order(seq.vectors, seq.dim)
+def _certificate(seq: VectorSequence, order, dim: int, name: str, message: str):
+    """The certificate of order with bound dim * radius, read on the
+    sequence's integer form: the prefix maximum of the vectors L*v at the
+    run ends, and the radius, each divided by L once."""
+    scale, vectors = seq.integer_form
     radius = seq.radius()
-    certified = seq.dim * radius
-    achieved = max_prefix_norm(seq, order)
-    if achieved > certified:
-        raise PropertyViolation("steinitz-prefix-bound",
-                                "prefix bound dim * radius violated; construction is broken")
-    return RearrangementCertificate(order, certified, achieved, radius)
+    achieved = Fraction(_max_prefix_runs(_run_encode(vectors[i] for i in order), seq.dim,
+                                         seq.norm), scale)
+    if achieved > dim * radius:
+        raise PropertyViolation(name, message)
+    return RearrangementCertificate(order, dim * radius, achieved, radius)
+
+
+def steinitz_rearrange(seq: VectorSequence) -> RearrangementCertificate:
+    """Order a zero-sum sequence so every prefix has norm <= dim * radius.
+    The zero-sum check, the chain and the certificate run on the integer
+    form."""
+    _require_zero_sum(seq)
+    return _certificate(seq, rearrangement_order(seq.integer_form[1], seq.dim), seq.dim,
+                        "steinitz-prefix-bound",
+                        "prefix bound dim * radius violated; construction is broken")
 
 
 def subspace_rearrange(seq: VectorSequence) -> RearrangementCertificate:
@@ -323,15 +508,12 @@ def subspace_rearrange(seq: VectorSequence) -> RearrangementCertificate:
 
     The vectors are mapped through a coordinate bijection onto the span of
     the input, rearranged there, and the certificate is stated in the
-    ambient norm with bound dim(span) * radius.
+    ambient norm with bound dim(span) * radius.  The span coordinates of the
+    integer form are those of the input: one elimination scales both to the
+    same integer rows.
     """
     _require_zero_sum(seq)
-    r, coords = span_coordinates(seq.vectors)
-    radius = seq.radius()
+    r, coords = span_coordinates(seq.integer_form[1])
     order = tuple(range(len(seq))) if r == 0 else rearrangement_order(coords, r)
-    certified = r * radius
-    achieved = max_prefix_norm(seq, order)
-    if achieved > certified:
-        raise PropertyViolation("subspace-prefix-bound",
-                                "subspace prefix bound dim(V) * radius violated")
-    return RearrangementCertificate(order, certified, achieved, radius)
+    return _certificate(seq, order, r, "subspace-prefix-bound",
+                        "subspace prefix bound dim(V) * radius violated")

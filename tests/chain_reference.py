@@ -14,14 +14,29 @@ the same bound.
 ``order_chain_walk_every_step`` is the same chain as it was when every
 step walked to a vertex before it placed a copy: the baseline of the
 quality test of the place-before-walk rule.
+
+``order_chain_walk_when_stuck`` is ``rearrange._order_chain`` as it was
+before it kept its vertex's basis: one column per distinct vector, and a
+walk at every step whose rescaled point has no type at zero or with a unit
+gap.  Its walks are the chain inputs of the walk's differential test.
+
+``order_chain_pivots`` is the library's chain over ``Fraction``, the oracle
+of its differential test: the walk-free phase on a rational point, one walk
+(``lp._walk``, through ``steinitz.lp``), and then the same placement rule
+and the same dual pivots with Bland's rule, each basic solution and each
+pivot row entry solved afresh from the basis columns by the ``Fraction``
+Gauss-Jordan elimination of echelon_reference.py.  Only the basis and the
+unit columns that complete it are read from the walk.
 """
 
 import math
+from fractions import Fraction
 from operator import mul
 
 import steinitz.lp as lp
+from echelon_reference import solve_linear
 from steinitz.checks import PropertyViolation
-from steinitz.linalg import scale_to_integers
+from steinitz.linalg import Matrix, scale_to_integers
 
 
 def _chain(vectors, dim, walk_every_step) -> tuple:
@@ -70,3 +85,223 @@ def order_chain(vectors, dim) -> tuple:
 def order_chain_walk_every_step(vectors, dim) -> tuple:
     """The per-copy chain that walks to a vertex at every step."""
     return _chain(vectors, dim, True)
+
+
+def _types(runs):
+    """(own, counts, ints): per distinct vector of the runs (vector, count),
+    in order of first occurrence, its runs and its count, and the vectors
+    scaled to integers by one common factor."""
+    _, ints = scale_to_integers([v for v, _ in runs])
+    types = {}
+    for r, (v, (_, count)) in enumerate(zip(ints, runs)):
+        if count:
+            types.setdefault(v, []).append(r)
+    own = list(types.values())
+    return own, [sum(runs[r][1] for r in rs) for rs in own], list(types)
+
+
+def _chunks(runs, own, live, left, drops):
+    """The chunks (r, lo, hi) of a chain that placed the types drops, in
+    order, and left the copies left of the types live: those fill positions
+    0..dim-1, each type's first ones."""
+    taken = [0] * len(runs)
+    for t, count in zip(live, left):
+        for r in own[t]:
+            taken[r] = min(runs[r][1], count)
+            count -= taken[r]
+            if not count:
+                break
+    chunks = [(r, 0, count) for r, count in enumerate(taken) if count]
+    at = [0] * len(own)
+    for t in reversed(drops):
+        while taken[own[t][at[t]]] == runs[own[t][at[t]]][1]:
+            at[t] += 1
+        r = own[t][at[t]]
+        lo = taken[r]
+        taken[r] += 1
+        if chunks and chunks[-1][0] == r and chunks[-1][2] == lo:
+            chunks[-1] = (r, chunks[-1][1], lo + 1)
+        else:
+            chunks.append((r, lo, lo + 1))
+    return chunks
+
+
+def _first_placeable(X, left, D):
+    p = next((p for p, a in enumerate(X) if a == 0), None)
+    if p is None:
+        p = next((p for p, (a, count) in enumerate(zip(X, left)) if a <= (count - 1) * D), None)
+    return p
+
+
+def order_chain_walk_when_stuck(runs, dim) -> list:
+    """The chain over the distinct vectors that walks at every step whose
+    rescaled point has no type at zero or with a unit gap, as chunks."""
+    own, counts, ints = _types(runs)
+    m = sum(counts)
+    cols = [(*v, 1) for v in ints]
+    live, left = list(range(len(cols))), list(counts)
+    drops = []
+    D, X = m, [count * (m - dim) for count in counts]
+    for k in range(m, dim, -1):
+        X = [a * (k - 1 - dim) for a in X]
+        D *= k - dim
+        h = math.gcd(D, *X)
+        X = [a // h for a in X]
+        D //= h
+        HI = [count * D for count in left]
+        *coords, ones = (sum(map(mul, row, X)) for row in zip(*cols))
+        if any(a < 0 or a > hi for a, hi in zip(X, HI)) or any(coords) or \
+                ones != (k - 1 - dim) * D:
+            raise PropertyViolation("chain-start-point", "chain point is not feasible")
+        p = _first_placeable(X, left, D)
+        if p is None:
+            D, X = lp.walk_to_vertex(cols, D, X, [0] * len(X), HI)
+            p = _first_placeable(X, left, D)
+        if p is None:
+            raise PropertyViolation("chain-zero-coordinate",
+                                    "vertex without a zero coordinate or a unit gap; "
+                                    "descent invariant broken")
+        drops.append(live[p])
+        left[p] -= 1
+        if not left[p]:
+            del cols[p], X[p], left[p], live[p]
+    return _chunks(runs, own, live, left, drops)
+
+
+def order_chain_pivots(runs, dim, log=None) -> list:
+    """The library's chain, with a Fraction point and Fraction dual pivots,
+    as chunks.  Given a log list, it appends "walk" for the walk,
+    "pivot" for each dual pivot, "artificial" for one whose leaving basic is
+    a unit column, and "downdate" for a basic type that runs out."""
+    own, counts, ints = _types(runs)
+    m = sum(counts)
+    col = [(*v, 1) for v in ints]
+    R = dim + 1
+    live, left = list(range(len(col))), dict(enumerate(counts))
+    drops = []
+    lam = {t: Fraction(c * (m - dim), m) for t, c in left.items()}
+    k = m
+    while k > dim:
+        S = k - 1 - dim
+        lam = {t: a * S / (S + 1) for t, a in lam.items()}
+        _check(live, lam, left, col, dim, S)
+        X = [lam[t] for t in live]
+        p = _first_placeable(X, [left[t] for t in live], 1)
+        if p is not None:
+            t = live[p]
+            drops.append(t)
+            left[t] -= 1
+            if not left[t]:
+                live.remove(t)
+                del lam[t]
+            k -= 1
+            continue
+        # one walk on the integer point of the library, then a kept basis
+        D = math.lcm(*(a.denominator for a in X))
+        vertex = lp._walk([col[t] for t in live], D, [int(a * D) for a in X],
+                          [0] * len(live), [left[t] * D for t in live])
+        if log is not None:
+            log.append("walk")
+        k = _pivot_steps(k, dim, col, live, left, vertex, drops, log)
+        break
+    return _chunks(runs, own, live, [left[t] for t in live], drops)
+
+
+def _check(live, lam, left, col, dim, S):
+    if any(not 0 <= lam[t] <= left[t] for t in live) or \
+            any(sum(lam[t] * col[t][i] for t in live) != (S if i == dim else 0)
+                for i in range(dim + 1)):
+        raise PropertyViolation("chain-start-point", "chain point is not feasible")
+
+
+def _closest(live, lam, left, P, col):
+    placeable = [t for t in live if lam[t] == 0 or lam[t] <= left[t] - 1]
+    if not placeable:
+        raise PropertyViolation("chain-zero-coordinate", "no type to place")
+    return min(placeable, key=lambda t: (sum((x - y) ** 2 for x, y in zip(P, col[t])), t))
+
+
+def _pivot_steps(k, dim, col, live, left, vertex, drops, log):
+    R = dim + 1
+    D, X, basis, T, delta = vertex
+    # the basis: the walk's interior types, then the unit columns e_i with
+    # T e_i = delta e_q at the positions q past them
+    names = [("t", live[c]) for c in basis] + [
+        ("e", next(i for i in range(R)
+                   if all(T[j][i] == (delta if j == q else 0) for j in range(R))))
+        for q in range(len(basis), R)]
+    lam = {t: Fraction(a, D) for t, a in zip(live, X)}
+    upper = {t for t in live if ("t", t) not in names and lam[t] == left[t]}
+    P = [sum(left[t] * col[t][i] for t in live) for i in range(dim)]
+
+    def column(name):
+        kind, i = name
+        return col[i] if kind == "t" else tuple(int(j == i) for j in range(R))
+
+    def solve(rhs):
+        B = Matrix.from_rows([[column(name)[i] for name in names] for i in range(R)])
+        return solve_linear(B, tuple(rhs))
+
+    def basic_solution(S):
+        rhs = [0] * dim + [S]
+        for t in upper:
+            rhs = [a - left[t] * b for a, b in zip(rhs, col[t])]
+        x = solve(rhs)
+        point = {t: Fraction(left[t] if t in upper else 0) for t in live}
+        for name, value in zip(names, x):
+            if name[0] == "t":
+                point[name[1]] = value
+            elif value:
+                raise AssertionError("an artificial off zero at a feasible basis")
+        return point, x
+
+    p = _closest(live, lam, left, P, col)
+    if basic_solution(k - 1 - dim)[0] != lam:
+        raise PropertyViolation("chain-start-point", "chain point is not feasible")
+    while True:
+        drops.append(p)
+        left[p] -= 1
+        P = [x - y for x, y in zip(P, col[p])]
+        if not left[p]:
+            if ("t", p) in names:
+                q = names.index(("t", p))
+                i = next(i for i in range(R)
+                         if solve([int(j == i) for j in range(R)])[q])
+                names[q] = ("e", i)
+                if log is not None:
+                    log.append("downdate")
+            live.remove(p)
+        k -= 1
+        if k == dim:
+            return k
+        S = k - 1 - dim
+        while True:
+            rhs = [0] * dim + [S]
+            for t in upper:
+                rhs = [a - left[t] * b for a, b in zip(rhs, col[t])]
+            x = solve(rhs)
+            viol = []
+            for q, (name, value) in enumerate(zip(names, x)):
+                if name[0] == "e" and value:
+                    viol.append((-1, q, value > 0))
+                elif name[0] == "t" and not 0 <= value <= left[name[1]]:
+                    viol.append((name[1], q, value > left[name[1]]))
+            if not viol:
+                break
+            _, q, high = min(viol)
+            j = next((j for j in live if ("t", j) not in names and
+                      (a := solve(col[j])[q]) and ((a > 0) == high) != (j in upper)), None)
+            if j is None:
+                raise PropertyViolation("chain-dual-infeasible", "no entering type")
+            kind, out = names[q]
+            if log is not None:
+                log.append("pivot")
+                if kind == "e":
+                    log.append("artificial")
+            if kind == "t" and high:
+                upper.add(out)
+            upper.discard(j)
+            names[q] = ("t", j)
+        lam, _ = basic_solution(S)
+        _check(live, lam, left, col, dim, S)
+        p = _closest(live, lam, left, P, col)

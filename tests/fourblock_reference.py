@@ -6,14 +6,19 @@ code from before a 4-block instance stored its blocks as int rows,
 verbatim but for the imports.  They read the instance's Matrix views,
 build every block as a Fraction ``Matrix`` and hand it to
 ``FourBlockInstance.make``.
+
+``graver_enumerate`` is the library's Graver filter from before it tested
+each kernel point against the kept minimal ones in l1 order: every point
+against every other, verbatim but for the imports.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from steinitz.blockip import FourBlockInstance
+from steinitz.blockip import FourBlockInstance, conformal_leq
 from steinitz.linalg import ZERO, Matrix
+from steinitz.lp import enum_integer_points
 
 
 def lift_three_block(inst: FourBlockInstance) -> FourBlockInstance:
@@ -66,3 +71,19 @@ def flip_for_kernel_work(inst: FourBlockInstance, flips):
     return FourBlockInstance.make(
         A0, B, A, C, (0,) * (inst.s0 + n * inst.s), (0,) * t0, (0,) * (n * t),
         (None,) * t0, (None,) * (n * t))
+
+
+def graver_enumerate(inst: FourBlockInstance, box: int):
+    """All conformally-minimal nonzero integer kernel vectors of H inside
+    [-box, box]^{t0+nt}; the true Graver basis restricted to the box."""
+    if box < 1:
+        raise ValueError("box must be at least 1")
+    rows, _ = inst.integer_system()
+    dim = inst.x_dim + inst.y_dim
+    kernel = list(enum_integer_points((-box,) * dim, (box,) * dim, predicate=any,
+                                      system=(rows, (0,) * len(rows))))
+    out = []
+    for g in kernel:
+        if not any(h != g and conformal_leq(h, g) for h in kernel):
+            out.append(g)
+    return out

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
@@ -22,6 +23,8 @@ from steinitz.blockip import (FeasibleBasis, FourBlockInstance, KernelPoint, Pro
                               reduce_kernel_point_signed, solve_four_block,
                               split_max_kernel, conformal_leq)
 from steinitz.generate import GenerationError, gen_four_block
+
+import fourblock_reference
 from steinitz.oracles import brute_ilp
 from steinitz.verify import PIPELINE_SHAPES, SUITES, run_suites
 
@@ -481,6 +484,43 @@ def test_graver_box_restriction_minimality():
                   if all(v == 0 for v in H.mul_vec(z))]
         for g in basis:
             assert not any(h != g and conformal_leq(h, g) for h in kernel)
+
+
+def test_graver_matches_the_quadratic_filter():
+    """The same lists, in enumeration order, as the filter that tests every
+    kernel point against every other, on seeded instances of several
+    shapes, deltas and boxes."""
+    cases = 0
+    for shape in ((1, 1, 1, 2, 2), (1, 1, 1, 3, 2), (1, 1, 2, 2, 2), (2, 1, 1, 2, 2)):
+        for delta in (1, 2):
+            for seed in range(3):
+                try:
+                    inst, _ = gen_four_block(*shape, delta, 500 + seed)
+                except GenerationError:
+                    continue
+                for box in (1, 2):
+                    assert graver_enumerate(inst, box) == \
+                        fourblock_reference.graver_enumerate(inst, box)
+                    cases += 1
+    assert cases >= 30, cases
+
+
+def test_graver_filter_is_linear_in_the_kernel(monkeypatch):
+    # n = 3, box 3: K = 30,376 kernel points and 38 Graver elements, 3.6 s
+    # with every kernel point tested against every other; the best of two
+    # runs is timed
+    inst, _ = gen_four_block(1, 1, 1, 3, 3, delta=1, seed=11)
+    seconds = []
+    for _ in range(2):
+        start = time.perf_counter()
+        basis = graver_enumerate(inst, 3)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 1.0, seconds
+    tests = []
+    leq = blockip.conformal_leq
+    monkeypatch.setattr(blockip, "conformal_leq", lambda h, g: tests.append(1) or leq(h, g))
+    assert graver_enumerate(inst, 3) == basis and len(basis) == 38
+    assert len(tests) <= 30_376 * 38, len(tests)
 
 
 def test_graver_growth_with_n():

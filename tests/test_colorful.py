@@ -673,21 +673,27 @@ def _balance_families():
 
 
 def _recentred_families(monkeypatch):
-    """The recentred families that colorful_affine hands balance_rows, for
-    families with n > 40 (d = 1): caught by wrapping balance_rows."""
+    """The recentred families that colorful_affine balances, for families
+    with n > 40 (d = 1), as (family, balance): caught by wrapping the
+    integer balance, which gets the recentred integers and their scale 2nmL,
+    and spelled out as the Fraction family that they hold."""
     caught = []
-    real = colorful.balance_rows
+    real = colorful._balance_rows
 
-    def catching(fam):
-        caught.append(fam)
-        return real(fam)
+    def catching(d, m, norm, vectors, scale):
+        bal = real(d, m, norm, vectors, scale)
+        fam = ColoredFamily(d, len(vectors), m, tuple(tuple(tuple(F(x, scale) for x in v)
+                                                            for v in color) for color in vectors),
+                            norm)
+        caught.append((fam, bal))
+        return bal
 
-    monkeypatch.setattr(colorful, "balance_rows", catching)
+    monkeypatch.setattr(colorful, "_balance_rows", catching)
     for n, m, seed in ((48, 3, 1), (60, 4, 2), (100, 3, 3)):
         colorful_affine(gen_unit_family(1, n, m, LINF_NORM, seed))
         colorful_affine(_shifted(gen_adversarial_scalar_family(n, m, seed)))
     monkeypatch.undo()
-    assert len(caught) == 6 and all(fam.colors > 40 for fam in caught)
+    assert len(caught) == 6 and all(fam.colors > 40 for fam, _ in caught)
     return caught
 
 
@@ -701,11 +707,14 @@ def _assert_same_balance(bal, ref):
 
 
 def test_integer_balance_equals_fraction_reference(monkeypatch):
-    families = [*_balance_families(), *_recentred_families(monkeypatch)]
+    # the public balance on its families, and the integer balance of
+    # colorful_affine on the recentred integers over 2nmL
+    families = [(fam, balance_rows(fam)) for fam in _balance_families()]
+    families += _recentred_families(monkeypatch)
     iterations = 0
-    for fam in families:
+    for fam, bal in families:
         ref = balance_reference.balance_rows(fam)
-        _assert_same_balance(balance_rows(fam), ref)
+        _assert_same_balance(bal, ref)
         iterations += len(ref.history) - 1
     assert iterations > len(families)  # the loop ran, more than once per family
 
@@ -723,13 +732,13 @@ def test_balanced_certificate_carries_its_balance():
 def test_balanced_verify_suite_balances_once_per_line(monkeypatch):
     from steinitz.verify import run_suites
     calls = []
-    real = colorful.balance_rows
+    real = colorful._balance_rows
 
-    def counting(fam):
-        calls.append(fam)
-        return real(fam)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    # every name bound to balance_rows in the package, as the bench tracer rebinds them
+    # every name bound to the integer balance in the package
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "steinitz"]:
         for attr, value in list(vars(module).items()):
             if value is real:

@@ -706,8 +706,8 @@ def test_s0_2_reduce_work_does_not_grow_with_the_point(monkeypatch):
         return chain(runs, dim)
 
     monkeypatch.setattr(rearrange, "_order_chain", counted)
-    walk = rearrange.walk_to_vertex
-    monkeypatch.setattr(rearrange, "walk_to_vertex",
+    walk = rearrange._walk
+    monkeypatch.setattr(rearrange, "_walk",
                         lambda cols, D, X, LO, HI: walks.append(len(X)) or walk(cols, D, X, LO, HI))
     c, steps = 50, []
     for k in (c, 4 * c):

@@ -4,11 +4,13 @@
 walk over Fraction that the integer walk replaced, kept as the oracle: on
 every seeded instance both must return the same vertex or raise the same
 error.  Given a ``trail`` list, it appends x after every move, so a test
-can see which walks it covers.  The rearrangement chain and the selection
-polytope run ``walk_to_vertex`` on their own integer state; they are
-checked against the pre-change code, which built a BoxLP per step.  The
-seeded LPs come from generators (``LP_SETS``) that test_walk.py replays
-through the walk's own oracle.
+can see which walks it covers.  The selection polytope runs
+``walk_to_vertex`` on its own integer state and is checked against the
+pre-change code, which built a BoxLP per step; the rearrangement chain,
+which walks once and then pivots on the walk's basis, is checked against
+the Fraction reference of chain_reference.py.  The seeded LPs come from
+generators (``LP_SETS``) that test_walk.py replays through the walk's own
+oracle.
 """
 
 import collections
@@ -25,17 +27,18 @@ import pytest
 import purify_reference
 import steinitz.colorful
 import steinitz.rearrange
-from chain_reference import order_chain_walk_every_step
+from chain_reference import order_chain_pivots, order_chain_walk_every_step
 from purify_reference import order_chain, reference_feasible, reference_purify
 from steinitz.checks import PropertyViolation
 from steinitz.colorful import ColoredFamily, SubsetSelection, single_partial_sum
-from steinitz.generate import gen_zero_sum_family, gen_zero_sum_sequence
+from steinitz.generate import (gen_rank_deficient_sequence, gen_zero_sum_family,
+                               gen_zero_sum_sequence)
 from steinitz.linalg import Matrix, rank, rat
 import steinitz.lp
 from steinitz.lp import (BoxLP, InfeasibleStart, NonPointedCone, WalkCheckFailed, _bareiss_step,
                          purify_to_vertex, walk_to_vertex)
 from steinitz.norms import L1_NORM, LINF_NORM, norm_eval
-from steinitz.rearrange import rearrangement_order
+from steinitz.rearrange import _order_chain, _run_encode, rearrangement_order
 
 ZERO, ONE = F(0), F(1)
 
@@ -452,16 +455,21 @@ def test_bareiss_divisions_are_exact(monkeypatch):
         return _bareiss_step(T, t, p, delta)
 
     monkeypatch.setattr(steinitz.lp, "_bareiss_step", checked)
+    monkeypatch.setattr(steinitz.rearrange, "_bareiss_step", checked)
     rng = random.Random(47)
     for _ in range(300):
         lp, x = _random_lp(rng, rng.random() < 0.5)
         assert _outcome(purify_to_vertex, lp, x) == _outcome(reference_purify, lp, x)
-    # the chains, and the per-copy chain that walks at every step, whose walks
-    # keep their columns longer
+    # the chains, with their walk and their dual pivots, and the per-copy
+    # chain that walks at every step, whose walks keep their columns longer
     for d, m in ((3, 30), (5, 30)):
         vectors = gen_zero_sum_sequence(d, m, LINF_NORM, 48 + d, 16).vectors
-        assert rearrangement_order(vectors, d) == order_chain(vectors, d)
+        runs = _run_encode(vectors)
+        assert _order_chain(runs, d) == order_chain_pivots(runs, d)
         assert sorted(order_chain_walk_every_step(vectors, d)) == list(range(m))
+    seq = gen_rank_deficient_sequence(4, 2, 30, 51)
+    runs = _run_encode(seq.vectors)
+    assert _order_chain(runs, 4) == order_chain_pivots(runs, 4)
     for fam in (gen_zero_sum_family(3, 6, 12, L1_NORM, 49, 16),
                 gen_zero_sum_family(3, 8, 12, L1_NORM, 50, 16)):
         assert single_partial_sum(fam, 5) == purify_reference.single_partial_sum(fam, 5)
@@ -525,17 +533,18 @@ def test_walk_checks_survive_python_O():
     assert out == "vertex left the affine space A x = b\nvertex left its bounds\n"
 
 
-def _count_walks(monkeypatch, module):
-    """Count the walk_to_vertex calls made from module; each must start
-    over a positive denominator."""
+def _count_walks(monkeypatch, module, name="walk_to_vertex"):
+    """Count the calls of the walk name (walk_to_vertex, or the chain's
+    _walk) made from module; each must start over a positive denominator."""
     calls = []
+    core = getattr(steinitz.lp, name)
 
     def walk(cols, D, X, LO, HI):
         assert D > 0
         calls.append(len(X))
-        return walk_to_vertex(cols, D, X, LO, HI)
+        return core(cols, D, X, LO, HI)
 
-    monkeypatch.setattr(module, "walk_to_vertex", walk)
+    monkeypatch.setattr(module, name, walk)
     return calls
 
 
@@ -580,38 +589,85 @@ def _count_reference_walks(monkeypatch):
     return calls
 
 
+def _count_pivots(monkeypatch):
+    """Count the Bareiss steps of the chain's own basis: its dual pivots and
+    the downdates of basic types that run out."""
+    calls = []
+
+    def counted(T, t, p, delta):
+        calls.append(p)
+        return _bareiss_step(T, t, p, delta)
+
+    monkeypatch.setattr(steinitz.rearrange, "_bareiss_step", counted)
+    return calls
+
+
 def test_rearrangement_chain_matches_reference(monkeypatch):
-    """The same order as the reference on duplicate-free input, with the
-    same walks; on repeated vectors, where the chain has one column per
-    distinct vector, a bijection within the bound d * radius.  A step
-    walks only when no type of its point can be placed."""
-    walks = _count_walks(monkeypatch, steinitz.rearrange)
-    reference_walks = _count_reference_walks(monkeypatch)
-    steps = repeated = 0
+    """The same chunks as the Fraction reference of the chain, which solves
+    each basic solution and pivot row afresh, with the same walk and the
+    same pivots; every order is a bijection within the bound d * radius.  A
+    chain walks at most once, at its first step without a type to place,
+    and keeps that vertex's basis from then on."""
+    walks = _count_walks(monkeypatch, steinitz.rearrange, "_walk")
+    pivots = _count_pivots(monkeypatch)
+    steps = repeated = chains = 0
+    log = []
     for d, vectors in _chain_cases():
         before = len(walks)
+        runs = _run_encode(vectors)
+        assert _order_chain(runs, d) == order_chain_pivots(runs, d, log)
+        assert len(walks) - before <= 1
         order = rearrangement_order(vectors, d)
-        if len(set(vectors)) == len(vectors):
-            del reference_walks[:]
-            assert order == order_chain(vectors, d)
-            assert reference_walks == walks[before:]
-        else:
-            repeated += 1
-            assert sorted(order) == list(range(len(vectors)))
-            for norm in (LINF_NORM, L1_NORM):
-                radius = max(norm_eval(norm, v) for v in vectors)
-                assert _prefix_max(vectors, order, norm) <= d * radius
+        repeated += len(set(vectors)) < len(vectors)
+        assert sorted(order) == list(range(len(vectors)))
+        for norm in (LINF_NORM, L1_NORM):
+            radius = max(norm_eval(norm, v) for v in vectors)
+            assert _prefix_max(vectors, order, norm) <= d * radius
         steps += len(vectors) - d
-    # 369 walks for 975 chain steps (975 when every step walked)
-    assert (len(walks), steps) == (369, 975)
+        chains += 1
+    # each chain twice; at one walk per step without a type to place, 369
+    # walks for 975 chain steps
+    assert len(walks) == 2 * log.count("walk")
+    assert len(pivots) == 2 * (log.count("pivot") + log.count("downdate"))
+    assert (chains, steps, log.count("walk"), log.count("pivot"), log.count("downdate")) == \
+        (36, 975, 30, 1720, 31), (chains, steps, collections.Counter(log))
     assert repeated >= 8, repeated
+
+
+def test_rearrangement_chain_matches_reference_off_the_corpus():
+    """The same chunks as the Fraction reference on rank-deficient
+    sequences, whose bases keep unit columns among their basics (and some
+    leave as dual pivots), and on the shortest chains, m = d+1 and d+2."""
+    rng = random.Random(701)
+    log = []
+    for i in range(60):
+        d = rng.randint(2, 5)
+        seq = gen_rank_deficient_sequence(d, rng.randint(1, d - 1), rng.randint(d + 1, 40),
+                                          rng.randrange(10**6))
+        runs = _run_encode(seq.vectors)
+        assert _order_chain(runs, d) == order_chain_pivots(runs, d, log)
+    # every rank-deficient chain but two walks, and its basis keeps d - rank
+    # unit columns or more; one of them leaves once as a dual pivot
+    assert collections.Counter(log) == {"walk": 58, "pivot": 1618, "downdate": 35,
+                                        "artificial": 1}, collections.Counter(log)
+    log.clear()
+    for d in range(2, 6):
+        for m in (d + 1, d + 2):
+            for seed in range(5):
+                for norm in (LINF_NORM, L1_NORM):
+                    runs = _run_encode(gen_zero_sum_sequence(d, m, norm, 910 + seed, 16).vectors)
+                    assert _order_chain(runs, d) == order_chain_pivots(runs, d, log)
+    # m = d+1 places its one copy without a walk; each m = d+2 chain walks at
+    # its first step, places a basic type at zero, which runs out, and pivots
+    # no more
+    assert collections.Counter(log) == {"walk": 40, "downdate": 40}, collections.Counter(log)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_rearrangement_order_one_step_chain(monkeypatch, d):
     # m = d + 1: one chain step, whose point rescales to 0, so column 0 is
     # placed without a walk
-    walks = _count_walks(monkeypatch, steinitz.rearrange)
+    walks = _count_walks(monkeypatch, steinitz.rearrange, "_walk")
     for seed in range(5):
         vectors = gen_zero_sum_sequence(d, d + 1, L1_NORM, 900 + seed, 16).vectors
         order = rearrangement_order(vectors, d)
@@ -621,10 +677,10 @@ def test_rearrangement_order_one_step_chain(monkeypatch, d):
 
 
 def _off_the_sum_row(cols, D, X, LO, HI):
-    """A faulty walk: its vertex pushed off the sum row, by D on the last
-    column."""
-    D, X = walk_to_vertex(cols, D, X, LO, HI)
-    return D, X[:-1] + [X[-1] + D]
+    """A faulty walk of the chain: its vertex pushed off the sum row, by D
+    on the last column, and its basis as it was."""
+    D, X, *basis = steinitz.lp._walk(cols, D, X, LO, HI)
+    return (D, X[:-1] + [X[-1] + D], *basis)
 
 
 def test_corrupted_chain_start_is_named(monkeypatch):
@@ -634,8 +690,8 @@ def test_corrupted_chain_start_is_named(monkeypatch):
                                                 "chain point is not feasible$"):
         rearrangement_order(vectors, 2)
 
-    # a vertex pushed off the sum row: the next step's start check fails
-    monkeypatch.setattr(steinitz.rearrange, "walk_to_vertex", _off_the_sum_row)
+    # a vertex pushed off the sum row: it is not the basic solution of its basis
+    monkeypatch.setattr(steinitz.rearrange, "_walk", _off_the_sum_row)
     seq = gen_zero_sum_sequence(2, 8, LINF_NORM, 5, 16)
     with pytest.raises(PropertyViolation, match="^property chain-start-point violated: "):
         rearrangement_order(seq.vectors, 2)
@@ -651,7 +707,7 @@ CORRUPTED_CHAIN_RUN = (
     "if cli.main(['gen', 'family', '--d', '3', '--n', '1', '--m', '200', '--seed', '5',\n"
     "             '--output', path]):\n"
     "    sys.exit('gen failed')\n"
-    "r.walk_to_vertex = _off_the_sum_row\n"
+    "r._walk = _off_the_sum_row\n"
     "print(cli.main(['rearrange', '--input', path]))\n")
 
 

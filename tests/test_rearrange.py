@@ -3,10 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from chain_reference import order_chain_walk_every_step
+from chain_reference import order_chain, order_chain_walk_every_step
 
 from steinitz.linalg import rank_of_vectors
-from steinitz.norms import L1_NORM, LINF_NORM
+from steinitz.norms import L1_NORM, LINF_NORM, norm_eval
 from steinitz.rearrange import (RearrangementCertificate, VectorSequence, ZeroSumRequired,
                                 max_prefix_norm, rearrangement_order, steinitz_rearrange,
                                 subspace_rearrange)
@@ -174,3 +174,43 @@ def test_place_before_walk_is_no_worse_than_walking_every_step():
         new += max_prefix_norm(seq, rearrangement_order(seq.vectors, d)) / bound
         old += max_prefix_norm(seq, order_chain_walk_every_step(seq.vectors, d)) / bound
     assert new <= old, (float(new / 300), float(old / 300))
+
+
+def test_kept_basis_is_no_worse_than_the_per_copy_chain():
+    """On the 300 sequences above, the chain that keeps its vertex's basis
+    and places the type whose copy leaves the smallest prefix reaches a
+    mean achieved / (d * radius) no larger than the per-copy chain that
+    walks whenever no column is at zero: 0.368 against 0.405."""
+    new = old = F(0)
+    for seed in range(5000, 5300):
+        rng = random.Random(seed)
+        d, m = rng.randint(2, 5), rng.randint(10, 69)
+        norm, denom = rng.choice((LINF_NORM, L1_NORM)), rng.choice((16, 1024))
+        seq = gen_zero_sum_sequence(d, m, norm, seed, denom)
+        bound = d * seq.radius()
+        new += max_prefix_norm(seq, rearrangement_order(seq.vectors, d)) / bound
+        old += max_prefix_norm(seq, order_chain(seq.vectors, d)) / bound
+    assert new <= old, (float(new / 300), float(old / 300))
+
+
+def test_certificate_reads_the_integer_form():
+    """The certificates run on the cached integer form (L, V) and divide by
+    L once: their radius and achieved maximum are the Fraction values of
+    the input, and equal vectors share one tuple of the form."""
+    for seed in range(20):
+        d = 2 + seed % 3
+        seq = gen_zero_sum_sequence(d, 8 + seed, (LINF_NORM, L1_NORM)[seed % 2], 300 + seed,
+                                    (3, 16, 1024)[seed % 3])
+        doubled = VectorSequence(seq.vectors + tuple(tuple(list(v)) for v in seq.vectors[:3])
+                                 + tuple(tuple(-x for x in v) for v in seq.vectors[:3]), d,
+                                 seq.norm)
+        for s in (seq, doubled):
+            scale, ints = s.integer_form
+            assert s.integer_form is s.integer_form
+            assert all(tuple(F(x, scale) for x in w) == v for v, w in zip(s.vectors, ints))
+            assert len({id(w) for w in ints}) == len(set(s.vectors))
+            for cert in (steinitz_rearrange(s), subspace_rearrange(s)):
+                radius = max(norm_eval(s.norm, v) for v in s.vectors)
+                assert cert.radius == radius and type(cert.radius) is F
+                achieved = max_prefix_norm(s, cert.permutation)
+                assert cert.achieved_max == achieved and type(cert.achieved_max) is F

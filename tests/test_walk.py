@@ -6,9 +6,11 @@ when every step rescaled the whole point and a move that tightened more
 than one column built the basis inverse again.  On every input below the
 two must return the same (D, X), or raise the same exception with the same
 message: the seeded LPs of test_purify_integer.py (through
-``purify_to_vertex``), every walk of the rearrangement chain and of the
-per-copy chain of chain_reference.py that walks at every step, on
-``_chain_cases()``, and every selection walk on ``_selection_families()``.
+``purify_to_vertex``), every walk of the rearrangement chain (through
+``lp._walk``, which also returns the basis), of the chain of
+chain_reference.py that walks at every step without a type to place and of
+its per-copy chain that walks at every step, on ``_chain_cases()``, and
+every selection walk on ``_selection_families()``.
 The reference's log shows that the inputs reach the downdates, the steps
 with a denominator and the columns tight at the start.
 """
@@ -35,7 +37,7 @@ from steinitz.linalg import _bareiss_step
 from steinitz.lp import LPError, WalkCheckFailed, purify_to_vertex, walk_to_vertex
 from steinitz.norms import L1_NORM, LINF_NORM
 from steinitz.rearrange import rearrangement_order
-from chain_reference import order_chain_walk_every_step
+from chain_reference import order_chain_walk_every_step, order_chain_walk_when_stuck
 from test_purify_integer import LP_SETS, _chain_cases, _off_the_sum_row, _selection_families
 from walk_reference import reference_walk
 
@@ -59,10 +61,17 @@ class _Differential:
         self.seen = collections.Counter()
 
     def __call__(self, cols, D, X, LO, HI):
+        return self.run(walk_to_vertex, cols, D, X, LO, HI)
+
+    def core(self, cols, D, X, LO, HI):
+        """The chain's walk, lp._walk: its (D, X) against the reference."""
+        return self.run(lp._walk, cols, D, X, LO, HI)
+
+    def run(self, walk, cols, D, X, LO, HI):
         log = []
         want = _outcome(reference_walk, cols, D, X, LO, HI, log)
-        got = _outcome(walk_to_vertex, cols, D, X, LO, HI)
-        assert got == want, (cols, D, X, LO, HI)
+        got = _outcome(walk, cols, D, X, LO, HI)
+        assert got[:2] == want, (cols, D, X, LO, HI)
         self.seen.update(log)
         self.seen["walks"] += 1
         self.seen["open bounds"] += None in LO or None in HI
@@ -75,8 +84,9 @@ class _Differential:
 @pytest.fixture
 def differential(monkeypatch):
     walk = _Differential()
-    for module in (lp, rearrange, colorful):
+    for module in (lp, colorful):
         monkeypatch.setattr(module, "walk_to_vertex", walk)
+    monkeypatch.setattr(rearrange, "_walk", walk.core)
     return walk
 
 
@@ -96,13 +106,15 @@ def test_walk_matches_reference_on_seeded_lps(differential):
 
 def test_walk_matches_reference_on_chain_steps(differential):
     # the library chain, one walk column per distinct vector, which walks
-    # only where it must (369 walks), and the per-copy chain that walks at
-    # every one of its 975 steps
+    # at most once (30 walks); the reference chain that walks at every step
+    # without a type to place (369 walks); and the per-copy chain that walks
+    # at every one of its 975 steps
     for d, vectors in _chain_cases():
         rearrangement_order(vectors, d)
+        order_chain_walk_when_stuck(rearrange._run_encode(vectors), d)
         order_chain_walk_every_step(vectors, d)
     seen = differential.seen
-    assert seen["walks"] == 369 + 975
+    assert seen["walks"] == 30 + 369 + 975
     for event, floor in (("multi-leave", 3), ("tight-leave", 100), ("den", 2000),
                          ("start-tight", 1000)):
         assert seen[event] >= floor, (event, seen)
@@ -133,6 +145,7 @@ def _count_steps(monkeypatch):
         return _bareiss_step(T, t, p, delta)
 
     monkeypatch.setattr(lp, "_bareiss_step", counted)
+    monkeypatch.setattr(rearrange, "_bareiss_step", counted)
     return calls
 
 
@@ -149,10 +162,12 @@ def test_chain_bareiss_steps(monkeypatch):
     # 438 steps when every multi-column tightening rebuilt the basis inverse,
     # 437 with one walk column per copy (68 distinct vectors of 70), 447
     # when the chain dropped a copy of the first type with a unit gap without
-    # preferring a type at zero, and 404 when it walked at every step
+    # preferring a type at zero, 404 when it walked at every step, and 316
+    # when it walked at every step without a type to place; now 9 steps of
+    # its one walk and 168 of its dual pivots and downdates
     steps = _count_steps(monkeypatch)
     rearrangement_order(gen_zero_sum_sequence(2, 70, LINF_NORM, 7, 16).vectors, 2)
-    assert len(steps) <= 316, len(steps)
+    assert len(steps) <= 177, len(steps)
 
 
 # the inputs of one certify pass of the benchmark at seed 1: per round,
@@ -166,7 +181,8 @@ COLORFUL_SPECS = ((64, 3), (80, 3), (48, 4), (56, 3))
 
 def test_certify_pass_walks(monkeypatch):
     # at one walk per chain step: rearrange 795 walks and 6,160 Bareiss steps,
-    # colorful 950 and 4,879; the selections walk once each either way
+    # colorful 950 and 4,879; at one walk per step without a type to place:
+    # 391 and 3,531, 517 and 3,025; the selections walk once each either way
     kind, walks, steps = [None], collections.Counter(), collections.Counter()
 
     def walk(cols, D, X, LO, HI):
@@ -177,9 +193,14 @@ def test_certify_pass_walks(monkeypatch):
         steps[kind[0]] += 1
         return _bareiss_step(T, t, p, delta)
 
-    for module in (rearrange, colorful):
-        monkeypatch.setattr(module, "walk_to_vertex", walk)
-    monkeypatch.setattr(lp, "_bareiss_step", counted)
+    def core(cols, D, X, LO, HI):
+        walks[kind[0]] += 1
+        return lp._walk(cols, D, X, LO, HI)
+
+    monkeypatch.setattr(colorful, "walk_to_vertex", walk)
+    monkeypatch.setattr(rearrange, "_walk", core)
+    for module in (lp, rearrange):
+        monkeypatch.setattr(module, "_bareiss_step", counted)
     for base in (10_000, 11_000, 12_000):
         for i, (d, m, norm, denom) in enumerate(REARRANGE_SPECS):
             kind[0] = "rearrange"
@@ -193,9 +214,10 @@ def test_certify_pass_walks(monkeypatch):
             fam = gen_zero_sum_family(3, 6, 12, (LINF_NORM, L1_NORM)[i % 2], base + 200 + i)
             for k in range(13):
                 single_partial_sum(fam, k)
-    assert walks["rearrange"] <= 391 and walks["colorful"] <= 517, walks
+    # one walk per chain at most: the 18 rearrange chains walk 18 times
+    assert walks["rearrange"] <= 18 and walks["colorful"] <= 17, walks
     assert walks["singlesum"] == 156, walks
-    assert steps["rearrange"] <= 3531 and steps["colorful"] <= 3025, steps
+    assert steps["rearrange"] <= 2209 and steps["colorful"] <= 752, steps
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +266,40 @@ def _walk_to(D, X):
     return lambda cols, D0, X0, LO, HI: (D, list(X))
 
 
+def _walk_off_its_basis(cols, D, X, LO, HI):
+    """A faulty chain walk that ends at the top of every bound of 1, its
+    basis as the walk left it."""
+    return (D, [D] * len(X), *lp._walk(cols, D, X, LO, HI)[2:])
+
+
+_closest = rearrange._closest
+
+
+def _place_a_full_type(live, X, D, count, P, col):
+    """A faulty pick of the chain: the last type at its count, whose copy
+    cannot leave; the next point would need more of it than is left."""
+    full = [t for t, a in zip(live, X) if a == count[t] * D]
+    return full[-1] if full else _closest(live, X, D, count, P, col)
+
+
 _SEQ = gen_zero_sum_sequence(2, 8, LINF_NORM, 5, 16)
+_SHORT = gen_zero_sum_sequence(2, 6, LINF_NORM, 0, 16)
 # one color of the scalars 1, 1, -1, -1: its k = 2 walk starts at X = 2 over D = 4
 _FAM = ColoredFamily(1, 1, 4, (((F(1),), (F(1),), (F(-1),), (F(-1),)),), LINF_NORM)
 
 # (name, module, attribute, faulty value, call)
 CALLER_FAULTS = (
-    ("chain-zero-coordinate", rearrange, "walk_to_vertex",
-     lambda cols, D, X, LO, HI: (D, [D] * len(X)), lambda: rearrangement_order(_SEQ.vectors, 2)),
-    ("chain-start-point", rearrange, "walk_to_vertex", _off_the_sum_row,
+    ("chain-zero-coordinate", rearrange, "_walk", _walk_off_its_basis,
      lambda: rearrangement_order(_SEQ.vectors, 2)),
-    ("steinitz-prefix-bound", rearrange, "max_prefix_norm",
-     lambda seq, perm: seq.dim * seq.radius() + 1, lambda: rearrange.steinitz_rearrange(_SEQ)),
-    ("subspace-prefix-bound", rearrange, "max_prefix_norm",
-     lambda seq, perm: seq.dim * seq.radius() + 1, lambda: rearrange.subspace_rearrange(_SEQ)),
+    ("chain-start-point", rearrange, "_walk", _off_the_sum_row,
+     lambda: rearrangement_order(_SEQ.vectors, 2)),
+    ("chain-dual-infeasible", rearrange, "_closest", _place_a_full_type,
+     lambda: rearrangement_order(_SHORT.vectors, 2)),
+    # a prefix maximum, over the integer form, past any bound
+    ("steinitz-prefix-bound", rearrange, "_max_prefix_runs",
+     lambda runs, dim, norm, drift=None: 10 ** 9, lambda: rearrange.steinitz_rearrange(_SEQ)),
+    ("subspace-prefix-bound", rearrange, "_max_prefix_runs",
+     lambda runs, dim, norm, drift=None: 10 ** 9, lambda: rearrange.subspace_rearrange(_SEQ)),
     # the k smallest entries instead of the k largest: distance 4 > m/2
     ("rounding-distance", colorful, "sorted", _reversed_sorted,
      lambda: colorful.round_to_binary((1, 1, 0, 0), 2)),
@@ -301,6 +343,20 @@ def test_named_check_exits_with_one(tmp_path, capsys):
     with _patched(module, attr, fault):
         assert cli.main(["rearrange", "--input", path]) == 1
     assert f"property violation [{name}]: property {name} violated: " in capsys.readouterr().err
+
+
+def test_chain_dual_infeasible_exits_with_one(tmp_path, capsys):
+    # a chain that places a copy of a type at its count has no point left to
+    # pivot to: the named dual check, exit 1 (its -O twin runs with the
+    # caller faults below)
+    path = str(tmp_path / "seq.txt")
+    assert cli.main(["gen", "family", "--d", "2", "--n", "1", "--m", "6", "--seed", "0",
+                     "--output", path]) == 0
+    assert cli.main(["rearrange", "--input", path]) == 0
+    with _patched(rearrange, "_closest", _place_a_full_type):
+        assert cli.main(["rearrange", "--input", path]) == 1
+    assert "property violation [chain-dual-infeasible]: property chain-dual-infeasible " \
+        "violated: " in capsys.readouterr().err
 
 
 def test_walk_and_caller_checks_survive_python_O():
