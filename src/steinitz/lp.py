@@ -9,21 +9,19 @@ Bareiss pivot per entering, exchanged or leaving column: a leaving column
 is downdated onto a unit column, so the inverse is never built again),
 holds its point lazily (only the basic columns and the visited one carry
 a value; a tight column is its bound, an unvisited one its start value
-rescaled), checks its vertex exactly and returns it in the same form.  ``purify_to_vertex`` is its BoxLP
-boundary; the selection polytope calls the core directly, and the
-rearrangement chain calls ``_walk``, which also returns the vertex's
-basis fraction-free over all rows, once per chain, and pivots on from
-there.  The
-simplex is a bounded-variable tableau method with Bland's rule, so it
-terminates on degenerate inputs; its tableau is fraction-free too
-(integer rows and variables, held over the basis determinant), and each
-pivot is one Bareiss step, the step the walk takes.  It makes the pivots
-of the same tableau over Fraction.  Its entry, ``integer_simplex``, takes
-the rows scaled to integers by one common factor and integer bounds over
-one denominator, and returns its point as integers over one denominator;
-``find_feasible`` and ``lp_solve`` are its BoxLP boundary.  The double description has an integer core as well,
-``integer_extreme_rays``.  Infinite bounds are represented by None and
-handled symbolically.
+rescaled), checks its vertex exactly and returns it in the same form.
+``purify_to_vertex`` is its BoxLP boundary, and the selection polytope
+calls the core directly.  The simplex is a bounded-variable tableau
+method with Bland's rule, so it terminates on degenerate inputs; its
+tableau is fraction-free too (integer rows and variables, held over the
+basis determinant), and each pivot is one Bareiss step, the step the
+walk takes.  It makes the pivots of the same tableau over Fraction.  Its
+entry, ``integer_simplex``, takes the rows scaled to integers by one
+common factor and integer bounds over one denominator, and returns its
+point as integers over one denominator; ``find_feasible`` and
+``lp_solve`` are its BoxLP boundary.  The double description has an
+integer core as well, ``integer_extreme_rays``.  Infinite bounds are
+represented by None and handled symbolically.
 """
 
 from __future__ import annotations
@@ -130,14 +128,7 @@ class LPResult:
 
 
 def walk_to_vertex(cols, D: int, X, LO, HI):
-    """Walk from the feasible point X/D to a vertex; returns (D, X) there:
-    ``_walk`` without its basis."""
-    return _walk(cols, D, X, LO, HI)[:2]
-
-
-def _walk(cols, D: int, X, LO, HI):
-    """Walk from the feasible point X/D to a vertex; returns
-    (D, X, basis, T, delta) there, the basis as below over all rows of A.
+    """Walk from the feasible point X/D to a vertex; returns (D, X) there.
 
     The polytope is {x : A x = b, LO/D <= x <= HI/D}, with cols the columns
     of A as integer tuples; b is implied by the start point.  X, LO and HI
@@ -189,12 +180,6 @@ def _walk(cols, D: int, X, LO, HI):
     G*s/s0, G the gcd of their start values.  A step with den = 1 leaves D
     as it was and is not divided back; D need not be least, since every
     choice of the walk compares ratios, which do not depend on it.
-
-    The basis comes back for a caller that carries the vertex on (the
-    rearrangement chain): basis lists the interior columns, and T is
-    delta times the inverse of A_B completed by unit columns, over all R
-    rows of A in their own order (an untouched row its unit row), so
-    T A_B = delta [I_r; 0] and row k < r belongs to basis[k].
     """
     n = len(cols)
     rows = list(zip(*cols))
@@ -330,16 +315,7 @@ def _walk(cols, D: int, X, LO, HI):
     if any((lo is not None and x < lo * s) or (hi is not None and x > hi * s)
            for x, lo, hi in zip(X, LO, HI)):
         raise WalkCheckFailed("vertex left its bounds")
-    touched = [i for i in range(R) if where[i] is not None]
-    full = [[0] * R for _ in range(len(T))]
-    for row, out in zip(T, full):
-        for i in touched:
-            out[i] = row[where[i]]
-    for i in range(R):
-        if where[i] is None:
-            full.append([0] * R)
-            full[-1][i] = delta
-    return D, X, basis, full, delta
+    return D, X
 
 
 def purify_to_vertex(lp: BoxLP, x0: Vec) -> Vec:

@@ -7,20 +7,19 @@ shrinking polytope: one copy leaves at each step, of a vector at value
 zero or of one whose value is at least one below its count, and the
 copies left then have the bound.  The chain has two phases.  At first
 each step rescales the current point into the polytope whose coordinate
-sum is one lower, checks it, and places the first such vector.  At the
-first step whose point has none, the point is walked to a vertex, once,
-and from then on the chain keeps that vertex's basis: each step lowers
-the sum by one and restores feasibility by dual-simplex pivots with
-Bland's rule, which end at a basic feasible point, and a counting argument
-guarantees such a point a vector to place, so the descent never needs to
-backtrack; any violation of that guarantee would be a genuine bug and
-raises.  In the pivot phase the vector placed is the one whose copy
-leaves the smallest next prefix.
+sum is one lower, checks it, and places the first such vector.  From the
+first step whose point has none, the chain keeps a basis: it starts with
+every vector at its count and every row on a unit column, each step
+lowers the sum by one, and dual-simplex pivots with Bland's rule restore
+feasibility and end at a basic feasible point, where a counting argument
+guarantees a vector to place, so the descent never needs to backtrack;
+any violation of that guarantee would be a genuine bug and raises.  In
+the pivot phase the vector placed is the one whose copy leaves the
+smallest next prefix.
 
 The chain runs on one integer state and builds no LP per step: the
 vectors are scaled to integers once, the point is a list of integers over
-one common denominator, checked exactly at every step, the walk is
-``lp._walk``, which returns its basis fraction-free, each pivot is one
+one common denominator, checked exactly at every step, each pivot is one
 ``linalg._bareiss_step``, and a vector whose last copy leaves takes its
 column with it.
 
@@ -31,7 +30,7 @@ Repeated vectors are carried as runs (value, count) of equal consecutive
 entries, and an order as chunks (r, lo, hi): copies lo..hi-1 of run r.  In
 dimension one the greedy takes ceil(|prefix| / |value|) copies of a run at
 once, so its work grows with the chunks, not the copies; the chain has one
-column per distinct vector, so its walk and pivots grow with the distinct
+column per distinct vector, so its pivots grow with the distinct
 vectors, not the copies.  Prefix maxima are read at the ends of the runs
 only: along a run the prefix is affine in k and a norm is convex.
 ``rearrangement_order`` and ``max_prefix_norm`` run-encode their input and
@@ -52,7 +51,6 @@ from operator import is_not, itemgetter, mul, sub
 
 from .checks import PropertyViolation
 from .linalg import Vec, ZERO, _bareiss_step, scale_to_integers, span_coordinates
-from .lp import _walk
 from .norms import NormSpec, norm_eval
 
 
@@ -183,6 +181,16 @@ def _placeable(X, left, D):
     return p
 
 
+def _check_point(cols, X, left, D, S):
+    """The exact check of a chain point, X over D for the columns cols with
+    left copies each: 0 <= X <= c D, V X = 0 and sum X = S D, with
+    S = k-1-dim at step k; raises chain-start-point otherwise."""
+    *coords, ones = (sum(map(mul, row, X)) for row in zip(*cols))
+    if any(a < 0 or a > count * D for a, count in zip(X, left)) or any(coords) or \
+            ones != S * D:
+        raise PropertyViolation("chain-start-point", "chain point is not feasible")
+
+
 def _order_chain(runs, dim) -> list:
     """The shrinking-chain construction for the zero-sum vectors in R^dim
     that the runs (vector, count) spell, as chunks (r, lo, hi).
@@ -206,12 +214,12 @@ def _order_chain(runs, dim) -> list:
     position k.  A zero stays zero when the point is rescaled, so most steps
     place a copy this way; with every count 1 this is the LP of one column
     per vector and the first-zero drop.  At the first step with no such
-    type, the point is walked to a vertex, once, and ``_pivot_steps`` runs
-    the rest of the chain on that vertex's basis: each step lowers the sum
-    by one, and dual pivots with Bland's rule, which cannot cycle, restore
-    a basic feasible point, where a type to place always exists (the
-    nonbasic types sit at 0 or at their count, and the gaps add up to
-    dim+1), so no second walk is needed.  Its placement rule differs: the
+    type, every type is within one copy of its count, and ``_pivot_steps``
+    runs the rest of the chain on a kept basis that starts with every type
+    at its count: each step lowers the sum by one, and dual pivots with
+    Bland's rule, which cannot cycle, restore a basic feasible point, where
+    a type to place always exists (the nonbasic types sit at 0 or at their
+    count, and the gaps add up to dim+1).  Its placement rule differs: the
     type whose copy leaves the smallest next prefix.
 
     Each type's copies take their places in index order: the first ones,
@@ -236,16 +244,10 @@ def _order_chain(runs, dim) -> list:
         h = math.gcd(D, *X)
         X = [a // h for a in X]
         D //= h
-        HI = [count * D for count in left]
-        # the start point of step k: 0 <= X <= c D, V X = 0 and sum X = (k-1-dim) D
-        *coords, ones = (sum(map(mul, row, X)) for row in zip(*cols))
-        if any(a < 0 or a > hi for a, hi in zip(X, HI)) or any(coords) or \
-                ones != (k - 1 - dim) * D:
-            raise PropertyViolation("chain-start-point", "chain point is not feasible")
+        _check_point(cols, X, left, D, k - 1 - dim)
         p = _placeable(X, left, D)
         if p is None:
-            live, left = _pivot_steps(k, dim, cols, live, left,
-                                      _walk(cols, D, X, [0] * len(X), HI), drops)
+            live, left = _pivot_steps(k, dim, cols, live, left, drops)
             break
         drops.append(live[p])
         left[p] -= 1
@@ -303,24 +305,22 @@ def _positive_step(T, t, q, delta) -> int:
     return abs(delta)
 
 
-def _pivot_steps(k, dim, cols, live, left, vertex, drops) -> tuple:
-    """Steps k..dim+1 of ``_order_chain`` from its walk's vertex of P_k,
-    appending the types placed to drops; returns (live, left) at the end.
-    vertex is ``lp._walk``'s (D, X, basis, T, delta) for the columns cols of
-    the types live, with left copies each.
+def _pivot_steps(k, dim, cols, live, left, drops) -> tuple:
+    """Steps k..dim+1 of ``_order_chain`` from its first step without a type
+    to place, appending the types placed to drops; returns (live, left) at
+    the end.  cols are the columns of the types live, with left copies each.
 
-    The chain keeps the vertex's basis from step to step: delta > 0 and T,
-    delta times the inverse of the basis over the R = dim+1 rows, the
-    walk's interior columns completed by unit columns, which are held as
-    artificial basics fixed at 0 (so a rank-deficient input and a basic type
-    that runs out need no second path).  Every other type is nonbasic, at 0
-    or at its count.  Each row of T carries one more entry, T r with
-    r = b - A_N x_N: the basic values over delta.  The vertex must be the
-    basic solution of its basis (else chain-start-point).
+    The chain keeps a basis from step to step: delta > 0 and T, delta times
+    the inverse of the basis over the R = dim+1 rows.  Its basics are types
+    and unit columns, held as artificial basics fixed at 0 (so a
+    rank-deficient input and a basic type that runs out need no second
+    path); every other type is nonbasic, at 0 or at its count.  Each row of
+    T carries one more entry, T r with r = b - A_N x_N: the basic values
+    over delta.  The start is T = I and delta = 1, every type at its
+    count: the rescaled point, with no type to place, has each type within
+    one copy of its count.
 
-    A step places the type that ``_closest`` picks, and the next one lowers
-    the right-hand side of the sum row by one, which moves the basic values
-    by -T e_R.  Dual-simplex pivots restore feasibility, each one
+    Each step restores feasibility by dual-simplex pivots, each one
     ``_bareiss_step``: the violated basic of lowest index leaves at the
     bound it crossed, an artificial (indexed by its basis position, which
     it keeps until it leaves) before any type, and the eligible nonbasic
@@ -329,50 +329,27 @@ def _pivot_steps(k, dim, cols, live, left, vertex, drops) -> tuple:
     feasible and every pivot dual degenerate, and with Bland's rule the
     pivots cannot cycle (Bland 1977): each step ends at a basic feasible
     point.  There is one, the rescaled point, so a violated basic without
-    an entering type is a bug, chain-dual-infeasible.  A basic feasible
-    point has a type to place: one at zero, or else every nonbasic type is
-    at its count, with gap 0, so the gaps, which add up to dim+1, lie on at
-    most dim+1 basic types, and one has a gap of at least 1.  Each step's
-    point is checked exactly, as in the walk-free phase.  A basic type that
-    runs out is at 0, and its row is pivoted onto the first unit column e_i
-    with T[q][i] != 0, an artificial, which leaves the point as it is."""
+    an entering type is a bug, chain-dual-infeasible.  The point is checked
+    by ``_check_point``.  A basic feasible point has a type to place: one at
+    zero, or else every nonbasic type is at its count, with gap 0, so the
+    gaps, which add up to dim+1, lie on at most dim+1 basic types, and one
+    has a gap of at least 1.  The step places the type that ``_closest``
+    picks and lowers the right-hand side of the sum row by one, which moves
+    the basic values by -T e_R.  A basic type that runs out is at 0, and its
+    row is pivoted onto the first unit column e_i with T[q][i] != 0, an
+    artificial, which leaves the point as it is."""
     R = dim + 1
-    D, X, basis, T, delta = vertex
     col = dict(zip(live, cols))
     count = dict(zip(live, left))
     P = [sum(count[t] * col[t][i] for t in live) for i in range(dim)]
-    # place on the walk's own vertex, before it is read back from its basis
-    p = _closest(live, X, D, count, P, col)
-    if delta < 0:
-        T, delta = [[-a for a in row] for row in T], -delta
-    basic = [live[c] for c in basis] + [None] * (R - len(basis))   # None: an artificial
-    pos = {t: q for q, t in enumerate(basic) if t is not None}
-    upper = {t for t, a in zip(live, X) if t not in pos and a}
-    rhs = [0] * dim + [k - 1 - dim]
-    for t in upper:
-        rhs = [a - count[t] * b for a, b in zip(rhs, col[t])]
-    for row in T:
-        row.append(sum(map(mul, row, rhs)))
-    if any(T[q][R] for q, t in enumerate(basic) if t is None) or any(
-            a * delta != D * (T[pos[t]][R] if t in pos else count[t] * delta * (t in upper))
-            for t, a in zip(live, X)):
-        raise PropertyViolation("chain-start-point", "chain point is not feasible")
+    # every row on its unit column and every type at its count; the copies
+    # left number k, so the sum row's value is k-1-dim - k
+    T = [[int(i == q) for i in range(R)] + [-a] for q, a in enumerate([*P, R])]
+    delta = 1
+    basic = [None] * R                # None: an artificial
+    pos = {}
+    upper = set(live)
     while True:
-        drops.append(p)
-        count[p] -= 1
-        P = [x - y for x, y in zip(P, col[p])]
-        if not count[p]:
-            q = pos.pop(p, None)
-            if q is not None:
-                i = next(i for i in range(R) if T[q][i])
-                delta = _positive_step(T, [row[i] for row in T], q, delta)
-                basic[q] = None
-            live.remove(p)
-        k -= 1
-        if k == dim:
-            return live, [count[t] for t in live]
-        for row in T:                  # the sum row's right-hand side drops by one
-            row[R] -= row[dim]
         while True:
             # the violated basics, an artificial off 0 keyed before every type
             viol = [(-1 if t is None else t, q) for q, t in enumerate(basic)
@@ -402,11 +379,23 @@ def _pivot_steps(k, dim, cols, live, left, vertex, drops) -> tuple:
             basic[q], pos[j] = j, q
         # the start point of step k, read from the basis
         X = [T[pos[t]][R] if t in pos else count[t] * delta * (t in upper) for t in live]
-        *coords, ones = (sum(map(mul, row, X)) for row in zip(*(col[t] for t in live)))
-        if any(a < 0 or a > count[t] * delta for t, a in zip(live, X)) or any(coords) or \
-                ones != (k - 1 - dim) * delta:
-            raise PropertyViolation("chain-start-point", "chain point is not feasible")
+        _check_point([col[t] for t in live], X, [count[t] for t in live], delta, k - 1 - dim)
         p = _closest(live, X, delta, count, P, col)
+        drops.append(p)
+        count[p] -= 1
+        P = [x - y for x, y in zip(P, col[p])]
+        if not count[p]:
+            q = pos.pop(p, None)
+            if q is not None:
+                i = next(i for i in range(R) if T[q][i])
+                delta = _positive_step(T, [row[i] for row in T], q, delta)
+                basic[q] = None
+            live.remove(p)
+        k -= 1
+        if k == dim:
+            return live, [count[t] for t in live]
+        for row in T:                  # the sum row's right-hand side drops by one
+            row[R] -= row[dim]
 
 
 def _moves_back(a: int, high: bool, at_count: bool) -> bool:

@@ -21,12 +21,12 @@ walk at every step whose rescaled point has no type at zero or with a unit
 gap.  Its walks are the chain inputs of the walk's differential test.
 
 ``order_chain_pivots`` is the library's chain over ``Fraction``, the oracle
-of its differential test: the walk-free phase on a rational point, one walk
-(``lp._walk``, through ``steinitz.lp``), and then the same placement rule
+of its differential test: the walk-free phase on a rational point, and
+from its first step without a type to place, the basis of the R unit
+columns with every type at its count, and then the same placement rule
 and the same dual pivots with Bland's rule, each basic solution and each
 pivot row entry solved afresh from the basis columns by the ``Fraction``
-Gauss-Jordan elimination of echelon_reference.py.  Only the basis and the
-unit columns that complete it are read from the walk.
+Gauss-Jordan elimination of echelon_reference.py.  It never walks.
 """
 
 import math
@@ -170,13 +170,13 @@ def order_chain_walk_when_stuck(runs, dim) -> list:
 
 def order_chain_pivots(runs, dim, log=None) -> list:
     """The library's chain, with a Fraction point and Fraction dual pivots,
-    as chunks.  Given a log list, it appends "walk" for the walk,
-    "pivot" for each dual pivot, "artificial" for one whose leaving basic is
-    a unit column, and "downdate" for a basic type that runs out."""
+    as chunks.  Given a log list, it appends "start" for its first step
+    without a type to place, "pivot" for each dual pivot, "artificial" for
+    one whose leaving basic is a unit column, and "downdate" for a basic
+    type that runs out."""
     own, counts, ints = _types(runs)
     m = sum(counts)
     col = [(*v, 1) for v in ints]
-    R = dim + 1
     live, left = list(range(len(col))), dict(enumerate(counts))
     drops = []
     lam = {t: Fraction(c * (m - dim), m) for t, c in left.items()}
@@ -185,25 +185,19 @@ def order_chain_pivots(runs, dim, log=None) -> list:
         S = k - 1 - dim
         lam = {t: a * S / (S + 1) for t, a in lam.items()}
         _check(live, lam, left, col, dim, S)
-        X = [lam[t] for t in live]
-        p = _first_placeable(X, [left[t] for t in live], 1)
-        if p is not None:
-            t = live[p]
-            drops.append(t)
-            left[t] -= 1
-            if not left[t]:
-                live.remove(t)
-                del lam[t]
-            k -= 1
-            continue
-        # one walk on the integer point of the library, then a kept basis
-        D = math.lcm(*(a.denominator for a in X))
-        vertex = lp._walk([col[t] for t in live], D, [int(a * D) for a in X],
-                          [0] * len(live), [left[t] * D for t in live])
-        if log is not None:
-            log.append("walk")
-        k = _pivot_steps(k, dim, col, live, left, vertex, drops, log)
-        break
+        p = _first_placeable([lam[t] for t in live], [left[t] for t in live], 1)
+        if p is None:
+            if log is not None:
+                log.append("start")
+            _pivot_steps(k, dim, col, live, left, drops, log)
+            break
+        t = live[p]
+        drops.append(t)
+        left[t] -= 1
+        if not left[t]:
+            live.remove(t)
+            del lam[t]
+        k -= 1
     return _chunks(runs, own, live, [left[t] for t in live], drops)
 
 
@@ -221,17 +215,11 @@ def _closest(live, lam, left, P, col):
     return min(placeable, key=lambda t: (sum((x - y) ** 2 for x, y in zip(P, col[t])), t))
 
 
-def _pivot_steps(k, dim, col, live, left, vertex, drops, log):
+def _pivot_steps(k, dim, col, live, left, drops, log):
     R = dim + 1
-    D, X, basis, T, delta = vertex
-    # the basis: the walk's interior types, then the unit columns e_i with
-    # T e_i = delta e_q at the positions q past them
-    names = [("t", live[c]) for c in basis] + [
-        ("e", next(i for i in range(R)
-                   if all(T[j][i] == (delta if j == q else 0) for j in range(R))))
-        for q in range(len(basis), R)]
-    lam = {t: Fraction(a, D) for t, a in zip(live, X)}
-    upper = {t for t in live if ("t", t) not in names and lam[t] == left[t]}
+    # the start basis: the R unit columns, every type nonbasic at its count
+    names = [("e", i) for i in range(R)]
+    upper = set(live)
     P = [sum(left[t] * col[t][i] for t in live) for i in range(dim)]
 
     def column(name):
@@ -242,38 +230,7 @@ def _pivot_steps(k, dim, col, live, left, vertex, drops, log):
         B = Matrix.from_rows([[column(name)[i] for name in names] for i in range(R)])
         return solve_linear(B, tuple(rhs))
 
-    def basic_solution(S):
-        rhs = [0] * dim + [S]
-        for t in upper:
-            rhs = [a - left[t] * b for a, b in zip(rhs, col[t])]
-        x = solve(rhs)
-        point = {t: Fraction(left[t] if t in upper else 0) for t in live}
-        for name, value in zip(names, x):
-            if name[0] == "t":
-                point[name[1]] = value
-            elif value:
-                raise AssertionError("an artificial off zero at a feasible basis")
-        return point, x
-
-    p = _closest(live, lam, left, P, col)
-    if basic_solution(k - 1 - dim)[0] != lam:
-        raise PropertyViolation("chain-start-point", "chain point is not feasible")
     while True:
-        drops.append(p)
-        left[p] -= 1
-        P = [x - y for x, y in zip(P, col[p])]
-        if not left[p]:
-            if ("t", p) in names:
-                q = names.index(("t", p))
-                i = next(i for i in range(R)
-                         if solve([int(j == i) for j in range(R)])[q])
-                names[q] = ("e", i)
-                if log is not None:
-                    log.append("downdate")
-            live.remove(p)
-        k -= 1
-        if k == dim:
-            return k
         S = k - 1 - dim
         while True:
             rhs = [0] * dim + [S]
@@ -302,6 +259,25 @@ def _pivot_steps(k, dim, col, live, left, vertex, drops, log):
                 upper.add(out)
             upper.discard(j)
             names[q] = ("t", j)
-        lam, _ = basic_solution(S)
+        # the basic solution: a feasible basis holds every artificial at 0
+        lam = {t: Fraction(left[t] if t in upper else 0) for t in live}
+        for name, value in zip(names, x):
+            if name[0] == "t":
+                lam[name[1]] = value
         _check(live, lam, left, col, dim, S)
         p = _closest(live, lam, left, P, col)
+        drops.append(p)
+        left[p] -= 1
+        P = [x - y for x, y in zip(P, col[p])]
+        if not left[p]:
+            if ("t", p) in names:
+                q = names.index(("t", p))
+                i = next(i for i in range(R)
+                         if solve([int(j == i) for j in range(R)])[q])
+                names[q] = ("e", i)
+                if log is not None:
+                    log.append("downdate")
+            live.remove(p)
+        k -= 1
+        if k == dim:
+            return

@@ -694,30 +694,31 @@ def test_s0_2_reduce_work_does_not_grow_with_the_point(monkeypatch):
     """The s0 = 2 point, whose colorful v order runs the chain on the
     recentred rows of its equal v pieces, at c and 4c: every step of those
     chains finds a type at zero or with a unit gap in its rescaled point,
-    so none walks, and the work stays flat as the point grows (with one
-    walk per step it grew with the point, and with one column per copy
-    with its square); at x10 it answers as the per-copy chain."""
+    so none enters the pivot phase, and the work stays flat as the point
+    grows (with one walk per step it grew with the point, and with one
+    column per copy with its square); at x10 it answers as the per-copy
+    chain."""
     inst, pt = gen_four_block(2, 2, 2, 3, 2, 1, 0, zero_a0=True, scale=24)
     chain = rearrange._order_chain
-    chains, walks = [], []
+    chains, pivoting = [], []
 
     def counted(runs, dim):
         chains.append(sum(count for _, count in runs) - dim)
         return chain(runs, dim)
 
     monkeypatch.setattr(rearrange, "_order_chain", counted)
-    walk = rearrange._walk
-    monkeypatch.setattr(rearrange, "_walk",
-                        lambda cols, D, X, LO, HI: walks.append(len(X)) or walk(cols, D, X, LO, HI))
+    pivots = rearrange._pivot_steps
+    monkeypatch.setattr(rearrange, "_pivot_steps",
+                        lambda k, *args: pivoting.append(k) or pivots(k, *args))
     c, steps = 50, []
     for k in (c, 4 * c):
         chains.clear()
         assert blockip.reduce_kernel_point(inst, _scaled(pt, k)).vector is not None
         assert chains
         steps.append(sum(chains))
-    # one chain of m = 24 k - 1 vectors at xk, m - dim steps, and no walk
+    # one chain of m = 24 k - 1 vectors at xk, m - dim steps, and no pivot
     assert steps == [24 * c - 3, 96 * c - 3], steps
-    assert walks == []
+    assert pivoting == []
     got = blockip.reduce_kernel_point(inst, _scaled(pt, 10))
     monkeypatch.setattr(rearrange, "_order_chain", _per_copy_chain)
     assert got == blockip.reduce_kernel_point(inst, _scaled(pt, 10))

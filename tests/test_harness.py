@@ -209,10 +209,12 @@ def test_cli_verify_rejects_empty_run(capsys, extra, message):
 # lines are listed and justified (the multiplicity-aware chain changed the
 # colorful[7] achieved and the colorful-balanced[1] rowbound values; the
 # chain that walks only when no type can be placed changed seven lines; the
-# chain that keeps its vertex's basis changed 15 lines, 17 at seed 10001)
-VERIFY_ALL_SEED_1_SHA256 = "20ecef21441a5e97cd8e6b1d8eae17fd0943e658ffa3249e3cde9a559d412c3c"
+# chain that keeps its vertex's basis changed 15 lines, 17 at seed 10001;
+# the chain that starts its pivots from every type at its count, with no
+# walk, changed 13 lines at each seed)
+VERIFY_ALL_SEED_1_SHA256 = "79a8810f68e34b77e7e18ac90e2fdcc14651c29ccc58bc2c2dcdb5464f1584fb"
 # the same for `--seed 10001`, the benchmark's second verify seed
-VERIFY_ALL_SEED_10001_SHA256 = "b9d781c8cdc88873d2fb453729255f8174bc4dc6c1ad2c94f24e2103708229b5"
+VERIFY_ALL_SEED_10001_SHA256 = "2d4000240b7d418bb4824ac8647838051b4ef0d5e7eba94af154bc9705492762"
 
 
 def _verify_all_sha256(python_flags, seed):
@@ -266,14 +268,14 @@ PLOTDATA_FAMILIES = {
 # sha256 of the concatenated `steinitz plotdata` outputs over PLOTDATA_FAMILIES,
 # which must not change from one version of the program to the next unless
 # the change is listed and justified (re-pinned when the chain kept its
-# vertex's basis)
+# vertex's basis, and when it started its pivots without a walk)
 PLOTDATA_SHA256 = {
     ("single", "text"): "6aec49d3cae2d9ef0dd83e76ffc8106ff92ea87076ea7684e0964f69972bbb3d",
     ("single", "json"): "8b584dbc84e67adb7dc9bac49ecd2840146be577099b88787b7f01104471cd5c",
-    ("colorful", "text"): "9b5c63c5e1eba6f2b51f067c541f8303e67e00e86f646328f4b61723419139a7",
-    ("colorful", "json"): "74e1252fa9afb8f80f93e263e67421e8ed2ab996092984c6505ea1bd09764d11",
-    ("affine", "text"): "562a8cfc8fa5befa3121e0278eb639d6e26982b12605f7ac7159cd0a25435804",
-    ("affine", "json"): "67fb7e1223a9945ca8c47768ba4689b338e65a234cfa8f79c708c2ccc868dbf6",
+    ("colorful", "text"): "efb1ea63127bf33c48b58f423038465b40cd75374f556cb64276d409c3fdca09",
+    ("colorful", "json"): "a0c05a9ef0e6663798ec12d9bf05c95b328a9267ae77db4621734f38eed010e8",
+    ("affine", "text"): "96b54569a0cd04ff51f33e1544c94497519f3d2953e608d74152af011745f3ae",
+    ("affine", "json"): "15e31b91cca2d1ecdbdcef58237d2a10d77b11bce8af356257ce503f3b7a7232",
 }
 
 
@@ -454,12 +456,12 @@ def test_cli_lp_error_exit_2(tmp_path, capsys, monkeypatch, error):
 
 
 def _walk_fault(monkeypatch, tmp_path):
-    # every Bareiss step doubles delta: the chain's walk leaves A x = b
+    # every Bareiss step doubles delta: the selection's walk leaves A x = b
     import steinitz.lp as lp
-    fileio.write_family(gen_zero_sum_family(2, 1, 6, LINF_NORM, 4), str(tmp_path / "s.txt"))
+    fileio.write_family(gen_zero_sum_family(2, 3, 6, LINF_NORM, 4), str(tmp_path / "f.txt"))
     step = lp._bareiss_step
     monkeypatch.setattr(lp, "_bareiss_step", lambda T, t, p, delta: 2 * step(T, t, p, delta))
-    return ["rearrange", "--input", str(tmp_path / "s.txt")]
+    return ["singlesum", "--input", str(tmp_path / "f.txt"), "--k", "2"]
 
 
 def _simplex_fault(monkeypatch, tmp_path):

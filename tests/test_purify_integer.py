@@ -7,8 +7,8 @@ error.  Given a ``trail`` list, it appends x after every move, so a test
 can see which walks it covers.  The selection polytope runs
 ``walk_to_vertex`` on its own integer state and is checked against the
 pre-change code, which built a BoxLP per step; the rearrangement chain,
-which walks once and then pivots on the walk's basis, is checked against
-the Fraction reference of chain_reference.py.  The seeded LPs come from
+which never walks and pivots on a kept basis, is checked against the
+Fraction reference of chain_reference.py.  The seeded LPs come from
 generators (``LP_SETS``) that test_walk.py replays through the walk's own
 oracle.
 """
@@ -533,18 +533,31 @@ def test_walk_checks_survive_python_O():
     assert out == "vertex left the affine space A x = b\nvertex left its bounds\n"
 
 
-def _count_walks(monkeypatch, module, name="walk_to_vertex"):
-    """Count the calls of the walk name (walk_to_vertex, or the chain's
-    _walk) made from module; each must start over a positive denominator."""
+def _count_walks(monkeypatch, module):
+    """Count the calls of walk_to_vertex made from module; each must start
+    over a positive denominator."""
     calls = []
-    core = getattr(steinitz.lp, name)
 
     def walk(cols, D, X, LO, HI):
         assert D > 0
         calls.append(len(X))
-        return core(cols, D, X, LO, HI)
+        return walk_to_vertex(cols, D, X, LO, HI)
 
-    monkeypatch.setattr(module, name, walk)
+    monkeypatch.setattr(module, "walk_to_vertex", walk)
+    return calls
+
+
+def _count_pivot_phases(monkeypatch):
+    """Count the chains that reach their pivot phase, the calls of
+    rearrange._pivot_steps."""
+    calls = []
+    steps = steinitz.rearrange._pivot_steps
+
+    def counted(k, dim, cols, live, left, drops):
+        calls.append(k)
+        return steps(k, dim, cols, live, left, drops)
+
+    monkeypatch.setattr(steinitz.rearrange, "_pivot_steps", counted)
     return calls
 
 
@@ -604,19 +617,19 @@ def _count_pivots(monkeypatch):
 
 def test_rearrangement_chain_matches_reference(monkeypatch):
     """The same chunks as the Fraction reference of the chain, which solves
-    each basic solution and pivot row afresh, with the same walk and the
+    each basic solution and pivot row afresh, with the same start and the
     same pivots; every order is a bijection within the bound d * radius.  A
-    chain walks at most once, at its first step without a type to place,
-    and keeps that vertex's basis from then on."""
-    walks = _count_walks(monkeypatch, steinitz.rearrange, "_walk")
+    chain enters its pivot phase at most once, at its first step without a
+    type to place, and keeps its basis from then on."""
+    starts = _count_pivot_phases(monkeypatch)
     pivots = _count_pivots(monkeypatch)
     steps = repeated = chains = 0
     log = []
     for d, vectors in _chain_cases():
-        before = len(walks)
+        before = len(starts)
         runs = _run_encode(vectors)
         assert _order_chain(runs, d) == order_chain_pivots(runs, d, log)
-        assert len(walks) - before <= 1
+        assert len(starts) - before <= 1
         order = rearrangement_order(vectors, d)
         repeated += len(set(vectors)) < len(vectors)
         assert sorted(order) == list(range(len(vectors)))
@@ -626,12 +639,34 @@ def test_rearrangement_chain_matches_reference(monkeypatch):
         steps += len(vectors) - d
         chains += 1
     # each chain twice; at one walk per step without a type to place, 369
-    # walks for 975 chain steps
-    assert len(walks) == 2 * log.count("walk")
+    # walks for 975 chain steps; from the walk's vertex, 1,720 pivots and 31
+    # downdates
+    assert len(starts) == 2 * log.count("start")
     assert len(pivots) == 2 * (log.count("pivot") + log.count("downdate"))
-    assert (chains, steps, log.count("walk"), log.count("pivot"), log.count("downdate")) == \
-        (36, 975, 30, 1720, 31), (chains, steps, collections.Counter(log))
+    assert (chains, steps, log.count("start"), log.count("pivot"), log.count("downdate")) == \
+        (36, 975, 30, 2320, 34), (chains, steps, collections.Counter(log))
     assert repeated >= 8, repeated
+
+
+def test_stuck_chain_types_are_within_one_copy_of_their_count(monkeypatch):
+    """At the first step without a type to place, on the corpus above, each
+    live type is within one copy of its count, (c_p - 1) D < X_p <= c_p D:
+    the start of the pivot phase, every type at its count, is that close to
+    the rescaled point."""
+    placeable = steinitz.rearrange._placeable
+    stuck = []
+
+    def checked(X, left, D):
+        p = placeable(X, left, D)
+        if p is None:
+            stuck.append(len(X))
+            assert all((count - 1) * D < a <= count * D for a, count in zip(X, left))
+        return p
+
+    monkeypatch.setattr(steinitz.rearrange, "_placeable", checked)
+    for d, vectors in _chain_cases():
+        rearrangement_order(vectors, d)
+    assert len(stuck) == 30, stuck
 
 
 def test_rearrangement_chain_matches_reference_off_the_corpus():
@@ -646,10 +681,11 @@ def test_rearrangement_chain_matches_reference_off_the_corpus():
                                           rng.randrange(10**6))
         runs = _run_encode(seq.vectors)
         assert _order_chain(runs, d) == order_chain_pivots(runs, d, log)
-    # every rank-deficient chain but two walks, and its basis keeps d - rank
-    # unit columns or more; one of them leaves once as a dual pivot
-    assert collections.Counter(log) == {"walk": 58, "pivot": 1618, "downdate": 35,
-                                        "artificial": 1}, collections.Counter(log)
+    # every rank-deficient chain but two reaches the pivot phase, which
+    # starts on the R unit columns; the d - rank or more that its types do
+    # not span stay basic, and 148 leave as dual pivots
+    assert collections.Counter(log) == {"start": 58, "pivot": 2032, "downdate": 31,
+                                        "artificial": 148}, collections.Counter(log)
     log.clear()
     for d in range(2, 6):
         for m in (d + 1, d + 2):
@@ -657,30 +693,35 @@ def test_rearrangement_chain_matches_reference_off_the_corpus():
                 for norm in (LINF_NORM, L1_NORM):
                     runs = _run_encode(gen_zero_sum_sequence(d, m, norm, 910 + seed, 16).vectors)
                     assert _order_chain(runs, d) == order_chain_pivots(runs, d, log)
-    # m = d+1 places its one copy without a walk; each m = d+2 chain walks at
-    # its first step, places a basic type at zero, which runs out, and pivots
-    # no more
-    assert collections.Counter(log) == {"walk": 40, "downdate": 40}, collections.Counter(log)
+    # m = d+1 places its one copy without a pivot; each m = d+2 chain starts
+    # its pivot phase at its first step, where all R unit columns leave,
+    # places a basic type at zero, which runs out, and pivots no more
+    assert collections.Counter(log) == {"start": 40, "pivot": 262, "artificial": 180,
+                                        "downdate": 40}, collections.Counter(log)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_rearrangement_order_one_step_chain(monkeypatch, d):
     # m = d + 1: one chain step, whose point rescales to 0, so column 0 is
-    # placed without a walk
-    walks = _count_walks(monkeypatch, steinitz.rearrange, "_walk")
+    # placed without a pivot
+    starts = _count_pivot_phases(monkeypatch)
     for seed in range(5):
         vectors = gen_zero_sum_sequence(d, d + 1, L1_NORM, 900 + seed, 16).vectors
         order = rearrangement_order(vectors, d)
         assert order == order_chain(vectors, d)
         assert sorted(order) == list(range(d + 1)) and order[-1] == 0
-    assert walks == []
+    assert starts == []
 
 
-def _off_the_sum_row(cols, D, X, LO, HI):
-    """A faulty walk of the chain: its vertex pushed off the sum row, by D
-    on the last column, and its basis as it was."""
-    D, X, *basis = steinitz.lp._walk(cols, D, X, LO, HI)
-    return (D, X[:-1] + [X[-1] + D], *basis)
+_positive_step = steinitz.rearrange._positive_step
+
+
+def _off_the_sum_row(T, t, q, delta):
+    """A faulty pivot of the chain: its Bareiss step, and then the basic
+    value of row q raised by one unit over delta, off A x = b."""
+    delta = _positive_step(T, t, q, delta)
+    T[q][-1] += 1
+    return delta
 
 
 def test_corrupted_chain_start_is_named(monkeypatch):
@@ -690,15 +731,16 @@ def test_corrupted_chain_start_is_named(monkeypatch):
                                                 "chain point is not feasible$"):
         rearrangement_order(vectors, 2)
 
-    # a vertex pushed off the sum row: it is not the basic solution of its basis
-    monkeypatch.setattr(steinitz.rearrange, "_walk", _off_the_sum_row)
+    # pivots that push the basic values off the sum row: the point read from
+    # the basis fails the same check
+    monkeypatch.setattr(steinitz.rearrange, "_positive_step", _off_the_sum_row)
     seq = gen_zero_sum_sequence(2, 8, LINF_NORM, 5, 16)
     with pytest.raises(PropertyViolation, match="^property chain-start-point violated: "):
         rearrangement_order(seq.vectors, 2)
 
 
-# the CLI run of a chain whose walk pushes each vertex off the sum row: a
-# named violation, exit 1 (the start check is not a usage error)
+# the CLI run of a chain whose pivots push each basic value off the sum row:
+# a named violation, exit 1 (the start check is not a usage error)
 CORRUPTED_CHAIN_RUN = (
     "import sys\n"
     "import steinitz.cli as cli, steinitz.rearrange as r\n"
@@ -707,7 +749,7 @@ CORRUPTED_CHAIN_RUN = (
     "if cli.main(['gen', 'family', '--d', '3', '--n', '1', '--m', '200', '--seed', '5',\n"
     "             '--output', path]):\n"
     "    sys.exit('gen failed')\n"
-    "r._walk = _off_the_sum_row\n"
+    "r._positive_step = _off_the_sum_row\n"
     "print(cli.main(['rearrange', '--input', path]))\n")
 
 

@@ -6,11 +6,10 @@ when every step rescaled the whole point and a move that tightened more
 than one column built the basis inverse again.  On every input below the
 two must return the same (D, X), or raise the same exception with the same
 message: the seeded LPs of test_purify_integer.py (through
-``purify_to_vertex``), every walk of the rearrangement chain (through
-``lp._walk``, which also returns the basis), of the chain of
-chain_reference.py that walks at every step without a type to place and of
-its per-copy chain that walks at every step, on ``_chain_cases()``, and
-every selection walk on ``_selection_families()``.
+``purify_to_vertex``), every walk of the chain of chain_reference.py that
+walks at every step without a type to place and of its per-copy chain that
+walks at every step, on ``_chain_cases()``, and every selection walk on
+``_selection_families()``.  The library's rearrangement chain never walks.
 The reference's log shows that the inputs reach the downdates, the steps
 with a denominator and the columns tight at the start.
 """
@@ -61,16 +60,9 @@ class _Differential:
         self.seen = collections.Counter()
 
     def __call__(self, cols, D, X, LO, HI):
-        return self.run(walk_to_vertex, cols, D, X, LO, HI)
-
-    def core(self, cols, D, X, LO, HI):
-        """The chain's walk, lp._walk: its (D, X) against the reference."""
-        return self.run(lp._walk, cols, D, X, LO, HI)
-
-    def run(self, walk, cols, D, X, LO, HI):
         log = []
         want = _outcome(reference_walk, cols, D, X, LO, HI, log)
-        got = _outcome(walk, cols, D, X, LO, HI)
+        got = _outcome(walk_to_vertex, cols, D, X, LO, HI)
         assert got[:2] == want, (cols, D, X, LO, HI)
         self.seen.update(log)
         self.seen["walks"] += 1
@@ -86,7 +78,6 @@ def differential(monkeypatch):
     walk = _Differential()
     for module in (lp, colorful):
         monkeypatch.setattr(module, "walk_to_vertex", walk)
-    monkeypatch.setattr(rearrange, "_walk", walk.core)
     return walk
 
 
@@ -105,16 +96,15 @@ def test_walk_matches_reference_on_seeded_lps(differential):
 
 
 def test_walk_matches_reference_on_chain_steps(differential):
-    # the library chain, one walk column per distinct vector, which walks
-    # at most once (30 walks); the reference chain that walks at every step
-    # without a type to place (369 walks); and the per-copy chain that walks
-    # at every one of its 975 steps
+    # the library chain, which never walks; the reference chain that walks
+    # at every step without a type to place (369 walks); and the per-copy
+    # chain that walks at every one of its 975 steps
     for d, vectors in _chain_cases():
         rearrangement_order(vectors, d)
         order_chain_walk_when_stuck(rearrange._run_encode(vectors), d)
         order_chain_walk_every_step(vectors, d)
     seen = differential.seen
-    assert seen["walks"] == 30 + 369 + 975
+    assert seen["walks"] == 369 + 975
     for event, floor in (("multi-leave", 3), ("tight-leave", 100), ("den", 2000),
                          ("start-tight", 1000)):
         assert seen[event] >= floor, (event, seen)
@@ -163,11 +153,13 @@ def test_chain_bareiss_steps(monkeypatch):
     # 437 with one walk column per copy (68 distinct vectors of 70), 447
     # when the chain dropped a copy of the first type with a unit gap without
     # preferring a type at zero, 404 when it walked at every step, and 316
-    # when it walked at every step without a type to place; now 9 steps of
-    # its one walk and 168 of its dual pivots and downdates
+    # when it walked at every step without a type to place, and 177 when it
+    # walked once and pivoted on from the walk's basis (9 steps of the walk
+    # and 168 of dual pivots and downdates); now 158 dual pivots and
+    # downdates from the basis of unit columns, with no walk
     steps = _count_steps(monkeypatch)
     rearrangement_order(gen_zero_sum_sequence(2, 70, LINF_NORM, 7, 16).vectors, 2)
-    assert len(steps) <= 177, len(steps)
+    assert len(steps) <= 158, len(steps)
 
 
 # the inputs of one certify pass of the benchmark at seed 1: per round,
@@ -182,7 +174,8 @@ COLORFUL_SPECS = ((64, 3), (80, 3), (48, 4), (56, 3))
 def test_certify_pass_walks(monkeypatch):
     # at one walk per chain step: rearrange 795 walks and 6,160 Bareiss steps,
     # colorful 950 and 4,879; at one walk per step without a type to place:
-    # 391 and 3,531, 517 and 3,025; the selections walk once each either way
+    # 391 and 3,531, 517 and 3,025; at one walk per chain and dual pivots on
+    # from its basis: 18 and 2,209, 17 and 752; the selections walk once each
     kind, walks, steps = [None], collections.Counter(), collections.Counter()
 
     def walk(cols, D, X, LO, HI):
@@ -193,12 +186,8 @@ def test_certify_pass_walks(monkeypatch):
         steps[kind[0]] += 1
         return _bareiss_step(T, t, p, delta)
 
-    def core(cols, D, X, LO, HI):
-        walks[kind[0]] += 1
-        return lp._walk(cols, D, X, LO, HI)
-
-    monkeypatch.setattr(colorful, "walk_to_vertex", walk)
-    monkeypatch.setattr(rearrange, "_walk", core)
+    for module in (lp, colorful):
+        monkeypatch.setattr(module, "walk_to_vertex", walk)
     for module in (lp, rearrange):
         monkeypatch.setattr(module, "_bareiss_step", counted)
     for base in (10_000, 11_000, 12_000):
@@ -214,10 +203,12 @@ def test_certify_pass_walks(monkeypatch):
             fam = gen_zero_sum_family(3, 6, 12, (LINF_NORM, L1_NORM)[i % 2], base + 200 + i)
             for k in range(13):
                 single_partial_sum(fam, k)
-    # one walk per chain at most: the 18 rearrange chains walk 18 times
-    assert walks["rearrange"] <= 18 and walks["colorful"] <= 17, walks
+    # the chains never walk: their pivots start on the basis of unit columns,
+    # which costs the rearrange chains more pivots than the walk's basis did,
+    # but no walk with its per-column products
+    assert walks["rearrange"] == 0 and walks["colorful"] == 0, walks
     assert walks["singlesum"] == 156, walks
-    assert steps["rearrange"] <= 2209 and steps["colorful"] <= 752, steps
+    assert steps["rearrange"] <= 2505 and steps["colorful"] <= 706, steps
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +257,13 @@ def _walk_to(D, X):
     return lambda cols, D0, X0, LO, HI: (D, list(X))
 
 
-def _walk_off_its_basis(cols, D, X, LO, HI):
-    """A faulty chain walk that ends at the top of every bound of 1, its
-    basis as the walk left it."""
-    return (D, [D] * len(X), *lp._walk(cols, D, X, LO, HI)[2:])
-
-
 _closest = rearrange._closest
+
+
+def _read_every_type_full(live, X, D, count, P, col):
+    """A faulty read of the chain point: every type at its count, where no
+    copy can leave."""
+    return _closest(live, [count[t] * D for t in live], D, count, P, col)
 
 
 def _place_a_full_type(live, X, D, count, P, col):
@@ -289,9 +280,9 @@ _FAM = ColoredFamily(1, 1, 4, (((F(1),), (F(1),), (F(-1),), (F(-1),)),), LINF_NO
 
 # (name, module, attribute, faulty value, call)
 CALLER_FAULTS = (
-    ("chain-zero-coordinate", rearrange, "_walk", _walk_off_its_basis,
+    ("chain-zero-coordinate", rearrange, "_closest", _read_every_type_full,
      lambda: rearrangement_order(_SEQ.vectors, 2)),
-    ("chain-start-point", rearrange, "_walk", _off_the_sum_row,
+    ("chain-start-point", rearrange, "_positive_step", _off_the_sum_row,
      lambda: rearrangement_order(_SEQ.vectors, 2)),
     ("chain-dual-infeasible", rearrange, "_closest", _place_a_full_type,
      lambda: rearrangement_order(_SHORT.vectors, 2)),
