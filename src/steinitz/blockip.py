@@ -7,7 +7,10 @@ stage asserts its own exact bound and any violation aborts with the name
 of the violated property.  Each value of the decomposition is held in one
 integer form, the one its checks read: a block basis as its int rows
 -|det D| D^{-1} Bi, a u residual as ints over the block's scale, a piece
-as a tuple of int.
+as a tuple of int.  The v-decomposition solves one convex LP per block,
+over its vertices at x: the weighted bases give rows of the cone, so each
+is feasible at every ray, and the vertex map is linear, so its weights
+give every ray's part and start every ray's peel.
 
 Past xi a kernel point is written as alpha small pieces, of which only a
 few are distinct, while alpha grows with the point.  The pipeline carries
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -579,11 +583,12 @@ def decompose_x(x_hat: Vec, rays):
 # the v-decomposition
 
 
-def _convex_combo_over_vertices(vertices, target, support_cap: int, prop: str):
+def _convex_combo_over_vertices(vertices, target):
     """Convex coefficients over the points V_k / d_k reproducing the target
-    T / e with bounded support, found as a vertex by phase 1; vertices holds
-    the pairs (d_k, V_k) and target the pair (e, T), over int.  Returns
-    (den, combo): the coefficients are combo[k] / den, zero off combo.
+    T / e, found as a vertex by phase 1; vertices holds the pairs (d_k, V_k)
+    and target the pair (e, T), over int.  Returns (den, combo): the
+    coefficients are combo[k] / den, zero off combo.  It is solved once per
+    block, over its vertices at x, and its weights serve every ray.
 
     Every row, the row sum_k tau_k = 1 included, is scaled to integers by
     one common factor, K = e lcm_k d_k: row r of
@@ -591,7 +596,7 @@ def _convex_combo_over_vertices(vertices, target, support_cap: int, prop: str):
     = D T_r."""
     k = len(vertices)
     if k == 0:
-        raise PropertyViolation(prop, "no candidate vertices")
+        raise PropertyViolation("v-convex-decomposition", "no candidate vertices")
     e, T = target
     D = math.lcm(*(d for d, _ in vertices))
     K = e * D
@@ -600,17 +605,15 @@ def _convex_combo_over_vertices(vertices, target, support_cap: int, prop: str):
     rows.append([K] * k)
     _, point = integer_simplex(rows, [D * b for b in T] + [K], 1, (0,) * k, (None,) * k)
     if point is None:
-        raise PropertyViolation(prop, "convex decomposition infeasible")
+        raise PropertyViolation("v-convex-decomposition", "convex decomposition infeasible")
     den, X = point
-    combo = {i: a for i, a in enumerate(X) if a}
-    if len(combo) > support_cap:
-        raise PropertyViolation(prop, f"support {len(combo)} exceeds {support_cap}")
-    return den, combo
+    return den, {i: a for i, a in enumerate(X) if a}
 
 
 def _peel_vertices(tau, lam, count, span, verts, w):
     """Peel count vertices off the block part w = lam sum_k tau_k verts[k],
-    with tau = (den, combo) as _convex_combo_over_vertices returns it.
+    with tau = (den, combo) the block's convex weights at x, each on the
+    first index in verts (its vertices at the ray) of its basis's vertex.
 
     Each step takes the vertex of largest weight (the lowest index on a
     tie), then renormalises the weights over the lam - j units left.  The
@@ -641,14 +644,11 @@ def _peel_vertices(tau, lam, count, span, verts, w):
     runs = []
 
     def remainder():
-        rem = list(w)
-        for k, c in counts.items():
-            if c:
-                for r, x in enumerate(verts[k]):
-                    rem[r] -= c * x
+        taken = _run_sum(((verts[k], c) for k, c in counts.items()), len(w))
+        rem = tuple(a - b for a, b in zip(w, taken))
         if any(x < 0 for x in rem):
             raise PropertyViolation("extraction-nonneg", "extraction overshot")
-        return tuple(rem)
+        return rem
 
     while count:
         dbar = max(mass, key=lambda idx: (mass[idx], -idx))
@@ -686,7 +686,11 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
     """Split v into per-ray parts and extract integer pieces per part.
 
     bases[i] is block i's block_bases table; the vertices at x and at each
-    ray h are read from it, filtered to the bases feasible there.
+    ray h are read from it, filtered to the bases feasible there.  One
+    convex LP per block writes v_i = sum_k mu_k y_k(x) over its vertices at
+    x.  The weighted bases give rows of the cone, so each is feasible at
+    every ray h (else vertex-support), and y_k is linear, so
+    lam sum_k mu_k y_k(h) is the ray's part and mu starts its peel.
 
     Returns (v0_per_ell, vseq_runs, alphas) where vseq_runs[ell] spells,
     as runs (piece, count), the stacked integer vectors ordered so that the
@@ -701,11 +705,10 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
     share one tuple whose kernel pairing is checked once, and the tube is
     checked over integer C-images at the ends of the runs."""
     s, t, t0, n = inst.s, inst.t, inst.t0, inst.n
-    ell_count = len(lambdas)
     Xv = Fraction(inst.delta ** (s + 1) * s ** s * t0) * omega2
     CXv = inst.delta * Xv
 
-    if ell_count == 0:
+    if not lambdas:
         if any(x != 0 for x in v_hat):
             raise PropertyViolation("maximality-zero-v", "x = 0 but v != 0")
         return (), (), ()
@@ -713,39 +716,23 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
     x_hat = tuple(
         sum((lam * h[c] for lam, h in zip(lambdas, hs)), ZERO) for c in range(t0))
 
-    # per block: convex multipliers over the vertices of {y >= 0 : A y = -B x},
-    # each vertex the integers _vertex_at(fb, X, t) over L |det D|
+    # per block: convex weights over the vertices of {y >= 0 : A y = -B x}, each the
+    # integers _vertex_at(fb, X, t) over L |det D|, kept by basis; the vertices lie in
+    # the (t - s)-dimensional space A y = -B x, so a basic solution has <= span weights
+    span = t - s + 1
     L, (X,) = scale_to_integers([x_hat])
-    v_parts = [[None] * ell_count for _ in range(n)]  # v_parts[i][ell] : t-dim
+    weights = []        # per block: (den, {columns of a weighted basis: weight})
     for i in range(n):
-        vi = inst.y_block(v_hat, i)
         bases_x = _feasible(bases[i], x_hat)
         verts = [(L * abs(fb.det), _vertex_at(fb, X, t)) for fb in bases_x]
-        e, (T,) = scale_to_integers([vi])
-        mden, mu = _convex_combo_over_vertices(verts, (e, T), t + 1, "v-convex-decomposition")
-        G = math.lcm(*(abs(bases_x[k].det) for k in mu))
-        for ell, (lam, h) in enumerate(zip(lambdas, hs)):
-            # sum_k mu_k y_k at h, over mden G, y_k = _vertex_at(fb, h, t) / |det D|
-            acc = [0] * t
-            for k, coef in mu.items():
-                fb = bases_x[k]
-                coef *= G // abs(fb.det)
-                for r, a in enumerate(_vertex_at(fb, h, t)):
-                    acc[r] += coef * a
-            d = lam.denominator * mden * G
-            part = tuple(Fraction(lam.numerator * a, d) for a in acc)
-            if any(v < 0 for v in part):
-                raise PropertyViolation("v-part-nonneg", "a v part left the orthant")
-            v_parts[i][ell] = part
-        recon = tuple(sum(v_parts[i][ell][r] for ell in range(ell_count)) for r in range(t))
-        if recon != vi:
-            raise PropertyViolation("v-part-reconstruction", "v parts do not sum back")
+        e, (T,) = scale_to_integers([inst.y_block(v_hat, i)])
+        den, mu = _convex_combo_over_vertices(verts, (e, T))
+        if len(mu) > span:
+            raise PropertyViolation("v-convex-decomposition", f"support {len(mu)} exceeds {span}")
+        weights.append((den, {bases_x[k].cols: a for k, a in mu.items()}))
+    alphas = [math.floor(lam - (t - s)) if lam >= span else 0 for lam in lambdas]
 
-    span = t - s + 1
-    alphas = []
-    for lam in lambdas:
-        alphas.append(math.floor(lam - (t - s)) if lam >= span else 0)
-
+    v_parts = [[] for _ in range(n)]  # v_parts[i][ell] : t-dim
     v0_per_ell = []
     vseq_runs = []          # per ell: the ordered pieces as runs (piece, count)
     form = inst.integer_form
@@ -755,7 +742,7 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
         int_verts = []      # per block: the vertices as integer tuples
         rem_blocks = []
         for i in range(n):
-            verts = []
+            verts, index, first = [], {}, {}
             for fb in _feasible(bases[i], h):
                 d = abs(fb.det)
                 v = _vertex_at(fb, h, t)
@@ -765,15 +752,23 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
                 v = tuple(a // d for a in v)
                 if sum(map(abs, v)) > Xv:
                     raise PropertyViolation("v-piece-norm", "vertex l1 norm exceeds the cap")
+                index[fb.cols] = first.setdefault(v, len(verts))
                 verts.append(v)
-            w = v_parts[i][ell]
+            den, mu = weights[i]
+            if any(cols not in index for cols in mu):
+                raise PropertyViolation("vertex-support", "a weighted basis is infeasible at a ray")
+            # bases with one vertex at h pool their weights on its first index
+            tau = (den, Counter())
+            for cols, a in mu.items():
+                tau[1][index[cols]] += a
+            # the part w = lam sum_k tau_k verts[k]
+            acc = _run_sum(((verts[k], a) for k, a in tau[1].items()), t)
+            w = tuple(Fraction(lam.numerator * a, lam.denominator * den) for a in acc)
+            if any(x < 0 for x in w):
+                raise PropertyViolation("v-part-nonneg", "a v part left the orthant")
+            v_parts[i].append(w)
             pick = []
             if a_ell > 0:
-                # the target w / lam = q W / (e p), with w = W / e and lam = p / q
-                e, (W,) = scale_to_integers([w])
-                target = (e * lam.numerator, [lam.denominator * a for a in W])
-                tau = _convex_combo_over_vertices([(1, v) for v in verts], target, span,
-                                                  "vertex-support")
                 pick, w = _peel_vertices(tau, lam, a_ell, span, verts, w)
             if l1_norm(w) > span * Xv:
                 raise PropertyViolation("v-remainder-norm", "v remainder exceeds its l1 cap")
@@ -808,6 +803,10 @@ def _decompose_v(inst: FourBlockInstance, lambdas, hs, v_hat: Vec, omega2, bases
                         x for i, k in enumerate(key) for x in int_verts[i][k])
                 seq.append((piece, hi - lo))
         vseq_runs.append(seq)
+
+    for i in range(n):
+        if tuple(map(sum, zip(*v_parts[i]))) != inst.y_block(v_hat, i):
+            raise PropertyViolation("v-part-reconstruction", "v parts do not sum back")
 
     # exact prefix check of the ordered C-images
     cap_ix = Fraction(40 * inst.s0 ** 5) * CXv

@@ -15,7 +15,9 @@ cone row.  The colorful order of the v-pieces comes from the pre-change
 library's integer core, the convex weights from a ``Fraction`` BoxLP solved
 by the ``Fraction`` simplex of ``simplex_reference.py``, not from the
 library's integer LPs, and ``_reference_decompose_u`` extracts one piece
-per enumeration, not by counts.
+per enumeration, not by counts.  The reference peels each ray's part from
+the weights of a second convex LP over the vertices at the ray, where the
+library carries the weights of the block's one LP at x.
 """
 
 import copy
@@ -631,6 +633,42 @@ def test_several_rays_match_reference():
     assert several >= 3
 
 
+@pytest.mark.parametrize("args", [
+    (1, 2, 2, 4, 2, 1, 9097), (1, 2, 2, 4, 2, 1, 9130), (2, 1, 2, 2, 2, 1, 9201),
+    (2, 1, 2, 3, 3, 2, 9142), (2, 2, 2, 3, 2, 1, 9128)])
+def test_degenerate_vertices_at_a_ray_match_reference(args):
+    """Instances where two bases have the same vertex at a ray, and the
+    reference's per-ray LP puts the weight of that vertex on other bases
+    than the library, which keeps the bases weighted at x: the pieces, and
+    so the bundles, are the same."""
+    inst, pt = gen_four_block(*args, zero_a0=True, scale=24)
+    for c in (1, 7, 40):
+        big = _scaled(pt, c)
+        assert _outcome(blockip.decompose_bundle, inst, big) == \
+            _outcome(_reference_decompose_bundle, inst, big)
+
+
+def test_bases_with_one_vertex_pool_their_weights(monkeypatch):
+    """On gen_four_block(2, 1, 2, 2, 2, 1, 9201) two bases weighted at x have
+    the same vertex at a ray, the zero vector.  Their weights are pooled on
+    one index, so the peel takes each vertex as one colour: at x400 the
+    1,199 copies of that vertex are one run (800 runs when each basis kept
+    its own weight, as the two alternated as the heaviest)."""
+    peels = []
+    real = blockip._peel_vertices
+
+    def recorded(tau, lam, count, span, verts, w):
+        runs, rem = real(tau, lam, count, span, verts, w)
+        peels.append([verts[k] for k, _ in runs])
+        return runs, rem
+
+    monkeypatch.setattr(blockip, "_peel_vertices", recorded)
+    inst, pt = gen_four_block(2, 1, 2, 2, 2, 1, 9201, zero_a0=True, scale=24)
+    blockip.decompose_bundle(inst, _scaled(pt, 400))
+    assert [(0, 0)] in peels
+    assert all(a != b for peel in peels for a, b in zip(peel, peel[1:]))
+
+
 def test_decompose_v_returns_the_bundles_v_parts():
     """decompose_v gives (v0 per ray, spelled pieces per ray, alphas), the
     bundle's v0, v_seq and alphas."""
@@ -681,6 +719,25 @@ def test_reduce_work_does_not_grow_with_the_point():
     for k in (c, 2 * c):
         assert blockip.reduce_kernel_point(inst, _scaled(pt, k)) == \
             _reference_reduce(inst, _scaled(pt, k))
+
+
+@pytest.mark.parametrize("args, scale", [((2, 1, 2, 3, 2, 1, 24), 240),
+                                         ((1, 1, 2, 3, 2, 1, 24), 240),
+                                         ((1, 2, 2, 4, 2, 1, 9097), 24)])
+def test_decompose_bundle_solves_one_convex_lp_per_block(monkeypatch, args, scale):
+    """decompose_bundle makes 2 n + 1 integer LPs: n block-kernel LPs, the
+    conic LP of decompose_x and one convex LP per block, whose weights
+    give every ray's part and peel; with a convex LP per ray and block that
+    has pieces it made 9 here (7 at x1 on the last instance)."""
+    calls = []
+    real = blockip.integer_simplex
+    monkeypatch.setattr(blockip, "integer_simplex", lambda *a: calls.append(1) or real(*a))
+    inst, pt = gen_four_block(*args, zero_a0=True, scale=scale)
+    for c in (1, 40):
+        calls.clear()
+        bundle, _ = blockip.decompose_bundle(inst, _scaled(pt, c))
+        assert len(bundle.lambdas) == 2 and sum(bundle.alphas) > 0
+        assert len(calls) == 2 * inst.n + 1 == 5
 
 
 def _per_copy_chain(runs, dim):
@@ -757,25 +814,26 @@ def test_forced_extraction_failures_match_reference(monkeypatch, perturb, expect
     holds it (extraction-nonneg).  Keeping only the heaviest vertex at 3/2
     of its weight does both in one run: that vertex overshoots w first and
     fails the weight check later, and the overshoot is what is reported.
-    The points are sums of LP vertices, so blocks have several vertices."""
-    real, real_reference = blockip._convex_combo_over_vertices, _reference_convex_combo
+    The points are sums of LP vertices, so blocks have several vertices.
+    The reference perturbs the weights of its per-ray LP, the library those
+    that its peel receives, the block's weights at x on the vertices at the
+    ray; they are the same weights, in the same order of vertex index."""
+    real, real_reference = blockip._peel_vertices, _reference_convex_combo
     rng = random.Random(7400)
 
     def perturbed_reference(vertices, target, support_cap, prop):
         combo = real_reference(vertices, target, support_cap, prop)
         return perturb(combo, rng, len(vertices)) if prop == "vertex-support" else combo
 
-    def perturbed(vertices, target, support_cap, prop):
+    def perturbed(tau, lam, count, span, verts, w):
         # the library's weights are (den, integers); the perturbation is the
         # reference's, on the same weights as Fraction
-        den, combo = real(vertices, target, support_cap, prop)
-        if prop != "vertex-support":
-            return den, combo
-        combo = perturb({k: Fraction(a, den) for k, a in combo.items()}, rng, len(vertices))
+        den, combo = tau
+        combo = perturb({k: Fraction(a, den) for k, a in sorted(combo.items())}, rng, len(verts))
         den = math.lcm(*(c.denominator for c in combo.values()))
-        return den, {k: int(c * den) for k, c in combo.items()}
+        return real((den, {k: int(c * den) for k, c in combo.items()}), lam, count, span, verts, w)
 
-    monkeypatch.setattr(blockip, "_convex_combo_over_vertices", perturbed)
+    monkeypatch.setattr(blockip, "_peel_vertices", perturbed)
     monkeypatch.setitem(globals(), "_reference_convex_combo", perturbed_reference)
     names = set()
     for shape in ((1, 1, 1, 2, 2), (1, 1, 1, 2, 3), (1, 1, 1, 3, 2), (2, 1, 2, 2, 2)):
@@ -790,6 +848,19 @@ def test_forced_extraction_failures_match_reference(monkeypatch, perturb, expect
             if isinstance(ref, tuple) and ref[0] == "violation":
                 names.add(ref[1])
     assert expected <= names
+
+
+def test_weighted_basis_infeasible_at_a_ray_is_vertex_support():
+    """x = (8, 8) lies on the one cone ray (1, 1); written over the unit
+    rays, which lie outside the cone, a basis weighted at x is infeasible
+    at a ray, and decompose_v names it vertex-support."""
+    inst, pt = gen_four_block(1, 2, 2, 3, 2, 1, 10, zero_a0=True, scale=24)
+    bundle, _ = blockip.decompose_bundle(inst, pt)
+    assert pt.x == (8, 8) and bundle.rays == ((1, 1),)
+    with pytest.raises(PropertyViolation) as err:
+        blockip.decompose_v(inst, (Fraction(8), Fraction(8)), ((1, 0), (0, 1)), bundle.v_hat,
+                            bundle.omega2, _require_pipeline_ready(inst))
+    assert err.value.name == "vertex-support"
 
 
 def test_u_prefix_tube_same_verdicts(monkeypatch):
