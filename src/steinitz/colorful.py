@@ -7,6 +7,7 @@ Main entry points:
   ``balance_rows``, a local-improvement loop in integers that caps every
   row sum by (d+1)^2 (4d(d+1)+2), then orders the balanced rows
   classically; the certificate carries the balance's row bound and history.
+  Its Caratheodory supports are one integer LP each (``_caratheodory``).
 * ``colorful_affine`` drops the zero-sum requirement by recentering, at
   the cost of a factor 2 in the certified bound.
 * ``single_partial_sum`` picks one size-k subset per sequence whose joint
@@ -33,8 +34,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .checks import PropertyViolation
-from .linalg import Matrix, Vec, ZERO, ONE, rat, is_zero_vec, null_space, scale_to_integers
-from .lp import walk_to_vertex
+from .linalg import Vec, ZERO, _width, rat, is_zero_vec, scale_to_integers
+from .lp import integer_simplex, walk_to_vertex
 from .norms import BlockMax, NormSpec, norm_eval
 from .rearrange import (ZeroSumRequired, _expand, _max_prefix_runs, _order_runs, _run_encode,
                         _run_sum, rearrangement_order)
@@ -173,52 +174,41 @@ def _merged_rows(colors, dim: int, m: int) -> list:
 
 def conic_caratheodory_anchor(row_sums, anchor: int):
     """Indices (including anchor, at most d+1 of them) and convex
-    coefficients lam >= 0 with sum(lam) = 1 and sum(lam_i row_i) = 0.
-
-    Writes -row[anchor] as a nonnegative combination of the other rows
-    (the all-ones combination works because the rows are zero-sum), then
-    prunes the support below d+1 by eliminating linear dependencies
-    without leaving the nonnegative orthant.
+    coefficients lam >= 0 with sum(lam) = 1 and sum(lam_i row_i) = 0 of the
+    zero-sum rows, the anchor's as large as possible: ``_caratheodory`` of
+    the rows scaled to integers.  Ragged rows or an anchor that is not a
+    row index raise ValueError.
     """
     rows = [tuple(rat(x) for x in r) for r in row_sums]
-    d = len(rows[0]) if rows else 0
-    total = [sum(col, ZERO) for col in zip(*rows)] if rows else []
-    if any(x != 0 for x in total):
+    _width(rows)
+    if anchor not in range(len(rows)):
+        raise ValueError("anchor is not a row index")
+    if any(map(sum, zip(*rows))):
         raise ZeroSumRequired("row sums are not zero-sum")
-    if is_zero_vec(rows[anchor]):
-        return (anchor,), (ONE,)
+    scale, ints = scale_to_integers(rows)
+    indices, (den, weights) = _caratheodory(ints, scale, anchor)
+    return indices, tuple(Fraction(x, den) for x in weights)
 
-    mu = {i: ONE for i in range(len(rows)) if i != anchor}
-    # drop zero rows immediately; they contribute nothing
-    for i in list(mu):
-        if is_zero_vec(rows[i]):
-            del mu[i]
-    while len(mu) > d:
-        supp = sorted(mu)
-        cols = Matrix.from_rows([rows[i] for i in supp]).transpose()
-        kern = null_space(cols)
-        if not kern:
-            break
-        nu = dict(zip(supp, kern[0]))
-        if not any(c > 0 for c in nu.values()):
-            nu = {i: -c for i, c in nu.items()}
-        theta = min(mu[i] / c for i, c in nu.items() if c > 0)
-        for i, c in nu.items():
-            mu[i] -= theta * c
-        mu = {i: v for i, v in mu.items() if v != 0}
-    scale = ONE / (ONE + sum(mu.values(), ZERO))
-    indices = tuple(sorted([anchor] + list(mu)))
-    lams = tuple(scale if i == anchor else mu[i] * scale for i in indices)
-    if len(indices) > d + 1:
+
+def _caratheodory(rows, scale: int, anchor: int):
+    """(indices, (den, X)): one ``integer_simplex`` call maximises the
+    anchor's weight over {lam >= 0 : sum(lam_i row_i) = 0, sum(lam) = 1},
+    for zero-sum integer rows, its sum row posed as (L, ..., L | L), L =
+    scale, so rows scaled by another common factor get the same pivots.
+    Equal weights are feasible, so the anchor's is positive, and a basic
+    solution has at most d+1 nonzero weights X/den; both are checked here.
+    """
+    n, d = len(rows), len(rows[anchor])
+    _, (den, X) = integer_simplex([*zip(*rows), (scale,) * n], [0] * d + [scale], 1,
+                                  (0,) * n, (None,) * n, [int(i == anchor) for i in range(n)])
+    support = tuple(i for i, x in enumerate(X) if x)
+    if len(support) > d + 1:
         raise PropertyViolation("caratheodory-support", "Caratheodory support exceeded d+1")
-    residual = [ZERO] * d
-    for i, lam in zip(indices, lams):
-        for r in range(d):
-            residual[r] += lam * rows[i][r]
-    if any(x != 0 for x in residual) or sum(lams, ZERO) != 1:
+    if (anchor not in support or min(X) < 0 or sum(X) != den
+            or any(sum(X[i] * rows[i][r] for i in support) for r in range(d))):
         raise PropertyViolation("caratheodory-coefficients",
                                 "Caratheodory coefficients failed verification")
-    return indices, lams
+    return support, (den, tuple(X[i] for i in support))
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +246,11 @@ def _balance_rows(d: int, m: int, norm: NormSpec, vectors, scale: int) -> Balanc
     vectors V = L*v in dimension d, L = scale: the row sums and their
     norms, the threshold test mx <= (d+1)^2 (4d(d+1)+2) L, the stacked
     deviations n*V - row (the deviations over nL, checked against 2nL) and
-    the chain bound, multiplied by (d+1) L.  The Caratheodory anchor and the
-    chain take the integer rows and deviations, and neither answer changes
-    under scaling, so any common multiple of the denominators will do for
-    L.  row_bound and the history's norms are divided by L, as Fraction.
+    the chain bound, multiplied by (d+1) L.  The Caratheodory support (its
+    LP poses its sum row over L) and the chain take the integer rows and
+    deviations, and neither answer changes under scaling, so any common
+    multiple of the denominators will do for L.  row_bound and the
+    history's norms are divided by L, as Fraction.
     """
     _require_zero_sum_union(tuple(map(sum, zip(*(v for color in vectors for v in color)))))
     n = len(vectors)
@@ -281,7 +272,7 @@ def _balance_rows(d: int, m: int, norm: NormSpec, vectors, scale: int) -> Balanc
             break
 
         anchor = norms.index(mx)
-        sel_rows, _lams = conic_caratheodory_anchor(rows, anchor)
+        sel_rows, _ = _caratheodory(rows, scale, anchor)
         p = len(sel_rows)
         t = n // p
         if t < 1 or n - p * t >= t:

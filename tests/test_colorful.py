@@ -63,6 +63,68 @@ def test_caratheodory_axis_vectors_against_subsets():
     assert works
 
 
+def test_caratheodory_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="ragged rows"):
+        conic_caratheodory_anchor([(F(1),), (F(-1), F(5))], 0)
+
+
+@pytest.mark.parametrize("anchor", [-1, 5])
+def test_caratheodory_rejects_an_anchor_that_is_no_row(anchor):
+    with pytest.raises(ValueError, match="anchor is not a row index"):
+        conic_caratheodory_anchor([(F(1),), (F(1),), (F(-1),), (F(-1),)], anchor)
+
+
+def test_caratheodory_requires_zero_sum_rows():
+    with pytest.raises(ZeroSumRequired):
+        conic_caratheodory_anchor([(F(1),), (F(-1, 2),)], 0)
+
+
+def _zero_sum_rows(rng, d):
+    """Rational zero-sum rows in dimension d: some drawn in a subspace of
+    random rank (rank-deficient sets), some repeated, some zero, and the
+    negative of their sum last."""
+    basis = [[F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(d)]
+             for _ in range(rng.randint(1, d))]
+    rows = [tuple(sum(rng.randint(-2, 2) * b[k] for b in basis) for k in range(d))
+            for _ in range(rng.randint(1, 4))]
+    rows += rng.sample(rows, rng.randint(0, len(rows)))
+    rows += [(F(0),) * d] * rng.randint(0, 1)
+    rows.append(tuple(-sum(col) for col in zip(*rows)))
+    rng.shuffle(rows)
+    return rows
+
+
+def _basic_anchor_weights(rows, anchor):
+    """The anchor's weight at every basic solution of {lam >= 0 :
+    sum(lam_i row_i) = 0, sum(lam) = 1} whose support holds the anchor,
+    each support's system solved exactly by the reference elimination."""
+    from itertools import combinations
+    from echelon_reference import _echelon
+    d = len(rows[0])
+    others = [i for i in range(len(rows)) if i != anchor]
+    for size in range(d + 1):
+        for rest in combinations(others, size):
+            sub = (anchor, *rest)
+            system = [[rows[i][k] for i in sub] + [F(0)] for k in range(d)]
+            system.append([F(1)] * len(sub) + [F(1)])
+            pivots, _ = _echelon(system)
+            if pivots == list(range(len(sub))) and all(system[r][-1] >= 0 for r in pivots):
+                yield system[0][-1]
+
+
+def test_caratheodory_anchor_weight_is_the_largest_basic_one():
+    rng = random.Random(29)
+    for case in range(240):
+        d = 1 + case % 4
+        rows = _zero_sum_rows(rng, d)
+        anchor = rng.randrange(len(rows))
+        idx, lam = conic_caratheodory_anchor(rows, anchor)
+        assert anchor in idx and len(idx) <= d + 1 and list(idx) == sorted(set(idx))
+        assert all(x > 0 for x in lam) and sum(lam) == 1
+        assert all(sum(l * rows[i][k] for i, l in zip(idx, lam)) == 0 for k in range(d))
+        assert lam[idx.index(anchor)] == max(_basic_anchor_weights(rows, anchor))
+
+
 def test_balance_single_color_trivial():
     fam = gen_zero_sum_family(2, 1, 5, LINF_NORM, 3)
     bal = balance_rows(fam)
@@ -535,14 +597,17 @@ def test_shared_loops_keep_the_input_type():
 # prefix bound: one patched fault each
 
 
-def _no_kernel(M):
-    """No kernel at all: the support is never pruned."""
-    return []
+def _wide_support(rows, rhs, L, LO, HI, c):
+    """A point with d + 2 nonzero weights, each 1/(d + 2): the LP has d
+    rows for the coordinates and one sum row."""
+    k = len(rows) + 1
+    return "optimal", (k, [int(i < k) for i in range(len(LO))])
 
 
-def _all_ones_kernel(M):
-    """A direction that is not in the kernel of M."""
-    return [(F(1),) * M.cols]
+def _anchor_alone(rows, rhs, L, LO, HI, c):
+    """All the weight on the anchor (the objective's unit vector): a point
+    off the rows unless the anchor row is zero."""
+    return "optimal", (1, list(c))
 
 
 def _no_rotation(vectors, dim):
@@ -568,19 +633,24 @@ def _cap_lifted(d, limit, mx):
 _SIGNS = [(F(1),), (F(1),), (F(-1),), (F(-1),)]
 _WIDE = gen_adversarial_scalar_family(100, 4, 5)
 _SMALL = gen_zero_sum_family(2, 3, 5, LINF_NORM, 4)
+# 95 colors (1, -1) and 5 against them: the rows' means are 0.9 and -0.9,
+# so a contrary color deviates by -1.9 and 1.9, 3.8 in l1 over the two rows
+# but 1.9 per row, inside the radius 2
+_CONTRARY = ColoredFamily(1, 100, 2, tuple(((F(s),), (F(-s),)) for s in [1] * 95 + [-1] * 5),
+                          LINF_NORM)
 
 # (name, patches of steinitz.colorful as (attribute, faulty value), call)
 COLORFUL_FAULTS = (
-    ("caratheodory-support", (("null_space", _no_kernel),),
+    ("caratheodory-support", (("integer_simplex", _wide_support),),
      lambda: conic_caratheodory_anchor(_SIGNS, 0)),
-    ("caratheodory-coefficients", (("null_space", _all_ones_kernel),),
+    ("caratheodory-coefficients", (("integer_simplex", _anchor_alone),),
      lambda: conic_caratheodory_anchor(_SIGNS, 0)),
     ("balance-potential", (("_row_sums", _stale_inspections),), lambda: balance_rows(_WIDE)),
     # more selected rows than colors: no window holds a color
-    ("balance-window", (("conic_caratheodory_anchor", lambda rows, anchor: ((anchor,) * 101, ())),),
+    ("balance-window", (("_caratheodory", lambda rows, scale, anchor: ((anchor,) * 101, ())),),
      lambda: balance_rows(_WIDE)),
     ("balance-stacked-norm", (("BlockMax", lambda inner, block_dim: L1_NORM),),
-     lambda: balance_rows(_WIDE)),
+     lambda: balance_rows(_CONTRARY)),
     ("balance-chain-bound", (("rearrangement_order", _no_rotation),), lambda: balance_rows(_WIDE)),
     # the chain bound implies strict progress above the threshold, so the
     # fault lifts the bound as well as stopping the rotation
@@ -635,6 +705,17 @@ def test_colorful_named_check_exits_with_one(tmp_path, capsys):
     assert f"property violation [{name}]: property {name} violated: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", COLORFUL_FAULTS[:2], ids=lambda fault: fault[0])
+def test_caratheodory_check_exits_with_one(fault, tmp_path, capsys):
+    from steinitz.fileio import write_family
+    path = str(tmp_path / "wide.txt")
+    write_family(_WIDE, path)
+    name, patches, _ = fault
+    with _patched_colorful(patches):
+        assert cli.main(["colorful", "--input", path]) == 1
+    assert f"property violation [{name}]: property {name} violated: " in capsys.readouterr().err
+
+
 def test_colorful_checks_survive_python_O():
     code = ("import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
@@ -666,6 +747,9 @@ def _balance_families():
         for idx in range(2):
             yield gen_adversarial_scalar_family(50 if idx % 2 == 0 else 100, 3 + idx % 4,
                                                 seed * 1000 + idx)
+    # more rows above the threshold: each balance runs its loop 3 or 4 times
+    for n, m in ((100, 6), (160, 5), (120, 8)):
+        yield gen_adversarial_scalar_family(n, m, 3)
     # rows of norm exactly at the threshold 40 (d = 1), and one above it
     for ones in (40, 41):
         yield ColoredFamily(1, 80, 2, tuple(((F(1),), (F(-1),)) if j < ones else ((F(0),), (F(0),))
@@ -717,6 +801,15 @@ def test_integer_balance_equals_fraction_reference(monkeypatch):
         _assert_same_balance(bal, ref)
         iterations += len(ref.history) - 1
     assert iterations > len(families)  # the loop ran, more than once per family
+
+
+def test_balance_iterations_on_bench_shaped_families():
+    # the certify benchmark's shapes at seeds 0..29: the support of largest
+    # anchor weight balances them in 150 iterations (the pruned support of
+    # the earlier null-space loop took 172)
+    iterations = sum(len(balance_rows(gen_adversarial_scalar_family(n, m, seed)).history) - 1
+                     for seed in range(30) for n, m in CERTIFY_COLORFUL_SPECS)
+    assert iterations <= 150
 
 
 def test_balanced_certificate_carries_its_balance():
