@@ -5,23 +5,25 @@ over the distinct vectors, each with its number of copies as the upper
 bound of its coordinate, and needs only some point, not a vertex, of each
 shrinking polytope: one copy leaves at each step, of a vector at value
 zero or of one whose value is at least one below its count, and the
-copies left then have the bound.  The chain has two phases.  At first
-each step rescales the current point into the polytope whose coordinate
-sum is one lower, checks it, and places the first such vector.  From the
-first step whose point has none, the chain keeps a basis: it starts with
-every vector at its count and every row on a unit column, each step
-lowers the sum by one, and dual-simplex pivots with Bland's rule restore
+copies left then have the bound.  The chain has two phases.  At first it
+holds no point: on a zero-sum input of length m the counts c times S/m
+lie in the polytope whose coordinate sum is S, so each step places the
+first vector whose count passes c S <= (copies left - 1) m.  From the
+first step with none, the chain keeps a basis: it starts with every
+vector at its count and every row on a unit column, each step lowers the
+sum by one, and dual-simplex pivots with Bland's rule restore
 feasibility and end at a basic feasible point, where a counting argument
 guarantees a vector to place, so the descent never needs to backtrack;
 any violation of that guarantee would be a genuine bug and raises.  In
 the pivot phase the vector placed is the one whose copy leaves the
 smallest next prefix.
 
-The chain runs on one integer state and builds no LP per step: the
-vectors are scaled to integers once, the point is a list of integers over
-one common denominator, checked exactly at every step, each pivot is one
-``linalg._bareiss_step``, and a vector whose last copy leaves takes its
-column with it.
+The chain runs on integers and builds no LP per step: the vectors are
+scaled to integers once, the first phase compares counts, the pivot
+phase's point is a list of integers over one common denominator, checked
+exactly at every step, each pivot is one ``linalg._bareiss_step``, and a
+vector whose last copy leaves takes its column with it.  One exact check
+of the input's sum covers every point of the first phase.
 
 Dimension one has a cheap special case: always append an element whose
 sign opposes the running prefix.
@@ -42,7 +44,6 @@ and the bound and the maximum are divided by L once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -172,15 +173,6 @@ def _order_dim1_runs(runs) -> list:
     return chunks
 
 
-def _placeable(X, left, D):
-    """The first type at zero, else the first with a unit gap
-    X_p <= (c_p - 1) D, c_p its copies left; None if there is none."""
-    p = next((p for p, a in enumerate(X) if a == 0), None)
-    if p is None:
-        p = next((p for p, (a, count) in enumerate(zip(X, left)) if a <= (count - 1) * D), None)
-    return p
-
-
 def _check_point(cols, X, left, D, S):
     """The exact check of a chain point, X over D for the columns cols with
     left copies each: 0 <= X <= c D, V X = 0 and sum X = S D, with
@@ -197,30 +189,37 @@ def _order_chain(runs, dim) -> list:
 
     The chain runs over the distinct vectors v_i (the runs grouped by value,
     in order of first occurrence), each with its count c_i as an upper
-    bound.  One integer state for the whole chain: the columns (L v_i, 1),
-    with L the lcm of the entry denominators, and the point X over D in
-    P_k = {sum_i X_i v_i = 0, sum X = (k-1-dim) D, 0 <= X <= c D}.  Step k
-    (counted from 1) places one copy of a type at position k, of one whose
-    point is at zero or has a gap c_i D - X_i >= D; the copies left number
-    k, so the gaps add up to (dim+1) D.  Any checked point will do, vertex
-    or not: with lambda = X/D and lambda_p <= c_p - 1, the prefix left is
-    sum (c'_i - lambda_i) v_i, with weights >= 0 that add up to dim, so its
-    norm is at most dim * radius.  A type whose copies are all placed
-    takes its column with it.
+    bound, on the columns (L v_i, 1), with L the lcm of the entry
+    denominators.  Step k (counted from 1) places at position k one copy of
+    a type whose value in some point lambda of
+    P_k = {sum_i lambda_i v_i = 0, sum lambda = S, 0 <= lambda <= c'},
+    with S = k-1-dim and c' the copies left, is zero or has a gap
+    c'_i - lambda_i >= 1; the copies left number k, so the gaps add up to
+    dim+1.  Any point will do, vertex or not: with lambda_p <= c'_p - 1, the
+    prefix left is sum (c'_i - lambda_i) v_i, with weights >= 0 that add up
+    to dim, so its norm is at most dim * radius.  A type whose copies are
+    all placed takes its column with it.
 
-    The chain has two phases.  Walk-free: the point is rescaled by
-    (k-1-dim)/(k-dim) and checked exactly, and one copy of the first type
-    at zero, else of the first with a unit gap (``_placeable``), takes
-    position k.  A zero stays zero when the point is rescaled, so most steps
-    place a copy this way; with every count 1 this is the LP of one column
-    per vector and the first-zero drop.  At the first step with no such
-    type, every type is within one copy of its count, and ``_pivot_steps``
-    runs the rest of the chain on a kept basis that starts with every type
-    at its count: each step lowers the sum by one, and dual pivots with
-    Bland's rule, which cannot cycle, restore a basic feasible point, where
-    a type to place always exists (the nonbasic types sit at 0 or at their
-    count, and the gaps add up to dim+1).  Its placement rule differs: the
-    type whose copy leaves the smallest next prefix.
+    The chain has two phases.  Walk-free: lambda = c S / m, with c the
+    counts at the start, and the chain holds no point.  lambda lies in
+    every P_k of this phase: V lambda = (S/m) V c = 0 on a zero-sum input
+    (``_order_runs`` checks the sum once, which covers every step, as each
+    point is a positive multiple of c), sum lambda = S, and the bounds
+    c_t S <= c'_t m hold by induction from the placement rule.  They hold
+    at the first step (S < m, c' = c); step k places one copy of the first
+    type with c_p S <= (c'_p - 1) m, which is c_p (S-1) <= c'_p m at the
+    next step, and every other c_t S only falls.  No type is at zero
+    before S = 0, where every type passes the test and the first one is
+    placed; a type's last copy can leave only there, at the last step, so
+    no column leaves in this phase.  At the first step with no type to
+    place, (c'_t - 1) m < c_t S <= c'_t m: every type is within one copy of
+    its count, and ``_pivot_steps`` runs the rest of the chain on a kept
+    basis that starts with every type at its count: each step lowers the
+    sum by one, and dual pivots with Bland's rule, which cannot cycle,
+    restore a basic feasible point, where a type to place always exists
+    (the nonbasic types sit at 0 or at their count, and the gaps add up to
+    dim+1).  Its placement rule differs: the type whose copy leaves the
+    smallest next prefix.
 
     Each type's copies take their places in index order: the first ones,
     whose count is left when the chain ends, fill positions 0..dim-1 in
@@ -234,25 +233,16 @@ def _order_chain(runs, dim) -> list:
     own = list(types.values())
     counts = [sum(runs[r][1] for r in rs) for rs in own]
     m = sum(counts)
-    cols = [(*v, 1) for v in types]
-    live, left = list(range(len(cols))), list(counts)
+    live, left = list(range(len(counts))), list(counts)
     drops = []
-    D, X = m, [count * (m - dim) for count in counts]
     for k in range(m, dim, -1):
-        X = [a * (k - 1 - dim) for a in X]
-        D *= k - dim
-        h = math.gcd(D, *X)
-        X = [a // h for a in X]
-        D //= h
-        _check_point(cols, X, left, D, k - 1 - dim)
-        p = _placeable(X, left, D)
+        S = k - 1 - dim
+        p = next((p for p, c in enumerate(counts) if c * S <= (left[p] - 1) * m), None)
         if p is None:
-            live, left = _pivot_steps(k, dim, cols, live, left, drops)
+            live, left = _pivot_steps(k, dim, [(*v, 1) for v in types], live, left, drops)
             break
-        drops.append(live[p])
+        drops.append(p)
         left[p] -= 1
-        if not left[p]:
-            del cols[p], X[p], left[p], live[p]
     # the copies left fill positions 0..dim-1, each type's first ones
     taken = [0] * len(runs)           # copies of each run placed so far
     for t, count in zip(live, left):
@@ -317,8 +307,8 @@ def _pivot_steps(k, dim, cols, live, left, drops) -> tuple:
     path); every other type is nonbasic, at 0 or at its count.  Each row of
     T carries one more entry, T r with r = b - A_N x_N: the basic values
     over delta.  The start is T = I and delta = 1, every type at its
-    count: the rescaled point, with no type to place, has each type within
-    one copy of its count.
+    count: the walk-free point c S / m, with no type to place, has each type
+    within one copy of its count.
 
     Each step restores feasibility by dual-simplex pivots, each one
     ``_bareiss_step``: the violated basic of lowest index leaves at the
@@ -328,7 +318,8 @@ def _pivot_steps(k, dim, cols, live, left, drops) -> tuple:
     back toward its bound.  The costs are zero, so every basis is dual
     feasible and every pivot dual degenerate, and with Bland's rule the
     pivots cannot cycle (Bland 1977): each step ends at a basic feasible
-    point.  There is one, the rescaled point, so a violated basic without
+    point.  There is one, c S / m at the first step and the last step's
+    point times S / (S+1) at each later one, so a violated basic without
     an entering type is a bug, chain-dual-infeasible.  The point is checked
     by ``_check_point``.  A basic feasible point has a type to place: one at
     zero, or else every nonbasic type is at its count, with gap 0, so the
@@ -419,10 +410,14 @@ def _order_runs(runs, dim) -> list:
     spell, as chunks (r, lo, hi): copies lo..hi-1 of run r, in that order.
     In dimension one the greedy takes whole chunks; the chain has one
     column per distinct vector, and the copies it places one after another
-    from one run form one chunk."""
+    from one run form one chunk.  A sequence longer than dim must sum to
+    zero: the one exact check of the chain's walk-free points, whose
+    violation is chain-start-point in every dimension."""
     m = sum(count for _, count in runs)
     if m <= dim:
         return [(r, 0, count) for r, (_, count) in enumerate(runs)]
+    if any(_run_sum(runs, dim)):
+        raise PropertyViolation("chain-start-point", "chain point is not feasible")
     if dim == 1:
         return _order_dim1_runs([(v[0], count) for v, count in runs])
     return _order_chain(runs, dim)

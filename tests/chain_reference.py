@@ -21,7 +21,9 @@ walk at every step whose rescaled point has no type at zero or with a unit
 gap.  Its walks are the chain inputs of the walk's differential test.
 
 ``order_chain_pivots`` is the library's chain over ``Fraction``, the oracle
-of its differential test: the walk-free phase on a rational point, and
+of its differential test: the walk-free phase on a rational point,
+rescaled and checked at every step (the library keeps no point there and
+tests counts, c S <= (copies left - 1) m, which places the same types), and
 from its first step without a type to place, the basis of the R unit
 columns with every type at its count, and then the same placement rule
 and the same dual pivots with Bland's rule, each basic solution and each

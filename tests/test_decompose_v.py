@@ -749,12 +749,11 @@ def _per_copy_chain(runs, dim):
 
 def test_s0_2_reduce_work_does_not_grow_with_the_point(monkeypatch):
     """The s0 = 2 point, whose colorful v order runs the chain on the
-    recentred rows of its equal v pieces, at c and 4c: every step of those
-    chains finds a type at zero or with a unit gap in its rescaled point,
-    so none enters the pivot phase, and the work stays flat as the point
-    grows (with one walk per step it grew with the point, and with one
-    column per copy with its square); at x10 it answers as the per-copy
-    chain."""
+    recentred rows of its equal v pieces, at c and 4c: at every step of
+    those chains a type passes the walk-free count test, so none enters the
+    pivot phase, and the work stays flat as the point grows (with one walk
+    per step it grew with the point, and with one column per copy with its
+    square); at x10 it answers as the per-copy chain."""
     inst, pt = gen_four_block(2, 2, 2, 3, 2, 1, 0, zero_a0=True, scale=24)
     chain = rearrange._order_chain
     chains, pivoting = [], []

@@ -580,6 +580,24 @@ def _chain_cases():
         yield d, (v, tuple(-x for x in v)) * 12
 
 
+def _long_chains():
+    """(d, vectors): zero-sum sequences of 2-4 distinct vectors in d = 2..4,
+    100-400 copies in all, each vector as one long run or interleaved."""
+    rng = random.Random(702)
+    for i in range(24):
+        d, types = rng.randint(2, 4), rng.randint(2, 4)
+        counts = [rng.randint(20, 150) for _ in range(types)]
+        while not 100 <= sum(counts) <= 400:
+            counts = [rng.randint(20, 150) for _ in range(types)]
+        vs = [tuple(F(rng.randint(-8, 8), 4) for _ in range(d)) for _ in range(types - 1)]
+        vs.append(tuple(-sum(c * v[i] for c, v in zip(counts, vs)) / counts[-1]
+                        for i in range(d)))
+        seq = [v for v, count in zip(vs, counts) for _ in range(count)]
+        if i % 2:
+            rng.shuffle(seq)
+        yield d, tuple(seq)
+
+
 def _prefix_max(vectors, order, norm):
     """The largest norm of a prefix of the vectors in the order, summed
     one vector at a time."""
@@ -647,26 +665,62 @@ def test_rearrangement_chain_matches_reference(monkeypatch):
         (36, 975, 30, 2320, 34), (chains, steps, collections.Counter(log))
     assert repeated >= 8, repeated
 
+    # 2-4 types with 100-400 copies, in long runs and interleaved: 5,173 of
+    # the 5,758 chain steps are walk-free, and two chains reach the pivot
+    # phase
+    log.clear()
+    steps = pivot_steps = 0
+    for d, vectors in _long_chains():
+        before = len(starts)
+        runs = _run_encode(vectors)
+        assert _order_chain(runs, d) == order_chain_pivots(runs, d, log)
+        pivot_steps += sum(k - d for k in starts[before:])
+        order = rearrangement_order(vectors, d)
+        for norm in (LINF_NORM, L1_NORM):
+            radius = max(norm_eval(norm, v) for v in vectors)
+            assert _prefix_max(vectors, order, norm) <= d * radius
+        steps += len(vectors) - d
+    assert (steps, pivot_steps) == (5758, 585), (steps, pivot_steps)
+    assert collections.Counter(log) == {"start": 2, "pivot": 9, "artificial": 6,
+                                        "downdate": 2}, collections.Counter(log)
+
 
 def test_stuck_chain_types_are_within_one_copy_of_their_count(monkeypatch):
     """At the first step without a type to place, on the corpus above, each
-    live type is within one copy of its count, (c_p - 1) D < X_p <= c_p D:
-    the start of the pivot phase, every type at its count, is that close to
-    the rescaled point."""
-    placeable = steinitz.rearrange._placeable
+    type is within one copy of its share c_t S / m of the walk-free point,
+    (left_t - 1) m < c_t S <= left_t m with S = k-1-d: the start of the
+    pivot phase, every type at its count, is that close to that point.  No
+    type has run out by then."""
+    steps = steinitz.rearrange._pivot_steps
     stuck = []
 
-    def checked(X, left, D):
-        p = placeable(X, left, D)
-        if p is None:
-            stuck.append(len(X))
-            assert all((count - 1) * D < a <= count * D for a, count in zip(X, left))
-        return p
+    def checked(k, dim, cols, live, left, drops):
+        assert live == list(range(len(cols)))
+        counts = [count + drops.count(t) for t, count in zip(live, left)]
+        m, S = sum(counts), k - 1 - dim
+        assert all((count - 1) * m < c * S <= count * m for c, count in zip(counts, left))
+        stuck.append(len(live))
+        return steps(k, dim, cols, live, left, drops)
 
-    monkeypatch.setattr(steinitz.rearrange, "_placeable", checked)
+    monkeypatch.setattr(steinitz.rearrange, "_pivot_steps", checked)
     for d, vectors in _chain_cases():
         rearrangement_order(vectors, d)
     assert len(stuck) == 30, stuck
+
+
+def test_chain_checks_each_pivot_step_once(monkeypatch):
+    """On the corpus above, the chain's exact point check runs once per
+    step of its pivot phase, steps k..d+1, and never in its walk-free
+    phase, which the one zero-sum check of the input covers."""
+    starts, checks = [], []
+    steps, check = steinitz.rearrange._pivot_steps, steinitz.rearrange._check_point
+    monkeypatch.setattr(steinitz.rearrange, "_pivot_steps",
+                        lambda k, dim, *args: starts.append(k - dim) or steps(k, dim, *args))
+    monkeypatch.setattr(steinitz.rearrange, "_check_point",
+                        lambda *args: checks.append(1) or check(*args))
+    for d, vectors in _chain_cases():
+        rearrangement_order(vectors, d)
+    assert len(starts) == 30 and len(checks) == sum(starts), (len(starts), len(checks))
 
 
 def test_rearrangement_chain_matches_reference_off_the_corpus():
@@ -702,8 +756,8 @@ def test_rearrangement_chain_matches_reference_off_the_corpus():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_rearrangement_order_one_step_chain(monkeypatch, d):
-    # m = d + 1: one chain step, whose point rescales to 0, so column 0 is
-    # placed without a pivot
+    # m = d + 1: one chain step, at S = 0, where every type passes the count
+    # test, so column 0 is placed without a pivot
     starts = _count_pivot_phases(monkeypatch)
     for seed in range(5):
         vectors = gen_zero_sum_sequence(d, d + 1, L1_NORM, 900 + seed, 16).vectors
@@ -737,6 +791,20 @@ def test_corrupted_chain_start_is_named(monkeypatch):
     seq = gen_zero_sum_sequence(2, 8, LINF_NORM, 5, 16)
     with pytest.raises(PropertyViolation, match="^property chain-start-point violated: "):
         rearrangement_order(seq.vectors, 2)
+
+
+@pytest.mark.parametrize("vectors", [((F(1),), (F(1),)),
+                                     ((F(1), F(0)), (F(1), F(0)), (F(0), F(1)))])
+def test_input_off_zero_sum_is_named_in_every_dimension(vectors):
+    # longer than d and not zero-sum: the one check of the chain's
+    # walk-free points names it, before the d = 1 greedy or the chain runs
+    # (at m = d + 1 the chain's one point is 0, which a point check passes)
+    d = len(vectors[0])
+    with pytest.raises(PropertyViolation, match="^property chain-start-point violated: "
+                                                "chain point is not feasible$"):
+        rearrangement_order(vectors, d)
+    # at most d vectors: the identity, whatever their sum
+    assert rearrangement_order(vectors[:d], d) == tuple(range(d))
 
 
 # the CLI run of a chain whose pivots push each basic value off the sum row:
