@@ -11,7 +11,8 @@ Main entry points:
 * ``colorful_affine`` drops the zero-sum requirement by recentering, at
   the cost of a factor 2 in the certified bound.
 * ``single_partial_sum`` picks one size-k subset per sequence whose joint
-  sum has norm at most d, via the integer vertex walk and sorted rounding.
+  sum has norm at most d, via the dual pivots of ``linalg.DualBasis`` to a
+  basic feasible point and sorted rounding.
 
 Every entry reads the family's integer form, scaled once and cached
 (``ColoredFamily.integer_form``).  Both certificates run on one integer core
@@ -34,8 +35,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .checks import PropertyViolation
-from .linalg import Vec, ZERO, _width, rat, is_zero_vec, scale_to_integers
-from .lp import integer_simplex, walk_to_vertex
+from .linalg import DualBasis, Vec, ZERO, _width, rat, is_zero_vec, scale_to_integers
+from .lp import integer_simplex
 from .norms import BlockMax, NormSpec, norm_eval
 from .rearrange import (ZeroSumRequired, _expand, _max_prefix_runs, _order_runs, _run_encode,
                         _run_sum, rearrangement_order)
@@ -477,14 +478,16 @@ def single_partial_sum(fam: ColoredFamily, k: int) -> SubsetSelection:
     """One size-k index set per color whose joint selected sum has norm
     at most d.
 
-    Walks the uniform point of the selection polytope to a vertex (at most
-    2d fractional entries), then rounds each color's fractional part with
-    round_to_binary.
-
-    Runs in integers, on fam.integer_form's V = L*v, scaled once per family
-    whatever k: the column of alpha[j][i] is (e_j, V[j][i]), and the walk
-    starts at k/m, which is X = k everywhere over D = m.  achieved is the
-    norm of the integer sum of the selected V, divided by L.
+    The dual pivots of a ``DualBasis`` find a basic feasible point of the
+    selection polytope {sum_i alpha[j][i] = k per color j,
+    sum alpha[j][i] v[j][i] = 0, 0 <= alpha <= 1}, and round_to_binary
+    rounds each color's fractional part.  Any such point will do: its
+    fractional columns are basic, so independent, and touch f colors, two
+    or more each, so there are at most f + d <= 2d of them, and rounding
+    moves the sum by at most d.  Runs in integers, on the columns
+    (e_j, V[j][i]) of fam.integer_form's V = L*v, from each color's first k
+    entries at 1 (only the d vector rows start off); achieved is the norm
+    of the integer sum of the selected V, divided by L.
     """
     scale, vectors = fam.integer_form
     d, n, m = fam.dim, fam.colors, fam.length
@@ -492,14 +495,14 @@ def single_partial_sum(fam: ColoredFamily, k: int) -> SubsetSelection:
     if not 0 <= k <= m:
         raise ValueError("k out of range")
 
-    # variables alpha[j][i] flattened j-major; no variables means no walk (m
-    # may be 0, which would make D = 0)
+    # variables alpha[j][i] flattened j-major
     nm = n * m
-    D, X = m, [k] * nm
-    if nm:
-        units = [tuple(int(a == j) for a in range(n)) for j in range(n)]
-        cols = [units[j] + v for j, color in enumerate(vectors) for v in color]
-        D, X = walk_to_vertex(cols, D, X, [0] * nm, [m] * nm)
+    units = [tuple(int(a == j) for a in range(n)) for j in range(n)]
+    cols = [units[j] + v for j, color in enumerate(vectors) for v in color]
+    start = _run_sum(((v, 1) for color in vectors for v in color[:k]), d)
+    basis = DualBasis(cols, [1] * nm, range(nm), [0] * n + [-a for a in start],
+                      {j * m + i for j in range(n) for i in range(k)})
+    D, X = basis.restore("selection-dual-infeasible")
 
     if sum(0 < a < D for a in X) > 2 * d:
         raise PropertyViolation("selection-fractional-support",
@@ -527,4 +530,8 @@ def single_partial_sum(fam: ColoredFamily, k: int) -> SubsetSelection:
     achieved = norm_eval(fam.norm, tuple(acc))
     if achieved > d * scale:
         raise PropertyViolation("selection-sum-bound", "selected sum exceeded the bound d")
+    # last, so that each check above can fail on its own: a feasible point
+    # passes the color and size checks, and with them the sum bound
+    if not basis.holds(D, X, [k] * n + [0] * d):
+        raise PropertyViolation("selection-point", "selection point is not feasible")
     return SubsetSelection(tuple(index_sets), k, Fraction(achieved, scale))

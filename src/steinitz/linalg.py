@@ -5,14 +5,15 @@ matrices are immutable row-major Fraction grids.  Every routine here is
 exact: no floats, no rounding, arbitrary precision throughout.
 
 Every elimination in the package is fraction-free and shares one row step,
-``_bareiss_step``: the vertex walk and the simplex tableau in ``lp`` take it
-one pivot at a time, and the Gauss-Jordan routine ``_bareiss_echelon`` runs
-it column by column.  Rational rows reach it through ``_integer_echelon``,
-which scales them to integers by one common factor: solves, kernels, rank,
-determinants and span coordinates here, and the rank dim V in ``blockip``
-and the generator's rank check.  The block bases in ``blockip`` and the
-double description's initial cone call ``_bareiss_echelon`` on their own
-integer rows.
+``_bareiss_step``: the vertex walk and the simplex tableau in ``lp`` and
+``DualBasis``, the dual-simplex pivots of the shrinking chain and of the
+single sum, take it one pivot at a time, and the Gauss-Jordan routine
+``_bareiss_echelon`` runs it column by column.  Rational rows reach it
+through ``_integer_echelon``, which scales them to integers by one common
+factor: solves, kernels, rank, determinants and span coordinates here, and
+the rank dim V in ``blockip`` and the generator's rank check.  The block
+bases in ``blockip`` and the double description's initial cone call
+``_bareiss_echelon`` on their own integer rows.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import gt, mul
 
 from .checks import PropertyViolation
 
@@ -152,6 +154,132 @@ def _bareiss_step(T, t, p, delta):
         elif tp != delta:  # a row with t_i = 0 is only rescaled by t_p / delta
             T[i] = [tp * a // delta for a in T[i]]
     return tp
+
+
+def _positive_step(T, t, q, delta) -> int:
+    """One ``_bareiss_step`` of T on row q; when the new delta is negative,
+    T and delta are negated, so that delta > 0 and T over delta still
+    holds the basis inverse and the basic values."""
+    delta = _bareiss_step(T, t, q, delta)
+    if delta < 0:
+        for row in T:
+            row[:] = [-a for a in row]
+    return abs(delta)
+
+
+GREEDY_PIVOTS_PER_ROW = 50   # per basis row, in one restore; then Bland's rule
+
+
+class DualBasis:
+    """Bounded dual-simplex pivots with zero costs, the one pivoting loop of
+    the shrinking chain and of the single sum.
+
+    Column j is the int tuple cols[j], with 0 <= x_j <= hi[j]; order lists
+    the columns in play in index order (held, not copied: a bound may fall
+    between restores, and ``leave`` drops a column).  delta > 0 and T, R
+    rows of R+1 ints, hold delta times the basis inverse and the basic
+    values.  basic[q] is the column at position q, None for a unit column
+    (an artificial fixed at 0); pos is its inverse.  sign[p] is 0 for a
+    basic column of order, else the direction it can move: 1 at 0, -1 at
+    hi.  The start is T = I, delta = 1, the columns of the set upper at
+    hi, the rest at 0 and the basic values rhs = b - A_N x_N.  rows holds
+    the rows of A over order.
+    """
+
+    def __init__(self, cols, hi, order, rhs, upper):
+        self.cols, self.hi, self.order = cols, hi, order
+        self.T = [[int(i == q) for i in range(len(rhs))] + [a] for q, a in enumerate(rhs)]
+        self.delta, self.basic, self.pos = 1, [None] * len(rhs), {}
+        self.sign = [-1 if j in upper else 1 for j in order]
+        self.rows = [list(row) for row in zip(*map(cols.__getitem__, order))]
+
+    def restore(self, name) -> tuple:
+        """Dual pivots, each one ``_bareiss_step``, until every basic value
+        is within its bounds; returns (delta, X), the point of the columns
+        of order over delta.  The greedy rule: the basic furthest off the
+        bound it crossed leaves there, and of the columns whose move takes
+        it back (it falls by T_q a_j / delta per unit x_j rises), the one
+        with the largest |T_q a_j| enters; ties go to the lowest position
+        and index.  After GREEDY_PIVOTS_PER_ROW * R pivots, Bland's rule:
+        the violated basic of lowest index (an artificial, by position,
+        first) leaves, the first eligible column enters.  Zero costs keep
+        every basis dual feasible, and Bland's rule cannot cycle (Bland
+        1977), so a restore ends at a basic feasible point, unless a
+        violated basic has no eligible column: the polytope is empty, the
+        named violation name."""
+        T, cols, hi, basic, pos, sign, order = self.T, self.cols, self.hi, self.basic, \
+            self.pos, self.sign, self.order
+        R, N, delta = len(T), len(order), self.delta
+        greedy = GREEDY_PIVOTS_PER_ROW * R
+        while True:
+            # how far each basic value is off the bound it crossed
+            off = [abs(v) if j is None else -v if v < 0 else v - hi[j] * delta
+                   for j, v in zip(basic, [row[R] for row in T])]
+            worst = max(off, default=0)
+            if worst <= 0:
+                break
+            q = off.index(worst) if greedy else min(
+                (-1 if j is None else j, i) for i, j in enumerate(basic) if off[i] > 0)[1]
+            Tq, out = T[q], basic[q]
+            high = Tq[R] > (0 if out is None else hi[out] * delta)
+            # sign T_q A over order: a column is eligible when its entry is
+            # positive for a value above its bound, negative below
+            w = [0] * N
+            for x, row in zip(Tq, self.rows):
+                if x:
+                    w = [u + x * y for u, y in zip(w, row)]
+            w = list(map(mul, w, sign))
+            best = (max if high else min)(w, default=0)
+            if not best or (best > 0) != high:
+                raise PropertyViolation(name, "a violated basic has no entering column; "
+                                              "the polytope cannot be empty")
+            p = w.index(best) if greedy else \
+                next(p for p, a in enumerate(w) if a and (a > 0) == high)
+            e = order[p]
+            t = [sum(map(mul, row, cols[e])) for row in T]
+            if sign[p] < 0:
+                for row, ti in zip(T, t):
+                    row[R] += hi[e] * ti
+            if out is not None:
+                del pos[out]
+                sign[order.index(out)] = -1 if high else 1
+                if high:
+                    Tq[R] -= delta * hi[out]
+            delta = _positive_step(T, t, q, delta)
+            basic[q], pos[e], sign[p] = e, q, 0
+            greedy = max(greedy - 1, 0)
+        self.delta = delta
+        return delta, [T[pos[j]][R] if j in pos else hi[j] * delta if s < 0 else 0
+                       for j, s in zip(order, sign)]
+
+    def holds(self, D, X, b) -> bool:
+        """Whether X over D, a point of the columns of order, is exactly
+        feasible: 0 <= X <= hi D and A X = b D."""
+        order = self.order
+        if len(X) != len(order) or min(X, default=0) < 0 or \
+                any(map(gt, X, map(D.__mul__, map(self.hi.__getitem__, order)))):
+            return False
+        AX = [sum(map(mul, row, X)) for row in zip(*map(self.cols.__getitem__, order))]
+        return AX == [a * D for a in b] if X else not any(b)
+
+    def shift(self, i, a):
+        """b_i moves by a, and the basic values by a T e_i over delta."""
+        for row in self.T:
+            row[-1] += a * row[i]
+
+    def leave(self, j):
+        """Column j, at 0, leaves for good and is dropped from order; when
+        basic, its row is pivoted onto the first unit column e_i with
+        T[q][i] != 0, an artificial, which leaves the point as it is."""
+        q = self.pos.pop(j, None)
+        if q is not None:
+            i = next(i for i, a in enumerate(self.T[q][:-1]) if a)
+            self.delta = _positive_step(self.T, [row[i] for row in self.T], q, self.delta)
+            self.basic[q] = None
+        p = self.order.index(j)
+        del self.order[p], self.sign[p]
+        for row in self.rows:
+            del row[p]
 
 
 def _bareiss_echelon(rows, ncols=None):

@@ -1,27 +1,21 @@
 """Exact linear programming primitives.
 
 Values are Fraction at the BoxLP interface.  Vertex purification has an
-integer core, ``walk_to_vertex``: it takes the constraint columns as
-integer tuples and x and the bounds as integers over one common
-denominator, keeps the inverse of its basis fraction-free on the rows
-its columns have touched (an integer matrix and a scalar, updated by one
-Bareiss pivot per entering, exchanged or leaving column: a leaving column
-is downdated onto a unit column, so the inverse is never built again),
-holds its point lazily (only the basic columns and the visited one carry
-a value; a tight column is its bound, an unvisited one its start value
-rescaled), checks its vertex exactly and returns it in the same form.
-``purify_to_vertex`` is its BoxLP boundary, and the selection polytope
-calls the core directly.  The simplex is a bounded-variable tableau
-method with Bland's rule, so it terminates on degenerate inputs; its
-tableau is fraction-free too (integer rows and variables, held over the
-basis determinant), and each pivot is one Bareiss step, the step the
-walk takes.  It makes the pivots of the same tableau over Fraction.  Its
-entry, ``integer_simplex``, takes the rows scaled to integers by one
-common factor and integer bounds over one denominator, and returns its
-point as integers over one denominator; ``find_feasible`` and
-``lp_solve`` are its BoxLP boundary.  The double description has an
-integer core as well, ``integer_extreme_rays``.  Infinite bounds are
-represented by None and handled symbolically.
+integer core, ``walk_to_vertex``: integer columns, x and the bounds over
+one denominator, a fraction-free basis inverse updated by one Bareiss
+pivot per entering, exchanged or leaving column, a point held lazily, and
+an exact check of its vertex.  ``purify_to_vertex`` is its BoxLP boundary
+and its one caller.  The simplex is a bounded-variable tableau method with
+Bland's rule, so it terminates on degenerate inputs; its tableau is
+fraction-free too (integer rows and variables, held over the basis
+determinant), and each pivot is one Bareiss step, the step the walk
+takes.  It makes the pivots of the same tableau over Fraction.  Its entry,
+``integer_simplex``, takes the rows scaled to integers by one common
+factor and integer bounds over one denominator, and returns its point as
+integers over one denominator; ``find_feasible`` and ``lp_solve`` are its
+BoxLP boundary.  The double description has an integer core as well,
+``integer_extreme_rays``.  Infinite bounds are represented by None and
+handled symbolically.
 """
 
 from __future__ import annotations
@@ -143,12 +137,10 @@ def walk_to_vertex(cols, D: int, X, LO, HI):
     A, and x moves maximally along +g (or -g when + meets no bound) until a
     bound becomes tight.  The basis B (r independent interior columns) is
     held as an integer matrix T and a scalar delta with
-    T A_B = delta [I_r; 0] on the rows of A that the visited columns have
-    touched, in order of first touch: T is delta times the inverse of A_B
-    completed by unit columns to a basis, fraction-free, and row k < r of T
-    belongs to the column at basis position k.  An untouched row is a unit
-    row of the completion, so a row first touched joins T as delta e_i and
-    the basis is unchanged.  An entering column costs one product t = T a_c.
+    T A_B = delta [I_r; 0]: T is delta times the inverse of A_B completed
+    by unit columns to a basis, fraction-free, and row k < r of T belongs
+    to the column at basis position k.  An entering column costs one
+    product t = T a_c.
     If some t_i with i >= r is nonzero, c is independent and enters by one
     Bareiss step on that row (swapped to row r).  Otherwise
     delta a_c = A_B t[:r], so g is delta on c and -t[:r] on B.  g is fixed
@@ -197,10 +189,9 @@ def walk_to_vertex(cols, D: int, X, LO, HI):
     for c in range(n - 1, -1, -1):
         G[c] = math.gcd(G[c + 1], X0[c])
     at = [None] * n          # the bound (over DB) of a tight column
-    # T A_B = delta [I_r; 0] on the rows touched so far, in order of first
-    # touch (where[i] is row i's place); row k < r of T, val[k] (the value
-    # over D) and blo[k], bhi[k] (the bounds over DB) belong to basis[k]
-    T, where = [], [None] * R
+    # T A_B = delta [I_r; 0]; row k < r of T, val[k] (the value over D) and
+    # blo[k], bhi[k] (the bounds over DB) belong to basis[k]
+    T = [[int(i == j) for j in range(R)] for i in range(R)]
     delta, basis, val, blo, bhi = 1, [], [], [], []
     for c in range(n):
         x, lo, hi = X0[c] * s // s0, LO[c], HI[c]
@@ -208,17 +199,7 @@ def walk_to_vertex(cols, D: int, X, LO, HI):
         if (lo is not None and x == lo * s) or (hi is not None and x == hi * s):
             at[c] = x // s
             continue
-        col = [0] * len(T)       # a_c on the rows of T; a new row joins as delta e_i
-        for i, a in enumerate(cols[c]):
-            if a:
-                if where[i] is None:
-                    where[i] = len(T)
-                    for row in T:
-                        row.append(0)
-                    T.append([0] * len(T) + [delta])
-                    col.append(0)
-                col[where[i]] = a
-        t = [sum(map(mul, row, col)) for row in T]
+        t = [sum(map(mul, row, cols[c])) for row in T]
         r = len(basis)
         if any(t[r:]):
             i = next(i for i in range(r, len(T)) if t[i])

@@ -1,29 +1,16 @@
 """Zero-sum sequence rearrangement with certified prefix-sum bounds.
 
-The core construction maintains a shrinking chain of multisets.  It runs
-over the distinct vectors, each with its number of copies as the upper
-bound of its coordinate, and needs only some point, not a vertex, of each
-shrinking polytope: one copy leaves at each step, of a vector at value
-zero or of one whose value is at least one below its count, and the
-copies left then have the bound.  The chain has two phases.  At first it
-holds no point: on a zero-sum input of length m the counts c times S/m
-lie in the polytope whose coordinate sum is S, so each step places the
-first vector whose count passes c S <= (copies left - 1) m.  From the
-first step with none, the chain keeps a basis: it starts with every
-vector at its count and every row on a unit column, each step lowers the
-sum by one, and dual-simplex pivots with Bland's rule restore
-feasibility and end at a basic feasible point, where a counting argument
-guarantees a vector to place, so the descent never needs to backtrack;
-any violation of that guarantee would be a genuine bug and raises.  In
-the pivot phase the vector placed is the one whose copy leaves the
-smallest next prefix.
-
-The chain runs on integers and builds no LP per step: the vectors are
-scaled to integers once, the first phase compares counts, the pivot
-phase's point is a list of integers over one common denominator, checked
-exactly at every step, each pivot is one ``linalg._bareiss_step``, and a
-vector whose last copy leaves takes its column with it.  One exact check
-of the input's sum covers every point of the first phase.
+The core construction maintains a shrinking chain of multisets over the
+distinct vectors, each with its number of copies as the upper bound of
+its coordinate (``_order_chain``).  It needs only some point, not a
+vertex, of each shrinking polytope.  At first it holds none: on a zero-sum
+input the counts scaled to the step lie in the polytope, and a count test
+picks the vector to place.  From the first step with none, it pivots a
+``linalg.DualBasis`` to a basic feasible point at each step, where a
+counting argument guarantees a vector to place; a violation of that
+guarantee is a bug and raises.  It runs on integers and builds no LP per
+step; the pivot phase's point is checked exactly at every step, and one
+exact check of the input's sum covers every point of the first phase.
 
 Dimension one has a cheap special case: always append an element whose
 sign opposes the running prefix.
@@ -48,10 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress
-from operator import is_not, itemgetter, mul, sub
+from operator import is_not, itemgetter, sub
 
 from .checks import PropertyViolation
-from .linalg import Vec, ZERO, _bareiss_step, scale_to_integers, span_coordinates
+from .linalg import DualBasis, Vec, ZERO, scale_to_integers, span_coordinates
 from .norms import NormSpec, norm_eval
 
 
@@ -173,16 +160,6 @@ def _order_dim1_runs(runs) -> list:
     return chunks
 
 
-def _check_point(cols, X, left, D, S):
-    """The exact check of a chain point, X over D for the columns cols with
-    left copies each: 0 <= X <= c D, V X = 0 and sum X = S D, with
-    S = k-1-dim at step k; raises chain-start-point otherwise."""
-    *coords, ones = (sum(map(mul, row, X)) for row in zip(*cols))
-    if any(a < 0 or a > count * D for a, count in zip(X, left)) or any(coords) or \
-            ones != S * D:
-        raise PropertyViolation("chain-start-point", "chain point is not feasible")
-
-
 def _order_chain(runs, dim) -> list:
     """The shrinking-chain construction for the zero-sum vectors in R^dim
     that the runs (vector, count) spell, as chunks (r, lo, hi).
@@ -213,13 +190,8 @@ def _order_chain(runs, dim) -> list:
     placed; a type's last copy can leave only there, at the last step, so
     no column leaves in this phase.  At the first step with no type to
     place, (c'_t - 1) m < c_t S <= c'_t m: every type is within one copy of
-    its count, and ``_pivot_steps`` runs the rest of the chain on a kept
-    basis that starts with every type at its count: each step lowers the
-    sum by one, and dual pivots with Bland's rule, which cannot cycle,
-    restore a basic feasible point, where a type to place always exists
-    (the nonbasic types sit at 0 or at their count, and the gaps add up to
-    dim+1).  Its placement rule differs: the type whose copy leaves the
-    smallest next prefix.
+    its count, and ``_pivot_steps`` runs the rest of the chain from every
+    type at its count.
 
     Each type's copies take their places in index order: the first ones,
     whose count is left when the chain ends, fill positions 0..dim-1 in
@@ -284,118 +256,42 @@ def _closest(live, X, D, count, P, col):
     return best[1]
 
 
-def _positive_step(T, t, q, delta) -> int:
-    """One ``_bareiss_step`` of T on row q; when the new delta is negative,
-    T and delta are negated, so that delta > 0 and T over delta still
-    holds the basis inverse and the basic values."""
-    delta = _bareiss_step(T, t, q, delta)
-    if delta < 0:
-        for row in T:
-            row[:] = [-a for a in row]
-    return abs(delta)
-
-
 def _pivot_steps(k, dim, cols, live, left, drops) -> tuple:
     """Steps k..dim+1 of ``_order_chain`` from its first step without a type
     to place, appending the types placed to drops; returns (live, left) at
-    the end.  cols are the columns of the types live, with left copies each.
+    the end.  cols are the columns of every type, by index, and the types
+    live have left copies each.
 
-    The chain keeps a basis from step to step: delta > 0 and T, delta times
-    the inverse of the basis over the R = dim+1 rows.  Its basics are types
-    and unit columns, held as artificial basics fixed at 0 (so a
-    rank-deficient input and a basic type that runs out need no second
-    path); every other type is nonbasic, at 0 or at its count.  Each row of
-    T carries one more entry, T r with r = b - A_N x_N: the basic values
-    over delta.  The start is T = I and delta = 1, every type at its
-    count: the walk-free point c S / m, with no type to place, has each type
-    within one copy of its count.
-
-    Each step restores feasibility by dual-simplex pivots, each one
-    ``_bareiss_step``: the violated basic of lowest index leaves at the
-    bound it crossed, an artificial (indexed by its basis position, which
-    it keeps until it leaves) before any type, and the eligible nonbasic
-    type of lowest index enters, one whose move takes the leaving value
-    back toward its bound.  The costs are zero, so every basis is dual
-    feasible and every pivot dual degenerate, and with Bland's rule the
-    pivots cannot cycle (Bland 1977): each step ends at a basic feasible
-    point.  There is one, c S / m at the first step and the last step's
-    point times S / (S+1) at each later one, so a violated basic without
-    an entering type is a bug, chain-dual-infeasible.  The point is checked
-    by ``_check_point``.  A basic feasible point has a type to place: one at
-    zero, or else every nonbasic type is at its count, with gap 0, so the
-    gaps, which add up to dim+1, lie on at most dim+1 basic types, and one
-    has a gap of at least 1.  The step places the type that ``_closest``
-    picks and lowers the right-hand side of the sum row by one, which moves
-    the basic values by -T e_R.  A basic type that runs out is at 0, and its
-    row is pivoted onto the first unit column e_i with T[q][i] != 0, an
-    artificial, which leaves the point as it is."""
-    R = dim + 1
-    col = dict(zip(live, cols))
+    The chain keeps one ``DualBasis`` over the R = dim+1 rows, the types
+    its columns with their copies left as bounds, from every type at its
+    count and every row on its unit column.  Each step restores a basic
+    feasible point; there is one (c S / m at the first step, the last
+    point times S / (S+1) after), so chain-dual-infeasible is a bug, and
+    the point is checked exactly (chain-start-point).  It has a type to
+    place: one at zero, or else the nonbasic types sit at their counts, so
+    the gaps, which add up to dim+1, lie on at most dim+1 basic types, and
+    one is at least 1.  The step places the type that ``_closest`` picks
+    and lowers the sum row's right-hand side by one; a type that runs out
+    is at 0 and leaves the basis."""
     count = dict(zip(live, left))
-    P = [sum(count[t] * col[t][i] for t in live) for i in range(dim)]
-    # every row on its unit column and every type at its count; the copies
-    # left number k, so the sum row's value is k-1-dim - k
-    T = [[int(i == q) for i in range(R)] + [-a] for q, a in enumerate([*P, R])]
-    delta = 1
-    basic = [None] * R                # None: an artificial
-    pos = {}
-    upper = set(live)
+    P = [sum(count[t] * cols[t][i] for t in live) for i in range(dim)]
+    # every type at its count; the copies left number k, so the sum row's
+    # value is k-1-dim - k
+    basis = DualBasis(cols, count, live, [-a for a in (*P, dim + 1)], set(live))
     while True:
-        while True:
-            # the violated basics, an artificial off 0 keyed before every type
-            viol = [(-1 if t is None else t, q) for q, t in enumerate(basic)
-                    if (T[q][R] if t is None else not 0 <= T[q][R] <= count[t] * delta)]
-            if not viol:
-                break
-            q = min(viol)[1]
-            out = basic[q]
-            high = T[q][R] > (0 if out is None else count[out] * delta)
-            j = next((j for j in live if j not in pos and
-                      _moves_back(sum(map(mul, T[q], col[j])), high, j in upper)), None)
-            if j is None:
-                raise PropertyViolation("chain-dual-infeasible",
-                                        "a violated basic has no entering type; "
-                                        "the chain polytope cannot be empty")
-            t = [sum(map(mul, row, col[j])) for row in T]
-            if j in upper:
-                upper.discard(j)
-                for row, ti in zip(T, t):
-                    row[R] += count[j] * ti
-            if out is not None:
-                del pos[out]
-                if high:
-                    upper.add(out)
-                    T[q][R] -= delta * count[out]
-            delta = _positive_step(T, t, q, delta)
-            basic[q], pos[j] = j, q
-        # the start point of step k, read from the basis
-        X = [T[pos[t]][R] if t in pos else count[t] * delta * (t in upper) for t in live]
-        _check_point([col[t] for t in live], X, [count[t] for t in live], delta, k - 1 - dim)
-        p = _closest(live, X, delta, count, P, col)
+        delta, X = basis.restore("chain-dual-infeasible")
+        if not basis.holds(delta, X, (0,) * dim + (k - 1 - dim,)):
+            raise PropertyViolation("chain-start-point", "chain point is not feasible")
+        p = _closest(live, X, delta, count, P, cols)
         drops.append(p)
         count[p] -= 1
-        P = [x - y for x, y in zip(P, col[p])]
+        P = [x - y for x, y in zip(P, cols[p])]
         if not count[p]:
-            q = pos.pop(p, None)
-            if q is not None:
-                i = next(i for i in range(R) if T[q][i])
-                delta = _positive_step(T, [row[i] for row in T], q, delta)
-                basic[q] = None
-            live.remove(p)
+            basis.leave(p)             # which drops p from live, its order
         k -= 1
         if k == dim:
             return live, [count[t] for t in live]
-        for row in T:                  # the sum row's right-hand side drops by one
-            row[R] -= row[dim]
-
-
-def _moves_back(a: int, high: bool, at_count: bool) -> bool:
-    """Whether a nonbasic type with row entry a = T_q a_j can move a basic
-    value that is above its bound (high) or below it back toward that bound:
-    the value falls by a / delta per unit the type rises, so from 0 up when
-    a has the violation's sign, and from its count down when it has the
-    other."""
-    return a != 0 and ((a > 0) == high) != at_count
+        basis.shift(dim, -1)
 
 
 def rearrangement_order(vectors, dim) -> tuple:

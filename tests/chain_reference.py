@@ -26,9 +26,11 @@ rescaled and checked at every step (the library keeps no point there and
 tests counts, c S <= (copies left - 1) m, which places the same types), and
 from its first step without a type to place, the basis of the R unit
 columns with every type at its count, and then the same placement rule
-and the same dual pivots with Bland's rule, each basic solution and each
-pivot row entry solved afresh from the basis columns by the ``Fraction``
-Gauss-Jordan elimination of echelon_reference.py.  It never walks.
+and the same dual pivots, ``dual_restore``: the greedy rule with its
+fallback to Bland's rule, each basic solution and each pivot row solved
+afresh from the basis columns by the ``Fraction`` Gauss-Jordan elimination
+of echelon_reference.py.  It never walks.  ``dual_restore`` is the oracle
+of the single sum's pivots too (purify_reference.py).
 """
 
 import math
@@ -173,9 +175,8 @@ def order_chain_walk_when_stuck(runs, dim) -> list:
 def order_chain_pivots(runs, dim, log=None) -> list:
     """The library's chain, with a Fraction point and Fraction dual pivots,
     as chunks.  Given a log list, it appends "start" for its first step
-    without a type to place, "pivot" for each dual pivot, "artificial" for
-    one whose leaving basic is a unit column, and "downdate" for a basic
-    type that runs out."""
+    without a type to place, the events of ``dual_restore`` for its
+    pivots, and "downdate" for a basic type that runs out."""
     own, counts, ints = _types(runs)
     m = sum(counts)
     col = [(*v, 1) for v in ints]
@@ -217,6 +218,75 @@ def _closest(live, lam, left, P, col):
     return min(placeable, key=lambda t: (sum((x - y) ** 2 for x, y in zip(P, col[t])), t))
 
 
+# the library's linalg.GREEDY_PIVOTS_PER_ROW, held here too so that a test
+# can set both
+GREEDY_PIVOTS_PER_ROW = 50
+
+
+def dual_restore(names, column, candidates, bound, upper, b, name, log=None):
+    """``linalg.DualBasis.restore`` over Fraction.  names is the basis, by
+    position: ("e", i) the unit column e_i, an artificial fixed at 0, or
+    ("t", j) the column column(("t", j)) with the bounds 0 <= x_j <=
+    bound[j]; candidates are the columns that may enter, in index order;
+    upper holds the nonbasic ones at their bounds; b is the right-hand
+    side.  names and upper change in place; a violated basic with no
+    entering column raises the named violation name.  Each basic solution
+    and each pivot row (the row of the basis inverse) is solved afresh from
+    the basis columns by the Fraction Gauss-Jordan elimination of
+    echelon_reference.py.  The same rule as the library: the greedy one for
+    GREEDY_PIVOTS_PER_ROW * R pivots, then Bland's.  Given a log list, it
+    appends "pivot" for each pivot, "artificial" for one whose leaving
+    basic is a unit column and "bland" for one by Bland's rule.  Returns
+    the basic solution."""
+    R = len(names)
+
+    def basis(transpose=False):
+        rows = [[column(name)[i] for name in names] for i in range(R)]
+        return Matrix.from_rows([list(r) for r in zip(*rows)] if transpose else rows)
+
+    greedy = GREEDY_PIVOTS_PER_ROW * R
+    while True:
+        rhs = list(b)
+        for j in upper:
+            rhs = [a - bound[j] * c for a, c in zip(rhs, column(("t", j)))]
+        x = solve_linear(basis(), tuple(rhs))
+        # (amount off the bound crossed, Bland's index, position, above it)
+        viol = []
+        for q, ((kind, j), value) in enumerate(zip(names, x)):
+            if kind == "e" and value:
+                viol.append((abs(value), -1, q, value > 0))
+            elif kind == "t" and value < 0:
+                viol.append((-value, j, q, False))
+            elif kind == "t" and value > bound[j]:
+                viol.append((value - bound[j], j, q, True))
+        if not viol:
+            return x
+        if greedy:
+            _, _, q, high = max(viol, key=lambda v: (v[0], -v[2]))
+        else:
+            _, _, q, high = min(viol, key=lambda v: (v[1], v[2]))
+        # row q of the basis inverse, from B^T y = e_q
+        y = solve_linear(basis(True), tuple(int(i == q) for i in range(R)))
+        eligible = [(abs(a), j) for j in candidates if ("t", j) not in names
+                    for a in [sum(u * c for u, c in zip(y, column(("t", j))))]
+                    if a and ((a > 0) == high) != (j in upper)]
+        if not eligible:
+            raise PropertyViolation(name, "no entering column")
+        j = max(eligible, key=lambda e: (e[0], -e[1]))[1] if greedy else eligible[0][1]
+        kind, out = names[q]
+        if log is not None:
+            log.append("pivot")
+            if kind == "e":
+                log.append("artificial")
+            if not greedy:
+                log.append("bland")
+        if kind == "t" and high:
+            upper.add(out)
+        upper.discard(j)
+        names[q] = ("t", j)
+        greedy = max(greedy - 1, 0)
+
+
 def _pivot_steps(k, dim, col, live, left, drops, log):
     R = dim + 1
     # the start basis: the R unit columns, every type nonbasic at its count
@@ -228,39 +298,10 @@ def _pivot_steps(k, dim, col, live, left, drops, log):
         kind, i = name
         return col[i] if kind == "t" else tuple(int(j == i) for j in range(R))
 
-    def solve(rhs):
-        B = Matrix.from_rows([[column(name)[i] for name in names] for i in range(R)])
-        return solve_linear(B, tuple(rhs))
-
     while True:
         S = k - 1 - dim
-        while True:
-            rhs = [0] * dim + [S]
-            for t in upper:
-                rhs = [a - left[t] * b for a, b in zip(rhs, col[t])]
-            x = solve(rhs)
-            viol = []
-            for q, (name, value) in enumerate(zip(names, x)):
-                if name[0] == "e" and value:
-                    viol.append((-1, q, value > 0))
-                elif name[0] == "t" and not 0 <= value <= left[name[1]]:
-                    viol.append((name[1], q, value > left[name[1]]))
-            if not viol:
-                break
-            _, q, high = min(viol)
-            j = next((j for j in live if ("t", j) not in names and
-                      (a := solve(col[j])[q]) and ((a > 0) == high) != (j in upper)), None)
-            if j is None:
-                raise PropertyViolation("chain-dual-infeasible", "no entering type")
-            kind, out = names[q]
-            if log is not None:
-                log.append("pivot")
-                if kind == "e":
-                    log.append("artificial")
-            if kind == "t" and high:
-                upper.add(out)
-            upper.discard(j)
-            names[q] = ("t", j)
+        x = dual_restore(names, column, live, left, upper, [0] * dim + [S],
+                         "chain-dual-infeasible", log)
         # the basic solution: a feasible basis holds every artificial at 0
         lam = {t: Fraction(left[t] if t in upper else 0) for t in live}
         for name, value in zip(names, x):
@@ -274,8 +315,9 @@ def _pivot_steps(k, dim, col, live, left, drops, log):
         if not left[p]:
             if ("t", p) in names:
                 q = names.index(("t", p))
+                B = Matrix.from_rows([[column(name)[i] for name in names] for i in range(R)])
                 i = next(i for i in range(R)
-                         if solve([int(j == i) for j in range(R)])[q])
+                         if solve_linear(B, tuple(int(j == i) for j in range(R)))[q])
                 names[q] = ("e", i)
                 if log is not None:
                     log.append("downdate")

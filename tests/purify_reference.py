@@ -3,17 +3,23 @@
 ``reference_purify`` is the elimination and the walk over Fraction that the
 integer ``purify_to_vertex`` replaced: basis entries and kernel tags are
 Fraction dicts, and a tightened basic column rebuilds the whole basis.
-``order_chain`` and ``single_partial_sum`` are the library's code from
-before the rearrangement chain and the selection polytope moved onto the
-integer walk, verbatim but for the imports and with ``reference_purify``
-in place of ``purify_to_vertex``: each chain step and each selection
+``order_chain`` is the library's code from before the rearrangement chain
+moved onto the integer walk, verbatim but for the imports and with
+``reference_purify`` in place of ``purify_to_vertex``: each chain step
 builds a BoxLP of Fraction rows and converts the vertex back to Fraction.
 The chain has the library's rule for the copy it places: it walks only
 when the rescaled point has no coordinate at zero.
+
+``single_partial_sum`` is the library's selection over Fraction: the same
+start and the same dual pivots (``chain_reference.dual_restore``), each
+basic solution solved afresh, and the point checked against a BoxLP of
+Fraction rows before it is rounded.
 """
 
+import math
 from fractions import Fraction
 
+from chain_reference import dual_restore
 from steinitz.colorful import (SubsetSelection, _require_unit_ball, _require_zero_sum_union,
                                round_to_binary)
 from steinitz.linalg import Matrix, ONE, ZERO, rat
@@ -170,30 +176,42 @@ def order_chain(vectors, dim) -> tuple:
 
 def single_partial_sum(fam, k: int) -> SubsetSelection:
     """One size-k index set per color whose joint selected sum has norm
-    at most d."""
+    at most d: the library's selection over Fraction.  Each color starts
+    with its first k entries at 1, every row on its unit column, and the
+    dual pivots of chain_reference.dual_restore end at a basic feasible
+    point of the selection polytope, which is checked against those rows
+    and rounded."""
     _require_unit_ball(fam.max_norm())
     _require_zero_sum_union(fam.total())
     d, n, m = fam.dim, fam.colors, fam.length
     if not 0 <= k <= m:
         raise ValueError("k out of range")
 
-    # variables alpha[j][i] flattened j-major
+    # variables alpha[j][i] flattened j-major, columns (e_j, L v[j][i]), L
+    # the lcm of the denominators: the rows the library poses, on which the
+    # greedy rule measures how far an artificial basic is off 0
     nm = n * m
-    rows = []
-    b = []
-    for j in range(n):
-        row = [ZERO] * nm
-        for i in range(m):
-            row[j * m + i] = ONE
-        rows.append(row)
-        b.append(Fraction(k))
-    for r in range(d):
-        row = [fam.vectors[j][i][r] for j in range(n) for i in range(m)]
-        rows.append(row)
-        b.append(ZERO)
-    lp = BoxLP(Matrix.from_rows(rows), tuple(b), (ZERO,) * nm, (ONE,) * nm)
-    uniform = (Fraction(k, m),) * nm if m else ()
-    vertex = reference_purify(lp, uniform)
+    L = math.lcm(*(x.denominator for color in fam.vectors for v in color for x in v))
+    cols = [tuple(int(a == j) for a in range(n)) + tuple(L * x for x in fam.vectors[j][i])
+            for j in range(n) for i in range(m)]
+    b = [Fraction(k)] * n + [ZERO] * d
+    names = [("e", i) for i in range(n + d)]
+    upper = {j * m + i for j in range(n) for i in range(k)}
+
+    def column(name):
+        kind, i = name
+        return cols[i] if kind == "t" else tuple(int(r == i) for r in range(n + d))
+
+    x = dual_restore(names, column, range(nm), [ONE] * nm, upper, b,
+                     "selection-dual-infeasible")
+    vertex = [ONE if j in upper else ZERO for j in range(nm)]
+    for (kind, j), value in zip(names, x):
+        if kind == "t":
+            vertex[j] = value
+    lp = BoxLP(Matrix.from_rows(list(zip(*cols))) if nm else Matrix.zeros(n + d, 0),
+               tuple(b), (ZERO,) * nm, (ONE,) * nm)
+    if not reference_feasible(lp, tuple(vertex)):
+        raise AssertionError("selection point is not feasible")
 
     frac_total = sum(1 for v in vertex if 0 < v < 1)
     if frac_total > 2 * d:

@@ -212,10 +212,12 @@ def test_cli_verify_rejects_empty_run(capsys, extra, message):
 # chain that keeps its vertex's basis changed 15 lines, 17 at seed 10001;
 # the chain that starts its pivots from every type at its count, with no
 # walk, changed 13 lines at each seed; the Caratheodory support of largest
-# anchor weight changed the colorful-balanced[1] line at each seed)
-VERIFY_ALL_SEED_1_SHA256 = "825803b16ed23c3e984b9a620b95abd36887d7d2533ffd2b6870dce9b5ed62c2"
+# anchor weight changed the colorful-balanced[1] line at each seed; the
+# greedy dual pivots of the chain and the single sum changed 21 lines at
+# each seed)
+VERIFY_ALL_SEED_1_SHA256 = "d5fe8e0af698484606d1e80a80fcb495f3a917cc0283ac071f3a4f132288e346"
 # the same for `--seed 10001`, the benchmark's second verify seed
-VERIFY_ALL_SEED_10001_SHA256 = "c6d1fc46c8b9d34bc0f4b773bc6a44a11efff3a5083cd7de6a4e2eb7a4f27548"
+VERIFY_ALL_SEED_10001_SHA256 = "f4035110cf123adedb83a43fd5abcf7c13423986c0d694e8d23920ecd10462a0"
 
 
 def _verify_all_sha256(python_flags, seed):
@@ -269,16 +271,17 @@ PLOTDATA_FAMILIES = {
 # sha256 of the concatenated `steinitz plotdata` outputs over PLOTDATA_FAMILIES,
 # which must not change from one version of the program to the next unless
 # the change is listed and justified (re-pinned when the chain kept its
-# vertex's basis, when it started its pivots without a walk, and when the
+# vertex's basis, when it started its pivots without a walk, when the
 # balance took the Caratheodory support of largest anchor weight, which moved
-# the n = 100 families of the colorful and affine modes)
+# the n = 100 families of the colorful and affine modes, and when the dual
+# pivots took the greedy rule)
 PLOTDATA_SHA256 = {
-    ("single", "text"): "6aec49d3cae2d9ef0dd83e76ffc8106ff92ea87076ea7684e0964f69972bbb3d",
-    ("single", "json"): "8b584dbc84e67adb7dc9bac49ecd2840146be577099b88787b7f01104471cd5c",
-    ("colorful", "text"): "5d9db410c60cd10af79350e85f89b4633d47a0924b4294dba0b204f5409f56e3",
-    ("colorful", "json"): "ff0901ae33bfae48a8b2160b426ac26afe2d5d159c509cf699f3db51c2750656",
-    ("affine", "text"): "13245e6145984de87be16eb7b6562b583c22198bc7fe57e6579fd31ef71e7acd",
-    ("affine", "json"): "1af8a253f7e658dd1a2807c543ee34cf78ef1d38fe3193f79c2e0957c06a529c",
+    ("single", "text"): "940723bc09538080ca17d7511a6b4da5d40756d7484fde832054df1ada74a1f7",
+    ("single", "json"): "0c9362a0d5beca3543b42da4801f4c62e10d832a6b77d7aad7b380c87b3db0bf",
+    ("colorful", "text"): "248ead87c4fdfa13d5e2fb322299e72bd3efb539bbfb81fee6c0eb1454d22f89",
+    ("colorful", "json"): "9625b969bc741924d4eaffddca7931cb7c1a81defad69d05a526b0d092a1c116",
+    ("affine", "text"): "0e10cbde8047e8a8bb51c6a02ca0cd1cf8431fce0518ebbccdea8cee980d671c",
+    ("affine", "json"): "b07335e6079a43a2c4c676d2dd330452034eef973faa52fc9daa46afc3efb371",
 }
 
 
@@ -458,12 +461,13 @@ def test_cli_lp_error_exit_2(tmp_path, capsys, monkeypatch, error):
     assert _error_exit(["proximity", "--input", str(inst)], capsys) == "error: no vertex\n"
 
 
-def _walk_fault(monkeypatch, tmp_path):
-    # every Bareiss step doubles delta: the selection's walk leaves A x = b
-    import steinitz.lp as lp
+def _pivot_fault(monkeypatch, tmp_path):
+    # every Bareiss step doubles delta: the point of the selection's dual
+    # pivots leaves the selection polytope, and its color check names it
+    import steinitz.linalg as linalg
     fileio.write_family(gen_zero_sum_family(2, 3, 6, LINF_NORM, 4), str(tmp_path / "f.txt"))
-    step = lp._bareiss_step
-    monkeypatch.setattr(lp, "_bareiss_step", lambda T, t, p, delta: 2 * step(T, t, p, delta))
+    step = linalg._bareiss_step
+    monkeypatch.setattr(linalg, "_bareiss_step", lambda T, t, p, delta: 2 * step(T, t, p, delta))
     return ["singlesum", "--input", str(tmp_path / "f.txt"), "--k", "2"]
 
 
@@ -494,12 +498,14 @@ def _ray_fault(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("error, message, fault", [
-    ("WalkCheckFailed", "vertex left the affine space A x = b", _walk_fault),
+    ("selection-color-integral", "property selection-color-integral violated: fractional part "
+     "of a color does not sum to an integer", _pivot_fault),
     ("SimplexCheckFailed", "simplex point is not feasible", _simplex_fault),
     ("RayCheckFailed", "double description produced an infeasible ray", _ray_fault)])
 def test_cli_lp_check_failure_exit_1(tmp_path, capsys, monkeypatch, error, message, fault):
-    """A self-check of the walk, the simplex or the double description that
-    fails is a property violation named by its class: exit 1, not 2."""
+    """A self-check of the dual pivots' point, the simplex or the double
+    description that fails is a property violation, named by the check or
+    by its class: exit 1, not 2."""
     assert main(fault(monkeypatch, tmp_path)) == 1
     assert capsys.readouterr().err == f"property violation [{error}]: {message}\n"
 

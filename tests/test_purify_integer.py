@@ -4,16 +4,17 @@
 walk over Fraction that the integer walk replaced, kept as the oracle: on
 every seeded instance both must return the same vertex or raise the same
 error.  Given a ``trail`` list, it appends x after every move, so a test
-can see which walks it covers.  The selection polytope runs
-``walk_to_vertex`` on its own integer state and is checked against the
-pre-change code, which built a BoxLP per step; the rearrangement chain,
-which never walks and pivots on a kept basis, is checked against the
-Fraction reference of chain_reference.py.  The seeded LPs come from
-generators (``LP_SETS``) that test_walk.py replays through the walk's own
-oracle.
+can see which walks it covers.  The rearrangement chain, which never walks
+and pivots on a kept basis, is checked against the Fraction reference of
+chain_reference.py, and the selection, which pivots on the same core
+(``linalg.DualBasis``), against the Fraction reference of
+purify_reference.py, whose pivots are chain_reference's.  The seeded LPs
+come from generators (``LP_SETS``) that test_walk.py replays through the
+walk's own oracle.
 """
 
 import collections
+import hashlib
 import math
 import os
 import random
@@ -24,8 +25,10 @@ from pathlib import Path
 
 import pytest
 
+import chain_reference
 import purify_reference
 import steinitz.colorful
+import steinitz.linalg
 import steinitz.rearrange
 from chain_reference import order_chain_pivots, order_chain_walk_every_step
 from purify_reference import order_chain, reference_feasible, reference_purify
@@ -455,13 +458,14 @@ def test_bareiss_divisions_are_exact(monkeypatch):
         return _bareiss_step(T, t, p, delta)
 
     monkeypatch.setattr(steinitz.lp, "_bareiss_step", checked)
-    monkeypatch.setattr(steinitz.rearrange, "_bareiss_step", checked)
+    monkeypatch.setattr(steinitz.linalg, "_bareiss_step", checked)
     rng = random.Random(47)
     for _ in range(300):
         lp, x = _random_lp(rng, rng.random() < 0.5)
         assert _outcome(purify_to_vertex, lp, x) == _outcome(reference_purify, lp, x)
-    # the chains, with their walk and their dual pivots, and the per-copy
-    # chain that walks at every step, whose walks keep their columns longer
+    # the chains, with the dual pivots of linalg.DualBasis, the per-copy
+    # chain that walks at every step, whose walks keep their columns longer,
+    # and two selections, which pivot on DualBasis too
     for d, m in ((3, 30), (5, 30)):
         vectors = gen_zero_sum_sequence(d, m, LINF_NORM, 48 + d, 16).vectors
         runs = _run_encode(vectors)
@@ -533,17 +537,19 @@ def test_walk_checks_survive_python_O():
     assert out == "vertex left the affine space A x = b\nvertex left its bounds\n"
 
 
-def _count_walks(monkeypatch, module):
-    """Count the calls of walk_to_vertex made from module; each must start
-    over a positive denominator."""
+def _count_restores(monkeypatch):
+    """Count the restores of linalg.DualBasis, with the length of their
+    order; each must end with delta > 0."""
     calls = []
+    restore = steinitz.linalg.DualBasis.restore
 
-    def walk(cols, D, X, LO, HI):
-        assert D > 0
-        calls.append(len(X))
-        return walk_to_vertex(cols, D, X, LO, HI)
+    def counted(basis, name):
+        calls.append(len(basis.order))
+        delta, X = restore(basis, name)
+        assert delta == basis.delta > 0
+        return delta, X
 
-    monkeypatch.setattr(module, "walk_to_vertex", walk)
+    monkeypatch.setattr(steinitz.linalg.DualBasis, "restore", counted)
     return calls
 
 
@@ -629,7 +635,7 @@ def _count_pivots(monkeypatch):
         calls.append(p)
         return _bareiss_step(T, t, p, delta)
 
-    monkeypatch.setattr(steinitz.rearrange, "_bareiss_step", counted)
+    monkeypatch.setattr(steinitz.linalg, "_bareiss_step", counted)
     return calls
 
 
@@ -658,11 +664,13 @@ def test_rearrangement_chain_matches_reference(monkeypatch):
         chains += 1
     # each chain twice; at one walk per step without a type to place, 369
     # walks for 975 chain steps; from the walk's vertex, 1,720 pivots and 31
-    # downdates
+    # downdates; from the unit columns by Bland's rule, 2,320 pivots and 34
+    # downdates; by the greedy rule, 887 and 32, and no pivot by Bland's
     assert len(starts) == 2 * log.count("start")
     assert len(pivots) == 2 * (log.count("pivot") + log.count("downdate"))
-    assert (chains, steps, log.count("start"), log.count("pivot"), log.count("downdate")) == \
-        (36, 975, 30, 2320, 34), (chains, steps, collections.Counter(log))
+    assert (chains, steps, log.count("start"), log.count("pivot"), log.count("downdate"),
+            log.count("bland")) == (36, 975, 30, 887, 32, 0), \
+        (chains, steps, collections.Counter(log))
     assert repeated >= 8, repeated
 
     # 2-4 types with 100-400 copies, in long runs and interleaved: 5,173 of
@@ -713,10 +721,10 @@ def test_chain_checks_each_pivot_step_once(monkeypatch):
     step of its pivot phase, steps k..d+1, and never in its walk-free
     phase, which the one zero-sum check of the input covers."""
     starts, checks = [], []
-    steps, check = steinitz.rearrange._pivot_steps, steinitz.rearrange._check_point
+    steps, check = steinitz.rearrange._pivot_steps, steinitz.linalg.DualBasis.holds
     monkeypatch.setattr(steinitz.rearrange, "_pivot_steps",
                         lambda k, dim, *args: starts.append(k - dim) or steps(k, dim, *args))
-    monkeypatch.setattr(steinitz.rearrange, "_check_point",
+    monkeypatch.setattr(steinitz.linalg.DualBasis, "holds",
                         lambda *args: checks.append(1) or check(*args))
     for d, vectors in _chain_cases():
         rearrangement_order(vectors, d)
@@ -737,9 +745,10 @@ def test_rearrangement_chain_matches_reference_off_the_corpus():
         assert _order_chain(runs, d) == order_chain_pivots(runs, d, log)
     # every rank-deficient chain but two reaches the pivot phase, which
     # starts on the R unit columns; the d - rank or more that its types do
-    # not span stay basic, and 148 leave as dual pivots
-    assert collections.Counter(log) == {"start": 58, "pivot": 2032, "downdate": 31,
-                                        "artificial": 148}, collections.Counter(log)
+    # not span stay basic, and 151 leave as dual pivots (148 of 2,032 pivots,
+    # with 31 downdates, by Bland's rule)
+    assert collections.Counter(log) == {"start": 58, "pivot": 1191, "downdate": 47,
+                                        "artificial": 151}, collections.Counter(log)
     log.clear()
     for d in range(2, 6):
         for m in (d + 1, d + 2):
@@ -748,10 +757,83 @@ def test_rearrangement_chain_matches_reference_off_the_corpus():
                     runs = _run_encode(gen_zero_sum_sequence(d, m, norm, 910 + seed, 16).vectors)
                     assert _order_chain(runs, d) == order_chain_pivots(runs, d, log)
     # m = d+1 places its one copy without a pivot; each m = d+2 chain starts
-    # its pivot phase at its first step, where all R unit columns leave,
-    # places a basic type at zero, which runs out, and pivots no more
-    assert collections.Counter(log) == {"start": 40, "pivot": 262, "artificial": 180,
+    # its pivot phase at its first step, where all R unit columns leave (in
+    # 220 pivots; 262 by Bland's rule), places a basic type at zero, which
+    # runs out, and pivots no more
+    assert collections.Counter(log) == {"start": 40, "pivot": 220, "artificial": 180,
                                         "downdate": 40}, collections.Counter(log)
+
+
+# sha256 of the chunks of _order_chain over _chain_cases(), in order, as they
+# were when the dual pivots followed Bland's rule alone
+BLAND_CHAIN_CASES_SHA256 = "d45a941b49ca8e928780052d1e2f073dfbd82147e2d3037ce68284dce98b61b5"
+
+
+def test_pure_bland_pivots_reproduce_the_bland_chain(monkeypatch):
+    """With the fallback at 0 pivots, every restore follows Bland's rule
+    from its first pivot: the chain's rule before the greedy one.  On
+    _chain_cases() it then makes that chain's 2,320 pivots and 34 downdates
+    and returns its chunks (their digest is pinned), and so does the
+    Fraction reference with the same setting."""
+    monkeypatch.setattr(steinitz.linalg, "GREEDY_PIVOTS_PER_ROW", 0)
+    monkeypatch.setattr(chain_reference, "GREEDY_PIVOTS_PER_ROW", 0)
+    pivots = _count_pivots(monkeypatch)
+    digest = hashlib.sha256()
+    log = []
+    for d, vectors in _chain_cases():
+        runs = _run_encode(vectors)
+        chunks = _order_chain(runs, d)
+        assert chunks == order_chain_pivots(runs, d, log)
+        digest.update(repr(chunks).encode())
+    assert digest.hexdigest() == BLAND_CHAIN_CASES_SHA256
+    assert log.count("pivot") == log.count("bland") == 2320 and log.count("downdate") == 34
+    assert len(pivots) == 2320 + 34
+
+
+def _pivots_per_restore(monkeypatch):
+    """The pivots of each DualBasis restore, over its rows R."""
+    ratios, pivots = [], []
+    step, restore = steinitz.linalg._positive_step, steinitz.linalg.DualBasis.restore
+
+    def counted(*args):
+        pivots.append(1)
+        return step(*args)
+
+    def measured(basis, name):
+        pivots.clear()
+        point = restore(basis, name)
+        ratios.append(F(len(pivots), len(basis.T)))
+        return point
+
+    monkeypatch.setattr(steinitz.linalg, "_positive_step", counted)
+    monkeypatch.setattr(steinitz.linalg.DualBasis, "restore", measured)
+    return ratios
+
+
+@pytest.mark.parametrize("per_row", [50, 1])
+def test_greedy_restores_end_before_the_fallback(monkeypatch, per_row):
+    """On _chain_cases() and the selections of _selection_families(), no
+    restore takes more than 11/6 R pivots (the chains; the selections take
+    at most 11/7 R), far below the 50 R after which the core falls back to
+    Bland's rule, which these inputs never reach.  With the fallback at one
+    pivot per row, 130 chain pivots follow Bland's rule after a greedy
+    start; every restore still ends, at most 3 R pivots on the chains and
+    29/9 R on the selections, and the chains and the selections match their
+    references with the same setting."""
+    monkeypatch.setattr(steinitz.linalg, "GREEDY_PIVOTS_PER_ROW", per_row)
+    monkeypatch.setattr(chain_reference, "GREEDY_PIVOTS_PER_ROW", per_row)
+    ratios = _pivots_per_restore(monkeypatch)
+    log = []
+    for d, vectors in _chain_cases():
+        runs = _run_encode(vectors)
+        assert _order_chain(runs, d) == order_chain_pivots(runs, d, log)
+    chains = max(ratios)
+    ratios.clear()
+    for fam in _selection_families():
+        for k in range(fam.length + 1):
+            assert single_partial_sum(fam, k) == purify_reference.single_partial_sum(fam, k)
+    want = {50: (F(11, 6), F(11, 7), 0), 1: (F(3), F(29, 9), 130)}[per_row]
+    assert (chains, max(ratios), log.count("bland")) == want, (chains, max(ratios), log)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -767,7 +849,7 @@ def test_rearrangement_order_one_step_chain(monkeypatch, d):
     assert starts == []
 
 
-_positive_step = steinitz.rearrange._positive_step
+_positive_step = steinitz.linalg._positive_step
 
 
 def _off_the_sum_row(T, t, q, delta):
@@ -787,7 +869,7 @@ def test_corrupted_chain_start_is_named(monkeypatch):
 
     # pivots that push the basic values off the sum row: the point read from
     # the basis fails the same check
-    monkeypatch.setattr(steinitz.rearrange, "_positive_step", _off_the_sum_row)
+    monkeypatch.setattr(steinitz.linalg, "_positive_step", _off_the_sum_row)
     seq = gen_zero_sum_sequence(2, 8, LINF_NORM, 5, 16)
     with pytest.raises(PropertyViolation, match="^property chain-start-point violated: "):
         rearrangement_order(seq.vectors, 2)
@@ -811,13 +893,13 @@ def test_input_off_zero_sum_is_named_in_every_dimension(vectors):
 # a named violation, exit 1 (the start check is not a usage error)
 CORRUPTED_CHAIN_RUN = (
     "import sys\n"
-    "import steinitz.cli as cli, steinitz.rearrange as r\n"
+    "import steinitz.cli as cli, steinitz.linalg as linalg\n"
     "from test_purify_integer import _off_the_sum_row\n"
     "path = sys.argv[1]\n"
     "if cli.main(['gen', 'family', '--d', '3', '--n', '1', '--m', '200', '--seed', '5',\n"
     "             '--output', path]):\n"
     "    sys.exit('gen failed')\n"
-    "r._positive_step = _off_the_sum_row\n"
+    "linalg._positive_step = _off_the_sum_row\n"
     "print(cli.main(['rearrange', '--input', path]))\n")
 
 
@@ -853,7 +935,7 @@ def _selection_families():
 
 
 def test_selection_matches_reference(monkeypatch):
-    walks = _count_walks(monkeypatch, steinitz.colorful)
+    restores = _count_restores(monkeypatch)
     selections = 0
     for fam in _selection_families():
         for k in range(fam.length + 1):
@@ -861,19 +943,22 @@ def test_selection_matches_reference(monkeypatch):
             assert got == purify_reference.single_partial_sum(fam, k)
             assert type(got.achieved) is F
             selections += 1
-    assert len(walks) == selections
+    # one restore per selection, with no walk
+    assert len(restores) == selections
 
 
 @pytest.mark.parametrize("colors,length", [(3, 0), (0, 3), (0, 0)])
 def test_selection_without_variables_never_walks(monkeypatch, colors, length):
-    # no variables: m = 0 would start the walk over D = 0
-    walks = _count_walks(monkeypatch, steinitz.colorful)
+    # no variables: the basis of unit columns is feasible at once, with
+    # delta = 1, and makes no pivot
+    restores = _count_restores(monkeypatch)
+    pivots = _count_pivots(monkeypatch)
     fam = ColoredFamily(2, colors, length, ((),) * colors, LINF_NORM)
     for k in range(length + 1):
         got = single_partial_sum(fam, k)
         assert got == purify_reference.single_partial_sum(fam, k)
         assert got == SubsetSelection(((),) * colors, k, ZERO)
-    assert walks == []
+    assert restores == [0] * (length + 1) and pivots == []
     with pytest.raises(ValueError, match="k out of range"):
         single_partial_sum(fam, length + 1)
 

@@ -163,9 +163,9 @@ def test_place_before_walk_is_no_worse_than_walking_every_step():
     denominators 16 and 1024), the chain that walks only when no type can
     be placed reaches a mean achieved / (d * radius) no larger than the
     chain that walks at every step: 0.407 against 0.449, with 195 better,
-    82 worse and 23 equal.  The library's chain, which starts its pivots
-    from every type at its count, reads 0.3665 (0.3684 when it started
-    them from a walk's vertex)."""
+    82 worse and 23 equal.  The library's chain, whose greedy dual pivots
+    start from every type at its count, reads 0.3299 (0.3665 by Bland's
+    rule, 0.3684 when it started them from a walk's vertex)."""
     new = old = F(0)
     for seed in range(5000, 5300):
         rng = random.Random(seed)
@@ -176,14 +176,14 @@ def test_place_before_walk_is_no_worse_than_walking_every_step():
         new += max_prefix_norm(seq, rearrangement_order(seq.vectors, d)) / bound
         old += max_prefix_norm(seq, order_chain_walk_every_step(seq.vectors, d)) / bound
     assert new <= old, (float(new / 300), float(old / 300))
-    assert new / 300 <= F(3685, 10000), float(new / 300)
+    assert new / 300 <= F(3300, 10000), float(new / 300)
 
 
 def test_kept_basis_is_no_worse_than_the_per_copy_chain():
     """On the 300 sequences above, the chain that keeps its vertex's basis
     and places the type whose copy leaves the smallest prefix reaches a
     mean achieved / (d * radius) no larger than the per-copy chain that
-    walks whenever no column is at zero: 0.367 against 0.405."""
+    walks whenever no column is at zero: 0.330 against 0.405."""
     new = old = F(0)
     for seed in range(5000, 5300):
         rng = random.Random(seed)

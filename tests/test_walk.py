@@ -1,5 +1,6 @@
-"""The vertex walk against its previous version, its work, and the named
-checks of the walk and of its callers.
+"""The vertex walk against its previous version, the work of the walk and
+of the dual pivots, and the named checks of the walk, of the chain and of
+the single sum.
 
 ``reference_walk`` (walk_reference.py) is ``lp.walk_to_vertex`` as it was
 when every step rescaled the whole point and a move that tightened more
@@ -8,10 +9,11 @@ two must return the same (D, X), or raise the same exception with the same
 message: the seeded LPs of test_purify_integer.py (through
 ``purify_to_vertex``), every walk of the chain of chain_reference.py that
 walks at every step without a type to place and of its per-copy chain that
-walks at every step, on ``_chain_cases()``, and every selection walk on
-``_selection_families()``.  The library's rearrangement chain never walks.
-The reference's log shows that the inputs reach the downdates, the steps
-with a denominator and the columns tight at the start.
+walks at every step, on ``_chain_cases()``, and the walk of every
+selection polytope of ``_selection_families()`` from its uniform point.
+The library's rearrangement chain and single sum never walk: both pivot on
+``linalg.DualBasis``.  The reference's log shows that the inputs reach the
+downdates, the steps with a denominator and the columns tight at the start.
 """
 
 import collections
@@ -26,6 +28,7 @@ import pytest
 
 import steinitz.cli as cli
 import steinitz.colorful as colorful
+import steinitz.linalg as linalg
 import steinitz.lp as lp
 import steinitz.rearrange as rearrange
 from steinitz.checks import PropertyViolation
@@ -76,8 +79,7 @@ class _Differential:
 @pytest.fixture
 def differential(monkeypatch):
     walk = _Differential()
-    for module in (lp, colorful):
-        monkeypatch.setattr(module, "walk_to_vertex", walk)
+    monkeypatch.setattr(lp, "walk_to_vertex", walk)
     return walk
 
 
@@ -111,11 +113,20 @@ def test_walk_matches_reference_on_chain_steps(differential):
 
 
 def test_walk_matches_reference_on_selection_walks(differential):
+    # the selection polytope {sum_i alpha[j][i] = k per color j,
+    # sum alpha[j][i] v[j][i] = 0, 0 <= alpha <= 1} of every k, on the
+    # columns (e_j, L v[j][i]), walked from its uniform point k/m: X = k
+    # over D = m, as the single sum did before it pivoted on DualBasis
     selections = 0
     for fam in _selection_families():
-        for k in range(fam.length + 1):
-            single_partial_sum(fam, k)
-            selections += fam.colors * fam.length > 0
+        _, vectors = fam.integer_form
+        n, m = fam.colors, fam.length
+        cols = [tuple(int(a == j) for a in range(n)) + v
+                for j, color in enumerate(vectors) for v in color]
+        for k in range(m + 1):
+            if cols:
+                lp.walk_to_vertex(cols, m, [k] * len(cols), [0] * len(cols), [m] * len(cols))
+                selections += 1
     seen = differential.seen
     assert seen["walks"] == selections
     for event, floor in (("multi-leave", 100), ("tight-leave", 50), ("den", 500),
@@ -135,17 +146,19 @@ def _count_steps(monkeypatch):
         return _bareiss_step(T, t, p, delta)
 
     monkeypatch.setattr(lp, "_bareiss_step", counted)
-    monkeypatch.setattr(rearrange, "_bareiss_step", counted)
+    monkeypatch.setattr(linalg, "_bareiss_step", counted)
     return calls
 
 
 def test_selection_bareiss_steps(monkeypatch):
-    # 779 steps when every multi-column tightening rebuilt the basis inverse
+    # 779 steps when every multi-column tightening rebuilt the basis inverse,
+    # 623 with one walk per k from the uniform point; now 84 greedy dual
+    # pivots from the first k entries of each color at 1
     steps = _count_steps(monkeypatch)
     fam = gen_zero_sum_family(3, 6, 12, L1_NORM, 201, 16)
     for k in range(13):
         single_partial_sum(fam, k)
-    assert len(steps) <= 623, len(steps)
+    assert len(steps) <= 84, len(steps)
 
 
 def test_chain_bareiss_steps(monkeypatch):
@@ -155,11 +168,12 @@ def test_chain_bareiss_steps(monkeypatch):
     # preferring a type at zero, 404 when it walked at every step, and 316
     # when it walked at every step without a type to place, and 177 when it
     # walked once and pivoted on from the walk's basis (9 steps of the walk
-    # and 168 of dual pivots and downdates); now 158 dual pivots and
-    # downdates from the basis of unit columns, with no walk
+    # and 168 of dual pivots and downdates), 158 dual pivots and downdates
+    # by Bland's rule from the basis of unit columns, with no walk; now 70
+    # by the greedy rule
     steps = _count_steps(monkeypatch)
     rearrangement_order(gen_zero_sum_sequence(2, 70, LINF_NORM, 7, 16).vectors, 2)
-    assert len(steps) <= 158, len(steps)
+    assert len(steps) <= 70, len(steps)
 
 
 # the inputs of one certify pass of the benchmark at seed 1: per round,
@@ -175,7 +189,11 @@ def test_certify_pass_walks(monkeypatch):
     # at one walk per chain step: rearrange 795 walks and 6,160 Bareiss steps,
     # colorful 950 and 4,879; at one walk per step without a type to place:
     # 391 and 3,531, 517 and 3,025; at one walk per chain and dual pivots on
-    # from its basis: 18 and 2,209, 17 and 752; the selections walk once each
+    # from its basis: 18 and 2,209, 17 and 752; with no walk and the dual
+    # pivots of Bland's rule from the unit columns: 0 and 2,505, 0 and 607,
+    # and the selections, one walk each from the uniform point, 156 walks
+    # and 7,472 steps; with the greedy rule, and the selections on the same
+    # dual pivots: 892, 407 and 1,140 steps, and no walk
     kind, walks, steps = [None], collections.Counter(), collections.Counter()
 
     def walk(cols, D, X, LO, HI):
@@ -186,9 +204,8 @@ def test_certify_pass_walks(monkeypatch):
         steps[kind[0]] += 1
         return _bareiss_step(T, t, p, delta)
 
-    for module in (lp, colorful):
-        monkeypatch.setattr(module, "walk_to_vertex", walk)
-    for module in (lp, rearrange):
+    monkeypatch.setattr(lp, "walk_to_vertex", walk)
+    for module in (lp, linalg):
         monkeypatch.setattr(module, "_bareiss_step", counted)
     for base in (10_000, 11_000, 12_000):
         for i, (d, m, norm, denom) in enumerate(REARRANGE_SPECS):
@@ -203,12 +220,11 @@ def test_certify_pass_walks(monkeypatch):
             fam = gen_zero_sum_family(3, 6, 12, (LINF_NORM, L1_NORM)[i % 2], base + 200 + i)
             for k in range(13):
                 single_partial_sum(fam, k)
-    # the chains never walk: their pivots start on the basis of unit columns,
-    # which costs the rearrange chains more pivots than the walk's basis did,
-    # but no walk with its per-column products
-    assert walks["rearrange"] == 0 and walks["colorful"] == 0, walks
-    assert walks["singlesum"] == 156, walks
-    assert steps["rearrange"] <= 2505 and steps["colorful"] <= 706, steps
+    # nothing walks: the chains and the selections pivot on DualBasis from
+    # the unit columns
+    assert not walks, walks
+    assert steps["rearrange"] <= 892 and steps["colorful"] <= 407, steps
+    assert steps["singlesum"] <= 1140, steps
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +268,28 @@ def _reversed_sorted(items, key=None):
     return sorted(items, key=key)[::-1]
 
 
-def _walk_to(D, X):
-    """A faulty walk that ends at X/D, wherever it starts."""
-    return lambda cols, D0, X0, LO, HI: (D, list(X))
+def _point_at(D, X):
+    """A faulty DualBasis.restore: its point is X/D, wherever it starts."""
+    return lambda basis, name: (D, list(X))
+
+
+_shift = linalg.DualBasis.shift
+
+
+def _shift_past_every_point(basis, i, a):
+    """A faulty step of the chain's sum row: its right-hand side falls a
+    million times too far, below 0, where no point lambda >= 0 lies."""
+    _shift(basis, i, a * 10 ** 6)
+
+
+_run_sum = rearrange._run_sum
+
+
+def _start_far_off(runs, dim):
+    """A faulty sum of the selection's start, the first k vectors of each
+    color: a million times too large, so that no point of the selection
+    polytope, whose vectors lie in the unit ball, meets the rows."""
+    return tuple(10 ** 6 * x for x in _run_sum(runs, dim))
 
 
 _closest = rearrange._closest
@@ -266,25 +301,18 @@ def _read_every_type_full(live, X, D, count, P, col):
     return _closest(live, [count[t] * D for t in live], D, count, P, col)
 
 
-def _place_a_full_type(live, X, D, count, P, col):
-    """A faulty pick of the chain: the last type at its count, whose copy
-    cannot leave; the next point would need more of it than is left."""
-    full = [t for t, a in zip(live, X) if a == count[t] * D]
-    return full[-1] if full else _closest(live, X, D, count, P, col)
-
-
 _SEQ = gen_zero_sum_sequence(2, 8, LINF_NORM, 5, 16)
 _SHORT = gen_zero_sum_sequence(2, 6, LINF_NORM, 0, 16)
-# one color of the scalars 1, 1, -1, -1: its k = 2 walk starts at X = 2 over D = 4
+# one color of the scalars 1, 1, -1, -1, with k = 2
 _FAM = ColoredFamily(1, 1, 4, (((F(1),), (F(1),), (F(-1),), (F(-1),)),), LINF_NORM)
 
 # (name, module, attribute, faulty value, call)
 CALLER_FAULTS = (
     ("chain-zero-coordinate", rearrange, "_closest", _read_every_type_full,
      lambda: rearrangement_order(_SEQ.vectors, 2)),
-    ("chain-start-point", rearrange, "_positive_step", _off_the_sum_row,
+    ("chain-start-point", linalg, "_positive_step", _off_the_sum_row,
      lambda: rearrangement_order(_SEQ.vectors, 2)),
-    ("chain-dual-infeasible", rearrange, "_closest", _place_a_full_type,
+    ("chain-dual-infeasible", linalg.DualBasis, "shift", _shift_past_every_point,
      lambda: rearrangement_order(_SHORT.vectors, 2)),
     # a prefix maximum, over the integer form, past any bound
     ("steinitz-prefix-bound", rearrange, "_max_prefix_runs",
@@ -294,13 +322,19 @@ CALLER_FAULTS = (
     # the k smallest entries instead of the k largest: distance 4 > m/2
     ("rounding-distance", colorful, "sorted", _reversed_sorted,
      lambda: colorful.round_to_binary((1, 1, 0, 0), 2)),
-    ("selection-fractional-support", colorful, "walk_to_vertex", _walk_to(4, [2, 2, 2, 2]),
+    # the selection's checks, each on a faulty point of the core; the last
+    # one is within the bounds, rounds to the sum 0 and is off the vector row
+    ("selection-fractional-support", linalg.DualBasis, "restore", _point_at(4, [2, 2, 2, 2]),
      lambda: single_partial_sum(_FAM, 2)),
-    ("selection-color-integral", colorful, "walk_to_vertex", _walk_to(4, [1, 0, 0, 0]),
+    ("selection-color-integral", linalg.DualBasis, "restore", _point_at(4, [1, 0, 0, 0]),
      lambda: single_partial_sum(_FAM, 2)),
-    ("selection-size", colorful, "walk_to_vertex", _walk_to(4, [4, 0, 0, 0]),
+    ("selection-size", linalg.DualBasis, "restore", _point_at(4, [4, 0, 0, 0]),
      lambda: single_partial_sum(_FAM, 2)),
-    ("selection-sum-bound", colorful, "walk_to_vertex", _walk_to(4, [4, 4, 0, 0]),
+    ("selection-sum-bound", linalg.DualBasis, "restore", _point_at(4, [4, 4, 0, 0]),
+     lambda: single_partial_sum(_FAM, 2)),
+    ("selection-point", linalg.DualBasis, "restore", _point_at(4, [4, 1, 3, 0]),
+     lambda: single_partial_sum(_FAM, 2)),
+    ("selection-dual-infeasible", colorful, "_run_sum", _start_far_off,
      lambda: single_partial_sum(_FAM, 2)),
 )
 
@@ -337,14 +371,14 @@ def test_named_check_exits_with_one(tmp_path, capsys):
 
 
 def test_chain_dual_infeasible_exits_with_one(tmp_path, capsys):
-    # a chain that places a copy of a type at its count has no point left to
-    # pivot to: the named dual check, exit 1 (its -O twin runs with the
-    # caller faults below)
+    # a sum row whose right-hand side falls below 0 leaves no point to pivot
+    # to: the named dual check, exit 1 (its -O twin runs with the caller
+    # faults below)
     path = str(tmp_path / "seq.txt")
     assert cli.main(["gen", "family", "--d", "2", "--n", "1", "--m", "6", "--seed", "0",
                      "--output", path]) == 0
     assert cli.main(["rearrange", "--input", path]) == 0
-    with _patched(rearrange, "_closest", _place_a_full_type):
+    with _patched(linalg.DualBasis, "shift", _shift_past_every_point):
         assert cli.main(["rearrange", "--input", path]) == 1
     assert "property violation [chain-dual-infeasible]: property chain-dual-infeasible " \
         "violated: " in capsys.readouterr().err
